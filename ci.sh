@@ -37,6 +37,11 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> vbench: fmt, clippy, tests (its own Cargo workspace, see BENCHMARK.json)"
+cargo --offline fmt --check --manifest-path vbench/Cargo.toml
+cargo --offline clippy --all-targets --manifest-path vbench/Cargo.toml -- -D warnings
+cargo --offline test -q --manifest-path vbench/Cargo.toml
+
 echo "==> serving smoke test (100 requests, zero lost)"
 cargo test -q -p vedliot-serve --test serving smoke_100_requests_zero_lost
 
@@ -56,144 +61,23 @@ echo "==> SLO smoke test (burn-driven incident: exact causal accounting, determi
 cargo test -q -p vedliot-serve --test slo
 
 if [[ $fast -eq 0 ]]; then
-  echo "==> kernel perf gate (E24 batched per-sample conv cost vs recorded baseline)"
-  # BENCH_pr6.json is the checked-in snapshot from `harness kernels`.
-  # Regenerate a fresh snapshot and fail if the E21 cliff metric
-  # (per-sample cost at batch 8 relative to batch 1) regressed above the
-  # recorded baseline with 30% timing-noise headroom.
-  baseline=$(sed 's/.*"name":"b8_over_b1"[^}]*"value"://;s/}.*//' BENCH_pr6.json)
-  BENCH_OUT=target/BENCH_pr6.json ./target/release/harness kernels > /dev/null
-  fresh=$(sed 's/.*"name":"b8_over_b1"[^}]*"value"://;s/}.*//' target/BENCH_pr6.json)
-  echo "    b8/b1 per-sample cost: baseline ${baseline}, fresh ${fresh}"
-  awk -v f="$fresh" -v b="$baseline" 'BEGIN {
-    limit = b * 1.30; if (limit < 1.0) limit = 1.0;
-    if (f > limit) {
-      printf "ERROR: batched per-sample conv cost regressed: %s > limit %.3f (baseline %s)\n", f, limit, b;
-      exit 1;
-    }
-  }'
-
-  echo "==> routing availability gate (E25 per-priority availability vs recorded baseline)"
-  # BENCH_pr7.json is the checked-in snapshot from `harness routing`.
-  # The E25 run asserts the admission contract internally (high >= 0.98,
-  # batch shed first, bit-identity); the gate re-checks the fresh
-  # high-priority availability against both the hard floor and the
-  # recorded baseline with 2% scheduling-noise headroom.
-  baseline=$(sed 's/.*"labels":{"priority":"high"},"type":"gauge","value"://;s/}.*//' BENCH_pr7.json)
-  BENCH_OUT=target/BENCH_pr7.json ./target/release/harness routing > /dev/null
-  fresh=$(sed 's/.*"labels":{"priority":"high"},"type":"gauge","value"://;s/}.*//' target/BENCH_pr7.json)
-  echo "    high-priority availability: baseline ${baseline}, fresh ${fresh}"
-  awk -v f="$fresh" -v b="$baseline" 'BEGIN {
-    floor = b - 0.02; if (floor < 0.98) floor = 0.98;
-    if (f < floor) {
-      printf "ERROR: high-priority availability regressed: %s < floor %.3f (baseline %s)\n", f, floor, b;
-      exit 1;
-    }
-  }'
-
-  echo "==> fleet rollout gate (E26 OTA convergence/availability vs recorded baseline)"
-  # BENCH_pr8.json is the checked-in snapshot from `harness fleet`. The
-  # E26 run asserts the hard safety invariants internally (safe-state
-  # audit, quarantine containment, canary blast radius, >=5% crash
-  # coverage); the rollout is fully seeded, so the gate holds the fresh
-  # run to the recorded availability (small headroom for float noise)
-  # and to the exact deterministic rollback counts.
-  base_avail=$(sed 's/.*"name":"availability"[^}]*"value"://;s/}.*//' BENCH_pr8.json)
-  # convergence_ticks carries a labels object, so match through its
-  # closing brace rather than relying on [^}]* reaching "value".
-  base_ticks=$(sed 's/.*"name":"convergence_ticks"[^}]*},"type":"gauge","value"://;s/}.*//' BENCH_pr8.json)
-  BENCH_OUT=target/BENCH_pr8.json ./target/release/harness fleet > /dev/null
-  fresh_avail=$(sed 's/.*"name":"availability"[^}]*"value"://;s/}.*//' target/BENCH_pr8.json)
-  fresh_ticks=$(sed 's/.*"name":"convergence_ticks"[^}]*},"type":"gauge","value"://;s/}.*//' target/BENCH_pr8.json)
-  fresh_wave_rb=$(sed 's/.*"name":"wave_rollbacks"[^}]*"value"://;s/}.*//' target/BENCH_pr8.json)
-  fresh_bad_rb=$(sed 's/.*"name":"bad_wave_rollbacks"[^}]*"value"://;s/}.*//' target/BENCH_pr8.json)
-  echo "    availability: baseline ${base_avail}, fresh ${fresh_avail}; convergence ticks: baseline ${base_ticks}, fresh ${fresh_ticks}"
-  awk -v fa="$fresh_avail" -v ba="$base_avail" -v ft="$fresh_ticks" -v bt="$base_ticks" \
-      -v wrb="$fresh_wave_rb" -v brb="$fresh_bad_rb" 'BEGIN {
-    if (fa < ba - 0.01) {
-      printf "ERROR: rollout availability regressed: %s < %.4f (baseline %s)\n", fa, ba - 0.01, ba;
-      exit 1;
-    }
-    if (ft > bt * 1.10) {
-      printf "ERROR: rollout convergence slowed: %s ticks > limit %.0f (baseline %s)\n", ft, bt * 1.10, bt;
-      exit 1;
-    }
-    if (wrb != 0) {
-      printf "ERROR: healthy release wave-rolled-back %s times (must be 0)\n", wrb;
-      exit 1;
-    }
-    if (brb != 1) {
-      printf "ERROR: bad release saw %s wave rollbacks (must be exactly 1)\n", brb;
-      exit 1;
-    }
-  }'
-
   echo "==> analyze sweep (liveness/value-range/quant-safety over the zoo)"
   # `lint --analyze` runs the dataflow analyses and the arena planner
   # over every zoo model; it exits non-zero on Error-severity findings
   # or an analysis failure.
   cargo run -q --release -p vedliot --bin vedliot -- lint --analyze > /dev/null
 
-  echo "==> memory planner gate (E27 arena peak-memory reduction vs recorded baseline)"
-  # BENCH_pr9.json is the checked-in snapshot from `harness memory`.
-  # The E27 run asserts bit-identity and the 25% per-model bar
-  # internally; the planner is deterministic, so the gate holds the
-  # fresh reductions to the recorded baseline with a small float
-  # headroom, never below the 0.25 acceptance bar.
-  base_min=$(sed 's/.*"name":"min_conv_reduction"[^}]*"value"://;s/}.*//' BENCH_pr9.json)
-  base_all=$(sed 's/.*"name":"overall_reduction"[^}]*"value"://;s/}.*//' BENCH_pr9.json)
-  BENCH_OUT=target/BENCH_pr9.json ./target/release/harness memory > /dev/null
-  fresh_min=$(sed 's/.*"name":"min_conv_reduction"[^}]*"value"://;s/}.*//' target/BENCH_pr9.json)
-  fresh_all=$(sed 's/.*"name":"overall_reduction"[^}]*"value"://;s/}.*//' target/BENCH_pr9.json)
-  echo "    min conv reduction: baseline ${base_min}, fresh ${fresh_min}; overall: baseline ${base_all}, fresh ${fresh_all}"
-  awk -v fm="$fresh_min" -v bm="$base_min" -v fa="$fresh_all" -v ba="$base_all" 'BEGIN {
-    floor = bm - 0.02; if (floor < 0.25) floor = 0.25;
-    if (fm < floor) {
-      printf "ERROR: weakest per-model arena reduction regressed: %s < floor %.3f (baseline %s)\n", fm, floor, bm;
-      exit 1;
-    }
-    if (fa < ba - 0.02) {
-      printf "ERROR: overall arena reduction regressed: %s < %.4f (baseline %s)\n", fa, ba - 0.02, ba;
-      exit 1;
-    }
-  }'
-
-  echo "==> flight-recorder/SLO gate (E28 overhead, causal exactness, alert determinism)"
-  # BENCH_pr10.json is the checked-in snapshot from `harness slo`. The
-  # E28 run asserts the accounting identities and two-run bit-identity
-  # internally; the gate re-checks the fresh snapshot's hard invariants:
-  # zero orphaned causes, zero broken chains, zero ring drops, exactly
-  # one alert fired and cleared in the scripted incident, and the
-  # full-stack observability tax under the 2x ceiling (timing-noisy, so
-  # gated against the hard budget rather than the recorded baseline).
-  base_ratio=$(sed 's/.*"name":"overhead_ratio"[^}]*"value"://;s/}.*//' BENCH_pr10.json)
-  BENCH_OUT=target/BENCH_pr10.json ./target/release/harness slo > /dev/null
-  fresh_ratio=$(sed 's/.*"name":"overhead_ratio"[^}]*"value"://;s/}.*//' target/BENCH_pr10.json)
-  fresh_orphans=$(sed 's/.*"name":"journal_orphans"[^}]*"value"://;s/}.*//' target/BENCH_pr10.json)
-  fresh_broken=$(sed 's/.*"name":"causal_mismatches"[^}]*"value"://;s/}.*//' target/BENCH_pr10.json)
-  fresh_fired=$(sed 's/.*"name":"alerts_fired"[^}]*"value"://;s/}.*//' target/BENCH_pr10.json)
-  fresh_cleared=$(sed 's/.*"name":"alerts_cleared"[^}]*"value"://;s/}.*//' target/BENCH_pr10.json)
-  fresh_dropped=$(sed 's/.*"name":"fleet_journal_dropped"[^}]*"value"://;s/}.*//' target/BENCH_pr10.json)
-  echo "    overhead ratio: baseline ${base_ratio}, fresh ${fresh_ratio}; orphans ${fresh_orphans}, broken chains ${fresh_broken}"
-  awk -v r="$fresh_ratio" -v o="$fresh_orphans" -v c="$fresh_broken" \
-      -v f="$fresh_fired" -v cl="$fresh_cleared" -v d="$fresh_dropped" 'BEGIN {
-    if (r > 2.0) {
-      printf "ERROR: full-stack observability tax blew the 2x budget: ratio %s\n", r;
-      exit 1;
-    }
-    if (o != 0 || c != 0) {
-      printf "ERROR: causal accounting not exact: %s orphaned causes, %s broken chains\n", o, c;
-      exit 1;
-    }
-    if (f != 1 || cl != 1) {
-      printf "ERROR: scripted incident alert counts drifted: %s fired / %s cleared (must be 1/1)\n", f, cl;
-      exit 1;
-    }
-    if (d != 0) {
-      printf "ERROR: fleet journal dropped %s events (ring must hold the rollout)\n", d;
-      exit 1;
-    }
-  }'
+  echo "==> BENCH gates (fresh snapshot vs checked-in baseline, rules in crates/bench/src/gate.rs)"
+  # Each experiment asserts its own hard invariants while it runs and
+  # writes a fresh snapshot; `harness gate` then checks every rule of
+  # that snapshot's subsystem against the checked-in baseline.
+  for pair in kernels:BENCH_pr6.json routing:BENCH_pr7.json fleet:BENCH_pr8.json \
+              memory:BENCH_pr9.json slo:BENCH_pr10.json; do
+    experiment=${pair%%:*} file=${pair#*:}
+    echo "  -> harness $experiment vs $file"
+    BENCH_OUT="target/$file" ./target/release/harness "$experiment" > /dev/null
+    ./target/release/harness gate "$file" "target/$file"
+  done
 fi
 
 if [[ $deep -eq 1 ]]; then

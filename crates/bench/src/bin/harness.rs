@@ -1,121 +1,76 @@
-//! The figure/table regeneration harness.
+//! The figure/table regeneration harness and the BENCH gate.
 //!
-//! `cargo run --release -p vedliot-bench --bin harness -- <experiment>`
+//! ```text
+//! cargo run --release -p vedliot-bench --bin harness -- <experiment>
+//! cargo run --release -p vedliot-bench --bin harness -- gate <baseline.json> <fresh.json>
+//! ```
 //!
-//! Experiments (DESIGN.md §3): `fig2`, `fig3`, `fig4`, `fig4-ext`,
-//! `compression`, `gap`, `twine`, `pmp`, `cfu`, `safety`, `paeb`, `arc`,
-//! `motor`, `mirror`, `reconfig`, `reqeng`, `memory`, `memory-study`,
-//! `codesign`, `executor`, `serving`, `resilience`, `observe`,
-//! `kernels`, `routing`, `fleet`, `slo`, `lint`, or `all`.
-//!
-//! `kernels` additionally writes `BENCH_pr6.json` (the obs JSON export
-//! of the E24 kernel measurements) to the current directory — the
-//! perf-trajectory snapshot ci.sh compares against its checked-in
-//! baseline. `routing` likewise writes `BENCH_pr7.json` (the E25
-//! per-priority availability snapshot), `fleet` writes
-//! `BENCH_pr8.json` (the E26 OTA convergence/availability snapshot),
-//! `memory` writes `BENCH_pr9.json` (the E27 arena peak-memory
-//! snapshot; the §II-B memory-hierarchy study moved to
-//! `memory-study`), and `slo` writes `BENCH_pr10.json` (the E28
-//! flight-recorder/SLO overhead + causal-accounting snapshot). Set
-//! `BENCH_OUT` to redirect any snapshot path.
+//! The experiment names are the entries of `experiments::BY_NAME`
+//! (DESIGN.md §3), or `all`. A single experiment that carries a snapshot
+//! also writes it as JSON to `BENCH_OUT`, or to its checked-in
+//! `BENCH_pr*.json` name in the current directory; `all` writes none.
+//! `gate` holds a fresh snapshot to its baseline by the rules in
+//! `gate::RULES` and exits non-zero if any check fails.
 
-// Bin entry point: panicking on a broken environment is the right
-// failure mode here, unlike in library code.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
-use vedliot_bench::experiments;
+use std::process::exit;
+use vedliot_bench::experiments::{self, Experiment, BY_NAME};
+use vedliot_bench::gate;
 
 fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let experiments: Vec<experiments::Experiment> = match arg.as_str() {
-        "fig2" => vec![experiments::fig2()],
-        "fig3" => vec![experiments::fig3()],
-        "fig4" => vec![experiments::fig4()],
-        "fig4-ext" => experiments::fig4_ext(),
-        "compression" => vec![experiments::compression()],
-        "gap" => vec![experiments::gap()],
-        "twine" => vec![experiments::twine()],
-        "pmp" => vec![experiments::pmp()],
-        "cfu" => vec![experiments::cfu()],
-        "safety" => vec![experiments::safety()],
-        "paeb" => vec![experiments::paeb()],
-        "arc" => vec![experiments::arc()],
-        "motor" => vec![experiments::motor()],
-        "mirror" => vec![experiments::mirror()],
-        "reconfig" => vec![experiments::reconfig()],
-        "reqeng" => vec![experiments::reqeng()],
-        "memory" => {
-            let (experiment, snapshot) = experiments::memory_planning_with_snapshot();
-            let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr9.json".into());
-            std::fs::write(&path, snapshot.to_json()).unwrap_or_else(|e| {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote arena-memory snapshot to {path}");
-            vec![experiment]
-        }
-        "memory-study" => vec![experiments::memory_study()],
-        "codesign" => vec![experiments::codesign()],
-        "ablation" => vec![experiments::ablation_naive()],
-        "executor" => vec![experiments::executor_parallel()],
-        "serving" => vec![experiments::serving()],
-        "resilience" => vec![experiments::resilience()],
-        "observe" => vec![experiments::observe()],
-        "kernels" => {
-            let (experiment, snapshot) = experiments::kernels_with_snapshot();
-            let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr6.json".into());
-            std::fs::write(&path, snapshot.to_json()).unwrap_or_else(|e| {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote kernel snapshot to {path}");
-            vec![experiment]
-        }
-        "routing" => {
-            let (experiment, snapshot) = experiments::routing_with_snapshot();
-            let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr7.json".into());
-            std::fs::write(&path, snapshot.to_json()).unwrap_or_else(|e| {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote routing snapshot to {path}");
-            vec![experiment]
-        }
-        "fleet" => {
-            let (experiment, snapshot) = experiments::fleet_with_snapshot();
-            let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr8.json".into());
-            std::fs::write(&path, snapshot.to_json()).unwrap_or_else(|e| {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote fleet snapshot to {path}");
-            vec![experiment]
-        }
-        "slo" => {
-            let (experiment, snapshot) = experiments::slo_with_snapshot();
-            let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr10.json".into());
-            std::fs::write(&path, snapshot.to_json()).unwrap_or_else(|e| {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote flight-recorder/SLO snapshot to {path}");
-            vec![experiment]
-        }
-        "lint" => vec![experiments::lint()],
-        "all" => experiments::all(),
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!(
-                "choose one of: fig2 fig3 fig4 fig4-ext compression gap twine pmp cfu \
-                 safety paeb arc motor mirror reconfig reqeng memory memory-study codesign \
-                 ablation executor serving resilience observe kernels routing fleet slo \
-                 lint all"
-            );
-            std::process::exit(2);
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let name = args.first().map_or("all", String::as_str);
+    let run = match name {
+        "gate" => return gate(&args[1..]),
+        "all" => experiments::all,
+        _ => match BY_NAME.iter().find(|(n, _)| *n == name) {
+            Some((_, run)) => *run,
+            None => usage(&format!("unknown experiment '{name}'")),
+        },
     };
+    let experiments = run();
+    if let [Experiment {
+        snapshot: Some((file, export)),
+        ..
+    }] = experiments.as_slice()
+    {
+        let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| (*file).into());
+        std::fs::write(&path, export.to_json()).unwrap_or_else(|e| {
+            eprintln!("failed to write {path}: {e}");
+            exit(1);
+        });
+        eprintln!("wrote {} snapshot to {path}", export.subsystem);
+    }
     for experiment in experiments {
         println!("{experiment}");
     }
+}
+
+fn gate(paths: &[String]) {
+    let [baseline, fresh] = paths else {
+        usage("gate takes exactly two paths")
+    };
+    let read = |path| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("failed to read {path}: {e}");
+            exit(2);
+        })
+    };
+    match gate::gate(&read(baseline), &read(fresh)) {
+        Ok(report) => print!("{report}"),
+        Err(report) => {
+            eprintln!("{}", report.trim_end());
+            eprintln!("ERROR: {fresh} failed the gate against {baseline}");
+            exit(1);
+        }
+    }
+}
+
+fn usage(problem: &str) -> ! {
+    let names: Vec<&str> = BY_NAME.iter().map(|(name, _)| *name).collect();
+    eprintln!("{problem}");
+    eprintln!(
+        "choose one of: {} all, or gate <baseline.json> <fresh.json>",
+        names.join(" ")
+    );
+    exit(2);
 }

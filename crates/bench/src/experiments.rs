@@ -36,6 +36,9 @@ pub struct Experiment {
     pub table: Table,
     /// Headline observations (the paper-facing numbers).
     pub notes: Vec<String>,
+    /// For the experiments ci.sh gates: the default `BENCH_*.json` name
+    /// and the obs export `harness <name>` writes there.
+    pub snapshot: Option<(&'static str, vedliot::obs::Export)>,
 }
 
 impl std::fmt::Display for Experiment {
@@ -81,6 +84,7 @@ pub fn fig2() -> Experiment {
         title: "Fig. 2 — COM form factors supported by VEDLIoT hardware platforms".into(),
         table,
         notes: vec!["every form factor is hosted by exactly one RECS platform family".into()],
+        snapshot: None,
     }
 }
 
@@ -125,6 +129,7 @@ pub fn fig3() -> Experiment {
             format!("geometric-mean efficiency: {gm:.2} TOPS/W (paper: 'most architectures cluster around 1 TOPS/W')"),
             format!("power span: {:.3} W – {:.0} W (paper: 'milliwatt … exceeding 400 W')", span.0, span.1),
         ],
+        snapshot: None,
     }
 }
 
@@ -164,6 +169,7 @@ fn fig4_for(model: &Graph, id: &'static str, title: String) -> Experiment {
             "batch growth lifts GPU-class utilization strongly; CPUs and FPGAs barely move".into(),
             "the two Xavier AGX rows are the same silicon in two power modes".into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -254,6 +260,7 @@ pub fn compression() -> Experiment {
             format!("float baseline accuracy: {:.1}%", base_acc * 100.0),
             format!("best ratio reached: {best_ratio:.1}x with real encoded sizes (payload + codebooks)"),
         ],
+        snapshot: None,
     }
 }
 
@@ -310,6 +317,7 @@ pub fn gap() -> Experiment {
         title: "§III — theoretical vs deployed speedup".into(),
         table,
         notes,
+        snapshot: None,
     }
 }
 
@@ -356,6 +364,7 @@ pub fn twine() -> Experiment {
                 cmp.enclave_overhead()
             ),
         ],
+        snapshot: None,
     }
 }
 
@@ -466,6 +475,7 @@ pub fn pmp() -> Experiment {
             "every U-mode access is PMP-checked; M-mode short-circuits when no entry is active"
                 .into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -542,6 +552,7 @@ pub fn cfu() -> Experiment {
         notes: vec![
             "one custom instruction performs 4 MACs; identical results, fewer cycles".into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -588,6 +599,7 @@ pub fn safety() -> Experiment {
         notes: vec![
             "large faults are always caught, sub-noise faults never, with zero false alarms on clean data".into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -629,6 +641,7 @@ pub fn paeb() -> Experiment {
             "offloading engages where network + deadline allow; the benefit collapses at high speed".into(),
             "the edge station is remote-attested before any frame leaves the car".into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -655,6 +668,7 @@ pub fn arc() -> Experiment {
             "an operating point with zero false negatives and sub-millisecond latency exists"
                 .into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -686,6 +700,7 @@ pub fn motor() -> Experiment {
                 life / 365.0
             ),
         ],
+        snapshot: None,
     }
 }
 
@@ -719,6 +734,7 @@ pub fn mirror() -> Experiment {
             ),
             "no sensor data leaves the device (privacy by construction)".into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -772,6 +788,7 @@ pub fn reconfig() -> Experiment {
             ),
             "partial reconfiguration trades peak GOPS for watts at run time".into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -796,6 +813,7 @@ pub fn reqeng() -> Experiment {
         notes: vec![
             "on the paper's 13×4 grid the vertical/horizontal rule removes ~71% of potential couplings".into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -819,14 +837,8 @@ pub fn memory_study() -> Experiment {
         title: "§II-B — memory-hierarchy study: ResNet50 DRAM traffic vs on-chip buffer".into(),
         table,
         notes: vec!["traffic is monotone in buffer size down to the compulsory minimum".into()],
+        snapshot: None,
     }
-}
-
-/// E27 — arena memory planning across the zoo. See
-/// [`memory_planning_with_snapshot`].
-#[must_use]
-pub fn memory_planning() -> Experiment {
-    memory_planning_with_snapshot().0
 }
 
 /// E27 — peak intermediate (value-arena) memory before and after the
@@ -838,7 +850,7 @@ pub fn memory_planning() -> Experiment {
 /// layout, and spot-checks on the small networks that planned and
 /// unplanned execution produce **bit-identical** outputs.
 ///
-/// Also returns the machine-readable snapshot `harness memory` writes
+/// Carries the machine-readable snapshot `harness memory` writes
 /// to `BENCH_pr9.json` (the peak-memory baseline ci.sh checks against).
 ///
 /// # Panics
@@ -847,7 +859,7 @@ pub fn memory_planning() -> Experiment {
 /// acceptance bar, or if a spot-checked model's planned run diverges
 /// from its unplanned run by a single bit.
 #[must_use]
-pub fn memory_planning_with_snapshot() -> (Experiment, vedliot::obs::Export) {
+pub fn memory_planning() -> Experiment {
     use vedliot::nnir::exec::{MemoryPlan, RunOptions, Runner};
     use vedliot::nnir::{Graph, Tensor};
     use vedliot::obs::{Export, Metric};
@@ -958,7 +970,7 @@ pub fn memory_planning_with_snapshot() -> (Experiment, vedliot::obs::Export) {
         ],
     };
 
-    let experiment = Experiment {
+    Experiment {
         id: "E27",
         title: "arena memory planner: liveness-colored slots vs one slot per tensor".into(),
         table,
@@ -975,8 +987,8 @@ pub fn memory_planning_with_snapshot() -> (Experiment, vedliot::obs::Export) {
              (and proptested across random graphs in the nnir suite)"
                 .into(),
         ],
-    };
-    (experiment, snapshot)
+        snapshot: Some(("BENCH_pr9.json", snapshot)),
+    }
 }
 
 /// Co-design study (§II-B approach 4): efficiency over iterations.
@@ -1001,6 +1013,7 @@ pub fn codesign() -> Experiment {
             "efficiency improvement over baseline: {:.2}x",
             result.improvement()
         )],
+        snapshot: None,
     }
 }
 
@@ -1042,6 +1055,7 @@ pub fn ablation_naive() -> Experiment {
              Fig. 4's B1→B8 spread or the CPU/GPU ordering at realistic magnitudes"
                 .into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -1111,6 +1125,7 @@ pub fn executor_parallel() -> Experiment {
             "serial and parallel paths are bit-identical (asserted by the equivalence proptests)"
                 .into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -1243,6 +1258,7 @@ pub fn serving() -> Experiment {
             "every policy serves all requests (served + rejected + timed_out + failed == submitted)"
                 .into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -1291,16 +1307,11 @@ fn per_sample_ms(model: &Graph, batch: usize, reps: usize, int8: bool) -> f64 {
 /// out of cache and per-sample cost *rose* with batch. The blocked
 /// kernel's scratch is batch-independent, so per-sample cost must now be
 /// non-increasing from batch 1 to 8 (asserted here with noise headroom).
+///
+/// Carries the machine-readable snapshot `harness kernels` writes to
+/// `BENCH_pr6.json` (the perf-trajectory baseline ci.sh checks against).
 #[must_use]
 pub fn kernels() -> Experiment {
-    kernels_with_snapshot().0
-}
-
-/// [`kernels`] plus the machine-readable snapshot that `harness kernels`
-/// writes to `BENCH_pr6.json` (the perf-trajectory baseline ci.sh
-/// checks against).
-#[must_use]
-pub fn kernels_with_snapshot() -> (Experiment, vedliot::obs::Export) {
     use vedliot::nnir::exec::{RunOptions, Runner};
     use vedliot::nnir::Tensor;
     use vedliot::obs::{Export, Metric};
@@ -1408,7 +1419,7 @@ pub fn kernels_with_snapshot() -> (Experiment, vedliot::obs::Export) {
             ),
         ],
     };
-    let experiment = Experiment {
+    Experiment {
         id: "E24",
         title: "kernel microarchitecture — per-sample cost vs batch and the INT8 path".into(),
         table,
@@ -1425,15 +1436,8 @@ pub fn kernels_with_snapshot() -> (Experiment, vedliot::obs::Export) {
              proptests)"
                 .into(),
         ],
-    };
-    (experiment, export)
-}
-
-/// E25 — multi-tenant routing under overload. See
-/// [`routing_with_snapshot`].
-#[must_use]
-pub fn routing() -> Experiment {
-    routing_with_snapshot().0
+        snapshot: Some(("BENCH_pr6.json", export)),
+    }
 }
 
 /// E25 — the multi-tenant gateway at overload under a seeded fault
@@ -1455,12 +1459,12 @@ pub fn routing() -> Experiment {
 /// * the merged gateway ledger stays exact: `accounted_for()` over all
 ///   600 submissions.
 ///
-/// Also returns the machine-readable snapshot `harness routing` writes
+/// Carries the machine-readable snapshot `harness routing` writes
 /// to `BENCH_pr7.json` (the per-priority availability baseline ci.sh
 /// checks against).
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn routing_with_snapshot() -> (Experiment, vedliot::obs::Export) {
+pub fn routing() -> Experiment {
     use std::time::Duration;
     use vedliot::nnir::exec::{RunOptions, Runner};
     use vedliot::nnir::Tensor;
@@ -1667,7 +1671,7 @@ pub fn routing_with_snapshot() -> (Experiment, vedliot::obs::Export) {
         subsystem: "routing".into(),
         metrics,
     };
-    let experiment = Experiment {
+    Experiment {
         id: "E25",
         title: "multi-tenant routing — priority admission at overload under seeded chaos".into(),
         table,
@@ -1686,8 +1690,8 @@ pub fn routing_with_snapshot() -> (Experiment, vedliot::obs::Export) {
              model — displacement never mixes tenants"
                 .into(),
         ],
-    };
-    (experiment, export)
+        snapshot: Some(("BENCH_pr7.json", export)),
+    }
 }
 
 /// E-LINT — full static-analysis sweep over the zoo and its optimized
@@ -1729,6 +1733,7 @@ pub fn lint() -> Experiment {
         title: "static verifier / lint sweep (zoo + optimized variants)".into(),
         table,
         notes,
+        snapshot: None,
     }
 }
 
@@ -1909,6 +1914,7 @@ pub fn resilience() -> Experiment {
              innocent co-batched requests alongside each poisoned one"
                 .into(),
         ],
+        snapshot: None,
     }
 }
 
@@ -2165,14 +2171,8 @@ pub fn observe() -> Experiment {
                  {histogram_ns:.0} ns/record"
             ),
         ],
+        snapshot: None,
     }
-}
-
-/// Convenience wrapper returning only the experiment half of
-/// [`fleet_with_snapshot`].
-#[must_use]
-pub fn fleet() -> Experiment {
-    fleet_with_snapshot().0
 }
 
 /// E26 — fleet-scale OTA rollout robustness: 1200 edge devices take a
@@ -2188,7 +2188,7 @@ pub fn fleet() -> Experiment {
 /// quarantined devices are never installed to; the regressed release
 /// is rolled back with its blast radius capped at the canary cohort.
 ///
-/// Also returns the machine-readable snapshot `harness fleet` writes
+/// Carries the machine-readable snapshot `harness fleet` writes
 /// to `BENCH_pr8.json` (convergence/availability/rollback baseline
 /// ci.sh checks against).
 ///
@@ -2197,7 +2197,7 @@ pub fn fleet() -> Experiment {
 /// Panics if any rollout invariant is violated — that is the point.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn fleet_with_snapshot() -> (Experiment, vedliot::obs::Export) {
+pub fn fleet() -> Experiment {
     use vedliot::fleet::{
         Fleet, FleetConfig, FleetFaultPlan, Phase, Rollout, RolloutOutcome, RolloutPolicy,
     };
@@ -2385,7 +2385,7 @@ pub fn fleet_with_snapshot() -> (Experiment, vedliot::obs::Export) {
         bad.counters.installs as f64,
     ));
 
-    let experiment = Experiment {
+    Experiment {
         id: "E26",
         title: format!(
             "fleet OTA rollout: {DEVICES} devices, hostile fault plan, health-gated waves"
@@ -2422,15 +2422,8 @@ pub fn fleet_with_snapshot() -> (Experiment, vedliot::obs::Export) {
                 bad.counters.installs, bad.counters.wave_rollbacks,
             ),
         ],
-    };
-    (experiment, snapshot)
-}
-
-/// Convenience wrapper returning only the experiment half of
-/// [`slo_with_snapshot`].
-#[must_use]
-pub fn slo() -> Experiment {
-    slo_with_snapshot().0
+        snapshot: Some(("BENCH_pr8.json", snapshot)),
+    }
 }
 
 /// E28 — flight recorder + SLO engine under fire, on both planes.
@@ -2462,7 +2455,7 @@ pub fn slo() -> Experiment {
 ///    fresh [`EventBudget`](vedliot::obs::Slo::EventBudget) engine is
 ///    bit-deterministic.
 ///
-/// Also returns the machine-readable snapshot `harness slo` writes to
+/// Carries the machine-readable snapshot `harness slo` writes to
 /// `BENCH_pr10.json` (overhead / exactness / alert-count baseline
 /// ci.sh checks against).
 ///
@@ -2472,7 +2465,7 @@ pub fn slo() -> Experiment {
 /// that is the point.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn slo_with_snapshot() -> (Experiment, vedliot::obs::Export) {
+pub fn slo() -> Experiment {
     use std::time::{Duration, Instant};
     use vedliot::nnir::Tensor;
     use vedliot::obs::{BurnWindows, CauseId, Event, EventKind, Metric, Objective, Slo, SloEngine};
@@ -2990,7 +2983,7 @@ pub fn slo_with_snapshot() -> (Experiment, vedliot::obs::Export) {
         ],
     };
 
-    let experiment = Experiment {
+    Experiment {
         id: "E28",
         title: "flight recorder + SLO engine: causal accounting, tax, burn-driven health".into(),
         table,
@@ -3020,43 +3013,51 @@ pub fn slo_with_snapshot() -> (Experiment, vedliot::obs::Export) {
                 fc.device_rollbacks, fc.quarantined
             ),
         ],
-    };
-    (experiment, snapshot)
+        snapshot: Some(("BENCH_pr10.json", snapshot)),
+    }
 }
+
+/// Runs one [`BY_NAME`] entry: one experiment, or a family of them.
+pub type Run = fn() -> Vec<Experiment>;
+
+/// Every experiment under its `harness` name, in index order: the one
+/// list the harness dispatches on and [`all`] runs.
+pub const BY_NAME: &[(&str, Run)] = &[
+    ("fig2", || vec![fig2()]),
+    ("fig3", || vec![fig3()]),
+    ("fig4", || vec![fig4()]),
+    ("fig4-ext", fig4_ext),
+    ("compression", || vec![compression()]),
+    ("gap", || vec![gap()]),
+    ("twine", || vec![twine()]),
+    ("pmp", || vec![pmp()]),
+    ("cfu", || vec![cfu()]),
+    ("safety", || vec![safety()]),
+    ("paeb", || vec![paeb()]),
+    ("arc", || vec![arc()]),
+    ("motor", || vec![motor()]),
+    ("mirror", || vec![mirror()]),
+    ("reconfig", || vec![reconfig()]),
+    ("reqeng", || vec![reqeng()]),
+    ("memory-study", || vec![memory_study()]),
+    ("memory", || vec![memory_planning()]),
+    ("codesign", || vec![codesign()]),
+    ("ablation", || vec![ablation_naive()]),
+    ("executor", || vec![executor_parallel()]),
+    ("serving", || vec![serving()]),
+    ("resilience", || vec![resilience()]),
+    ("observe", || vec![observe()]),
+    ("kernels", || vec![kernels()]),
+    ("routing", || vec![routing()]),
+    ("fleet", || vec![fleet()]),
+    ("slo", || vec![slo()]),
+    ("lint", || vec![lint()]),
+];
 
 /// Runs every experiment in index order.
 #[must_use]
 pub fn all() -> Vec<Experiment> {
-    let mut out = vec![fig2(), fig3(), fig4()];
-    out.extend(fig4_ext());
-    out.extend([
-        compression(),
-        gap(),
-        twine(),
-        pmp(),
-        cfu(),
-        safety(),
-        paeb(),
-        arc(),
-        motor(),
-        mirror(),
-        reconfig(),
-        reqeng(),
-        memory_study(),
-        memory_planning(),
-        codesign(),
-        ablation_naive(),
-        executor_parallel(),
-        serving(),
-        resilience(),
-        observe(),
-        kernels(),
-        routing(),
-        fleet(),
-        slo(),
-        lint(),
-    ]);
-    out
+    BY_NAME.iter().flat_map(|(_, run)| run()).collect()
 }
 
 #[cfg(test)]

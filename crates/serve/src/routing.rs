@@ -90,9 +90,7 @@ impl fmt::Display for Priority {
 }
 
 /// A typed, buildable submission: the inputs plus where and how they
-/// should run. Replaces the positional `submit(inputs, deadline)`
-/// signature, which survives only as a `#[deprecated]` shim routing to
-/// the default model at [`Priority::Normal`].
+/// should run.
 #[derive(Debug, Clone)]
 pub struct SubmitRequest {
     pub(crate) inputs: Vec<Tensor>,

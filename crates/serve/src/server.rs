@@ -10,9 +10,7 @@
 //! ring.
 //!
 //! Clients submit through [`Server::submit_request`] with a typed
-//! [`SubmitRequest`] naming the model and [`Priority`] class. The old
-//! positional `submit(inputs, deadline)` survives as a `#[deprecated]`
-//! shim that routes to the default model at [`Priority::Normal`].
+//! [`SubmitRequest`] naming the model and [`Priority`] class.
 //!
 //! The per-pool serving pipeline — dynamic batching under the
 //! bit-identical batching contract, four-layer fault tolerance (panic
@@ -743,28 +741,6 @@ impl Server {
         pool.submit(request.inputs, request.priority, request.deadline)
     }
 
-    /// Submits one single-sample request to the default model at
-    /// [`Priority::Normal`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::submit_request`].
-    #[deprecated(
-        note = "use submit_request(SubmitRequest::new(inputs).deadline(..)) — \
-                the typed builder also selects the model and priority class"
-    )]
-    pub fn submit(
-        &self,
-        inputs: Vec<Tensor>,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, ServeError> {
-        let mut request = SubmitRequest::new(inputs);
-        if let Some(d) = deadline {
-            request = request.deadline(d);
-        }
-        self.submit_request(request)
-    }
-
     /// Gateway-wide serving statistics: every live pool's counters plus
     /// the retained final snapshots of unloaded models, merged. The
     /// accounting partition (`accounted_for`) holds for the aggregate
@@ -1130,21 +1106,6 @@ mod tests {
         let m = server.shutdown();
         assert_eq!(m.served, 1);
         assert_eq!(m.served_by_priority, [0, 1, 0]);
-        assert!(m.accounted_for());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_submit_routes_to_default_at_normal() {
-        let server = Server::start(&demo_graph(), ServeConfig::default()).unwrap();
-        let out = server
-            .submit(vec![demo_input(5)], None)
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(out[0].shape(), &Shape::nf(1, 3));
-        let m = server.shutdown();
-        assert_eq!(m.submitted_by_priority, [0, 1, 0]);
         assert!(m.accounted_for());
     }
 

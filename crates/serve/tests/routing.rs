@@ -353,20 +353,3 @@ fn noisy_tenant_cannot_degrade_its_neighbour() {
     let m = server.shutdown();
     assert!(m.accounted_for());
 }
-
-/// The deprecated positional `submit` still works, routing to the
-/// default model at `Priority::Normal` — the migration shim contract.
-#[test]
-fn deprecated_submit_shim_routes_to_default_model() {
-    let config = ServeConfig::builder()
-        .batch(fast_batching())
-        .build()
-        .unwrap();
-    let server = Server::start(&cnn_graph("compat"), config).unwrap();
-    #[allow(deprecated)]
-    let ticket = server.submit(vec![cnn_input(7)], None).unwrap();
-    assert!(ticket.wait().is_ok());
-    let m = server.shutdown();
-    assert_eq!(m.submitted_by_priority, [0, 1, 0]);
-    assert_eq!(m.served_by_priority, [0, 1, 0]);
-}
