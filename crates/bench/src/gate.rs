@@ -95,6 +95,9 @@ pub const RULES: &[Rule] = &[
     // batch 1, the E21 cliff metric. 30% timing-noise headroom over the
     // baseline, and never a bound below batch-flat.
     Rule::new("kernels", "b8_over_b1", None, |b| -INF..=(1.30 * b).max(1.0)),
+    // INT8 must pay for itself: per sample, the INT8 kernels are no slower
+    // than the fake-quant f32 path timed on the same graph in the same run.
+    Rule::new("kernels", "int8_over_f32", None, |_| -INF..=1.0),
     // E25 (BENCH_pr7.json) asserts the admission contract internally:
     // high >= 0.98, batch shed first, bit-identity. This re-checks
     // high-priority availability against both the hard floor and the

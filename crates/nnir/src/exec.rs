@@ -29,14 +29,21 @@
 //! [`Parallelism::Serial`] keeps the single-threaded path available for
 //! equivalence testing.
 //!
-//! Nodes whose conv/dense weights carry an i8 [`QuantPayload`]
-//! ([`Tensor::quant`]) and whose activations are pinned to the INT8
-//! grid by `FakeQuant` producers are executed — when the quant-safety
-//! dataflow analysis proves the worst-case rounding error fits the
-//! engine tolerance — with a real INT8 kernel: i8 weight codes × i8
-//! activation codes accumulated in i32 (the dot product the CFU/socsim
-//! story accelerates), dequantized with one multiply per output scalar.
-//! See [`RunnerBuilder::int8`].
+//! Nodes whose conv/dense weights carry an i8
+//! [`QuantPayload`](crate::tensor::QuantPayload) ([`Tensor::quant`])
+//! and whose activations are pinned to the INT8 grid by `FakeQuant`
+//! producers are executed — when the quant-safety dataflow analysis
+//! proves the worst-case rounding error fits the engine tolerance —
+//! with a real INT8 kernel: weight codes × activation codes accumulated
+//! in i32 (the arithmetic the CFU/socsim story accelerates), dequantized
+//! with one multiply per output scalar. Both operands are held as i16 —
+//! weights widened once at build, activations quantized per call —
+//! because i16 products are what baseline x86-64 SIMD multiplies
+//! (`pmullw`, `pmaddwd`); i8 ones it does not. Dense convolutions take
+//! a direct kernel with no im2col (one weight code × a contiguous run
+//! of a zero-padded activation plane per tap). Integer accumulation is
+//! exact, so every INT8 output is independent of threading, planning
+//! and batch size too. See [`RunnerBuilder::int8`].
 //!
 //! The value arena is laid out by a [`MemoryPlan`]: tensor liveness
 //! intervals are colored greedily so values with disjoint live ranges
@@ -54,7 +61,7 @@ use crate::graph::{Graph, Node, WeightInit};
 use crate::ops::{Conv2dAttrs, Op, Pool2dAttrs};
 use crate::profile::{NodeProfile, RunProfile};
 use crate::shape::Shape;
-use crate::tensor::{QuantPayload, Tensor};
+use crate::tensor::{round_i8, Tensor};
 use crate::NnirError;
 
 // --------------------------------------------------------------------
@@ -144,6 +151,53 @@ where
     });
 }
 
+/// [`par_chunks`] for kernels that need private scratch: `scratch` is
+/// split into `workers` equal parts and `f(unit_index, chunk, part)`
+/// gets its worker's part (the whole of `scratch` when it runs
+/// inline), so the kernel allocates nothing per call. A separate body
+/// rather than the engine of [`par_chunks`]: routing the f32 kernels
+/// through this one measurably slowed them (~3% on LeNet-5).
+fn par_chunks_with<T, S, F>(
+    workers: usize,
+    data: &mut [T],
+    chunk_len: usize,
+    scratch: &mut [S],
+    f: F,
+) where
+    T: Send,
+    S: Send,
+    F: Fn(usize, &mut [T], &mut [S]) + Sync,
+{
+    let units = data.len().div_ceil(chunk_len.max(1));
+    if workers <= 1 || units <= 1 {
+        for (i, chunk) in data.chunks_mut(chunk_len.max(1)).enumerate() {
+            f(i, chunk, scratch);
+        }
+        return;
+    }
+    let per_worker = units.div_ceil(workers);
+    let part_len = scratch.len() / workers;
+    std::thread::scope(|scope| {
+        let f = &f;
+        let mut rest = data;
+        let mut spare = scratch;
+        let mut base = 0usize;
+        while !rest.is_empty() {
+            let take = (per_worker * chunk_len).min(rest.len());
+            let (head, tail) = rest.split_at_mut(take);
+            rest = tail;
+            let (part, others) = spare.split_at_mut(part_len);
+            spare = others;
+            scope.spawn(move || {
+                for (i, chunk) in head.chunks_mut(chunk_len).enumerate() {
+                    f(base + i, chunk, part);
+                }
+            });
+            base += take.div_ceil(chunk_len);
+        }
+    });
+}
+
 // --------------------------------------------------------------------
 // Microkernels
 // --------------------------------------------------------------------
@@ -184,36 +238,38 @@ fn dot4(a: &[f32], b: &[f32]) -> f32 {
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
-/// i32-accumulating INT8 dot product — the arithmetic the CFU/socsim
-/// accelerator story (E9) implements in hardware. Integer accumulation
-/// is exact, so the lane layout is free; it mirrors [`dot4`] so both
-/// paths vectorize alike. i32 cannot overflow for any reduction this
-/// engine runs: `|a·b| ≤ 127² = 16129` per term allows `K > 130_000`.
+/// i32 dot product of INT8 codes held as i16 — the arithmetic the
+/// CFU/socsim accelerator story (E9) implements in hardware. Integer
+/// accumulation is exact, so the summation order is free and this
+/// plain sum of widened products lowers to `pmaddwd` on baseline
+/// x86-64. i32 cannot overflow for any reduction this engine runs:
+/// `|a·b| ≤ 128·127` per term allows `K > 130_000`.
 #[inline]
-fn dot4_i8(a: &[i8], b: &[i8]) -> i32 {
+fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
-    let mut lanes = [0i32; 4];
-    let mut ac = a.chunks_exact(4);
-    let mut bc = b.chunks_exact(4);
-    for (av, bv) in (&mut ac).zip(&mut bc) {
-        lanes[0] += i32::from(av[0]) * i32::from(bv[0]);
-        lanes[1] += i32::from(av[1]) * i32::from(bv[1]);
-        lanes[2] += i32::from(av[2]) * i32::from(bv[2]);
-        lanes[3] += i32::from(av[3]) * i32::from(bv[3]);
-    }
-    for (i, (&av, &bv)) in ac.remainder().iter().zip(bc.remainder()).enumerate() {
-        lanes[i] += i32::from(av) * i32::from(bv);
-    }
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| i32::from(x) * i32::from(y))
+        .sum()
 }
 
-/// Quantizes one already-scaled activation (`x / scale`) to its INT8
-/// code. Activations produced by a `FakeQuant` node lie exactly on the
-/// grid `k · scale` for integer `|k| ≤ 127`, so the round here recovers
-/// `k` exactly and the INT8 path loses nothing at the input boundary.
+/// INT8 code of one activation, as the i16 the kernels multiply.
+/// `inv` is `1 / in_scale`; activations produced by a `FakeQuant` node
+/// lie exactly on the grid `k · in_scale` for integer `|k| ≤ 127`, so
+/// the rounding recovers `k` exactly and the INT8 path loses nothing at
+/// the input boundary.
 #[inline]
-fn quantize_unit(x: f32) -> i8 {
-    x.round().clamp(-127.0, 127.0) as i8
+fn quantize_activation(x: f32, inv: f32) -> i16 {
+    /// 1.5 · 2^23: added to an integral `|q| < 2^22`, it leaves `q` in
+    /// the low mantissa bits — a conversion that vectorizes where the
+    /// saturating `as` cast does not.
+    const BIAS: f32 = 12_582_912.0;
+    let q = round_i8(x * inv);
+    if q.is_nan() {
+        0
+    } else {
+        (q + BIAS).to_bits().wrapping_sub(BIAS.to_bits()) as i16
+    }
 }
 
 /// Reusable kernel scratch owned by the [`Runner`], grown to the
@@ -226,10 +282,11 @@ struct Scratch {
     /// Output tile the blocked GEMM writes before scattering into the
     /// strided output planes.
     outb: Vec<f32>,
-    /// Quantized input activations (INT8 path).
-    qin: Vec<i8>,
-    /// i8 im2col patch block (INT8 path).
-    qcol: Vec<i8>,
+    /// Quantized input activations (INT8 path; zero-padded planes for
+    /// a conv).
+    qin: Vec<i16>,
+    /// Per-worker i32 accumulator runs (INT8 conv).
+    acc: Vec<i32>,
 }
 
 // --------------------------------------------------------------------
@@ -392,16 +449,19 @@ impl RunnerBuilder {
     /// enabled).
     ///
     /// When enabled, conv/dense nodes whose weights carry an i8
-    /// [`QuantPayload`] and whose input is produced by a `FakeQuant`
-    /// node execute with the i8-weight / i32-accumulator kernel,
-    /// provided the quant-safety dataflow analysis
-    /// ([`crate::analysis::QuantSafety`]) proves the node's worst-case
-    /// rounding error fits the tolerance below. With it disabled the runner
-    /// always takes the f32 reference path — the baseline the INT8
-    /// tolerance contract is stated against: outputs agree with the
-    /// fake-quant f32 reference to within f32 summation rounding of the
-    /// same quantized operands (≤ `1e-4 · max(1, |out|_∞)` for every
-    /// kernel size this engine runs).
+    /// [`QuantPayload`](crate::tensor::QuantPayload) and whose input is
+    /// produced by a `FakeQuant` node execute with the integer-code /
+    /// i32-accumulator kernel, provided the quant-safety dataflow
+    /// analysis ([`crate::analysis::QuantSafety`]) proves the node's
+    /// worst-case rounding error fits the tolerance below. `build` widens
+    /// those nodes' weight codes to i16 once; each call quantizes the
+    /// input activations to i16 codes and, for a convolution, runs the
+    /// direct kernel over zero-padded code planes (no im2col). With it
+    /// disabled the runner always takes the f32 reference path — the
+    /// baseline the INT8 tolerance contract is stated against: outputs
+    /// agree with the fake-quant f32 reference to within f32 summation
+    /// rounding of the same quantized operands (≤ `1e-4 · max(1,
+    /// |out|_∞)` for every kernel size this engine runs).
     #[must_use]
     pub fn int8(mut self, enabled: bool) -> Self {
         self.int8 = enabled;
@@ -462,24 +522,48 @@ impl RunnerBuilder {
     }
 }
 
-/// Computes the per-node INT8 execution plan: `Some(input_scale)` for
-/// every node the runner will execute with the i8-weight /
-/// i32-accumulator kernel, `None` for the f32 path.
+/// Build-time INT8 plan of one node: the activation scale its input is
+/// quantized with, and its weights packed for the kernel.
+#[derive(Debug, Clone)]
+struct Int8Plan<'g> {
+    in_scale: f32,
+    /// The payload's i8 weight codes widened to i16, once.
+    codes: Vec<i16>,
+    /// The payload's per-row weight scales.
+    scales: &'g [f32],
+}
+
+/// Computes the per-node INT8 execution plan: `Some` for every node the
+/// runner will execute with the integer-code / i32-accumulator kernel,
+/// `None` for the f32 path.
 ///
 /// This is the quant-safety dataflow analysis
 /// ([`crate::analysis::QuantSafety`]): a node qualifies when it is a
 /// dense (`groups == 1`) convolution or a dense layer whose explicit
-/// weights carry an i8 [`QuantPayload`], its data input is produced by
-/// a `FakeQuant` node — whose scale quantizes incoming activations
-/// *exactly*, since they already lie on that grid — and the propagated
-/// value ranges *prove* the INT8 path's worst-case error fits under the
-/// engine's tolerance contract. Eligibility is per node: one saturating
-/// layer no longer forces the whole graph onto the f32 path.
-fn int8_plans(graph: &Graph) -> Vec<Option<f32>> {
+/// weights carry an i8 [`QuantPayload`](crate::tensor::QuantPayload),
+/// its data input is produced by a `FakeQuant` node — whose scale
+/// quantizes incoming activations *exactly*, since they already lie on
+/// that grid — and the propagated value ranges *prove* the INT8 path's
+/// worst-case error fits under the engine's tolerance contract.
+/// Eligibility is per node: one saturating layer no longer forces the
+/// whole graph onto the f32 path.
+fn int8_plans(graph: &Graph) -> Vec<Option<Int8Plan<'_>>> {
     crate::analysis::QuantSafety::of(graph)
         .verdicts()
         .iter()
-        .map(|v| if v.eligible { v.input_scale } else { None })
+        .zip(graph.nodes())
+        .map(|(v, node)| {
+            let in_scale = v.input_scale.filter(|_| v.eligible)?;
+            let WeightInit::Explicit(weights) = &node.weights else {
+                return None;
+            };
+            let q = weights.first()?.quant()?;
+            Some(Int8Plan {
+                in_scale,
+                codes: q.codes.iter().map(|&c| i16::from(c)).collect(),
+                scales: &q.scales,
+            })
+        })
         .collect()
 }
 
@@ -660,9 +744,9 @@ pub struct Runner<'g> {
     /// Kernel scratch (im2col tiles, INT8 code buffers), grown to the
     /// largest kernel seen.
     scratch: Scratch,
-    /// Build-time INT8 kernel selection: the input activation scale for
-    /// each node that executes on the i8 path (see [`int8_plans`]).
-    int8_plans: Vec<Option<f32>>,
+    /// Build-time INT8 kernel selection and packed weights for each
+    /// node that executes on the INT8 path (see [`int8_plans`]).
+    int8_plans: Vec<Option<Int8Plan<'g>>>,
     /// Build-time arena layout: which slot each tensor id lives in.
     plan: MemoryPlan,
 }
@@ -853,12 +937,12 @@ impl<'g> Runner<'g> {
                     node.name
                 )));
             };
-            let int8_scale = self.int8_plans[idx];
+            let int8 = self.int8_plans[idx].as_ref();
             let node_start = profile.is_some().then(std::time::Instant::now);
             let mut ctx = KernelCtx {
                 scratch: &mut self.scratch,
                 par: self.parallelism,
-                int8_scale,
+                int8,
             };
             eval_node_into(node, &ins, weights, &mut out, &mut ctx)?;
             if let (Some(records), Some(start)) = (profile.as_mut(), node_start) {
@@ -872,7 +956,7 @@ impl<'g> Runner<'g> {
                     macs: node.op.macs(&in_shapes, out.shape()),
                     elementwise: node.op.elementwise_ops(&in_shapes, out.shape()),
                     duration_ns,
-                    precision: if int8_scale.is_some() {
+                    precision: if int8.is_some() {
                         DataType::I8
                     } else {
                         DataType::F32
@@ -917,9 +1001,9 @@ fn recycle(slot: Option<Tensor>, shape: Shape) -> Tensor {
 struct KernelCtx<'a> {
     scratch: &'a mut Scratch,
     par: Parallelism,
-    /// `Some(input_scale)` when the build-time plan selected the INT8
-    /// kernel for this node.
-    int8_scale: Option<f32>,
+    /// `Some` when the build-time plan selected the INT8 kernel for
+    /// this node.
+    int8: Option<&'a Int8Plan<'a>>,
 }
 
 impl<'a> KernelCtx<'a> {
@@ -930,7 +1014,7 @@ impl<'a> KernelCtx<'a> {
         KernelCtx {
             scratch,
             par,
-            int8_scale: None,
+            int8: None,
         }
     }
 }
@@ -985,7 +1069,7 @@ fn eval_node_into(
                 if scale == 0.0 {
                     0.0
                 } else {
-                    (x / scale).round().clamp(-127.0, 127.0) * scale
+                    round_i8(x / scale) * scale
                 }
             });
             Ok(())
@@ -1134,8 +1218,8 @@ fn conv2d_geometry(
     Ok((icg, ocg, oh, ow))
 }
 
-/// Derived dense-conv (`groups == 1`) geometry shared by the f32 and
-/// INT8 GEMM paths.
+/// Derived dense-conv (`groups == 1`) geometry shared by the f32 im2col
+/// and INT8 direct paths.
 #[derive(Clone, Copy)]
 struct ConvGeom {
     in_c: usize,
@@ -1162,10 +1246,10 @@ impl ConvGeom {
 
 /// Gathers the K-length im2col patch row for output pixel `p` of batch
 /// item `bi` into `dst`, reading from `src` laid out NCHW. Positions
-/// outside the input contribute `pad` (an exact zero on both numeric
-/// paths), K in the kernel's own ascending (ic, ky, kx) order.
+/// outside the input contribute an exact `0.0`, K in the kernel's own
+/// ascending (ic, ky, kx) order.
 #[inline]
-fn fill_patch<T: Copy>(src: &[T], g: ConvGeom, bi: usize, p: usize, dst: &mut [T], pad: T) {
+fn fill_patch(src: &[f32], g: ConvGeom, bi: usize, p: usize, dst: &mut [f32]) {
     let oy = p / g.ow;
     let ox = p % g.ow;
     let mut i = 0usize;
@@ -1179,7 +1263,7 @@ fn fill_patch<T: Copy>(src: &[T], g: ConvGeom, bi: usize, p: usize, dst: &mut [T
                 dst[i] = if row_ok && ix >= 0 && ix < g.w as isize {
                     plane[iy as usize * g.w + ix as usize]
                 } else {
-                    pad
+                    0.0
                 };
                 i += 1;
             }
@@ -1190,11 +1274,11 @@ fn fill_patch<T: Copy>(src: &[T], g: ConvGeom, bi: usize, p: usize, dst: &mut [T
 /// Convolution with groups, stride and symmetric padding.
 ///
 /// Dense (`groups == 1`) convolutions lower to pixel-blocked im2col +
-/// a [`dot4`]-tiled GEMM (or the INT8 variant when `int8_scale` and an
-/// i8 weight payload are present); grouped and depthwise ones use the
-/// direct loop nest. Each output scalar is a fixed-association
-/// reduction over the patch, so results are independent of threading,
-/// blocking and batch size.
+/// a [`dot4`]-tiled GEMM, or to the direct INT8 kernel when the node
+/// has an INT8 plan; grouped and depthwise ones use the direct loop
+/// nest. Each f32 output scalar is a fixed-association reduction over
+/// the patch and each INT8 one an exact integer sum, so results are
+/// independent of threading, blocking and batch size.
 fn conv2d_into(
     input: &Tensor,
     attrs: &Conv2dAttrs,
@@ -1263,11 +1347,10 @@ fn conv2d_into(
             ow,
             opix,
         };
-        let k_len = in_c * kh * kw;
-
-        if let (Some(_), Some(q)) = (ctx.int8_scale, kernel.quant()) {
-            return conv2d_int8(input, q, bias_data, out, ctx, geom);
+        if let Some(plan) = ctx.int8 {
+            return conv2d_int8(input, plan, bias_data, out, ctx, geom);
         }
+        let k_len = geom.k_len();
 
         let block_pix = (COL_BLOCK_ELEMS / k_len).clamp(1, opix);
         let Scratch { col, outb, .. } = ctx.scratch;
@@ -1280,7 +1363,7 @@ fn conv2d_into(
                 let pb = block_pix.min(opix - p0);
                 let colb = &mut col[..pb * k_len];
                 par_chunks(par.workers_for(pb * k_len), colb, k_len, |j, dst| {
-                    fill_patch(in_data, geom, bi, p0 + j, dst, 0.0);
+                    fill_patch(in_data, geom, bi, p0 + j, dst);
                 });
                 let colb: &[f32] = colb;
                 // GEMM tile: one out-channel row of `pb` pixels per unit,
@@ -1339,85 +1422,96 @@ fn conv2d_into(
     Ok(())
 }
 
-/// Dense-conv INT8 kernel: quantizes the input activations once (exact,
-/// since a `FakeQuant` producer pinned them to the grid), gathers i8
-/// patch blocks, accumulates each output scalar in i32 via [`dot4_i8`]
-/// and dequantizes with one multiply: `bias + acc · w_scale[oc] ·
-/// in_scale`.
+/// Dense-conv INT8 kernel, direct (no im2col).
+///
+/// Each input plane is quantized once into a zero-padded i16 code plane
+/// (exact, since a `FakeQuant` producer pinned the activations to the
+/// grid). Each output plane then accumulates, per (input channel, tap),
+/// one i16 weight code × a contiguous run of codes into i32 — exact,
+/// so the tap order is free — and is dequantized with one multiply per
+/// scalar: `bias + acc · (w_scale[oc] · in_scale)`. At stride 1 the run
+/// spans the whole output plane at the padded row pitch (the `kw - 1`
+/// accumulators past each output row are computed and dropped), long
+/// enough to vectorize; at larger strides it is one output row. Output
+/// planes are split over the workers, each with its own accumulator.
 fn conv2d_int8(
     input: &Tensor,
-    q: &QuantPayload,
+    plan: &Int8Plan<'_>,
     bias_data: Option<&[f32]>,
     out: &mut Tensor,
     ctx: &mut KernelCtx<'_>,
-    geom: ConvGeom,
+    g: ConvGeom,
 ) -> Result<(), NnirError> {
-    let Some(in_scale) = ctx.int8_scale else {
-        return Err(NnirError::ExecutionFailure(
-            "int8 conv kernel invoked without an activation scale".into(),
-        ));
-    };
-    let par = ctx.par;
-    let in_data = input.data();
-    let n = input.shape().batch();
-    let k_len = geom.k_len();
-    let opix = geom.opix;
-    let codes: &[i8] = &q.codes;
-    let w_scales: &[f32] = &q.scales;
-    if codes.len() != geom.out_c * k_len || w_scales.len() != geom.out_c {
+    let k_len = g.k_len();
+    if plan.codes.len() != g.out_c * k_len || plan.scales.len() != g.out_c {
         return Err(NnirError::ExecutionFailure(format!(
             "int8 conv payload mismatch: {} codes / {} scales for a {}x{} kernel",
-            codes.len(),
-            w_scales.len(),
-            geom.out_c,
+            plan.codes.len(),
+            plan.scales.len(),
+            g.out_c,
             k_len
         )));
     }
-    let inv = 1.0 / in_scale;
-    let Scratch {
-        outb, qin, qcol, ..
-    } = ctx.scratch;
-    qin.resize(in_data.len(), 0);
-    for (c, &x) in qin.iter_mut().zip(in_data) {
-        *c = quantize_unit(x * inv);
-    }
-    let qin: &[i8] = qin;
-    // i8 patches are 4× denser than f32, so the same cache budget holds
-    // 4× the pixels per block.
-    let block_pix = (4 * COL_BLOCK_ELEMS / k_len).clamp(1, opix);
-    qcol.resize(block_pix * k_len, 0);
-    outb.resize(geom.out_c * block_pix, 0.0);
-    let out_data = out.data_mut();
-    for bi in 0..n {
-        let mut p0 = 0usize;
-        while p0 < opix {
-            let pb = block_pix.min(opix - p0);
-            let colb = &mut qcol[..pb * k_len];
-            par_chunks(par.workers_for(pb * k_len), colb, k_len, |j, dst| {
-                fill_patch(qin, geom, bi, p0 + j, dst, 0i8);
-            });
-            let colb: &[i8] = colb;
-            let tile = &mut outb[..geom.out_c * pb];
-            par_chunks(
-                par.workers_for(geom.out_c * pb * k_len),
-                tile,
-                pb,
-                |oc, dst| {
-                    let b0 = bias_data.map_or(0.0, |b| b[oc]);
-                    let dq = w_scales[oc] * in_scale;
-                    let krow = &codes[oc * k_len..][..k_len];
-                    for (p, o) in dst.iter_mut().enumerate() {
-                        *o = b0 + dot4_i8(krow, &colb[p * k_len..][..k_len]) as f32 * dq;
-                    }
-                },
-            );
-            for oc in 0..geom.out_c {
-                out_data[(bi * geom.out_c + oc) * opix + p0..][..pb]
-                    .copy_from_slice(&tile[oc * pb..][..pb]);
+    let n = input.shape().batch();
+    let (hp, wp) = (g.h + 2 * g.ph, g.w + 2 * g.pw);
+    let oh = g.opix / g.ow;
+    let (runs, rows_per_run) = if g.sh == 1 && g.sw == 1 {
+        (1, oh)
+    } else {
+        (oh, 1)
+    };
+    let run_len = (rows_per_run - 1) * wp + g.ow;
+    let inv = 1.0 / plan.in_scale;
+    let Scratch { qin, acc, .. } = ctx.scratch;
+    qin.clear();
+    qin.resize(n * g.in_c * hp * wp, 0);
+    for (p, plane) in qin.chunks_exact_mut(hp * wp).enumerate() {
+        for y in 0..g.h {
+            let src = &input.data()[(p * g.h + y) * g.w..][..g.w];
+            let row = &mut plane[(y + g.ph) * wp + g.pw..][..g.w];
+            for (c, &x) in row.iter_mut().zip(src) {
+                *c = quantize_activation(x, inv);
             }
-            p0 += pb;
         }
     }
+    let qin: &[i16] = qin;
+    let workers = ctx.par.workers_for(n * g.out_c * g.opix * k_len);
+    acc.resize(workers * run_len, 0);
+    par_chunks_with(workers, out.data_mut(), g.opix, acc, |u, dst, acc| {
+        let (bi, oc) = (u / g.out_c, u % g.out_c);
+        let b0 = bias_data.map_or(0.0, |b| b[oc]);
+        let dq = plan.scales[oc] * plan.in_scale;
+        let krow = &plan.codes[oc * k_len..][..k_len];
+        let planes = &qin[bi * g.in_c * hp * wp..][..g.in_c * hp * wp];
+        let acc = &mut acc[..run_len];
+        for r in 0..runs {
+            acc.fill(0);
+            for (taps, plane) in krow
+                .chunks_exact(g.kh * g.kw)
+                .zip(planes.chunks_exact(hp * wp))
+            {
+                for (t, &w) in taps.iter().enumerate() {
+                    let src = &plane[(r * g.sh + t / g.kw) * wp + t % g.kw..];
+                    // |w·x| ≤ 128·127: the i16 product is exact.
+                    if g.sw == 1 {
+                        for (a, &x) in acc.iter_mut().zip(src) {
+                            *a += i32::from(w * x);
+                        }
+                    } else {
+                        for (a, &x) in acc.iter_mut().zip(src.iter().step_by(g.sw)) {
+                            *a += i32::from(w * x);
+                        }
+                    }
+                }
+            }
+            for i in 0..rows_per_run {
+                let row = &mut dst[(r * rows_per_run + i) * g.ow..][..g.ow];
+                for (o, &a) in row.iter_mut().zip(&acc[i * wp..]) {
+                    *o = b0 + a as f32 * dq;
+                }
+            }
+        }
+    });
     Ok(())
 }
 
@@ -1495,23 +1589,19 @@ fn dense_into(
         out_f
     };
 
-    if let Some((in_scale, q)) = ctx.int8_scale.zip(weight.quant()) {
-        let codes: &[i8] = &q.codes;
-        let w_scales: &[f32] = &q.scales;
-        if codes.len() != out_f * in_f || w_scales.len() != out_f {
+    if let Some(plan) = ctx.int8 {
+        if plan.codes.len() != out_f * in_f || plan.scales.len() != out_f {
             return Err(NnirError::ExecutionFailure(format!(
                 "int8 dense payload mismatch: {} codes / {} scales for [{out_f}, {in_f}]",
-                codes.len(),
-                w_scales.len()
+                plan.codes.len(),
+                plan.scales.len()
             )));
         }
-        let inv = 1.0 / in_scale;
+        let inv = 1.0 / plan.in_scale;
         let qin = &mut ctx.scratch.qin;
-        qin.resize(in_data.len(), 0);
-        for (c, &x) in qin.iter_mut().zip(in_data) {
-            *c = quantize_unit(x * inv);
-        }
-        let qin: &[i8] = qin;
+        qin.clear();
+        qin.extend(in_data.iter().map(|&x| quantize_activation(x, inv)));
+        let qin: &[i16] = qin;
         par_chunks(workers, out.data_mut(), chunk, |u, dst| {
             let base = u * chunk;
             let bi = base / out_f;
@@ -1520,8 +1610,8 @@ fn dense_into(
             for (i, o) in dst.iter_mut().enumerate() {
                 let of = of0 + i;
                 let b0 = bias_data.map_or(0.0, |b| b[of]);
-                let acc = dot4_i8(&codes[of * in_f..][..in_f], x);
-                *o = b0 + acc as f32 * (w_scales[of] * in_scale);
+                let acc = dot_i16(&plan.codes[of * in_f..][..in_f], x);
+                *o = b0 + acc as f32 * (plan.scales[of] * plan.in_scale);
             }
         });
         return Ok(());
@@ -2332,18 +2422,38 @@ mod tests {
     }
 
     #[test]
-    fn dot4_i8_is_exact_against_wide_reference() {
-        // i32 accumulation never rounds: compare against an i64 sum.
-        let a: Vec<i8> = (0..301)
-            .map(|i| ((i * 37 + 11) % 255 - 127) as i8)
+    fn dot_i16_is_exact_against_wide_reference() {
+        // i32 accumulation never rounds: compare against an i64 sum, on
+        // every length up to a few SIMD widths past the tail and on the
+        // extreme codes (an i8 weight may be -128, an activation ±127).
+        let a: Vec<i16> = (0..301)
+            .map(|i| ((i * 37 + 11) % 256 - 128) as i16)
             .collect();
-        let b: Vec<i8> = (0..301).map(|i| ((i * 53 + 7) % 255 - 127) as i8).collect();
-        let wide: i64 = a
-            .iter()
-            .zip(&b)
-            .map(|(&x, &y)| i64::from(x) * i64::from(y))
-            .sum();
-        assert_eq!(i64::from(dot4_i8(&a, &b)), wide);
+        let b: Vec<i16> = (0..301)
+            .map(|i| ((i * 53 + 7) % 255 - 127) as i16)
+            .collect();
+        for len in (0..40).chain([255, 301]) {
+            let wide: i64 = a[..len]
+                .iter()
+                .zip(&b[..len])
+                .map(|(&x, &y)| i64::from(x) * i64::from(y))
+                .sum();
+            assert_eq!(i64::from(dot_i16(&a[..len], &b[..len])), wide, "len {len}");
+        }
+        let extreme = dot_i16(&[-128; 1024], &[-127; 1024]);
+        assert_eq!(extreme, 1024 * 128 * 127);
+    }
+
+    #[test]
+    fn fake_quant_with_zero_scale_yields_zero() {
+        let values = vec![1.0, -3.5, 0.0, -0.0, f32::INFINITY, f32::NAN, 1e-40];
+        let input = Tensor::from_vec(Shape::nf(1, values.len()), values).unwrap();
+        let out = run_single(Op::FakeQuant { scale: 0.0 }, &[input], None);
+        assert!(
+            out.data().iter().all(|x| x.to_bits() == 0),
+            "{:?}",
+            out.data()
+        );
     }
 
     // ---- INT8 execution path ----

@@ -28,6 +28,34 @@ pub struct QuantPayload {
     pub scales: Vec<f32>,
 }
 
+/// The INT8 code of an already-scaled value (`x / scale`), as f32:
+/// rounded half away from zero and clamped to ±127.
+///
+/// Bit-identical to `x.round().clamp(-127.0, 127.0)` on every input,
+/// NaN and -0.0 included, but built from plain float arithmetic: on
+/// baseline x86-64 `round` is a call to libm's `roundf` and a float to
+/// int cast is scalarized, either of which keeps a loop over it from
+/// vectorizing. Weight quantization, `FakeQuant` and the INT8 kernels'
+/// activation quantization all round through here.
+#[inline]
+pub(crate) fn round_i8(x: f32) -> f32 {
+    /// Adding and subtracting 2^23 rounds any `|a| < 2^23` to an
+    /// integer, ties to even.
+    const TO_EVEN: f32 = 8_388_608.0;
+    let c = x.clamp(-127.0, 127.0);
+    let a = c.abs();
+    let even = (a + TO_EVEN) - TO_EVEN;
+    // `a - even` is exact; it reaches one half only where a tie was
+    // rounded down to even, which half-away-from-zero rounds up.
+    let r = if a - even >= 0.5 { even + 1.0 } else { even };
+    // libm returns a NaN as `x + x`.
+    if c.is_nan() {
+        c + c
+    } else {
+        r.copysign(c)
+    }
+}
+
 /// A dense, row-major f32 tensor.
 ///
 /// ```
@@ -168,7 +196,7 @@ impl Tensor {
                 .iter_mut()
                 .zip(row.iter_mut())
             {
-                let q = (*x / scale).round().clamp(-127.0, 127.0);
+                let q = round_i8(*x / scale);
                 *c = q as i8;
                 *x = q * scale;
             }
@@ -457,6 +485,42 @@ mod tests {
                     f32::from(q.codes[r * 3 + i]) * q.scales[r]
                 );
             }
+        }
+    }
+
+    #[test]
+    fn round_i8_is_bit_identical_to_libm_round_and_clamp() {
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            -f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+            -f32::MAX,
+        ];
+        // Every rounding boundary in and just past the clamp range, with
+        // its ±1-ulp neighbours.
+        for k in -131..=130 {
+            let half = k as f32 + 0.5;
+            let bits = half.to_bits();
+            inputs.extend([f32::from_bits(bits - 1), half, f32::from_bits(bits + 1)]);
+        }
+        // A prime stride over all bit patterns: every exponent, both
+        // signs, NaN payloads.
+        inputs.extend((0..=u32::MAX).step_by(4093).map(f32::from_bits));
+        for x in inputs {
+            assert_eq!(
+                round_i8(x).to_bits(),
+                x.round().clamp(-127.0, 127.0).to_bits(),
+                "{x:e} ({:#010x})",
+                x.to_bits()
+            );
         }
     }
 

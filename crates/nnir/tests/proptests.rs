@@ -344,6 +344,138 @@ proptest! {
     }
 }
 
+/// `FakeQuant`'s f32 arithmetic, spelled with libm's `round`.
+fn fake_quant(x: f32, scale: f32) -> f32 {
+    (x / scale).round().clamp(-127.0, 127.0) * scale
+}
+
+/// The INT8 code the kernels quantize an on-grid activation to.
+fn code(x: f32, scale: f32) -> i32 {
+    (x * (1.0 / scale)).round().clamp(-127.0, 127.0) as i32
+}
+
+/// Symmetric per-channel INT8 weights: `[rows, ..]` codes and scales.
+fn quantized(shape: Shape, seed: u64) -> Tensor {
+    let mut w = Tensor::random(shape, seed, 1.0);
+    w.quantize_i8_per_channel();
+    w
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The INT8 kernels against a scalar integer reference: a random
+    /// groups=1 conv (1×k kernels and strides up to 3 included) followed
+    /// by a dense layer, both on the INT8 path, is **bit-equal** to a
+    /// naive `Σ i32(code)·i32(q(x))` per output plus the documented
+    /// epilogue `bias + acc · (w_scale · in_scale)`, serial and threaded,
+    /// planned and unplanned. Integer accumulation is exact, so no
+    /// schedule may change a bit.
+    #[test]
+    fn int8_kernels_match_scalar_integer_reference(
+        batch in 1usize..4,
+        in_c in 1usize..9,
+        out_c in 1usize..9,
+        (h, w) in (3usize..14, 3usize..14),
+        (kh, kw) in (1usize..4, 1usize..6),
+        (sh, sw) in (1usize..4, 1usize..4),
+        (ph, pw) in (0usize..3, 0usize..3),
+        out_f in 1usize..9,
+        seed in 0u64..1_000,
+    ) {
+        let attrs = Conv2dAttrs {
+            out_channels: out_c,
+            kernel: (kh, kw),
+            stride: (sh, sw),
+            padding: (ph, pw),
+            groups: 1,
+            bias: true,
+        };
+        if h + 2 * ph < kh || w + 2 * pw < kw {
+            return Ok(());
+        }
+        let (oh, ow) = ((h + 2 * ph - kh) / sh + 1, (w + 2 * pw - kw) / sw + 1);
+        let in_f = out_c * oh * ow;
+        let kernel = quantized(Shape::new(vec![out_c, in_c, kh, kw]), seed);
+        let conv_bias = Tensor::random(Shape::new(vec![out_c]), seed + 1, 0.1);
+        let fc = quantized(Shape::nf(out_f, in_f), seed + 2);
+        let fc_bias = Tensor::random(Shape::new(vec![out_f]), seed + 3, 0.1);
+        let input = Tensor::random(Shape::nchw(batch, in_c, h, w), seed + 4, 1.0);
+        let s_in = 1.0 / 127.0;
+
+        // The scalar integer reference.
+        let x_codes: Vec<i32> =
+            input.data().iter().map(|&x| code(fake_quant(x, s_in), s_in)).collect();
+        let (k_codes, k_scales) = kernel.quant().map(|q| (&q.codes, &q.scales)).unwrap();
+        let mut conv = vec![0.0f32; batch * in_f];
+        for (u, o) in conv.iter_mut().enumerate() {
+            let (bi, oc, oy, ox) = (u / in_f, u / (oh * ow) % out_c, u / ow % oh, u % ow);
+            let mut acc = 0i32;
+            for ic in 0..in_c {
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        let iy = (oy * sh + ky) as isize - ph as isize;
+                        let ix = (ox * sw + kx) as isize - pw as isize;
+                        if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
+                            continue;
+                        }
+                        let x = x_codes[((bi * in_c + ic) * h + iy as usize) * w + ix as usize];
+                        acc += i32::from(k_codes[((oc * in_c + ic) * kh + ky) * kw + kx]) * x;
+                    }
+                }
+            }
+            *o = conv_bias.data()[oc] + acc as f32 * (k_scales[oc] * s_in);
+        }
+        let s_mid = conv.iter().fold(0.0f32, |m, &x| m.max(x.abs())).max(1e-3) / 127.0;
+        let (fc_codes, fc_scales) = fc.quant().map(|q| (&q.codes, &q.scales)).unwrap();
+        let mut want = vec![0.0f32; batch * out_f];
+        for (u, o) in want.iter_mut().enumerate() {
+            let (bi, of) = (u / out_f, u % out_f);
+            let acc: i32 = (0..in_f)
+                .map(|i| {
+                    let x = code(fake_quant(conv[bi * in_f + i], s_mid), s_mid);
+                    i32::from(fc_codes[of * in_f + i]) * x
+                })
+                .sum();
+            *o = fc_bias.data()[of] + acc as f32 * (fc_scales[of] * s_mid);
+        }
+
+        let mut b = GraphBuilder::new("int8");
+        let x = b.input(Shape::nchw(batch, in_c, h, w));
+        let xq = b.apply("x.q", Op::FakeQuant { scale: s_in }, &[x]).unwrap();
+        let conv_weights = WeightInit::Explicit(vec![kernel, conv_bias]);
+        let c = b.apply_with_weights("conv", Op::Conv2d(attrs), &[xq], conv_weights).unwrap();
+        let f = b.apply("flatten", Op::Flatten, &[c]).unwrap();
+        let fq = b.apply("flatten.q", Op::FakeQuant { scale: s_mid }, &[f]).unwrap();
+        let d = b
+            .apply_with_weights(
+                "fc",
+                Op::Dense { out_features: out_f, bias: true },
+                &[fq],
+                WeightInit::Explicit(vec![fc, fc_bias]),
+            )
+            .unwrap();
+        let g = b.finish(vec![d]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+            for planning in [true, false] {
+                let mut runner = Runner::builder()
+                    .parallelism(par)
+                    .memory_planning(planning)
+                    .build(&g)
+                    .unwrap();
+                let opts = RunOptions::new().capture_intermediates(true).profile(true);
+                let got = runner.execute(std::slice::from_ref(&input), opts).unwrap();
+                prop_assert_eq!(got.profile().unwrap().int8_nodes(), 2);
+                let conv_out = got.intermediates().unwrap()[c.0].as_ref().unwrap();
+                prop_assert_eq!(bits(conv_out.data()), bits(&conv), "conv under {:?}", par);
+                let out = got.outputs()[0].data();
+                prop_assert_eq!(bits(out), bits(&want), "dense under {:?}", par);
+            }
+        }
+    }
+}
+
 /// The planner is transparent on the multi-consumer SE-gate stem too,
 /// where a value (the depthwise output) stays live across several
 /// nodes while unrelated values come and go.
