@@ -29,6 +29,9 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings, e.g. dangling intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 if [[ $fast -eq 0 ]]; then
   echo "==> cargo build --release"
   cargo build --release

@@ -1478,8 +1478,9 @@ pub fn kernels() -> Experiment {
 /// * nothing sheds the high class (`shed[high] == 0` structurally);
 /// * the batch class is shed first and in volume;
 /// * availability is monotone in priority: high ≥ normal ≥ batch;
-/// * every served reply is bit-identical to a direct [`Runner`] run of
-///   the same model — routing and displacement never mix tenants;
+/// * every served reply is bit-identical to a direct
+///   [`Runner`](vedliot::nnir::exec::Runner) run of the same model —
+///   routing and displacement never mix tenants;
 /// * the merged gateway ledger stays exact: `accounted_for()` over all
 ///   600 submissions.
 ///
@@ -1498,21 +1499,7 @@ pub fn routing() -> Experiment {
         SubmitRequest, DEFAULT_MODEL,
     };
 
-    // Injected chaos panics are expected by the dozen; keep them out of
-    // the harness output while leaving real panics loud.
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let quiet = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.starts_with("chaos:"));
-            if !quiet {
-                default_hook(info);
-            }
-        }));
-    });
+    vedliot::serve::resilience::silence_chaos_panics();
 
     // Two tenants sized so execution is much slower than submission:
     // the 32-slot gateway is guaranteed to saturate and the admission
@@ -1782,21 +1769,7 @@ pub fn resilience() -> Experiment {
         BatchPolicy, FaultPlan, GoldenPolicy, ResilienceConfig, ServeConfig, Server, SubmitRequest,
     };
 
-    // Injected chaos panics are expected by the dozen; keep them out of
-    // the harness output while leaving real panics loud.
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let quiet = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.starts_with("chaos:"));
-            if !quiet {
-                default_hook(info);
-            }
-        }));
-    });
+    vedliot::serve::resilience::silence_chaos_panics();
 
     let model = zoo::tiny_cnn("serve-gesture", Shape::nchw(1, 1, 8, 8), &[4], 3).expect("builds");
     let requests = 400usize;
@@ -2498,21 +2471,7 @@ pub fn slo() -> Experiment {
         Server, SloPolicy, SubmitRequest, TracePolicy,
     };
 
-    // Injected chaos panics are expected by the dozen; keep them out of
-    // the harness output while leaving real panics loud.
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let quiet = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.starts_with("chaos:"));
-            if !quiet {
-                default_hook(info);
-            }
-        }));
-    });
+    vedliot::serve::resilience::silence_chaos_panics();
 
     let model = zoo::tiny_cnn("slo-gesture", Shape::nchw(1, 1, 8, 8), &[4], 3).expect("builds");
     let input = |seed: u64| Tensor::random(Shape::nchw(1, 1, 8, 8), seed, 1.0);

@@ -15,14 +15,12 @@
 //! - [`device`] — the per-device state machine: chunked resume across
 //!   crashes, A/B slots, attest-before-install, soak with golden
 //!   checks, local rollback.
-//! - [`fault`] — seeded [`FleetFaultPlan`](fault::FleetFaultPlan):
-//!   crashes, partitions, transit and weight bit flips, crash loops,
-//!   forged attestations.
-//! - [`rollout`] — the [`Fleet`](rollout::Fleet) and the health-gated
-//!   wave engine: canary cohort, exponential expansion gated on a
-//!   [`FleetHealth`](rollout::FleetHealth) aggregate, automatic wave
-//!   rollback, quarantine, and an obs-exportable
-//!   [`RolloutReport`](rollout::RolloutReport).
+//! - [`fault`] — seeded [`FleetFaultPlan`]: crashes, partitions,
+//!   transit and weight bit flips, crash loops, forged attestations.
+//! - [`rollout`] — the [`Fleet`] and the health-gated wave engine:
+//!   canary cohort, exponential expansion gated on a [`FleetHealth`]
+//!   aggregate, automatic wave rollback, quarantine, and an
+//!   obs-exportable [`RolloutReport`].
 //!
 //! Everything is seeded and tick-based: the same fleet seed and fault
 //! plan replay the identical rollout, which is what lets the E26

@@ -9,9 +9,9 @@
 //! updated device back the moment a wave regresses.
 //!
 //! The simulation is tick-based and fully deterministic: device order
-//! is fixed, every stochastic draw comes from a salted
-//! [`DetRng`](vedliot_nnir::det::DetRng) stream, and durations from the
-//! shared [`RetryPolicy`] are quantized to ticks. Two runs with the
+//! is fixed, every stochastic draw comes from a salted [`DetRng`]
+//! stream, and durations from the shared [`RetryPolicy`] are quantized
+//! to ticks. Two runs with the
 //! same seeds produce byte-identical [`RolloutReport`]s — the property
 //! the convergence harness (E26) asserts against.
 
@@ -671,16 +671,6 @@ fn jappend(
         .map_or(0, |j| j.append(at, kind, subject, cause, detail))
 }
 
-/// The `CauseId` citing journal event `seq` — `NONE` when the citation
-/// target was never journalled (no journal attached).
-fn cites(seq: u64) -> CauseId {
-    if seq > 0 {
-        CauseId::event(seq)
-    } else {
-        CauseId::NONE
-    }
-}
-
 /// `DeviceRolledBack` detail codes: why the device reverted.
 const ROLLBACK_SOAK_DEADLINE: u64 = 0;
 const ROLLBACK_CRASH_LOOP: u64 = 1;
@@ -803,7 +793,7 @@ impl Rollout {
                 started_tick,
                 EventKind::WaveStarted,
                 CauseId::wave(wave_index as u64),
-                cites(root_event),
+                CauseId::event(root_event),
                 members.len() as u64,
             );
             for &i in &members {
@@ -817,7 +807,7 @@ impl Rollout {
                     started_tick,
                     EventKind::DevicePhase,
                     CauseId::device(u64::from(fleet.devices[i].id)),
-                    cites(wave_event),
+                    CauseId::event(wave_event),
                     fleet.devices[i].phase.code(),
                 );
             }
@@ -849,7 +839,7 @@ impl Rollout {
                                     tick,
                                     EventKind::DevicePhase,
                                     CauseId::device(u64::from(d.id)),
-                                    cites(wave_event),
+                                    CauseId::event(wave_event),
                                     Phase::Abandoned.code(),
                                 );
                             }
@@ -863,7 +853,7 @@ impl Rollout {
                                     tick,
                                     EventKind::DeviceRolledBack,
                                     CauseId::device(u64::from(d.id)),
-                                    cites(wave_event),
+                                    CauseId::event(wave_event),
                                     ROLLBACK_SOAK_DEADLINE,
                                 );
                             }
@@ -940,7 +930,7 @@ impl Rollout {
                 tick,
                 EventKind::HealthGate,
                 CauseId::wave(wave_index as u64),
-                cites(wave_event),
+                CauseId::event(wave_event),
                 u64::from(gate),
             );
 
@@ -960,7 +950,7 @@ impl Rollout {
                             tick,
                             EventKind::DeviceRolledBack,
                             CauseId::device(u64::from(d.id)),
-                            cites(gate_event),
+                            CauseId::event(gate_event),
                             ROLLBACK_WAVE_REVERT,
                         );
                     }
@@ -971,7 +961,7 @@ impl Rollout {
                     tick,
                     EventKind::WaveRolledBack,
                     CauseId::wave(wave_index as u64),
-                    cites(gate_event),
+                    CauseId::event(gate_event),
                     reverted,
                 );
                 outcome = RolloutOutcome::RolledBack { wave: wave_index };
@@ -1101,7 +1091,7 @@ impl Rollout {
                         tick,
                         EventKind::DevicePhase,
                         CauseId::device(u64::from(d.id)),
-                        cites(wave_event),
+                        CauseId::event(wave_event),
                         Phase::Verifying.code(),
                     );
                     Phase::Verifying
@@ -1162,7 +1152,7 @@ impl Rollout {
                         tick,
                         EventKind::DevicePhase,
                         CauseId::device(u64::from(d.id)),
-                        cites(wave_event),
+                        CauseId::event(wave_event),
                         d.phase.code(),
                     );
                 } else {
@@ -1182,7 +1172,7 @@ impl Rollout {
                         tick,
                         EventKind::DeviceQuarantined,
                         CauseId::device(u64::from(d.id)),
-                        cites(wave_event),
+                        CauseId::event(wave_event),
                         detail,
                     );
                 }
@@ -1210,7 +1200,7 @@ impl Rollout {
                         tick,
                         EventKind::DevicePhase,
                         CauseId::device(u64::from(d.id)),
-                        cites(wave_event),
+                        CauseId::event(wave_event),
                         d.phase.code(),
                     );
                 }
@@ -1234,7 +1224,7 @@ impl Rollout {
                         tick,
                         EventKind::DeviceRolledBack,
                         CauseId::device(u64::from(d.id)),
-                        cites(wave_event),
+                        CauseId::event(wave_event),
                         ROLLBACK_CRASH_LOOP,
                     );
                 } else if tick >= until {
@@ -1257,7 +1247,7 @@ impl Rollout {
                             tick,
                             EventKind::DeviceRolledBack,
                             CauseId::device(u64::from(d.id)),
-                            cites(wave_event),
+                            CauseId::event(wave_event),
                             ROLLBACK_GOLDEN_DIVERGED,
                         );
                     } else {
@@ -1267,7 +1257,7 @@ impl Rollout {
                             tick,
                             EventKind::DevicePhase,
                             CauseId::device(u64::from(d.id)),
-                            cites(wave_event),
+                            CauseId::event(wave_event),
                             Phase::Running.code(),
                         );
                     }

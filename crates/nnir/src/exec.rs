@@ -22,7 +22,7 @@
 //! dense (`groups == 1`) convolutions lower to a *pixel-blocked* im2col
 //! plus register-tiled GEMM: patch rows for a cache-sized block of output
 //! pixels are gathered (padded positions contribute an exact `0.0`) and
-//! multiplied through the 4-lane [`dot4`] microkernel. Every output
+//! multiplied through the 4-lane `dot4` microkernel. Every output
 //! scalar is a pure function of its operands — the lane split and
 //! combine order are fixed — so serial and threaded runs, any pixel
 //! blocking and any batch size produce bit-identical results.

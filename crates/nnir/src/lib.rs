@@ -3,8 +3,8 @@
 //! This crate plays the role that ONNX plays in the VEDLIoT toolchain
 //! (paper §III): an open, framework-neutral representation of a trained
 //! model's computational graph. Everything downstream — the Kenning-style
-//! optimizer ([`vedliot-toolchain`]), the accelerator performance models
-//! ([`vedliot-accel`]), the safety monitors and the use cases — consumes
+//! optimizer (`vedliot-toolchain`), the accelerator performance models
+//! (`vedliot-accel`), the safety monitors and the use cases — consumes
 //! this IR.
 //!
 //! The crate provides:

@@ -9,7 +9,7 @@
 //! line-based, human-diffable description of a computational graph
 //! (operators, attributes, connectivity, weight seeds). Like an ONNX
 //! file without initializers, it carries the architecture; explicitly
-//! materialized weights are not serialized (see [`write`]'s Errors).
+//! materialized weights are not serialized (see [`write()`]'s Errors).
 //!
 //! ```text
 //! model "lenet5"

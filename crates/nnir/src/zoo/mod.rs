@@ -8,7 +8,7 @@
 //! is what the accelerator models consume.
 //!
 //! Small networks for the industrial use cases (§V) and the compression
-//! experiment live in [`small`].
+//! experiment live in `small`.
 
 mod efficientnet;
 mod mobilenet;

@@ -12,18 +12,19 @@
 //! "why did device 117 roll back" and "what shed this request" are both
 //! [`EventJournal::chain`] calls, not simulation re-runs.
 //!
-//! The storage is the same per-slot seqlock ring the trace ring uses
-//! (safe Rust, CAS-claimed slots, word-wise relaxed stores): appending
-//! is lock-free and bounded, the only loss mode is a writer lapped by
-//! the whole ring mid-write (counted in [`dropped`](EventJournal::dropped)),
-//! and a snapshot never contains a torn record. Timestamps are caller
-//! supplied — serve stamps microseconds since its trace epoch, fleet
-//! stamps simulation ticks — so seeded runs journal deterministically.
+//! The storage is the crate's one seqlock ring, shared with the trace
+//! ring: appending is lock-free and bounded, the only loss mode is a
+//! writer lapped by the whole ring mid-write (counted in
+//! [`dropped`](EventJournal::dropped)), and a snapshot never contains a
+//! torn record. Timestamps are caller supplied — serve stamps
+//! microseconds since its trace epoch, fleet stamps simulation ticks —
+//! so seeded runs journal deterministically.
 
+use crate::ring::SeqRing;
 use crate::{Export, Exportable, Metric};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Namespaced correlation key. The top byte is the namespace, the low
 /// 56 bits the identifier within it; [`CauseId::NONE`] is the absence
@@ -76,8 +77,13 @@ impl CauseId {
 
     /// Another journal event, keyed by its journal sequence number —
     /// how an event cites a previously recorded event as its cause.
+    /// Journal seqs are 1-based, so `event(0)` — the seq an emitter
+    /// holds when no journal is attached — is [`CauseId::NONE`].
     #[must_use]
     pub fn event(seq: u64) -> CauseId {
+        if seq == 0 {
+            return CauseId::NONE;
+        }
         CauseId::tagged(NS_EVENT, seq)
     }
 
@@ -361,30 +367,16 @@ impl Event {
     }
 }
 
-/// One seqlock-versioned slot (same protocol as the trace ring:
-/// version even = stable, odd = writer active, 0 = never written).
-struct Slot {
-    version: AtomicU64,
-    words: [AtomicU64; WORDS],
-}
-
 /// Bounded, lock-free flight recorder holding the most recent
 /// `capacity` events.
 pub struct EventJournal {
-    slots: Vec<Slot>,
-    head: AtomicU64,
+    ring: SeqRing<WORDS>,
     next_seq: AtomicU64,
-    recorded: AtomicU64,
-    dropped: AtomicU64,
 }
 
 impl fmt::Debug for EventJournal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EventJournal")
-            .field("capacity", &self.slots.len())
-            .field("recorded", &self.recorded())
-            .field("dropped", &self.dropped())
-            .finish()
+        self.ring.debug_as("EventJournal", f)
     }
 }
 
@@ -396,37 +388,28 @@ impl EventJournal {
     /// Panics if `capacity` is 0.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "journal needs at least one slot");
         EventJournal {
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    version: AtomicU64::new(0),
-                    words: std::array::from_fn(|_| AtomicU64::new(0)),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
+            ring: SeqRing::new(capacity),
             next_seq: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         }
     }
 
     /// Slots in the ring.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Events successfully recorded (including those since overwritten).
     #[must_use]
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Events dropped because a concurrent writer held the claimed slot.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
     /// Appends one event and returns its journal sequence number (which
@@ -450,32 +433,18 @@ impl EventJournal {
             cause,
             detail,
         };
-        let idx = (self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len() as u64) as usize;
-        let slot = &self.slots[idx];
-        let version = slot.version.load(Ordering::Acquire);
-        if version & 1 == 1
-            || slot
-                .version
-                .compare_exchange(version, version + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return seq;
-        }
-        for (word, value) in slot.words.iter().zip(event.pack()) {
-            word.store(value, Ordering::Relaxed);
-        }
-        slot.version.store(version + 2, Ordering::Release);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
+        self.ring.push(event.pack());
         seq
     }
 
     /// Reads every stable event currently retained, ordered by seq.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Event> {
-        let mut events: Vec<Event> = self.slots.iter().filter_map(read_slot).collect();
-        events.sort_unstable_by_key(|e| e.seq);
-        events
+        self.ring
+            .snapshot()
+            .into_iter()
+            .filter_map(Event::unpack)
+            .collect()
     }
 
     /// The causal chain of `id`: every retained event *about* `id`
@@ -523,28 +492,6 @@ pub fn chain_of(events: &[Event], id: CauseId) -> Vec<Event> {
     }
 }
 
-fn read_slot(slot: &Slot) -> Option<Event> {
-    for _ in 0..16 {
-        let before = slot.version.load(Ordering::Acquire);
-        if before == 0 {
-            return None; // never written
-        }
-        if before & 1 == 1 {
-            std::hint::spin_loop();
-            continue; // writer active
-        }
-        let mut words = [0u64; WORDS];
-        for (out, word) in words.iter_mut().zip(&slot.words) {
-            *out = word.load(Ordering::Relaxed);
-        }
-        fence(Ordering::Acquire);
-        if slot.version.load(Ordering::Relaxed) == before {
-            return Event::unpack(words);
-        }
-    }
-    None
-}
-
 impl Exportable for EventJournal {
     /// Subsystem `journal`: append/drop counters plus one labelled
     /// counter per event kind currently retained (code + name labels),
@@ -590,6 +537,7 @@ mod tests {
         assert_eq!(CauseId::device(117).to_string(), "device:117");
         assert_eq!(CauseId::wave(3).to_string(), "wave:3");
         assert_eq!(CauseId::event(42).to_string(), "event:42");
+        assert_eq!(CauseId::event(0), CauseId::NONE, "seqs are 1-based");
         assert_eq!(CauseId::release(1).to_string(), "release:1");
         assert_eq!(CauseId::slo(0).to_string(), "slo:0");
         // Same id, different namespace: distinct keys.

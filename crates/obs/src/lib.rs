@@ -13,25 +13,27 @@
 //!   percentiles (and replaces the serving layer's old
 //!   mutex-guarded rolling window — the reply-path hot lock).
 //! * [`trace`] — a bounded lock-free ring of request-lifecycle
-//!   [`SpanRecord`](trace::SpanRecord)s. Each request's timeline
-//!   (enqueue → queue-wait → batch-linger → dispatch → execute →
-//!   reply) is written with per-slot seqlock versioning: writers never
-//!   block, readers retry until they observe a torn-free record.
-//! * [`export`] — one [`Exportable`](export::Exportable) trait and two
-//!   renderers (hand-rolled JSON and Prometheus text exposition) shared
+//!   [`SpanRecord`]s. Each request's timeline (enqueue → queue-wait →
+//!   batch-linger → dispatch → execute → reply) is written with
+//!   per-slot seqlock versioning: writers never block, readers retry
+//!   until they observe a torn-free record.
+//! * [`export`] — one [`Exportable`] trait and two renderers
+//!   (hand-rolled JSON and Prometheus text exposition) shared
 //!   by serving metrics, runner profiles and RECS telemetry, so every
 //!   subsystem exports over the same path. The vendored `serde` is a
 //!   no-op stand-in, so the JSON model here *is* the wire format — it
 //!   round-trips through [`export::Export::from_json`].
 //! * [`journal`] — the flight recorder: a bounded seqlock ring of
-//!   typed, timestamped [`Event`](journal::Event)s with stable J-codes
-//!   and namespaced [`CauseId`](journal::CauseId) correlation, so
-//!   "why did device 117 roll back" is a
+//!   typed, timestamped [`Event`]s with stable J-codes and namespaced
+//!   [`CauseId`] correlation, so "why did device 117 roll back" is a
 //!   [`chain`](journal::EventJournal::chain) query, not a re-run.
+//!   The journal and the trace ring are thin typed wrappers over one
+//!   private seqlock ring, so its protocol exists once.
 //! * [`series`] — windowed time-series: a ring of fixed-width time
-//!   buckets (rate / error-ratio / quantile-over-window) driven by
-//!   injectable clocks, so fleet tick-time and serve wall-time both
-//!   work and seeded runs reproduce bucket contents exactly.
+//!   buckets (rate / error-ratio / quantile-over-window) over
+//!   caller-supplied `u64` instants, so fleet ticks and serve
+//!   submission seqs both work and seeded runs reproduce bucket
+//!   contents exactly.
 //! * [`slo`] — declared objectives (availability, p99, event budgets)
 //!   evaluated as multi-window burn rates; alerts are journal events,
 //!   closing the observe→act loop (serve can drive `Health` off burn).
@@ -45,6 +47,7 @@
 pub mod export;
 pub mod hist;
 pub mod journal;
+mod ring;
 pub mod series;
 pub mod slo;
 pub mod trace;
@@ -52,6 +55,6 @@ pub mod trace;
 pub use export::{Export, Exportable, Metric, MetricValue};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use journal::{CauseId, Event, EventJournal, EventKind};
-pub use series::{Clock, ManualClock, TimeSeries, WallClock};
+pub use series::TimeSeries;
 pub use slo::{BurnRate, BurnWindows, Objective, Slo, SloEngine, SloState, SloTransition};
 pub use trace::{SpanOutcome, SpanRecord, StageBreakdown, TraceRing};

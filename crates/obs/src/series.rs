@@ -8,86 +8,13 @@
 //! multi-window burn rates over the same data the exporters render.
 //!
 //! Time is deliberately abstract: every method takes `u64` instants in
-//! whatever unit the owner journals in. Serve feeds microseconds since
-//! its trace epoch, fleet feeds simulation ticks, and E28's determinism
-//! arm feeds the request sequence number itself — all three are
+//! whatever unit the owner journals in. Serve's SLO engine feeds the
+//! submission sequence number, fleet feeds simulation ticks — both are
 //! "clocks", and seeded runs reproduce bucket contents bit-for-bit.
-//! The [`Clock`] trait plus [`WallClock`]/[`ManualClock`] cover the
-//! live (CLI `vedliot top`) and seeded (tests, experiments) cases.
 
 use crate::hist::{bucket_of, HistogramSnapshot, BUCKETS};
 use crate::{Export, Exportable, Metric};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// An injectable time source. Units are owner-defined (µs, ticks,
-/// request seq) — the series only compares and subtracts instants.
-pub trait Clock: Send + Sync {
-    /// The current instant.
-    fn now(&self) -> u64;
-}
-
-/// Wall time in microseconds since construction — the live clock.
-#[derive(Debug)]
-pub struct WallClock {
-    epoch: Instant,
-}
-
-impl WallClock {
-    /// A wall clock whose epoch is now.
-    #[must_use]
-    pub fn new() -> Self {
-        WallClock {
-            epoch: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-}
-
-/// A deterministic clock advanced by hand — what seeded tests and the
-/// fleet simulation inject.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now: AtomicU64,
-}
-
-impl ManualClock {
-    /// A manual clock starting at `now`.
-    #[must_use]
-    pub fn at(now: u64) -> Self {
-        ManualClock {
-            now: AtomicU64::new(now),
-        }
-    }
-
-    /// Moves the clock forward by `delta`.
-    pub fn advance(&self, delta: u64) {
-        self.now.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Sets the clock to an absolute instant.
-    pub fn set(&self, now: u64) {
-        self.now.store(now, Ordering::Relaxed);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-}
 
 /// One fixed-width bucket: counts plus a log2 latency histogram.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -411,20 +338,6 @@ mod tests {
             b.error_ratio(199, 35).to_bits()
         );
         assert_eq!(a.quantile(199, 35, 0.99), b.quantile(199, 35, 0.99));
-    }
-
-    #[test]
-    fn clocks_are_injectable() {
-        let manual = ManualClock::at(100);
-        assert_eq!(manual.now(), 100);
-        manual.advance(20);
-        assert_eq!(manual.now(), 120);
-        manual.set(7);
-        assert_eq!(manual.now(), 7);
-        let wall = WallClock::new();
-        let a = wall.now();
-        let b = wall.now();
-        assert!(b >= a, "wall clock is monotonic");
     }
 
     #[test]

@@ -3,19 +3,19 @@
 //! An [`Objective`] declares what good looks like — availability, p99
 //! latency, or a budgeted event count (e.g. rollbacks per window) —
 //! and a pair of evaluation windows. The [`SloEngine`] feeds samples
-//! into one [`TimeSeries`](crate::series::TimeSeries) per objective and
+//! into one [`TimeSeries`] per objective and
 //! computes **burn rates**: how fast the error budget is being spent,
 //! as a multiple of the rate that would exactly exhaust it (burn 1.0 =
 //! on budget; burn 10 = the budget gone in a tenth of the window). An
 //! alert fires only when *both* the short and the long window burn
 //! above threshold — the standard fast-burn/slow-burn guard against
 //! paging on blips — and alerts are themselves journal events
-//! ([`EventKind::SloAlertFired`]/[`SloAlertCleared`]), so "why did the
-//! server degrade" is one [`chain`](crate::journal::EventJournal::chain)
-//! query away.
+//! ([`EventKind::SloAlertFired`]/[`SloAlertCleared`](EventKind::SloAlertCleared)),
+//! so "why did the server degrade" is one
+//! [`chain`](crate::journal::EventJournal::chain) query away.
 //!
 //! Everything is driven by caller-supplied instants (see
-//! [`series`](crate::series) on injectable clocks), so seeded runs
+//! [`series`](crate::series)), so seeded runs
 //! evaluate bit-identically: the same samples at the same instants
 //! produce the same burns, the same alerts, in the same order.
 

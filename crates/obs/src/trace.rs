@@ -13,21 +13,18 @@
 //! clock, they sum to the end-to-end latency exactly (integer
 //! microseconds) — the invariant the CI observability smoke asserts.
 //!
-//! The [`TraceRing`] stores the most recent `capacity` spans. Writers
-//! are lock-free: a slot is claimed by a single CAS on its seqlock
-//! version (odd = write in progress) and filled with relaxed stores;
-//! a writer that loses the CAS race (only possible when another writer
-//! has lapped the whole ring mid-write) drops its span and counts it.
-//! Readers retry a slot until they observe the same even version on
-//! both sides of the field loads, so a snapshot never contains a torn
-//! record — property-tested under concurrent hammering in
-//! `tests/proptests.rs`.
+//! The [`TraceRing`] stores the most recent `capacity` spans in the
+//! crate's one lock-free seqlock ring (shared with the
+//! [`EventJournal`](crate::EventJournal)): writers never block, the
+//! only loss mode is a writer lapped by the whole ring mid-write
+//! (counted in [`dropped`](TraceRing::dropped)), and a snapshot never
+//! contains a torn record.
 
 use crate::hist::{Histogram, HistogramSnapshot};
+use crate::ring::SeqRing;
 use crate::{Export, Exportable, Metric};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// How a traced request left the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -231,30 +228,12 @@ impl fmt::Display for SpanRecord {
     }
 }
 
-/// One seqlock-versioned slot: `version` is even when stable, odd while
-/// a writer owns it; it strictly increases, so a reader that sees the
-/// same even version before and after its field loads read a coherent
-/// record. Version 0 means "never written".
-struct Slot {
-    version: AtomicU64,
-    words: [AtomicU64; WORDS],
-}
-
 /// Bounded lock-free ring of the most recent spans.
-pub struct TraceRing {
-    slots: Vec<Slot>,
-    head: AtomicU64,
-    recorded: AtomicU64,
-    dropped: AtomicU64,
-}
+pub struct TraceRing(SeqRing<WORDS>);
 
 impl fmt::Debug for TraceRing {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceRing")
-            .field("capacity", &self.slots.len())
-            .field("recorded", &self.recorded())
-            .field("dropped", &self.dropped())
-            .finish()
+        self.0.debug_as("TraceRing", f)
     }
 }
 
@@ -266,59 +245,32 @@ impl TraceRing {
     /// Panics if `capacity` is 0.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "trace ring needs at least one slot");
-        TraceRing {
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    version: AtomicU64::new(0),
-                    words: std::array::from_fn(|_| AtomicU64::new(0)),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
+        TraceRing(SeqRing::new(capacity))
     }
 
     /// Slots in the ring.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.0.capacity()
     }
 
     /// Spans successfully recorded (including those since overwritten).
     #[must_use]
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.0.recorded()
     }
 
     /// Spans dropped because a concurrent writer held the claimed slot.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.0.dropped()
     }
 
     /// Records one span. Lock-free and non-blocking: the only loss mode
     /// is a writer lapped by the entire ring mid-write, counted in
     /// [`dropped`](Self::dropped).
     pub fn record(&self, span: &SpanRecord) {
-        let idx = (self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len() as u64) as usize;
-        let slot = &self.slots[idx];
-        let version = slot.version.load(Ordering::Acquire);
-        if version & 1 == 1
-            || slot
-                .version
-                .compare_exchange(version, version + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        for (word, value) in slot.words.iter().zip(span.pack()) {
-            word.store(value, Ordering::Relaxed);
-        }
-        slot.version.store(version + 2, Ordering::Release);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
+        self.0.push(span.pack());
     }
 
     /// Reads every stable span currently in the ring, ordered by
@@ -326,32 +278,12 @@ impl TraceRing {
     /// then skipped; torn records are never returned.
     #[must_use]
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut spans: Vec<SpanRecord> = self.slots.iter().filter_map(read_slot).collect();
-        spans.sort_unstable_by_key(|s| s.seq);
-        spans
+        self.0
+            .snapshot()
+            .into_iter()
+            .map(SpanRecord::unpack)
+            .collect()
     }
-}
-
-fn read_slot(slot: &Slot) -> Option<SpanRecord> {
-    for _ in 0..16 {
-        let before = slot.version.load(Ordering::Acquire);
-        if before == 0 {
-            return None; // never written
-        }
-        if before & 1 == 1 {
-            std::hint::spin_loop();
-            continue; // writer active
-        }
-        let mut words = [0u64; WORDS];
-        for (out, word) in words.iter_mut().zip(&slot.words) {
-            *out = word.load(Ordering::Relaxed);
-        }
-        fence(Ordering::Acquire);
-        if slot.version.load(Ordering::Relaxed) == before {
-            return Some(SpanRecord::unpack(words));
-        }
-    }
-    None
 }
 
 impl Exportable for TraceRing {

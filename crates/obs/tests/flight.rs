@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 use vedliot_obs::{
-    BurnWindows, CauseId, Clock, Event, EventJournal, EventKind, Exportable, ManualClock,
-    Objective, Slo, SloEngine, TimeSeries,
+    BurnWindows, CauseId, Event, EventJournal, EventKind, Exportable, Objective, Slo, SloEngine,
+    TimeSeries,
 };
 
 /// Rewrites the golden under `UPDATE_GOLDENS=1` instead of comparing,
@@ -154,18 +154,6 @@ fn the_incident_is_bit_deterministic() {
         (events, series.export().to_json(), slo.export().to_json())
     };
     assert_eq!(run(), run());
-}
-
-#[test]
-fn manual_clock_drives_series_reproducibly() {
-    let clock = ManualClock::at(0);
-    let mut series = TimeSeries::new("ticks", 5, 8);
-    for i in 0..30u64 {
-        clock.set(i);
-        series.record_ok(clock.now(), i * 7 % 40);
-    }
-    assert!(series.rate(29, 10) > 0.0);
-    assert_eq!(series.late(), 0);
 }
 
 #[test]

@@ -1,10 +1,14 @@
 //! Property tests for the observability substrate: histogram quantile
-//! accuracy, trace-ring torn-read freedom, and exporter round-trips.
+//! accuracy, torn-read freedom of the seqlock ring behind the trace
+//! ring and the event journal, and exporter round-trips.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use vedliot_obs::hist::{bucket_of, Histogram, HistogramSnapshot};
-use vedliot_obs::{Export, Metric, MetricValue, SpanOutcome, SpanRecord, TraceRing};
+use vedliot_obs::{
+    CauseId, EventJournal, EventKind, Export, Metric, MetricValue, SpanOutcome, SpanRecord,
+    TraceRing,
+};
 
 /// Exact sample quantile with the same rank convention the histogram
 /// documents: entry `ceil(q·n) - 1` of the sorted samples.
@@ -57,47 +61,23 @@ proptest! {
         prop_assert!(estimate >= snap.min && estimate <= snap.max);
     }
 
-    /// Whatever subset of spans a snapshot returns, every record in it
-    /// is untorn: the ring's seqlock must never expose a mix of two
+    /// Whatever subset of records a snapshot returns, every record in
+    /// it is untorn: the ring's seqlock must never expose a mix of two
     /// writers' fields. Each writer stamps every field with a value
-    /// derived from its seq, so a torn record is detectable.
+    /// derived from one key, so a torn record is detectable. Both
+    /// typed faces of the ring — spans and journal events — are
+    /// hammered.
     #[test]
-    fn ring_snapshots_are_never_torn(capacity in 1usize..32, writers in 1usize..5) {
-        let ring = Arc::new(TraceRing::new(capacity));
-        let mut handles = Vec::new();
-        for w in 0..writers {
-            let ring = Arc::clone(&ring);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..500u64 {
-                    let seq = (w as u64) * 1_000_000 + i;
-                    ring.record(&coherent_span(seq));
-                }
-            }));
+    fn ring_snapshots_are_never_torn(
+        capacity in 1usize..32,
+        writers in 1usize..5,
+        journal in any::<bool>(),
+    ) {
+        if journal {
+            hammer::<EventJournal>(capacity, writers)?;
+        } else {
+            hammer::<TraceRing>(capacity, writers)?;
         }
-        let reader = {
-            let ring = Arc::clone(&ring);
-            std::thread::spawn(move || {
-                let mut checked = 0usize;
-                for _ in 0..200 {
-                    for span in ring.snapshot() {
-                        assert_coherent(&span);
-                        checked += 1;
-                    }
-                }
-                checked
-            })
-        };
-        for h in handles {
-            h.join().unwrap();
-        }
-        reader.join().unwrap();
-        // Quiescent state: a final snapshot is full and coherent.
-        let final_spans = ring.snapshot();
-        prop_assert_eq!(final_spans.len(), capacity.min(writers * 500));
-        for span in &final_spans {
-            assert_coherent(span);
-        }
-        prop_assert_eq!(ring.recorded() + ring.dropped(), (writers * 500) as u64);
     }
 
     /// Merging snapshots is commutative and *bucket-exact*: the merge
@@ -211,6 +191,106 @@ proptest! {
     }
 }
 
+/// A ring face under test: records keyed writes and checks that every
+/// record a snapshot returns is coherent with its key.
+trait Ring: Send + Sync + 'static {
+    fn with_capacity(capacity: usize) -> Self;
+    fn write(&self, key: u64);
+    /// Asserts every record in a snapshot is untorn; returns how many.
+    fn check_snapshot(&self) -> usize;
+    fn recorded(&self) -> u64;
+    fn dropped(&self) -> u64;
+}
+
+impl Ring for TraceRing {
+    fn with_capacity(capacity: usize) -> Self {
+        TraceRing::new(capacity)
+    }
+    fn write(&self, key: u64) {
+        self.record(&coherent_span(key));
+    }
+    fn check_snapshot(&self) -> usize {
+        let spans = self.snapshot();
+        for span in &spans {
+            assert_eq!(
+                span,
+                &coherent_span(span.seq),
+                "torn span escaped the seqlock"
+            );
+        }
+        spans.len()
+    }
+    fn recorded(&self) -> u64 {
+        TraceRing::recorded(self)
+    }
+    fn dropped(&self) -> u64 {
+        TraceRing::dropped(self)
+    }
+}
+
+/// The journal assigns `seq` itself, so its records are keyed by `at`:
+/// every other caller-supplied field is a function of it.
+impl Ring for EventJournal {
+    fn with_capacity(capacity: usize) -> Self {
+        EventJournal::new(capacity)
+    }
+    fn write(&self, key: u64) {
+        let kind = EventKind::ALL[(key % EventKind::ALL.len() as u64) as usize];
+        self.append(
+            key,
+            kind,
+            CauseId::request(key.wrapping_mul(3)),
+            CauseId::event(key.wrapping_mul(5)),
+            key.wrapping_mul(7),
+        );
+    }
+    fn check_snapshot(&self) -> usize {
+        let events = self.snapshot();
+        for e in &events {
+            let key = e.at;
+            let coherent = e.kind == EventKind::ALL[(key % EventKind::ALL.len() as u64) as usize]
+                && e.subject == CauseId::request(key.wrapping_mul(3))
+                && e.cause == CauseId::event(key.wrapping_mul(5))
+                && e.detail == key.wrapping_mul(7);
+            assert!(coherent, "torn event escaped the seqlock: {e}");
+        }
+        events.len()
+    }
+    fn recorded(&self) -> u64 {
+        EventJournal::recorded(self)
+    }
+    fn dropped(&self) -> u64 {
+        EventJournal::dropped(self)
+    }
+}
+
+/// Races `writers` threads of 500 keyed writes against a snapshotting
+/// reader, then checks the quiescent ring is full, coherent, and
+/// conserves every write as recorded or dropped.
+fn hammer<R: Ring>(capacity: usize, writers: usize) -> Result<(), TestCaseError> {
+    let ring = Arc::new(R::with_capacity(capacity));
+    let mut handles = Vec::new();
+    for w in 0..writers {
+        let ring = Arc::clone(&ring);
+        handles.push(std::thread::spawn(move || {
+            for i in 0..500u64 {
+                ring.write((w as u64) * 1_000_000 + i);
+            }
+        }));
+    }
+    let reader = {
+        let ring = Arc::clone(&ring);
+        std::thread::spawn(move || (0..200).map(|_| ring.check_snapshot()).sum::<usize>())
+    };
+    for h in handles {
+        prop_assert!(h.join().is_ok(), "writer panicked");
+    }
+    prop_assert!(reader.join().is_ok(), "reader found a torn record");
+    prop_assert_eq!(ring.check_snapshot(), capacity.min(writers * 500));
+    prop_assert_eq!(ring.recorded() + ring.dropped(), (writers * 500) as u64);
+    Ok(())
+}
+
 /// A span whose every field is a deterministic function of `seq`.
 fn coherent_span(seq: u64) -> SpanRecord {
     SpanRecord {
@@ -227,12 +307,4 @@ fn coherent_span(seq: u64) -> SpanRecord {
         priority: (seq % 3) as u8,
         outcome: SpanOutcome::Ok,
     }
-}
-
-fn assert_coherent(span: &SpanRecord) {
-    assert_eq!(
-        span,
-        &coherent_span(span.seq),
-        "torn span escaped the seqlock"
-    );
 }

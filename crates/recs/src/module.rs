@@ -93,7 +93,7 @@ impl FormFactor {
     }
 
     /// Architectures available in this form factor (Fig. 2's rows:
-    /// SMARC "support[s] with x86, ARM and FPGA-SoC more target
+    /// SMARC "support\[s\] with x86, ARM and FPGA-SoC more target
     /// architectures").
     #[must_use]
     pub fn architectures(self) -> &'static [Architecture] {

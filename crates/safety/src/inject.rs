@@ -1,6 +1,6 @@
 //! Fault injection.
 //!
-//! Paper §IV-B considers "errors … deriv[ing] from systematic faults
+//! Paper §IV-B considers "errors … deriv\[ing\] from systematic faults
 //! affecting the execution of DL models on devices or edge nodes …
 //! triggered or injected during run-time (e.g., hardware faults,
 //! attacks)". This module injects exactly those faults — weight bit

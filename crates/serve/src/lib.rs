@@ -8,8 +8,8 @@
 //! in-flight work before returning). Requests enter through a typed
 //! [`SubmitRequest`] naming a model and a [`Priority`] class, a
 //! per-model dynamic batcher coalesces them along axis 0 (close on
-//! `max_batch` reached or `max_linger` elapsed, with an optional
-//! arrival-rate-adaptive linger), and each model's worker pool executes
+//! `max_batch` reached or `max_linger` elapsed), and each model's
+//! worker pool executes
 //! batches through the one-door [`Runner`](vedliot_nnir::exec::Runner)
 //! API — one warm arena-backed runner per batch size per worker.
 //!
@@ -58,13 +58,15 @@
 //! - **Incidents explain themselves.** An opt-in flight recorder
 //!   ([`JournalPolicy`]) journals admission, shed, displacement, retry,
 //!   quarantine and worker-crash events with causal links
-//!   ([`Server::journal_chain`] answers "what shed this request?"),
-//!   and an opt-in SLO engine ([`SloPolicy`]) evaluates availability
-//!   and p99-latency objectives as multi-window burn rates on the
-//!   submission-seq clock — with `drive_health`, a firing alert flips
-//!   every pool to [`Health::Degraded`] shedding, and each shed cites
-//!   the alert event that caused it (experiment E28 measures the tax
-//!   and checks the accounting is exact).
+//!   ([`Server::journal_chain`] answers "what shed this request?").
+//!   Every reply takes one path that updates the counters, the SLO
+//!   record, the trace span and the journal together, so the ledgers
+//!   cannot disagree. An opt-in SLO engine ([`SloPolicy`]) evaluates
+//!   availability and p99-latency objectives as multi-window burn
+//!   rates on the submission-seq clock — with `drive_health`, a firing
+//!   alert flips every pool to [`Health::Degraded`] shedding, and each
+//!   shed cites the alert event that caused it (experiment E28
+//!   measures the tax and checks the accounting is exact).
 
 pub mod error;
 pub mod metrics;

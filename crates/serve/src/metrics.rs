@@ -6,7 +6,7 @@
 //! five relaxed atomic ops and never blocks. Percentiles come from the
 //! histogram snapshot (accurate to within one power-of-two bucket).
 //!
-//! Since the multi-tenant gateway, each model pool owns one [`Metrics`]
+//! Since the multi-tenant gateway, each model pool owns one `Metrics`
 //! store, and three counters are additionally split by
 //! [`Priority`](crate::Priority) class (`submitted`, `served`, `shed`)
 //! so per-class availability — the E25 acceptance metric — falls out of
@@ -14,10 +14,11 @@
 //! into the gateway-wide aggregate; [`MetricsSnapshot::labelled_export`]
 //! attaches the model key as a label on every exported metric.
 
+use crate::error::ServeError;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use vedliot_obs::hist::HistogramSnapshot;
-use vedliot_obs::{Export, Exportable, Histogram, Metric};
+use vedliot_obs::{Export, Exportable, Histogram, Metric, SpanOutcome};
 
 /// Exporter labels for the three priority classes, in
 /// [`Priority::index`](crate::Priority::index) order.
@@ -60,25 +61,39 @@ impl Metrics {
         self.submitted_by_priority[class].fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn inc_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request shed by priority-class admission (evicted
-    /// for higher-priority work, or refused while its class was shed).
-    /// Shed requests count into `rejected` — a labelled subset, like
-    /// `quarantined` inside `failed`.
-    pub(crate) fn inc_shed(&self, class: usize) {
-        self.shed_by_priority[class].fetch_add(1, Ordering::Relaxed);
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn inc_timed_out(&self) {
-        self.timed_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_failed(&self, n: u64) {
-        self.failed.fetch_add(n, Ordering::Relaxed);
+    /// Records one answered request of the given priority class in the
+    /// bucket its reply falls in, and returns the outcome its span
+    /// carries. A model output is `served`; a door refusal is
+    /// `rejected`, with sheds (evicted for higher-priority work, or
+    /// refused while their class was shed) a labelled subset; an
+    /// expired deadline is `timed_out`; any other error is `failed`,
+    /// with quarantines a labelled subset. Door refusals other than
+    /// sheds are never traced and report [`SpanOutcome::Failed`].
+    pub(crate) fn record_reply(&self, class: usize, reply: Option<&ServeError>) -> SpanOutcome {
+        let (bucket, outcome) = match reply {
+            None => {
+                self.served_by_priority[class].fetch_add(1, Ordering::Relaxed);
+                (&self.served, SpanOutcome::Ok)
+            }
+            Some(ServeError::ShedLowPriority) => {
+                self.shed_by_priority[class].fetch_add(1, Ordering::Relaxed);
+                (&self.rejected, SpanOutcome::Shed)
+            }
+            Some(
+                ServeError::Rejected { .. }
+                | ServeError::QuotaExceeded { .. }
+                | ServeError::ShuttingDown
+                | ServeError::InvalidInput(_),
+            ) => (&self.rejected, SpanOutcome::Failed),
+            Some(ServeError::DeadlineExceeded) => (&self.timed_out, SpanOutcome::TimedOut),
+            Some(ServeError::Quarantined { .. }) => {
+                self.quarantined.fetch_add(1, Ordering::Relaxed);
+                (&self.failed, SpanOutcome::Quarantined)
+            }
+            Some(_) => (&self.failed, SpanOutcome::Failed),
+        };
+        bucket.fetch_add(1, Ordering::Relaxed);
+        outcome
     }
 
     /// Records one request entering the queue, maintaining the
@@ -130,29 +145,16 @@ impl Metrics {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records requests failed as quarantined (also counted in
-    /// `failed`; quarantined is a labelled subset).
-    pub(crate) fn add_quarantined(&self, n: u64) {
-        self.quarantined.fetch_add(n, Ordering::Relaxed);
-        self.failed.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Records one golden-check divergence (SEU detection, §IV-B).
     pub(crate) fn inc_golden_mismatch(&self) {
         self.golden_mismatches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one completed batch of `n` requests.
+    /// Records one completed batch of `n` requests (each is counted
+    /// `served` by its own reply).
     pub(crate) fn record_batch(&self, n: u64) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_samples.fetch_add(n, Ordering::Relaxed);
-        self.served.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one served request of the given priority class (the
-    /// total is kept by [`Metrics::record_batch`]).
-    pub(crate) fn inc_served(&self, class: usize) {
-        self.served_by_priority[class].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one request's queue-to-reply latency. Wait-free: this
@@ -465,7 +467,15 @@ impl Exportable for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vedliot_nnir::NnirError;
     use vedliot_obs::hist::bucket_of;
+
+    /// Answers `n` requests of `class` with `reply`.
+    fn reply_n(m: &Metrics, n: usize, class: usize, reply: Option<&ServeError>) {
+        for _ in 0..n {
+            m.record_reply(class, reply);
+        }
+    }
 
     #[test]
     fn counters_partition_submissions() {
@@ -473,14 +483,24 @@ mod tests {
         for i in 0..10 {
             m.inc_submitted(i % 3);
         }
-        m.inc_rejected();
-        m.inc_timed_out();
+        let execution = ServeError::Execution(NnirError::GraphCyclic);
+        let outcomes = [
+            (ServeError::Rejected { capacity: 4 }, SpanOutcome::Failed),
+            (ServeError::DeadlineExceeded, SpanOutcome::TimedOut),
+            (execution, SpanOutcome::Failed),
+        ];
+        for (err, outcome) in &outcomes {
+            assert_eq!(m.record_reply(0, Some(err)), *outcome, "{err}");
+        }
         m.record_batch(7);
-        m.add_failed(1);
+        for _ in 0..7 {
+            assert_eq!(m.record_reply(1, None), SpanOutcome::Ok);
+        }
         let s = m.snapshot();
         assert_eq!(s.submitted, 10);
         assert_eq!(s.submitted_by_priority, [4, 3, 3]);
-        assert_eq!(s.served, 7);
+        assert_eq!((s.served, s.rejected, s.timed_out, s.failed), (7, 1, 1, 1));
+        assert_eq!(s.served_by_priority, [0, 7, 0]);
         assert!(s.accounted_for());
         assert_eq!(s.batches, 1);
         assert!((s.mean_batch - 7.0).abs() < 1e-9);
@@ -492,9 +512,10 @@ mod tests {
         for _ in 0..4 {
             m.inc_submitted(2);
         }
-        m.record_batch(2);
-        m.inc_rejected();
-        m.inc_shed(2);
+        reply_n(&m, 2, 2, None);
+        reply_n(&m, 1, 2, Some(&ServeError::QuotaExceeded { quota: 2 }));
+        let shed = m.record_reply(2, Some(&ServeError::ShedLowPriority));
+        assert_eq!(shed, SpanOutcome::Shed);
         let s = m.snapshot();
         assert_eq!(s.rejected, 2, "shed also counts into rejected");
         assert_eq!(s.shed_by_priority, [0, 0, 1]);
@@ -508,9 +529,11 @@ mod tests {
         for _ in 0..5 {
             m.inc_submitted(1);
         }
-        m.record_batch(3);
-        m.add_failed(1);
-        m.add_quarantined(1);
+        reply_n(&m, 3, 1, None);
+        let crashed = ServeError::WorkerCrashed { detail: "x".into() };
+        reply_n(&m, 1, 1, Some(&crashed));
+        let poison = ServeError::Quarantined { detail: "p".into() };
+        assert_eq!(m.record_reply(1, Some(&poison)), SpanOutcome::Quarantined);
         let s = m.snapshot();
         assert_eq!(s.failed, 2, "quarantine also counts into failed");
         assert_eq!(s.quarantined, 1);
@@ -521,7 +544,7 @@ mod tests {
     fn resilience_counters_are_observability_only() {
         let m = Metrics::default();
         m.inc_submitted(1);
-        m.record_batch(1);
+        m.record_reply(1, None);
         m.inc_panic_absorbed();
         m.inc_worker_crash();
         m.inc_respawned();
@@ -600,16 +623,14 @@ mod tests {
             a.inc_submitted(0);
         }
         a.record_batch(3); // one batch of 3
-        for _ in 0..3 {
-            a.inc_served(0);
-        }
+        reply_n(&a, 3, 0, None);
         a.record_latency(10);
         let b = Metrics::default();
         b.inc_submitted(2);
         b.record_batch(1); // one batch of 1
-        b.inc_served(2);
+        b.record_reply(2, None);
         b.inc_submitted(2);
-        b.inc_shed(2);
+        b.record_reply(2, Some(&ServeError::ShedLowPriority));
         b.record_latency(1000);
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
@@ -637,7 +658,7 @@ mod tests {
         let m = Metrics::default();
         m.inc_submitted(0);
         m.record_batch(1);
-        m.inc_served(0);
+        m.record_reply(0, None);
         m.record_latency(250);
         let export = m.snapshot().export();
         assert_eq!(export.subsystem, "serve");
@@ -656,7 +677,7 @@ mod tests {
         let m = Metrics::default();
         m.inc_submitted(1);
         m.record_batch(1);
-        m.inc_served(1);
+        m.record_reply(1, None);
         let export = m.snapshot().labelled_export("lenet5");
         for metric in &export.metrics {
             assert_eq!(

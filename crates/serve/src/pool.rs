@@ -26,15 +26,24 @@
 //! `ceil(shed_to · quota)`, and `Batch` admission closes entirely.
 //!
 //! **Batching** drains classes in priority order (`High` first) and
-//! never mixes models — a batch is formed inside exactly one pool. The
-//! linger window is the configured `max_linger`, or, with
-//! [`ModelConfig::adaptive_linger`], the arrival-rate tracker's
-//! suggestion (zero while degraded).
+//! never mixes models — a batch is formed inside exactly one pool. A
+//! batch closes when it is full or its oldest request has lingered
+//! `max_linger`.
+//!
+//! **One answer path.** Every admitted request is answered through
+//! [`ModelPool::finish`], whatever ends it — a served batch, a deadline
+//! purge, a displacement, a quarantine or a failed batch — and every
+//! door refusal through [`ModelPool::refuse`]. `finish` updates the
+//! ledgers in a fixed order: the metrics bucket, the SLO outcome
+//! (skipped for sheds), the trace span, then the send; so a redeemed
+//! ticket implies its counters, SLO outcome and span are visible.
+//! Journal events that have a counter are appended by the call that
+//! bumps that counter, so the metrics and the journal cannot disagree.
 
 use crate::error::ServeError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::resilience::{splitmix64, ChaosState, Health, ResilienceConfig, RetryPolicy};
-use crate::routing::{ArrivalRate, ModelConfig, Priority};
+use crate::routing::{ModelConfig, Priority};
 use crate::server::{BatchPolicy, Ticket};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -127,15 +136,11 @@ impl GatewayShared {
         if !self.burn_degraded() {
             return CauseId::NONE;
         }
-        let seq = self
-            .slo
-            .as_ref()
-            .map_or(0, |s| s.degraded_cause.load(Ordering::Relaxed));
-        if seq > 0 {
-            CauseId::event(seq)
-        } else {
-            CauseId::NONE
-        }
+        CauseId::event(
+            self.slo
+                .as_ref()
+                .map_or(0, |s| s.degraded_cause.load(Ordering::Relaxed)),
+        )
     }
 
     /// Records one request outcome into the SLO engine. The engine
@@ -162,8 +167,6 @@ struct SpanScratch {
     linger_us: u64,
     exec_start_us: u64,
     exec_end_us: u64,
-    /// Batch size this request executed in.
-    batch: u32,
     retries: u32,
     /// Whether `exec_start_us` has been stamped — 0 is a legal
     /// epoch-relative timestamp, so a flag is needed to stamp only the
@@ -179,6 +182,9 @@ struct Request {
     priority: Priority,
     deadline: Option<Instant>,
     enqueued_at: Instant,
+    /// Size of the batch this request was dequeued into; 0 while it is
+    /// still queued (answered from the queue, it never executed).
+    batch: u32,
     span: SpanScratch,
     reply: mpsc::Sender<Result<Vec<Tensor>, ServeError>>,
 }
@@ -244,8 +250,6 @@ pub(crate) struct ModelPool {
     pub(crate) weight: u32,
     /// Hard quota override; `None` derives it from the weight.
     quota: Option<usize>,
-    adaptive_linger: bool,
-    arrivals: ArrivalRate,
     state: Mutex<QueueState>,
     /// Signals workers: new request, or shutdown.
     work_ready: Condvar,
@@ -277,30 +281,6 @@ pub(crate) struct ModelPool {
 /// Microseconds from `epoch` to `t`, saturating at zero.
 fn us_since(epoch: Instant, t: Instant) -> u64 {
     t.saturating_duration_since(epoch).as_micros() as u64
-}
-
-/// Records `req`'s lifecycle span into the gateway trace ring (no-op
-/// when tracing is disabled). Called immediately before the reply is
-/// sent, so a redeemed ticket implies its span is already visible.
-fn emit_span(pool: &ModelPool, req: &Request, outcome: SpanOutcome, reply_at: Instant) {
-    let Some(ring) = &pool.gateway.trace else {
-        return;
-    };
-    let s = &req.span;
-    ring.record(&SpanRecord {
-        seq: req.seq,
-        enqueue_us: us_since(pool.gateway.epoch, req.enqueued_at),
-        dequeue_us: s.dequeue_us,
-        exec_start_us: s.exec_start_us,
-        exec_end_us: s.exec_end_us,
-        reply_us: us_since(pool.gateway.epoch, reply_at),
-        linger_us: s.linger_us,
-        batch: s.batch,
-        retries: s.retries,
-        model: pool.id,
-        priority: req.priority.index() as u8,
-        outcome,
-    });
 }
 
 impl ModelPool {
@@ -361,8 +341,6 @@ impl ModelPool {
             id,
             weight: cfg.weight,
             quota: cfg.quota,
-            adaptive_linger: cfg.adaptive_linger,
-            arrivals: ArrivalRate::new(cfg.batch.max_linger),
             state: Mutex::new(QueueState {
                 queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
                 shutting_down: false,
@@ -450,29 +428,28 @@ impl ModelPool {
     ) -> Result<Ticket, ServeError> {
         self.metrics.inc_submitted(priority.index());
         if inputs.len() != self.input_shapes.len() {
-            self.metrics.inc_rejected();
-            return Err(ServeError::InvalidInput(format!(
+            let err = format!(
                 "expected {} input tensors, got {}",
                 self.input_shapes.len(),
                 inputs.len()
-            )));
+            );
+            return self.refuse(priority, ServeError::InvalidInput(err));
         }
         for (tensor, expected) in inputs.iter().zip(&self.input_shapes) {
             if tensor.shape() != expected {
-                self.metrics.inc_rejected();
-                return Err(ServeError::InvalidInput(format!(
+                let err = format!(
                     "input shape {:?} does not match single-sample signature {:?}",
                     tensor.shape(),
                     expected
-                )));
+                );
+                return self.refuse(priority, ServeError::InvalidInput(err));
             }
         }
         let (tx, rx) = mpsc::channel();
         {
             let mut state = self.lock_state();
             if state.shutting_down {
-                self.metrics.inc_rejected();
-                return Err(ServeError::ShuttingDown);
+                return self.refuse(priority, ServeError::ShuttingDown);
             }
             let quota = self.effective_quota();
             let depth = state.depth();
@@ -491,12 +468,10 @@ impl ModelPool {
                         // it is answered ShedLowPriority and its queue
                         // slot (pool and gateway alike) transfers to
                         // the incoming request.
-                        self.metrics.inc_shed(victim.priority.index());
                         self.metrics.queue_popped(1);
                         self.gateway.total_queued.fetch_sub(1, Ordering::Relaxed);
                         displaced = Some((victim.seq, victim.priority.index() as u64));
-                        emit_span(self, &victim, SpanOutcome::Shed, Instant::now());
-                        let _ = victim.reply.send(Err(ServeError::ShedLowPriority));
+                        self.finish(&victim, Err(ServeError::ShedLowPriority), Instant::now());
                     }
                     None => {
                         // Nothing below this class to displace: refuse
@@ -505,27 +480,15 @@ impl ModelPool {
                         // so chaos poison targeting is unaffected by
                         // how many submissions were turned away.
                         let err = if gateway_full {
-                            self.metrics.inc_rejected();
                             ServeError::Rejected {
                                 capacity: self.gateway.queue_capacity,
                             }
                         } else if depth >= quota {
-                            self.metrics.inc_rejected();
                             ServeError::QuotaExceeded { quota }
                         } else {
-                            self.metrics.inc_shed(priority.index());
-                            // A burn-driven shed cites the degradation
-                            // event, chaining it back to the alert.
-                            self.gateway.journal_append(
-                                self.gateway.now_us(),
-                                EventKind::RequestShed,
-                                CauseId::model(u64::from(self.id)),
-                                self.gateway.shed_cause(),
-                                priority.index() as u64,
-                            );
                             ServeError::ShedLowPriority
                         };
-                        return Err(err);
+                        return self.refuse(priority, err);
                     }
                 }
             }
@@ -556,18 +519,81 @@ impl ModelPool {
                 priority,
                 deadline,
                 enqueued_at,
+                batch: 0,
                 span: SpanScratch::default(),
                 reply: tx,
             });
             self.metrics.queue_pushed();
             self.gateway.total_queued.fetch_add(1, Ordering::Relaxed);
-            if self.adaptive_linger {
-                self.arrivals
-                    .observe(us_since(self.gateway.epoch, enqueued_at));
-            }
         }
         self.work_ready.notify_one();
         Ok(Ticket { rx })
+    }
+
+    /// Refuses a submission at the door. The call that counts a shed
+    /// also journals it (J002), citing the burn-driven degradation that
+    /// caused it, if any — chaining it back to the alert.
+    fn refuse(&self, priority: Priority, err: ServeError) -> Result<Ticket, ServeError> {
+        if self.metrics.record_reply(priority.index(), Some(&err)) == SpanOutcome::Shed {
+            self.gateway.journal_append(
+                self.gateway.now_us(),
+                EventKind::RequestShed,
+                CauseId::model(u64::from(self.id)),
+                self.gateway.shed_cause(),
+                priority.index() as u64,
+            );
+        }
+        Err(err)
+    }
+
+    /// Answers one admitted request: the one reply path. In order: the
+    /// metrics bucket, the SLO outcome (sheds are not recorded, so
+    /// burn-driven shedding cannot feed its own error signal), the
+    /// trace span, then the send — so a redeemed ticket implies its
+    /// counters, SLO outcome and span are already visible.
+    fn finish(&self, req: &Request, reply: Result<Vec<Tensor>, ServeError>, at: Instant) {
+        let outcome = self
+            .metrics
+            .record_reply(req.priority.index(), reply.as_ref().err());
+        if req.batch > 0 {
+            self.metrics.inflight_sub(1);
+        }
+        match outcome {
+            SpanOutcome::Ok => {
+                let micros = at.duration_since(req.enqueued_at).as_micros() as u64;
+                self.metrics.record_latency(micros);
+                self.gateway.slo_record(req.seq, true, micros);
+            }
+            SpanOutcome::Shed => {}
+            _ => self.gateway.slo_record(req.seq, false, 0),
+        }
+        if let Some(ring) = &self.gateway.trace {
+            let s = &req.span;
+            let reply_us = us_since(self.gateway.epoch, at);
+            // A request answered from the queue never executed: every
+            // post-queue stage collapses to the reply instant, so queue
+            // wait accounts for its whole lifetime.
+            let (dequeue_us, exec_start_us, exec_end_us) = if req.batch == 0 {
+                (reply_us, reply_us, reply_us)
+            } else {
+                (s.dequeue_us, s.exec_start_us, s.exec_end_us)
+            };
+            ring.record(&SpanRecord {
+                seq: req.seq,
+                enqueue_us: us_since(self.gateway.epoch, req.enqueued_at),
+                dequeue_us,
+                exec_start_us,
+                exec_end_us,
+                reply_us,
+                linger_us: s.linger_us,
+                batch: req.batch,
+                retries: s.retries,
+                model: self.id,
+                priority: req.priority.index() as u8,
+                outcome,
+            });
+        }
+        let _ = req.reply.send(reply);
     }
 
     /// Current health of this pool.
@@ -656,29 +682,39 @@ impl Drop for CrashGuard {
         if idle_drain {
             return;
         }
+        let crash_event = self.crash();
+        if pool.respawns_left.fetch_sub(1, Ordering::AcqRel) <= 0 {
+            return; // budget exhausted: degrade instead of flapping
+        }
+        self.respawn(crash_event);
+    }
+}
+
+impl CrashGuard {
+    /// Counts this worker's crash and journals it (J006); returns the
+    /// event's journal seq.
+    fn crash(&self) -> u64 {
+        let pool = &self.ctx.pool;
         pool.metrics.inc_worker_crash();
-        let crash_event = pool.gateway.journal_append(
+        pool.gateway.journal_append(
             pool.gateway.now_us(),
             EventKind::WorkerCrashed,
             CauseId::model(u64::from(pool.id)),
             CauseId::NONE,
             0,
-        );
-        if pool.respawns_left.fetch_sub(1, Ordering::AcqRel) <= 0 {
-            return; // budget exhausted: degrade instead of flapping
-        }
+        )
+    }
+
+    /// Counts a respawn and journals it (J007) citing the crash it
+    /// replaces, then spawns the replacement.
+    fn respawn(&self, crash_event: u64) {
+        let pool = &self.ctx.pool;
         pool.metrics.inc_respawned();
-        // The respawn cites the crash it replaces.
-        let respawn_cause = if crash_event > 0 {
-            CauseId::event(crash_event)
-        } else {
-            CauseId::NONE
-        };
         pool.gateway.journal_append(
             pool.gateway.now_us(),
             EventKind::WorkerRespawned,
             CauseId::model(u64::from(pool.id)),
-            respawn_cause,
+            CauseId::event(crash_event),
             0,
         );
         spawn_worker(&self.ctx);
@@ -716,10 +752,6 @@ fn spawn_worker(ctx: &Arc<WorkerContext>) -> bool {
 /// Replies to every queued request whose deadline has already expired
 /// and drops it from the queues. Returns how many were purged (the
 /// caller settles the gateway count).
-///
-/// A request purged here never executed, so its span collapses every
-/// post-queue stage to the purge instant (queue-wait accounts for its
-/// whole lifetime).
 fn purge_expired(state: &mut QueueState, pool: &ModelPool, now: Instant) -> usize {
     let mut purged = 0usize;
     for queue in &mut state.queues {
@@ -727,26 +759,7 @@ fn purge_expired(state: &mut QueueState, pool: &ModelPool, now: Instant) -> usiz
             let expired = req.deadline.is_some_and(|d| now >= d);
             if expired {
                 purged += 1;
-                pool.metrics.inc_timed_out();
-                pool.gateway.slo_record(req.seq, false, 0);
-                if let Some(ring) = &pool.gateway.trace {
-                    let t = us_since(pool.gateway.epoch, now);
-                    ring.record(&SpanRecord {
-                        seq: req.seq,
-                        enqueue_us: us_since(pool.gateway.epoch, req.enqueued_at),
-                        dequeue_us: t,
-                        exec_start_us: t,
-                        exec_end_us: t,
-                        reply_us: t,
-                        linger_us: 0,
-                        batch: 0,
-                        retries: 0,
-                        model: pool.id,
-                        priority: req.priority.index() as u8,
-                        outcome: SpanOutcome::TimedOut,
-                    });
-                }
-                let _ = req.reply.send(Err(ServeError::DeadlineExceeded));
+                pool.finish(req, Err(ServeError::DeadlineExceeded), now);
             }
             !expired
         });
@@ -795,33 +808,30 @@ fn worker_loop(ctx: &WorkerContext) {
                 }
                 let depth = state.depth();
                 if let Some(oldest_at) = state.oldest_enqueued_at() {
-                    let linger = if pool.adaptive_linger {
-                        let quota = pool.effective_quota();
-                        pool.arrivals
-                            .suggested_linger(&pool.policy, pool.degraded(depth, quota))
-                    } else {
-                        pool.policy.max_linger
-                    };
                     let full = depth >= pool.policy.max_batch;
-                    let linger_until = oldest_at + linger;
+                    let linger_until = oldest_at + pool.policy.max_linger;
                     if full || state.shutting_down || now >= linger_until {
                         let take = depth.min(pool.policy.max_batch);
                         let mut batch = state.drain_ordered(take);
                         pool.metrics.queue_popped(take as u64);
                         pool.metrics.inflight_add(take as u64);
                         pool.gateway.total_queued.fetch_sub(take, Ordering::Relaxed);
-                        if pool.gateway.trace.is_some() {
-                            // Stamp the dequeue and attribute the part
-                            // of the wait the batcher *chose* (up to
-                            // max_linger) to the linger stage.
-                            let dequeue_us = us_since(pool.gateway.epoch, now);
-                            for req in &mut batch {
+                        // Stamp the dequeue; with tracing, attribute the
+                        // part of the wait the batcher *chose* (up to
+                        // max_linger) to the linger stage.
+                        let dequeue_us = pool
+                            .gateway
+                            .trace
+                            .is_some()
+                            .then(|| us_since(pool.gateway.epoch, now));
+                        for req in &mut batch {
+                            req.batch = take as u32;
+                            if let Some(dequeue_us) = dequeue_us {
                                 req.span.dequeue_us = dequeue_us;
                                 req.span.linger_us =
                                     now.saturating_duration_since(req.enqueued_at)
                                         .min(pool.policy.max_linger)
                                         .as_micros() as u64;
-                                req.span.batch = take as u32;
                             }
                         }
                         break batch;
@@ -844,7 +854,7 @@ fn worker_loop(ctx: &WorkerContext) {
             }
         };
         let salt = splitmix64(batch.first().map_or(0, |r| r.seq));
-        run_batch(ctx, &mut runners, batch, false, salt);
+        run_batch(ctx, &mut runners, batch, salt);
     }
 }
 
@@ -852,16 +862,10 @@ fn worker_loop(ctx: &WorkerContext) {
 /// failures under the backoff policy, send deterministic failures to
 /// quarantine bisection, reply to every request exactly once.
 ///
-/// `quarantining` marks that this (sub-)batch is part of a bisection:
-/// a single request failing deterministically there is the isolated
-/// poison and fails as [`ServeError::Quarantined`].
-fn run_batch(
-    ctx: &WorkerContext,
-    runners: &mut [Runner<'_>],
-    mut batch: Vec<Request>,
-    quarantining: bool,
-    salt: u64,
-) {
+/// With quarantine on, a lone request failing deterministically — one
+/// that bisection isolated, or one that formed its batch alone — is
+/// the poison and fails as [`ServeError::Quarantined`].
+fn run_batch(ctx: &WorkerContext, runners: &mut [Runner<'_>], mut batch: Vec<Request>, salt: u64) {
     let pool = &*ctx.pool;
     let policy: RetryPolicy = pool.resilience.retry;
     let mut attempt = 0u32;
@@ -888,7 +892,7 @@ fn run_batch(
         }
         let error = match result {
             Ok(rows) => {
-                reply_ok(ctx, batch, rows);
+                reply_ok(ctx, &batch, rows);
                 return;
             }
             Err(e) => e,
@@ -926,39 +930,37 @@ fn run_batch(
             }
             continue;
         }
-        if !error.class().is_transient() && pool.resilience.quarantine {
-            if batch.len() > 1 {
-                // Bisect: the poisoned request is in one half; the
-                // other half (and the poisoned half's innocent
-                // remainder, recursively) still gets served.
-                let right = batch.split_off(batch.len() / 2);
-                run_batch(ctx, runners, batch, true, splitmix64(salt ^ 1));
-                run_batch(ctx, runners, right, true, splitmix64(salt ^ 2));
-                return;
-            }
-            if quarantining {
-                // Bisection bottomed out: this request is the poison.
-                pool.metrics.add_quarantined(batch.len() as u64);
-                pool.metrics.inflight_sub(batch.len() as u64);
-                let replied = Instant::now();
-                for req in batch {
-                    pool.gateway.journal_append(
-                        us_since(pool.gateway.epoch, replied),
-                        EventKind::RequestQuarantined,
-                        CauseId::request(req.seq),
-                        CauseId::NONE,
-                        u64::from(attempt),
-                    );
-                    pool.gateway.slo_record(req.seq, false, 0);
-                    emit_span(pool, &req, SpanOutcome::Quarantined, replied);
-                    let _ = req.reply.send(Err(ServeError::Quarantined {
-                        detail: error.to_string(),
-                    }));
-                }
-                return;
-            }
+        let quarantine = !error.class().is_transient() && pool.resilience.quarantine;
+        if quarantine && batch.len() > 1 {
+            // Bisect: the poisoned request is in one half; the other
+            // half (and the poisoned half's innocent remainder,
+            // recursively) still gets served.
+            let right = batch.split_off(batch.len() / 2);
+            run_batch(ctx, runners, batch, splitmix64(salt ^ 1));
+            run_batch(ctx, runners, right, splitmix64(salt ^ 2));
+            return;
         }
-        fail_batch(batch, pool, &error);
+        // A lone request failing deterministically under quarantine is
+        // the poison, whether bisection isolated it or it formed its
+        // batch alone; its answer also journals it (J005).
+        let replied = Instant::now();
+        for req in &batch {
+            let reply = if quarantine {
+                pool.gateway.journal_append(
+                    us_since(pool.gateway.epoch, replied),
+                    EventKind::RequestQuarantined,
+                    CauseId::request(req.seq),
+                    CauseId::NONE,
+                    u64::from(attempt),
+                );
+                ServeError::Quarantined {
+                    detail: error.to_string(),
+                }
+            } else {
+                error.clone()
+            };
+            pool.finish(req, Err(reply), replied);
+        }
         return;
     }
 }
@@ -1049,8 +1051,9 @@ fn execute_core(
 }
 
 /// Answers every request in a successful batch, running sampled golden
-/// checks (and repairs) first.
-fn reply_ok(ctx: &WorkerContext, batch: Vec<Request>, mut rows: Vec<Vec<Tensor>>) {
+/// checks (and repairs) first. Latency and span both end at
+/// `completed`, so the golden check's cost falls outside them.
+fn reply_ok(ctx: &WorkerContext, batch: &[Request], mut rows: Vec<Vec<Tensor>>) {
     let pool = &*ctx.pool;
     let completed = Instant::now();
     if let Some(service) = &pool.golden {
@@ -1071,16 +1074,8 @@ fn reply_ok(ctx: &WorkerContext, batch: Vec<Request>, mut rows: Vec<Vec<Tensor>>
         }
     }
     pool.metrics.record_batch(batch.len() as u64);
-    pool.metrics.inflight_sub(batch.len() as u64);
-    for (req, outputs) in batch.into_iter().zip(rows) {
-        let micros = completed.duration_since(req.enqueued_at).as_micros() as u64;
-        pool.metrics.record_latency(micros);
-        pool.metrics.inc_served(req.priority.index());
-        pool.gateway.slo_record(req.seq, true, micros);
-        // The golden check above ran between exec-end and `completed`,
-        // so its cost lands in the span's reply stage.
-        emit_span(pool, &req, SpanOutcome::Ok, completed);
-        let _ = req.reply.send(Ok(outputs));
+    for (req, outputs) in batch.iter().zip(rows) {
+        pool.finish(req, Ok(outputs), completed);
     }
 }
 
@@ -1093,26 +1088,10 @@ fn purge_batch_expired(batch: &mut Vec<Request>, pool: &ModelPool) {
     batch.retain(|req| {
         let expired = req.deadline.is_some_and(|d| now >= d);
         if expired {
-            pool.metrics.inc_timed_out();
-            pool.metrics.inflight_sub(1);
-            pool.gateway.slo_record(req.seq, false, 0);
-            emit_span(pool, req, SpanOutcome::TimedOut, now);
-            let _ = req.reply.send(Err(ServeError::DeadlineExceeded));
+            pool.finish(req, Err(ServeError::DeadlineExceeded), now);
         }
         !expired
     });
-}
-
-/// Answers every request in a failed batch with the same typed error.
-fn fail_batch(batch: Vec<Request>, pool: &ModelPool, error: &ServeError) {
-    pool.metrics.add_failed(batch.len() as u64);
-    pool.metrics.inflight_sub(batch.len() as u64);
-    let replied = Instant::now();
-    for req in batch {
-        pool.gateway.slo_record(req.seq, false, 0);
-        emit_span(pool, &req, SpanOutcome::Failed, replied);
-        let _ = req.reply.send(Err(error.clone()));
-    }
 }
 
 #[cfg(test)]
@@ -1308,6 +1287,7 @@ mod tests {
             priority,
             deadline: None,
             enqueued_at: Instant::now(),
+            batch: 0,
             span: SpanScratch::default(),
             reply: tx.clone(),
         };

@@ -239,6 +239,28 @@ impl FaultPlan {
     }
 }
 
+/// Installs, once per process, a panic hook that silences the panics a
+/// [`FaultPlan`] injects — their messages start with `chaos:`, and a
+/// chaos run raises them by the dozen — and hands every other panic to
+/// the previously installed hook untouched.
+pub fn silence_chaos_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let chaos = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .is_some_and(|msg| msg.starts_with("chaos:"));
+            if !chaos {
+                default_hook(info);
+            }
+        }));
+    });
+}
+
 const PANIC_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 const KILL_SALT: u64 = 0xbf58_476d_1ce4_e5b9;
 const JITTER_SALT: u64 = 0x94d0_49bb_1331_11eb;

@@ -1,6 +1,5 @@
 //! Multi-tenant routing types: priority classes, the typed submit
-//! request, per-model pool configuration, and the arrival-rate tracker
-//! behind adaptive linger.
+//! request, and per-model pool configuration.
 //!
 //! The serving gateway hosts a *zoo* of models (the four VEDLIoT use
 //! cases run LeNet-scale detectors up to ResNet-class networks on one
@@ -27,8 +26,7 @@
 use crate::resilience::FaultPlan;
 use crate::server::{BatchPolicy, GoldenPolicy};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use vedliot_nnir::Tensor;
 
 /// Request priority class. Declaration order is admission order:
@@ -160,13 +158,6 @@ pub struct ModelConfig {
     /// Chaos-injection test hook scoped to this pool; `None` (the
     /// default) injects nothing.
     pub chaos: Option<FaultPlan>,
-    /// Adaptive linger: track the pool's request arrival rate and close
-    /// batches after roughly the time `max_batch - 1` companions need
-    /// to arrive (never beyond `max_linger`), dropping to zero linger
-    /// while the pool is degraded. Off by default: the fixed
-    /// `max_linger` window is deterministic, which tests and
-    /// latency-sensitive tenants may prefer.
-    pub adaptive_linger: bool,
 }
 
 impl Default for ModelConfig {
@@ -178,7 +169,6 @@ impl Default for ModelConfig {
             batch: BatchPolicy::default(),
             golden: None,
             chaos: None,
-            adaptive_linger: false,
         }
     }
 }
@@ -225,79 +215,12 @@ impl ModelConfig {
         self.chaos = Some(chaos);
         self
     }
-
-    /// Enables adaptive linger.
-    #[must_use]
-    pub fn adaptive_linger(mut self, on: bool) -> Self {
-        self.adaptive_linger = on;
-        self
-    }
-}
-
-/// Sentinel for "no arrival observed yet".
-const NO_ARRIVAL: u64 = u64::MAX;
-
-/// Lock-free per-pool arrival-rate tracker driving adaptive linger.
-///
-/// Keeps an integer EWMA of the gap between consecutive admissions
-/// (`ewma ← ewma − ewma/8 + gap/8`, i.e. α = 1/8). The suggested
-/// linger is the time `max_batch − 1` companions are expected to need
-/// (`ewma · (max_batch − 1)`), capped at the configured `max_linger` —
-/// a fast stream closes batches early instead of burning the full
-/// window, a slow stream keeps the deterministic cap. While the pool
-/// is degraded the suggestion is zero: lingering for companions is a
-/// luxury a distressed pool cannot afford.
-#[derive(Debug)]
-pub(crate) struct ArrivalRate {
-    /// Microseconds (pool epoch) of the last admission; `NO_ARRIVAL`
-    /// before the first.
-    last_arrival_us: AtomicU64,
-    ewma_gap_us: AtomicU64,
-}
-
-impl ArrivalRate {
-    /// Starts with the EWMA pinned to `initial_gap` (the `max_linger`
-    /// window), so an idle pool behaves exactly like fixed linger until
-    /// real traffic teaches it otherwise.
-    pub(crate) fn new(initial_gap: Duration) -> Self {
-        ArrivalRate {
-            last_arrival_us: AtomicU64::new(NO_ARRIVAL),
-            ewma_gap_us: AtomicU64::new(initial_gap.as_micros() as u64),
-        }
-    }
-
-    /// Records one admission at `now_us` (µs since the pool epoch).
-    /// Racy by design: concurrent submitters may interleave loads and
-    /// stores, which at worst smears one gap sample — the EWMA absorbs
-    /// it.
-    pub(crate) fn observe(&self, now_us: u64) {
-        let prev = self.last_arrival_us.swap(now_us, Ordering::Relaxed);
-        if prev == NO_ARRIVAL || now_us < prev {
-            return;
-        }
-        let gap = now_us - prev;
-        let ewma = self.ewma_gap_us.load(Ordering::Relaxed);
-        self.ewma_gap_us
-            .store(ewma - ewma / 8 + gap / 8, Ordering::Relaxed);
-    }
-
-    /// The linger window to use right now.
-    pub(crate) fn suggested_linger(&self, policy: &BatchPolicy, degraded: bool) -> Duration {
-        if degraded || policy.max_batch <= 1 {
-            return Duration::ZERO;
-        }
-        let companions = (policy.max_batch - 1) as u64;
-        let expected_us = self
-            .ewma_gap_us
-            .load(Ordering::Relaxed)
-            .saturating_mul(companions);
-        Duration::from_micros(expected_us).min(policy.max_linger)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use vedliot_nnir::Shape;
 
     #[test]
@@ -336,57 +259,7 @@ mod tests {
     fn model_config_default_is_one_worker_weight_one() {
         let cfg = ModelConfig::default();
         assert_eq!((cfg.workers, cfg.weight, cfg.quota), (1, 1, None));
-        assert!(!cfg.adaptive_linger);
-        let cfg = cfg.workers(3).weight(5).quota(7).adaptive_linger(true);
+        let cfg = cfg.workers(3).weight(5).quota(7);
         assert_eq!((cfg.workers, cfg.weight, cfg.quota), (3, 5, Some(7)));
-        assert!(cfg.adaptive_linger);
-    }
-
-    #[test]
-    fn fast_arrivals_shrink_the_suggested_linger() {
-        let policy = BatchPolicy {
-            max_batch: 8,
-            max_linger: Duration::from_micros(10_000),
-        };
-        let rate = ArrivalRate::new(policy.max_linger);
-        // Before any traffic the suggestion is the full (capped) window.
-        assert_eq!(rate.suggested_linger(&policy, false), policy.max_linger);
-        // A 10 µs arrival gap, observed repeatedly, converges the EWMA
-        // far below the 10 ms initial pin.
-        for i in 1..=200u64 {
-            rate.observe(i * 10);
-        }
-        let suggested = rate.suggested_linger(&policy, false);
-        assert!(
-            suggested < Duration::from_micros(500),
-            "expected sub-500µs linger for a 10µs stream, got {suggested:?}"
-        );
-        assert!(
-            suggested >= Duration::from_micros(70),
-            "7 companions × ≥10µs"
-        );
-    }
-
-    #[test]
-    fn slow_arrivals_keep_the_max_linger_cap() {
-        let policy = BatchPolicy {
-            max_batch: 4,
-            max_linger: Duration::from_micros(300),
-        };
-        let rate = ArrivalRate::new(policy.max_linger);
-        for i in 1..=50u64 {
-            rate.observe(i * 1_000_000); // one request a second
-        }
-        assert_eq!(rate.suggested_linger(&policy, false), policy.max_linger);
-    }
-
-    #[test]
-    fn degraded_pools_do_not_linger() {
-        let policy = BatchPolicy::default();
-        let rate = ArrivalRate::new(policy.max_linger);
-        assert_eq!(rate.suggested_linger(&policy, true), Duration::ZERO);
-        // Unbatched pools never linger either.
-        let solo = BatchPolicy::sequential();
-        assert_eq!(rate.suggested_linger(&solo, false), Duration::ZERO);
     }
 }

@@ -4,20 +4,20 @@
 //! [`Server::start`] boots the gateway with one model (registered as
 //! `"default"`); [`Server::load`] / [`Server::unload`] grow and shrink
 //! the zoo at runtime without stopping traffic. Each model gets its own
-//! [`pool`](crate::pool): priority queues, worker threads, metrics,
-//! chaos stream and golden service — isolation is per tenant, while the
-//! gateway enforces the global queue capacity and hosts the shared span
-//! ring.
+//! pool: priority queues, worker threads, metrics, chaos stream and
+//! golden service — isolation is per tenant, while the gateway enforces
+//! the global queue capacity and hosts the shared span ring.
 //!
 //! Clients submit through [`Server::submit_request`] with a typed
-//! [`SubmitRequest`] naming the model and [`Priority`] class.
+//! [`SubmitRequest`] naming the model and
+//! [`Priority`](crate::Priority) class.
 //!
 //! The per-pool serving pipeline — dynamic batching under the
 //! bit-identical batching contract, four-layer fault tolerance (panic
 //! isolation, bounded-backoff retry, quarantine bisection, supervised
-//! respawn) and golden-copy output checking — is documented in
-//! [`crate::pool`]; the priority admission/eviction protocol is there
-//! too.
+//! respawn) and golden-copy output checking — is documented in the
+//! private `pool` module, together with the priority admission/eviction
+//! protocol and the one path every reply takes.
 
 use crate::error::ServeError;
 use crate::metrics::MetricsSnapshot;
@@ -243,11 +243,6 @@ pub struct ServeConfig {
     pub journal: Option<JournalPolicy>,
     /// Burn-rate SLO engine; `None` (the default) disables it.
     pub slo: Option<SloPolicy>,
-    /// Deadline floor: the shortest deadline headroom clients are
-    /// promised. When set, every loaded model's `max_linger` must stay
-    /// at or below it — a batcher that lingers longer than the deadline
-    /// floor would time out well-formed requests by policy.
-    pub deadline_floor: Option<Duration>,
 }
 
 impl Default for ServeConfig {
@@ -263,7 +258,6 @@ impl Default for ServeConfig {
             trace: None,
             journal: None,
             slo: None,
-            deadline_floor: None,
         }
     }
 }
@@ -315,7 +309,7 @@ impl ServeConfig {
                 objective.validate().map_err(ServeError::InvalidConfig)?;
             }
         }
-        validate_model_config(&self.default_model_config(), self.deadline_floor)
+        validate_model_config(&self.default_model_config())
     }
 
     /// The default model's pool configuration implied by the gateway
@@ -330,12 +324,8 @@ impl ServeConfig {
     }
 }
 
-/// Validates one model's pool configuration against the gateway's
-/// deadline floor.
-fn validate_model_config(
-    cfg: &ModelConfig,
-    deadline_floor: Option<Duration>,
-) -> Result<(), ServeError> {
+/// Validates one model's pool configuration.
+fn validate_model_config(cfg: &ModelConfig) -> Result<(), ServeError> {
     if cfg.workers == 0 {
         return Err(ServeError::InvalidConfig(
             "model workers must be at least 1".into(),
@@ -355,14 +345,6 @@ fn validate_model_config(
         return Err(ServeError::InvalidConfig(
             "max_batch must be at least 1".into(),
         ));
-    }
-    if let Some(floor) = deadline_floor {
-        if cfg.batch.max_linger > floor {
-            return Err(ServeError::InvalidConfig(format!(
-                "max_linger {:?} exceeds the deadline floor {floor:?}",
-                cfg.batch.max_linger
-            )));
-        }
     }
     if let Some(chaos) = &cfg.chaos {
         chaos.validate()?;
@@ -459,20 +441,13 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the deadline floor (see [`ServeConfig::deadline_floor`]).
-    #[must_use]
-    pub fn deadline_floor(mut self, floor: Duration) -> Self {
-        self.config.deadline_floor = Some(floor);
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] for a zero capacity, worker count
-    /// or batch bound, an out-of-range resilience/chaos/golden
-    /// parameter, or a `max_linger` above the deadline floor.
+    /// or batch bound, or an out-of-range resilience/chaos/golden
+    /// parameter.
     pub fn build(self) -> Result<ServeConfig, ServeError> {
         self.config.validate()?;
         Ok(self.config)
@@ -545,7 +520,6 @@ pub struct Server {
     next_model_id: AtomicUsize,
     parallelism: Parallelism,
     resilience: ResilienceConfig,
-    deadline_floor: Option<Duration>,
     shutting_down: AtomicBool,
 }
 
@@ -602,7 +576,6 @@ impl Server {
             next_model_id: AtomicUsize::new(0),
             parallelism: config.parallelism,
             resilience: config.resilience,
-            deadline_floor: config.deadline_floor,
             shutting_down: AtomicBool::new(false),
         };
         server.load(DEFAULT_MODEL, graph, config.default_model_config())?;
@@ -623,7 +596,7 @@ impl Server {
         if self.shutting_down.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        validate_model_config(&cfg, self.deadline_floor)?;
+        validate_model_config(&cfg)?;
         let mut pools = self.pools.write().unwrap_or_else(PoisonError::into_inner);
         if pools.iter().any(|p| p.key == key) {
             return Err(ServeError::InvalidConfig(format!(
@@ -846,32 +819,21 @@ impl Server {
         };
         let was_burning = slo.burning.load(Ordering::Relaxed);
         if firing && !was_burning {
-            let cause = if alert_cause > 0 {
-                CauseId::event(alert_cause)
-            } else {
-                CauseId::NONE
-            };
             let seq = self.gateway.journal_append(
                 now,
                 EventKind::HealthDegraded,
                 CauseId::model(0),
-                cause,
+                CauseId::event(alert_cause),
                 0,
             );
             slo.degraded_cause.store(seq, Ordering::Relaxed);
             slo.burning.store(true, Ordering::Relaxed);
         } else if !firing && was_burning {
-            let degraded = slo.degraded_cause.load(Ordering::Relaxed);
-            let cause = if degraded > 0 {
-                CauseId::event(degraded)
-            } else {
-                CauseId::NONE
-            };
             self.gateway.journal_append(
                 now,
                 EventKind::HealthRecovered,
                 CauseId::model(0),
-                cause,
+                CauseId::event(slo.degraded_cause.load(Ordering::Relaxed)),
                 0,
             );
             slo.burning.store(false, Ordering::Relaxed);
@@ -1021,28 +983,6 @@ mod tests {
                 .build(),
             Err(ServeError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn builder_rejects_linger_above_the_deadline_floor() {
-        let err = ServeConfig::builder()
-            .batch(BatchPolicy {
-                max_batch: 8,
-                max_linger: Duration::from_millis(10),
-            })
-            .deadline_floor(Duration::from_millis(5))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ServeError::InvalidConfig(msg) if msg.contains("deadline floor")));
-        // At the floor exactly is fine.
-        assert!(ServeConfig::builder()
-            .batch(BatchPolicy {
-                max_batch: 8,
-                max_linger: Duration::from_millis(5),
-            })
-            .deadline_floor(Duration::from_millis(5))
-            .build()
-            .is_ok());
     }
 
     #[test]

@@ -22,6 +22,7 @@ use proptest::prelude::*;
 use std::time::{Duration, Instant};
 use vedliot_nnir::exec::{RunOptions, Runner};
 use vedliot_nnir::{zoo, Graph, Shape, Tensor};
+use vedliot_serve::resilience::silence_chaos_panics;
 use vedliot_serve::{
     BatchPolicy, FaultPlan, GoldenPolicy, Health, ResilienceConfig, ServeConfig, ServeError,
     Server, SubmitRequest,
@@ -33,28 +34,6 @@ fn demo_graph() -> Graph {
 
 fn demo_input(seed: u64) -> Tensor {
     Tensor::random(Shape::nchw(1, 1, 8, 8), seed, 1.0)
-}
-
-/// Silences the panic hook for injected chaos panics (they are expected
-/// by the hundreds and would drown the test output), delegating every
-/// real panic to the default hook untouched.
-fn silence_chaos_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .map(str::to_string)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            if !msg.starts_with("chaos:") {
-                default_hook(info);
-            }
-        }));
-    });
 }
 
 /// The seeded 200-request chaos smoke (wired into ci.sh): soft panics,
@@ -125,6 +104,39 @@ fn smoke_200_requests_under_seeded_chaos() {
         m.respawned, m.worker_crashes,
         "every crashed worker is respawned within budget: {m:?}"
     );
+}
+
+/// A poisoned request that forms a batch alone skips bisection, yet it
+/// is still the poison: with quarantine on, every deterministic failure
+/// of a batch of one ends `Quarantined` (DESIGN.md §7), never
+/// `Execution`.
+#[test]
+fn poisoned_singletons_are_quarantined() {
+    let config = ServeConfig::builder()
+        .batch(BatchPolicy::sequential())
+        .chaos(FaultPlan {
+            poison_every: 2,
+            ..FaultPlan::quiet(7)
+        })
+        .build()
+        .unwrap();
+    let server = Server::start(&demo_graph(), config).unwrap();
+    let tickets: Vec<_> = (0..6)
+        .map(|i| {
+            server
+                .submit_request(SubmitRequest::new(vec![demo_input(i)]))
+                .unwrap()
+        })
+        .collect();
+    let quarantined = tickets
+        .into_iter()
+        .filter_map(|t| t.wait().err())
+        .inspect(|err| assert!(matches!(err, ServeError::Quarantined { .. }), "{err}"))
+        .count();
+    assert_eq!(quarantined, 3, "seqs 2, 4 and 6 are poisoned");
+    let m = server.shutdown();
+    assert!(m.accounted_for());
+    assert_eq!((m.failed, m.quarantined, m.served), (3, 3, 3));
 }
 
 /// Satellite: golden-check verdicts are wired into serve metrics, and

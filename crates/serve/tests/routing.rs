@@ -10,6 +10,7 @@
 use std::time::Duration;
 use vedliot_nnir::exec::{RunOptions, Runner};
 use vedliot_nnir::{zoo, Graph, Shape, Tensor};
+use vedliot_serve::resilience::silence_chaos_panics;
 use vedliot_serve::{
     BatchPolicy, FaultPlan, Health, ModelConfig, Priority, ServeConfig, ServeError, Server,
     SubmitRequest, DEFAULT_MODEL,
@@ -25,27 +26,6 @@ fn cnn_input(seed: u64) -> Tensor {
 
 fn lenet_input(seed: u64) -> Tensor {
     Tensor::random(Shape::nchw(1, 1, 28, 28), seed, 1.0)
-}
-
-/// Silences the panic hook for injected chaos panics (expected by the
-/// dozen), delegating every real panic to the default hook untouched.
-fn silence_chaos_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .map(str::to_string)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            if !msg.starts_with("chaos:") {
-                default_hook(info);
-            }
-        }));
-    });
 }
 
 fn fast_batching() -> BatchPolicy {

@@ -1,5 +1,5 @@
 //! The Deep Compression pipeline (Han, Mao & Dally — the paper's
-//! reference [7] and the source of its "compressed down to 49x" claim).
+//! reference \[7\] and the source of its "compressed down to 49x" claim).
 //!
 //! Three stages, exactly as in the original: (1) connection pruning,
 //! (2) trained quantization via k-means weight sharing, (3) Huffman

@@ -1,5 +1,5 @@
 //! Embedded key-value store — the SQLite stand-in for the Twine
-//! experiment (paper §IV-C / reference [17]).
+//! experiment (paper §IV-C / reference \[17\]).
 //!
 //! "An evaluation shows that SQLite can be fully executed inside an SGX
 //! enclave via WebAssembly and existing system interface, with small

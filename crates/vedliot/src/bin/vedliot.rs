@@ -563,21 +563,7 @@ fn run_journal(seed: u64) -> i32 {
         events.iter().filter(|e| e.kind == kind).count()
     };
 
-    // Injected chaos panics are expected by the dozen and would drown
-    // the demo output; real panics still reach the default hook.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let payload = info.payload();
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_string)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        if !msg.starts_with("chaos:") {
-            default_hook(info);
-        }
-    }));
+    vedliot::serve::resilience::silence_chaos_panics();
 
     // ── Serve plane: 200 requests under seeded chaos, journalled. ──
     println!("── serve plane: 200 requests under seeded chaos (seed {seed:#x}) ──");
