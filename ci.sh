@@ -70,6 +70,12 @@ if [[ $fast -eq 0 ]]; then
   # or an analysis failure.
   cargo run -q --release -p vedliot --bin vedliot -- lint --analyze > /dev/null
 
+  echo "==> CLI demos (each exits non-zero on failure; fleet audits its rollout, journal balances its ledger)"
+  for demo in obs route fleet top journal; do
+    echo "  -> vedliot $demo"
+    ./target/release/vedliot "$demo" > /dev/null
+  done
+
   echo "==> BENCH gates (fresh snapshot vs checked-in baseline, rules in crates/bench/src/gate.rs)"
   # Each experiment asserts its own hard invariants while it runs and
   # writes a fresh snapshot; `harness gate` then checks every rule of

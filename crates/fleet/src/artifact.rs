@@ -5,10 +5,10 @@
 //! exchanges architectures, like ONNX without initializers), so an OTA
 //! image needs its own container: the architecture dump with weights
 //! swapped for seeded placeholders, followed by a binary weight section
-//! keyed by node index. [`unpack`](ModelArtifact::unpack) materializes
-//! the placeholder weights once to recover tensor shapes, then replaces
-//! their data with the stored floats — shape agreement is structural,
-//! never trusted from the wire.
+//! keyed by node index. [`unpack`](ModelArtifact::unpack) runs the
+//! static verifier over the parsed architecture, recovers each weighted
+//! node's tensor shapes from it, and fills them with the stored floats —
+//! shape agreement is structural, never trusted from the wire.
 //!
 //! Integrity is per chunk *and* end-to-end: every chunk carries a
 //! SHA-256 in the [`Manifest`], and the manifest root chains those
@@ -16,8 +16,9 @@
 //! it arrives (and re-request just that chunk) while still proving the
 //! assembled payload is exactly the released image.
 
-use vedliot_nnir::exec::Runner;
+use vedliot_nnir::analysis;
 use vedliot_nnir::graph::{Graph, WeightInit};
+use vedliot_nnir::shape::Shape;
 use vedliot_nnir::tensor::Tensor;
 use vedliot_nnir::textual;
 use vedliot_nnir::NnirError;
@@ -280,22 +281,18 @@ impl ModelArtifact {
             .map_err(|_| ArtifactError::Malformed("graph text is not UTF-8".into()))?;
         let mut graph = textual::read(text)?;
 
-        // Materialize the placeholder weights once to learn shapes,
-        // then substitute the stored floats.
-        let shapes: Vec<Option<Vec<Tensor>>> = {
-            let exec = Runner::builder().build(&graph)?;
-            graph
-                .nodes()
-                .iter()
-                .map(|n| {
-                    if matches!(n.weights, WeightInit::None) {
-                        Ok(None)
-                    } else {
-                        exec.node_weights(n).map(Some)
-                    }
-                })
-                .collect::<Result<_, NnirError>>()?
-        };
+        // The verifier gates the parsed architecture before any shape is
+        // read from it; weight shapes then come from the architecture,
+        // never from the record headers.
+        analysis::verify_for_execution(&graph)?;
+        let shapes: Vec<Option<Vec<Shape>>> = graph
+            .nodes()
+            .iter()
+            .map(|n| {
+                (!matches!(n.weights, WeightInit::None))
+                    .then(|| n.weight_shapes(&graph.node_input_shapes(n)))
+            })
+            .collect();
 
         let record_count = r.u32()? as usize;
         for _ in 0..record_count {
@@ -316,13 +313,13 @@ impl ModelArtifact {
                 )));
             }
             let mut tensors = Vec::with_capacity(tensor_count);
-            for t in template {
+            for shape in template {
                 let n = usize::try_from(r.u64()?)
                     .map_err(|_| ArtifactError::Malformed("tensor length overflow".into()))?;
-                if n != t.data().len() {
+                if n != shape.elem_count() {
                     return Err(ArtifactError::Malformed(format!(
                         "node {node_idx}: stored tensor has {n} floats, shape wants {}",
-                        t.data().len()
+                        shape.elem_count()
                     )));
                 }
                 let mut data = Vec::with_capacity(n);
@@ -330,7 +327,7 @@ impl ModelArtifact {
                     let b = r.take(4)?;
                     data.push(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
                 }
-                tensors.push(Tensor::from_vec(t.shape().clone(), data)?);
+                tensors.push(Tensor::from_vec(shape.clone(), data)?);
             }
             graph.nodes_mut()[node_idx].weights = WeightInit::Explicit(tensors);
         }
@@ -406,24 +403,7 @@ mod tests {
         // Materialize the seeded weights so the graph carries Explicit
         // tensors, like a trained model about to ship.
         let mut g = mlp("ota-test", 6, &[5], 3).expect("mlp builds");
-        let materialized: Vec<Option<Vec<Tensor>>> = {
-            let exec = Runner::builder().build(&g).expect("valid graph");
-            g.nodes()
-                .iter()
-                .map(|n| {
-                    if matches!(n.weights, WeightInit::None) {
-                        None
-                    } else {
-                        Some(exec.node_weights(n).expect("materializes"))
-                    }
-                })
-                .collect()
-        };
-        for (node, w) in g.nodes_mut().iter_mut().zip(materialized) {
-            if let Some(tensors) = w {
-                node.weights = WeightInit::Explicit(tensors);
-            }
-        }
+        g.explicit_weights(|_| true);
         g
     }
 

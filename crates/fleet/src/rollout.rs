@@ -43,6 +43,10 @@ const BACKOFF_SALT: u64 = 0x5EED_BAC0_FF00_0003;
 /// Salt for installed-weight bit-flip placement.
 const FLIP_SALT: u64 = 0x5EED_F11B_B175_0004;
 
+/// Chunk size every release is packed with, bytes — sized for lossy
+/// device links; it also sets how many chunks one tick can carry.
+const CHUNK_BYTES: usize = 256;
+
 /// Fleet-level errors.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -130,8 +134,6 @@ pub struct RolloutPolicy {
     /// Maximum tolerated drop in held-out accuracy vs the baseline
     /// version (canary accuracy gate; ignored without an eval set).
     pub max_accuracy_drop: f64,
-    /// Chunk size artifacts are packed with, bytes.
-    pub chunk_bytes: usize,
     /// Wall-clock milliseconds one tick represents (scales chunk
     /// throughput and retry backoff quantization).
     pub tick_ms: f64,
@@ -160,7 +162,6 @@ impl Default for RolloutPolicy {
             wave_growth: 4,
             health_threshold: 0.9,
             max_accuracy_drop: 0.05,
-            chunk_bytes: 256,
             tick_ms: 100.0,
             max_chunks_per_tick: 4,
             retry: RetryPolicy {
@@ -189,10 +190,8 @@ impl RolloutPolicy {
         if !(0.0..=1.0).contains(&self.health_threshold) {
             return Err(FleetError::Config("health_threshold not a fraction".into()));
         }
-        if self.tick_ms <= 0.0 || self.chunk_bytes == 0 {
-            return Err(FleetError::Config(
-                "tick_ms and chunk_bytes must be positive".into(),
-            ));
+        if self.tick_ms <= 0.0 {
+            return Err(FleetError::Config("tick_ms must be positive".into()));
         }
         if self.wave_deadline_ticks <= self.install_ticks + self.soak_ticks {
             return Err(FleetError::Config(
@@ -265,6 +264,22 @@ pub struct FleetHealth {
 }
 
 impl FleetHealth {
+    /// Tallies the phases of `devices` relative to `target`.
+    fn of<'d>(devices: impl IntoIterator<Item = &'d Device>, target: usize) -> Self {
+        let mut h = FleetHealth::default();
+        for d in devices {
+            match d.phase {
+                Phase::Quarantined => h.quarantined += 1,
+                Phase::RolledBack => h.rolled_back += 1,
+                Phase::Abandoned => h.abandoned += 1,
+                Phase::Running if d.active == target => h.on_target += 1,
+                Phase::Running => h.on_previous += 1,
+                _ => h.in_flight += 1,
+            }
+        }
+        h
+    }
+
     /// Fraction of attempted, non-quarantined devices that landed
     /// healthy on the target. Quarantine is a security outcome, not a
     /// health regression — a wave of mostly compromised devices should
@@ -410,7 +425,6 @@ pub struct Fleet {
     verifier: Verifier,
     released_measurement: [u8; 32],
     probe: Tensor,
-    chunk_bytes: usize,
     /// Flight recorder, if attached — rollout/wave/device transitions
     /// journal into it with simulation ticks as timestamps, so "why did
     /// device 117 roll back" is one causal-chain query.
@@ -432,27 +446,6 @@ impl Fleet {
         baseline: (&str, Graph),
         probe: Tensor,
         eval: Option<&vedliot_nnir::dataset::ClassificationSet>,
-    ) -> Result<Self, FleetError> {
-        Self::with_chunk_bytes(
-            config,
-            baseline,
-            probe,
-            eval,
-            RolloutPolicy::default().chunk_bytes,
-        )
-    }
-
-    /// [`Fleet::new`] with an explicit artifact chunk size.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Fleet::new`].
-    pub fn with_chunk_bytes(
-        config: FleetConfig,
-        baseline: (&str, Graph),
-        probe: Tensor,
-        eval: Option<&vedliot_nnir::dataset::ClassificationSet>,
-        chunk_bytes: usize,
     ) -> Result<Self, FleetError> {
         if config.devices == 0 {
             return Err(FleetError::Config("fleet must have devices".into()));
@@ -495,7 +488,6 @@ impl Fleet {
             verifier,
             released_measurement,
             probe,
-            chunk_bytes,
             journal: None,
         };
         fleet.register_version(baseline.0, baseline.1, eval)?;
@@ -515,7 +507,7 @@ impl Fleet {
         graph: Graph,
         eval: Option<&vedliot_nnir::dataset::ClassificationSet>,
     ) -> Result<usize, FleetError> {
-        let artifact = ModelArtifact::pack(name, &graph, self.chunk_bytes)?;
+        let artifact = ModelArtifact::pack(name, &graph, CHUNK_BYTES)?;
         // Release-time self-check: the packed image must reproduce the
         // model exactly (devices then share this verified image,
         // content-addressed by the manifest root).
@@ -570,23 +562,7 @@ impl Fleet {
     /// Fleet-wide health relative to `target`.
     #[must_use]
     pub fn health(&self, target: usize) -> FleetHealth {
-        let mut h = FleetHealth::default();
-        for d in &self.devices {
-            match d.phase {
-                Phase::Quarantined => h.quarantined += 1,
-                Phase::RolledBack => h.rolled_back += 1,
-                Phase::Abandoned => h.abandoned += 1,
-                Phase::Running => {
-                    if d.active == target {
-                        h.on_target += 1;
-                    } else {
-                        h.on_previous += 1;
-                    }
-                }
-                _ => h.in_flight += 1,
-            }
-        }
-        h
+        FleetHealth::of(&self.devices, target)
     }
 
     /// Audits the post-rollout fleet against the safety invariants and
@@ -725,11 +701,6 @@ impl Rollout {
                 "unknown target version {}",
                 self.target
             )));
-        }
-        if self.policy.chunk_bytes != fleet.chunk_bytes {
-            return Err(FleetError::Config(
-                "policy chunk size differs from the fleet's packed artifacts".into(),
-            ));
         }
         let rollout_seed = splitmix64(
             fleet.config.seed ^ self.fault.seed.rotate_left(17) ^ (self.target as u64) << 48,
@@ -888,18 +859,8 @@ impl Rollout {
                 tick += 1;
             }
 
-            // Gate the wave.
-            let mut health = FleetHealth::default();
-            for &i in &members {
-                let d = &fleet.devices[i];
-                match d.phase {
-                    Phase::Quarantined => health.quarantined += 1,
-                    Phase::RolledBack => health.rolled_back += 1,
-                    Phase::Abandoned => health.abandoned += 1,
-                    Phase::Running if d.active == self.target => health.on_target += 1,
-                    _ => health.on_previous += 1,
-                }
-            }
+            // Gate the wave (every member is terminal by now).
+            let health = FleetHealth::of(members.iter().map(|&i| &fleet.devices[i]), self.target);
             let mut gate = health.success_rate() >= self.policy.health_threshold;
             // Canary accuracy gate: the target must not regress held-out
             // accuracy vs the best already-deployed version.
@@ -1040,7 +1001,7 @@ impl Rollout {
                 }
                 let cond = d.link_at(tick, partitioned);
                 let total = artifact.manifest.chunk_count();
-                if let Some(per_chunk_ms) = cond.upload_ms(self.policy.chunk_bytes as u64) {
+                if let Some(per_chunk_ms) = cond.upload_ms(CHUNK_BYTES as u64) {
                     let budget = (self.policy.tick_ms / per_chunk_ms).floor().max(1.0) as u32;
                     let budget = budget.min(self.policy.max_chunks_per_tick);
                     for _ in 0..budget {

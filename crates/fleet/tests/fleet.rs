@@ -13,7 +13,6 @@ use std::sync::Arc;
 use vedliot_fleet::rollout::{Fleet, FleetConfig, Rollout, RolloutOutcome, RolloutPolicy};
 use vedliot_fleet::FleetFaultPlan;
 use vedliot_nnir::dataset::gaussian_prototypes;
-use vedliot_nnir::exec::Runner;
 use vedliot_nnir::graph::{Graph, WeightInit};
 use vedliot_nnir::tensor::Tensor;
 use vedliot_nnir::train::mlp;
@@ -26,29 +25,9 @@ const CLASSES: usize = 3;
 /// A small model with materialized (explicit) weights, as shipped.
 fn shipped_model(name: &str, tweak: f32) -> Graph {
     let mut g = mlp(name, INPUTS, &[10], CLASSES).expect("mlp builds");
-    let materialized: Vec<Option<Vec<Tensor>>> = {
-        let exec = Runner::builder().build(&g).expect("valid graph");
-        g.nodes()
-            .iter()
-            .map(|n| {
-                if matches!(n.weights, WeightInit::None) {
-                    None
-                } else {
-                    Some(exec.node_weights(n).expect("materializes"))
-                }
-            })
-            .collect()
-    };
-    for (node, w) in g.nodes_mut().iter_mut().zip(materialized) {
-        if let Some(tensors) = w {
-            let tensors = tensors
-                .into_iter()
-                .map(|t| {
-                    let data = t.data().iter().map(|v| v * (1.0 + tweak)).collect();
-                    Tensor::from_vec(t.shape().clone(), data).expect("same shape")
-                })
-                .collect();
-            node.weights = WeightInit::Explicit(tensors);
+    for (_, tensors) in g.explicit_weights(|_| true) {
+        for v in tensors.iter_mut().flat_map(Tensor::data_mut) {
+            *v *= 1.0 + tweak;
         }
     }
     g

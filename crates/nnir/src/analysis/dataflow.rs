@@ -12,7 +12,6 @@ use super::framework::{propagate, ForwardAnalysis};
 use crate::dtype::DataType;
 use crate::graph::{Graph, Node, NodeId, TensorId, WeightInit};
 use crate::ops::{ActKind, Op};
-use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Worst-case |activation| a symmetric INT8 grid represents at unit
@@ -142,28 +141,12 @@ fn act_interval(kind: ActKind, iv: Interval) -> Interval {
 }
 
 /// Largest L1 row norm plus the bias range of a weighted node's
-/// materialized parameters: `(l1, bias_lo, bias_hi)`. Each output unit
-/// `c` of the node satisfies `out_c ∈ [bias_lo - l1·a, bias_hi +
-/// l1·a]` for inputs bounded by `|x| <= a`. `None` for weightless
-/// nodes.
+/// materialized parameters ([`Graph::node_weights`]): `(l1, bias_lo,
+/// bias_hi)`. Each output unit `c` of the node satisfies `out_c ∈
+/// [bias_lo - l1·a, bias_hi + l1·a]` for inputs bounded by `|x| <= a`.
+/// `None` for nodes without weights.
 pub(crate) fn weighted_bound(graph: &Graph, node: &Node) -> Option<(f32, f32, f32)> {
-    let in_shapes: Vec<&Shape> = node
-        .inputs
-        .iter()
-        .map(|t| graph.tensor_shape(*t))
-        .collect::<Option<_>>()?;
-    let shapes = node.weight_shapes(&in_shapes);
-    if shapes.is_empty() {
-        return None;
-    }
-    let weights = match &node.weights {
-        WeightInit::Explicit(tensors) => tensors.clone(),
-        WeightInit::Seeded(seed) => crate::exec::materialize_seeded(&node.op, &shapes, *seed),
-        WeightInit::None => return None,
-    };
-    if weights.is_empty() {
-        return None;
-    }
+    let weights = graph.node_weights(node).ok().filter(|w| !w.is_empty())?;
     let bias_range = |t: Option<&Tensor>| {
         t.map_or((0.0f32, 0.0f32), |b| {
             b.data()

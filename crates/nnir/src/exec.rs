@@ -6,9 +6,10 @@
 //! The runner owns a reusable buffer arena (intermediate tensors, the
 //! im2col scratch and materialized weights survive across calls), so
 //! repeated inference over a dataset, a benchmark loop or a serving
-//! worker amortizes every allocation after the first run. Weight
-//! materialization has the same single owner:
-//! [`Runner::node_weights`].
+//! worker amortizes every allocation after the first run. Weights
+//! are not the runner's to materialize: it reads each node's tensors
+//! once, on first use, from [`Graph::node_weights`], the one owner of
+//! that step.
 //!
 //! The pre-redesign surface (the stateless `Executor` facade and the
 //! split `run` / `run_with_intermediates` / `materialize_node_weights`
@@ -51,10 +52,6 @@
 //! changing a single output bit (kernels fully overwrite their output
 //! buffers; the proptest suite pins planned ≡ unplanned equality). See
 //! [`RunnerBuilder::memory_planning`].
-//!
-//! Weights declared as [`WeightInit::Seeded`] are materialized on first
-//! use with a deterministic fan-in-scaled uniform initialization, so two
-//! runs of the same graph always produce identical outputs.
 
 use crate::dtype::DataType;
 use crate::graph::{Graph, Node, WeightInit};
@@ -824,33 +821,14 @@ impl<'g> Runner<'g> {
         })
     }
 
-    /// Materializes the weight tensors for a node: explicit weights are
-    /// cloned, seeded initializations are computed deterministically.
-    /// This is the single owner of weight materialization — the
-    /// toolchain passes, the safety fault injector and the engine's own
-    /// weight arena all come through here.
+    /// The weight tensors of a node of this runner's graph: a delegate
+    /// to [`Graph::node_weights`], which owns weight materialization.
     ///
     /// # Errors
     ///
-    /// Returns [`NnirError::ExecutionFailure`] if explicit weights are
-    /// missing for a node that requires them.
+    /// As [`Graph::node_weights`].
     pub fn node_weights(&self, node: &Node) -> Result<Vec<Tensor>, NnirError> {
-        let in_shapes = self.graph.node_input_shapes(node);
-        let shapes = node.weight_shapes(&in_shapes);
-        match &node.weights {
-            WeightInit::Explicit(tensors) => Ok(tensors.clone()),
-            WeightInit::Seeded(seed) => Ok(materialize_seeded(&node.op, &shapes, *seed)),
-            WeightInit::None => {
-                if shapes.is_empty() {
-                    Ok(Vec::new())
-                } else {
-                    Err(NnirError::ExecutionFailure(format!(
-                        "node {} requires weights but has none",
-                        node.name
-                    )))
-                }
-            }
-        }
+        self.graph.node_weights(node)
     }
 
     /// Evaluates every node in topological order into the arena slots
@@ -914,7 +892,7 @@ impl<'g> Runner<'g> {
                 }
             }
             if self.weights[idx].is_none() {
-                self.weights[idx] = Some(self.node_weights(node)?);
+                self.weights[idx] = Some(self.graph.node_weights(node)?);
             }
             let out_shape = self
                 .graph
@@ -1075,38 +1053,6 @@ fn eval_node_into(
             Ok(())
         }
     }
-}
-
-/// Deterministic fan-in-scaled initialization for seeded weights.
-/// `pub(crate)` so the analyzer's quantization-readiness pass can bound
-/// per-node weight magnitudes without building a runner.
-pub(crate) fn materialize_seeded(op: &Op, shapes: &[Shape], seed: u64) -> Vec<Tensor> {
-    shapes
-        .iter()
-        .enumerate()
-        .map(|(i, shape)| {
-            let sub_seed = seed.wrapping_mul(1_000_003).wrapping_add(i as u64 + 1);
-            match (op, i) {
-                // BatchNorm: scale near 1, shift near 0.
-                (Op::BatchNorm, 0) => {
-                    let mut t = Tensor::random(shape.clone(), sub_seed, 0.05);
-                    for x in t.data_mut() {
-                        *x += 1.0;
-                    }
-                    t
-                }
-                (Op::BatchNorm, _) => Tensor::random(shape.clone(), sub_seed, 0.05),
-                // Bias vectors: small.
-                (_, i2) if i2 > 0 => Tensor::random(shape.clone(), sub_seed, 0.01),
-                // Main weights: uniform in ±sqrt(2 / fan_in).
-                _ => {
-                    let fan_in: usize = shape.dims()[1..].iter().product::<usize>().max(1);
-                    let scale = (2.0 / fan_in as f32).sqrt();
-                    Tensor::random(shape.clone(), sub_seed, scale)
-                }
-            }
-        })
-        .collect()
 }
 
 // --------------------------------------------------------------------

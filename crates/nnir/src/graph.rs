@@ -9,9 +9,9 @@
 //!
 //! Weights are attached per node as [`WeightInit`]: either explicit tensors
 //! (small models that are actually executed) or a deterministic seed that
-//! the executor materializes lazily (the large zoo models, which are only
-//! ever cost-analyzed — YOLOv4 holds ~64 M parameters and is never
-//! allocated unless executed).
+//! [`Graph::node_weights`] materializes on demand (the large zoo models,
+//! which are only ever cost-analyzed — YOLOv4 holds ~64 M parameters and
+//! is never allocated unless executed).
 
 use crate::ops::Op;
 use crate::shape::Shape;
@@ -215,6 +215,63 @@ impl Graph {
             .collect()
     }
 
+    /// Materializes a node's weight tensors: explicit weights are
+    /// cloned, seeded ones are generated by a deterministic fan-in-scaled
+    /// uniform initialization, so the same graph always yields the same
+    /// bits. This is the one place a [`WeightInit`] turns into tensors:
+    /// the execution engine, the dataflow analyses, the toolchain
+    /// passes and the fault injector all come through here (or through
+    /// [`Graph::explicit_weights`], which is built on it).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnirError::ExecutionFailure`] if the node's operator
+    /// requires weights but it has [`WeightInit::None`].
+    pub fn node_weights(&self, node: &Node) -> Result<Vec<Tensor>, NnirError> {
+        if let WeightInit::Explicit(tensors) = &node.weights {
+            return Ok(tensors.clone());
+        }
+        let shapes = node.weight_shapes(&self.node_input_shapes(node));
+        match node.weights {
+            WeightInit::Seeded(seed) => Ok(materialize_seeded(&node.op, &shapes, seed)),
+            _ if shapes.is_empty() => Ok(Vec::new()),
+            _ => Err(NnirError::ExecutionFailure(format!(
+                "node {} requires weights but has none",
+                node.name
+            ))),
+        }
+    }
+
+    /// Makes the weights of every node `select` accepts explicit,
+    /// materializing seeded ones in place ([`Graph::node_weights`]),
+    /// and returns each such node's name and weight tensors for
+    /// editing — the materialize → edit → write-back step of every
+    /// weight-rewriting pass. Selected nodes with [`WeightInit::None`]
+    /// are left alone and not returned; unselected nodes are untouched.
+    pub fn explicit_weights(
+        &mut self,
+        select: impl Fn(&Node) -> bool,
+    ) -> Vec<(&str, &mut Vec<Tensor>)> {
+        for i in 0..self.nodes.len() {
+            let node = &self.nodes[i];
+            if !select(node) || !matches!(node.weights, WeightInit::Seeded(_)) {
+                continue;
+            }
+            // Seeded weights always materialize.
+            if let Ok(tensors) = self.node_weights(node) {
+                self.nodes[i].weights = WeightInit::Explicit(tensors);
+            }
+        }
+        self.nodes
+            .iter_mut()
+            .filter(|node| select(node))
+            .filter_map(|Node { name, weights, .. }| match weights {
+                WeightInit::Explicit(tensors) => Some((name.as_str(), tensors)),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Consumers of each tensor (fan-out), indexed by tensor id.
     #[must_use]
     pub fn fanout(&self) -> Vec<Vec<NodeId>> {
@@ -367,6 +424,36 @@ impl Graph {
             .first()
             .map_or(1, |t| self.tensor_shapes[t.0].batch())
     }
+}
+
+/// Deterministic fan-in-scaled initialization for seeded weights.
+fn materialize_seeded(op: &Op, shapes: &[Shape], seed: u64) -> Vec<Tensor> {
+    shapes
+        .iter()
+        .enumerate()
+        .map(|(i, shape)| {
+            let sub_seed = seed.wrapping_mul(1_000_003).wrapping_add(i as u64 + 1);
+            match (op, i) {
+                // BatchNorm: scale near 1, shift near 0.
+                (Op::BatchNorm, 0) => {
+                    let mut t = Tensor::random(shape.clone(), sub_seed, 0.05);
+                    for x in t.data_mut() {
+                        *x += 1.0;
+                    }
+                    t
+                }
+                (Op::BatchNorm, _) => Tensor::random(shape.clone(), sub_seed, 0.05),
+                // Bias vectors: small.
+                (_, i2) if i2 > 0 => Tensor::random(shape.clone(), sub_seed, 0.01),
+                // Main weights: uniform in ±sqrt(2 / fan_in).
+                _ => {
+                    let fan_in: usize = shape.dims()[1..].iter().product::<usize>().max(1);
+                    let scale = (2.0 / fan_in as f32).sqrt();
+                    Tensor::random(shape.clone(), sub_seed, scale)
+                }
+            }
+        })
+        .collect()
 }
 
 /// Incremental, shape-checked graph construction.
@@ -576,6 +663,69 @@ mod tests {
             right,
         )
         .unwrap();
+    }
+
+    /// Shapes and raw f32 bits, so equality is bit equality.
+    type Bits = Vec<(Shape, Vec<u32>)>;
+
+    fn bits(tensors: &[Tensor]) -> Bits {
+        tensors
+            .iter()
+            .map(|t| {
+                (
+                    t.shape().clone(),
+                    t.data().iter().map(|x| x.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn explicit_weights_materializes_exactly_the_selected_nodes() {
+        let mut g = crate::zoo::lenet5(10).unwrap();
+        // A selected node without weights is neither changed nor returned.
+        let none = g
+            .nodes()
+            .iter()
+            .position(|n| n.weight_shapes(&g.node_input_shapes(n)).is_empty())
+            .unwrap();
+        g.nodes_mut()[none].weights = WeightInit::None;
+        let selected = |n: &Node| matches!(n.op, Op::Conv2d(_)) || n.id.0 == none;
+        let runner = crate::exec::Runner::builder().build(&g).unwrap();
+        for node in g.nodes() {
+            // The runner's accessor is a delegate (external callers rely on it).
+            assert_eq!(
+                bits(&runner.node_weights(node).unwrap()),
+                bits(&g.node_weights(node).unwrap())
+            );
+        }
+        drop(runner);
+
+        let before = g.clone();
+        let expected: Vec<(String, Bits)> = before
+            .nodes()
+            .iter()
+            .filter(|n| selected(n) && n.id.0 != none)
+            .map(|n| (n.name.clone(), bits(&before.node_weights(n).unwrap())))
+            .collect();
+        assert_eq!(expected.len(), 2, "lenet5 has two convolutions");
+        let returned: Vec<(String, Bits)> = g
+            .explicit_weights(selected)
+            .into_iter()
+            .map(|(name, w)| (name.to_string(), bits(w)))
+            .collect();
+        assert_eq!(returned, expected);
+        for (node, old) in g.nodes().iter().zip(before.nodes()) {
+            if selected(node) && node.id.0 != none {
+                assert!(!old.weights.is_explicit() && node.weights.is_explicit());
+                assert_eq!(
+                    bits(&g.node_weights(node).unwrap()),
+                    bits(&before.node_weights(old).unwrap())
+                );
+            } else {
+                assert_eq!(node, old, "{} changed", node.name);
+            }
+        }
     }
 
     #[test]

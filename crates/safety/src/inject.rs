@@ -16,8 +16,6 @@
 //! malformed coordinate must be a diagnosable error, not a crash.
 
 use vedliot_nnir::det::DetRng;
-use vedliot_nnir::exec::Runner;
-use vedliot_nnir::graph::WeightInit;
 use vedliot_nnir::{Graph, NnirError, Op, Tensor};
 
 /// Why an injection request could not be applied.
@@ -151,26 +149,11 @@ pub fn flip_weight_bits(
     flips: usize,
     seed: u64,
 ) -> Result<BitFlipReport, NnirError> {
-    let materialized: Vec<Option<Vec<Tensor>>> = {
-        let exec = Runner::builder().build(graph)?;
-        graph
-            .nodes()
-            .iter()
-            .map(|node| {
-                if matches!(node.op, Op::Conv2d(_) | Op::Dense { .. }) {
-                    exec.node_weights(node).ok()
-                } else {
-                    None
-                }
-            })
-            .collect()
-    };
-    // Collect candidate (node index, elem count) pairs.
-    let candidates: Vec<(usize, usize)> = materialized
-        .iter()
-        .enumerate()
-        .filter_map(|(i, w)| w.as_ref().map(|w| (i, w[0].data().len())))
-        .filter(|&(_, n)| n > 0)
+    // Candidates: weighted layers with a non-empty main tensor.
+    let mut candidates: Vec<(&str, &mut Vec<Tensor>)> = graph
+        .explicit_weights(|n| matches!(n.op, Op::Conv2d(_) | Op::Dense { .. }))
+        .into_iter()
+        .filter(|(_, w)| !w[0].data().is_empty())
         .collect();
     if candidates.is_empty() {
         return Ok(BitFlipReport {
@@ -179,28 +162,18 @@ pub fn flip_weight_bits(
         });
     }
     let mut rng = DetRng::new(seed);
-    let mut tensors: Vec<Option<Vec<Tensor>>> = materialized;
     let mut layers_hit = Vec::new();
     for _ in 0..flips {
-        let &(node_idx, len) = &candidates[rng.index(candidates.len())];
-        // Candidates are built from weighted nodes and coordinates are
-        // drawn within bounds, so neither branch below can skip.
-        let Some(weights) = tensors[node_idx].as_mut() else {
-            continue;
-        };
-        let elem = rng.index(len);
+        let pick = rng.index(candidates.len());
+        let (name, weights) = &mut candidates[pick];
+        let elem = rng.index(weights[0].data().len());
         let bit = rng.index(32) as u32;
+        // The coordinates are drawn within bounds, so the flip lands.
         if flip_tensor_bit(&mut weights[0], elem, bit).is_err() {
             continue;
         }
-        let name = graph.nodes()[node_idx].name.clone();
-        if !layers_hit.contains(&name) {
-            layers_hit.push(name);
-        }
-    }
-    for (node, weights) in graph.nodes_mut().iter_mut().zip(tensors) {
-        if let Some(weights) = weights {
-            node.weights = WeightInit::Explicit(weights);
+        if !layers_hit.iter().any(|hit| hit == name) {
+            layers_hit.push(name.to_string());
         }
     }
     graph.validate()?;
@@ -282,7 +255,8 @@ pub fn corrupt_tensor(tensor: &Tensor, flips: usize, seed: u64) -> Result<Tensor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vedliot_nnir::exec::RunOptions;
+    use vedliot_nnir::exec::{RunOptions, Runner};
+    use vedliot_nnir::graph::WeightInit;
     use vedliot_nnir::{zoo, Shape};
 
     /// One forward pass through a fresh default runner.

@@ -12,9 +12,7 @@ use crate::error::ToolchainError;
 use crate::huffman;
 use crate::kmeans::kmeans_1d;
 use serde::{Deserialize, Serialize};
-use vedliot_nnir::exec::Runner;
-use vedliot_nnir::graph::WeightInit;
-use vedliot_nnir::{Graph, Op, Tensor};
+use vedliot_nnir::{Graph, Op};
 
 /// Configuration of the Deep Compression pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -190,46 +188,26 @@ pub fn deep_compress(
         )));
     }
 
-    let mut out = graph.clone();
-    let materialized: Vec<Option<Vec<Tensor>>> = {
-        let exec = Runner::builder().build(&out)?;
-        out.nodes()
-            .iter()
-            .map(|node| {
-                if matches!(node.op, Op::Conv2d(_) | Op::Dense { .. }) {
-                    exec.node_weights(node).ok()
-                } else {
-                    None
-                }
-            })
-            .collect()
-    };
-
-    let mut layers = Vec::new();
-    let mut raw_bytes = 0usize;
     // Count non-compressible parameters (biases, batch norms).
-    {
-        let exec = Runner::builder().build(graph)?;
-        for node in graph.nodes() {
-            match node.op {
-                Op::Conv2d(_) | Op::Dense { .. } => {
-                    if let Ok(w) = exec.node_weights(node) {
-                        for t in w.iter().skip(1) {
-                            raw_bytes += t.shape().elem_count() * 4;
-                        }
-                    }
-                }
-                Op::BatchNorm => {
-                    if let Ok(w) = exec.node_weights(node) {
-                        for t in &w {
-                            raw_bytes += t.shape().elem_count() * 4;
-                        }
-                    }
-                }
-                _ => {}
-            }
+    let mut raw_bytes = 0usize;
+    for node in graph.nodes() {
+        let skip = match node.op {
+            Op::Conv2d(_) | Op::Dense { .. } => 1,
+            Op::BatchNorm => 0,
+            _ => continue,
+        };
+        if let Ok(w) = graph.node_weights(node) {
+            raw_bytes += w
+                .iter()
+                .skip(skip)
+                .map(|t| t.shape().elem_count() * 4)
+                .sum::<usize>();
         }
     }
+
+    let mut out = graph.clone();
+    let mut layers = Vec::new();
+    let prunable = out.explicit_weights(|n| matches!(n.op, Op::Conv2d(_) | Op::Dense { .. }));
 
     // Stage 1 threshold: a single *global* magnitude cut across every
     // prunable tensor. A uniform per-layer quota starves small decisive
@@ -238,10 +216,9 @@ pub fn deep_compress(
     // budget to the wide hidden layers where most near-zero weights
     // actually live, at identical overall sparsity.
     let threshold = {
-        let mut magnitudes: Vec<f32> = materialized
+        let mut magnitudes: Vec<f32> = prunable
             .iter()
-            .flatten()
-            .flat_map(|w| w[0].data().iter().map(|x| x.abs()))
+            .flat_map(|(_, w)| w[0].data().iter().map(|x| x.abs()))
             .collect();
         let total = magnitudes.len();
         let keep = total - ((total as f64) * config.sparsity).round() as usize;
@@ -255,8 +232,7 @@ pub fn deep_compress(
         }
     };
 
-    for (node, weights) in out.nodes_mut().iter_mut().zip(materialized) {
-        let Some(mut weights) = weights else { continue };
+    for (name, weights) in prunable {
         let w = &mut weights[0];
         let n = w.data().len();
         let mut surviving: Vec<f32> = Vec::new();
@@ -302,10 +278,9 @@ pub fn deep_compress(
                 0.0
             };
         }
-        node.weights = WeightInit::Explicit(weights);
 
         layers.push(LayerCompression {
-            name: node.name.clone(),
+            name: name.to_string(),
             original_bytes: n * 4,
             index_bytes,
             run_bytes,
@@ -427,10 +402,9 @@ mod tests {
             ..CompressionConfig::default()
         };
         let (compressed, _) = deep_compress(&model, &config).unwrap();
-        let exec = Runner::builder().build(&compressed).unwrap();
         for node in compressed.nodes() {
             if matches!(node.op, Op::Dense { .. }) {
-                let w = &exec.node_weights(node).unwrap()[0];
+                let w = &compressed.node_weights(node).unwrap()[0];
                 let mut distinct: Vec<f32> =
                     w.data().iter().copied().filter(|&x| x != 0.0).collect();
                 distinct.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -11,35 +11,93 @@ use serde::{Deserialize, Serialize};
 use vedliot_nnir::analysis;
 use vedliot_nnir::exec::{RunOptions, Runner};
 use vedliot_nnir::graph::WeightInit;
-use vedliot_nnir::{Graph, GraphBuilder, Op, Shape, Tensor, TensorId};
+use vedliot_nnir::{Graph, GraphBuilder, Node, Op, Shape, Tensor, TensorId};
 
-/// Remap lookup during a graph rebuild. The verifier's schedule
-/// invariant (producers precede consumers) means a miss is a pass bug;
-/// it surfaces as a typed error instead of a panic.
-fn remapped(
+/// Rebuilds `graph` node by node, the scaffold of every restructuring
+/// pass. Each graph input is re-declared and handed to `input` with its
+/// old id, which returns the tensor that stands for it (the input
+/// itself, or a node appended after it). Each node is handed to `emit`
+/// with its inputs already remapped, which returns the tensor its
+/// output becomes (a folded node returns an existing tensor, which it
+/// then aliases). The verifier's schedule invariant (producers precede
+/// consumers) means a remap miss is a pass bug; it surfaces as a typed
+/// error instead of a panic.
+fn rebuild<I, E>(
     pass: &str,
-    remap: &[Option<TensorId>],
-    t: TensorId,
-) -> Result<TensorId, ToolchainError> {
-    remap
-        .get(t.0)
-        .copied()
-        .flatten()
-        .ok_or_else(|| ToolchainError::UnsupportedGraph {
-            pass: pass.into(),
-            detail: format!("tensor t{} consumed before it was rebuilt", t.0),
-        })
+    graph: &Graph,
+    mut input: I,
+    mut emit: E,
+) -> Result<Graph, ToolchainError>
+where
+    I: FnMut(&mut GraphBuilder, TensorId, TensorId) -> Result<TensorId, ToolchainError>,
+    E: FnMut(&mut GraphBuilder, &Node, Vec<TensorId>) -> Result<TensorId, ToolchainError>,
+{
+    let unsupported = |detail: String| ToolchainError::UnsupportedGraph {
+        pass: pass.into(),
+        detail,
+    };
+    let remapped =
+        |remap: &[Option<TensorId>], t: &TensorId| {
+            remap.get(t.0).copied().flatten().ok_or_else(|| {
+                unsupported(format!("tensor t{} consumed before it was rebuilt", t.0))
+            })
+        };
+    let mut b = GraphBuilder::new(graph.name().to_string());
+    let mut remap: Vec<Option<TensorId>> = vec![None; graph.tensor_count()];
+    for &t in graph.inputs() {
+        let shape = graph
+            .tensor_shape(t)
+            .ok_or_else(|| unsupported(format!("graph input t{} has no shape", t.0)))?;
+        let declared = b.input(shape.clone());
+        remap[t.0] = Some(input(&mut b, t, declared)?);
+    }
+    for node in graph.nodes() {
+        let inputs = node
+            .inputs
+            .iter()
+            .map(|t| remapped(&remap, t))
+            .collect::<Result<_, _>>()?;
+        remap[node.output.0] = Some(emit(&mut b, node, inputs)?);
+    }
+    let outputs = graph
+        .outputs()
+        .iter()
+        .map(|t| remapped(&remap, t))
+        .collect::<Result<_, _>>()?;
+    Ok(b.finish(outputs))
 }
 
-/// Shape of a graph input during a rebuild; a verified graph always has
-/// one.
-fn input_shape<'g>(pass: &str, graph: &'g Graph, t: TensorId) -> Result<&'g Shape, ToolchainError> {
-    graph
-        .tensor_shape(t)
-        .ok_or_else(|| ToolchainError::UnsupportedGraph {
-            pass: pass.into(),
-            detail: format!("graph input t{} has no shape", t.0),
+/// Re-applies `node` unchanged on its rebuilt inputs: the arm of
+/// [`rebuild`] for every node a pass leaves alone.
+fn keep(
+    b: &mut GraphBuilder,
+    node: &Node,
+    inputs: &[TensorId],
+) -> Result<TensorId, ToolchainError> {
+    Ok(b.apply_with_weights(
+        node.name.clone(),
+        node.op.clone(),
+        inputs,
+        node.weights.clone(),
+    )?)
+}
+
+/// The output units (dim-0 rows of `w`, `units` of them) a structured
+/// pruning pass keeps: the `keep_fraction` with the largest L2 norm,
+/// rounded up to at least one, in ascending index order.
+fn strongest_units(w: &Tensor, units: usize, keep_fraction: f64) -> Vec<usize> {
+    let per_unit = w.shape().elem_count() / units.max(1);
+    let mut norms: Vec<(usize, f64)> = (0..units)
+        .map(|o| {
+            let row = &w.data()[o * per_unit..(o + 1) * per_unit];
+            (o, row.iter().map(|&x| (x as f64).powi(2)).sum::<f64>())
         })
+        .collect();
+    norms.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    let keep = ((units as f64) * keep_fraction).ceil().max(1.0) as usize;
+    let mut kept: Vec<usize> = norms[..keep.min(units)].iter().map(|&(o, _)| o).collect();
+    kept.sort_unstable();
+    kept
 }
 
 /// One optimization pass over a graph.
@@ -181,40 +239,26 @@ impl Pass for FuseConvBn {
             }
         }
 
-        let exec = Runner::builder().build(&graph)?;
-        let mut b = GraphBuilder::new(graph.name().to_string());
-        // Tensor remapping old -> new.
-        let mut remap: Vec<Option<TensorId>> = vec![None; graph.tensor_count()];
-        for &t in graph.inputs() {
-            let shape = input_shape("fuse-conv-bn", &graph, t)?.clone();
-            remap[t.0] = Some(b.input(shape));
-        }
         let mut fused = 0usize;
-        for node in graph.nodes() {
-            // Folded BN nodes are absorbed at their conv's emission site.
-            if fold_bn[node.id.0] {
-                continue;
-            }
-            // Look ahead: is this conv followed by a foldable BN?
-            let following_bn = if matches!(node.op, Op::Conv2d(_)) {
-                fanout[node.output.0]
+        let g = rebuild(
+            self.name(),
+            &graph,
+            |_, _, t| Ok(t),
+            |b, node, inputs| {
+                // A folded BN's output aliases its input: the fused conv.
+                if fold_bn[node.id.0] {
+                    return Ok(inputs[0]);
+                }
+                // Look ahead: is this conv followed by a foldable BN?
+                let following_bn = fanout[node.output.0]
                     .iter()
                     .filter_map(|&nid| graph.node(nid).ok())
-                    .find(|n| fold_bn[n.id.0])
-            } else {
-                None
-            };
-
-            let new_inputs: Vec<TensorId> = node
-                .inputs
-                .iter()
-                .map(|t| remapped("fuse-conv-bn", &remap, *t))
-                .collect::<Result<_, _>>()?;
-
-            if let (Op::Conv2d(attrs), Some(bn)) = (&node.op, following_bn) {
-                // Materialize and fold.
-                let conv_w = exec.node_weights(node)?;
-                let bn_w = exec.node_weights(bn)?;
+                    .find(|n| fold_bn[n.id.0]);
+                let (Op::Conv2d(attrs), Some(bn)) = (&node.op, following_bn) else {
+                    return keep(b, node, &inputs);
+                };
+                let conv_w = graph.node_weights(node)?;
+                let bn_w = graph.node_weights(bn)?;
                 let scale = bn_w[0].data();
                 let shift = bn_w[1].data();
                 let mut attrs = *attrs;
@@ -236,33 +280,10 @@ impl Pass for FuseConvBn {
                     folded_kernel,
                     Tensor::from_vec(Shape::new(vec![oc]), folded_bias)?,
                 ]);
-                let out = b.apply_with_weights(
-                    node.name.clone(),
-                    Op::Conv2d(attrs),
-                    &new_inputs,
-                    weights,
-                )?;
-                // The BN's output now aliases the fused conv output.
-                remap[node.output.0] = Some(out);
-                remap[bn.output.0] = Some(out);
                 fused += 1;
-                continue;
-            }
-
-            let out = b.apply_with_weights(
-                node.name.clone(),
-                node.op.clone(),
-                &new_inputs,
-                node.weights.clone(),
-            )?;
-            remap[node.output.0] = Some(out);
-        }
-        let outputs: Vec<TensorId> = graph
-            .outputs()
-            .iter()
-            .map(|t| remapped("fuse-conv-bn", &remap, *t))
-            .collect::<Result<_, _>>()?;
-        let g = b.finish(outputs);
+                Ok(b.apply_with_weights(node.name.clone(), Op::Conv2d(attrs), &inputs, weights)?)
+            },
+        )?;
         Ok((
             g,
             format!("folded {fused} batch-norm layers into convolutions"),
@@ -302,23 +323,9 @@ impl Pass for PruneConnections {
     fn run(&self, mut graph: Graph) -> Result<(Graph, String), ToolchainError> {
         let mut total = 0usize;
         let mut zeroed = 0usize;
-        // Materialize first (immutable borrow), then write back.
-        let materialized: Vec<Option<Vec<Tensor>>> = {
-            let exec = Runner::builder().build(&graph)?;
-            graph
-                .nodes()
-                .iter()
-                .map(|node| {
-                    if matches!(node.op, Op::Conv2d(_) | Op::Dense { .. }) {
-                        exec.node_weights(node).ok()
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        };
-        for (node, weights) in graph.nodes_mut().iter_mut().zip(materialized) {
-            let Some(mut weights) = weights else { continue };
+        for (_, weights) in
+            graph.explicit_weights(|n| matches!(n.op, Op::Conv2d(_) | Op::Dense { .. }))
+        {
             // Prune the main weight tensor only (index 0), never biases.
             let w = &mut weights[0];
             let n = w.data().len();
@@ -339,7 +346,6 @@ impl Pass for PruneConnections {
                     zeroed += 1;
                 }
             }
-            node.weights = WeightInit::Explicit(weights);
         }
         let achieved = if total > 0 {
             zeroed as f64 / total as f64
@@ -403,126 +409,83 @@ impl Pass for PruneNeurons {
                 }
             }
         }
-        let dense_ids: Vec<usize> = graph
+        let dense: Vec<&Node> = graph
             .nodes()
             .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n.op, Op::Dense { .. }))
-            .map(|(i, _)| i)
+            .filter(|n| matches!(n.op, Op::Dense { .. }))
             .collect();
-        if dense_ids.len() < 2 {
+        if dense.len() < 2 {
             return Err(ToolchainError::UnsupportedGraph {
                 pass: self.name().into(),
                 detail: "need at least one hidden layer to prune".into(),
             });
         }
-
-        let exec = Runner::builder().build(&graph)?;
-        // Materialized weights per dense node.
-        let mut weights: Vec<Vec<Tensor>> = Vec::new();
-        for &i in &dense_ids {
-            weights.push(exec.node_weights(&graph.nodes()[i])?);
-        }
+        let weights = dense
+            .iter()
+            .map(|n| graph.node_weights(n))
+            .collect::<Result<Vec<_>, _>>()?;
 
         // For every hidden layer (all but the last), select kept neurons.
         let mut kept_per_layer: Vec<Vec<usize>> = Vec::new();
         let mut removed = 0usize;
-        for (li, &node_idx) in dense_ids.iter().enumerate() {
-            let node = &graph.nodes()[node_idx];
+        for (li, node) in dense.iter().enumerate() {
             let Op::Dense { out_features, .. } = node.op else {
                 unreachable!()
             };
-            if li == dense_ids.len() - 1 {
-                kept_per_layer.push((0..out_features).collect());
-                continue;
-            }
-            let w = &weights[li][0];
-            let in_f = w.shape().dim(1).unwrap_or(1);
-            let mut norms: Vec<(usize, f64)> = (0..out_features)
-                .map(|o| {
-                    let row = &w.data()[o * in_f..(o + 1) * in_f];
-                    (o, row.iter().map(|&x| (x as f64).powi(2)).sum::<f64>())
-                })
-                .collect();
-            norms.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            let keep = ((out_features as f64) * self.keep_fraction).ceil().max(1.0) as usize;
-            let mut kept: Vec<usize> = norms[..keep.min(out_features)]
-                .iter()
-                .map(|&(o, _)| o)
-                .collect();
-            kept.sort_unstable();
+            let kept = if li == dense.len() - 1 {
+                (0..out_features).collect()
+            } else {
+                strongest_units(&weights[li][0], out_features, self.keep_fraction)
+            };
             removed += out_features - kept.len();
             kept_per_layer.push(kept);
         }
 
         // Rebuild the graph with sliced weights.
-        let mut b = GraphBuilder::new(graph.name().to_string());
-        let mut remap: Vec<Option<TensorId>> = vec![None; graph.tensor_count()];
-        for &t in graph.inputs() {
-            remap[t.0] = Some(b.input(input_shape("prune-neurons", &graph, t)?.clone()));
-        }
         let mut dense_seen = 0usize;
-        for node in graph.nodes() {
-            let new_inputs: Vec<TensorId> = node
-                .inputs
-                .iter()
-                .map(|t| remapped("prune-neurons", &remap, *t))
-                .collect::<Result<_, _>>()?;
-            let out = match &node.op {
-                Op::Dense { bias, .. } => {
-                    let li = dense_seen;
-                    dense_seen += 1;
-                    let kept = &kept_per_layer[li];
-                    let prev_kept: Option<&Vec<usize>> = if li > 0 {
-                        Some(&kept_per_layer[li - 1])
-                    } else {
-                        None
-                    };
-                    let w = &weights[li][0];
-                    let in_f = w.shape().dim(1).unwrap_or(1);
-                    let cols: Vec<usize> = match prev_kept {
-                        Some(prev) => prev.clone(),
-                        None => (0..in_f).collect(),
-                    };
-                    let mut new_w = Vec::with_capacity(kept.len() * cols.len());
-                    for &o in kept {
-                        for &c in &cols {
-                            new_w.push(w.data()[o * in_f + c]);
-                        }
+        let g = rebuild(
+            self.name(),
+            &graph,
+            |_, _, t| Ok(t),
+            |b, node, inputs| {
+                let Op::Dense { bias, .. } = node.op else {
+                    return keep(b, node, &inputs);
+                };
+                let li = dense_seen;
+                dense_seen += 1;
+                let kept = &kept_per_layer[li];
+                let w = &weights[li][0];
+                let in_f = w.shape().dim(1).unwrap_or(1);
+                let cols: Vec<usize> = if li > 0 {
+                    kept_per_layer[li - 1].clone()
+                } else {
+                    (0..in_f).collect()
+                };
+                let mut new_w = Vec::with_capacity(kept.len() * cols.len());
+                for &o in kept {
+                    for &c in &cols {
+                        new_w.push(w.data()[o * in_f + c]);
                     }
-                    let mut tensors =
-                        vec![Tensor::from_vec(Shape::nf(kept.len(), cols.len()), new_w)?];
-                    if *bias {
-                        let old_b = &weights[li][1];
-                        let new_b: Vec<f32> = kept.iter().map(|&o| old_b.data()[o]).collect();
-                        tensors.push(Tensor::from_vec(Shape::new(vec![kept.len()]), new_b)?);
-                    }
-                    b.apply_with_weights(
-                        node.name.clone(),
-                        Op::Dense {
-                            out_features: kept.len(),
-                            bias: *bias,
-                        },
-                        &new_inputs,
-                        WeightInit::Explicit(tensors),
-                    )?
                 }
-                op => b.apply_with_weights(
+                let mut tensors = vec![Tensor::from_vec(Shape::nf(kept.len(), cols.len()), new_w)?];
+                if bias {
+                    let old_b = &weights[li][1];
+                    let new_b: Vec<f32> = kept.iter().map(|&o| old_b.data()[o]).collect();
+                    tensors.push(Tensor::from_vec(Shape::new(vec![kept.len()]), new_b)?);
+                }
+                Ok(b.apply_with_weights(
                     node.name.clone(),
-                    op.clone(),
-                    &new_inputs,
-                    node.weights.clone(),
-                )?,
-            };
-            remap[node.output.0] = Some(out);
-        }
-        let outputs: Vec<TensorId> = graph
-            .outputs()
-            .iter()
-            .map(|t| remapped("prune-neurons", &remap, *t))
-            .collect::<Result<_, _>>()?;
+                    Op::Dense {
+                        out_features: kept.len(),
+                        bias,
+                    },
+                    &inputs,
+                    WeightInit::Explicit(tensors),
+                )?)
+            },
+        )?;
         Ok((
-            b.finish(outputs),
+            g,
             format!(
                 "removed {removed} hidden neurons (keep fraction {:.2})",
                 self.keep_fraction
@@ -604,170 +567,129 @@ impl Pass for PruneChannels {
         // Which convs may be pruned: every conv whose *next* conv/dense
         // consumer can be sliced. The last conv before flatten/dense
         // keeps its channels (the classifier input width must not move).
-        let exec = Runner::builder().build(&graph)?;
-        let conv_indices: Vec<usize> = graph
+        let convs: Vec<&Node> = graph
             .nodes()
             .iter()
-            .enumerate()
-            .filter(|(_, n)| matches!(n.op, Op::Conv2d(_)))
-            .map(|(i, _)| i)
+            .filter(|n| matches!(n.op, Op::Conv2d(_)))
             .collect();
-        if conv_indices.len() < 2 {
+        if convs.len() < 2 {
             return Err(ToolchainError::UnsupportedGraph {
                 pass: self.name().into(),
                 detail: "need at least two convolutions to prune channels".into(),
             });
         }
 
-        // kept[i] = kept output-channel indices of conv node i.
+        // kept[id] = kept output-channel indices of conv node id.
         let mut kept: std::collections::HashMap<usize, Vec<usize>> =
             std::collections::HashMap::new();
         let mut removed = 0usize;
-        for (pos, &idx) in conv_indices.iter().enumerate() {
-            let node = &graph.nodes()[idx];
+        for (pos, node) in convs.iter().enumerate() {
             let Op::Conv2d(attrs) = &node.op else {
                 unreachable!()
             };
-            if pos == conv_indices.len() - 1 {
-                kept.insert(idx, (0..attrs.out_channels).collect());
-                continue;
-            }
-            let w = &exec.node_weights(node)?[0];
-            let per_oc = w.shape().elem_count() / attrs.out_channels;
-            let mut norms: Vec<(usize, f64)> = (0..attrs.out_channels)
-                .map(|o| {
-                    let slice = &w.data()[o * per_oc..(o + 1) * per_oc];
-                    (o, slice.iter().map(|&x| (x as f64).powi(2)).sum())
-                })
-                .collect();
-            norms.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            let keep_n = ((attrs.out_channels as f64) * self.keep_fraction)
-                .ceil()
-                .max(1.0) as usize;
-            let mut keep: Vec<usize> = norms[..keep_n.min(attrs.out_channels)]
-                .iter()
-                .map(|&(o, _)| o)
-                .collect();
-            keep.sort_unstable();
-            removed += attrs.out_channels - keep.len();
-            kept.insert(idx, keep);
+            let channels = if pos == convs.len() - 1 {
+                (0..attrs.out_channels).collect()
+            } else {
+                let w = &graph.node_weights(node)?[0];
+                strongest_units(w, attrs.out_channels, self.keep_fraction)
+            };
+            removed += attrs.out_channels - channels.len();
+            kept.insert(node.id.0, channels);
         }
 
         // Rebuild, slicing weights. Track which channel set each tensor
         // carries (None = untouched/full).
-        let mut b = GraphBuilder::new(graph.name().to_string());
-        let mut remap: Vec<Option<TensorId>> = vec![None; graph.tensor_count()];
         let mut channels_of: Vec<Option<Vec<usize>>> = vec![None; graph.tensor_count()];
-        for &t in graph.inputs() {
-            remap[t.0] = Some(b.input(input_shape("prune-channels", &graph, t)?.clone()));
-        }
-        for (idx, node) in graph.nodes().iter().enumerate() {
-            let new_inputs: Vec<TensorId> = node
-                .inputs
-                .iter()
-                .map(|t| remapped("prune-channels", &remap, *t))
-                .collect::<Result<_, _>>()?;
-            let in_channels = node.inputs.first().and_then(|t| channels_of[t.0].clone());
-            let out = match &node.op {
-                Op::Conv2d(attrs) => {
-                    let weights = exec.node_weights(node)?;
-                    let w = &weights[0];
-                    let old_in = w.shape().dim(1).unwrap_or(1);
-                    let kh = attrs.kernel.0;
-                    let kw = attrs.kernel.1;
-                    let in_keep: Vec<usize> =
-                        in_channels.clone().unwrap_or_else(|| (0..old_in).collect());
-                    let out_keep = kept[&idx].clone();
-                    let mut new_w = Vec::with_capacity(out_keep.len() * in_keep.len() * kh * kw);
-                    for &o in &out_keep {
-                        for &c in &in_keep {
-                            let base = ((o * old_in) + c) * kh * kw;
-                            new_w.extend_from_slice(&w.data()[base..base + kh * kw]);
+        let g = rebuild(
+            self.name(),
+            &graph,
+            |_, _, t| Ok(t),
+            |b, node, inputs| {
+                let in_channels = node.inputs.first().and_then(|t| channels_of[t.0].clone());
+                let (out, out_channels) = match &node.op {
+                    Op::Conv2d(attrs) => {
+                        let weights = graph.node_weights(node)?;
+                        let w = &weights[0];
+                        let old_in = w.shape().dim(1).unwrap_or(1);
+                        let kh = attrs.kernel.0;
+                        let kw = attrs.kernel.1;
+                        let in_keep: Vec<usize> =
+                            in_channels.unwrap_or_else(|| (0..old_in).collect());
+                        let out_keep = kept[&node.id.0].clone();
+                        let mut new_w =
+                            Vec::with_capacity(out_keep.len() * in_keep.len() * kh * kw);
+                        for &o in &out_keep {
+                            for &c in &in_keep {
+                                let base = ((o * old_in) + c) * kh * kw;
+                                new_w.extend_from_slice(&w.data()[base..base + kh * kw]);
+                            }
                         }
+                        let mut tensors = vec![Tensor::from_vec(
+                            Shape::new(vec![out_keep.len(), in_keep.len(), kh, kw]),
+                            new_w,
+                        )?];
+                        if attrs.bias {
+                            let bias = &weights[1];
+                            tensors.push(Tensor::from_vec(
+                                Shape::new(vec![out_keep.len()]),
+                                out_keep.iter().map(|&o| bias.data()[o]).collect(),
+                            )?);
+                        }
+                        let mut new_attrs = *attrs;
+                        new_attrs.out_channels = out_keep.len();
+                        let out = b.apply_with_weights(
+                            node.name.clone(),
+                            Op::Conv2d(new_attrs),
+                            &inputs,
+                            WeightInit::Explicit(tensors),
+                        )?;
+                        let pruned = out_keep.len() < attrs.out_channels;
+                        (out, pruned.then_some(out_keep))
                     }
-                    let mut tensors = vec![Tensor::from_vec(
-                        Shape::new(vec![out_keep.len(), in_keep.len(), kh, kw]),
-                        new_w,
-                    )?];
-                    if attrs.bias {
-                        let bias = &weights[1];
-                        tensors.push(Tensor::from_vec(
-                            Shape::new(vec![out_keep.len()]),
-                            out_keep.iter().map(|&o| bias.data()[o]).collect(),
-                        )?);
+                    Op::BatchNorm => {
+                        let weights = graph.node_weights(node)?;
+                        let tensors = match &in_channels {
+                            Some(keep) => vec![
+                                Tensor::from_vec(
+                                    Shape::new(vec![keep.len()]),
+                                    keep.iter().map(|&c| weights[0].data()[c]).collect(),
+                                )?,
+                                Tensor::from_vec(
+                                    Shape::new(vec![keep.len()]),
+                                    keep.iter().map(|&c| weights[1].data()[c]).collect(),
+                                )?,
+                            ],
+                            None => weights,
+                        };
+                        let out = b.apply_with_weights(
+                            node.name.clone(),
+                            Op::BatchNorm,
+                            &inputs,
+                            WeightInit::Explicit(tensors),
+                        )?;
+                        (out, in_channels)
                     }
-                    let mut new_attrs = *attrs;
-                    new_attrs.out_channels = out_keep.len();
-                    let out = b.apply_with_weights(
-                        node.name.clone(),
-                        Op::Conv2d(new_attrs),
-                        &new_inputs,
-                        WeightInit::Explicit(tensors),
-                    )?;
-                    channels_of[node.output.0] = if out_keep.len() < attrs.out_channels {
-                        Some(out_keep)
-                    } else {
-                        None
-                    };
-                    out
-                }
-                Op::BatchNorm => {
-                    let weights = exec.node_weights(node)?;
-                    let tensors = match &in_channels {
-                        Some(keep) => vec![
-                            Tensor::from_vec(
-                                Shape::new(vec![keep.len()]),
-                                keep.iter().map(|&c| weights[0].data()[c]).collect(),
-                            )?,
-                            Tensor::from_vec(
-                                Shape::new(vec![keep.len()]),
-                                keep.iter().map(|&c| weights[1].data()[c]).collect(),
-                            )?,
-                        ],
-                        None => weights,
-                    };
-                    let out = b.apply_with_weights(
-                        node.name.clone(),
-                        Op::BatchNorm,
-                        &new_inputs,
-                        WeightInit::Explicit(tensors),
-                    )?;
-                    channels_of[node.output.0] = in_channels.clone();
-                    out
-                }
-                Op::Dense { .. } if in_channels.is_some() => {
-                    return Err(ToolchainError::UnsupportedGraph {
-                        pass: self.name().into(),
-                        detail:
-                            "dense layer directly consumes pruned channels; prune through GAP only"
+                    Op::Dense { .. } if in_channels.is_some() => {
+                        return Err(ToolchainError::UnsupportedGraph {
+                            pass: self.name().into(),
+                            detail: "dense layer directly consumes pruned channels; \
+                                     prune through GAP only"
                                 .into(),
-                    });
-                }
-                op => {
+                        });
+                    }
                     // Channel-preserving ops propagate the channel set;
                     // GAP + flatten collapse spatial dims, so the dense
                     // consumer after GAP sees one feature per channel —
                     // handled by treating flatten output as channel-less
                     // only when the channel count was untouched.
-                    let out = b.apply_with_weights(
-                        node.name.clone(),
-                        op.clone(),
-                        &new_inputs,
-                        node.weights.clone(),
-                    )?;
-                    channels_of[node.output.0] = in_channels.clone();
-                    out
-                }
-            };
-            remap[node.output.0] = Some(out);
-        }
-        let outputs: Vec<TensorId> = graph
-            .outputs()
-            .iter()
-            .map(|t| remapped("prune-channels", &remap, *t))
-            .collect::<Result<_, _>>()?;
+                    _ => (keep(b, node, &inputs)?, in_channels),
+                };
+                channels_of[node.output.0] = out_channels;
+                Ok(out)
+            },
+        )?;
         Ok((
-            b.finish(outputs),
+            g,
             format!(
                 "removed {removed} conv channels (keep fraction {:.2})",
                 self.keep_fraction
@@ -845,71 +767,36 @@ impl Pass for QuantizeInt8 {
             }
             act_scales = absmax.iter().filter(|&&m| m > 0.0).count();
 
-            // Rebuild with FakeQuant after each producing node.
-            let mut b = GraphBuilder::new(graph.name().to_string());
-            let mut remap: Vec<Option<TensorId>> = vec![None; graph.tensor_count()];
-            for &t in graph.inputs() {
-                let new_input = b.input(input_shape("quantize-int8", &graph, t)?.clone());
-                let scale = absmax[t.0] / 127.0;
-                let quantized = if scale > 0.0 {
-                    b.apply(format!("{t}.quant"), Op::FakeQuant { scale }, &[new_input])?
+            // Rebuild with FakeQuant after each graph input and each
+            // producing node.
+            let fake_quant = |b: &mut GraphBuilder, name: String, t: TensorId, absmax: f32| {
+                let scale = absmax / 127.0;
+                if scale > 0.0 {
+                    b.apply(name, Op::FakeQuant { scale }, &[t])
                 } else {
-                    new_input
-                };
-                remap[t.0] = Some(quantized);
-            }
-            for node in graph.nodes() {
-                let new_inputs: Vec<TensorId> = node
-                    .inputs
-                    .iter()
-                    .map(|t| remapped("quantize-int8", &remap, *t))
-                    .collect::<Result<_, _>>()?;
-                let out = b.apply_with_weights(
-                    node.name.clone(),
-                    node.op.clone(),
-                    &new_inputs,
-                    node.weights.clone(),
-                )?;
-                let scale = absmax[node.output.0] / 127.0;
-                let quantized = if scale > 0.0 && !matches!(node.op, Op::FakeQuant { .. }) {
-                    b.apply(
-                        format!("{}.quant", node.name),
-                        Op::FakeQuant { scale },
-                        &[out],
-                    )?
-                } else {
-                    out
-                };
-                remap[node.output.0] = Some(quantized);
-            }
-            let outputs: Vec<TensorId> = graph
-                .outputs()
-                .iter()
-                .map(|t| remapped("quantize-int8", &remap, *t))
-                .collect::<Result<_, _>>()?;
-            graph = b.finish(outputs);
+                    Ok(t)
+                }
+            };
+            graph = rebuild(
+                self.name(),
+                &graph,
+                |b, old, t| Ok(fake_quant(b, format!("{old}.quant"), t, absmax[old.0])?),
+                |b, node, inputs| {
+                    let out = keep(b, node, &inputs)?;
+                    if matches!(node.op, Op::FakeQuant { .. }) {
+                        return Ok(out);
+                    }
+                    let name = format!("{}.quant", node.name);
+                    Ok(fake_quant(b, name, out, absmax[node.output.0])?)
+                },
+            )?;
         }
 
-        let materialized: Vec<Option<Vec<Tensor>>> = {
-            let exec = Runner::builder().build(&graph)?;
-            graph
-                .nodes()
-                .iter()
-                .map(|node| {
-                    if matches!(node.op, Op::Conv2d(_) | Op::Dense { .. }) {
-                        exec.node_weights(node).ok()
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        };
-        let mut quantized_layers = 0usize;
-        for (node, weights) in graph.nodes_mut().iter_mut().zip(materialized) {
-            let Some(mut weights) = weights else { continue };
+        let quantized =
+            graph.explicit_weights(|n| matches!(n.op, Op::Conv2d(_) | Op::Dense { .. }));
+        let quantized_layers = quantized.len();
+        for (_, weights) in quantized {
             weights[0].quantize_i8_per_channel();
-            node.weights = WeightInit::Explicit(weights);
-            quantized_layers += 1;
         }
 
         // Consult the quant-safety dataflow analysis on the calibrated
@@ -1011,32 +898,15 @@ impl Pass for ConvertFp16 {
     }
 
     fn run(&self, mut graph: Graph) -> Result<(Graph, String), ToolchainError> {
-        let materialized: Vec<Option<Vec<Tensor>>> = {
-            let exec = Runner::builder().build(&graph)?;
-            graph
-                .nodes()
-                .iter()
-                .map(|node| {
-                    if matches!(node.op, Op::Conv2d(_) | Op::Dense { .. } | Op::BatchNorm) {
-                        exec.node_weights(node).ok()
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        };
-        let mut converted = 0usize;
-        for (node, weights) in graph.nodes_mut().iter_mut().zip(materialized) {
-            let Some(mut weights) = weights else { continue };
-            for t in &mut weights {
-                for x in t.data_mut() {
-                    *x = round_to_f16(*x);
-                }
+        let converted = graph
+            .explicit_weights(|n| matches!(n.op, Op::Conv2d(_) | Op::Dense { .. } | Op::BatchNorm));
+        let count = converted.len();
+        for (_, weights) in converted {
+            for x in weights.iter_mut().flat_map(Tensor::data_mut) {
+                *x = round_to_f16(*x);
             }
-            node.weights = WeightInit::Explicit(weights);
-            converted += 1;
         }
-        Ok((graph, format!("converted {converted} layers to FP16")))
+        Ok((graph, format!("converted {count} layers to FP16")))
     }
 }
 
@@ -1099,10 +969,9 @@ mod tests {
         pruned.validate().unwrap();
         assert!(detail.contains("70.0%"), "{detail}");
         // Count zeros directly.
-        let exec = Runner::builder().build(&pruned).unwrap();
         for node in pruned.nodes() {
             if matches!(node.op, Op::Conv2d(_)) {
-                let w = &exec.node_weights(node).unwrap()[0];
+                let w = &pruned.node_weights(node).unwrap()[0];
                 let zeros = w.data().iter().filter(|&&x| x == 0.0).count();
                 let frac = zeros as f64 / w.data().len() as f64;
                 assert!(frac >= 0.6, "layer {} sparsity {frac}", node.name);
@@ -1115,12 +984,10 @@ mod tests {
         let mut model = mlp("m", 4, &[], 2).unwrap();
         let data = gaussian_prototypes(&Shape::nf(1, 4), 2, 10, 3.0, 3);
         train_mlp(&mut model, &data, &TrainConfig::default()).unwrap();
-        let exec = Runner::builder().build(&model).unwrap();
-        let before = exec.node_weights(&model.nodes()[0]).unwrap()[0].clone();
+        let before = model.node_weights(&model.nodes()[0]).unwrap()[0].clone();
         let max_before = before.abs_max();
         let (pruned, _) = PruneConnections::new(0.5).run(model).unwrap();
-        let exec = Runner::builder().build(&pruned).unwrap();
-        let after = exec.node_weights(&pruned.nodes()[0]).unwrap()[0].clone();
+        let after = pruned.node_weights(&pruned.nodes()[0]).unwrap()[0].clone();
         // The single largest weight always survives.
         assert_eq!(after.abs_max(), max_before);
     }
@@ -1172,10 +1039,9 @@ mod tests {
     fn quantization_snaps_weights_to_per_channel_grid() {
         let g = cnn();
         let (quant, _) = QuantizeInt8::new().run(g).unwrap();
-        let exec = Runner::builder().build(&quant).unwrap();
         for node in quant.nodes() {
             if matches!(node.op, Op::Conv2d(_)) {
-                let w = &exec.node_weights(node).unwrap()[0];
+                let w = &quant.node_weights(node).unwrap()[0];
                 let payload = w.quant().expect("i8 payload emitted");
                 let rows = payload.scales.len();
                 let row_len = w.data().len() / rows;
@@ -1193,23 +1059,21 @@ mod tests {
     #[test]
     fn quantization_error_is_bounded_by_half_step() {
         let g = cnn();
-        let exec = Runner::builder().build(&g).unwrap();
         let originals: Vec<Option<Tensor>> = g
             .nodes()
             .iter()
             .map(|n| {
                 if matches!(n.op, Op::Conv2d(_)) {
-                    Some(exec.node_weights(n).unwrap()[0].clone())
+                    Some(g.node_weights(n).unwrap()[0].clone())
                 } else {
                     None
                 }
             })
             .collect();
         let (quant, _) = QuantizeInt8::new().run(g).unwrap();
-        let exec = Runner::builder().build(&quant).unwrap();
         for (node, orig) in quant.nodes().iter().zip(originals) {
             let Some(orig) = orig else { continue };
-            let w = &exec.node_weights(node).unwrap()[0];
+            let w = &quant.node_weights(node).unwrap()[0];
             let scale = orig.abs_max() / 127.0;
             let diff = w.max_abs_diff(&orig).unwrap();
             assert!(diff <= scale / 2.0 * 1.0001 + 1e-6);
@@ -1299,21 +1163,11 @@ mod tests {
 
         // Per-tensor baseline, applied the way the pass used to.
         let mut per_tensor = model.clone();
-        let materialized: Vec<Option<Vec<Tensor>>> = {
-            let exec = Runner::builder().build(&per_tensor).unwrap();
-            per_tensor
-                .nodes()
-                .iter()
-                .map(|n| matches!(n.op, Op::Dense { .. }).then(|| exec.node_weights(n).unwrap()))
-                .collect()
-        };
-        for (node, weights) in per_tensor.nodes_mut().iter_mut().zip(materialized) {
-            let Some(mut weights) = weights else { continue };
+        for (_, weights) in per_tensor.explicit_weights(|n| matches!(n.op, Op::Dense { .. })) {
             let scale = weights[0].abs_max() / 127.0;
             for x in weights[0].data_mut() {
                 *x = fake_quant_i8(*x, scale);
             }
-            node.weights = WeightInit::Explicit(weights);
         }
         let pt_acc = evaluate(&per_tensor, &data).unwrap().accuracy();
 

@@ -88,11 +88,10 @@ fn keep_fraction_one_is_identity_in_cost() {
 fn batchnorm_params_track_pruned_channels() {
     let g = chain();
     let (pruned, _) = PruneChannels::new(0.5).run(g).unwrap();
-    let exec = Runner::builder().build(&pruned).unwrap();
     for node in pruned.nodes() {
         if node.op == Op::BatchNorm {
             let c = pruned.node_input_shapes(node)[0].dim(1).unwrap();
-            let w = exec.node_weights(node).unwrap();
+            let w = pruned.node_weights(node).unwrap();
             assert_eq!(
                 w[0].shape().elem_count(),
                 c,

@@ -77,36 +77,23 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn run_lint(analyze: bool) -> i32 {
-    let summary = match lint_suite() {
-        Ok(summary) => summary,
-        Err(err) => {
-            // A transform-gate rejection surfaces here as a hard error:
-            // one of the toolchain passes produced a graph the verifier
-            // refused.
-            eprintln!("lint: suite failed to build: {err}");
-            return 1;
-        }
-    };
+fn run_lint(analyze: bool) -> Result<i32, String> {
+    // A transform-gate rejection surfaces here as a hard error: one of
+    // the toolchain passes produced a graph the verifier refused.
+    let summary = lint_suite().map_err(|err| format!("lint: suite failed to build: {err}"))?;
     print!("{}", summary.render());
     if analyze {
-        match analyze_suite() {
-            Ok(entries) => print!("\n{}", render_analysis(&entries)),
-            Err(err) => {
-                eprintln!("lint: analysis suite failed to build: {err}");
-                return 1;
-            }
-        }
+        let entries = analyze_suite()
+            .map_err(|err| format!("lint: analysis suite failed to build: {err}"))?;
+        print!("\n{}", render_analysis(&entries));
     }
-    if summary.is_clean(Severity::Error) {
-        0
-    } else {
-        eprintln!("lint: error-severity findings present");
-        1
+    if !summary.is_clean(Severity::Error) {
+        return Err("lint: error-severity findings present".into());
     }
+    Ok(0)
 }
 
-fn run_obs() -> i32 {
+fn run_obs() -> Result<i32, String> {
     use std::time::Duration;
     use vedliot::accel::catalog::catalog;
     use vedliot::accel::perf::PerfModel;
@@ -116,36 +103,23 @@ fn run_obs() -> i32 {
     use vedliot::serve::{BatchPolicy, ServeConfig, Server, SubmitRequest, TracePolicy};
 
     // 1) Per-op profile of LeNet-5, compared to the roofline model.
-    let model = match zoo::lenet5(10) {
-        Ok(g) => g,
-        Err(err) => {
-            eprintln!("obs: lenet5 failed to build: {err}");
-            return 1;
-        }
-    };
+    let model = zoo::lenet5(10).map_err(|err| format!("obs: lenet5 failed to build: {err}"))?;
     let input = Tensor::random(Shape::nchw(1, 1, 28, 28), 23, 1.0);
-    let mut runner = match Runner::builder().build(&model) {
-        Ok(r) => r,
-        Err(err) => {
-            eprintln!("obs: runner failed to build: {err}");
-            return 1;
-        }
-    };
+    let mut runner = Runner::builder()
+        .build(&model)
+        .map_err(|err| format!("obs: runner failed to build: {err}"))?;
     // Warm pass so the profile measures kernels, not first-touch cost.
-    if let Err(err) = runner.execute(std::slice::from_ref(&input), RunOptions::default()) {
-        eprintln!("obs: warm-up run failed: {err}");
-        return 1;
-    }
-    let profile = match runner.execute(
-        std::slice::from_ref(&input),
-        RunOptions::new().profile(true),
-    ) {
-        Ok(out) => out.into_profile().expect("profile requested"),
-        Err(err) => {
-            eprintln!("obs: profiled run failed: {err}");
-            return 1;
-        }
-    };
+    runner
+        .execute(std::slice::from_ref(&input), RunOptions::default())
+        .map_err(|err| format!("obs: warm-up run failed: {err}"))?;
+    let profile = runner
+        .execute(
+            std::slice::from_ref(&input),
+            RunOptions::new().profile(true),
+        )
+        .map_err(|err| format!("obs: profiled run failed: {err}"))?
+        .into_profile()
+        .expect("profile requested");
     println!("{profile}");
     if let Some(spec) = catalog().find("Xavier NX") {
         match PerfModel::new(spec.clone()).compare_profile(&model, &profile) {
@@ -165,13 +139,8 @@ fn run_obs() -> i32 {
         .trace(TracePolicy { capacity: 64 })
         .build()
         .expect("valid demo config");
-    let server = match Server::start(&gesture, config) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("obs: server failed to start: {err}");
-            return 1;
-        }
-    };
+    let server = Server::start(&gesture, config)
+        .map_err(|err| format!("obs: server failed to start: {err}"))?;
     let tickets: Vec<_> = (0..50)
         .map(|i| {
             server
@@ -184,10 +153,8 @@ fn run_obs() -> i32 {
         })
         .collect();
     for t in tickets {
-        if let Err(err) = t.wait() {
-            eprintln!("obs: request failed: {err}");
-            return 1;
-        }
+        t.wait()
+            .map_err(|err| format!("obs: request failed: {err}"))?;
     }
     let spans = server.trace_spans();
     let metrics = server.shutdown();
@@ -197,10 +164,10 @@ fn run_obs() -> i32 {
     let export = metrics.export();
     println!("\n--- JSON ---\n{}", export.to_json());
     println!("\n--- Prometheus ---\n{}", export.to_prometheus());
-    0
+    Ok(0)
 }
 
-fn run_route() -> i32 {
+fn run_route() -> Result<i32, String> {
     use std::time::Duration;
     use vedliot::nnir::{zoo, Shape, Tensor};
     use vedliot::serve::{
@@ -220,17 +187,11 @@ fn run_route() -> i32 {
         })
         .build()
         .expect("valid demo config");
-    let server = match Server::start(&gesture, config) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("route: server failed to start: {err}");
-            return 1;
-        }
-    };
-    if let Err(err) = server.load("classifier", &classifier, ModelConfig::default().weight(2)) {
-        eprintln!("route: classifier failed to load: {err}");
-        return 1;
-    }
+    let server = Server::start(&gesture, config)
+        .map_err(|err| format!("route: server failed to start: {err}"))?;
+    server
+        .load("classifier", &classifier, ModelConfig::default().weight(2))
+        .map_err(|err| format!("route: classifier failed to load: {err}"))?;
     println!("loaded models: {:?}", server.models());
 
     // Mixed-priority traffic, routed by model name.
@@ -252,34 +213,25 @@ fn run_route() -> i32 {
         })
         .collect();
     for t in tickets {
-        if let Err(err) = t.wait() {
-            eprintln!("route: request failed: {err}");
-            return 1;
-        }
+        t.wait()
+            .map_err(|err| format!("route: request failed: {err}"))?;
     }
 
     // Hot-unload the classifier: queued work drains, the snapshot is
     // the tenant's final ledger, and the gesture model keeps serving.
-    let retired = match server.unload("classifier") {
-        Ok(m) => m,
-        Err(err) => {
-            eprintln!("route: unload failed: {err}");
-            return 1;
-        }
-    };
+    let retired = server
+        .unload("classifier")
+        .map_err(|err| format!("route: unload failed: {err}"))?;
     println!(
         "unloaded classifier: served {} (by priority {:?}), models now {:?}",
         retired.served,
         retired.served_by_priority,
         server.models()
     );
-    let still_serving = server
+    server
         .submit_request(SubmitRequest::new(vec![input(99)]).priority(Priority::High))
-        .and_then(vedliot::serve::Ticket::wait);
-    if let Err(err) = still_serving {
-        eprintln!("route: default model must outlive its neighbour: {err}");
-        return 1;
-    }
+        .and_then(vedliot::serve::Ticket::wait)
+        .map_err(|err| format!("route: default model must outlive its neighbour: {err}"))?;
 
     // Per-tenant metrics with model/priority labels, then the merged
     // gateway ledger (retired tenants included).
@@ -298,10 +250,10 @@ fn run_route() -> i32 {
         merged.served,
         merged.accounted_for()
     );
-    0
+    Ok(0)
 }
 
-fn run_fleet(seed: u64) -> i32 {
+fn run_fleet(seed: u64) -> Result<i32, String> {
     use vedliot::fleet::{
         Fleet, FleetConfig, FleetFaultPlan, Rollout, RolloutOutcome, RolloutPolicy,
     };
@@ -312,20 +264,13 @@ fn run_fleet(seed: u64) -> i32 {
 
     const DEVICES: usize = 200;
     let eval = gaussian_prototypes(&Shape::nf(1, 12), 3, 30, 3.0, 5);
-    let mut v1 = match mlp("demo-model", 12, &[10], 3) {
-        Ok(g) => g,
-        Err(err) => {
-            eprintln!("fleet: model failed to build: {err}");
-            return 1;
-        }
-    };
-    if let Err(err) = train_mlp(&mut v1, &eval, &TrainConfig::default()) {
-        eprintln!("fleet: training failed: {err}");
-        return 1;
-    }
+    let mut v1 = mlp("demo-model", 12, &[10], 3)
+        .map_err(|err| format!("fleet: model failed to build: {err}"))?;
+    train_mlp(&mut v1, &eval, &TrainConfig::default())
+        .map_err(|err| format!("fleet: training failed: {err}"))?;
     let v2 = v1.clone();
     let probe = Tensor::random(Shape::nf(1, 12), 99, 1.0);
-    let mut fleet = match Fleet::new(
+    let mut fleet = Fleet::new(
         FleetConfig {
             devices: DEVICES,
             seed,
@@ -334,20 +279,11 @@ fn run_fleet(seed: u64) -> i32 {
         ("v1", v1),
         probe,
         Some(&eval),
-    ) {
-        Ok(f) => f,
-        Err(err) => {
-            eprintln!("fleet: fleet failed to build: {err}");
-            return 1;
-        }
-    };
-    let target = match fleet.register_version("v2", v2, Some(&eval)) {
-        Ok(idx) => idx,
-        Err(err) => {
-            eprintln!("fleet: v2 failed to register: {err}");
-            return 1;
-        }
-    };
+    )
+    .map_err(|err| format!("fleet: fleet failed to build: {err}"))?;
+    let target = fleet
+        .register_version("v2", v2, Some(&eval))
+        .map_err(|err| format!("fleet: v2 failed to register: {err}"))?;
 
     let mut plan = FleetFaultPlan::hostile(seed.rotate_left(13));
     plan.crash_per_tick = 0.01;
@@ -355,13 +291,9 @@ fn run_fleet(seed: u64) -> i32 {
         "rolling v2 out to {DEVICES} devices (seed {seed}): canary + health-gated \
          waves, hostile fault plan\n"
     );
-    let report = match Rollout::new(target, RolloutPolicy::default(), plan).run(&mut fleet) {
-        Ok(r) => r,
-        Err(err) => {
-            eprintln!("fleet: rollout failed: {err}");
-            return 1;
-        }
-    };
+    let report = Rollout::new(target, RolloutPolicy::default(), plan)
+        .run(&mut fleet)
+        .map_err(|err| format!("fleet: rollout failed: {err}"))?;
     println!("wave  size  on_target  rolled_back  quarantined  gate");
     for w in &report.waves {
         println!(
@@ -394,20 +326,17 @@ fn run_fleet(seed: u64) -> i32 {
 
     let violations = fleet.audit(&report);
     if !violations.is_empty() {
-        eprintln!("fleet: safety violations:");
-        for v in violations {
-            eprintln!("  - {v}");
-        }
-        return 1;
+        let list: String = violations.iter().map(|v| format!("\n  - {v}")).collect();
+        return Err(format!("fleet: safety violations:{list}"));
     }
     println!("fleet audit: clean (no device serves unverified or corrupted weights)");
-    i32::from(report.outcome != RolloutOutcome::Completed)
+    Ok(i32::from(report.outcome != RolloutOutcome::Completed))
 }
 
 /// Drives a gateway through a scripted availability incident and
 /// renders the dashboard at its two interesting moments: mid-burn
 /// (degraded, shedding) and after recovery.
-fn run_top() -> i32 {
+fn run_top() -> Result<i32, String> {
     use std::time::{Duration, Instant};
     use vedliot::nnir::{zoo, Shape, Tensor};
     use vedliot::serve::{
@@ -437,13 +366,8 @@ fn run_top() -> i32 {
         })
         .build()
         .expect("valid demo config");
-    let server = match Server::start(&model, config) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("top: server failed to start: {err}");
-            return 1;
-        }
-    };
+    let server = Server::start(&model, config)
+        .map_err(|err| format!("top: server failed to start: {err}"))?;
 
     let render = |title: &str| {
         println!("── vedliot top ── {title}");
@@ -486,13 +410,10 @@ fn run_top() -> i32 {
     // Healthy baseline, then a burst of deadline-expired failures burns
     // both windows past the 2x threshold.
     for i in 0..40u64 {
-        let done = server
+        server
             .submit_request(SubmitRequest::new(vec![input(i)]))
-            .and_then(vedliot::serve::Ticket::wait);
-        if let Err(err) = done {
-            eprintln!("top: healthy request failed: {err}");
-            return 1;
-        }
+            .and_then(vedliot::serve::Ticket::wait)
+            .map_err(|err| format!("top: healthy request failed: {err}"))?;
     }
     let past = Instant::now() - Duration::from_millis(1);
     for i in 0..20u64 {
@@ -515,13 +436,10 @@ fn run_top() -> i32 {
 
     // Recovery traffic clears the alert.
     for i in 0..120u64 {
-        let done = server
+        server
             .submit_request(SubmitRequest::new(vec![input(200 + i)]))
-            .and_then(vedliot::serve::Ticket::wait);
-        if let Err(err) = done {
-            eprintln!("top: recovery request failed: {err}");
-            return 1;
-        }
+            .and_then(vedliot::serve::Ticket::wait)
+            .map_err(|err| format!("top: recovery request failed: {err}"))?;
     }
     let cleared = server.evaluate_slo();
     render("recovered");
@@ -542,12 +460,12 @@ fn run_top() -> i32 {
         }
     }
     server.shutdown();
-    0
+    Ok(0)
 }
 
 /// Flight-recorder demo on both planes: a chaos serve run and a
 /// hostile fleet rollout, each explained post-hoc from its journal.
-fn run_journal(seed: u64) -> i32 {
+fn run_journal(seed: u64) -> Result<i32, String> {
     use std::sync::Arc;
     use std::time::Duration;
     use vedliot::fleet::{Fleet, FleetConfig, FleetFaultPlan, Rollout, RolloutPolicy};
@@ -589,13 +507,8 @@ fn run_journal(seed: u64) -> i32 {
         .journal(JournalPolicy { capacity: 4096 })
         .build()
         .expect("valid demo config");
-    let server = match Server::start(&model, config) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("journal: server failed to start: {err}");
-            return 1;
-        }
-    };
+    let server = Server::start(&model, config)
+        .map_err(|err| format!("journal: server failed to start: {err}"))?;
     let tickets: Vec<_> = (0..200u64)
         .map(|i| {
             server
@@ -640,21 +553,18 @@ fn run_journal(seed: u64) -> i32 {
     }
     let metrics = server.shutdown();
     if !metrics.accounted_for() {
-        eprintln!("journal: serve ledger failed to balance");
-        return 1;
+        return Err("journal: serve ledger failed to balance".into());
     }
 
     // ── Fleet plane: hostile rollout to 120 devices, journalled. ──
     println!("\n── fleet plane: hostile rollout to 120 devices ──");
     let eval = gaussian_prototypes(&Shape::nf(1, 12), 3, 30, 3.0, 5);
     let mut v1 = mlp("journal-model", 12, &[10], 3).expect("builds");
-    if let Err(err) = train_mlp(&mut v1, &eval, &TrainConfig::default()) {
-        eprintln!("journal: training failed: {err}");
-        return 1;
-    }
+    train_mlp(&mut v1, &eval, &TrainConfig::default())
+        .map_err(|err| format!("journal: training failed: {err}"))?;
     let v2 = v1.clone();
     let probe = Tensor::random(Shape::nf(1, 12), 99, 1.0);
-    let mut fleet = match Fleet::new(
+    let mut fleet = Fleet::new(
         FleetConfig {
             devices: 120,
             seed,
@@ -663,39 +573,24 @@ fn run_journal(seed: u64) -> i32 {
         ("v1", v1),
         probe,
         Some(&eval),
-    ) {
-        Ok(f) => f,
-        Err(err) => {
-            eprintln!("journal: fleet failed to build: {err}");
-            return 1;
-        }
-    };
-    let target = match fleet.register_version("v2", v2, Some(&eval)) {
-        Ok(idx) => idx,
-        Err(err) => {
-            eprintln!("journal: v2 failed to register: {err}");
-            return 1;
-        }
-    };
+    )
+    .map_err(|err| format!("journal: fleet failed to build: {err}"))?;
+    let target = fleet
+        .register_version("v2", v2, Some(&eval))
+        .map_err(|err| format!("journal: v2 failed to register: {err}"))?;
     fleet.attach_journal(Arc::new(EventJournal::new(1 << 14)));
     let policy = RolloutPolicy {
         canary: 16,
         health_threshold: 0.8,
         ..RolloutPolicy::default()
     };
-    let report = match Rollout::new(
+    let report = Rollout::new(
         target,
         policy,
         FleetFaultPlan::hostile(seed.rotate_left(13)),
     )
     .run(&mut fleet)
-    {
-        Ok(r) => r,
-        Err(err) => {
-            eprintln!("journal: rollout failed: {err}");
-            return 1;
-        }
-    };
+    .map_err(|err| format!("journal: rollout failed: {err}"))?;
     let journal = fleet.journal().expect("attached above");
     let events = journal.snapshot();
     println!(
@@ -726,38 +621,43 @@ fn run_journal(seed: u64) -> i32 {
             println!("  {e}");
         }
     }
-    0
+    Ok(0)
 }
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(command) = args.next() else { usage() };
-    match command.as_str() {
+    let result = match command.as_str() {
         "lint" => {
             let analyze = match args.next().as_deref() {
                 Some("--analyze") => true,
                 Some(_) => usage(),
                 None => false,
             };
-            std::process::exit(run_lint(analyze));
+            run_lint(analyze)
         }
-        "obs" => std::process::exit(run_obs()),
-        "route" => std::process::exit(run_route()),
+        "obs" => run_obs(),
+        "route" => run_route(),
         "fleet" => {
             let seed = args
                 .next()
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(0xF1EE7u64);
-            std::process::exit(run_fleet(seed));
+            run_fleet(seed)
         }
-        "top" => std::process::exit(run_top()),
+        "top" => run_top(),
         "journal" => {
             let seed = args
                 .next()
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(0x10A6_00D5u64);
-            std::process::exit(run_journal(seed));
+            run_journal(seed)
         }
         _ => usage(),
-    }
+    };
+    // Every error exit prints its message and exits 1.
+    std::process::exit(result.unwrap_or_else(|err| {
+        eprintln!("{err}");
+        1
+    }));
 }
