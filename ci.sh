@@ -35,6 +35,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 if [[ $fast -eq 0 ]]; then
   echo "==> cargo build --release"
   cargo build --release
+
+  echo "==> nnir proptests in release (the shipped kernels' codegen: the conv tiles vectorize only at opt-level >= 2)"
+  cargo test --release -q -p vedliot-nnir --test proptests
 fi
 
 echo "==> cargo test -q"

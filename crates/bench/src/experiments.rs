@@ -1316,6 +1316,53 @@ fn per_sample_ms(arms: &[(&Graph, usize, bool)], samples: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Serial f32 MobileNetV3-Large at 224×224: nanoseconds per MAC of its
+/// depthwise and of its pointwise convs, `(depthwise, pointwise)`, each
+/// summed over the same `passes` profiled passes after a warm-up, so a
+/// drift in host speed lands on both alike.
+fn conv_ns_per_mac(passes: usize) -> (f64, f64) {
+    use std::collections::HashMap;
+    use vedliot::nnir::exec::{Parallelism, RunOptions, Runner};
+    use vedliot::nnir::{Op, Tensor};
+
+    let model = zoo::mobilenet_v3_large(1000).expect("builds");
+    let class: HashMap<&str, usize> = model
+        .nodes()
+        .iter()
+        .filter_map(|n| match &n.op {
+            Op::Conv2d(a) if a.groups > 1 => Some((n.name.as_str(), 0)),
+            Op::Conv2d(a) if a.kernel == (1, 1) => Some((n.name.as_str(), 1)),
+            _ => None,
+        })
+        .collect();
+    let input = Tensor::random(Shape::nchw(1, 3, 224, 224), 7, 1.0);
+    let mut runner = Runner::builder()
+        .parallelism(Parallelism::Serial)
+        .build(&model)
+        .expect("zoo graph passes the verifier");
+    runner
+        .execute(std::slice::from_ref(&input), RunOptions::default())
+        .expect("warm-up run");
+    // (ns, MACs) of the depthwise and of the pointwise convs.
+    let mut sums = [(0u64, 0u64); 2];
+    for _ in 0..passes {
+        let out = runner
+            .execute(
+                std::slice::from_ref(&input),
+                RunOptions::new().profile(true),
+            )
+            .expect("runs");
+        for node in &out.profile().expect("profiled").per_node {
+            if let Some(&c) = class.get(node.name.as_str()) {
+                sums[c].0 += node.duration_ns;
+                sums[c].1 += node.macs;
+            }
+        }
+    }
+    let [dw, pw] = sums.map(|(ns, macs)| ns as f64 / macs as f64);
+    (dw, pw)
+}
+
 /// E24 — cache-blocked kernels: per-sample conv cost vs batch (the E21
 /// cliff fix) and the INT8 execution path against its fake-quant f32
 /// reference, in accuracy and in per-sample time.
@@ -1325,6 +1372,9 @@ fn per_sample_ms(arms: &[(&Graph, usize, bool)], samples: usize) -> Vec<f64> {
 /// out of cache and per-sample cost *rose* with batch. The blocked
 /// kernel's scratch is batch-independent, so per-sample cost must now be
 /// non-increasing from batch 1 to 8 (asserted here with noise headroom).
+/// Profiled MobileNetV3 passes then set the depthwise convs' cost per
+/// MAC against the pointwise GEMM's, the within-run view of how close
+/// the two f32 conv kernels run to each other.
 ///
 /// Carries the machine-readable snapshot `harness kernels` writes to
 /// `BENCH_pr6.json` (the perf-trajectory baseline ci.sh checks against).
@@ -1394,6 +1444,9 @@ pub fn kernels() -> Experiment {
         "INT8 tolerance contract violated: {diff} > {bound}"
     );
 
+    let (dw_ns, pw_ns) = conv_ns_per_mac(5);
+    let dw_over_pw = dw_ns / pw_ns;
+
     let export = Export {
         subsystem: "kernels".into(),
         metrics: vec![
@@ -1437,6 +1490,11 @@ pub fn kernels() -> Experiment {
                 "INT8 output deviation from the fake-quant f32 reference",
                 f64::from(diff),
             ),
+            Metric::gauge(
+                "depthwise_over_pointwise_ns_per_mac",
+                "serial MobileNetV3 depthwise conv time per MAC relative to its pointwise convs, same passes",
+                dw_over_pw,
+            ),
         ],
     };
     Experiment {
@@ -1456,8 +1514,12 @@ pub fn kernels() -> Experiment {
                 "INT8 per sample = {:.2}x the fake-quant f32 path on the same graph (gated <= 1.0)",
                 int8_ms / f32_ms
             ),
-            "blocked f32 kernels are bit-identical to the serial reference (equivalence \
-             proptests)"
+            format!(
+                "MobileNetV3 f32 convs: depthwise {dw_ns:.3} ns/MAC, pointwise {pw_ns:.3} ns/MAC \
+                 = {dw_over_pw:.2}x (gated <= 5.0)"
+            ),
+            "blocked f32 kernels are bit-identical to the serial schedule and to a scalar \
+             spelling of their arithmetic (proptests)"
                 .into(),
         ],
         snapshot: Some(("BENCH_pr6.json", export)),

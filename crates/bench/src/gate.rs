@@ -98,6 +98,11 @@ pub const RULES: &[Rule] = &[
     // INT8 must pay for itself: per sample, the INT8 kernels are no slower
     // than the fake-quant f32 path timed on the same graph in the same run.
     Rule::new("kernels", "int8_over_f32", None, |_| -INF..=1.0),
+    // The f32 conv kernels stay within reach of each other: per MAC, a
+    // MobileNetV3 pass's depthwise convs cost at most 5x its pointwise
+    // GEMM, both timed in the same profiled passes. Reverting either
+    // conv kernel to its pre-tiling loop crosses this line.
+    Rule::new("kernels", "depthwise_over_pointwise_ns_per_mac", None, |_| -INF..=5.0),
     // E25 (BENCH_pr7.json) asserts the admission contract internally:
     // high >= 0.98, batch shed first, bit-identity. This re-checks
     // high-priority availability against both the hard floor and the

@@ -191,6 +191,11 @@ impl ModelArtifact {
             }
         }
 
+        Ok(Self::from_payload(version, &payload, chunk_bytes))
+    }
+
+    /// Chunks `payload` and hash-chains the chunks under `version`.
+    fn from_payload(version: &str, payload: &[u8], chunk_bytes: usize) -> Self {
         let chunks: Vec<Chunk> = payload
             .chunks(chunk_bytes)
             .enumerate()
@@ -201,7 +206,7 @@ impl ModelArtifact {
             .collect();
         let chunk_hashes: Vec<[u8; 32]> = chunks.iter().map(|c| sha256(&c.payload)).collect();
         let root = Manifest::chain_root(version, &chunk_hashes);
-        Ok(ModelArtifact {
+        ModelArtifact {
             manifest: Manifest {
                 version: version.to_string(),
                 payload_bytes: payload.len(),
@@ -209,7 +214,7 @@ impl ModelArtifact {
                 root,
             },
             chunks,
-        })
+        }
     }
 
     /// Reassembles the payload bytes (no verification).
@@ -322,11 +327,16 @@ impl ModelArtifact {
                         shape.elem_count()
                     )));
                 }
-                let mut data = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let b = r.take(4)?;
-                    data.push(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-                }
+                // Bound the read by the bytes present before allocating:
+                // a record cannot claim more floats than the payload holds.
+                let bytes = n
+                    .checked_mul(4)
+                    .ok_or_else(|| ArtifactError::Malformed("tensor length overflow".into()))?;
+                let data = r
+                    .take(bytes)?
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect();
                 tensors.push(Tensor::from_vec(shape.clone(), data)?);
             }
             graph.nodes_mut()[node_idx].weights = WeightInit::Explicit(tensors);
@@ -482,17 +492,51 @@ mod tests {
     }
 
     #[test]
+    fn oversized_weight_record_is_malformed_before_allocating() {
+        // A correctly chained payload whose architecture declares a
+        // 2^20 x 2^20 Dense weight (4 TiB of f32) backed by 8 bytes: the
+        // record must be refused from the bytes present, not by first
+        // reserving what it claims.
+        let mut b = vedliot_nnir::GraphBuilder::new("huge");
+        let x = b.input(Shape::nf(1, 1 << 20));
+        let fc = b
+            .apply(
+                "fc",
+                vedliot_nnir::Op::Dense {
+                    out_features: 1 << 20,
+                    bias: true,
+                },
+                &[x],
+            )
+            .expect("dense builds");
+        let text = textual::write(&b.finish(vec![fc])).expect("serializes");
+        let mut payload = MAGIC.to_vec();
+        payload.extend_from_slice(b"v1\n");
+        payload.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        payload.extend_from_slice(text.as_bytes());
+        payload.extend_from_slice(&1u32.to_le_bytes()); // one record
+        payload.extend_from_slice(&0u32.to_le_bytes()); // node 0: fc
+        payload.extend_from_slice(&2u32.to_le_bytes()); // weight + bias
+        payload.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        payload.extend_from_slice(&[0; 8]);
+        let artifact = ModelArtifact::from_payload("v1", &payload, 64);
+        artifact.verify().expect("integrity holds");
+        match artifact.unpack() {
+            Err(ArtifactError::Malformed(_)) => {}
+            other => panic!("expected malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn truncated_payload_is_a_typed_error() {
         let g = explicit_model();
-        let mut artifact = ModelArtifact::pack("v1", &g, 128).expect("packs");
-        // Drop the last chunk and its hash, re-root so integrity passes,
-        // leaving only the format check to catch the truncation.
-        artifact.chunks.pop();
-        artifact.manifest.chunk_hashes.pop();
-        artifact.manifest.payload_bytes = artifact.payload().len();
-        artifact.manifest.root =
-            Manifest::chain_root(&artifact.manifest.version, &artifact.manifest.chunk_hashes);
-        match artifact.unpack() {
+        let artifact = ModelArtifact::pack("v1", &g, 128).expect("packs");
+        // Re-chain all but the last chunk so integrity passes, leaving
+        // only the format check to catch the truncation.
+        let payload = artifact.payload();
+        let last = artifact.chunks.last().expect("has chunks").payload.len();
+        let truncated = ModelArtifact::from_payload("v1", &payload[..payload.len() - last], 128);
+        match truncated.unpack() {
             Err(ArtifactError::Malformed(_)) => {}
             other => panic!("expected malformed, got {other:?}"),
         }

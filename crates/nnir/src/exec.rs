@@ -19,13 +19,17 @@
 //! Heavy kernels (`conv2d`, `dense`, `pool2d`, `batchnorm`) are data
 //! parallel: the output buffer is split into disjoint contiguous tiles
 //! and distributed over scoped threads according to a [`Parallelism`]
-//! policy. Grouped and depthwise convolutions use a direct loop nest;
-//! dense (`groups == 1`) convolutions lower to a *pixel-blocked* im2col
-//! plus register-tiled GEMM: patch rows for a cache-sized block of output
-//! pixels are gathered (padded positions contribute an exact `0.0`) and
-//! multiplied through the 4-lane `dot4` microkernel. Every output
-//! scalar is a pure function of its operands — the lane split and
-//! combine order are fixed — so serial and threaded runs, any pixel
+//! policy. Dense (`groups == 1`) convolutions lower to a *pixel-blocked*
+//! im2col plus register-tiled GEMM: patch rows for a cache-sized block
+//! of output pixels are gathered (padded positions contribute an exact
+//! `0.0`; a 1×1, stride-1, unpadded conv's block is a plain transpose of
+//! its input planes) and multiplied four kernel rows × two patch rows at
+//! a time, each of the eight products exactly the 4-lane `dot4` it
+//! stands for. Grouped and depthwise convolutions are channel-blocked:
+//! sixteen output channels run as the lanes of one accumulator, each
+//! adding its valid taps in the order of a plain per-output loop. Every
+//! output scalar is a pure function of its operands — the lane split
+//! and combine order are fixed — so serial and threaded runs, any pixel
 //! blocking and any batch size produce bit-identical results.
 //! [`Parallelism::Serial`] keeps the single-threaded path available for
 //! equivalence testing.
@@ -206,8 +210,8 @@ fn par_chunks_with<T, S, F>(
 /// cache as the batch grew, and made per-sample cost *rise* with batch.
 const COL_BLOCK_ELEMS: usize = 16 * 1024;
 
-/// 4-lane f32 dot product — the register tile of every GEMM-shaped
-/// kernel here.
+/// 4-lane f32 dot product — the reduction of every f32 GEMM-shaped
+/// kernel here (the conv GEMM's [`dot4_tile`] computes eight at once).
 ///
 /// The reduction is a pure function of the operand slices: lane `i`
 /// accumulates elements `i, i+4, i+8, …`, the tail lands on lanes
@@ -233,6 +237,62 @@ fn dot4(a: &[f32], b: &[f32]) -> f32 {
         lanes[i] += av * bv;
     }
     (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+}
+
+/// The GEMM's register tile: four kernel rows `w` against two patch
+/// rows `x0`, `x1`, with `t[r][j]` equal to `dot4(w[r], x_j)` bit for
+/// bit. [`dot4_lanes`] builds the eight lane vectors over the whole
+/// 4-element chunks, this adds the tail onto lanes `0..len % 4` in
+/// order and combines each vector as `(l0+l1) + (l2+l3)` — exactly
+/// `dot4`'s association.
+#[inline]
+fn dot4_tile(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [[f32; 2]; 4] {
+    let body = x0.len() / 4 * 4;
+    let mut lanes = dot4_lanes(w.map(|r| &r[..body]), &x0[..body], &x1[..body]);
+    for (i, k) in (body..x0.len()).enumerate() {
+        for (r, row) in w.iter().enumerate() {
+            lanes[2 * r][i] += row[k] * x0[k];
+            lanes[2 * r + 1][i] += row[k] * x1[k];
+        }
+    }
+    let sum = |l: [f32; 4]| (l[0] + l[1]) + (l[2] + l[3]);
+    std::array::from_fn(|r| [sum(lanes[2 * r]), sum(lanes[2 * r + 1])])
+}
+
+/// The lane vectors of eight [`dot4`]s over operands whose length is a
+/// multiple of 4: `[w0·x0, w0·x1, w1·x0, …, w3·x1]`, each one lane `i`
+/// accumulating elements `i, i+4, …` in order. The eight named
+/// accumulators are independent add chains that share every operand
+/// load, so eight 4-lane multiply-adds are in flight where a lone
+/// `dot4` waits on one.
+///
+/// Kept out of line on purpose: inlined, the caller's combine of
+/// *different* accumulators into adjacent outputs leads LLVM's SLP
+/// vectorizer to pack the loop across accumulators instead of across
+/// lanes, and the loop compiles to scalar loads and shuffles slower
+/// than plain `dot4`. Returned raw, each accumulator stays one SIMD
+/// register.
+#[inline(never)]
+fn dot4_lanes(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [[f32; 4]; 8] {
+    let [w0, w1, w2, w3] = w;
+    let (mut a00, mut a01, mut a10, mut a11) = ([0.0f32; 4], [0.0f32; 4], [0.0f32; 4], [0.0f32; 4]);
+    let (mut a20, mut a21, mut a30, mut a31) = ([0.0f32; 4], [0.0f32; 4], [0.0f32; 4], [0.0f32; 4]);
+    let rows = w0.chunks_exact(4).zip(w1.chunks_exact(4));
+    let rows = rows.zip(w2.chunks_exact(4).zip(w3.chunks_exact(4)));
+    let cols = x0.chunks_exact(4).zip(x1.chunks_exact(4));
+    for (((c0, c1), (c2, c3)), (y0, y1)) in rows.zip(cols) {
+        for i in 0..4 {
+            a00[i] += c0[i] * y0[i];
+            a01[i] += c0[i] * y1[i];
+            a10[i] += c1[i] * y0[i];
+            a11[i] += c1[i] * y1[i];
+            a20[i] += c2[i] * y0[i];
+            a21[i] += c2[i] * y1[i];
+            a30[i] += c3[i] * y0[i];
+            a31[i] += c3[i] * y1[i];
+        }
+    }
+    [a00, a01, a10, a11, a20, a21, a30, a31]
 }
 
 /// i32 dot product of INT8 codes held as i16 — the arithmetic the
@@ -1217,14 +1277,73 @@ fn fill_patch(src: &[f32], g: ConvGeom, bi: usize, p: usize, dst: &mut [f32]) {
     }
 }
 
+/// Fills `dst` with the patch rows of output pixels `p, p + 1, …` of
+/// batch item `bi`, one K-length row each. The patch row of a 1×1,
+/// stride-1, unpadded conv is its pixel's column across the channel
+/// planes, so that block is a plain transpose of plane runs; every other
+/// geometry gathers row by row with [`fill_patch`].
+fn fill_patches(src: &[f32], g: ConvGeom, bi: usize, p: usize, dst: &mut [f32]) {
+    let k_len = g.k_len();
+    if (g.kh, g.kw, g.sh, g.sw, g.ph, g.pw) == (1, 1, 1, 1, 0, 0) {
+        let pix = p..p + dst.len() / k_len;
+        let planes = &src[bi * g.in_c * g.h * g.w..][..g.in_c * g.h * g.w];
+        for (ic, plane) in planes.chunks_exact(g.h * g.w).enumerate() {
+            for (d, &x) in dst[ic..].iter_mut().step_by(k_len).zip(&plane[pix.clone()]) {
+                *d = x;
+            }
+        }
+    } else {
+        for (j, row) in dst.chunks_exact_mut(k_len).enumerate() {
+            fill_patch(src, g, bi, p + j, row);
+        }
+    }
+}
+
+/// One GEMM unit: `dst[r·pb + p] = bias[r] + dot4(w_r, x_p)` for the
+/// (at most four) K-length kernel rows `w_r` of `w` and the `pb` patch
+/// rows `x_p` of `col`. A four-row unit runs [`dot4_tile`] over pixel
+/// pairs; a shorter unit (the last `out_c % 4` rows) and an odd last
+/// pixel fall back to [`dot4`], which computes the same bits.
+fn gemm_rows(k_len: usize, w: &[f32], col: &[f32], bias: Option<&[f32]>, dst: &mut [f32]) {
+    let rows = w.len() / k_len;
+    let pb = dst.len() / rows;
+    let b = |r: usize| bias.map_or(0.0, |b| b[r]);
+    let mut done = 0;
+    if rows == 4 {
+        let wr: [&[f32]; 4] = std::array::from_fn(|r| &w[r * k_len..][..k_len]);
+        for (j, x) in col[..pb * k_len].chunks_exact(2 * k_len).enumerate() {
+            let (x0, x1) = x.split_at(k_len);
+            for (r, [t0, t1]) in dot4_tile(wr, x0, x1).into_iter().enumerate() {
+                dst[r * pb + 2 * j] = b(r) + t0;
+                dst[r * pb + 2 * j + 1] = b(r) + t1;
+            }
+        }
+        done = pb / 2 * 2;
+    }
+    for (r, (wr, out)) in w
+        .chunks_exact(k_len)
+        .zip(dst.chunks_exact_mut(pb))
+        .enumerate()
+    {
+        for (o, x) in out[done..]
+            .iter_mut()
+            .zip(col[done * k_len..].chunks_exact(k_len))
+        {
+            *o = b(r) + dot4(wr, x);
+        }
+    }
+}
+
 /// Convolution with groups, stride and symmetric padding.
 ///
-/// Dense (`groups == 1`) convolutions lower to pixel-blocked im2col +
-/// a [`dot4`]-tiled GEMM, or to the direct INT8 kernel when the node
-/// has an INT8 plan; grouped and depthwise ones use the direct loop
-/// nest. Each f32 output scalar is a fixed-association reduction over
-/// the patch and each INT8 one an exact integer sum, so results are
-/// independent of threading, blocking and batch size.
+/// Dense (`groups == 1`) convolutions lower to pixel-blocked im2col
+/// ([`fill_patches`]) and a GEMM over units of four out-channel rows
+/// ([`gemm_rows`], register-tiled by [`dot4_tile`]), or to the direct
+/// INT8 kernel when the node has an INT8 plan; grouped and depthwise
+/// ones take the channel-blocked [`conv2d_grouped`]. Each f32 output
+/// scalar is a fixed-association reduction over the patch and each
+/// INT8 one an exact integer sum, so results are independent of
+/// threading, blocking and batch size.
 fn conv2d_into(
     input: &Tensor,
     attrs: &Conv2dAttrs,
@@ -1238,7 +1357,7 @@ fn conv2d_into(
     let (sh, sw) = attrs.stride;
     let (ph, pw) = attrs.padding;
     let out_c = attrs.out_channels;
-    let (icg, ocg, oh, ow) = conv2d_geometry(attrs, in_c, h, w)?;
+    let (icg, _, oh, ow) = conv2d_geometry(attrs, in_c, h, w)?;
 
     if weights.is_empty() {
         return Err(NnirError::ExecutionFailure(
@@ -1274,25 +1393,25 @@ fn conv2d_into(
     let k_data = kernel.data();
     let bias_data = bias.map(Tensor::data);
 
+    let geom = ConvGeom {
+        in_c,
+        h,
+        w,
+        out_c,
+        kh,
+        kw,
+        sh,
+        sw,
+        ph,
+        pw,
+        ow,
+        opix,
+    };
     if attrs.groups == 1 {
         // im2col: one K-length patch row per output pixel, K laid out in
         // the kernel's own (ic, ky, kx) order so the GEMM inner loop is a
         // contiguous dot product on both sides. Pixels are processed in
         // cache-sized blocks — scratch never scales with the batch.
-        let geom = ConvGeom {
-            in_c,
-            h,
-            w,
-            out_c,
-            kh,
-            kw,
-            sh,
-            sw,
-            ph,
-            pw,
-            ow,
-            opix,
-        };
         if let Some(plan) = ctx.int8 {
             return conv2d_int8(input, plan, bias_data, out, ctx, geom);
         }
@@ -1307,21 +1426,24 @@ fn conv2d_into(
             let mut p0 = 0usize;
             while p0 < opix {
                 let pb = block_pix.min(opix - p0);
+                // Filling a block is one worker's job: it holds under
+                // PAR_MIN_WORK elements, or a single patch row.
                 let colb = &mut col[..pb * k_len];
-                par_chunks(par.workers_for(pb * k_len), colb, k_len, |j, dst| {
-                    fill_patch(in_data, geom, bi, p0 + j, dst);
-                });
+                fill_patches(in_data, geom, bi, p0, colb);
                 let colb: &[f32] = colb;
-                // GEMM tile: one out-channel row of `pb` pixels per unit,
-                // each pixel a dot4 over the cache-resident patch block.
+                // GEMM: four out-channel rows of `pb` pixels per unit,
+                // over the cache-resident patch block.
                 let tile = &mut outb[..out_c * pb];
-                par_chunks(par.workers_for(out_c * pb * k_len), tile, pb, |oc, dst| {
-                    let b0 = bias_data.map_or(0.0, |b| b[oc]);
-                    let krow = &k_data[oc * k_len..][..k_len];
-                    for (p, o) in dst.iter_mut().enumerate() {
-                        *o = b0 + dot4(krow, &colb[p * k_len..][..k_len]);
-                    }
-                });
+                par_chunks(
+                    par.workers_for(out_c * pb * k_len),
+                    tile,
+                    4 * pb,
+                    |u, dst| {
+                        let rows = 4 * u..4 * u + dst.len() / pb;
+                        let w = &k_data[rows.start * k_len..rows.end * k_len];
+                        gemm_rows(k_len, w, colb, bias_data.map(|b| &b[rows]), dst);
+                    },
+                );
                 for oc in 0..out_c {
                     out_data[(bi * out_c + oc) * opix + p0..][..pb]
                         .copy_from_slice(&tile[oc * pb..][..pb]);
@@ -1332,50 +1454,164 @@ fn conv2d_into(
         return Ok(());
     }
 
-    // Direct loop nest for grouped / depthwise convolutions.
-    let work = n * out_c * opix * icg * kh * kw;
-    par_chunks(par.workers_for(work), out.data_mut(), opix, |u, dst| {
-        let bi = u / out_c;
-        let oc = u % out_c;
-        let g = oc / ocg;
-        let b0 = bias_data.map_or(0.0, |b| b[oc]);
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = b0;
-                for ic in 0..icg {
-                    let in_ch = g * icg + ic;
-                    let plane = &in_data[(bi * in_c + in_ch) * h * w..][..h * w];
-                    for ky in 0..kh {
-                        let iy = (oy * sh + ky) as isize - ph as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..kw {
-                            let ix = (ox * sw + kx) as isize - pw as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let iv = plane[iy as usize * w + ix as usize];
-                            let kv = k_data[((oc * icg + ic) * kh + ky) * kw + kx];
-                            acc += iv * kv;
+    conv2d_grouped(
+        in_data,
+        k_data,
+        bias_data,
+        out.data_mut(),
+        ctx,
+        geom,
+        attrs.groups,
+    );
+    Ok(())
+}
+
+/// Output channels a grouped convolution computes at once, one per f32
+/// lane: four 4-lane registers of accumulators.
+const LANES: usize = 16;
+
+/// Grouped and depthwise convolution, channel-blocked.
+///
+/// `LANES` output channels run side by side: their input planes are
+/// interleaved so that one input pixel of all of them is one contiguous
+/// `[f32; LANES]`, and so is one tap of their kernels. Each output then
+/// starts at its bias and adds `x·w` over its valid taps in ascending
+/// (ic, ky, kx) order — the order of a plain per-output loop, so every
+/// bit is that loop's — with the lanes as `LANES` independent add
+/// chains. Output rows go in strips whose interleaved input rows fit a
+/// cache budget, so scratch does not grow with the plane. Blocks of
+/// channels are split over the workers; the spare lanes of a short last
+/// block repeat its last channel's input against zero weights and are
+/// dropped.
+fn conv2d_grouped(
+    input: &[f32],
+    kernel: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    ctx: &mut KernelCtx<'_>,
+    g: ConvGeom,
+    groups: usize,
+) {
+    let (icg, ocg) = (g.in_c / groups, g.out_c / groups);
+    let (oh, taps) = (g.opix / g.ow, g.kh * g.kw);
+    // Input rows per strip within the budget (at least one kernel's
+    // worth), and the output rows they cover.
+    let budget_rows = (4 * COL_BLOCK_ELEMS / (icg * g.w * LANES).max(1)).max(g.kh);
+    let strip = ((budget_rows - g.kh) / g.sh + 1).min(oh);
+    let strip_rows = (strip - 1) * g.sh + g.kh;
+
+    // Per block: the bias lanes, then the kernel lanes in (ic, ky, kx)
+    // order.
+    let Scratch { col, outb, .. } = ctx.scratch;
+    let per_block = 1 + icg * taps;
+    outb.clear();
+    outb.resize(g.out_c.div_ceil(LANES) * per_block * LANES, 0.0);
+    let (packed, _) = outb.as_chunks_mut::<LANES>();
+    for oc in 0..g.out_c {
+        let (block, lane) = (oc / LANES, oc % LANES);
+        let dst = &mut packed[block * per_block..][..per_block];
+        dst[0][lane] = bias.map_or(0.0, |b| b[oc]);
+        for (d, &v) in dst[1..]
+            .iter_mut()
+            .zip(&kernel[oc * icg * taps..][..icg * taps])
+        {
+            d[lane] = v;
+        }
+    }
+    let packed: &[[f32; LANES]] = packed;
+
+    // Per worker: each input channel's interleaved strip, then a row of
+    // outputs.
+    let pitch = strip_rows * g.w;
+    let part = (icg * pitch + g.ow) * LANES;
+    let workers = ctx.par.workers_for(g.out_c * g.opix * icg * taps);
+    col.resize(workers * part, 0.0);
+    let plane = g.h * g.w;
+    for (bi, out) in out.chunks_exact_mut((g.out_c * g.opix).max(1)).enumerate() {
+        let planes = &input[bi * g.in_c * plane..][..g.in_c * plane];
+        par_chunks_with(workers, out, LANES * g.opix, col, |block, dst, part| {
+            let (part, _) = part.as_chunks_mut::<LANES>();
+            let (xi, orow) = part.split_at_mut(icg * pitch);
+            let orow = &mut orow[..g.ow];
+            let packed = &packed[block * per_block..][..per_block];
+            let lanes = dst.len() / g.opix;
+            for oy0 in (0..oh).step_by(strip) {
+                let oys = oy0..(oy0 + strip).min(oh);
+                // Input rows iy0..iy1 feed this strip: interleave them,
+                // one pixel of all the block's channels at a time.
+                let iy1 = ((oys.end - 1) * g.sh + g.kh).saturating_sub(g.ph).min(g.h);
+                let iy0 = (oy0 * g.sh).saturating_sub(g.ph).min(iy1);
+                let rows = (iy1 - iy0) * g.w;
+                for (ic, xs) in xi.chunks_exact_mut(pitch.max(1)).enumerate() {
+                    let src: [&[f32]; LANES] = std::array::from_fn(|lane| {
+                        let c = (block * LANES + lane.min(lanes - 1)) / ocg * icg + ic;
+                        &planes[c * plane + iy0 * g.w..][..rows]
+                    });
+                    for (p, d) in xs[..rows].iter_mut().enumerate() {
+                        *d = std::array::from_fn(|lane| src[lane][p]);
+                    }
+                }
+                for oy in oys {
+                    grouped_row(g, packed, xi, pitch, oy, iy0, orow);
+                    for (lane, plane) in dst.chunks_exact_mut(g.opix).enumerate() {
+                        for (d, a) in plane[oy * g.ow..][..g.ow].iter_mut().zip(&*orow) {
+                            *d = a[lane];
                         }
                     }
                 }
-                dst[oy * ow + ox] = acc;
+            }
+        });
+    }
+}
+
+/// Output row `oy` of one block of [`conv2d_grouped`] into `orow`.
+/// `packed` is the block's bias lanes followed by its kernel taps per
+/// input channel; `xi` holds, every `pitch` pixels, an input channel's
+/// interleaved strip rows from row `iy0` on. Each column starts at the
+/// bias and adds `x·w` over the taps that land inside the input, in
+/// (ic, ky, kx) order.
+fn grouped_row(
+    g: ConvGeom,
+    packed: &[[f32; LANES]],
+    xi: &[[f32; LANES]],
+    pitch: usize,
+    oy: usize,
+    iy0: usize,
+    orow: &mut [[f32; LANES]],
+) {
+    let (bias, k) = (packed[0], &packed[1..]);
+    let ky0 = g.ph.saturating_sub(oy * g.sh);
+    let ky1 = g.kh.min((g.h + g.ph).saturating_sub(oy * g.sh));
+    for (ox, o) in orow.iter_mut().enumerate() {
+        let kx0 = g.pw.saturating_sub(ox * g.sw);
+        let kx1 = g.kw.min((g.w + g.pw).saturating_sub(ox * g.sw));
+        let mut acc = bias;
+        if kx0 < kx1 {
+            let ix0 = ox * g.sw + kx0 - g.pw;
+            for (ic, ks) in k.chunks_exact(g.kh * g.kw).enumerate() {
+                for ky in ky0..ky1 {
+                    let xs = &xi[ic * pitch + (oy * g.sh + ky - g.ph - iy0) * g.w + ix0..];
+                    for (x, w) in xs.iter().zip(&ks[ky * g.kw..][kx0..kx1]) {
+                        for l in 0..LANES {
+                            acc[l] += x[l] * w[l];
+                        }
+                    }
+                }
             }
         }
-    });
-    Ok(())
+        *o = acc;
+    }
 }
 
 /// Dense-conv INT8 kernel, direct (no im2col).
 ///
 /// Each input plane is quantized once into a zero-padded i16 code plane
 /// (exact, since a `FakeQuant` producer pinned the activations to the
-/// grid). Each output plane then accumulates, per (input channel, tap),
-/// one i16 weight code × a contiguous run of codes into i32 — exact,
-/// so the tap order is free — and is dequantized with one multiply per
-/// scalar: `bias + acc · (w_scale[oc] · in_scale)`. At stride 1 the run
+/// grid). Each output plane then accumulates, per pair of (input
+/// channel, tap)s, two i16 weight codes × two contiguous runs of codes,
+/// summed in i16 and widened into i32 — exact, so the tap order is
+/// free — and is dequantized with one multiply per scalar:
+/// `bias + acc · (w_scale[oc] · in_scale)`. At stride 1 the run
 /// spans the whole output plane at the padded row pitch (the `kw - 1`
 /// accumulators past each output row are computed and dropped), long
 /// enough to vectorize; at larger strides it is one output row. Output
@@ -1432,20 +1668,31 @@ fn conv2d_int8(
         let acc = &mut acc[..run_len];
         for r in 0..runs {
             acc.fill(0);
-            for (taps, plane) in krow
-                .chunks_exact(g.kh * g.kw)
-                .zip(planes.chunks_exact(hp * wp))
-            {
-                for (t, &w) in taps.iter().enumerate() {
-                    let src = &plane[(r * g.sh + t / g.kw) * wp + t % g.kw..];
-                    // |w·x| ≤ 128·127: the i16 product is exact.
-                    if g.sw == 1 {
-                        for (a, &x) in acc.iter_mut().zip(src) {
-                            *a += i32::from(w * x);
+            // Each tap's weight code with the run of codes it reads, in
+            // (ic, ky, kx) order.
+            let mut taps = krow.iter().zip((0..g.in_c).flat_map(|ic| {
+                (0..g.kh).flat_map(move |ky| {
+                    (0..g.kw).map(move |kx| &planes[ic * hp * wp + (r * g.sh + ky) * wp + kx..])
+                })
+            }));
+            // Taps go in pairs: |w·x| ≤ 128·127, so even the sum of two
+            // products is an exact i16, widened to i32 once per pair.
+            while let Some((&w0, s0)) = taps.next() {
+                match taps.next() {
+                    Some((&w1, s1)) if g.sw == 1 => {
+                        for ((a, &x0), &x1) in acc.iter_mut().zip(s0).zip(s1) {
+                            *a += i32::from(w0 * x0 + w1 * x1);
                         }
-                    } else {
-                        for (a, &x) in acc.iter_mut().zip(src.iter().step_by(g.sw)) {
-                            *a += i32::from(w * x);
+                    }
+                    Some((&w1, s1)) => {
+                        let s1 = s1.iter().step_by(g.sw);
+                        for ((a, &x0), &x1) in acc.iter_mut().zip(s0.iter().step_by(g.sw)).zip(s1) {
+                            *a += i32::from(w0 * x0 + w1 * x1);
+                        }
+                    }
+                    None => {
+                        for (a, &x) in acc.iter_mut().zip(s0.iter().step_by(g.sw)) {
+                            *a += i32::from(w0 * x);
                         }
                     }
                 }

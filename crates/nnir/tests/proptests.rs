@@ -476,6 +476,225 @@ proptest! {
     }
 }
 
+/// A graph of one conv over an input of `shape` with explicit weights.
+fn conv_graph(attrs: Conv2dAttrs, shape: &Shape, weights: Vec<Tensor>) -> Graph {
+    let mut b = GraphBuilder::new("conv");
+    let x = b.input(shape.clone());
+    let c = b
+        .apply_with_weights(
+            "conv",
+            Op::Conv2d(attrs),
+            &[x],
+            WeightInit::Explicit(weights),
+        )
+        .unwrap();
+    b.finish(vec![c])
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The f32 conv arithmetic, spelled out one output at a time: the value
+/// at `(bi, oc, oy, ox)` of `x` convolved with `k` (plus `bias`).
+///
+/// * Dense (`groups == 1`): the bias plus the engine's `dot4`-ordered
+///   reduction of the kernel row against the zero-padded patch —
+///   element `i` of the `(ic, ky, kx)`-ordered patch on lane `i % 4`,
+///   the lanes combined as `(l0+l1) + (l2+l3)`.
+/// * Grouped and depthwise: the bias, then `+= x·w` over the taps that
+///   land inside the input, in `(ic, ky, kx)` order.
+fn conv_reference(x: &Tensor, k: &Tensor, bias: Option<&Tensor>, a: &Conv2dAttrs) -> Vec<f32> {
+    let [n, in_c, h, w] = x.shape().dims()[..] else {
+        panic!("NCHW input expected");
+    };
+    let ((kh, kw), (sh, sw), (ph, pw)) = (a.kernel, a.stride, a.padding);
+    let (out_c, icg) = (a.out_channels, in_c / a.groups);
+    let (oh, ow) = ((h + 2 * ph - kh) / sh + 1, (w + 2 * pw - kw) / sw + 1);
+    let mut out = vec![0.0f32; n * out_c * oh * ow];
+    for (u, o) in out.iter_mut().enumerate() {
+        let (bi, oc, oy, ox) = (
+            u / (out_c * oh * ow),
+            u / (oh * ow) % out_c,
+            u / ow % oh,
+            u % ow,
+        );
+        let b0 = bias.map_or(0.0, |b| b.data()[oc]);
+        let mut lanes = [0.0f32; 4];
+        let mut acc = b0;
+        let mut i = 0;
+        for ic in 0..icg {
+            let plane = (bi * in_c + oc / (out_c / a.groups) * icg + ic) * h * w;
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let wv = k.data()[((oc * icg + ic) * kh + ky) * kw + kx];
+                    let iy = (oy * sh + ky).checked_sub(ph).filter(|&iy| iy < h);
+                    let ix = (ox * sw + kx).checked_sub(pw).filter(|&ix| ix < w);
+                    let xv = iy.zip(ix).map(|(iy, ix)| x.data()[plane + iy * w + ix]);
+                    if a.groups == 1 {
+                        lanes[i % 4] += wv * xv.unwrap_or(0.0);
+                    } else if let Some(xv) = xv {
+                        acc += xv * wv;
+                    }
+                    i += 1;
+                }
+            }
+        }
+        *o = if a.groups == 1 {
+            b0 + ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+        } else {
+            acc
+        };
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The f32 conv kernels against [`conv_reference`]: the register-tiled
+    /// GEMM (with the transpose fill for 1×1/s1/p0 convs) and the
+    /// channel-blocked grouped kernel are **bit-equal** to the documented
+    /// per-output arithmetic, serial and threaded, planned and unplanned.
+    /// Channel counts straddle the 4-row GEMM unit and the 16-channel
+    /// grouped block, and kernels are asymmetric.
+    #[test]
+    fn f32_conv_kernels_match_scalar_reference(
+        kind in 0usize..3,
+        (a, b, c) in (1usize..40, 1usize..10, 1usize..20),
+        batch in 1usize..4,
+        (h, w) in (1usize..12, 1usize..12),
+        (kh, kw) in (1usize..6, 1usize..6),
+        (sh, sw) in (1usize..4, 1usize..4),
+        (ph, pw) in (0usize..3, 0usize..3),
+        pointwise in 0usize..5,
+        bias in any::<bool>(),
+        seed in 0u64..1_000,
+    ) {
+        // Dense (1..10 → 1..20 channels), depthwise (1..40 channels), or
+        // 2..4 groups of 2..3 input and 1..6 output channels each.
+        let (groups, icg, ocg) = match kind {
+            0 => (1, b, c),
+            1 => (a, 1, 1),
+            _ => (2 + a % 3, 2 + b % 2, 1 + c % 6),
+        };
+        let (in_c, out_c) = (groups * icg, groups * ocg);
+        let ((kh, kw), (sh, sw), (ph, pw)) = if pointwise == 0 {
+            ((1, 1), (1, 1), (0, 0))
+        } else {
+            ((kh, kw), (sh, sw), (ph, pw))
+        };
+        if h + 2 * ph < kh || w + 2 * pw < kw {
+            return Ok(());
+        }
+        let attrs = Conv2dAttrs {
+            out_channels: out_c,
+            kernel: (kh, kw),
+            stride: (sh, sw),
+            padding: (ph, pw),
+            groups,
+            bias,
+        };
+        let kernel = Tensor::random(Shape::new(vec![out_c, icg, kh, kw]), seed, 1.0);
+        let bias_t = Tensor::random(Shape::new(vec![out_c]), seed + 1, 0.5);
+        let input = Tensor::random(Shape::nchw(batch, in_c, h, w), seed + 2, 1.0);
+        let want = conv_reference(&input, &kernel, bias.then_some(&bias_t), &attrs);
+
+        let weights = if bias { vec![kernel, bias_t] } else { vec![kernel] };
+        let g = conv_graph(attrs, input.shape(), weights);
+        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+            for planning in [true, false] {
+                let got = Runner::builder()
+                    .parallelism(par)
+                    .memory_planning(planning)
+                    .build(&g)
+                    .unwrap()
+                    .execute(std::slice::from_ref(&input), RunOptions::default())
+                    .unwrap();
+                prop_assert_eq!(
+                    bits(got.outputs()[0].data()),
+                    bits(&want),
+                    "groups {} under {:?}, planned {}",
+                    groups,
+                    par,
+                    planning
+                );
+            }
+        }
+    }
+}
+
+/// Wide planes take every f32 conv path past its first cache block:
+/// the grouped kernel through several row strips (its budget holds only
+/// a few interleaved input rows), and the GEMM through several pixel
+/// blocks, for the 1×1 transpose fill and the general patch gather
+/// alike. Serial and over two workers, no seam may change a bit against
+/// [`conv_reference`]. The depthwise case spans a full and a one-channel
+/// block; the grouped one has three input channels per group.
+#[test]
+fn wide_planes_match_scalar_reference() {
+    for (groups, icg, ocg, kernel, stride, padding, (h, w)) in [
+        (17, 1, 1, (3, 5), (1, 2), (1, 2), (21, 500)),
+        (2, 3, 5, (5, 3), (2, 1), (2, 0), (30, 300)),
+        (1, 5, 7, (1, 1), (1, 1), (0, 0), (30, 250)),
+        (1, 3, 6, (3, 2), (1, 1), (1, 0), (20, 61)),
+    ] {
+        let attrs = Conv2dAttrs {
+            out_channels: groups * ocg,
+            kernel,
+            stride,
+            padding,
+            groups,
+            bias: true,
+        };
+        let k = Tensor::random(
+            Shape::new(vec![groups * ocg, icg, kernel.0, kernel.1]),
+            5,
+            1.0,
+        );
+        let b = Tensor::random(Shape::new(vec![groups * ocg]), 6, 0.5);
+        let input = Tensor::random(Shape::nchw(1, groups * icg, h, w), 7, 1.0);
+        let want = conv_reference(&input, &k, Some(&b), &attrs);
+        let g = conv_graph(attrs, input.shape(), vec![k, b]);
+        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+            let got = run_with(&g, par, std::slice::from_ref(&input)).unwrap();
+            assert_eq!(
+                bits(got[0].data()),
+                bits(&want),
+                "groups {groups} under {par:?}"
+            );
+        }
+    }
+}
+
+/// Empty inputs reach the grouped kernel too: a zero-width plane, zero
+/// input channels or zero output channels. Every output is its bias
+/// (there is no tap to add), or there is no output at all.
+#[test]
+fn degenerate_grouped_convs_match_scalar_reference() {
+    for (groups, in_c, out_c, (h, w)) in [(3, 3, 3, (4, 0)), (2, 0, 2, (4, 4)), (2, 4, 0, (4, 4))] {
+        let attrs = Conv2dAttrs {
+            out_channels: out_c,
+            kernel: (2, 2),
+            stride: (1, 1),
+            padding: (1, 1),
+            groups,
+            bias: true,
+        };
+        let k = Tensor::random(Shape::new(vec![out_c, in_c / groups, 2, 2]), 5, 1.0);
+        let b = Tensor::random(Shape::new(vec![out_c]), 6, 0.5);
+        let input = Tensor::random(Shape::nchw(1, in_c, h, w), 7, 1.0);
+        let want = conv_reference(&input, &k, Some(&b), &attrs);
+        let g = conv_graph(attrs, input.shape(), vec![k, b]);
+        let got = run_with(&g, Parallelism::Serial, std::slice::from_ref(&input)).unwrap();
+        assert_eq!(
+            bits(got[0].data()),
+            bits(&want),
+            "{in_c} -> {out_c} channels, {h}x{w}"
+        );
+    }
+}
+
 /// The planner is transparent on the multi-consumer SE-gate stem too,
 /// where a value (the depthwise output) stays live across several
 /// nodes while unrelated values come and go.
