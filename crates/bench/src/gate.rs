@@ -103,6 +103,11 @@ pub const RULES: &[Rule] = &[
     // GEMM, both timed in the same profiled passes. Reverting either
     // conv kernel to its pre-tiling loop crosses this line.
     Rule::new("kernels", "depthwise_over_pointwise_ns_per_mac", None, |_| -INF..=5.0),
+    // The runner fuses BatchNorm, activation and residual add into the
+    // conv that feeds them, so a MobileNetV3 pass spends at most 15% of
+    // its wall time outside the conv records. It fails if fusion stops
+    // applying: the standalone passes alone took about 17%.
+    Rule::new("kernels", "non_conv_share", None, |_| -INF..=0.15),
     // E25 (BENCH_pr7.json) asserts the admission contract internally:
     // high >= 0.98, batch shed first, bit-identity. This re-checks
     // high-priority availability against both the hard floor and the

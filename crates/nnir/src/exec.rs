@@ -16,7 +16,7 @@
 //! entry points) has been removed after a four-release deprecation
 //! window; see CHANGELOG.md for the old → new spelling table.
 //!
-//! Heavy kernels (`conv2d`, `dense`, `pool2d`, `batchnorm`) are data
+//! Heavy kernels (`conv2d`, `dense`, `pool2d`) are data
 //! parallel: the output buffer is split into disjoint contiguous tiles
 //! and distributed over scoped threads according to a [`Parallelism`]
 //! policy. Dense (`groups == 1`) convolutions lower to a *pixel-blocked*
@@ -50,20 +50,38 @@
 //! exact, so every INT8 output is independent of threading, planning
 //! and batch size too. See [`RunnerBuilder::int8`].
 //!
+//! The runner executes the schedule in *steps*: a conv or dense node
+//! takes the chain of `BatchNorm`, activation, `FakeQuant` and
+//! same-shape `Add` nodes that directly follow it, each the sole
+//! consumer of the value before it, into its own output write (the rule
+//! is `fused_steps`). Each of those ops is one in-place
+//! stage with one implementation, run by the kernel on each run of one
+//! output channel while it is still in cache — the GEMM's output rows,
+//! the grouped kernel's accumulator lanes and scattered rows, the INT8
+//! conv's dequantized rows, the dense rows — and over a copy of its
+//! input when the node stands alone. A stage computes the same
+//! expression on the same operand per element either way, so fusion
+//! changes no bit; the chain's inner values are simply never stored.
+//! [`RunOptions::capture_intermediates`] runs the stages one at a time
+//! over the step's buffer instead, cloning each value, so every
+//! intermediate is still returned with the same bits.
+//!
 //! The value arena is laid out by a [`MemoryPlan`]: tensor liveness
-//! intervals are colored greedily so values with disjoint live ranges
-//! share a buffer slot, cutting peak intermediate memory without
-//! changing a single output bit (kernels fully overwrite their output
-//! buffers; the proptest suite pins planned ≡ unplanned equality). See
+//! intervals, counted in steps, are colored greedily so values with
+//! disjoint live ranges share a buffer slot, cutting peak intermediate
+//! memory without changing a single output bit (kernels fully overwrite
+//! their output buffers; the proptest suite pins planned ≡ unplanned
+//! equality). A fused chain's inner values own no slot. See
 //! [`RunnerBuilder::memory_planning`].
 
 use crate::dtype::DataType;
-use crate::graph::{Graph, Node, WeightInit};
-use crate::ops::{Conv2dAttrs, Op, Pool2dAttrs};
+use crate::graph::{Graph, Node, TensorId, WeightInit};
+use crate::ops::{ActKind, Conv2dAttrs, Op, Pool2dAttrs};
 use crate::profile::{NodeProfile, RunProfile};
 use crate::shape::Shape;
 use crate::tensor::{round_i8, Tensor};
 use crate::NnirError;
+use std::ops::Range;
 
 // --------------------------------------------------------------------
 // Parallelism policy
@@ -358,11 +376,15 @@ struct Scratch {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
     /// Keep a clone of *every* value tensor, indexed by
-    /// [`TensorId`](crate::graph::TensorId) — the hook quantization
-    /// calibration uses to observe activation ranges.
+    /// [`TensorId`] — the hook quantization calibration uses to observe
+    /// activation ranges. The elementwise nodes a conv or dense kernel
+    /// would fuse into its output write then run one at a time over its
+    /// output, so each value they pass along exists to be cloned; every
+    /// value has the bits of the fused run.
     pub capture_intermediates: bool,
     /// Abort with [`NnirError::DeadlineExceeded`] if execution has not
-    /// finished by this instant. Checked before every node, so a run
+    /// finished by this instant. Checked before every kernel (a node, or
+    /// a conv or dense node with its fused elementwise tail), so a run
     /// over budget stops within one kernel of the deadline instead of
     /// completing a doomed pass — the primitive the serving layer's
     /// per-request deadlines build on.
@@ -532,10 +554,11 @@ impl RunnerBuilder {
     /// ([`crate::analysis::Liveness`]) and computes a [`MemoryPlan`]
     /// that lets values with disjoint live ranges share one arena slot
     /// — the slot-reuse that shrinks peak intermediate memory on small
-    /// devices. Kernels fully overwrite their output buffers and the
-    /// plan never aliases overlapping live ranges, so outputs are
-    /// bit-identical to the unplanned layout (proptested). Disable to
-    /// keep the historical one-slot-per-tensor layout.
+    /// devices — and gives the values inside a fused chain none.
+    /// Kernels fully overwrite their output buffers and the plan never
+    /// aliases overlapping live ranges, so outputs are bit-identical to
+    /// the unplanned layout (proptested). Disable to keep the historical
+    /// one-slot-per-tensor layout.
     #[must_use]
     pub fn memory_planning(mut self, enabled: bool) -> Self {
         self.memory_planning = enabled;
@@ -574,6 +597,7 @@ impl RunnerBuilder {
             values: vec![None; plan.slot_count()],
             scratch: Scratch::default(),
             int8_plans,
+            steps: fused_steps(graph),
             plan,
         })
     }
@@ -625,6 +649,61 @@ fn int8_plans(graph: &Graph) -> Vec<Option<Int8Plan<'_>>> {
 }
 
 // --------------------------------------------------------------------
+// Fused steps
+// --------------------------------------------------------------------
+
+/// Most elementwise nodes one head takes into its output write: the
+/// runner resolves a step's stages into a stack array of this size, so
+/// it allocates nothing per call.
+const MAX_TAILS: usize = 8;
+
+/// The schedule cut into steps, each a range of node indices the runner
+/// executes as one kernel — the one place the fusion decision is made.
+///
+/// A step starts at every node. One that starts at a `Conv2d` or
+/// `Dense` node (its *head*) extends through the next node in the
+/// schedule while that node is a `BatchNorm`, an `Activation`, a
+/// `FakeQuant` or an `Add` of two same-shape tensors, it is the only
+/// consumer of the value the step has computed so far, and that value is
+/// not a graph output; at most [`MAX_TAILS`] nodes join. Those *tails*
+/// then run in the head kernel's output write and their inputs never
+/// exist as tensors of their own. Because a tail is always the next
+/// node, an `Add`'s other operand was produced before the head.
+fn fused_steps(graph: &Graph) -> Vec<Range<usize>> {
+    let nodes = graph.nodes();
+    let fanout = graph.fanout();
+    let fuses = |value: TensorId, next: &Node| {
+        let sole = fanout[value.0].len() == 1 && !graph.outputs().contains(&value);
+        sole && match next.op {
+            Op::BatchNorm | Op::Activation(_) | Op::FakeQuant { .. } => next.inputs[0] == value,
+            Op::Add => {
+                let [a, b] = next.inputs[..] else {
+                    return false;
+                };
+                (a == value || b == value) && graph.tensor_shape(a) == graph.tensor_shape(b)
+            }
+            _ => false,
+        }
+    };
+    let mut steps = Vec::new();
+    let mut start = 0;
+    while start < nodes.len() {
+        let mut end = start + 1;
+        if matches!(nodes[start].op, Op::Conv2d(_) | Op::Dense { .. }) {
+            while end < nodes.len()
+                && end - start <= MAX_TAILS
+                && fuses(nodes[end - 1].output, &nodes[end])
+            {
+                end += 1;
+            }
+        }
+        steps.push(start..end);
+        start = end;
+    }
+    steps
+}
+
+// --------------------------------------------------------------------
 // Arena memory planner
 // --------------------------------------------------------------------
 
@@ -636,16 +715,21 @@ const ARENA_ELEM_BYTES: u64 = 4;
 /// only when their live ranges are disjoint.
 ///
 /// Computed once at [`RunnerBuilder::build`] by greedy interval-graph
-/// coloring over the [`Liveness`](crate::analysis::Liveness) intervals:
-/// tensors are visited in definition order, each taking the free slot
-/// that fits its size best (preferring the smallest already-large-enough
-/// buffer, then the largest smaller one) or opening a new slot. Graph
-/// outputs stay live past the end of the schedule, so their slots are
-/// never recycled and output collection is untouched.
+/// coloring over the [`Liveness`](crate::analysis::Liveness) intervals,
+/// counted in the runner's *steps* (a conv or dense node together with
+/// the elementwise nodes fused into its output write) rather than
+/// nodes: a fused chain's inner values are never written, so they own
+/// no slot; its final value is defined, and every operand it reads is
+/// live, at the head's step. Tensors are visited in definition order,
+/// each taking the free slot that fits its size best (preferring the
+/// smallest already-large-enough buffer, then the largest smaller one)
+/// or opening a new slot. Graph outputs stay live past the end of the
+/// schedule, so their slots are never recycled and output collection is
+/// untouched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryPlan {
-    /// Arena slot per tensor id.
-    slot_of: Vec<usize>,
+    /// Arena slot per tensor id; `None` for a fused chain's inner value.
+    slot_of: Vec<Option<usize>>,
     /// Peak element capacity per slot (the max over its occupants).
     slot_elems: Vec<usize>,
     /// Total element count of the one-slot-per-tensor layout.
@@ -653,26 +737,41 @@ pub struct MemoryPlan {
 }
 
 impl MemoryPlan {
-    /// Computes the slot-reuse plan for `graph` from tensor liveness.
+    /// Computes the slot-reuse plan for `graph` from tensor liveness
+    /// over the runner's fused steps.
     #[must_use]
     pub fn plan(graph: &Graph) -> Self {
         let live = crate::analysis::Liveness::of(graph);
-        let ranges = live.ranges();
+        let steps = fused_steps(graph);
+        // Step of each schedule position; graph outputs, live past the
+        // last node, stay live past the last step.
+        let mut step_of = vec![steps.len(); graph.nodes().len() + 1];
+        let mut owns_slot = vec![true; graph.tensor_count()];
+        for (s, step) in steps.iter().enumerate() {
+            step_of[step.clone()].fill(s);
+            for node in &graph.nodes()[step.start..step.end - 1] {
+                owns_slot[node.output.0] = false;
+            }
+        }
+        let ranges: Vec<crate::analysis::LiveRange> = live
+            .ranges()
+            .iter()
+            .map(|r| crate::analysis::LiveRange {
+                def: step_of[r.def],
+                last_use: step_of[r.last_use],
+            })
+            .collect();
         let tc = graph.tensor_count();
         let elems: Vec<usize> = (0..tc)
-            .map(|t| {
-                graph
-                    .tensor_shape(crate::graph::TensorId(t))
-                    .map_or(0, Shape::elem_count)
-            })
+            .map(|t| graph.tensor_shape(TensorId(t)).map_or(0, Shape::elem_count))
             .collect();
         // Visit tensors in definition order (ties by id — producer
         // order), the order their buffers come alive during a run.
-        let mut order: Vec<usize> = (0..tc).collect();
+        let mut order: Vec<usize> = (0..tc).filter(|&t| owns_slot[t]).collect();
         order.sort_by_key(|&t| (ranges[t].def, t));
-        let mut slot_of = vec![0usize; tc];
+        let mut slot_of = vec![None; tc];
         let mut slot_elems: Vec<usize> = Vec::new();
-        // Schedule position at which each slot's current occupant dies.
+        // Step at which each slot's current occupant dies.
         let mut slot_busy_until: Vec<Option<usize>> = Vec::new();
         for &t in &order {
             let r = ranges[t];
@@ -706,7 +805,7 @@ impl MemoryPlan {
                     slot_elems.len() - 1
                 }
             };
-            slot_of[t] = s;
+            slot_of[t] = Some(s);
             slot_elems[s] = slot_elems[s].max(need);
             slot_busy_until[s] = Some(r.last_use);
         }
@@ -723,22 +822,20 @@ impl MemoryPlan {
     pub fn identity(graph: &Graph) -> Self {
         let tc = graph.tensor_count();
         let slot_elems: Vec<usize> = (0..tc)
-            .map(|t| {
-                graph
-                    .tensor_shape(crate::graph::TensorId(t))
-                    .map_or(0, Shape::elem_count)
-            })
+            .map(|t| graph.tensor_shape(TensorId(t)).map_or(0, Shape::elem_count))
             .collect();
         MemoryPlan {
-            slot_of: (0..tc).collect(),
+            slot_of: (0..tc).map(Some).collect(),
             unplanned_elems: slot_elems.iter().map(|&e| e as u64).sum(),
             slot_elems,
         }
     }
 
-    /// The arena slot holding tensor `t` during a run.
+    /// The arena slot holding tensor `t` during a run; `None` for the
+    /// inner value of a fused chain, which never has a buffer of its
+    /// own.
     #[must_use]
-    pub fn slot_of(&self, t: crate::graph::TensorId) -> usize {
+    pub fn slot_of(&self, t: TensorId) -> Option<usize> {
         self.slot_of[t.0]
     }
 
@@ -804,6 +901,10 @@ pub struct Runner<'g> {
     /// Build-time INT8 kernel selection and packed weights for each
     /// node that executes on the INT8 path (see [`int8_plans`]).
     int8_plans: Vec<Option<Int8Plan<'g>>>,
+    /// The schedule as the kernels run it: each step a node, or a conv
+    /// or dense head with the elementwise nodes fused into its output
+    /// write (see [`fused_steps`]).
+    steps: Vec<Range<usize>>,
     /// Build-time arena layout: which slot each tensor id lives in.
     plan: MemoryPlan,
 }
@@ -855,9 +956,12 @@ impl<'g> Runner<'g> {
             .outputs()
             .iter()
             .map(|t| {
-                self.values[self.plan.slot_of(*t)].clone().ok_or_else(|| {
-                    NnirError::ExecutionFailure(format!("output {t} never produced"))
-                })
+                self.plan
+                    .slot_of(*t)
+                    .and_then(|s| self.values[s].clone())
+                    .ok_or_else(|| {
+                        NnirError::ExecutionFailure(format!("output {t} never produced"))
+                    })
             })
             .collect::<Result<Vec<_>, _>>()?;
         // Wall time spans input staging through output collection, so
@@ -891,7 +995,7 @@ impl<'g> Runner<'g> {
         self.graph.node_weights(node)
     }
 
-    /// Evaluates every node in topological order into the arena slots
+    /// Evaluates every step in topological order into the arena slots
     /// the memory plan assigns, returning per-node timing records when
     /// [`RunOptions::profile`] is set and a per-tensor-id snapshot of
     /// every value when [`RunOptions::capture_intermediates`] is set.
@@ -928,7 +1032,9 @@ impl<'g> Runner<'g> {
             }
             // Reuse the arena slot when the buffer is already the right
             // size; otherwise take a fresh copy.
-            let slot = self.plan.slot_of(*tid);
+            let slot = self.plan.slot_of(*tid).ok_or_else(|| {
+                NnirError::ExecutionFailure(format!("input {tid} has no arena slot"))
+            })?;
             match self.values[slot].take() {
                 Some(mut buf) if buf.shape() == tensor.shape() => {
                     buf.data_mut().copy_from_slice(tensor.data());
@@ -943,7 +1049,7 @@ impl<'g> Runner<'g> {
 
         let nodes: &'g [Node] = self.graph.nodes();
         let mut profile = options.profile.then(|| Vec::with_capacity(nodes.len()));
-        for (idx, node) in nodes.iter().enumerate() {
+        for step in &self.steps {
             // Deadline gate: a run over budget stops before the next
             // kernel rather than finishing a pass nobody will read.
             if let Some(deadline) = options.deadline {
@@ -951,58 +1057,100 @@ impl<'g> Runner<'g> {
                     return Err(NnirError::DeadlineExceeded);
                 }
             }
-            if self.weights[idx].is_none() {
-                self.weights[idx] = Some(self.graph.node_weights(node)?);
+            for (idx, node) in step.clone().zip(&nodes[step.clone()]) {
+                if self.weights[idx].is_none() {
+                    self.weights[idx] = Some(self.graph.node_weights(node)?);
+                }
             }
-            let out_shape = self
-                .graph
-                .tensor_shape(node.output)
-                .ok_or_else(|| {
-                    NnirError::ExecutionFailure(format!("node {} has no output shape", node.name))
-                })?
-                .clone();
-            let out_slot = self.plan.slot_of(node.output);
+            let (head, tails) = (&nodes[step.start], &nodes[step.start + 1..step.end]);
+            // Every value of the step has the head's output shape, and
+            // the step writes its last one.
+            let last = tails.last().unwrap_or(head);
+            let out_shape = self.graph.tensor_shape(last.output).ok_or_else(|| {
+                NnirError::ExecutionFailure(format!("node {} has no output shape", last.name))
+            })?;
+            let plane = channel_plane(out_shape);
+            let out_slot = self.plan.slot_of(last.output).ok_or_else(|| {
+                NnirError::ExecutionFailure(format!("output of {} has no arena slot", last.name))
+            })?;
             let mut out = recycle(self.values[out_slot].take(), out_shape);
-            let mut ins = Vec::with_capacity(node.inputs.len());
-            for t in &node.inputs {
-                ins.push(self.values[self.plan.slot_of(*t)].as_ref().ok_or_else(|| {
-                    NnirError::ExecutionFailure(format!("tensor {t} consumed before production"))
-                })?);
-            }
-            let Some(weights) = self.weights[idx].as_ref() else {
-                return Err(NnirError::ExecutionFailure(format!(
-                    "weights for node {} were not materialized",
-                    node.name
-                )));
+            let value = |t: TensorId| {
+                self.plan
+                    .slot_of(t)
+                    .and_then(|s| self.values[s].as_ref())
+                    .ok_or_else(|| {
+                        NnirError::ExecutionFailure(format!(
+                            "tensor {t} consumed before production"
+                        ))
+                    })
             };
-            let int8 = self.int8_plans[idx].as_ref();
-            let node_start = profile.is_some().then(std::time::Instant::now);
+            // Materialized above; a kernel reports missing tensors itself.
+            let weights = |idx: usize| self.weights[idx].as_deref().unwrap_or_default();
+            let ins = head
+                .inputs
+                .iter()
+                .map(|&t| value(t))
+                .collect::<Result<Vec<_>, _>>()?;
+            // The tail's stage over the chain value `v`, its other
+            // operand (an `Add`'s) read from the arena.
+            let stage = |idx: usize, v: TensorId| {
+                let node = &nodes[idx];
+                let other = node.inputs.iter().find(|&&t| t != v).map(|&t| value(t));
+                Stage::of(node, v, weights(idx), other.transpose()?, out_shape)
+            };
+            // Tails run in the head kernel's output write, unless the
+            // caller captures intermediates: then each runs as a pass of
+            // its own over the step's buffer, so every value it produces
+            // can be cloned.
+            let fused = !options.capture_intermediates;
+            let mut stages = [None; MAX_TAILS];
+            if fused {
+                let mut v = head.output;
+                for (s, idx) in stages.iter_mut().zip(step.start + 1..step.end) {
+                    *s = Some(stage(idx, v)?);
+                    v = nodes[idx].output;
+                }
+            }
+            let int8 = self.int8_plans[step.start].as_ref();
+            let precision = int8.map_or(DataType::F32, |_| DataType::I8);
+            let head_start = profile.is_some().then(std::time::Instant::now);
             let mut ctx = KernelCtx {
                 scratch: &mut self.scratch,
                 par: self.parallelism,
                 int8,
+                epi: Epilogue {
+                    stages: &stages[..tails.len()],
+                    plane,
+                },
             };
-            eval_node_into(node, &ins, weights, &mut out, &mut ctx)?;
-            if let (Some(records), Some(start)) = (profile.as_mut(), node_start) {
-                // Stop the clock before the bookkeeping below, so a
-                // node's record measures only its kernel.
-                let duration_ns = start.elapsed().as_nanos() as u64;
-                let in_shapes = self.graph.node_input_shapes(node);
-                records.push(NodeProfile {
-                    name: node.name.clone(),
-                    op: node.op.to_string(),
-                    macs: node.op.macs(&in_shapes, out.shape()),
-                    elementwise: node.op.elementwise_ops(&in_shapes, out.shape()),
-                    duration_ns,
-                    precision: if int8.is_some() {
-                        DataType::I8
-                    } else {
-                        DataType::F32
-                    },
-                });
+            eval_node_into(head, &ins, weights(step.start), &mut out, &mut ctx)?;
+            // Stop the clock before the bookkeeping below, so a record
+            // measures only its kernel (a fused head's: the whole step).
+            let head_ns = head_start.map(|s| s.elapsed().as_nanos() as u64);
+            if let (Some(records), Some(ns)) = (profile.as_mut(), head_ns) {
+                records.push(record(self.graph, head, out.shape(), ns, precision, None));
             }
             if let Some(cap) = captured.as_mut() {
-                cap[node.output.0] = Some(out.clone());
+                cap[head.output.0] = Some(out.clone());
+            }
+            let mut v = head.output;
+            for (idx, tail) in (step.start + 1..step.end).zip(tails) {
+                let (ns, fused_into) = if fused {
+                    (0, Some(head))
+                } else {
+                    let stage = stage(idx, v)?;
+                    let start = std::time::Instant::now();
+                    stage.apply(out.data_mut(), 0, plane);
+                    (start.elapsed().as_nanos() as u64, None)
+                };
+                if let Some(records) = profile.as_mut() {
+                    let r = record(self.graph, tail, out.shape(), ns, DataType::F32, fused_into);
+                    records.push(r);
+                }
+                if let Some(cap) = captured.as_mut() {
+                    cap[tail.output.0] = Some(out.clone());
+                }
+                v = tail.output;
             }
             self.values[out_slot] = Some(out);
         }
@@ -1019,40 +1167,70 @@ type ForwardArtifacts = (Option<Vec<NodeProfile>>, Option<Vec<Option<Tensor>>>);
 /// is handed back as-is (the kernel fully overwrites it), a
 /// differently-shaped one donates its heap allocation, and an empty
 /// slot allocates fresh.
-fn recycle(slot: Option<Tensor>, shape: Shape) -> Tensor {
+fn recycle(slot: Option<Tensor>, shape: &Shape) -> Tensor {
     match slot {
-        Some(t) if t.shape() == &shape => t,
+        Some(t) if t.shape() == shape => t,
         Some(t) => {
             let mut data = t.into_data();
             data.resize(shape.elem_count(), 0.0);
             match Tensor::from_vec(shape.clone(), data) {
                 Ok(t) => t,
-                Err(_) => Tensor::zeros(shape),
+                Err(_) => Tensor::zeros(shape.clone()),
             }
         }
-        None => Tensor::zeros(shape),
+        None => Tensor::zeros(shape.clone()),
     }
 }
 
-/// Mutable per-node kernel context: the runner's scratch arenas, the
-/// parallelism policy and the node's INT8 plan.
+/// The profile record of `node`, whose output has `shape`; `fused_into`
+/// is the head a fused tail ran inside.
+fn record(
+    graph: &Graph,
+    node: &Node,
+    shape: &Shape,
+    duration_ns: u64,
+    precision: DataType,
+    fused_into: Option<&Node>,
+) -> NodeProfile {
+    let in_shapes = graph.node_input_shapes(node);
+    NodeProfile {
+        name: node.name.clone(),
+        op: node.op.to_string(),
+        macs: node.op.macs(&in_shapes, shape),
+        elementwise: node.op.elementwise_ops(&in_shapes, shape),
+        duration_ns,
+        precision,
+        fused_into: fused_into.map(|head| head.name.clone()),
+    }
+}
+
+/// Mutable per-step kernel context: the runner's scratch arenas, the
+/// parallelism policy, the head's INT8 plan and the stages fused into
+/// its output write.
 struct KernelCtx<'a> {
     scratch: &'a mut Scratch,
     par: Parallelism,
     /// `Some` when the build-time plan selected the INT8 kernel for
     /// this node.
     int8: Option<&'a Int8Plan<'a>>,
+    /// What a conv or dense kernel applies to each run of output it
+    /// writes; empty for every other node.
+    epi: Epilogue<'a>,
 }
 
 impl<'a> KernelCtx<'a> {
-    /// f32-only context (no INT8 plan) over `scratch` — the direct
-    /// kernel-call harness the unit tests use.
+    /// f32-only context (no INT8 plan, no fused stages) over `scratch`
+    /// — the direct kernel-call harness the unit tests use.
     #[cfg(test)]
     fn f32(scratch: &'a mut Scratch, par: Parallelism) -> Self {
         KernelCtx {
             scratch,
             par,
             int8: None,
+            epi: Epilogue {
+                stages: &[],
+                plane: 1,
+            },
         }
     }
 }
@@ -1072,23 +1250,24 @@ fn eval_node_into(
         )),
         Op::Conv2d(attrs) => conv2d_into(ins[0], attrs, weights, out, ctx),
         Op::Dense { bias, .. } => dense_into(ins[0], weights, *bias, out, ctx),
-        Op::BatchNorm => {
-            if weights.len() < 2 {
-                return Err(NnirError::ExecutionFailure(format!(
-                    "batchnorm {} needs scale and shift tensors",
-                    node.name
-                )));
-            }
-            batchnorm_into(ins[0], &weights[0], &weights[1], out, par)
-        }
-        Op::Activation(kind) => {
-            map_unary_into(ins[0], out, |x| kind.apply(x));
+        Op::BatchNorm | Op::Activation(_) | Op::FakeQuant { .. } | Op::Add => {
+            // A standalone elementwise node: its stage, run in place
+            // over a copy of its first input.
+            let stage = Stage::of(
+                node,
+                node.inputs[0],
+                weights,
+                ins.get(1).copied(),
+                out.shape(),
+            )?;
+            let plane = channel_plane(out.shape());
+            out.data_mut().copy_from_slice(ins[0].data());
+            stage.apply(out.data_mut(), 0, plane);
             Ok(())
         }
         Op::MaxPool2d(attrs) => pool2d_into(ins[0], attrs, PoolMode::Max, out, par),
         Op::AvgPool2d(attrs) => pool2d_into(ins[0], attrs, PoolMode::Avg, out, par),
         Op::GlobalAvgPool => global_avg_pool_into(ins[0], out),
-        Op::Add => binary_into(ins[0], ins[1], out, |a, b| a + b),
         Op::Mul => mul_broadcast_into(ins[0], ins[1], out),
         Op::Concat => concat_channels_into(ins, out),
         Op::Upsample { factor } => upsample_nearest_into(ins[0], *factor, out),
@@ -1101,57 +1280,195 @@ fn eval_node_into(
             softmax_last_into(ins[0], out);
             Ok(())
         }
-        Op::FakeQuant { scale } => {
-            let scale = *scale;
-            map_unary_into(ins[0], out, move |x| {
-                if scale == 0.0 {
-                    0.0
-                } else {
-                    round_i8(x / scale) * scale
+    }
+}
+
+// --------------------------------------------------------------------
+// Elementwise stages
+// --------------------------------------------------------------------
+
+/// Elements per channel plane of a tensor: everything past the batch
+/// and channel dims (1 for a dense layer's `[n, f]` output).
+fn channel_plane(shape: &Shape) -> usize {
+    shape.dims().iter().skip(2).product::<usize>().max(1)
+}
+
+/// BatchNorm's arithmetic, `s·x + t` — the one spelling of it, shared
+/// by its run form ([`Stage::apply`]) and the grouped conv's lane form.
+#[inline]
+fn batchnorm(x: f32, s: f32, t: f32) -> f32 {
+    s * x + t
+}
+
+/// Applies `kind` to every element of `xs`. The match on the kind sits
+/// outside the loops: each arm's loop inlines [`ActKind::apply`] for a
+/// constant kind, so the piecewise-linear kinds vectorize, where a match
+/// per element keeps the loop scalar.
+fn activation(kind: ActKind, xs: &mut [f32]) {
+    fn each(xs: &mut [f32], f: impl Fn(f32) -> f32) {
+        for x in xs {
+            *x = f(*x);
+        }
+    }
+    match kind {
+        ActKind::Relu => each(xs, |x| ActKind::Relu.apply(x)),
+        ActKind::Relu6 => each(xs, |x| ActKind::Relu6.apply(x)),
+        ActKind::LeakyRelu(slope) => each(xs, |x| ActKind::LeakyRelu(slope).apply(x)),
+        ActKind::HardSwish => each(xs, |x| ActKind::HardSwish.apply(x)),
+        ActKind::HardSigmoid => each(xs, |x| ActKind::HardSigmoid.apply(x)),
+        ActKind::Sigmoid => each(xs, |x| ActKind::Sigmoid.apply(x)),
+        ActKind::Mish => each(xs, |x| ActKind::Mish.apply(x)),
+        ActKind::Silu => each(xs, |x| ActKind::Silu.apply(x)),
+        ActKind::Tanh => each(xs, |x| ActKind::Tanh.apply(x)),
+    }
+}
+
+/// One elementwise node as an in-place pass over a run of output
+/// values: the single implementation of its arithmetic, whether it runs
+/// fused into a conv or dense kernel's output write or as a standalone
+/// node over a copy of its input.
+#[derive(Debug, Clone, Copy)]
+enum Stage<'a> {
+    /// `scale[c]·x + shift[c]` for channel `c`.
+    BatchNorm {
+        scale: &'a [f32],
+        shift: &'a [f32],
+    },
+    Activation(ActKind),
+    /// Snaps each value to the INT8 grid of this scale; scale 0 maps
+    /// every value to 0.
+    FakeQuant(f32),
+    /// Adds the element of `other` at the same position, on the side
+    /// the graph put it: `x + other` when the running value is the
+    /// `Add`'s first input, `other + x` otherwise.
+    Add {
+        other: &'a [f32],
+        value_first: bool,
+    },
+}
+
+impl<'a> Stage<'a> {
+    /// The stage of elementwise `node` over an output of `shape`, where
+    /// `value` is the input it transforms (a standalone node's first
+    /// input, a fused tail's chain value) and `other` an `Add`'s other
+    /// operand.
+    fn of(
+        node: &Node,
+        value: TensorId,
+        weights: &'a [Tensor],
+        other: Option<&'a Tensor>,
+        shape: &Shape,
+    ) -> Result<Self, NnirError> {
+        let fail = |msg: String| Err(NnirError::ExecutionFailure(msg));
+        match node.op {
+            Op::BatchNorm => {
+                let Some(c) = shape.dim(1) else {
+                    return fail("batchnorm needs a channel dim".into());
+                };
+                match weights {
+                    [scale, shift, ..]
+                        if scale.shape().elem_count() == c && shift.shape().elem_count() == c =>
+                    {
+                        Ok(Stage::BatchNorm {
+                            scale: scale.data(),
+                            shift: shift.data(),
+                        })
+                    }
+                    _ => fail(format!(
+                        "batchnorm {} needs a scale and a shift of {c}",
+                        node.name
+                    )),
                 }
-            });
-            Ok(())
+            }
+            Op::Activation(kind) => Ok(Stage::Activation(kind)),
+            Op::FakeQuant { scale } => Ok(Stage::FakeQuant(scale)),
+            Op::Add => match other {
+                Some(o) if o.shape() == shape => Ok(Stage::Add {
+                    other: o.data(),
+                    value_first: node.inputs.first() == Some(&value),
+                }),
+                _ => fail(format!("element-wise shape mismatch at {}", node.name)),
+            },
+            _ => fail(format!("{} is not an elementwise op", node.name)),
+        }
+    }
+
+    /// Applies the stage to `xs`, the run of the output that starts at
+    /// flat index `at`, in an output of `plane` elements per channel.
+    fn apply(self, xs: &mut [f32], at: usize, plane: usize) {
+        match self {
+            Stage::BatchNorm { scale, shift } => {
+                // One channel's parameters per piece of the run.
+                let (mut at, mut rest) = (at, xs);
+                while !rest.is_empty() {
+                    let take = (plane - at % plane).min(rest.len());
+                    let (run, tail) = rest.split_at_mut(take);
+                    let c = at / plane % scale.len();
+                    let (s, t) = (scale[c], shift[c]);
+                    for x in run {
+                        *x = batchnorm(*x, s, t);
+                    }
+                    (at, rest) = (at + take, tail);
+                }
+            }
+            Stage::Activation(kind) => activation(kind, xs),
+            Stage::FakeQuant(scale) => {
+                if scale == 0.0 {
+                    xs.fill(0.0);
+                } else {
+                    for x in xs {
+                        *x = round_i8(*x / scale) * scale;
+                    }
+                }
+            }
+            Stage::Add { other, value_first } => {
+                let other = &other[at..][..xs.len()];
+                if value_first {
+                    for (x, &y) in xs.iter_mut().zip(other) {
+                        *x += y;
+                    }
+                } else {
+                    // Not `+=`: when both operands are NaN, which payload
+                    // survives depends on the order.
+                    #[allow(clippy::assign_op_pattern)]
+                    for (x, &y) in xs.iter_mut().zip(other) {
+                        *x = y + *x;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The stages fused into a conv or dense kernel's output write, and the
+/// output's channel plane, which maps a run of output to its channel.
+#[derive(Clone, Copy)]
+struct Epilogue<'a> {
+    /// One per fused tail, in schedule order (all `Some`).
+    stages: &'a [Option<Stage<'a>>],
+    plane: usize,
+}
+
+impl Epilogue<'_> {
+    /// Applies every stage, in order, to `xs`: the output run that
+    /// starts at flat index `at`, just written by the kernel.
+    fn apply(&self, xs: &mut [f32], at: usize) {
+        for stage in self.stages.iter().flatten() {
+            stage.apply(xs, at, self.plane);
         }
     }
 }
 
 // --------------------------------------------------------------------
-// Elementwise kernels
+// Broadcast multiply and structural helpers
 // --------------------------------------------------------------------
-
-fn map_unary_into(input: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
-    for (o, &x) in out.data_mut().iter_mut().zip(input.data().iter()) {
-        *o = f(x);
-    }
-}
-
-fn binary_into(
-    a: &Tensor,
-    b: &Tensor,
-    out: &mut Tensor,
-    f: impl Fn(f32, f32) -> f32,
-) -> Result<(), NnirError> {
-    if a.shape() != b.shape() {
-        return Err(NnirError::ExecutionFailure(format!(
-            "element-wise shape mismatch: {} vs {}",
-            a.shape(),
-            b.shape()
-        )));
-    }
-    for ((o, &x), &y) in out
-        .data_mut()
-        .iter_mut()
-        .zip(a.data().iter())
-        .zip(b.data().iter())
-    {
-        *o = f(x, y);
-    }
-    Ok(())
-}
 
 fn mul_broadcast_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), NnirError> {
     if a.shape() == b.shape() {
-        return binary_into(a, b, out, |x, y| x * y);
+        for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
+            *o = x * y;
+        }
+        return Ok(());
     }
     // Squeeze-excite: a is [n,c,h,w], b is [n,c,1,1].
     let [n, c, h, w] = dims4(a.shape())?;
@@ -1415,13 +1732,22 @@ fn conv2d_into(
         if let Some(plan) = ctx.int8 {
             return conv2d_int8(input, plan, bias_data, out, ctx, geom);
         }
-        let k_len = geom.k_len();
+        let (k_len, epi) = (geom.k_len(), ctx.epi);
+        let out_data = out.data_mut();
+        if k_len == 0 {
+            // No input channel: every output is its bias plus an empty
+            // reduction, which sums to 0.0.
+            for (u, dst) in out_data.chunks_exact_mut(opix).enumerate() {
+                dst.fill(bias_data.map_or(0.0, |b| b[u % out_c]) + 0.0);
+                epi.apply(dst, u * opix);
+            }
+            return Ok(());
+        }
 
         let block_pix = (COL_BLOCK_ELEMS / k_len).clamp(1, opix);
         let Scratch { col, outb, .. } = ctx.scratch;
         col.resize(block_pix * k_len, 0.0);
         outb.resize(out_c * block_pix, 0.0);
-        let out_data = out.data_mut();
         for bi in 0..n {
             let mut p0 = 0usize;
             while p0 < opix {
@@ -1444,9 +1770,13 @@ fn conv2d_into(
                         gemm_rows(k_len, w, colb, bias_data.map(|b| &b[rows]), dst);
                     },
                 );
-                for oc in 0..out_c {
-                    out_data[(bi * out_c + oc) * opix + p0..][..pb]
-                        .copy_from_slice(&tile[oc * pb..][..pb]);
+                // Each row lands in its output plane and takes the
+                // fused stages while it is still in cache.
+                for (oc, row) in tile.chunks_exact(pb).enumerate() {
+                    let at = (bi * out_c + oc) * opix + p0;
+                    let dst = &mut out_data[at..][..pb];
+                    dst.copy_from_slice(row);
+                    epi.apply(dst, at);
                 }
                 p0 += pb;
             }
@@ -1483,6 +1813,11 @@ const LANES: usize = 16;
 /// channels are split over the workers; the spare lanes of a short last
 /// block repeat its last channel's input against zero weights and are
 /// dropped.
+///
+/// The fused stages run where they cost least per element: the leading
+/// BatchNorms and activations on a row's accumulator lanes (a BatchNorm
+/// with its scale and shift packed as lanes too), the rest on each row
+/// once it is scattered into its channel plane.
 fn conv2d_grouped(
     input: &[f32],
     kernel: &[f32],
@@ -1499,23 +1834,46 @@ fn conv2d_grouped(
     let budget_rows = (4 * COL_BLOCK_ELEMS / (icg * g.w * LANES).max(1)).max(g.kh);
     let strip = ((budget_rows - g.kh) / g.sh + 1).min(oh);
     let strip_rows = (strip - 1) * g.sh + g.kh;
+    let epi = ctx.epi;
+    let on_lanes = epi
+        .stages
+        .iter()
+        .take_while(|s| matches!(s, Some(Stage::BatchNorm { .. } | Stage::Activation(_))))
+        .count();
+    let (on_lanes, on_rows) = epi.stages.split_at(on_lanes);
+    let on_rows = Epilogue {
+        stages: on_rows,
+        plane: epi.plane,
+    };
+    let lane_bns = || {
+        on_lanes.iter().filter_map(|s| match s {
+            Some(Stage::BatchNorm { scale, shift }) => Some((*scale, *shift)),
+            _ => None,
+        })
+    };
 
-    // Per block: the bias lanes, then the kernel lanes in (ic, ky, kx)
-    // order.
+    // Per block: the bias lanes, the kernel lanes in (ic, ky, kx)
+    // order, then the scale and shift lanes of each BatchNorm run on
+    // the lanes.
     let Scratch { col, outb, .. } = ctx.scratch;
-    let per_block = 1 + icg * taps;
+    let conv_lanes = 1 + icg * taps;
+    let per_block = conv_lanes + 2 * lane_bns().count();
     outb.clear();
     outb.resize(g.out_c.div_ceil(LANES) * per_block * LANES, 0.0);
     let (packed, _) = outb.as_chunks_mut::<LANES>();
     for oc in 0..g.out_c {
         let (block, lane) = (oc / LANES, oc % LANES);
-        let dst = &mut packed[block * per_block..][..per_block];
+        let (dst, bn) = packed[block * per_block..][..per_block].split_at_mut(conv_lanes);
         dst[0][lane] = bias.map_or(0.0, |b| b[oc]);
         for (d, &v) in dst[1..]
             .iter_mut()
             .zip(&kernel[oc * icg * taps..][..icg * taps])
         {
             d[lane] = v;
+        }
+        for (st, (scale, shift)) in bn.chunks_exact_mut(2).zip(lane_bns()) {
+            st[0][lane] = scale[oc];
+            st[1][lane] = shift[oc];
         }
     }
     let packed: &[[f32; LANES]] = packed;
@@ -1533,7 +1891,7 @@ fn conv2d_grouped(
             let (part, _) = part.as_chunks_mut::<LANES>();
             let (xi, orow) = part.split_at_mut(icg * pitch);
             let orow = &mut orow[..g.ow];
-            let packed = &packed[block * per_block..][..per_block];
+            let (packed, bn) = packed[block * per_block..][..per_block].split_at(conv_lanes);
             let lanes = dst.len() / g.opix;
             for oy0 in (0..oh).step_by(strip) {
                 let oys = oy0..(oy0 + strip).min(oh);
@@ -1553,10 +1911,25 @@ fn conv2d_grouped(
                 }
                 for oy in oys {
                     grouped_row(g, packed, xi, pitch, oy, iy0, orow);
+                    let mut bn = bn.chunks_exact(2);
+                    for stage in on_lanes.iter().flatten() {
+                        if let Stage::Activation(kind) = stage {
+                            activation(*kind, orow.as_flattened_mut());
+                        } else if let Some([s, t]) = bn.next() {
+                            for o in orow.iter_mut() {
+                                for l in 0..LANES {
+                                    o[l] = batchnorm(o[l], s[l], t[l]);
+                                }
+                            }
+                        }
+                    }
                     for (lane, plane) in dst.chunks_exact_mut(g.opix).enumerate() {
-                        for (d, a) in plane[oy * g.ow..][..g.ow].iter_mut().zip(&*orow) {
+                        let row = &mut plane[oy * g.ow..][..g.ow];
+                        for (d, a) in row.iter_mut().zip(&*orow) {
                             *d = a[lane];
                         }
+                        let channel = bi * g.out_c + block * LANES + lane;
+                        on_rows.apply(row, channel * g.opix + oy * g.ow);
                     }
                 }
             }
@@ -1659,6 +2032,7 @@ fn conv2d_int8(
     let qin: &[i16] = qin;
     let workers = ctx.par.workers_for(n * g.out_c * g.opix * k_len);
     acc.resize(workers * run_len, 0);
+    let epi = ctx.epi;
     par_chunks_with(workers, out.data_mut(), g.opix, acc, |u, dst, acc| {
         let (bi, oc) = (u / g.out_c, u % g.out_c);
         let b0 = bias_data.map_or(0.0, |b| b[oc]);
@@ -1697,12 +2071,13 @@ fn conv2d_int8(
                     }
                 }
             }
-            for i in 0..rows_per_run {
-                let row = &mut dst[(r * rows_per_run + i) * g.ow..][..g.ow];
+            let rows = &mut dst[r * rows_per_run * g.ow..][..rows_per_run * g.ow];
+            for (i, row) in rows.chunks_exact_mut(g.ow).enumerate() {
                 for (o, &a) in row.iter_mut().zip(&acc[i * wp..]) {
                     *o = b0 + a as f32 * dq;
                 }
             }
+            epi.apply(rows, u * g.opix + r * rows_per_run * g.ow);
         }
     });
     Ok(())
@@ -1768,6 +2143,7 @@ fn dense_into(
     let w_data = weight.data();
     let in_data = input.data();
     let bias_data = b.map(Tensor::data);
+    let epi = ctx.epi;
     let work = n * out_f * in_f;
     let workers = par.workers_for(work);
     // One unit per batch row of the output; a solo row is further split
@@ -1806,6 +2182,7 @@ fn dense_into(
                 let acc = dot_i16(&plan.codes[of * in_f..][..in_f], x);
                 *o = b0 + acc as f32 * (plan.scales[of] * plan.in_scale);
             }
+            epi.apply(dst, base);
         });
         return Ok(());
     }
@@ -1820,50 +2197,8 @@ fn dense_into(
             let b0 = bias_data.map_or(0.0, |b| b[of]);
             *o = b0 + dot4(&w_data[of * in_f..][..in_f], x);
         }
+        epi.apply(dst, base);
     });
-    Ok(())
-}
-
-// --------------------------------------------------------------------
-// Batch normalization
-// --------------------------------------------------------------------
-
-fn batchnorm_into(
-    input: &Tensor,
-    scale: &Tensor,
-    shift: &Tensor,
-    out: &mut Tensor,
-    par: Parallelism,
-) -> Result<(), NnirError> {
-    let c = input
-        .shape()
-        .dim(1)
-        .ok_or_else(|| NnirError::ExecutionFailure("batchnorm needs a channel dim".into()))?;
-    if scale.shape().elem_count() != c || shift.shape().elem_count() != c {
-        return Err(NnirError::ExecutionFailure(
-            "batchnorm parameter length mismatch".into(),
-        ));
-    }
-    let per_channel: usize = input.shape().dims()[2..].iter().product::<usize>().max(1);
-    let n = input.shape().batch();
-    let in_data = input.data();
-    let s_data = scale.data();
-    let t_data = shift.data();
-    let work = n * c * per_channel;
-    par_chunks(
-        par.workers_for(work),
-        out.data_mut(),
-        per_channel,
-        |u, dst| {
-            let ci = u % c;
-            let s = s_data[ci];
-            let t = t_data[ci];
-            let src = &in_data[u * per_channel..][..per_channel];
-            for (o, &x) in dst.iter_mut().zip(src.iter()) {
-                *o = s * x + t;
-            }
-        },
-    );
     Ok(())
 }
 
@@ -2415,19 +2750,31 @@ mod tests {
             assert!(plan.slot_count() <= g.tensor_count());
             for a in 0..g.tensor_count() {
                 for b in (a + 1)..g.tensor_count() {
-                    let (ta, tb) = (crate::graph::TensorId(a), crate::graph::TensorId(b));
-                    if plan.slot_of(ta) == plan.slot_of(tb) {
+                    let (sa, sb) = (plan.slot_of(TensorId(a)), plan.slot_of(TensorId(b)));
+                    if sa.is_some() && sa == sb {
                         assert!(
                             !ranges[a].overlaps(ranges[b]),
-                            "{}: tensors t{a} {:?} and t{b} {:?} share slot {}",
+                            "{}: tensors t{a} {:?} and t{b} {:?} share slot {sa:?}",
                             g.name(),
                             ranges[a],
                             ranges[b],
-                            plan.slot_of(ta)
                         );
                     }
                 }
             }
+            // The tensors that own no slot are exactly the inner values
+            // of the fused chains: every output of a step but its last.
+            let slotless: Vec<usize> = (0..g.tensor_count())
+                .filter(|&t| plan.slot_of(TensorId(t)).is_none())
+                .collect();
+            let mut inner: Vec<usize> = fused_steps(&g)
+                .into_iter()
+                .flat_map(|step| &g.nodes()[step.start..step.end - 1])
+                .map(|node| node.output.0)
+                .collect();
+            inner.sort_unstable();
+            assert!(!inner.is_empty(), "{}: no chain fused", g.name());
+            assert_eq!(slotless, inner, "{}", g.name());
         }
     }
 

@@ -42,6 +42,7 @@ pub enum ActKind {
 impl ActKind {
     /// Applies the activation to a scalar.
     #[must_use]
+    #[inline]
     pub fn apply(self, x: f32) -> f32 {
         match self {
             ActKind::Relu => x.max(0.0),

@@ -27,13 +27,20 @@ pub struct NodeProfile {
     pub macs: u64,
     /// Static element-wise operation count.
     pub elementwise: u64,
-    /// Measured kernel duration in nanoseconds.
+    /// Measured kernel duration in nanoseconds. A node fused into
+    /// another's kernel reads 0: its time is in the head's record.
     pub duration_ns: u64,
     /// Numeric path the kernel executed: [`DataType::I8`] when the
     /// runner selected the INT8 kernel for this node, [`DataType::F32`]
     /// otherwise.
     #[serde(default)]
     pub precision: DataType,
+    /// The head node whose kernel this node ran inside, when the runner
+    /// fused it into that conv or dense node's output write; `None` for
+    /// a node that ran as its own kernel (every node of a run that
+    /// captures intermediates).
+    #[serde(default)]
+    pub fused_into: Option<String>,
 }
 
 impl NodeProfile {
@@ -45,7 +52,7 @@ impl NodeProfile {
     }
 
     /// Achieved GFLOP/s (0 when the duration was below timer
-    /// resolution).
+    /// resolution or the node ran fused inside another's kernel).
     #[must_use]
     pub fn achieved_gops(&self) -> f64 {
         if self.duration_ns == 0 {
@@ -57,6 +64,12 @@ impl NodeProfile {
 }
 
 /// Measured per-op profile of one forward pass.
+///
+/// Every scheduled node has a record, in schedule order. A conv or
+/// dense node's record covers the elementwise nodes the runner fused
+/// into its output write; each of those keeps its own record with 0 ns
+/// and [`NodeProfile::fused_into`] naming the head, and `Display` shows
+/// it as `ran inside <head>`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunProfile {
     /// Model name.
@@ -160,7 +173,7 @@ impl fmt::Display for RunProfile {
             self.achieved_gops()
         )?;
         for node in &self.per_node {
-            writeln!(
+            write!(
                 f,
                 "  {:<12} {:<24} {:>10} ns {:>12} ops {:>8.3} GFLOP/s  {}",
                 node.name,
@@ -170,6 +183,10 @@ impl fmt::Display for RunProfile {
                 node.achieved_gops(),
                 node.precision
             )?;
+            match &node.fused_into {
+                Some(head) => writeln!(f, "  ran inside {head}")?,
+                None => writeln!(f)?,
+            }
         }
         Ok(())
     }
@@ -251,6 +268,7 @@ mod tests {
                     elementwise: 0,
                     duration_ns: 9000,
                     precision: DataType::F32,
+                    fused_into: None,
                 },
                 NodeProfile {
                     name: "fc".into(),
@@ -259,6 +277,7 @@ mod tests {
                     elementwise: 10,
                     duration_ns: 500,
                     precision: DataType::I8,
+                    fused_into: None,
                 },
             ],
             wall_ns: 10_000,
@@ -289,6 +308,7 @@ mod tests {
             elementwise: 0,
             duration_ns: 0,
             precision: DataType::default(),
+            fused_into: None,
         };
         assert_eq!(node.achieved_gops(), 0.0);
         assert_eq!(node.precision, DataType::F32);
@@ -302,6 +322,29 @@ mod tests {
         ));
         assert!(text.contains("conv1"));
         assert!(text.contains("13824 ops"));
+    }
+
+    #[test]
+    fn display_names_the_head_of_a_fused_node() {
+        let mut p = demo_profile();
+        p.per_node.insert(
+            1,
+            NodeProfile {
+                name: "conv1.act".into(),
+                op: "Activation(ReLU)".into(),
+                macs: 0,
+                elementwise: 4,
+                duration_ns: 0,
+                precision: DataType::F32,
+                fused_into: Some("conv1".into()),
+            },
+        );
+        let text = p.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(
+            lines[2].starts_with("  conv1.act") && lines[2].ends_with("FP32  ran inside conv1")
+        );
+        assert!(lines[1].ends_with("FP32") && lines[3].ends_with("INT8"));
     }
 
     #[test]

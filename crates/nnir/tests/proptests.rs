@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use vedliot_nnir::exec::{Parallelism, RunOptions, Runner};
 use vedliot_nnir::graph::WeightInit;
 use vedliot_nnir::ops::{ActKind, Conv2dAttrs, Op, Pool2dAttrs};
-use vedliot_nnir::{Graph, GraphBuilder, NnirError, Shape, Tensor};
+use vedliot_nnir::{DataType, Graph, GraphBuilder, NnirError, Shape, Tensor};
 
 /// One forward pass through a fresh runner with the given parallelism.
 fn run_with(g: &Graph, par: Parallelism, inputs: &[Tensor]) -> Result<Vec<Tensor>, NnirError> {
@@ -839,4 +839,468 @@ fn malformed_dense_weight_is_an_execution_error() {
     let input = Tensor::random(Shape::nf(1, 8), 1, 1.0);
     let err = run_once(&g, std::slice::from_ref(&input));
     assert!(err.is_err(), "malformed weight must not produce output");
+}
+
+/// A dense layer's arithmetic, spelled out one output at a time: `bias
+/// + dot4`-ordered lanes of `w`'s row against the input row, or, with
+/// `s_in` (an INT8 node), `bias + Σ code·q(x) · (w_scale · s_in)`.
+fn dense_reference(x: &Tensor, w: &Tensor, bias: &Tensor, s_in: Option<f32>) -> Vec<f32> {
+    let (in_f, out_f) = (x.shape().dims()[1], w.shape().dims()[0]);
+    let rows = x.data().chunks_exact(in_f.max(1));
+    let rows = rows.take(x.shape().batch());
+    rows.flat_map(|xs| {
+        (0..out_f).map(move |of| {
+            let b0 = bias.data()[of];
+            match s_in {
+                Some(s) => {
+                    let q = w.quant().unwrap();
+                    let acc: i32 = (0..in_f)
+                        .map(|i| i32::from(q.codes[of * in_f + i]) * code(xs[i], s))
+                        .sum();
+                    b0 + acc as f32 * (q.scales[of] * s)
+                }
+                None => {
+                    let mut lanes = [0.0f32; 4];
+                    for (i, &x) in xs.iter().enumerate() {
+                        lanes[i % 4] += w.data()[of * in_f + i] * x;
+                    }
+                    b0 + ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                }
+            }
+        })
+    })
+    .collect()
+}
+
+/// A dense (`groups == 1`) INT8 conv, spelled out: per output, the i32
+/// sum of weight code × activation code over the taps inside the input,
+/// then `bias + acc · (w_scale · s_in)`.
+fn conv_int8_reference(
+    x: &Tensor,
+    k: &Tensor,
+    bias: &Tensor,
+    a: &Conv2dAttrs,
+    s_in: f32,
+) -> Vec<f32> {
+    let [n, in_c, h, w] = x.shape().dims()[..] else {
+        panic!("NCHW input expected");
+    };
+    let ((kh, kw), (sh, sw), (ph, pw)) = (a.kernel, a.stride, a.padding);
+    let (oh, ow) = ((h + 2 * ph - kh) / sh + 1, (w + 2 * pw - kw) / sw + 1);
+    let q = k.quant().unwrap();
+    (0..n * a.out_channels * oh * ow)
+        .map(|u| {
+            let (bi, oc, oy, ox) = (
+                u / (a.out_channels * oh * ow),
+                u / (oh * ow) % a.out_channels,
+                u / ow % oh,
+                u % ow,
+            );
+            let mut acc = 0i32;
+            for ic in 0..in_c {
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        let iy = (oy * sh + ky).checked_sub(ph).filter(|&iy| iy < h);
+                        let ix = (ox * sw + kx).checked_sub(pw).filter(|&ix| ix < w);
+                        if let Some((iy, ix)) = iy.zip(ix) {
+                            let xv = x.data()[((bi * in_c + ic) * h + iy) * w + ix];
+                            acc += i32::from(q.codes[((oc * in_c + ic) * kh + ky) * kw + kx])
+                                * code(xv, s_in);
+                        }
+                    }
+                }
+            }
+            bias.data()[oc] + acc as f32 * (q.scales[oc] * s_in)
+        })
+        .collect()
+}
+
+/// Every value tensor of `g` on `inputs`, evaluated node by node with
+/// each op spelled out per element — no fusion, no arena, no blocking.
+/// A conv or dense node whose weights carry an i8 payload is evaluated
+/// as the INT8 kernel computes it, with its `FakeQuant` producer's
+/// scale.
+fn reference_values(g: &Graph, inputs: &[Tensor]) -> Vec<Option<Tensor>> {
+    let mut vals: Vec<Option<Tensor>> = vec![None; g.tensor_count()];
+    for (t, x) in g.inputs().iter().zip(inputs) {
+        vals[t.0] = Some(x.clone());
+    }
+    for node in g.nodes() {
+        let arg = |i: usize| vals[node.inputs[i].0].clone().unwrap();
+        let x = arg(0);
+        let shape = g.tensor_shape(node.output).unwrap().clone();
+        let w = g.node_weights(node).unwrap();
+        let s_in = || match g.producer(node.inputs[0]).map(|p| &g.nodes()[p.0].op) {
+            Some(Op::FakeQuant { scale }) => *scale,
+            _ => panic!("an INT8 node reads a FakeQuant"),
+        };
+        let plane = shape.dims().iter().skip(2).product::<usize>().max(1);
+        let channels = shape.dims()[1];
+        let out: Vec<f32> = match &node.op {
+            Op::Conv2d(a) if w[0].quant().is_some() => {
+                conv_int8_reference(&x, &w[0], &w[1], a, s_in())
+            }
+            Op::Conv2d(a) => conv_reference(&x, &w[0], w.get(1), a),
+            Op::Dense { .. } => dense_reference(&x, &w[0], &w[1], w[0].quant().map(|_| s_in())),
+            Op::BatchNorm => x
+                .data()
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    w[0].data()[i / plane % channels] * v + w[1].data()[i / plane % channels]
+                })
+                .collect(),
+            Op::Activation(kind) => x.data().iter().map(|&v| kind.apply(v)).collect(),
+            Op::FakeQuant { scale } if *scale == 0.0 => vec![0.0; x.data().len()],
+            Op::FakeQuant { scale } => x.data().iter().map(|&v| fake_quant(v, *scale)).collect(),
+            Op::Add => x
+                .data()
+                .iter()
+                .zip(arg(1).data())
+                .map(|(&a, &b)| a + b)
+                .collect(),
+            op => panic!("no reference for {op}"),
+        };
+        vals[node.output.0] = Some(Tensor::from_vec(shape, out).unwrap());
+    }
+    vals
+}
+
+/// The elementwise tails the fused-chain property draws from: BatchNorm,
+/// every activation kind, `FakeQuant` (scale 0 included) and `Add` with
+/// the chain value on either side.
+const TAIL_KINDS: usize = 14;
+
+/// One case of the fused-chain property: a head and the chain after it.
+#[derive(Debug)]
+struct ChainCase {
+    /// 0 dense conv, 1 depthwise conv, 2 grouped conv, 3 dense layer (all
+    /// f32); 4 dense conv, 5 dense layer (both INT8).
+    head: usize,
+    /// Depthwise channels or dense input features (`a`), dense conv input
+    /// (`b`) and output (`c`) channels or dense output features (`c`).
+    abc: (usize, usize, usize),
+    batch: usize,
+    hw: (usize, usize),
+    kernel: usize,
+    stride: usize,
+    /// Tail kinds, each below [`TAIL_KINDS`].
+    tails: Vec<usize>,
+    /// 0 none, 1 a second consumer, 2 a graph output, 3 a node between
+    /// two tails (an `Add` that does not read the chain value); placed
+    /// after `at % (tails + 1)` tails.
+    breaker: usize,
+    at: usize,
+    seed: u64,
+}
+
+/// Builds `case`'s graph and checks that a plain run, a run capturing
+/// every intermediate and [`reference_values`] agree bit for bit on the
+/// outputs, that every captured intermediate equals its reference, and
+/// that the profile shows exactly the tails before the break running
+/// inside the head — serial and over two workers, planned and unplanned.
+fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
+    let ChainCase {
+        head,
+        abc: (a, b, c),
+        batch,
+        hw: (h, w),
+        kernel,
+        stride,
+        seed,
+        ..
+    } = *case;
+    let (tails, breaker) = (&case.tails, case.breaker);
+    let int8 = head >= 4;
+    let s_in = 1.0 / 127.0;
+    let mut bld = GraphBuilder::new("fused");
+    let mut inputs = Vec::new();
+    // The head, fed by a FakeQuant for the INT8 kernel.
+    let groups = match head {
+        1 => a,
+        2 => 2 + a % 2,
+        _ => 1,
+    };
+    let (in_shape, chain_shape) = if head == 3 || head == 5 {
+        (Shape::nf(batch, a), Shape::nf(batch, c))
+    } else {
+        let (icg, ocg) = match head {
+            1 => (1, 1),
+            2 => (2, 1 + c % 4),
+            _ => (b, c),
+        };
+        let pad = kernel / 2;
+        let (oh, ow) = (
+            (h + 2 * pad - kernel) / stride + 1,
+            (w + 2 * pad - kernel) / stride + 1,
+        );
+        (
+            Shape::nchw(batch, groups * icg, h, w),
+            Shape::nchw(batch, groups * ocg, oh, ow),
+        )
+    };
+    let x = bld.input(in_shape.clone());
+    inputs.push(Tensor::random(in_shape.clone(), seed, 1.0));
+    let src = if int8 {
+        bld.apply("x.q", Op::FakeQuant { scale: s_in }, &[x])
+            .unwrap()
+    } else {
+        x
+    };
+    let out_c = chain_shape.dims()[1];
+    let bias = Tensor::random(Shape::new(vec![out_c]), seed + 1, 0.5);
+    let (op, mut weight) = if chain_shape.rank() == 2 {
+        let op = Op::Dense {
+            out_features: out_c,
+            bias: true,
+        };
+        (op, Tensor::random(Shape::nf(out_c, a), seed + 2, 1.0))
+    } else {
+        let attrs = Conv2dAttrs {
+            out_channels: out_c,
+            kernel: (kernel, kernel),
+            stride: (stride, stride),
+            padding: (kernel / 2, kernel / 2),
+            groups,
+            bias: true,
+        };
+        let icg = in_shape.dims()[1] / groups;
+        let k = Tensor::random(Shape::new(vec![out_c, icg, kernel, kernel]), seed + 2, 1.0);
+        (Op::Conv2d(attrs), k)
+    };
+    if int8 {
+        weight.quantize_i8_per_channel();
+    }
+    let head_out = bld
+        .apply_with_weights("head", op, &[src], WeightInit::Explicit(vec![weight, bias]))
+        .unwrap();
+    // The Add operand: produced before the head.
+    let addend = bld.input(chain_shape.clone());
+    inputs.push(Tensor::random(chain_shape.clone(), seed + 3, 2.0));
+    // The chain, broken after `k` tails.
+    let k = case.at % (tails.len() + 1);
+    let mut outputs = Vec::new();
+    let mut v = head_out;
+    let mut values = vec![v];
+    let acts = [
+        ActKind::Relu,
+        ActKind::Relu6,
+        ActKind::LeakyRelu(0.1),
+        ActKind::HardSwish,
+        ActKind::HardSigmoid,
+        ActKind::Sigmoid,
+        ActKind::Mish,
+        ActKind::Silu,
+        ActKind::Tanh,
+    ];
+    for (i, &kind) in tails.iter().enumerate() {
+        if i == k && breaker == 3 {
+            // An `Add` of two same-shape tensors, but not of the chain's.
+            let other = bld.apply("other", Op::Add, &[addend, addend]).unwrap();
+            outputs.push(other);
+        }
+        let name = format!("t{i}");
+        v = match kind {
+            0 => {
+                let scale = Tensor::random(Shape::new(vec![out_c]), seed + 10 + i as u64, 1.5);
+                let shift = Tensor::random(Shape::new(vec![out_c]), seed + 20 + i as u64, 0.5);
+                let bn = WeightInit::Explicit(vec![scale, shift]);
+                bld.apply_with_weights(name, Op::BatchNorm, &[v], bn)
+                    .unwrap()
+            }
+            1..=9 => bld
+                .apply(name, Op::Activation(acts[kind - 1]), &[v])
+                .unwrap(),
+            10 => bld
+                .apply(name, Op::FakeQuant { scale: 0.05 }, &[v])
+                .unwrap(),
+            11 => bld.apply(name, Op::FakeQuant { scale: 0.0 }, &[v]).unwrap(),
+            12 => bld.apply(name, Op::Add, &[v, addend]).unwrap(),
+            _ => bld.apply(name, Op::Add, &[addend, v]).unwrap(),
+        };
+        values.push(v);
+    }
+    outputs.insert(0, v);
+    if k < tails.len() {
+        match breaker {
+            1 => outputs.push(
+                bld.apply("second", Op::Activation(ActKind::Relu), &[values[k]])
+                    .unwrap(),
+            ),
+            2 => outputs.push(values[k]),
+            _ => {}
+        }
+    }
+    let g = bld.finish(outputs);
+    let fused = if breaker == 0 { tails.len() } else { k };
+
+    let want = reference_values(&g, &inputs);
+    let want_out: Vec<Vec<u32>> = g
+        .outputs()
+        .iter()
+        .map(|t| bits(want[t.0].as_ref().unwrap().data()))
+        .collect();
+    for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+        for planning in [true, false] {
+            let mut runner = Runner::builder()
+                .parallelism(par)
+                .memory_planning(planning)
+                .build(&g)
+                .unwrap();
+            let plain = runner
+                .execute(&inputs, RunOptions::new().profile(true))
+                .unwrap();
+            let captured = runner
+                .execute(&inputs, RunOptions::new().capture_intermediates(true))
+                .unwrap();
+            let got: Vec<Vec<u32>> = plain.outputs().iter().map(|t| bits(t.data())).collect();
+            let got_cap: Vec<Vec<u32>> =
+                captured.outputs().iter().map(|t| bits(t.data())).collect();
+            prop_assert_eq!(
+                &got,
+                &want_out,
+                "plain run, {:?} under {:?}, planned {}",
+                case,
+                par,
+                planning
+            );
+            prop_assert_eq!(
+                &got_cap,
+                &want_out,
+                "capture run, {:?} under {:?}",
+                case,
+                par
+            );
+            let intermediates = captured.intermediates().unwrap();
+            for (t, (got, want)) in intermediates.iter().zip(&want).enumerate() {
+                let (got, want) = (got.as_ref().unwrap(), want.as_ref().unwrap());
+                prop_assert_eq!(
+                    bits(got.data()),
+                    bits(want.data()),
+                    "t{} of {:?} under {:?}",
+                    t,
+                    case,
+                    par
+                );
+            }
+            for record in &plain.profile().unwrap().per_node {
+                let tail = record
+                    .name
+                    .strip_prefix('t')
+                    .and_then(|i| i.parse::<usize>().ok());
+                let want_head = tail.filter(|&i| i < fused).map(|_| "head");
+                prop_assert_eq!(
+                    record.fused_into.as_deref(),
+                    want_head,
+                    "{} of {:?}",
+                    &record.name,
+                    case
+                );
+                if record.name == "head" {
+                    let precision = if int8 { DataType::I8 } else { DataType::F32 };
+                    prop_assert_eq!(record.precision, precision, "{:?}", case);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Fusion is transparent: a conv or dense head (dense, depthwise
+    /// and grouped convs and a dense layer in f32; a dense conv and a
+    /// dense layer on the INT8 kernel) followed by a random chain of
+    /// elementwise nodes gives **bit-equal** outputs in a plain run, in
+    /// a run capturing every intermediate, and in a per-node scalar
+    /// reference, and every captured intermediate equals its reference
+    /// value — serial and threaded, planned and unplanned. A second
+    /// consumer, a graph output in mid-chain or a consumer that is not
+    /// the next node breaks the chain there, and the profile shows
+    /// exactly the tails before the break running inside the head.
+    #[test]
+    fn fused_chains_equal_unfused_execution(
+        head in 0usize..6,
+        abc in (1usize..20, 1usize..6, 1usize..9),
+        batch in 1usize..3,
+        hw in (1usize..8, 1usize..8),
+        (kernel, stride) in (1usize..4, 1usize..3),
+        tails in proptest::collection::vec(0usize..TAIL_KINDS, 0..6),
+        (breaker, at) in (0usize..4, 0usize..6),
+        seed in 0u64..1_000,
+    ) {
+        let case = ChainCase { head, abc, batch, hw, kernel, stride, tails, breaker, at, seed };
+        check_fused_chain(&case)?;
+    }
+}
+
+/// The fused-chain property on heads large enough that two workers
+/// split them (the random cases stay under the threading threshold):
+/// every kernel applies its stages at the right output offset in each
+/// worker's share.
+#[test]
+fn fused_chains_split_over_workers_equal_unfused_execution() {
+    let wide = |head, abc, batch, hw, tails: &[usize]| ChainCase {
+        head,
+        abc,
+        batch,
+        hw,
+        kernel: 3,
+        stride: 1,
+        tails: tails.to_vec(),
+        breaker: 0,
+        at: 0,
+        seed: 7,
+    };
+    for case in [
+        wide(0, (1, 5, 9), 2, (16, 16), &[0, 13, 10, 4]),
+        wide(1, (48, 1, 1), 2, (16, 16), &[10, 12, 0, 4]),
+        wide(1, (48, 1, 1), 1, (16, 16), &[0, 8, 13, 11]),
+        wide(3, (512, 1, 96), 1, (1, 1), &[0, 13, 10, 1]),
+        wide(3, (256, 1, 96), 2, (1, 1), &[12, 0, 4]),
+        wide(4, (1, 5, 8), 2, (16, 16), &[10, 0, 12, 1]),
+        wide(5, (512, 1, 96), 1, (1, 1), &[12, 0, 10, 4]),
+    ] {
+        check_fused_chain(&case).unwrap();
+    }
+}
+
+/// A dense conv over zero input channels reduces over nothing: every
+/// output is its bias plus the empty sum, `bias + 0.0`, exactly as
+/// [`conv_reference`] defines it — and a fused activation still
+/// applies.
+#[test]
+fn dense_conv_over_zero_input_channels_is_its_bias() {
+    let attrs = Conv2dAttrs::same(3, 3, 1).with_bias();
+    let k = Tensor::zeros(Shape::new(vec![3, 0, 3, 3]));
+    let b = Tensor::from_vec(Shape::new(vec![3]), vec![-0.0, 1.5, -2.0]).unwrap();
+    let input = Tensor::zeros(Shape::nchw(1, 0, 4, 4));
+    let want = conv_reference(&input, &k, Some(&b), &attrs);
+    let g = conv_graph(attrs, input.shape(), vec![k.clone(), b.clone()]);
+    let got = run_with(&g, Parallelism::Serial, std::slice::from_ref(&input)).unwrap();
+    assert_eq!(bits(got[0].data()), bits(&want));
+    assert_eq!(
+        got[0].data()[0].to_bits(),
+        0.0f32.to_bits(),
+        "-0.0 + 0.0 is +0.0"
+    );
+
+    let mut bld = GraphBuilder::new("conv-relu");
+    let x = bld.input(input.shape().clone());
+    let c = bld
+        .apply_with_weights(
+            "conv",
+            Op::Conv2d(attrs),
+            &[x],
+            WeightInit::Explicit(vec![k, b]),
+        )
+        .unwrap();
+    let r = bld
+        .apply("relu", Op::Activation(ActKind::Relu), &[c])
+        .unwrap();
+    let g = bld.finish(vec![r]);
+    let got = run_with(&g, Parallelism::Serial, &[input]).unwrap();
+    let relu: Vec<f32> = want.iter().map(|&v| ActKind::Relu.apply(v)).collect();
+    assert_eq!(bits(got[0].data()), bits(&relu));
 }
