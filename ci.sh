@@ -111,4 +111,12 @@ if [[ $deep -eq 1 ]]; then
   fi
 fi
 
+echo "==> net line count (prints only, gates nothing)"
+# The rule every change reports its net line count by: this script plus
+# every crates/**/*.rs outside tests/, each file up to its first line
+# that starts with #[cfg(test)] in column 0.
+non_test_lines=$({ cat ci.sh; find crates -name '*.rs' -not -path '*/tests/*' \
+  -exec awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip' {} +; } | wc -l)
+echo "  non-test lines: $non_test_lines"
+
 echo "CI green."

@@ -1139,7 +1139,7 @@ pub fn executor_parallel() -> Experiment {
 pub fn serving() -> Experiment {
     use std::time::{Duration, Instant};
     use vedliot::nnir::Tensor;
-    use vedliot::serve::{BatchPolicy, ServeConfig, Server, SubmitRequest};
+    use vedliot::serve::{BatchPolicy, ModelConfig, ServeConfig, Server, SubmitRequest};
 
     // A Smart-Mirror-class gesture network (§V-C): microsecond-scale
     // per-sample compute, which is exactly the regime edge serving lives
@@ -1169,11 +1169,10 @@ pub fn serving() -> Experiment {
     ] {
         let config = ServeConfig::builder()
             .queue_capacity(requests + 8)
-            .workers(1)
-            .batch(BatchPolicy {
+            .default_model(ModelConfig::default().workers(1).batch(BatchPolicy {
                 max_batch,
                 max_linger: Duration::from_micros(200),
-            })
+            }))
             .build()
             .expect("valid serve config");
         let server = Server::start(&model, config).expect("server starts");
@@ -1595,11 +1594,10 @@ pub fn routing() -> Experiment {
 
     let config = ServeConfig::builder()
         .queue_capacity(capacity)
-        .workers(1)
-        .batch(BatchPolicy {
+        .default_model(ModelConfig::default().workers(1).batch(BatchPolicy {
             max_batch: 4,
             max_linger: Duration::from_micros(200),
-        })
+        }))
         .resilience(ResilienceConfig {
             degraded_queue_fraction: 0.75,
             shed_to: 0.5,
@@ -1846,7 +1844,8 @@ pub fn resilience() -> Experiment {
     use vedliot::nnir::exec::{RunOptions, Runner};
     use vedliot::nnir::Tensor;
     use vedliot::serve::{
-        BatchPolicy, FaultPlan, GoldenPolicy, ResilienceConfig, ServeConfig, Server, SubmitRequest,
+        BatchPolicy, FaultPlan, GoldenPolicy, ModelConfig, ResilienceConfig, ServeConfig, Server,
+        SubmitRequest,
     };
 
     vedliot::serve::resilience::silence_chaos_panics();
@@ -1893,13 +1892,23 @@ pub fn resilience() -> Experiment {
     ]);
     let mut availability = [0.0f64; 2];
     for (arm, label, resilient) in [(0, "baseline (disabled)", false), (1, "resilient", true)] {
-        let mut builder = ServeConfig::builder()
-            .queue_capacity(requests + 8)
+        let mut pool = ModelConfig::default()
             .workers(2)
             .batch(BatchPolicy {
                 max_batch: 4,
                 max_linger: Duration::from_micros(200),
             })
+            .chaos(plan);
+        if resilient {
+            pool = pool.golden(GoldenPolicy {
+                period: 1,
+                tolerance,
+                repair: true,
+            });
+        }
+        let config = ServeConfig::builder()
+            .queue_capacity(requests + 8)
+            .default_model(pool)
             .resilience(if resilient {
                 ResilienceConfig {
                     respawn_budget: 32,
@@ -1908,15 +1917,8 @@ pub fn resilience() -> Experiment {
             } else {
                 ResilienceConfig::disabled()
             })
-            .chaos(plan);
-        if resilient {
-            builder = builder.golden(GoldenPolicy {
-                period: 1,
-                tolerance,
-                repair: true,
-            });
-        }
-        let config = builder.build().expect("valid serve config");
+            .build()
+            .expect("valid serve config");
         let server = Server::start(&model, config).expect("server starts");
         let tickets: Vec<_> = inputs
             .iter()
@@ -1995,6 +1997,47 @@ pub fn resilience() -> Experiment {
     }
 }
 
+/// The burst E23 and E28 time their observability tax on: starts a
+/// server on `config`, warms it with 8 sequential requests, then submits
+/// every input at once — `before_submit(server, i)` runs ahead of the
+/// `i`-th submission — and waits for every reply. Asserts no request
+/// was lost; returns the burst's req/s and the traced spans.
+fn serve_burst(
+    model: &Graph,
+    config: vedliot::serve::ServeConfig,
+    inputs: &[vedliot::nnir::Tensor],
+    mut before_submit: impl FnMut(&vedliot::serve::Server, usize),
+) -> (f64, Vec<vedliot::obs::SpanRecord>) {
+    use vedliot::serve::{Server, SubmitRequest};
+    let server = Server::start(model, config).expect("server starts");
+    for input in inputs.iter().take(8) {
+        server
+            .submit_request(SubmitRequest::new(vec![input.clone()]))
+            .expect("warmup accepted")
+            .wait()
+            .expect("warmup served");
+    }
+    let start = std::time::Instant::now();
+    let tickets: Vec<_> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, input)| {
+            before_submit(&server, i);
+            server
+                .submit_request(SubmitRequest::new(vec![input.clone()]))
+                .expect("queue sized for the run")
+        })
+        .collect();
+    for t in tickets {
+        t.wait().expect("request served");
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    let spans = server.trace_spans();
+    let m = server.shutdown();
+    assert!(m.accounted_for(), "no request lost");
+    (inputs.len() as f64 / elapsed, spans)
+}
+
 /// E23 — the observability layer, measured. Three claims:
 ///
 /// 1. **Per-op profiling is a live Fig. 4.** A profiled LeNet-5 run
@@ -2017,7 +2060,7 @@ pub fn observe() -> Experiment {
     use vedliot::nnir::exec::{RunOptions, Runner};
     use vedliot::nnir::Tensor;
     use vedliot::obs::{Histogram, StageBreakdown};
-    use vedliot::serve::{BatchPolicy, ServeConfig, Server, SubmitRequest, TracePolicy};
+    use vedliot::serve::{BatchPolicy, ModelConfig, ServeConfig, TracePolicy};
 
     // -- 1) per-op profile vs the roofline prediction -----------------
     let model = zoo::lenet5(10).expect("lenet builds");
@@ -2073,40 +2116,15 @@ pub fn observe() -> Experiment {
     let run_once = |trace: Option<TracePolicy>| {
         let mut builder = ServeConfig::builder()
             .queue_capacity(requests + 8)
-            .workers(1)
-            .batch(BatchPolicy {
+            .default_model(ModelConfig::default().workers(1).batch(BatchPolicy {
                 max_batch: 4,
                 max_linger: Duration::from_micros(200),
-            });
+            }));
         if let Some(trace) = trace {
             builder = builder.trace(trace);
         }
         let config = builder.build().expect("valid serve config");
-        let server = Server::start(&serve_model, config).expect("server starts");
-        for input in inputs.iter().take(8) {
-            server
-                .submit_request(SubmitRequest::new(vec![input.clone()]))
-                .expect("warmup accepted")
-                .wait()
-                .expect("warmup served");
-        }
-        let start = Instant::now();
-        let tickets: Vec<_> = inputs
-            .iter()
-            .map(|input| {
-                server
-                    .submit_request(SubmitRequest::new(vec![input.clone()]))
-                    .expect("queue sized for the run")
-            })
-            .collect();
-        for t in tickets {
-            t.wait().expect("request served");
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let spans = server.trace_spans();
-        let m = server.shutdown();
-        assert!(m.accounted_for(), "no request lost");
-        (requests as f64 / elapsed, spans)
+        serve_burst(&serve_model, config, &inputs, |_, _| {})
     };
     let (_, spans) = run_once(Some(TracePolicy {
         capacity: requests + 16,
@@ -2343,7 +2361,6 @@ pub fn fleet() -> Experiment {
     let policy = RolloutPolicy {
         canary: 24,
         health_threshold: 0.8,
-        ..RolloutPolicy::default()
     };
 
     // Phase A: the good update under the full hostile plan. Downloads
@@ -2547,8 +2564,8 @@ pub fn slo() -> Experiment {
     use vedliot::nnir::Tensor;
     use vedliot::obs::{BurnWindows, CauseId, Event, EventKind, Metric, Objective, Slo, SloEngine};
     use vedliot::serve::{
-        BatchPolicy, FaultPlan, JournalPolicy, Priority, ResilienceConfig, ServeConfig, ServeError,
-        Server, SloPolicy, SubmitRequest, TracePolicy,
+        BatchPolicy, FaultPlan, JournalPolicy, ModelConfig, Priority, ResilienceConfig,
+        ServeConfig, ServeError, Server, SloPolicy, SubmitRequest, TracePolicy,
     };
 
     vedliot::serve::resilience::silence_chaos_panics();
@@ -2563,21 +2580,24 @@ pub fn slo() -> Experiment {
     let requests = 400u64;
     let config = ServeConfig::builder()
         .queue_capacity(512)
-        .workers(2)
-        .batch(BatchPolicy {
-            max_batch: 4,
-            max_linger: Duration::from_micros(200),
-        })
+        .default_model(
+            ModelConfig::default()
+                .workers(2)
+                .batch(BatchPolicy {
+                    max_batch: 4,
+                    max_linger: Duration::from_micros(200),
+                })
+                .chaos(FaultPlan {
+                    seed: 0xE28_0001,
+                    panic_per_batch: 0.15,
+                    kill_per_wakeup: 0.05,
+                    poison_every: 50,
+                    weight_bit_flips: 0,
+                }),
+        )
         .resilience(ResilienceConfig {
             respawn_budget: 64,
             ..ResilienceConfig::default()
-        })
-        .chaos(FaultPlan {
-            seed: 0xE28_0001,
-            panic_per_batch: 0.15,
-            kill_per_wakeup: 0.05,
-            poison_every: 50,
-            weight_bit_flips: 0,
         })
         .journal(JournalPolicy { capacity: 8192 })
         .build()
@@ -2663,11 +2683,10 @@ pub fn slo() -> Experiment {
     let run_once = |full: bool| {
         let mut builder = ServeConfig::builder()
             .queue_capacity(obs_requests + 8)
-            .workers(1)
-            .batch(BatchPolicy {
+            .default_model(ModelConfig::default().workers(1).batch(BatchPolicy {
                 max_batch: 4,
                 max_linger: Duration::from_micros(200),
-            })
+            }))
             .trace(TracePolicy { capacity: 1024 });
         if full {
             builder = builder
@@ -2684,34 +2703,12 @@ pub fn slo() -> Experiment {
                 });
         }
         let config = builder.build().expect("valid tax config");
-        let server = Server::start(&model, config).expect("server starts");
-        for i in obs_inputs.iter().take(8) {
-            server
-                .submit_request(SubmitRequest::new(vec![i.clone()]))
-                .expect("warmup accepted")
-                .wait()
-                .expect("warmup served");
-        }
-        let start = Instant::now();
-        let tickets: Vec<_> = obs_inputs
-            .iter()
-            .enumerate()
-            .map(|(i, inp)| {
-                if full && i % 50 == 49 {
-                    let _ = server.evaluate_slo(); // healthy: never fires
-                }
-                server
-                    .submit_request(SubmitRequest::new(vec![inp.clone()]))
-                    .expect("queue sized for the run")
-            })
-            .collect();
-        for t in tickets {
-            t.wait().expect("request served");
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let m = server.shutdown();
-        assert!(m.accounted_for(), "no request lost");
-        obs_requests as f64 / elapsed
+        let evaluate_every_50 = |server: &Server, i: usize| {
+            if full && i % 50 == 49 {
+                let _ = server.evaluate_slo(); // healthy: never fires
+            }
+        };
+        serve_burst(&model, config, &obs_inputs, evaluate_every_50).0
     };
     let median = |mut xs: Vec<f64>| {
         xs.sort_by(f64::total_cmp);
@@ -2729,11 +2726,10 @@ pub fn slo() -> Experiment {
     let episode = || {
         let config = ServeConfig::builder()
             .queue_capacity(64)
-            .workers(1)
-            .batch(BatchPolicy {
+            .default_model(ModelConfig::default().workers(1).batch(BatchPolicy {
                 max_batch: 1,
                 max_linger: Duration::from_micros(0),
-            })
+            }))
             .journal(JournalPolicy { capacity: 1024 })
             .slo(SloPolicy {
                 availability: Some(0.9),
@@ -2851,7 +2847,6 @@ pub fn slo() -> Experiment {
     let policy = RolloutPolicy {
         canary: 16,
         health_threshold: 0.8,
-        ..RolloutPolicy::default()
     };
     let report = Rollout::new(target, policy, plan)
         .run(&mut fleet_sim)

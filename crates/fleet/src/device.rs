@@ -43,13 +43,13 @@ pub enum Phase {
         /// No transfer before this tick (backoff / retry cool-down).
         backoff_until: u64,
     },
-    /// Crashed; back at `until`. `resume` carries the download position
-    /// (chunked resume — verified chunks are not re-fetched).
+    /// Crashed mid-download; back at `until`, resuming the download at
+    /// `resume` (chunked resume — verified chunks are not re-fetched).
     Rebooting {
         /// Tick at which the device is back.
         until: u64,
-        /// Download position to resume at, if it was mid-download.
-        resume: Option<u32>,
+        /// Chunk index the download resumes at.
+        resume: u32,
     },
     /// Whole-image root verification of the downloaded slot.
     Verifying,

@@ -121,60 +121,65 @@ pub struct VersionEntry {
     pub accuracy: Option<f64>,
 }
 
-/// Wave pacing, health gating and timing knobs for one rollout.
+/// Wave size multiplier after each gated wave.
+const WAVE_GROWTH: usize = 4;
+/// Maximum tolerated drop in held-out accuracy vs the baseline version
+/// (canary accuracy gate; ignored without an eval set).
+const MAX_ACCURACY_DROP: f64 = 0.05;
+/// Wall-clock milliseconds one tick represents (scales chunk throughput
+/// and retry backoff quantization).
+const TICK_MS: f64 = 100.0;
+/// Upper bound on chunks one device transfers per tick.
+const MAX_CHUNKS_PER_TICK: u32 = 4;
+/// Per-chunk retry budget and backoff (shared with the serving layer's
+/// resilience machinery).
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    base_delay: Duration::from_millis(200),
+    max_delay: Duration::from_secs(5),
+    jitter: true,
+};
+/// Ticks a device cools down after exhausting the retry budget on one
+/// chunk, before starting a fresh attempt cycle.
+const RETRY_COOLDOWN_TICKS: u64 = 50;
+/// Ticks a crash reboot takes.
+const REBOOT_TICKS: u64 = 8;
+/// Ticks an install (write + activate reboot) takes.
+const INSTALL_TICKS: u64 = 5;
+/// Ticks a device soaks on the new version before its verdict.
+const SOAK_TICKS: u64 = 30;
+/// Ticks after which a wave's stragglers are abandoned.
+const WAVE_DEADLINE_TICKS: u64 = 900;
+
+const _: () = assert!(WAVE_GROWTH >= 2, "waves must grow");
+const _: () = assert!(TICK_MS > 0.0, "a tick must take time");
+const _: () = assert!(
+    WAVE_DEADLINE_TICKS > INSTALL_TICKS + SOAK_TICKS,
+    "wave deadline must exceed install + soak time"
+);
+
+/// Quantizes a backoff duration to ticks (at least one).
+fn ticks(d: Duration) -> u64 {
+    ((d.as_secs_f64() * 1e3 / TICK_MS).ceil() as u64).max(1)
+}
+
+/// Canary size and health gate for one rollout. Pacing and timing
+/// (wave growth, chunk throughput, retry backoff, reboot, install and
+/// soak durations, the wave deadline) are this module's constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RolloutPolicy {
     /// Devices in wave 0 (the canary cohort).
     pub canary: usize,
-    /// Wave size multiplier after each gated wave.
-    pub wave_growth: usize,
     /// Minimum fraction of a wave's non-quarantined devices that must
     /// land healthy on the target for the rollout to continue.
     pub health_threshold: f64,
-    /// Maximum tolerated drop in held-out accuracy vs the baseline
-    /// version (canary accuracy gate; ignored without an eval set).
-    pub max_accuracy_drop: f64,
-    /// Wall-clock milliseconds one tick represents (scales chunk
-    /// throughput and retry backoff quantization).
-    pub tick_ms: f64,
-    /// Upper bound on chunks one device transfers per tick.
-    pub max_chunks_per_tick: u32,
-    /// Per-chunk retry budget and backoff (shared with the serving
-    /// layer's resilience machinery).
-    pub retry: RetryPolicy,
-    /// Ticks a device cools down after exhausting the retry budget on
-    /// one chunk, before starting a fresh attempt cycle.
-    pub retry_cooldown_ticks: u64,
-    /// Ticks a crash reboot takes.
-    pub reboot_ticks: u64,
-    /// Ticks an install (write + activate reboot) takes.
-    pub install_ticks: u64,
-    /// Ticks a device soaks on the new version before its verdict.
-    pub soak_ticks: u64,
-    /// Ticks after which a wave's stragglers are abandoned.
-    pub wave_deadline_ticks: u64,
 }
 
 impl Default for RolloutPolicy {
     fn default() -> Self {
         RolloutPolicy {
             canary: 8,
-            wave_growth: 4,
             health_threshold: 0.9,
-            max_accuracy_drop: 0.05,
-            tick_ms: 100.0,
-            max_chunks_per_tick: 4,
-            retry: RetryPolicy {
-                max_attempts: 4,
-                base_delay: Duration::from_millis(200),
-                max_delay: Duration::from_secs(5),
-                jitter: true,
-            },
-            retry_cooldown_ticks: 50,
-            reboot_ticks: 8,
-            install_ticks: 5,
-            soak_ticks: 30,
-            wave_deadline_ticks: 900,
         }
     }
 }
@@ -184,26 +189,10 @@ impl RolloutPolicy {
         if self.canary == 0 {
             return Err(FleetError::Config("canary wave must be non-empty".into()));
         }
-        if self.wave_growth < 2 {
-            return Err(FleetError::Config("wave_growth must be ≥ 2".into()));
-        }
         if !(0.0..=1.0).contains(&self.health_threshold) {
             return Err(FleetError::Config("health_threshold not a fraction".into()));
         }
-        if self.tick_ms <= 0.0 {
-            return Err(FleetError::Config("tick_ms must be positive".into()));
-        }
-        if self.wave_deadline_ticks <= self.install_ticks + self.soak_ticks {
-            return Err(FleetError::Config(
-                "wave deadline must exceed install + soak time".into(),
-            ));
-        }
         Ok(())
-    }
-
-    /// Quantizes a backoff duration to ticks (at least one).
-    fn ticks(&self, d: Duration) -> u64 {
-        ((d.as_secs_f64() * 1e3 / self.tick_ms).ceil() as u64).max(1)
     }
 }
 
@@ -632,33 +621,111 @@ fn run_probe(graph: &Graph, probe: &Tensor) -> Result<Tensor, NnirError> {
     Ok(out.outputs()[0].clone())
 }
 
-/// Appends to an optionally attached journal; returns the event seq
-/// (0 when no journal is attached).
-fn jappend(
-    journal: &Option<Arc<EventJournal>>,
-    at: u64,
-    kind: EventKind,
-    subject: CauseId,
-    cause: CauseId,
-    detail: u64,
-) -> u64 {
-    journal
-        .as_ref()
-        .map_or(0, |j| j.append(at, kind, subject, cause, detail))
+/// Why a device reverted; the discriminant is the `DeviceRolledBack`
+/// event's detail code.
+#[derive(Debug, Clone, Copy)]
+enum Rollback {
+    /// Still soaking at the wave deadline.
+    SoakDeadline = 0,
+    /// Crash-looped during soak.
+    CrashLoop = 1,
+    /// Its corrupted weights diverged from the golden output.
+    GoldenDiverged = 2,
+    /// Its wave's gate failed and the whole target was reverted.
+    WaveRevert = 3,
 }
 
-/// `DeviceRolledBack` detail codes: why the device reverted.
-const ROLLBACK_SOAK_DEADLINE: u64 = 0;
-const ROLLBACK_CRASH_LOOP: u64 = 1;
-const ROLLBACK_GOLDEN_DIVERGED: u64 = 2;
-const ROLLBACK_WAVE_REVERT: u64 = 3;
+/// The one place a rollout records an event: each method bumps the
+/// event's counter, applies the device transition and journals it (in
+/// that order), so the report's counts and the journal cannot disagree.
+/// Journal seqs are 0 when no journal is attached.
+struct Recorder {
+    counters: FleetCounters,
+    journal: Option<Arc<EventJournal>>,
+}
+
+impl Recorder {
+    /// Journals one event citing event seq `cause` (0 cites nothing:
+    /// seqs start at 1, so `CauseId::event(0)` is `CauseId::NONE`).
+    fn append(&self, at: u64, kind: EventKind, subject: CauseId, cause: u64, detail: u64) -> u64 {
+        self.journal.as_ref().map_or(0, |j| {
+            j.append(at, kind, subject, CauseId::event(cause), detail)
+        })
+    }
+
+    fn device_event(&self, at: u64, kind: EventKind, d: &Device, cause: u64, detail: u64) {
+        self.append(at, kind, CauseId::device(u64::from(d.id)), cause, detail);
+    }
+
+    /// The rollout's root-cause event: every wave cites it, so any
+    /// device outcome chains back to "this release was pushed".
+    fn rollout_started(&self, at: u64, target: usize, candidates: usize) -> u64 {
+        let subject = CauseId::release(target as u64);
+        self.append(at, EventKind::RolloutStarted, subject, 0, candidates as u64)
+    }
+
+    fn wave_started(&self, at: u64, wave: usize, root: u64, size: usize) -> u64 {
+        let subject = CauseId::wave(wave as u64);
+        self.append(at, EventKind::WaveStarted, subject, root, size as u64)
+    }
+
+    fn gate(&self, at: u64, wave: usize, wave_event: u64, passed: bool) -> u64 {
+        let (subject, detail) = (CauseId::wave(wave as u64), u64::from(passed));
+        self.append(at, EventKind::HealthGate, subject, wave_event, detail)
+    }
+
+    fn wave_rolled_back(&mut self, at: u64, wave: usize, gate_event: u64, reverted: u64) {
+        self.counters.wave_rollbacks += 1;
+        let subject = CauseId::wave(wave as u64);
+        self.append(at, EventKind::WaveRolledBack, subject, gate_event, reverted);
+    }
+
+    /// A journaled phase change. Entering `Installing` means the device
+    /// attested, entering `Soaking` means it activated, and `Abandoned`
+    /// means the wave deadline dropped its download.
+    fn phase(&mut self, at: u64, d: &mut Device, phase: Phase, wave_event: u64) {
+        match phase {
+            Phase::Installing { .. } => self.counters.attest_ok += 1,
+            Phase::Soaking { .. } => self.counters.installs += 1,
+            Phase::Abandoned => self.counters.downloads_abandoned += 1,
+            _ => {}
+        }
+        d.phase = phase;
+        self.device_event(at, EventKind::DevicePhase, d, wave_event, phase.code());
+    }
+
+    fn rollback(&mut self, at: u64, d: &mut Device, cause: u64, why: Rollback) {
+        match why {
+            Rollback::CrashLoop => self.counters.crash_loops_detected += 1,
+            Rollback::GoldenDiverged => self.counters.weight_flips_caught += 1,
+            Rollback::SoakDeadline | Rollback::WaveRevert => {}
+        }
+        self.counters.device_rollbacks += 1;
+        d.roll_back();
+        self.device_event(at, EventKind::DeviceRolledBack, d, cause, why as u64);
+    }
+
+    /// Failed attestation. The detail says what it caught: 1 = tampered
+    /// firmware, 2 = forged signature; 0 would be an honest device
+    /// wrongly cordoned (never expected).
+    fn quarantine(&mut self, at: u64, d: &mut Device, wave_event: u64) {
+        self.counters.quarantined += 1;
+        d.phase = Phase::Quarantined;
+        let detail = match d.compromise {
+            None => 0,
+            Some(CompromiseKind::TamperedFirmware) => 1,
+            Some(CompromiseKind::ForgedSignature) => 2,
+        };
+        self.device_event(at, EventKind::DeviceQuarantined, d, wave_event, detail);
+    }
+}
 
 /// One staged, health-gated push of a registered version to the fleet.
 #[derive(Debug, Clone)]
 pub struct Rollout {
     /// Registry index of the version to push.
     pub target: usize,
-    /// Pacing and gating knobs.
+    /// Canary size and health gate.
     pub policy: RolloutPolicy,
     /// Adversity schedule.
     pub fault: FleetFaultPlan,
@@ -729,7 +796,10 @@ impl Rollout {
         let n = fleet.devices.len();
         let mut partition_rng = DetRng::new(rollout_seed ^ PARTITION_SALT);
         let mut partitions: Vec<Partition> = Vec::new();
-        let mut counters = FleetCounters::default();
+        let mut rec = Recorder {
+            counters: FleetCounters::default(),
+            journal: fleet.journal.clone(),
+        };
         let mut waves: Vec<WaveReport> = Vec::new();
         let mut tick: u64 = 0;
         let mut outcome = RolloutOutcome::Completed;
@@ -744,47 +814,24 @@ impl Rollout {
             .collect();
         let mut wave_size = self.policy.canary;
         let mut wave_index = 0usize;
-        // The rollout's root-cause event: every wave cites it, so any
-        // device outcome chains back to "this release was pushed".
-        let root_event = jappend(
-            &fleet.journal,
-            tick,
-            EventKind::RolloutStarted,
-            CauseId::release(self.target as u64),
-            CauseId::NONE,
-            pending.len() as u64,
-        );
+        let root_event = rec.rollout_started(tick, self.target, pending.len());
 
         while !pending.is_empty() {
             let take = wave_size.min(pending.len());
             let members: Vec<usize> = pending.drain(..take).collect();
             let started_tick = tick;
-            let wave_event = jappend(
-                &fleet.journal,
-                started_tick,
-                EventKind::WaveStarted,
-                CauseId::wave(wave_index as u64),
-                CauseId::event(root_event),
-                members.len() as u64,
-            );
+            let wave_event = rec.wave_started(started_tick, wave_index, root_event, members.len());
             for &i in &members {
-                fleet.devices[i].phase = Phase::Downloading {
+                let download = Phase::Downloading {
                     next_chunk: 0,
                     attempt: 0,
                     backoff_until: 0,
                 };
-                jappend(
-                    &fleet.journal,
-                    started_tick,
-                    EventKind::DevicePhase,
-                    CauseId::device(u64::from(fleet.devices[i].id)),
-                    CauseId::event(wave_event),
-                    fleet.devices[i].phase.code(),
-                );
+                rec.phase(started_tick, &mut fleet.devices[i], download, wave_event);
             }
 
             // Tick until every member is terminal or the deadline hits.
-            let deadline = started_tick + self.policy.wave_deadline_ticks;
+            let deadline = started_tick + WAVE_DEADLINE_TICKS;
             loop {
                 let all_terminal = members
                     .iter()
@@ -803,30 +850,12 @@ impl Rollout {
                             | Phase::Verifying
                             | Phase::Attesting
                             | Phase::Installing { .. } => {
-                                counters.downloads_abandoned += 1;
-                                d.phase = Phase::Abandoned;
-                                jappend(
-                                    &fleet.journal,
-                                    tick,
-                                    EventKind::DevicePhase,
-                                    CauseId::device(u64::from(d.id)),
-                                    CauseId::event(wave_event),
-                                    Phase::Abandoned.code(),
-                                );
+                                rec.phase(tick, d, Phase::Abandoned, wave_event);
                             }
                             // Mid-soak at the deadline: already active —
                             // abort conservatively to the known-good slot.
                             Phase::Soaking { .. } => {
-                                counters.device_rollbacks += 1;
-                                d.roll_back();
-                                jappend(
-                                    &fleet.journal,
-                                    tick,
-                                    EventKind::DeviceRolledBack,
-                                    CauseId::device(u64::from(d.id)),
-                                    CauseId::event(wave_event),
-                                    ROLLBACK_SOAK_DEADLINE,
-                                );
+                                rec.rollback(tick, d, wave_event, Rollback::SoakDeadline);
                             }
                             _ => {}
                         }
@@ -846,14 +875,14 @@ impl Rollout {
                 }
 
                 for &i in &members {
-                    self.step_device(fleet, i, tick, &partitions, &mut counters, wave_event)?;
+                    self.step_device(fleet, i, tick, &partitions, &mut rec, wave_event)?;
                 }
 
                 // Availability over the whole fleet, every tick.
                 for d in &fleet.devices {
-                    counters.total_device_ticks += 1;
+                    rec.counters.total_device_ticks += 1;
                     if d.is_serving() {
-                        counters.served_device_ticks += 1;
+                        rec.counters.served_device_ticks += 1;
                     }
                 }
                 tick += 1;
@@ -873,7 +902,7 @@ impl Rollout {
                         .filter(|(i, _)| *i != self.target)
                         .filter_map(|(_, v)| v.accuracy)
                         .fold(0.0_f64, f64::max);
-                    if target_acc < baseline_acc - self.policy.max_accuracy_drop {
+                    if target_acc < baseline_acc - MAX_ACCURACY_DROP {
                         gate = false;
                     }
                 }
@@ -886,14 +915,7 @@ impl Rollout {
                 started_tick,
                 ended_tick: tick,
             });
-            let gate_event = jappend(
-                &fleet.journal,
-                tick,
-                EventKind::HealthGate,
-                CauseId::wave(wave_index as u64),
-                CauseId::event(wave_event),
-                u64::from(gate),
-            );
+            let gate_event = rec.gate(tick, wave_index, wave_event, gate);
 
             if !gate {
                 // Wave-level rollback: revert every device that
@@ -903,37 +925,21 @@ impl Rollout {
                 let mut reverted = 0u64;
                 for d in &mut fleet.devices {
                     if d.active == self.target && d.phase != Phase::Quarantined {
-                        counters.device_rollbacks += 1;
                         reverted += 1;
-                        d.roll_back();
-                        jappend(
-                            &fleet.journal,
-                            tick,
-                            EventKind::DeviceRolledBack,
-                            CauseId::device(u64::from(d.id)),
-                            CauseId::event(gate_event),
-                            ROLLBACK_WAVE_REVERT,
-                        );
+                        rec.rollback(tick, d, gate_event, Rollback::WaveRevert);
                     }
                 }
-                counters.wave_rollbacks += 1;
-                jappend(
-                    &fleet.journal,
-                    tick,
-                    EventKind::WaveRolledBack,
-                    CauseId::wave(wave_index as u64),
-                    CauseId::event(gate_event),
-                    reverted,
-                );
+                rec.wave_rolled_back(tick, wave_index, gate_event, reverted);
                 outcome = RolloutOutcome::RolledBack { wave: wave_index };
                 break;
             }
 
             wave_index += 1;
-            wave_size = wave_size.saturating_mul(self.policy.wave_growth);
+            wave_size = wave_size.saturating_mul(WAVE_GROWTH);
         }
 
         let entry = &fleet.versions[self.target];
+        let counters = rec.counters;
         let availability = if counters.total_device_ticks == 0 {
             1.0
         } else {
@@ -960,7 +966,7 @@ impl Rollout {
         idx: usize,
         tick: u64,
         partitions: &[Partition],
-        counters: &mut FleetCounters,
+        rec: &mut Recorder,
         wave_event: u64,
     ) -> Result<(), FleetError> {
         let n = fleet.devices.len();
@@ -971,7 +977,6 @@ impl Rollout {
             verifier,
             released_measurement,
             probe,
-            journal,
             ..
         } = fleet;
         let entry = &versions[self.target];
@@ -988,11 +993,11 @@ impl Rollout {
                 // Crash mid-download: reboot, then resume from the last
                 // verified chunk.
                 if d.rng.chance(self.fault.crash_per_tick) {
-                    counters.crashes += 1;
+                    rec.counters.crashes += 1;
                     d.crashed_this_tick = true;
                     d.phase = Phase::Rebooting {
-                        until: tick + self.policy.reboot_ticks,
-                        resume: Some(next_chunk),
+                        until: tick + REBOOT_TICKS,
+                        resume: next_chunk,
                     };
                     return Ok(());
                 }
@@ -1002,8 +1007,8 @@ impl Rollout {
                 let cond = d.link_at(tick, partitioned);
                 let total = artifact.manifest.chunk_count();
                 if let Some(per_chunk_ms) = cond.upload_ms(CHUNK_BYTES as u64) {
-                    let budget = (self.policy.tick_ms / per_chunk_ms).floor().max(1.0) as u32;
-                    let budget = budget.min(self.policy.max_chunks_per_tick);
+                    let budget = (TICK_MS / per_chunk_ms).floor().max(1.0) as u32;
+                    let budget = budget.min(MAX_CHUNKS_PER_TICK);
                     for _ in 0..budget {
                         if next_chunk >= total {
                             break;
@@ -1023,59 +1028,45 @@ impl Rollout {
                             chunk.verify(&artifact.manifest)
                         };
                         if received_ok {
-                            counters.chunks_delivered += 1;
+                            rec.counters.chunks_delivered += 1;
                             next_chunk += 1;
                             attempt = 0;
                         } else {
-                            counters.artifact_flips_caught += 1;
-                            counters.chunk_retries += 1;
+                            rec.counters.artifact_flips_caught += 1;
+                            rec.counters.chunk_retries += 1;
                             attempt += 1;
-                            if attempt >= self.policy.retry.max_attempts {
+                            if attempt >= RETRY.max_attempts {
                                 // Budget exhausted: long cool-down, then
                                 // a fresh attempt cycle (bounded retry
                                 // must not brick the device).
                                 attempt = 0;
-                                backoff_until = tick + self.policy.retry_cooldown_ticks;
+                                backoff_until = tick + RETRY_COOLDOWN_TICKS;
                             } else {
                                 let salt =
                                     BACKOFF_SALT ^ u64::from(d.id) << 24 ^ u64::from(next_chunk);
-                                let delay = self.policy.retry.backoff(attempt, salt);
-                                backoff_until = tick + self.policy.ticks(delay);
+                                backoff_until = tick + ticks(RETRY.backoff(attempt, salt));
                             }
                             break;
                         }
                     }
                 }
-                d.phase = if next_chunk >= total {
-                    jappend(
-                        journal,
-                        tick,
-                        EventKind::DevicePhase,
-                        CauseId::device(u64::from(d.id)),
-                        CauseId::event(wave_event),
-                        Phase::Verifying.code(),
-                    );
-                    Phase::Verifying
+                if next_chunk >= total {
+                    rec.phase(tick, d, Phase::Verifying, wave_event);
                 } else {
-                    Phase::Downloading {
+                    d.phase = Phase::Downloading {
                         next_chunk,
                         attempt,
                         backoff_until,
-                    }
-                };
+                    };
+                }
             }
             Phase::Rebooting { until, resume } => {
                 if tick >= until {
-                    d.phase = match resume {
-                        Some(chunk) => {
-                            counters.resumed_downloads += 1;
-                            Phase::Downloading {
-                                next_chunk: chunk,
-                                attempt: 0,
-                                backoff_until: 0,
-                            }
-                        }
-                        None => Phase::Running,
+                    rec.counters.resumed_downloads += 1;
+                    d.phase = Phase::Downloading {
+                        next_chunk: resume,
+                        attempt: 0,
+                        backoff_until: 0,
                     };
                 }
             }
@@ -1104,44 +1095,17 @@ impl Rollout {
                     }
                 };
                 if verifier.verify(&report) {
-                    counters.attest_ok += 1;
-                    d.phase = Phase::Installing {
-                        until: tick + self.policy.install_ticks,
+                    let install = Phase::Installing {
+                        until: tick + INSTALL_TICKS,
                     };
-                    jappend(
-                        journal,
-                        tick,
-                        EventKind::DevicePhase,
-                        CauseId::device(u64::from(d.id)),
-                        CauseId::event(wave_event),
-                        d.phase.code(),
-                    );
+                    rec.phase(tick, d, install, wave_event);
                 } else {
-                    counters.quarantined += 1;
-                    d.phase = Phase::Quarantined;
-                    // Detail: what the attestation caught (1 =
-                    // tampered firmware, 2 = forged signature; 0 would
-                    // be an honest device wrongly cordoned — never
-                    // expected).
-                    let detail = match d.compromise {
-                        None => 0,
-                        Some(CompromiseKind::TamperedFirmware) => 1,
-                        Some(CompromiseKind::ForgedSignature) => 2,
-                    };
-                    jappend(
-                        journal,
-                        tick,
-                        EventKind::DeviceQuarantined,
-                        CauseId::device(u64::from(d.id)),
-                        CauseId::event(wave_event),
-                        detail,
-                    );
+                    rec.quarantine(tick, d, wave_event);
                 }
             }
             Phase::Installing { until } => {
                 if tick >= until {
                     d.activate(self.target);
-                    counters.installs += 1;
                     // Install-time fault draws.
                     let crash_loop = d.rng.chance(self.fault.install_crash_rate);
                     if d.rng.chance(self.fault.weight_flip_rate) {
@@ -1149,21 +1113,14 @@ impl Rollout {
                         let flip_seed = splitmix64(self.fault.seed ^ FLIP_SALT ^ u64::from(d.id));
                         flip_weight_bits(&mut shadow, self.fault.weight_flips, flip_seed)?;
                         d.corrupted = Some(shadow);
-                        counters.weight_flips_injected += 1;
+                        rec.counters.weight_flips_injected += 1;
                     }
-                    d.phase = Phase::Soaking {
-                        until: tick + self.policy.soak_ticks,
+                    let soak = Phase::Soaking {
+                        until: tick + SOAK_TICKS,
                         crashes: 0,
                         crash_loop,
                     };
-                    jappend(
-                        journal,
-                        tick,
-                        EventKind::DevicePhase,
-                        CauseId::device(u64::from(d.id)),
-                        CauseId::event(wave_event),
-                        d.phase.code(),
-                    );
+                    rec.phase(tick, d, soak, wave_event);
                 }
             }
             Phase::Soaking {
@@ -1173,21 +1130,11 @@ impl Rollout {
             } => {
                 if crash_loop && d.rng.chance(0.5) {
                     crashes += 1;
-                    counters.crashes += 1;
+                    rec.counters.crashes += 1;
                     d.crashed_this_tick = true;
                 }
                 if crashes >= 3 {
-                    counters.crash_loops_detected += 1;
-                    counters.device_rollbacks += 1;
-                    d.roll_back();
-                    jappend(
-                        journal,
-                        tick,
-                        EventKind::DeviceRolledBack,
-                        CauseId::device(u64::from(d.id)),
-                        CauseId::event(wave_event),
-                        ROLLBACK_CRASH_LOOP,
-                    );
+                    rec.rollback(tick, d, wave_event, Rollback::CrashLoop);
                 } else if tick >= until {
                     // Golden check: clean installs share the verified
                     // image (content-addressed by the manifest root), so
@@ -1200,27 +1147,9 @@ impl Rollout {
                         }
                     };
                     if diverged {
-                        counters.weight_flips_caught += 1;
-                        counters.device_rollbacks += 1;
-                        d.roll_back();
-                        jappend(
-                            journal,
-                            tick,
-                            EventKind::DeviceRolledBack,
-                            CauseId::device(u64::from(d.id)),
-                            CauseId::event(wave_event),
-                            ROLLBACK_GOLDEN_DIVERGED,
-                        );
+                        rec.rollback(tick, d, wave_event, Rollback::GoldenDiverged);
                     } else {
-                        d.phase = Phase::Running;
-                        jappend(
-                            journal,
-                            tick,
-                            EventKind::DevicePhase,
-                            CauseId::device(u64::from(d.id)),
-                            CauseId::event(wave_event),
-                            Phase::Running.code(),
-                        );
+                        rec.phase(tick, d, Phase::Running, wave_event);
                     }
                 } else {
                     d.phase = Phase::Soaking {

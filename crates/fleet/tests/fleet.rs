@@ -17,7 +17,7 @@ use vedliot_nnir::graph::{Graph, WeightInit};
 use vedliot_nnir::tensor::Tensor;
 use vedliot_nnir::train::mlp;
 use vedliot_nnir::Shape;
-use vedliot_obs::{CauseId, EventJournal, EventKind};
+use vedliot_obs::{CauseId, EventJournal, EventKind, Exportable};
 
 const INPUTS: usize = 12;
 const CLASSES: usize = 3;
@@ -53,6 +53,21 @@ fn small_fleet(devices: usize, seed: u64) -> (Fleet, usize) {
         .register_version("v2", shipped_model("edge-model", 0.05), None)
         .expect("v2 registers");
     (fleet, v2)
+}
+
+/// Rewrites the golden under `UPDATE_GOLDENS=1` instead of comparing,
+/// so an intentional change to rollout output is blessed with one rerun.
+fn check_golden(relative: &str, pinned: &str, actual: &str) {
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        let path = format!("{}/tests/{relative}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::write(path, actual).unwrap();
+        return;
+    }
+    assert_eq!(
+        actual.trim_end(),
+        pinned.trim_end(),
+        "rollout output drifted from {relative}; rerun with UPDATE_GOLDENS=1 to bless"
+    );
 }
 
 fn assert_safe(fleet: &Fleet, report: &vedliot_fleet::RolloutReport) {
@@ -96,7 +111,6 @@ fn hostile_plan_converges_to_a_safe_state_and_every_defense_fires() {
     let policy = RolloutPolicy {
         canary: 16,
         health_threshold: 0.8,
-        ..RolloutPolicy::default()
     };
     let rollout = Rollout::new(v2, policy, plan);
     let report = rollout.run(&mut fleet).expect("runs");
@@ -249,7 +263,6 @@ fn journal_accounts_for_every_rollback_and_quarantine_exactly() {
         let policy = RolloutPolicy {
             canary: 16,
             health_threshold: 0.8,
-            ..RolloutPolicy::default()
         };
         let rollout = Rollout::new(v2, policy, plan);
         let report = rollout.run(&mut fleet).expect("runs");
@@ -372,4 +385,56 @@ proptest! {
         prop_assert!(violations.is_empty(), "violations: {violations:#?}");
         prop_assert!(report.availability > 0.5);
     }
+}
+
+/// A seeded hostile rollout is pinned byte for byte: the report's JSON
+/// and Prometheus exports, the journal's export, and every journal
+/// event. The run crosses every recorded transition — resumed crashes,
+/// chunk retries, both quarantine kinds, crash-loop and golden-check
+/// rollbacks, three passed gates and a failed one that reverts the
+/// fleet — so any drift in pacing, timing or event order shows here.
+#[test]
+fn seeded_hostile_rollout_matches_goldens() {
+    let (mut fleet, v2) = small_fleet(200, 500);
+    let journal = Arc::new(EventJournal::new(1 << 14));
+    fleet.attach_journal(Arc::clone(&journal));
+    let mut plan = FleetFaultPlan::hostile(9);
+    plan.compromised_rate = 0.04;
+    plan.weight_flip_rate = 0.06;
+    plan.transit_flip_rate = 0.04;
+    plan.crash_per_tick = 0.004;
+    plan.install_crash_rate = 0.03;
+    let report = Rollout::new(v2, RolloutPolicy::default(), plan)
+        .run(&mut fleet)
+        .expect("runs");
+    assert_eq!(report.outcome, RolloutOutcome::RolledBack { wave: 3 });
+    assert_safe(&fleet, &report);
+    assert_eq!(journal.dropped(), 0, "journal sized for the rollout");
+
+    let export = report.export();
+    check_golden(
+        "goldens/rollout_report.json",
+        include_str!("goldens/rollout_report.json"),
+        &export.to_json(),
+    );
+    check_golden(
+        "goldens/rollout_report.prom",
+        include_str!("goldens/rollout_report.prom"),
+        &export.to_prometheus(),
+    );
+    check_golden(
+        "goldens/rollout_journal.json",
+        include_str!("goldens/rollout_journal.json"),
+        &journal.export().to_json(),
+    );
+    let events: String = journal
+        .snapshot()
+        .iter()
+        .map(|e| format!("{e}\n"))
+        .collect();
+    check_golden(
+        "goldens/rollout_events.txt",
+        include_str!("goldens/rollout_events.txt"),
+        &events,
+    );
 }

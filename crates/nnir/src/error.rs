@@ -58,8 +58,6 @@ pub enum NnirError {
     },
     /// Execution was attempted with a missing or ill-typed weight/input.
     ExecutionFailure(String),
-    /// The deadline in `RunOptions` expired before execution finished.
-    DeadlineExceeded,
     /// An attribute value was invalid (e.g. zero stride).
     InvalidAttribute {
         /// Operator name.
@@ -85,12 +83,12 @@ impl NnirError {
     ///
     /// The in-process engine is deterministic: a graph that fails
     /// validation, shape inference or execution fails the same way on
-    /// every attempt, and a deadline that expired is gone for good — so
-    /// every current variant is [`ErrorClass::Permanent`]. The method
-    /// exists so layered callers (serving, offload) classify engine
-    /// errors through the same interface as their own transient faults
-    /// (crashed workers, full queues), and so future genuinely
-    /// transient variants slot in without touching call sites.
+    /// every attempt — so every current variant is
+    /// [`ErrorClass::Permanent`]. The method exists so layered callers
+    /// (serving, offload) classify engine errors through the same
+    /// interface as their own transient faults (crashed workers, full
+    /// queues), and so future genuinely transient variants slot in
+    /// without touching call sites.
     #[must_use]
     pub fn class(&self) -> ErrorClass {
         ErrorClass::Permanent
@@ -110,7 +108,6 @@ impl fmt::Display for NnirError {
                 write!(f, "{op} expects {expected} inputs, got {got}")
             }
             NnirError::ExecutionFailure(detail) => write!(f, "execution failure: {detail}"),
-            NnirError::DeadlineExceeded => write!(f, "execution deadline exceeded"),
             NnirError::InvalidAttribute { op, detail } => {
                 write!(f, "invalid attribute on {op}: {detail}")
             }
@@ -153,7 +150,6 @@ mod tests {
         // burning retry attempts on them.
         let samples = [
             NnirError::GraphCyclic,
-            NnirError::DeadlineExceeded,
             NnirError::UnknownTensor(3),
             NnirError::ExecutionFailure("missing weight".into()),
             NnirError::VerifierRejected {
@@ -177,10 +173,6 @@ mod tests {
             "unknown tensor id 7"
         );
         assert_eq!(NnirError::GraphCyclic.to_string(), "graph contains a cycle");
-        assert_eq!(
-            NnirError::DeadlineExceeded.to_string(),
-            "execution deadline exceeded"
-        );
         assert_eq!(
             NnirError::ExecutionFailure("bad weight".into()).to_string(),
             "execution failure: bad weight"

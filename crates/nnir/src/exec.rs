@@ -2,7 +2,7 @@
 //!
 //! One door: every forward pass goes through [`Runner`], built with
 //! [`Runner::builder`] and driven by [`Runner::execute`] under a
-//! [`RunOptions`] (capture-intermediates flag, optional deadline).
+//! [`RunOptions`] (capture-intermediates and profile flags).
 //! The runner owns a reusable buffer arena (intermediate tensors, the
 //! im2col scratch and materialized weights survive across calls), so
 //! repeated inference over a dataset, a benchmark loop or a serving
@@ -372,7 +372,7 @@ struct Scratch {
 /// entrypoint.
 ///
 /// The default runs plain inference: no intermediate capture, no
-/// deadline.
+/// profile.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
     /// Keep a clone of *every* value tensor, indexed by
@@ -382,13 +382,6 @@ pub struct RunOptions {
     /// output, so each value they pass along exists to be cloned; every
     /// value has the bits of the fused run.
     pub capture_intermediates: bool,
-    /// Abort with [`NnirError::DeadlineExceeded`] if execution has not
-    /// finished by this instant. Checked before every kernel (a node, or
-    /// a conv or dense node with its fused elementwise tail), so a run
-    /// over budget stops within one kernel of the deadline instead of
-    /// completing a doomed pass — the primitive the serving layer's
-    /// per-request deadlines build on.
-    pub deadline: Option<std::time::Instant>,
     /// Record a per-node [`RunProfile`] (name, op, duration, static
     /// operation counts) for this pass. Off by default: a plain run
     /// takes zero extra clock reads.
@@ -407,19 +400,6 @@ impl RunOptions {
     pub fn capture_intermediates(mut self, capture: bool) -> Self {
         self.capture_intermediates = capture;
         self
-    }
-
-    /// Sets an absolute execution deadline.
-    #[must_use]
-    pub fn deadline(mut self, at: std::time::Instant) -> Self {
-        self.deadline = Some(at);
-        self
-    }
-
-    /// Sets a deadline relative to now.
-    #[must_use]
-    pub fn deadline_in(self, budget: std::time::Duration) -> Self {
-        self.deadline(std::time::Instant::now() + budget)
     }
 
     /// Requests a per-node execution profile for this pass.
@@ -941,9 +921,7 @@ impl<'g> Runner<'g> {
     ///
     /// Returns [`NnirError::ExecutionFailure`] if the number or shapes of
     /// `inputs` do not match the graph inputs, or propagates any graph
-    /// inconsistency discovered mid-run. Returns
-    /// [`NnirError::DeadlineExceeded`] if [`RunOptions::deadline`] expires
-    /// before the pass completes.
+    /// inconsistency discovered mid-run.
     pub fn execute(
         &mut self,
         inputs: &[Tensor],
@@ -1050,13 +1028,6 @@ impl<'g> Runner<'g> {
         let nodes: &'g [Node] = self.graph.nodes();
         let mut profile = options.profile.then(|| Vec::with_capacity(nodes.len()));
         for step in &self.steps {
-            // Deadline gate: a run over budget stops before the next
-            // kernel rather than finishing a pass nobody will read.
-            if let Some(deadline) = options.deadline {
-                if std::time::Instant::now() >= deadline {
-                    return Err(NnirError::DeadlineExceeded);
-                }
-            }
             for (idx, node) in step.clone().zip(&nodes[step.clone()]) {
                 if self.weights[idx].is_none() {
                     self.weights[idx] = Some(self.graph.node_weights(node)?);
@@ -2846,7 +2817,7 @@ mod tests {
         assert!(profile.arena_reduction() >= 0.25);
     }
 
-    // ---- one-door API: options, deadline, deprecated aliases ----
+    // ---- one-door API: options ----
 
     #[test]
     fn capture_intermediates_returns_every_value() {
@@ -2890,32 +2861,6 @@ mod tests {
         let plain = runner.execute(&[input], RunOptions::default()).unwrap();
         assert!(plain.profile().is_none());
         assert_eq!(plain.outputs(), out.outputs());
-    }
-
-    #[test]
-    fn expired_deadline_rejects_before_execution() {
-        let g = crate::zoo::lenet5(10).unwrap();
-        let input = Tensor::random(Shape::nchw(1, 1, 28, 28), 9, 1.0);
-        let mut runner = Runner::builder().build(&g).unwrap();
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let err = runner.execute(&[input], RunOptions::new().deadline(past));
-        assert_eq!(err.unwrap_err(), NnirError::DeadlineExceeded);
-    }
-
-    #[test]
-    fn generous_deadline_does_not_interfere() {
-        let g = crate::zoo::lenet5(10).unwrap();
-        let input = Tensor::random(Shape::nchw(1, 1, 28, 28), 9, 1.0);
-        let mut runner = Runner::builder().build(&g).unwrap();
-        let free = runner.execute(std::slice::from_ref(&input), RunOptions::default());
-        let bounded = runner.execute(
-            std::slice::from_ref(&input),
-            RunOptions::new().deadline_in(std::time::Duration::from_secs(60)),
-        );
-        assert_eq!(
-            free.unwrap().into_outputs(),
-            bounded.unwrap().into_outputs()
-        );
     }
 
     #[test]

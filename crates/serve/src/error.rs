@@ -178,8 +178,8 @@ mod tests {
             "invalid request input: bad shape"
         );
         assert_eq!(
-            ServeError::Execution(NnirError::DeadlineExceeded).to_string(),
-            "batched execution failed: execution deadline exceeded"
+            ServeError::Execution(NnirError::GraphCyclic).to_string(),
+            "batched execution failed: graph contains a cycle"
         );
         assert_eq!(
             ServeError::Disconnected.to_string(),
@@ -218,8 +218,8 @@ mod tests {
 
     #[test]
     fn nnir_errors_convert() {
-        let e: ServeError = NnirError::DeadlineExceeded.into();
-        assert_eq!(e, ServeError::Execution(NnirError::DeadlineExceeded));
+        let e: ServeError = NnirError::GraphCyclic.into();
+        assert_eq!(e, ServeError::Execution(NnirError::GraphCyclic));
     }
 
     #[test]

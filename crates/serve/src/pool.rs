@@ -292,7 +292,6 @@ impl ModelPool {
         id: u16,
         graph: &Graph,
         cfg: &ModelConfig,
-        parallelism: Parallelism,
         resilience: ResilienceConfig,
         gateway: Arc<GatewayShared>,
     ) -> Result<Arc<ModelPool>, ServeError> {
@@ -362,7 +361,6 @@ impl ModelPool {
         let ctx = Arc::new(WorkerContext {
             pool: Arc::clone(&pool),
             graphs: Arc::new(graphs),
-            parallelism,
         });
         for _ in 0..cfg.workers {
             assert!(spawn_worker(&ctx), "spawn serve worker");
@@ -650,7 +648,6 @@ impl ModelPool {
 struct WorkerContext {
     pool: Arc<ModelPool>,
     graphs: Arc<Vec<Graph>>,
-    parallelism: Parallelism,
 }
 
 /// Armed for the lifetime of a worker thread; if the thread unwinds
@@ -773,12 +770,14 @@ fn worker_loop(ctx: &WorkerContext) {
     let pool = &*ctx.pool;
     // Runners are built once and reused for the worker's lifetime, so
     // every batch after the first hits warm arenas and cached weights.
+    // They run serially: batching, not threading, is the throughput
+    // lever on the single-core targets a pool serves.
     let mut runners: Vec<Runner<'_>> = ctx
         .graphs
         .iter()
         .map(|g| {
             Runner::builder()
-                .parallelism(ctx.parallelism)
+                .parallelism(Parallelism::Serial)
                 .build(g)
                 .unwrap_or_else(|e| {
                     // The batch graph was verified at ModelPool::start;
@@ -1119,7 +1118,6 @@ mod tests {
             0,
             &graph,
             cfg,
-            Parallelism::Serial,
             ResilienceConfig::default(),
             Arc::clone(gateway),
         )
@@ -1251,7 +1249,6 @@ mod tests {
             1,
             &graph,
             &cfg,
-            Parallelism::Serial,
             ResilienceConfig::default(),
             Arc::clone(&gw),
         )

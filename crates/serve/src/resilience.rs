@@ -172,7 +172,7 @@ pub enum Health {
 }
 
 /// A seeded schedule of injected faults — the chaos-injection test
-/// hook, threaded through [`ServeConfig::chaos`](crate::ServeConfig).
+/// hook, armed per pool through [`ModelConfig::chaos`](crate::ModelConfig::chaos).
 ///
 /// `None` (the default) compiles the hooks out of the hot path at the
 /// branch level; a plan with all rates zero is equally inert. The fault

@@ -137,9 +137,11 @@ impl SubmitRequest {
 
 /// Per-model pool configuration for [`Server::load`](crate::Server::load).
 ///
-/// Gateway-wide policy (total queue capacity, intra-batch parallelism,
-/// the resilience layers, tracing) comes from
-/// [`ServeConfig`](crate::ServeConfig); this struct sizes one tenant.
+/// Gateway-wide policy (total queue capacity, the resilience layers,
+/// tracing, journal, SLOs) comes from
+/// [`ServeConfig`](crate::ServeConfig); this struct sizes one tenant,
+/// the boot model included
+/// ([`ServeConfig::default_model`](crate::ServeConfig::default_model)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelConfig {
     /// Worker threads dedicated to this model's pool.

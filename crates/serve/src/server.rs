@@ -22,12 +22,11 @@
 use crate::error::ServeError;
 use crate::metrics::MetricsSnapshot;
 use crate::pool::{GatewayShared, ModelPool, SloShared};
-use crate::resilience::{FaultPlan, Health, ResilienceConfig};
+use crate::resilience::{Health, ResilienceConfig};
 use crate::routing::{ModelConfig, SubmitRequest};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
-use vedliot_nnir::exec::Parallelism;
 use vedliot_nnir::{Graph, Tensor};
 use vedliot_obs::{
     BurnWindows, CauseId, Event, EventJournal, EventKind, Export, Exportable, Objective, Slo,
@@ -220,23 +219,13 @@ pub struct ServeConfig {
     /// [`ServeError::Rejected`] (unless they can displace queued
     /// lower-priority work in their own pool).
     pub queue_capacity: usize,
-    /// Worker threads for the default model's pool.
-    pub workers: usize,
-    /// Dynamic batching policy for the default model.
-    pub batch: BatchPolicy,
-    /// Intra-batch parallelism of each worker's runners, gateway-wide.
-    /// On single-core targets leave this [`Parallelism::Serial`];
-    /// batching, not threading, is the throughput lever there.
-    pub parallelism: Parallelism,
+    /// Pool configuration of the model [`Server::start`] loads as
+    /// [`DEFAULT_MODEL`] — the same type every [`Server::load`] takes.
+    pub default_model: ModelConfig,
     /// Fault-tolerance policy (panic isolation, retry, quarantine,
     /// supervision, degraded-mode load shedding), applied to every
     /// pool.
     pub resilience: ResilienceConfig,
-    /// Golden-copy output checking for the default model.
-    pub golden: Option<GoldenPolicy>,
-    /// Chaos-injection test hook for the default model; `None` (the
-    /// default) injects nothing.
-    pub chaos: Option<FaultPlan>,
     /// Request-lifecycle tracing; `None` (the default) disables it.
     pub trace: Option<TracePolicy>,
     /// Flight recorder; `None` (the default) disables it.
@@ -249,12 +238,8 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_capacity: 64,
-            workers: 1,
-            batch: BatchPolicy::default(),
-            parallelism: Parallelism::Serial,
+            default_model: ModelConfig::default(),
             resilience: ResilienceConfig::default(),
-            golden: None,
-            chaos: None,
             trace: None,
             journal: None,
             slo: None,
@@ -276,11 +261,6 @@ impl ServeConfig {
         if self.queue_capacity == 0 {
             return Err(ServeError::InvalidConfig(
                 "queue_capacity must be at least 1".into(),
-            ));
-        }
-        if self.workers == 0 {
-            return Err(ServeError::InvalidConfig(
-                "workers must be at least 1".into(),
             ));
         }
         self.resilience.validate()?;
@@ -309,18 +289,7 @@ impl ServeConfig {
                 objective.validate().map_err(ServeError::InvalidConfig)?;
             }
         }
-        validate_model_config(&self.default_model_config())
-    }
-
-    /// The default model's pool configuration implied by the gateway
-    /// config (weight 1, weight-derived quota).
-    pub(crate) fn default_model_config(&self) -> ModelConfig {
-        let mut cfg = ModelConfig::default()
-            .workers(self.workers)
-            .batch(self.batch);
-        cfg.golden = self.golden;
-        cfg.chaos = self.chaos;
-        cfg
+        validate_model_config(&self.default_model)
     }
 }
 
@@ -378,24 +347,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the default model's worker count.
+    /// Sets the boot model's pool configuration.
     #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Sets the default model's batching policy.
-    #[must_use]
-    pub fn batch(mut self, batch: BatchPolicy) -> Self {
-        self.config.batch = batch;
-        self
-    }
-
-    /// Sets the gateway-wide intra-batch parallelism.
-    #[must_use]
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.config.parallelism = parallelism;
+    pub fn default_model(mut self, cfg: ModelConfig) -> Self {
+        self.config.default_model = cfg;
         self
     }
 
@@ -403,20 +358,6 @@ impl ServeConfigBuilder {
     #[must_use]
     pub fn resilience(mut self, resilience: ResilienceConfig) -> Self {
         self.config.resilience = resilience;
-        self
-    }
-
-    /// Enables golden-copy output checking for the default model.
-    #[must_use]
-    pub fn golden(mut self, golden: GoldenPolicy) -> Self {
-        self.config.golden = Some(golden);
-        self
-    }
-
-    /// Arms a chaos fault plan for the default model.
-    #[must_use]
-    pub fn chaos(mut self, chaos: FaultPlan) -> Self {
-        self.config.chaos = Some(chaos);
         self
     }
 
@@ -445,9 +386,9 @@ impl ServeConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for a zero capacity, worker count
-    /// or batch bound, or an out-of-range resilience/chaos/golden
-    /// parameter.
+    /// [`ServeError::InvalidConfig`] for a zero capacity, an invalid
+    /// boot-model config (the same checks as [`Server::load`]), or an
+    /// out-of-range resilience parameter.
     pub fn build(self) -> Result<ServeConfig, ServeError> {
         self.config.validate()?;
         Ok(self.config)
@@ -518,7 +459,6 @@ pub struct Server {
     /// survives an unload.
     retired: Mutex<Vec<MetricsSnapshot>>,
     next_model_id: AtomicUsize,
-    parallelism: Parallelism,
     resilience: ResilienceConfig,
     shutting_down: AtomicBool,
 }
@@ -574,11 +514,10 @@ impl Server {
             pools: RwLock::new(Vec::new()),
             retired: Mutex::new(Vec::new()),
             next_model_id: AtomicUsize::new(0),
-            parallelism: config.parallelism,
             resilience: config.resilience,
             shutting_down: AtomicBool::new(false),
         };
-        server.load(DEFAULT_MODEL, graph, config.default_model_config())?;
+        server.load(DEFAULT_MODEL, graph, config.default_model)?;
         Ok(server)
     }
 
@@ -609,7 +548,6 @@ impl Server {
             id as u16,
             graph,
             &cfg,
-            self.parallelism,
             self.resilience,
             Arc::clone(&self.gateway),
         )?;
@@ -952,7 +890,7 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilience::Health;
+    use crate::resilience::{FaultPlan, Health};
     use vedliot_nnir::zoo;
     use vedliot_nnir::Shape;
 
@@ -971,15 +909,17 @@ mod tests {
             Err(ServeError::InvalidConfig(_))
         ));
         assert!(matches!(
-            ServeConfig::builder().workers(0).build(),
+            ServeConfig::builder()
+                .default_model(ModelConfig::default().workers(0))
+                .build(),
             Err(ServeError::InvalidConfig(_))
         ));
         assert!(matches!(
             ServeConfig::builder()
-                .batch(BatchPolicy {
+                .default_model(ModelConfig::default().batch(BatchPolicy {
                     max_batch: 0,
                     max_linger: Duration::ZERO,
-                })
+                }))
                 .build(),
             Err(ServeError::InvalidConfig(_))
         ));
@@ -988,7 +928,7 @@ mod tests {
     #[test]
     fn invalid_chaos_probability_is_rejected() {
         let cfg = ServeConfig {
-            chaos: Some(FaultPlan {
+            default_model: ModelConfig::default().chaos(FaultPlan {
                 panic_per_batch: 2.0,
                 ..FaultPlan::quiet(1)
             }),
@@ -1003,7 +943,7 @@ mod tests {
     #[test]
     fn zero_golden_period_is_rejected() {
         let cfg = ServeConfig {
-            golden: Some(GoldenPolicy {
+            default_model: ModelConfig::default().golden(GoldenPolicy {
                 period: 0,
                 ..GoldenPolicy::default()
             }),
@@ -1013,6 +953,38 @@ mod tests {
             Server::start(&demo_graph(), cfg),
             Err(ServeError::InvalidConfig(_))
         ));
+    }
+
+    /// The boot pool takes the whole `ModelConfig`, so a hard quota
+    /// binds the default model as it binds any loaded one.
+    #[test]
+    fn boot_pool_honours_its_quota() {
+        let config = ServeConfig::builder()
+            .default_model(ModelConfig::default().quota(2).batch(BatchPolicy {
+                max_batch: 4,
+                max_linger: Duration::from_secs(30),
+            }))
+            .build()
+            .unwrap();
+        let server = Server::start(&demo_graph(), config).unwrap();
+        let t1 = server
+            .submit_request(SubmitRequest::new(vec![demo_input(1)]))
+            .unwrap();
+        let t2 = server
+            .submit_request(SubmitRequest::new(vec![demo_input(2)]))
+            .unwrap();
+        let err = server
+            .submit_request(SubmitRequest::new(vec![demo_input(3)]))
+            .unwrap_err();
+        assert_eq!(err, ServeError::QuotaExceeded { quota: 2 });
+        let m = {
+            let handle = std::thread::spawn(move || server.shutdown());
+            assert!(t1.wait().is_ok());
+            assert!(t2.wait().is_ok());
+            handle.join().unwrap()
+        };
+        assert!(m.accounted_for());
+        assert_eq!(m.rejected, 1);
     }
 
     #[test]
@@ -1160,10 +1132,10 @@ mod tests {
             &demo_graph(),
             ServeConfig {
                 queue_capacity: 4,
-                batch: BatchPolicy {
+                default_model: ModelConfig::default().batch(BatchPolicy {
                     max_batch: 4,
                     max_linger: Duration::from_secs(30),
-                },
+                }),
                 resilience: ResilienceConfig {
                     degraded_crash_threshold: 1,
                     shed_to: 0.5,

@@ -24,8 +24,8 @@ use vedliot_nnir::exec::{RunOptions, Runner};
 use vedliot_nnir::{zoo, Graph, Shape, Tensor};
 use vedliot_serve::resilience::silence_chaos_panics;
 use vedliot_serve::{
-    BatchPolicy, FaultPlan, GoldenPolicy, Health, ResilienceConfig, ServeConfig, ServeError,
-    Server, SubmitRequest,
+    BatchPolicy, FaultPlan, GoldenPolicy, Health, ModelConfig, ResilienceConfig, ServeConfig,
+    ServeError, Server, SubmitRequest,
 };
 
 fn demo_graph() -> Graph {
@@ -45,21 +45,24 @@ fn smoke_200_requests_under_seeded_chaos() {
     let requests: u64 = 200;
     let config = ServeConfig::builder()
         .queue_capacity(256)
-        .workers(2)
-        .batch(BatchPolicy {
-            max_batch: 4,
-            max_linger: Duration::from_micros(200),
-        })
+        .default_model(
+            ModelConfig::default()
+                .workers(2)
+                .batch(BatchPolicy {
+                    max_batch: 4,
+                    max_linger: Duration::from_micros(200),
+                })
+                .chaos(FaultPlan {
+                    seed: 0xC0FF_EE00,
+                    panic_per_batch: 0.20,
+                    kill_per_wakeup: 0.05,
+                    poison_every: 50,
+                    weight_bit_flips: 0,
+                }),
+        )
         .resilience(ResilienceConfig {
             respawn_budget: 32,
             ..ResilienceConfig::default()
-        })
-        .chaos(FaultPlan {
-            seed: 0xC0FF_EE00,
-            panic_per_batch: 0.20,
-            kill_per_wakeup: 0.05,
-            poison_every: 50,
-            weight_bit_flips: 0,
         })
         .build()
         .unwrap();
@@ -113,11 +116,14 @@ fn smoke_200_requests_under_seeded_chaos() {
 #[test]
 fn poisoned_singletons_are_quarantined() {
     let config = ServeConfig::builder()
-        .batch(BatchPolicy::sequential())
-        .chaos(FaultPlan {
-            poison_every: 2,
-            ..FaultPlan::quiet(7)
-        })
+        .default_model(
+            ModelConfig::default()
+                .batch(BatchPolicy::sequential())
+                .chaos(FaultPlan {
+                    poison_every: 2,
+                    ..FaultPlan::quiet(7)
+                }),
+        )
         .build()
         .unwrap();
     let server = Server::start(&demo_graph(), config).unwrap();
@@ -148,19 +154,22 @@ fn golden_check_detects_and_repairs_bit_flipped_deployment() {
     let requests: u64 = 16;
     let config = ServeConfig::builder()
         .queue_capacity(32)
-        .batch(BatchPolicy {
-            max_batch: 4,
-            max_linger: Duration::from_micros(200),
-        })
-        .golden(GoldenPolicy {
-            period: 1,
-            tolerance: 1e-4,
-            repair: true,
-        })
-        .chaos(FaultPlan {
-            weight_bit_flips: 40,
-            ..FaultPlan::quiet(0xBAD_5EED)
-        })
+        .default_model(
+            ModelConfig::default()
+                .batch(BatchPolicy {
+                    max_batch: 4,
+                    max_linger: Duration::from_micros(200),
+                })
+                .golden(GoldenPolicy {
+                    period: 1,
+                    tolerance: 1e-4,
+                    repair: true,
+                })
+                .chaos(FaultPlan {
+                    weight_bit_flips: 40,
+                    ..FaultPlan::quiet(0xBAD_5EED)
+                }),
+        )
         .build()
         .unwrap();
     let server = Server::start(&graph, config).unwrap();
@@ -199,15 +208,18 @@ fn golden_check_detects_and_repairs_bit_flipped_deployment() {
 fn golden_check_detect_only_serves_corrupted_bytes() {
     let graph = demo_graph();
     let config = ServeConfig::builder()
-        .golden(GoldenPolicy {
-            period: 1,
-            tolerance: 1e-4,
-            repair: false,
-        })
-        .chaos(FaultPlan {
-            weight_bit_flips: 40,
-            ..FaultPlan::quiet(0xBAD_5EED)
-        })
+        .default_model(
+            ModelConfig::default()
+                .golden(GoldenPolicy {
+                    period: 1,
+                    tolerance: 1e-4,
+                    repair: false,
+                })
+                .chaos(FaultPlan {
+                    weight_bit_flips: 40,
+                    ..FaultPlan::quiet(0xBAD_5EED)
+                }),
+        )
         .build()
         .unwrap();
     let server = Server::start(&graph, config).unwrap();
@@ -238,10 +250,10 @@ fn golden_check_detect_only_serves_corrupted_bytes() {
 fn degraded_queue_depth_sheds_bursts() {
     let config = ServeConfig::builder()
         .queue_capacity(8)
-        .batch(BatchPolicy {
+        .default_model(ModelConfig::default().batch(BatchPolicy {
             max_batch: 64,
             max_linger: Duration::from_secs(30),
-        })
+        }))
         .resilience(ResilienceConfig {
             degraded_queue_fraction: 0.5,
             shed_to: 0.5,
@@ -304,21 +316,24 @@ proptest! {
         silence_chaos_panics();
         let config = ServeConfig::builder()
             .queue_capacity(32)
-            .workers(2)
-            .batch(BatchPolicy {
-                max_batch: 4,
-                max_linger: Duration::from_micros(100),
-            })
+            .default_model(
+                ModelConfig::default()
+                    .workers(2)
+                    .batch(BatchPolicy {
+                        max_batch: 4,
+                        max_linger: Duration::from_micros(100),
+                    })
+                    .chaos(FaultPlan {
+                        seed: chaos_seed,
+                        panic_per_batch: panic_rate,
+                        kill_per_wakeup: kill_rate,
+                        poison_every,
+                        weight_bit_flips: 0,
+                    }),
+            )
             .resilience(ResilienceConfig {
                 respawn_budget: 64,
                 ..ResilienceConfig::default()
-            })
-            .chaos(FaultPlan {
-                seed: chaos_seed,
-                panic_per_batch: panic_rate,
-                kill_per_wakeup: kill_rate,
-                poison_every,
-                weight_bit_flips: 0,
             })
             .build()
             .unwrap();

@@ -9,7 +9,8 @@ use std::time::{Duration, Instant};
 use vedliot_nnir::{zoo, Graph, Shape, Tensor};
 use vedliot_obs::{Exportable, Histogram, SpanOutcome, StageBreakdown};
 use vedliot_serve::{
-    BatchPolicy, MetricsSnapshot, Priority, ServeConfig, Server, SubmitRequest, TracePolicy,
+    BatchPolicy, MetricsSnapshot, ModelConfig, Priority, ServeConfig, Server, SubmitRequest,
+    TracePolicy,
 };
 
 fn demo_graph() -> Graph {
@@ -23,10 +24,10 @@ fn demo_input(seed: u64) -> Tensor {
 fn traced_config() -> ServeConfig {
     ServeConfig::builder()
         .queue_capacity(128)
-        .batch(BatchPolicy {
+        .default_model(ModelConfig::default().batch(BatchPolicy {
             max_batch: 4,
             max_linger: Duration::from_micros(200),
-        })
+        }))
         .trace(TracePolicy { capacity: 128 })
         .build()
         .unwrap()

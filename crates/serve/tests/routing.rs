@@ -45,7 +45,7 @@ fn routed_outputs_are_bit_identical_to_solo_runs() {
     let lenet = zoo::lenet5(10).unwrap();
     let config = ServeConfig::builder()
         .queue_capacity(64)
-        .batch(fast_batching())
+        .default_model(ModelConfig::default().batch(fast_batching()))
         .build()
         .unwrap();
     let server = Server::start(&cnn, config).unwrap();
@@ -116,7 +116,7 @@ fn routed_outputs_are_bit_identical_to_solo_runs() {
 fn unload_drains_and_retires_the_tenant() {
     let config = ServeConfig::builder()
         .queue_capacity(64)
-        .batch(fast_batching())
+        .default_model(ModelConfig::default().batch(fast_batching()))
         .build()
         .unwrap();
     let server = Server::start(&cnn_graph("stay"), config).unwrap();
@@ -166,7 +166,7 @@ fn quotas_bound_tenant_queue_share() {
     };
     let config = ServeConfig::builder()
         .queue_capacity(8)
-        .batch(holding)
+        .default_model(ModelConfig::default().batch(holding))
         .build()
         .unwrap();
     let server = Server::start(&cnn_graph("heavy"), config).unwrap();
@@ -217,7 +217,7 @@ fn high_priority_displaces_batch_work_at_quota() {
     };
     let config = ServeConfig::builder()
         .queue_capacity(8)
-        .batch(holding)
+        .default_model(ModelConfig::default().batch(holding))
         .build()
         .unwrap();
     let server = Server::start(&cnn_graph("prio"), config).unwrap();
@@ -271,7 +271,7 @@ fn noisy_tenant_cannot_degrade_its_neighbour() {
     silence_chaos_panics();
     let config = ServeConfig::builder()
         .queue_capacity(256)
-        .batch(fast_batching())
+        .default_model(ModelConfig::default().batch(fast_batching()))
         .build()
         .unwrap();
     let server = Server::start(&cnn_graph("quiet"), config).unwrap();

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use std::time::{Duration, Instant};
 use vedliot_nnir::exec::{RunOptions, Runner};
 use vedliot_nnir::{zoo, Graph, Shape, Tensor};
-use vedliot_serve::{BatchPolicy, ServeConfig, ServeError, Server, SubmitRequest};
+use vedliot_serve::{BatchPolicy, ModelConfig, ServeConfig, ServeError, Server, SubmitRequest};
 
 fn demo_graph() -> Graph {
     zoo::tiny_cnn("serve-it", Shape::nchw(1, 1, 8, 8), &[4], 3).unwrap()
@@ -34,8 +34,7 @@ fn queue_full_rejects_with_capacity() {
     let graph = demo_graph();
     let config = ServeConfig::builder()
         .queue_capacity(4)
-        .workers(1)
-        .batch(holding_policy())
+        .default_model(ModelConfig::default().workers(1).batch(holding_policy()))
         .build()
         .unwrap();
     let server = Server::start(&graph, config).unwrap();
@@ -75,7 +74,7 @@ fn queue_full_rejects_with_capacity() {
 fn expired_deadline_is_purged_with_typed_reply() {
     let graph = demo_graph();
     let config = ServeConfig::builder()
-        .batch(holding_policy())
+        .default_model(ModelConfig::default().batch(holding_policy()))
         .build()
         .unwrap();
     let server = Server::start(&graph, config).unwrap();
@@ -103,7 +102,7 @@ fn shutdown_drains_in_flight_work() {
     let graph = demo_graph();
     let config = ServeConfig::builder()
         .queue_capacity(32)
-        .batch(holding_policy())
+        .default_model(ModelConfig::default().batch(holding_policy()))
         .build()
         .unwrap();
     let server = Server::start(&graph, config).unwrap();
@@ -128,11 +127,10 @@ fn smoke_100_requests_zero_lost() {
     let graph = demo_graph();
     let config = ServeConfig::builder()
         .queue_capacity(128)
-        .workers(2)
-        .batch(BatchPolicy {
+        .default_model(ModelConfig::default().workers(2).batch(BatchPolicy {
             max_batch: 8,
             max_linger: Duration::from_micros(200),
-        })
+        }))
         .build()
         .unwrap();
     let server = Server::start(&graph, config).unwrap();
@@ -177,11 +175,10 @@ proptest! {
         let graph = demo_graph();
         let config = ServeConfig::builder()
             .queue_capacity(16)
-            .workers(1)
-            .batch(BatchPolicy {
+            .default_model(ModelConfig::default().workers(1).batch(BatchPolicy {
                 max_batch,
                 max_linger: Duration::from_millis(5),
-            })
+            }))
             .build()
             .unwrap();
         let server = Server::start(&graph, config).unwrap();

@@ -9,8 +9,8 @@
 use std::time::{Duration, Instant};
 use vedliot_nnir::{zoo, Graph, Shape, Tensor};
 use vedliot_serve::{
-    BatchPolicy, BurnWindows, CauseId, Event, EventKind, Health, JournalPolicy, Priority,
-    ServeConfig, ServeError, Server, SloPolicy, SloTransition, SubmitRequest,
+    BatchPolicy, BurnWindows, CauseId, Event, EventKind, Health, JournalPolicy, ModelConfig,
+    Priority, ServeConfig, ServeError, Server, SloPolicy, SloTransition, SubmitRequest,
 };
 
 fn demo_graph() -> Graph {
@@ -27,11 +27,10 @@ fn demo_input(seed: u64) -> Tensor {
 fn slo_config() -> ServeConfig {
     ServeConfig::builder()
         .queue_capacity(64)
-        .workers(1)
-        .batch(BatchPolicy {
+        .default_model(ModelConfig::default().workers(1).batch(BatchPolicy {
             max_batch: 1,
             max_linger: Duration::from_micros(0),
-        })
+        }))
         .journal(JournalPolicy { capacity: 1024 })
         .slo(SloPolicy {
             availability: Some(0.9),

@@ -100,7 +100,9 @@ fn run_obs() -> Result<i32, String> {
     use vedliot::nnir::exec::{RunOptions, Runner};
     use vedliot::nnir::{zoo, Shape, Tensor};
     use vedliot::obs::{Exportable, StageBreakdown};
-    use vedliot::serve::{BatchPolicy, ServeConfig, Server, SubmitRequest, TracePolicy};
+    use vedliot::serve::{
+        BatchPolicy, ModelConfig, ServeConfig, Server, SubmitRequest, TracePolicy,
+    };
 
     // 1) Per-op profile of LeNet-5, compared to the roofline model.
     let model = zoo::lenet5(10).map_err(|err| format!("obs: lenet5 failed to build: {err}"))?;
@@ -132,10 +134,10 @@ fn run_obs() -> Result<i32, String> {
     let gesture = zoo::tiny_cnn("obs-demo", Shape::nchw(1, 1, 8, 8), &[4], 3).expect("builds");
     let config = ServeConfig::builder()
         .queue_capacity(64)
-        .batch(BatchPolicy {
+        .default_model(ModelConfig::default().batch(BatchPolicy {
             max_batch: 4,
             max_linger: Duration::from_micros(200),
-        })
+        }))
         .trace(TracePolicy { capacity: 64 })
         .build()
         .expect("valid demo config");
@@ -181,10 +183,10 @@ fn run_route() -> Result<i32, String> {
     let classifier = zoo::tiny_cnn("classifier", Shape::nchw(1, 1, 8, 8), &[8], 5).expect("builds");
     let config = ServeConfig::builder()
         .queue_capacity(64)
-        .batch(BatchPolicy {
+        .default_model(ModelConfig::default().batch(BatchPolicy {
             max_batch: 4,
             max_linger: Duration::from_micros(200),
-        })
+        }))
         .build()
         .expect("valid demo config");
     let server = Server::start(&gesture, config)
@@ -340,19 +342,18 @@ fn run_top() -> Result<i32, String> {
     use std::time::{Duration, Instant};
     use vedliot::nnir::{zoo, Shape, Tensor};
     use vedliot::serve::{
-        BatchPolicy, BurnWindows, CauseId, EventKind, JournalPolicy, Priority, ServeConfig, Server,
-        SloPolicy, SubmitRequest,
+        BatchPolicy, BurnWindows, CauseId, EventKind, JournalPolicy, ModelConfig, Priority,
+        ServeConfig, Server, SloPolicy, SubmitRequest,
     };
 
     let model = zoo::tiny_cnn("top-demo", Shape::nchw(1, 1, 8, 8), &[4], 3).expect("builds");
     let input = |seed: u64| Tensor::random(Shape::nchw(1, 1, 8, 8), seed, 1.0);
     let config = ServeConfig::builder()
         .queue_capacity(64)
-        .workers(1)
-        .batch(BatchPolicy {
+        .default_model(ModelConfig::default().workers(1).batch(BatchPolicy {
             max_batch: 1,
             max_linger: Duration::from_micros(0),
-        })
+        }))
         .journal(JournalPolicy { capacity: 1024 })
         .slo(SloPolicy {
             availability: Some(0.9),
@@ -474,7 +475,8 @@ fn run_journal(seed: u64) -> Result<i32, String> {
     use vedliot::nnir::{zoo, Shape, Tensor};
     use vedliot::obs::{CauseId, EventJournal, EventKind};
     use vedliot::serve::{
-        BatchPolicy, FaultPlan, JournalPolicy, ResilienceConfig, ServeConfig, Server, SubmitRequest,
+        BatchPolicy, FaultPlan, JournalPolicy, ModelConfig, ResilienceConfig, ServeConfig, Server,
+        SubmitRequest,
     };
 
     let count = |events: &[vedliot::obs::Event], kind: EventKind| {
@@ -488,21 +490,24 @@ fn run_journal(seed: u64) -> Result<i32, String> {
     let model = zoo::tiny_cnn("journal-demo", Shape::nchw(1, 1, 8, 8), &[4], 3).expect("builds");
     let config = ServeConfig::builder()
         .queue_capacity(256)
-        .workers(2)
-        .batch(BatchPolicy {
-            max_batch: 4,
-            max_linger: Duration::from_micros(200),
-        })
+        .default_model(
+            ModelConfig::default()
+                .workers(2)
+                .batch(BatchPolicy {
+                    max_batch: 4,
+                    max_linger: Duration::from_micros(200),
+                })
+                .chaos(FaultPlan {
+                    seed,
+                    panic_per_batch: 0.15,
+                    kill_per_wakeup: 0.05,
+                    poison_every: 50,
+                    weight_bit_flips: 0,
+                }),
+        )
         .resilience(ResilienceConfig {
             respawn_budget: 32,
             ..ResilienceConfig::default()
-        })
-        .chaos(FaultPlan {
-            seed,
-            panic_per_batch: 0.15,
-            kill_per_wakeup: 0.05,
-            poison_every: 50,
-            weight_bit_flips: 0,
         })
         .journal(JournalPolicy { capacity: 4096 })
         .build()
@@ -582,7 +587,6 @@ fn run_journal(seed: u64) -> Result<i32, String> {
     let policy = RolloutPolicy {
         canary: 16,
         health_threshold: 0.8,
-        ..RolloutPolicy::default()
     };
     let report = Rollout::new(
         target,
