@@ -38,6 +38,9 @@ if [[ $fast -eq 0 ]]; then
 
   echo "==> nnir proptests in release (the shipped kernels' codegen: the conv tiles vectorize only at opt-level >= 2)"
   cargo test --release -q -p vedliot-nnir --test proptests
+
+  echo "==> histogram snapshot race in release (debug builds did not hit the race it guards)"
+  cargo test --release -q -p vedliot-obs --lib hist::tests::snapshot_during_recording_bounds_what_it_counts
 fi
 
 echo "==> cargo test -q"
@@ -78,6 +81,9 @@ if [[ $fast -eq 0 ]]; then
     echo "  -> vedliot $demo"
     ./target/release/vedliot "$demo" > /dev/null
   done
+
+  echo "==> E23 observability (profile covers >= 95% of a pass, exact span accounting, tracing tax)"
+  ./target/release/harness observe > /dev/null
 
   echo "==> BENCH gates (fresh snapshot vs checked-in baseline, rules in crates/bench/src/gate.rs)"
   # Each experiment asserts its own hard invariants while it runs and

@@ -30,7 +30,12 @@
 //! adding its valid taps in the order of a plain per-output loop. Every
 //! output scalar is a pure function of its operands — the lane split
 //! and combine order are fixed — so serial and threaded runs, any pixel
-//! blocking and any batch size produce bit-identical results.
+//! blocking and any batch size produce bit-identical results. Max and
+//! average pooling pad a plane with a value no accumulator changes on
+//! (`-∞`, or `-0.0` for the sum) and run each output row eight or four
+//! outputs at a time, every tap applied lane-wise in (ky, kx) order:
+//! each output sees its valid taps in a per-output loop's order, so it
+//! has that loop's bits.
 //! [`Parallelism::Serial`] keeps the single-threaded path available for
 //! equivalence testing.
 //!
@@ -50,16 +55,17 @@
 //! exact, so every INT8 output is independent of threading, planning
 //! and batch size too. See [`RunnerBuilder::int8`].
 //!
-//! The runner executes the schedule in *steps*: a conv or dense node
-//! takes the chain of `BatchNorm`, activation, `FakeQuant` and
-//! same-shape `Add` nodes that directly follow it, each the sole
-//! consumer of the value before it, into its own output write (the rule
-//! is `fused_steps`). Each of those ops is one in-place
-//! stage with one implementation, run by the kernel on each run of one
-//! output channel while it is still in cache — the GEMM's output rows,
-//! the grouped kernel's accumulator lanes and scattered rows, the INT8
-//! conv's dequantized rows, the dense rows — and over a copy of its
-//! input when the node stands alone. A stage computes the same
+//! The runner executes the schedule in *steps*: a conv, dense, max- or
+//! average-pool or flatten node takes the chain of `BatchNorm`,
+//! activation, `FakeQuant` and same-shape `Add` nodes that directly
+//! follow it, each the sole consumer of the value before it, into its
+//! own output write (the rule is `fused_steps`). Each of those ops is
+//! one in-place stage with one implementation, run by the kernel on
+//! each run of one output channel while it is still in cache — the
+//! GEMM's output rows, the grouped kernel's accumulator lanes and
+//! scattered rows, the INT8 conv's dequantized rows, the dense rows,
+//! each pooled plane, the flattened copy — and over a copy of its input
+//! when the node stands alone. A stage computes the same
 //! expression on the same operand per element either way, so fusion
 //! changes no bit; the chain's inner values are simply never stored.
 //! [`RunOptions::capture_intermediates`] runs the stages one at a time
@@ -352,7 +358,8 @@ fn quantize_activation(x: f32, inv: f32) -> i16 {
 #[derive(Debug, Default)]
 struct Scratch {
     /// f32 im2col patch block (one cache-sized pixel tile — never the
-    /// whole batch).
+    /// whole batch); the grouped conv's interleaved strips and the
+    /// pooling kernel's padded planes reuse it.
     col: Vec<f32>,
     /// Output tile the blocked GEMM writes before scattering into the
     /// strided output planes.
@@ -377,10 +384,10 @@ struct Scratch {
 pub struct RunOptions {
     /// Keep a clone of *every* value tensor, indexed by
     /// [`TensorId`] — the hook quantization calibration uses to observe
-    /// activation ranges. The elementwise nodes a conv or dense kernel
-    /// would fuse into its output write then run one at a time over its
-    /// output, so each value they pass along exists to be cloned; every
-    /// value has the bits of the fused run.
+    /// activation ranges. The elementwise nodes a head kernel (conv,
+    /// dense, pool or flatten) would fuse into its output write then run
+    /// one at a time over its output, so each value they pass along
+    /// exists to be cloned; every value has the bits of the fused run.
     pub capture_intermediates: bool,
     /// Record a per-node [`RunProfile`] (name, op, duration, static
     /// operation counts) for this pass. Off by default: a plain run
@@ -570,14 +577,16 @@ impl RunnerBuilder {
         } else {
             MemoryPlan::identity(graph)
         };
+        let steps = fused_steps(graph);
         Ok(Runner {
             graph,
             parallelism: self.parallelism,
             weights: vec![None; graph.nodes().len()],
             values: vec![None; plan.slot_count()],
             scratch: Scratch::default(),
+            records: profile_records(graph, &steps, &int8_plans),
             int8_plans,
-            steps: fused_steps(graph),
+            steps,
             plan,
         })
     }
@@ -640,15 +649,16 @@ const MAX_TAILS: usize = 8;
 /// The schedule cut into steps, each a range of node indices the runner
 /// executes as one kernel — the one place the fusion decision is made.
 ///
-/// A step starts at every node. One that starts at a `Conv2d` or
-/// `Dense` node (its *head*) extends through the next node in the
-/// schedule while that node is a `BatchNorm`, an `Activation`, a
-/// `FakeQuant` or an `Add` of two same-shape tensors, it is the only
-/// consumer of the value the step has computed so far, and that value is
-/// not a graph output; at most [`MAX_TAILS`] nodes join. Those *tails*
-/// then run in the head kernel's output write and their inputs never
-/// exist as tensors of their own. Because a tail is always the next
-/// node, an `Add`'s other operand was produced before the head.
+/// A step starts at every node. One that starts at a `Conv2d`,
+/// `Dense`, `MaxPool2d`, `AvgPool2d` or `Flatten` node (its *head*)
+/// extends through the next node in the schedule while that node is a
+/// `BatchNorm`, an `Activation`, a `FakeQuant` or an `Add` of two
+/// same-shape tensors, it is the only consumer of the value the step
+/// has computed so far, and that value is not a graph output; at most
+/// [`MAX_TAILS`] nodes join. Those *tails* then run in the head
+/// kernel's output write and their inputs never exist as tensors of
+/// their own. Because a tail is always the next node, an `Add`'s other
+/// operand was produced before the head.
 fn fused_steps(graph: &Graph) -> Vec<Range<usize>> {
     let nodes = graph.nodes();
     let fanout = graph.fanout();
@@ -669,7 +679,10 @@ fn fused_steps(graph: &Graph) -> Vec<Range<usize>> {
     let mut start = 0;
     while start < nodes.len() {
         let mut end = start + 1;
-        if matches!(nodes[start].op, Op::Conv2d(_) | Op::Dense { .. }) {
+        if matches!(
+            nodes[start].op,
+            Op::Conv2d(_) | Op::Dense { .. } | Op::MaxPool2d(_) | Op::AvgPool2d(_) | Op::Flatten
+        ) {
             while end < nodes.len()
                 && end - start <= MAX_TAILS
                 && fuses(nodes[end - 1].output, &nodes[end])
@@ -696,8 +709,8 @@ const ARENA_ELEM_BYTES: u64 = 4;
 ///
 /// Computed once at [`RunnerBuilder::build`] by greedy interval-graph
 /// coloring over the [`Liveness`](crate::analysis::Liveness) intervals,
-/// counted in the runner's *steps* (a conv or dense node together with
-/// the elementwise nodes fused into its output write) rather than
+/// counted in the runner's *steps* (a head node together with the
+/// elementwise nodes fused into its output write) rather than
 /// nodes: a fused chain's inner values are never written, so they own
 /// no slot; its final value is defined, and every operand it reads is
 /// live, at the head's step. Tensors are visited in definition order,
@@ -881,10 +894,13 @@ pub struct Runner<'g> {
     /// Build-time INT8 kernel selection and packed weights for each
     /// node that executes on the INT8 path (see [`int8_plans`]).
     int8_plans: Vec<Option<Int8Plan<'g>>>,
-    /// The schedule as the kernels run it: each step a node, or a conv
-    /// or dense head with the elementwise nodes fused into its output
-    /// write (see [`fused_steps`]).
+    /// The schedule as the kernels run it: each step a node, or a head
+    /// with the elementwise nodes fused into its output write (see
+    /// [`fused_steps`]).
     steps: Vec<Range<usize>>,
+    /// Each node's profile record less its duration (see
+    /// [`profile_records`]).
+    records: Vec<NodeProfile>,
     /// Build-time arena layout: which slot each tensor id lives in.
     plan: MemoryPlan,
 }
@@ -928,7 +944,7 @@ impl<'g> Runner<'g> {
         options: RunOptions,
     ) -> Result<RunOutput, NnirError> {
         let wall_start = options.profile.then(std::time::Instant::now);
-        let (per_node, intermediates) = self.forward(inputs, options)?;
+        let (durations, intermediates) = self.forward(inputs, options)?;
         let outputs = self
             .graph
             .outputs()
@@ -944,14 +960,29 @@ impl<'g> Runner<'g> {
             .collect::<Result<Vec<_>, _>>()?;
         // Wall time spans input staging through output collection, so
         // coverage (kernel time / wall) honestly reports what the
-        // per-node records miss.
-        let profile = per_node
-            .zip(wall_start)
-            .map(|(per_node, start)| RunProfile {
+        // per-node records miss. The records are the build-time static
+        // fields with this pass's durations; a run that captures
+        // intermediates fused nothing.
+        let wall_ns = wall_start.map(|start| start.elapsed().as_nanos() as u64);
+        let profile = durations
+            .zip(wall_ns)
+            .map(|(durations, wall_ns)| RunProfile {
                 model: self.graph.name().to_string(),
                 batch: self.graph.batch(),
-                per_node,
-                wall_ns: start.elapsed().as_nanos() as u64,
+                per_node: self
+                    .records
+                    .iter()
+                    .zip(durations)
+                    .map(|(record, duration_ns)| {
+                        let mut record = record.clone();
+                        record.duration_ns = duration_ns;
+                        if options.capture_intermediates {
+                            record.fused_into = None;
+                        }
+                        record
+                    })
+                    .collect(),
+                wall_ns,
                 arena_peak_bytes: self.plan.peak_bytes(),
                 arena_unplanned_bytes: self.plan.unplanned_bytes(),
                 arena_slots: self.plan.slot_count(),
@@ -1008,25 +1039,22 @@ impl<'g> Runner<'g> {
                     tensor.shape()
                 )));
             }
-            // Reuse the arena slot when the buffer is already the right
-            // size; otherwise take a fresh copy.
+            // Copy into the arena slot's buffer, whatever value it held
+            // last: a slot shared with larger values keeps their
+            // capacity, so a warm run allocates nothing here.
             let slot = self.plan.slot_of(*tid).ok_or_else(|| {
                 NnirError::ExecutionFailure(format!("input {tid} has no arena slot"))
             })?;
-            match self.values[slot].take() {
-                Some(mut buf) if buf.shape() == tensor.shape() => {
-                    buf.data_mut().copy_from_slice(tensor.data());
-                    self.values[slot] = Some(buf);
-                }
-                _ => self.values[slot] = Some(tensor.clone()),
-            }
+            let mut buf = recycle(self.values[slot].take(), tensor.shape());
+            buf.data_mut().copy_from_slice(tensor.data());
+            self.values[slot] = Some(buf);
             if let Some(cap) = captured.as_mut() {
                 cap[tid.0] = Some(tensor.clone());
             }
         }
 
         let nodes: &'g [Node] = self.graph.nodes();
-        let mut profile = options.profile.then(|| Vec::with_capacity(nodes.len()));
+        let mut durations = options.profile.then(|| vec![0; nodes.len()]);
         for step in &self.steps {
             for (idx, node) in step.clone().zip(&nodes[step.clone()]) {
                 if self.weights[idx].is_none() {
@@ -1057,11 +1085,6 @@ impl<'g> Runner<'g> {
             };
             // Materialized above; a kernel reports missing tensors itself.
             let weights = |idx: usize| self.weights[idx].as_deref().unwrap_or_default();
-            let ins = head
-                .inputs
-                .iter()
-                .map(|&t| value(t))
-                .collect::<Result<Vec<_>, _>>()?;
             // The tail's stage over the chain value `v`, its other
             // operand (an `Add`'s) read from the arena.
             let stage = |idx: usize, v: TensorId| {
@@ -1082,41 +1105,34 @@ impl<'g> Runner<'g> {
                     v = nodes[idx].output;
                 }
             }
-            let int8 = self.int8_plans[step.start].as_ref();
-            let precision = int8.map_or(DataType::F32, |_| DataType::I8);
-            let head_start = profile.is_some().then(std::time::Instant::now);
+            let head_start = durations.is_some().then(std::time::Instant::now);
             let mut ctx = KernelCtx {
                 scratch: &mut self.scratch,
                 par: self.parallelism,
-                int8,
+                int8: self.int8_plans[step.start].as_ref(),
                 epi: Epilogue {
                     stages: &stages[..tails.len()],
                     plane,
                 },
             };
-            eval_node_into(head, &ins, weights(step.start), &mut out, &mut ctx)?;
-            // Stop the clock before the bookkeeping below, so a record
-            // measures only its kernel (a fused head's: the whole step).
-            let head_ns = head_start.map(|s| s.elapsed().as_nanos() as u64);
-            if let (Some(records), Some(ns)) = (profile.as_mut(), head_ns) {
-                records.push(record(self.graph, head, out.shape(), ns, precision, None));
+            eval_node_into(head, value, weights(step.start), &mut out, &mut ctx)?;
+            // A record measures only its kernel (a fused head's: the
+            // whole step).
+            if let (Some(ns), Some(start)) = (durations.as_mut(), head_start) {
+                ns[step.start] = start.elapsed().as_nanos() as u64;
             }
             if let Some(cap) = captured.as_mut() {
                 cap[head.output.0] = Some(out.clone());
             }
             let mut v = head.output;
             for (idx, tail) in (step.start + 1..step.end).zip(tails) {
-                let (ns, fused_into) = if fused {
-                    (0, Some(head))
-                } else {
+                if !fused {
                     let stage = stage(idx, v)?;
                     let start = std::time::Instant::now();
                     stage.apply(out.data_mut(), 0, plane);
-                    (start.elapsed().as_nanos() as u64, None)
-                };
-                if let Some(records) = profile.as_mut() {
-                    let r = record(self.graph, tail, out.shape(), ns, DataType::F32, fused_into);
-                    records.push(r);
+                    if let Some(ns) = durations.as_mut() {
+                        ns[idx] = start.elapsed().as_nanos() as u64;
+                    }
                 }
                 if let Some(cap) = captured.as_mut() {
                     cap[tail.output.0] = Some(out.clone());
@@ -1125,14 +1141,15 @@ impl<'g> Runner<'g> {
             }
             self.values[out_slot] = Some(out);
         }
-        Ok((profile, captured))
+        Ok((durations, captured))
     }
 }
 
-/// What [`Runner::forward`] hands back to [`Runner::execute`]: per-node
-/// profile records and the per-tensor-id intermediate snapshot, each
-/// present when its [`RunOptions`] flag was set.
-type ForwardArtifacts = (Option<Vec<NodeProfile>>, Option<Vec<Option<Tensor>>>);
+/// What [`Runner::forward`] hands back to [`Runner::execute`]: each
+/// node's kernel time in schedule order (0 for a fused tail) and the
+/// per-tensor-id intermediate snapshot, each present when its
+/// [`RunOptions`] flag was set.
+type ForwardArtifacts = (Option<Vec<u64>>, Option<Vec<Option<Tensor>>>);
 
 /// Rebuilds an arena slot's buffer for `shape`: a same-shape occupant
 /// is handed back as-is (the kernel fully overwrites it), a
@@ -1153,26 +1170,41 @@ fn recycle(slot: Option<Tensor>, shape: &Shape) -> Tensor {
     }
 }
 
-/// The profile record of `node`, whose output has `shape`; `fused_into`
-/// is the head a fused tail ran inside.
-fn record(
+/// The static fields of each node's profile record, in schedule order:
+/// everything but the measured duration, built once per runner. A fused
+/// tail names its step's head; every node an INT8 plan selected reads
+/// [`DataType::I8`].
+fn profile_records(
     graph: &Graph,
-    node: &Node,
-    shape: &Shape,
-    duration_ns: u64,
-    precision: DataType,
-    fused_into: Option<&Node>,
-) -> NodeProfile {
-    let in_shapes = graph.node_input_shapes(node);
-    NodeProfile {
-        name: node.name.clone(),
-        op: node.op.to_string(),
-        macs: node.op.macs(&in_shapes, shape),
-        elementwise: node.op.elementwise_ops(&in_shapes, shape),
-        duration_ns,
-        precision,
-        fused_into: fused_into.map(|head| head.name.clone()),
-    }
+    steps: &[Range<usize>],
+    int8_plans: &[Option<Int8Plan<'_>>],
+) -> Vec<NodeProfile> {
+    let nodes = graph.nodes();
+    steps
+        .iter()
+        .flat_map(|step| step.clone().map(move |idx| (idx, step.start)))
+        .map(|(idx, head)| {
+            let node = &nodes[idx];
+            let in_shapes = graph.node_input_shapes(node);
+            let (macs, elementwise) = graph.tensor_shape(node.output).map_or((0, 0), |out| {
+                (
+                    node.op.macs(&in_shapes, out),
+                    node.op.elementwise_ops(&in_shapes, out),
+                )
+            });
+            NodeProfile {
+                name: node.name.clone(),
+                op: node.op.to_string(),
+                macs,
+                elementwise,
+                duration_ns: 0,
+                precision: int8_plans[idx]
+                    .as_ref()
+                    .map_or(DataType::F32, |_| DataType::I8),
+                fused_into: (idx != head).then(|| nodes[head].name.clone()),
+            }
+        })
+        .collect()
 }
 
 /// Mutable per-step kernel context: the runner's scratch arenas, the
@@ -1184,8 +1216,8 @@ struct KernelCtx<'a> {
     /// `Some` when the build-time plan selected the INT8 kernel for
     /// this node.
     int8: Option<&'a Int8Plan<'a>>,
-    /// What a conv or dense kernel applies to each run of output it
-    /// writes; empty for every other node.
+    /// What a head kernel (conv, dense, pool or flatten) applies to
+    /// each run of output it writes; empty for every other node.
     epi: Epilogue<'a>,
 }
 
@@ -1206,49 +1238,47 @@ impl<'a> KernelCtx<'a> {
     }
 }
 
-/// Dispatches one node evaluation into a preallocated output tensor.
-fn eval_node_into(
+/// Dispatches one node evaluation into a preallocated output tensor,
+/// reading each input tensor from the arena through `value`.
+fn eval_node_into<'v>(
     node: &Node,
-    ins: &[&Tensor],
+    value: impl Fn(TensorId) -> Result<&'v Tensor, NnirError>,
     weights: &[Tensor],
     out: &mut Tensor,
     ctx: &mut KernelCtx<'_>,
 ) -> Result<(), NnirError> {
-    let par = ctx.par;
+    let arg = |i: usize| value(node.inputs[i]);
     match &node.op {
         Op::Input(_) => Err(NnirError::ExecutionFailure(
             "input op cannot be evaluated".into(),
         )),
-        Op::Conv2d(attrs) => conv2d_into(ins[0], attrs, weights, out, ctx),
-        Op::Dense { bias, .. } => dense_into(ins[0], weights, *bias, out, ctx),
+        Op::Conv2d(attrs) => conv2d_into(arg(0)?, attrs, weights, out, ctx),
+        Op::Dense { bias, .. } => dense_into(arg(0)?, weights, *bias, out, ctx),
         Op::BatchNorm | Op::Activation(_) | Op::FakeQuant { .. } | Op::Add => {
             // A standalone elementwise node: its stage, run in place
             // over a copy of its first input.
-            let stage = Stage::of(
-                node,
-                node.inputs[0],
-                weights,
-                ins.get(1).copied(),
-                out.shape(),
-            )?;
+            let other = node.inputs.get(1).map(|&t| value(t)).transpose()?;
+            let stage = Stage::of(node, node.inputs[0], weights, other, out.shape())?;
             let plane = channel_plane(out.shape());
-            out.data_mut().copy_from_slice(ins[0].data());
+            out.data_mut().copy_from_slice(arg(0)?.data());
             stage.apply(out.data_mut(), 0, plane);
             Ok(())
         }
-        Op::MaxPool2d(attrs) => pool2d_into(ins[0], attrs, PoolMode::Max, out, par),
-        Op::AvgPool2d(attrs) => pool2d_into(ins[0], attrs, PoolMode::Avg, out, par),
-        Op::GlobalAvgPool => global_avg_pool_into(ins[0], out),
-        Op::Mul => mul_broadcast_into(ins[0], ins[1], out),
-        Op::Concat => concat_channels_into(ins, out),
-        Op::Upsample { factor } => upsample_nearest_into(ins[0], *factor, out),
+        Op::MaxPool2d(attrs) => pool2d_into(arg(0)?, attrs, PoolMode::Max, out, ctx),
+        Op::AvgPool2d(attrs) => pool2d_into(arg(0)?, attrs, PoolMode::Avg, out, ctx),
+        Op::GlobalAvgPool => global_avg_pool_into(arg(0)?, out),
+        Op::Mul => mul_broadcast_into(arg(0)?, arg(1)?, out),
+        Op::Concat => concat_channels_into(node.inputs.iter().map(|&t| value(t)), out),
+        Op::Upsample { factor } => upsample_nearest_into(arg(0)?, *factor, out),
         Op::Flatten => {
-            // Same element order, different shape: a straight copy.
-            out.data_mut().copy_from_slice(ins[0].data());
+            // Same element order, different shape: a straight copy, then
+            // the fused stages over it.
+            out.data_mut().copy_from_slice(arg(0)?.data());
+            ctx.epi.apply(out.data_mut(), 0);
             Ok(())
         }
         Op::Softmax => {
-            softmax_last_into(ins[0], out);
+            softmax_last_into(arg(0)?, out);
             Ok(())
         }
     }
@@ -1296,8 +1326,8 @@ fn activation(kind: ActKind, xs: &mut [f32]) {
 
 /// One elementwise node as an in-place pass over a run of output
 /// values: the single implementation of its arithmetic, whether it runs
-/// fused into a conv or dense kernel's output write or as a standalone
-/// node over a copy of its input.
+/// fused into a head kernel's output write or as a standalone node over
+/// a copy of its input.
 #[derive(Debug, Clone, Copy)]
 enum Stage<'a> {
     /// `scale[c]·x + shift[c]` for channel `c`.
@@ -1411,8 +1441,8 @@ impl<'a> Stage<'a> {
     }
 }
 
-/// The stages fused into a conv or dense kernel's output write, and the
-/// output's channel plane, which maps a run of output to its channel.
+/// The stages fused into a head kernel's output write, and the output's
+/// channel plane, which maps a run of output to its channel.
 #[derive(Clone, Copy)]
 struct Epilogue<'a> {
     /// One per fused tail, in schedule order (all `Some`).
@@ -2183,14 +2213,31 @@ enum PoolMode {
     Avg,
 }
 
-/// Pooling; average pooling excludes padding from the divisor (ONNX
-/// `count_include_pad = 0`).
+/// Max and average pooling, one output row at a time.
+///
+/// A plane with padding is first copied into a padded plane whose
+/// border holds a value no accumulator changes on — `-∞` for max,
+/// `-0.0` for the average's sum (`x + -0.0` is `x` for every `x`,
+/// zeros and NaNs included) — so every tap of every output lands inside
+/// it and none needs a bounds check. Each output row then goes a group
+/// of outputs at a time ([`pool_row`]): the group's lanes start where a
+/// per-output loop starts (`-∞`, or `0.0` for the sum) and take the
+/// taps in (ky, kx) order, each tap applied lane-wise. A padded tap
+/// leaves its lane unchanged, so every output combines its valid taps
+/// in the order of a per-output loop over them, and every bit is that
+/// loop's. Average pooling then divides each sum by its output's count
+/// of valid taps: padding is excluded from the divisor (ONNX
+/// `count_include_pad = 0`), and an output with none is `0.0`. The
+/// fused stages run on each finished output plane: per row, their
+/// per-call cost outweighed the work on LeNet-5's 14- and 5-wide rows.
+/// Planes are split over the workers, each with a padded plane of its
+/// own.
 fn pool2d_into(
     input: &Tensor,
     attrs: &Pool2dAttrs,
     mode: PoolMode,
     out: &mut Tensor,
-    par: Parallelism,
+    ctx: &mut KernelCtx<'_>,
 ) -> Result<(), NnirError> {
     let [n, c, h, w] = dims4(input.shape())?;
     let (kh, kw) = attrs.kernel;
@@ -2201,56 +2248,156 @@ fn pool2d_into(
             "pool2d requires non-zero stride and kernel (stride {sh}x{sw}, kernel {kh}x{kw})"
         )));
     }
-    if h + 2 * ph < kh || w + 2 * pw < kw {
+    let (hp, wp) = (h + 2 * ph, w + 2 * pw);
+    if hp < kh || wp < kw {
         return Err(NnirError::ExecutionFailure(format!(
-            "pool2d kernel {kh}x{kw} exceeds padded input {}x{}",
-            h + 2 * ph,
-            w + 2 * pw
+            "pool2d kernel {kh}x{kw} exceeds padded input {hp}x{wp}"
         )));
     }
-    let oh = (h + 2 * ph - kh) / sh + 1;
-    let ow = (w + 2 * pw - kw) / sw + 1;
+    let oh = (hp - kh) / sh + 1;
+    let ow = (wp - kw) / sw + 1;
     debug_assert_eq!(out.shape().elem_count(), n * c * oh * ow);
     let opix = oh * ow;
+    // What a padded tap reads: a value that leaves every accumulator
+    // unchanged.
+    let identity = match mode {
+        PoolMode::Max => f32::NEG_INFINITY,
+        PoolMode::Avg => -0.0,
+    };
+    let padded = ph > 0 || pw > 0;
+    let workers = ctx.par.workers_for(n * c * opix * kh * kw);
+    let pads = &mut ctx.scratch.col;
+    pads.clear();
+    pads.resize(if padded { workers * hp * wp } else { 0 }, identity);
     let in_data = input.data();
-    let is_max = matches!(mode, PoolMode::Max);
-    let work = n * c * opix * kh * kw;
-    par_chunks(par.workers_for(work), out.data_mut(), opix, |u, dst| {
+    let epi = ctx.epi;
+    par_chunks_with(workers, out.data_mut(), opix, pads, |u, dst, pad| {
         let plane = &in_data[u * h * w..][..h * w];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = if is_max { f32::NEG_INFINITY } else { 0.0 };
-                let mut count = 0usize;
-                for ky in 0..kh {
-                    let iy = (oy * sh + ky) as isize - ph as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..kw {
-                        let ix = (ox * sw + kx) as isize - pw as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        let v = plane[iy as usize * w + ix as usize];
-                        if is_max {
-                            acc = acc.max(v);
-                        } else {
-                            acc += v;
-                        }
-                        count += 1;
+        let plane = if padded {
+            // The border keeps the identity it was filled with.
+            for (y, row) in plane.chunks_exact(w.max(1)).enumerate() {
+                pad[(y + ph) * wp + pw..][..w].copy_from_slice(row);
+            }
+            &pad[..hp * wp]
+        } else {
+            plane
+        };
+        for (oy, row) in dst.chunks_exact_mut(ow).enumerate() {
+            let rows = &plane[oy * sh * wp..][..kh * wp];
+            match mode {
+                PoolMode::Max => pool_row(row, rows, wp, kw, sw, f32::NEG_INFINITY, max_tap),
+                PoolMode::Avg => {
+                    pool_row(row, rows, wp, kw, sw, 0.0, |a, x| a + x);
+                    // The valid taps: kernel rows and columns inside the
+                    // input.
+                    let ky = ph.saturating_sub(oy * sh)..kh.min((h + ph).saturating_sub(oy * sh));
+                    for (ox, o) in row.iter_mut().enumerate() {
+                        let kx =
+                            pw.saturating_sub(ox * sw)..kw.min((w + pw).saturating_sub(ox * sw));
+                        let count = ky.len() * kx.len();
+                        *o = if count > 0 { *o / count as f32 } else { 0.0 };
                     }
                 }
-                dst[oy * ow + ox] = if is_max {
-                    acc
-                } else if count > 0 {
-                    acc / count as f32
-                } else {
-                    0.0
-                };
             }
         }
+        epi.apply(dst, u * opix);
     });
     Ok(())
+}
+
+/// `acc.max(x)` for an `acc` that is never NaN (it starts at `-∞` and
+/// takes only non-NaN values), with a `±0` tie kept at `acc`: the
+/// compare-and-select x86's `maxps` performs. `f32::max` leaves that
+/// tie unspecified, and its NaN-safe lowering keeps [`pool_taps`]'s
+/// lanes from vectorizing.
+#[inline]
+fn max_tap(acc: f32, x: f32) -> f32 {
+    if x > acc {
+        x
+    } else {
+        acc
+    }
+}
+
+/// One output row of [`pool2d_into`]: `rows` holds, every `wp` values,
+/// the padded input rows its windows span. The outputs go in groups of
+/// eight, four or one, as the row's width allows; each group's lanes
+/// start at `init` and take every tap with `f` ([`pool_taps`]). A last
+/// group that would run past the row's end is moved back to end there,
+/// recomputing a few outputs to the same bits.
+fn pool_row(
+    row: &mut [f32],
+    rows: &[f32],
+    wp: usize,
+    kw: usize,
+    sw: usize,
+    init: f32,
+    f: impl Fn(f32, f32) -> f32 + Copy,
+) {
+    fn groups<const L: usize>(
+        row: &mut [f32],
+        rows: &[f32],
+        wp: usize,
+        kw: usize,
+        sw: usize,
+        init: f32,
+        f: impl Fn(f32, f32) -> f32 + Copy,
+    ) {
+        let ow = row.len();
+        for ox in (0..ow).step_by(L) {
+            let ox = ox.min(ow - L);
+            let mut acc = [init; L];
+            for src in rows.chunks_exact(wp) {
+                pool_taps(&mut acc, &src[ox * sw..], kw, sw, f);
+            }
+            row[ox..ox + L].copy_from_slice(&acc);
+        }
+    }
+    match row.len() {
+        8.. => groups::<8>(row, rows, wp, kw, sw, init, f),
+        4.. => groups::<4>(row, rows, wp, kw, sw, init, f),
+        _ => groups::<1>(row, rows, wp, kw, sw, init, f),
+    }
+}
+
+/// Takes the `kw` taps of one padded input row into a group of outputs:
+/// lane `l` combines `xs[l·sw + kx]` for each tap `kx` in order. Stride
+/// 2 (LeNet-5's and ResNet-50's pools) reads one run of `2L` per pair of
+/// taps, the first tap on its even lanes and the second on its odd ones;
+/// other strides gather lane by lane.
+#[inline]
+fn pool_taps<const L: usize>(
+    acc: &mut [f32; L],
+    xs: &[f32],
+    kw: usize,
+    sw: usize,
+    f: impl Fn(f32, f32) -> f32,
+) {
+    match sw {
+        2 => {
+            let mut kx = 0;
+            while kx + 1 < kw {
+                let x = &xs[kx..][..2 * L];
+                for l in 0..L {
+                    acc[l] = f(f(acc[l], x[2 * l]), x[2 * l + 1]);
+                }
+                kx += 2;
+            }
+            if kx < kw {
+                let x = &xs[kx..][..2 * L - 1];
+                for l in 0..L {
+                    acc[l] = f(acc[l], x[2 * l]);
+                }
+            }
+        }
+        _ => {
+            for kx in 0..kw {
+                for l in 0..L {
+                    acc[l] = f(acc[l], xs[kx + l * sw]);
+                }
+            }
+        }
+    }
 }
 
 fn global_avg_pool_into(input: &Tensor, out: &mut Tensor) -> Result<(), NnirError> {
@@ -2273,15 +2420,18 @@ fn global_avg_pool_into(input: &Tensor, out: &mut Tensor) -> Result<(), NnirErro
 // Structural ops
 // --------------------------------------------------------------------
 
-fn concat_channels_into(inputs: &[&Tensor], out: &mut Tensor) -> Result<(), NnirError> {
-    let [n, _, h, w] = dims4(inputs[0].shape())?;
-    let total_c: usize = inputs.iter().map(|t| t.shape().dim(1).unwrap_or(0)).sum();
+fn concat_channels_into<'v>(
+    inputs: impl Iterator<Item = Result<&'v Tensor, NnirError>>,
+    out: &mut Tensor,
+) -> Result<(), NnirError> {
+    let [n, total_c, h, w] = dims4(out.shape())?;
     let plane = h * w;
     let out_data = out.data_mut();
     let mut c_off = 0usize;
     for t in inputs {
+        let t = t?;
         let [tn, tc, th, tw] = dims4(t.shape())?;
-        if tn != n || th != h || tw != w {
+        if tn != n || th != h || tw != w || c_off + tc > total_c {
             return Err(NnirError::ExecutionFailure(
                 "concat spatial mismatch".into(),
             ));
@@ -2295,6 +2445,11 @@ fn concat_channels_into(inputs: &[&Tensor], out: &mut Tensor) -> Result<(), Nnir
             }
         }
         c_off += tc;
+    }
+    if c_off != total_c {
+        return Err(NnirError::ExecutionFailure(format!(
+            "concat inputs hold {c_off} channels, its output {total_c}"
+        )));
     }
     Ok(())
 }
@@ -2585,7 +2740,9 @@ mod tests {
         let input = Tensor::full(Shape::nchw(1, 1, 2, 2), 1.0);
         let attrs = Pool2dAttrs::square(5, 1);
         let mut out = Tensor::zeros(Shape::nchw(1, 1, 1, 1));
-        let err = pool2d_into(&input, &attrs, PoolMode::Max, &mut out, Parallelism::Serial);
+        let mut scratch = Scratch::default();
+        let mut ctx = KernelCtx::f32(&mut scratch, Parallelism::Serial);
+        let err = pool2d_into(&input, &attrs, PoolMode::Max, &mut out, &mut ctx);
         assert!(
             matches!(err, Err(NnirError::ExecutionFailure(_))),
             "{err:?}"

@@ -36,9 +36,9 @@ pub struct NodeProfile {
     #[serde(default)]
     pub precision: DataType,
     /// The head node whose kernel this node ran inside, when the runner
-    /// fused it into that conv or dense node's output write; `None` for
-    /// a node that ran as its own kernel (every node of a run that
-    /// captures intermediates).
+    /// fused it into that conv, dense, pool or flatten node's output
+    /// write; `None` for a node that ran as its own kernel (every node
+    /// of a run that captures intermediates).
     #[serde(default)]
     pub fused_into: Option<String>,
 }
@@ -65,9 +65,9 @@ impl NodeProfile {
 
 /// Measured per-op profile of one forward pass.
 ///
-/// Every scheduled node has a record, in schedule order. A conv or
-/// dense node's record covers the elementwise nodes the runner fused
-/// into its output write; each of those keeps its own record with 0 ns
+/// Every scheduled node has a record, in schedule order. A conv, dense,
+/// pool or flatten node's record covers the elementwise nodes the
+/// runner fused into its output write; each of those keeps its own record with 0 ns
 /// and [`NodeProfile::fused_into`] naming the head, and `Display` shows
 /// it as `ran inside <head>`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

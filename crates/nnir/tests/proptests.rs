@@ -915,6 +915,133 @@ fn conv_int8_reference(
         .collect()
 }
 
+/// Pooling spelled out one output at a time — the per-output nest the
+/// engine ran before its row kernel, kept as the oracle. Max starts at
+/// `-∞` and takes `acc.max(v)` over the taps inside the input in (ky,
+/// kx) order; average adds them to `0.0` in that order and divides by
+/// their count, `0.0` when there are none.
+fn pool_reference(x: &Tensor, a: &Pool2dAttrs, max: bool) -> Vec<f32> {
+    let [n, c, h, w] = x.shape().dims()[..] else {
+        panic!("NCHW input expected");
+    };
+    let ((kh, kw), (sh, sw), (ph, pw)) = (a.kernel, a.stride, a.padding);
+    let (oh, ow) = ((h + 2 * ph - kh) / sh + 1, (w + 2 * pw - kw) / sw + 1);
+    (0..n * c * oh * ow)
+        .map(|u| {
+            let (plane, oy, ox) = (u / (oh * ow), u / ow % oh, u % ow);
+            let mut acc = if max { f32::NEG_INFINITY } else { 0.0 };
+            let mut count = 0usize;
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let iy = (oy * sh + ky).checked_sub(ph).filter(|&iy| iy < h);
+                    let ix = (ox * sw + kx).checked_sub(pw).filter(|&ix| ix < w);
+                    if let Some((iy, ix)) = iy.zip(ix) {
+                        let v = x.data()[(plane * h + iy) * w + ix];
+                        acc = if max { acc.max(v) } else { acc + v };
+                        count += 1;
+                    }
+                }
+            }
+            if max {
+                acc
+            } else if count > 0 {
+                acc / count as f32
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+/// A seeded input with about one element in three replaced by a NaN of
+/// either sign, a zero of either sign, an infinity or a subnormal. With
+/// `nonpositive`, every other value is negative too, so most windows
+/// peak at a zero and a max pool meets `+0`/`-0` ties.
+fn special_values(shape: Shape, seed: u64, nonpositive: bool) -> Tensor {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let data = (0..shape.elem_count())
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let r = (s >> 32) as u32;
+            let subnormal = f32::from_bits(1 + r % 0x007f_ffff);
+            match r % 24 {
+                0 => f32::NAN,
+                1 => -f32::NAN,
+                2 | 3 => 0.0,
+                4 | 5 => -0.0,
+                6 => f32::INFINITY,
+                7 => f32::NEG_INFINITY,
+                8 => subnormal,
+                9 => -subnormal,
+                _ if nonpositive => -((r % 2000) as f32) / 1000.0,
+                _ => (r % 4000) as f32 / 1000.0 - 2.0,
+            }
+        })
+        .collect();
+    Tensor::from_vec(shape, data).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The row-vectorized pooling kernel is **bit-identical** to the
+    /// per-output nest ([`pool_reference`]) for max and average pooling,
+    /// serial and over two workers: random sizes (widths that are not
+    /// multiples of 4 or 8 included), kernels of 1–13, strides of 1–3,
+    /// padding up to and past the kernel (so some outputs have no valid
+    /// tap), and inputs sprinkled with NaNs, `±0`, `±∞` and subnormals —
+    /// `±0` ties included, where `f32::max` leaves the result
+    /// unspecified, so the kernel's vector and scalar lanes must agree
+    /// with the nest's lowering. A NaN output matches any NaN: which NaN
+    /// an add returns is unspecified too (LLVM may commute it), and the
+    /// nest itself returns NaNs of different signs in debug and release
+    /// builds.
+    #[test]
+    fn pool_kernel_equals_per_output_nest(
+        (n, c) in (1usize..3, 1usize..4),
+        (h, w) in (1usize..18, 1usize..27),
+        (kh, kw) in (1usize..14, 1usize..14),
+        (sh, sw) in (1usize..4, 1usize..4),
+        (ph, pw) in (0usize..64, 0usize..64),
+        seed in 0u64..100_000,
+    ) {
+        // Padding from 0 to two past the kernel, at least enough for
+        // one window.
+        let pad = |p: usize, k: usize, len: usize| (p % (k + 3)).max(k.saturating_sub(len).div_ceil(2));
+        let attrs = Pool2dAttrs {
+            kernel: (kh, kw),
+            stride: (sh, sw),
+            padding: (pad(ph, kh, h), pad(pw, kw, w)),
+        };
+        let shape = Shape::nchw(n, c, h, w);
+        let input = special_values(shape.clone(), seed, seed % 2 == 0);
+        let nan_as_one = |v: &[f32]| -> Vec<u32> {
+            v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+        };
+        for max in [true, false] {
+            let op = if max { Op::MaxPool2d(attrs) } else { Op::AvgPool2d(attrs) };
+            let mut b = GraphBuilder::new("pool");
+            let x = b.input(shape.clone());
+            let y = b.apply("pool", op, &[x]).unwrap();
+            let g = b.finish(vec![y]);
+            let want = nan_as_one(&pool_reference(&input, &attrs, max));
+            for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+                let got = run_with(&g, par, std::slice::from_ref(&input)).unwrap();
+                prop_assert_eq!(
+                    nan_as_one(got[0].data()),
+                    want.clone(),
+                    "{:?} max {} under {:?}",
+                    attrs,
+                    max,
+                    par
+                );
+            }
+        }
+    }
+}
+
 /// Every value tensor of `g` on `inputs`, evaluated node by node with
 /// each op spelled out per element — no fusion, no arena, no blocking.
 /// A conv or dense node whose weights carry an i8 payload is evaluated
@@ -959,6 +1086,9 @@ fn reference_values(g: &Graph, inputs: &[Tensor]) -> Vec<Option<Tensor>> {
                 .zip(arg(1).data())
                 .map(|(&a, &b)| a + b)
                 .collect(),
+            Op::MaxPool2d(a) => pool_reference(&x, a, true),
+            Op::AvgPool2d(a) => pool_reference(&x, a, false),
+            Op::Flatten => x.data().to_vec(),
             op => panic!("no reference for {op}"),
         };
         vals[node.output.0] = Some(Tensor::from_vec(shape, out).unwrap());
@@ -975,10 +1105,12 @@ const TAIL_KINDS: usize = 14;
 #[derive(Debug)]
 struct ChainCase {
     /// 0 dense conv, 1 depthwise conv, 2 grouped conv, 3 dense layer (all
-    /// f32); 4 dense conv, 5 dense layer (both INT8).
+    /// f32); 4 dense conv, 5 dense layer (both INT8); 6 max pool, 7
+    /// average pool, 8 flatten.
     head: usize,
-    /// Depthwise channels or dense input features (`a`), dense conv input
-    /// (`b`) and output (`c`) channels or dense output features (`c`).
+    /// Depthwise, pool or flatten channels or dense input features (`a`),
+    /// dense conv input (`b`) and output (`c`) channels or dense output
+    /// features (`c`).
     abc: (usize, usize, usize),
     batch: usize,
     hw: (usize, usize),
@@ -1011,7 +1143,7 @@ fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
         ..
     } = *case;
     let (tails, breaker) = (&case.tails, case.breaker);
-    let int8 = head >= 4;
+    let int8 = head == 4 || head == 5;
     let s_in = 1.0 / 127.0;
     let mut bld = GraphBuilder::new("fused");
     let mut inputs = Vec::new();
@@ -1021,23 +1153,26 @@ fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
         2 => 2 + a % 2,
         _ => 1,
     };
-    let (in_shape, chain_shape) = if head == 3 || head == 5 {
-        (Shape::nf(batch, a), Shape::nf(batch, c))
-    } else {
-        let (icg, ocg) = match head {
-            1 => (1, 1),
-            2 => (2, 1 + c % 4),
-            _ => (b, c),
-        };
-        let pad = kernel / 2;
-        let (oh, ow) = (
-            (h + 2 * pad - kernel) / stride + 1,
-            (w + 2 * pad - kernel) / stride + 1,
-        );
-        (
-            Shape::nchw(batch, groups * icg, h, w),
-            Shape::nchw(batch, groups * ocg, oh, ow),
-        )
+    let pad = kernel / 2;
+    let (oh, ow) = (
+        (h + 2 * pad - kernel) / stride + 1,
+        (w + 2 * pad - kernel) / stride + 1,
+    );
+    let (in_shape, chain_shape) = match head {
+        3 | 5 => (Shape::nf(batch, a), Shape::nf(batch, c)),
+        6 | 7 => (Shape::nchw(batch, a, h, w), Shape::nchw(batch, a, oh, ow)),
+        8 => (Shape::nchw(batch, a, h, w), Shape::nf(batch, a * h * w)),
+        _ => {
+            let (icg, ocg) = match head {
+                1 => (1, 1),
+                2 => (2, 1 + c % 4),
+                _ => (b, c),
+            };
+            (
+                Shape::nchw(batch, groups * icg, h, w),
+                Shape::nchw(batch, groups * ocg, oh, ow),
+            )
+        }
     };
     let x = bld.input(in_shape.clone());
     inputs.push(Tensor::random(in_shape.clone(), seed, 1.0));
@@ -1048,32 +1183,39 @@ fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
         x
     };
     let out_c = chain_shape.dims()[1];
-    let bias = Tensor::random(Shape::new(vec![out_c]), seed + 1, 0.5);
-    let (op, mut weight) = if chain_shape.rank() == 2 {
-        let op = Op::Dense {
-            out_features: out_c,
-            bias: true,
-        };
-        (op, Tensor::random(Shape::nf(out_c, a), seed + 2, 1.0))
-    } else {
-        let attrs = Conv2dAttrs {
-            out_channels: out_c,
-            kernel: (kernel, kernel),
-            stride: (stride, stride),
-            padding: (kernel / 2, kernel / 2),
-            groups,
-            bias: true,
-        };
-        let icg = in_shape.dims()[1] / groups;
-        let k = Tensor::random(Shape::new(vec![out_c, icg, kernel, kernel]), seed + 2, 1.0);
-        (Op::Conv2d(attrs), k)
-    };
-    if int8 {
-        weight.quantize_i8_per_channel();
+    let window = Pool2dAttrs::square(kernel, stride).with_padding(pad);
+    let head_out = match head {
+        6 => bld.apply("head", Op::MaxPool2d(window), &[src]),
+        7 => bld.apply("head", Op::AvgPool2d(window), &[src]),
+        8 => bld.apply("head", Op::Flatten, &[src]),
+        _ => {
+            let bias = Tensor::random(Shape::new(vec![out_c]), seed + 1, 0.5);
+            let (op, mut weight) = if chain_shape.rank() == 2 {
+                let op = Op::Dense {
+                    out_features: out_c,
+                    bias: true,
+                };
+                (op, Tensor::random(Shape::nf(out_c, a), seed + 2, 1.0))
+            } else {
+                let attrs = Conv2dAttrs {
+                    out_channels: out_c,
+                    kernel: (kernel, kernel),
+                    stride: (stride, stride),
+                    padding: (pad, pad),
+                    groups,
+                    bias: true,
+                };
+                let icg = in_shape.dims()[1] / groups;
+                let k = Tensor::random(Shape::new(vec![out_c, icg, kernel, kernel]), seed + 2, 1.0);
+                (Op::Conv2d(attrs), k)
+            };
+            if int8 {
+                weight.quantize_i8_per_channel();
+            }
+            bld.apply_with_weights("head", op, &[src], WeightInit::Explicit(vec![weight, bias]))
+        }
     }
-    let head_out = bld
-        .apply_with_weights("head", op, &[src], WeightInit::Explicit(vec![weight, bias]))
-        .unwrap();
+    .unwrap();
     // The Add operand: produced before the head.
     let addend = bld.input(chain_shape.clone());
     inputs.push(Tensor::random(chain_shape.clone(), seed + 3, 2.0));
@@ -1209,9 +1351,10 @@ fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fusion is transparent: a conv or dense head (dense, depthwise
-    /// and grouped convs and a dense layer in f32; a dense conv and a
-    /// dense layer on the INT8 kernel) followed by a random chain of
+    /// Fusion is transparent: a head (dense, depthwise and grouped
+    /// convs and a dense layer in f32; a dense conv and a dense layer on
+    /// the INT8 kernel; a max pool, an average pool and a flatten)
+    /// followed by a random chain of
     /// elementwise nodes gives **bit-equal** outputs in a plain run, in
     /// a run capturing every intermediate, and in a per-node scalar
     /// reference, and every captured intermediate equals its reference
@@ -1221,7 +1364,7 @@ proptest! {
     /// exactly the tails before the break running inside the head.
     #[test]
     fn fused_chains_equal_unfused_execution(
-        head in 0usize..6,
+        head in 0usize..9,
         abc in (1usize..20, 1usize..6, 1usize..9),
         batch in 1usize..3,
         hw in (1usize..8, 1usize..8),
@@ -1261,6 +1404,8 @@ fn fused_chains_split_over_workers_equal_unfused_execution() {
         wide(3, (256, 1, 96), 2, (1, 1), &[12, 0, 4]),
         wide(4, (1, 5, 8), 2, (16, 16), &[10, 0, 12, 1]),
         wide(5, (512, 1, 96), 1, (1, 1), &[12, 0, 10, 4]),
+        wide(6, (16, 1, 1), 2, (24, 24), &[10, 0, 13, 4]),
+        wide(7, (16, 1, 1), 2, (24, 24), &[12, 10, 1]),
     ] {
         check_fused_chain(&case).unwrap();
     }

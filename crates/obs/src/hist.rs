@@ -68,13 +68,15 @@ impl Histogram {
         }
     }
 
-    /// Records one sample. Wait-free: five relaxed atomic RMWs.
+    /// Records one sample. Wait-free: five atomic RMWs. The bucket goes
+    /// last, with release ordering, so a snapshot that counts the sample
+    /// also sees it in `min` and `max`.
     pub fn record(&self, value: u64) {
-        self.counts[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.counts[bucket_of(value)].fetch_add(1, Ordering::Release);
     }
 
     /// Samples recorded so far.
@@ -84,13 +86,14 @@ impl Histogram {
     }
 
     /// Reads the current distribution. Concurrent `record`s may or may
-    /// not be included; every bucket that is included is consistent.
+    /// not be included; every bucket that is included is consistent, and
+    /// `min` and `max` bound every sample the buckets count.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
         let counts: Vec<u64> = self
             .counts
             .iter()
-            .map(|c| c.load(Ordering::Relaxed))
+            .map(|c| c.load(Ordering::Acquire))
             .collect();
         let count = counts.iter().sum();
         let min = self.min.load(Ordering::Relaxed);
@@ -287,6 +290,34 @@ mod tests {
         assert_eq!(s.counts.iter().sum::<u64>(), 40_000);
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 39_999);
+    }
+
+    #[test]
+    fn snapshot_during_recording_bounds_what_it_counts() {
+        // A snapshot racing a histogram's first samples counts each one
+        // only once `min` and `max` cover it, so its quantiles never see
+        // min > max. With the bucket bumped first, release builds hit
+        // the race and debug builds did not, so ci.sh also runs this
+        // test in release.
+        for round in 0..500u64 {
+            let h = Histogram::new();
+            let done = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for v in [round + 7, round + 3, round + 11] {
+                        h.record(v);
+                    }
+                    done.store(true, Ordering::Release);
+                });
+                while !done.load(Ordering::Acquire) {
+                    let s = h.snapshot();
+                    if s.count > 0 {
+                        assert!(s.min <= s.max, "min {} > max {}", s.min, s.max);
+                        let _ = s.quantile(0.5);
+                    }
+                }
+            });
+        }
     }
 
     #[test]

@@ -1293,6 +1293,33 @@ mod tests {
     }
 
     #[test]
+    fn profiled_int8_lenet5_runs_pool_and_flatten_quants_fused() {
+        // The FakeQuant after each pool and after the flatten runs in
+        // that node's output write: 0 ns, and `fused_into` names it.
+        let calib: Vec<Tensor> = (0..4)
+            .map(|s| Tensor::random(Shape::nchw(1, 1, 28, 28), s + 1, 1.0))
+            .collect();
+        let model = zoo::lenet5(10).unwrap();
+        let (quantized, _) = QuantizeInt8::with_calibration(calib).run(model).unwrap();
+        let mut runner = Runner::builder().build(&quantized).unwrap();
+        let input = Tensor::random(Shape::nchw(1, 1, 28, 28), 7, 1.0);
+        let profile = runner
+            .execute(&[input], RunOptions::new().profile(true))
+            .unwrap()
+            .into_profile()
+            .unwrap();
+        for (tail, head) in [
+            ("pool1.quant", "pool1"),
+            ("pool2.quant", "pool2"),
+            ("flatten.quant", "flatten"),
+        ] {
+            let record = profile.per_node.iter().find(|n| n.name == tail).unwrap();
+            assert_eq!(record.fused_into.as_deref(), Some(head), "{tail}");
+            assert_eq!(record.duration_ns, 0, "{tail}");
+        }
+    }
+
+    #[test]
     fn fp16_round_trip_properties() {
         // Exactly representable values pass through.
         for x in [0.0f32, 1.0, -2.0, 0.5, 1024.0] {
