@@ -1370,6 +1370,32 @@ fn conv_ns_per_mac(passes: usize) -> (f64, f64, f64) {
     (dw, pw, 1.0 - conv_ns as f64 / wall_ns as f64)
 }
 
+/// E24's hashing gauge: the time `sha256` takes to hash 64 chunks of
+/// 64 KiB one at a time over the time `sha256_each` takes for the same
+/// chunks in runs of sixteen, best of five interleaved repetitions of
+/// each. It reads about 1.0 if the lane loop stops vectorizing.
+fn sha256_lanes_speedup() -> f64 {
+    use std::hint::black_box;
+    use std::time::Instant;
+    use vedliot::trust::hash::{sha256, sha256_each};
+
+    let chunks: Vec<Vec<u8>> = (0..64usize)
+        .map(|i| (0..64 * 1024).map(|j| (i * 31 + j * 7) as u8).collect())
+        .collect();
+    let chunks: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+    let (mut one, mut lanes) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let start = Instant::now();
+        let alone: Vec<[u8; 32]> = chunks.iter().map(|c| sha256(black_box(c))).collect();
+        one = one.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        let side_by_side = sha256_each(black_box(&chunks));
+        lanes = lanes.min(start.elapsed().as_secs_f64());
+        assert_eq!(alone, side_by_side, "sha256_each must agree with sha256");
+    }
+    one / lanes
+}
+
 /// E24 — cache-blocked kernels: per-sample conv cost vs batch (the E21
 /// cliff fix) and the INT8 execution path against its fake-quant f32
 /// reference, in accuracy and in per-sample time.
@@ -1381,7 +1407,8 @@ fn conv_ns_per_mac(passes: usize) -> (f64, f64, f64) {
 /// non-increasing from batch 1 to 8 (asserted here with noise headroom).
 /// Profiled MobileNetV3 passes then set the depthwise convs' cost per
 /// MAC against the pointwise GEMM's, the within-run view of how close
-/// the two f32 conv kernels run to each other.
+/// the two f32 conv kernels run to each other. Last, the OTA path's
+/// SHA-256 is timed hashing chunks side by side against one at a time.
 ///
 /// Carries the machine-readable snapshot `harness kernels` writes to
 /// `BENCH_pr6.json` (the perf-trajectory baseline ci.sh checks against).
@@ -1453,6 +1480,7 @@ pub fn kernels() -> Experiment {
 
     let (dw_ns, pw_ns, non_conv_share) = conv_ns_per_mac(5);
     let dw_over_pw = dw_ns / pw_ns;
+    let sha_speedup = sha256_lanes_speedup();
 
     let export = Export {
         subsystem: "kernels".into(),
@@ -1507,6 +1535,11 @@ pub fn kernels() -> Experiment {
                 "share of serial MobileNetV3 pass wall time outside the conv records, which include their fused epilogues",
                 non_conv_share,
             ),
+            Metric::gauge(
+                "sha256_lanes_speedup",
+                "time to hash 64 chunks of 64 KiB one at a time over the time side by side in 16 lanes, best of five",
+                sha_speedup,
+            ),
         ],
     };
     Experiment {
@@ -1534,6 +1567,10 @@ pub fn kernels() -> Experiment {
             format!(
                 "{:.1}% of the MobileNetV3 pass runs outside the conv kernels (gated <= 15%)",
                 non_conv_share * 100.0
+            ),
+            format!(
+                "SHA-256 over 64 chunks of 64 KiB: 16 lanes side by side run {sha_speedup:.2}x \
+                 as fast as one chunk at a time (gated >= 1.8)"
             ),
             "blocked f32 kernels are bit-identical to the serial schedule and to a scalar \
              spelling of their arithmetic (proptests)"

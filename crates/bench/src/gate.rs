@@ -108,6 +108,10 @@ pub const RULES: &[Rule] = &[
     // its wall time outside the conv records. It fails if fusion stops
     // applying: the standalone passes alone took about 17%.
     Rule::new("kernels", "non_conv_share", None, |_| -INF..=0.15),
+    // The OTA path's SHA-256 hashes sixteen equal chunks side by side:
+    // over 64 chunks of 64 KiB that runs at least 1.8x as fast as one
+    // chunk at a time. A lane loop LLVM stops vectorizing reads ~1.0.
+    Rule::new("kernels", "sha256_lanes_speedup", None, |_| 1.8..=INF),
     // E25 (BENCH_pr7.json) asserts the admission contract internally:
     // high >= 0.98, batch shed first, bit-identity. This re-checks
     // high-priority availability against both the hard floor and the

@@ -14,15 +14,19 @@
 //! SHA-256 in the [`Manifest`], and the manifest root chains those
 //! hashes in order, so a device can reject a corrupted chunk the moment
 //! it arrives (and re-request just that chunk) while still proving the
-//! assembled payload is exactly the released image.
+//! chunks together are exactly the released image. `unpack` verifies
+//! every chunk (sixteen equal-length chunks per hashing pass, see
+//! [`sha256_each`]) before it reads a byte, then reads the fields in
+//! place across the verified chunks: the payload is never assembled.
 
+use std::borrow::Cow;
 use vedliot_nnir::analysis;
 use vedliot_nnir::graph::{Graph, WeightInit};
 use vedliot_nnir::shape::Shape;
 use vedliot_nnir::tensor::Tensor;
 use vedliot_nnir::textual;
 use vedliot_nnir::NnirError;
-use vedliot_trust::hash::sha256;
+use vedliot_trust::hash::{sha256, sha256_each};
 
 /// Container magic: VEDLIoT OTA, format 1.
 const MAGIC: &[u8; 6] = b"VOTA1\n";
@@ -204,7 +208,7 @@ impl ModelArtifact {
                 payload: c.to_vec(),
             })
             .collect();
-        let chunk_hashes: Vec<[u8; 32]> = chunks.iter().map(|c| sha256(&c.payload)).collect();
+        let chunk_hashes = hash_chunks(&chunks);
         let root = Manifest::chain_root(version, &chunk_hashes);
         ModelArtifact {
             manifest: Manifest {
@@ -215,16 +219,6 @@ impl ModelArtifact {
             },
             chunks,
         }
-    }
-
-    /// Reassembles the payload bytes (no verification).
-    #[must_use]
-    pub fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.manifest.payload_bytes);
-        for c in &self.chunks {
-            out.extend_from_slice(&c.payload);
-        }
-        out
     }
 
     /// Total payload size in bytes.
@@ -248,8 +242,8 @@ impl ModelArtifact {
                 self.manifest.chunk_hashes.len()
             )));
         }
-        for c in &self.chunks {
-            if !c.verify(&self.manifest) {
+        for (c, hash) in self.chunks.iter().zip(hash_chunks(&self.chunks)) {
+            if self.manifest.chunk_hashes.get(c.index as usize) != Some(&hash) {
                 return Err(ArtifactError::ChunkHashMismatch { index: c.index });
             }
         }
@@ -268,12 +262,13 @@ impl ModelArtifact {
     /// Any integrity or format violation; nothing partial is returned.
     pub fn unpack(&self) -> Result<Graph, ArtifactError> {
         self.verify()?;
-        let payload = self.payload();
-        let mut r = Reader::new(&payload);
-        if r.take(MAGIC.len())? != MAGIC.as_slice() {
+        let mut r = Reader::new(&self.chunks);
+        if *r.take(MAGIC.len())? != *MAGIC {
             return Err(ArtifactError::Malformed("bad magic".into()));
         }
         let version = r.line()?;
+        let version = std::str::from_utf8(&version)
+            .map_err(|_| ArtifactError::Malformed("header line is not UTF-8".into()))?;
         if version != self.manifest.version {
             return Err(ArtifactError::Malformed(format!(
                 "payload labeled {version:?} but manifest says {:?}",
@@ -282,7 +277,8 @@ impl ModelArtifact {
         }
         let text_len = usize::try_from(r.u64()?)
             .map_err(|_| ArtifactError::Malformed("text length overflow".into()))?;
-        let text = std::str::from_utf8(r.take(text_len)?)
+        let text = r.take(text_len)?;
+        let text = std::str::from_utf8(&text)
             .map_err(|_| ArtifactError::Malformed("graph text is not UTF-8".into()))?;
         let mut graph = textual::read(text)?;
 
@@ -319,25 +315,27 @@ impl ModelArtifact {
             }
             let mut tensors = Vec::with_capacity(tensor_count);
             for shape in template {
+                // The architecture is trusted for its structure only: a
+                // shape whose element or byte count overflows is refused
+                // before it is compared with the record.
+                let want = shape
+                    .dims()
+                    .iter()
+                    .try_fold(1usize, |n, &d| n.checked_mul(d))
+                    .filter(|n| n.checked_mul(4).is_some())
+                    .ok_or_else(|| {
+                        ArtifactError::Malformed(format!(
+                            "node {node_idx}: weight shape {shape} overflows"
+                        ))
+                    })?;
                 let n = usize::try_from(r.u64()?)
                     .map_err(|_| ArtifactError::Malformed("tensor length overflow".into()))?;
-                if n != shape.elem_count() {
+                if n != want {
                     return Err(ArtifactError::Malformed(format!(
-                        "node {node_idx}: stored tensor has {n} floats, shape wants {}",
-                        shape.elem_count()
+                        "node {node_idx}: stored tensor has {n} floats, shape wants {want}"
                     )));
                 }
-                // Bound the read by the bytes present before allocating:
-                // a record cannot claim more floats than the payload holds.
-                let bytes = n
-                    .checked_mul(4)
-                    .ok_or_else(|| ArtifactError::Malformed("tensor length overflow".into()))?;
-                let data = r
-                    .take(bytes)?
-                    .chunks_exact(4)
-                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                    .collect();
-                tensors.push(Tensor::from_vec(shape.clone(), data)?);
+                tensors.push(Tensor::from_vec(shape.clone(), r.f32s(n)?)?);
             }
             graph.nodes_mut()[node_idx].weights = WeightInit::Explicit(tensors);
         }
@@ -350,55 +348,125 @@ impl ModelArtifact {
     }
 }
 
-/// Bounds-checked little-endian payload reader.
+/// SHA-256 of each chunk's payload, in order: the one way a chunk list
+/// is hashed, by [`ModelArtifact::pack`] and [`ModelArtifact::verify`].
+fn hash_chunks(chunks: &[Chunk]) -> Vec<[u8; 32]> {
+    let payloads: Vec<&[u8]> = chunks.iter().map(|c| c.payload.as_slice()).collect();
+    sha256_each(&payloads)
+}
+
+/// Bounds-checked little-endian reader over the chunks in place: a
+/// field inside one chunk is borrowed, one that straddles a chunk
+/// boundary is copied.
 struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// Unread bytes of the current chunk.
+    head: &'a [u8],
+    /// The chunks after it.
+    rest: std::slice::Iter<'a, Chunk>,
+    /// Unread bytes in all.
+    left: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+    fn new(chunks: &'a [Chunk]) -> Self {
+        Reader {
+            head: &[],
+            rest: chunks.iter(),
+            left: chunks.iter().map(|c| c.payload.len()).sum(),
+        }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| ArtifactError::Malformed("truncated payload".into()))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
+    /// The current chunk's unread bytes, moving on to the next
+    /// non-empty chunk once they are used up; empty at the end.
+    fn run(&mut self) -> &'a [u8] {
+        while self.head.is_empty() {
+            match self.rest.next() {
+                Some(c) => self.head = &c.payload,
+                None => break,
+            }
+        }
+        self.head
+    }
+
+    /// Consumes `n` bytes of the current run.
+    fn advance(&mut self, n: usize) {
+        self.head = &self.head[n..];
+        self.left -= n;
+    }
+
+    /// Refuses a read of `n` bytes past the end.
+    fn check(&self, n: usize) -> Result<(), ArtifactError> {
+        if n > self.left {
+            return Err(ArtifactError::Malformed("truncated payload".into()));
+        }
+        Ok(())
+    }
+
+    fn take(&mut self, n: usize) -> Result<Cow<'a, [u8]>, ArtifactError> {
+        self.check(n)?;
+        let run = self.run();
+        if n <= run.len() {
+            self.advance(n);
+            return Ok(Cow::Borrowed(&run[..n]));
+        }
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let run = self.run();
+            let k = run.len().min(n - out.len());
+            out.extend_from_slice(&run[..k]);
+            self.advance(k);
+        }
+        Ok(Cow::Owned(out))
+    }
+
+    fn array<const K: usize>(&mut self) -> Result<[u8; K], ArtifactError> {
+        let mut out = [0; K];
+        out.copy_from_slice(&self.take(K)?);
         Ok(out)
     }
 
-    fn line(&mut self) -> Result<String, ArtifactError> {
-        let rest = &self.buf[self.pos..];
-        let nl = rest
-            .iter()
+    /// The bytes up to the next newline, which is consumed.
+    fn line(&mut self) -> Result<Cow<'a, [u8]>, ArtifactError> {
+        let len = std::iter::once(self.head)
+            .chain(self.rest.clone().map(|c| c.payload.as_slice()))
+            .flatten()
             .position(|&b| b == b'\n')
             .ok_or_else(|| ArtifactError::Malformed("unterminated header line".into()))?;
-        let s = std::str::from_utf8(&rest[..nl])
-            .map_err(|_| ArtifactError::Malformed("header line is not UTF-8".into()))?
-            .to_string();
-        self.pos += nl + 1;
-        Ok(s)
+        let line = self.take(len)?;
+        self.take(1)?;
+        Ok(line)
     }
 
     fn u32(&mut self) -> Result<u32, ArtifactError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, ArtifactError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// `n` little-endian floats, decoded straight into their `Vec` once
+    /// the bytes are known to be present.
+    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, ArtifactError> {
+        self.check(n.saturating_mul(4))?;
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let run = self.run();
+            let whole = (run.len() / 4).min(n - out.len());
+            let (floats, _) = run[..4 * whole].as_chunks::<4>();
+            out.extend(floats.iter().map(|&b| f32::from_le_bytes(b)));
+            self.advance(4 * whole);
+            if out.len() < n {
+                // Under four bytes are left in this chunk: the next float
+                // straddles its end.
+                out.push(f32::from_le_bytes(self.array()?));
+            }
+        }
+        Ok(out)
     }
 
     fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
+        self.left == 0
     }
 }
 
@@ -427,20 +495,53 @@ mod tests {
             .clone()
     }
 
+    /// Every weight of `g` as bits, node by node.
+    fn weight_bits(g: &Graph) -> Vec<Vec<u32>> {
+        g.nodes()
+            .iter()
+            .map(|n| {
+                let w = g.node_weights(n).expect("weights");
+                w.iter()
+                    .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `g` packed into at least 33 equal chunks plus a short last one:
+    /// verification hashes two runs of sixteen side by side and the
+    /// rest one at a time.
+    fn many_chunks(g: &Graph) -> ModelArtifact {
+        let len = ModelArtifact::pack("v1", g, usize::MAX)
+            .expect("packs")
+            .payload_bytes();
+        let size = (1..=len / 33)
+            .rev()
+            .find(|&c| !len.is_multiple_of(c))
+            .expect("a chunk size leaves a short last chunk");
+        let artifact = ModelArtifact::pack("v1", g, size).expect("packs");
+        assert!(artifact.chunks.len() >= 34);
+        assert!(artifact.chunks.last().expect("has chunks").payload.len() < size);
+        artifact
+    }
+
     #[test]
     fn pack_unpack_round_trips_weights_exactly() {
+        // At these chunk sizes the header, the text and the floats each
+        // straddle a chunk edge somewhere, so the reader's carry path
+        // runs; the many-chunk release verifies through the lanes.
         let g = explicit_model();
-        let artifact = ModelArtifact::pack("v1", &g, 96).expect("packs");
-        assert!(
-            artifact.chunks.len() > 3,
-            "model should span several chunks"
-        );
-        let back = artifact.unpack().expect("unpacks");
-        // Same architecture, same explicit weights, same outputs.
-        assert_eq!(g, back);
-        let a = probe_output(&g);
-        let b = probe_output(&back);
-        assert_eq!(a.max_abs_diff(&b).expect("same shape"), 0.0);
+        let sized = [1, 3, 5, 7, 13, 64, 96, 4096]
+            .map(|size| ModelArtifact::pack("v1", &g, size).expect("packs"));
+        for artifact in sized.iter().chain([&many_chunks(&g)]) {
+            let back = artifact.unpack().expect("unpacks");
+            // Same architecture, same explicit weights, same outputs.
+            assert_eq!(g, back);
+            assert_eq!(weight_bits(&g), weight_bits(&back));
+            let a = probe_output(&g);
+            let b = probe_output(&back);
+            assert_eq!(a.max_abs_diff(&b).expect("same shape"), 0.0);
+        }
     }
 
     #[test]
@@ -462,6 +563,32 @@ mod tests {
         match tampered.unpack() {
             Err(ArtifactError::ChunkHashMismatch { index: 1 }) => {}
             other => panic!("expected chunk-1 hash mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn flipped_bytes_report_the_lowest_failing_chunk() {
+        let artifact = many_chunks(&explicit_model());
+        let last = artifact.chunks.len() - 1;
+        for flipped in [
+            &[0][..],
+            &[15],
+            &[16],
+            &[31],
+            &[last],
+            &[31, 16],
+            &[15, 31],
+            &[last, 0],
+        ] {
+            let mut evil = artifact.clone();
+            for &i in flipped {
+                evil.chunks[i].payload[0] ^= 0x01;
+            }
+            let lowest = *flipped.iter().min().expect("one flip") as u32;
+            match evil.unpack() {
+                Err(ArtifactError::ChunkHashMismatch { index }) => assert_eq!(index, lowest),
+                other => panic!("flips in {flipped:?}: expected a hash mismatch, got {other:?}"),
+            }
         }
     }
 
@@ -528,17 +655,52 @@ mod tests {
     }
 
     #[test]
+    fn weight_shape_overflowing_usize_is_malformed() {
+        // A correctly chained payload whose architecture declares a
+        // 2^31 x 2^33 Dense weight: its element count wraps to 0, which
+        // the record's 0 floats would otherwise match.
+        let text = "model \"wrap\"\n\
+                    input t0 [1x8589934592]\n\
+                    node n0 \"fc1\" dense out=2147483648 bias=false in=t0 seed=0\n\
+                    output t1\n";
+        let mut payload = MAGIC.to_vec();
+        payload.extend_from_slice(b"v1\n");
+        payload.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        payload.extend_from_slice(text.as_bytes());
+        payload.extend_from_slice(&1u32.to_le_bytes()); // one record
+        payload.extend_from_slice(&0u32.to_le_bytes()); // node 0: fc1
+        payload.extend_from_slice(&1u32.to_le_bytes()); // weight only
+        payload.extend_from_slice(&0u64.to_le_bytes()); // of 0 floats
+        let artifact = ModelArtifact::from_payload("v1", &payload, 64);
+        artifact.verify().expect("integrity holds");
+        match artifact.unpack() {
+            Err(ArtifactError::Malformed(_)) => {}
+            other => panic!("expected malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn truncated_payload_is_a_typed_error() {
         let g = explicit_model();
         let artifact = ModelArtifact::pack("v1", &g, 128).expect("packs");
         // Re-chain all but the last chunk so integrity passes, leaving
         // only the format check to catch the truncation.
-        let payload = artifact.payload();
+        let payload: Vec<u8> = artifact
+            .chunks
+            .iter()
+            .flat_map(|c| c.payload.clone())
+            .collect();
         let last = artifact.chunks.last().expect("has chunks").payload.len();
         let truncated = ModelArtifact::from_payload("v1", &payload[..payload.len() - last], 128);
         match truncated.unpack() {
             Err(ArtifactError::Malformed(_)) => {}
             other => panic!("expected malformed, got {other:?}"),
+        }
+        // Cut at every length, re-chained in chunks the fields straddle:
+        // always a typed error, never a panic.
+        for len in 0..payload.len() {
+            let cut = ModelArtifact::from_payload("v1", &payload[..len], 7);
+            assert!(cut.unpack().is_err(), "payload cut to {len} bytes unpacked");
         }
     }
 }

@@ -141,8 +141,8 @@ fn act_interval(kind: ActKind, iv: Interval) -> Interval {
 }
 
 /// Largest L1 row norm plus the bias range of a weighted node's
-/// materialized parameters ([`Graph::node_weights`]): `(l1, bias_lo,
-/// bias_hi)`. Each output unit `c` of the node satisfies `out_c ∈
+/// parameters, borrowed when explicit ([`Graph::node_weights`]): `(l1,
+/// bias_lo, bias_hi)`. Each output unit `c` of the node satisfies `out_c ∈
 /// [bias_lo - l1·a, bias_hi + l1·a]` for inputs bounded by `|x| <= a`.
 /// `None` for nodes without weights.
 pub(crate) fn weighted_bound(graph: &Graph, node: &Node) -> Option<(f32, f32, f32)> {

@@ -7,9 +7,9 @@
 //! im2col scratch and materialized weights survive across calls), so
 //! repeated inference over a dataset, a benchmark loop or a serving
 //! worker amortizes every allocation after the first run. Weights
-//! are not the runner's to materialize: it reads each node's tensors
+//! are not the runner's to materialize: it takes each node's tensors
 //! once, on first use, from [`Graph::node_weights`], the one owner of
-//! that step.
+//! that step, borrowing explicit weights and keeping seeded ones.
 //!
 //! The pre-redesign surface (the stateless `Executor` facade and the
 //! split `run` / `run_with_intermediates` / `materialize_node_weights`
@@ -87,6 +87,7 @@ use crate::profile::{NodeProfile, RunProfile};
 use crate::shape::Shape;
 use crate::tensor::{round_i8, Tensor};
 use crate::NnirError;
+use std::borrow::Cow;
 use std::ops::Range;
 
 // --------------------------------------------------------------------
@@ -616,8 +617,19 @@ struct Int8Plan<'g> {
 /// that grid — and the propagated value ranges *prove* the INT8 path's
 /// worst-case error fits under the engine's tolerance contract.
 /// Eligibility is per node: one saturating layer no longer forces the
-/// whole graph onto the f32 path.
+/// whole graph onto the f32 path. A graph without i8 weights plans
+/// nothing, and the analysis (which reads every weight) is not run.
 fn int8_plans(graph: &Graph) -> Vec<Option<Int8Plan<'_>>> {
+    let has_i8 = graph.nodes().iter().any(|n| match &n.weights {
+        WeightInit::Explicit(w) => w
+            .first()
+            .and_then(Tensor::quant)
+            .is_some_and(|q| q.dtype == DataType::I8),
+        _ => false,
+    });
+    if !has_i8 {
+        return vec![None; graph.nodes().len()];
+    }
     crate::analysis::QuantSafety::of(graph)
         .verdicts()
         .iter()
@@ -875,15 +887,17 @@ impl MemoryPlan {
 ///
 /// Holds three arenas that survive across [`execute`](Runner::execute) calls:
 /// per-tensor intermediate buffers (reused in place when shapes match),
-/// materialized weights (seeded initializations computed once), and the
-/// im2col scratch buffer. The first run allocates; subsequent runs with
-/// the same shapes are allocation-free on the hot path.
+/// node weights (explicit ones borrowed from the graph, seeded ones
+/// materialized once), and the im2col scratch buffer. The first run
+/// allocates; subsequent runs with the same shapes are allocation-free
+/// on the hot path.
 #[derive(Debug)]
 pub struct Runner<'g> {
     graph: &'g Graph,
     parallelism: Parallelism,
-    /// Lazily materialized weights per node index.
-    weights: Vec<Option<Vec<Tensor>>>,
+    /// Each node's weights once first used: borrowed from the graph
+    /// when explicit, materialized (owned) when seeded.
+    weights: Vec<Option<Cow<'g, [Tensor]>>>,
     /// Value arena, one buffer per plan slot, reused across runs and —
     /// under the memory plan — across tensors with disjoint live
     /// ranges.
@@ -994,14 +1008,15 @@ impl<'g> Runner<'g> {
         })
     }
 
-    /// The weight tensors of a node of this runner's graph: a delegate
-    /// to [`Graph::node_weights`], which owns weight materialization.
+    /// The weight tensors of a node of this runner's graph, as an owned
+    /// copy of what [`Graph::node_weights`], which owns weight
+    /// materialization, returns.
     ///
     /// # Errors
     ///
     /// As [`Graph::node_weights`].
     pub fn node_weights(&self, node: &Node) -> Result<Vec<Tensor>, NnirError> {
-        self.graph.node_weights(node)
+        self.graph.node_weights(node).map(Cow::into_owned)
     }
 
     /// Evaluates every step in topological order into the arena slots
@@ -3144,6 +3159,81 @@ mod tests {
         let diff = got.outputs()[0].max_abs_diff(&want.outputs()[0]).unwrap();
         let bound = 1e-4 * want.outputs()[0].abs_max().max(1.0);
         assert!(diff <= bound, "int8 vs fake-quant diff {diff} > {bound}");
+    }
+
+    /// LeNet-5 with per-channel i8 weights, each conv and dense layer
+    /// behind a `FakeQuant` grid calibrated on four inputs (the absmax
+    /// it sees, over 127), as the toolchain's `QuantizeInt8` builds it.
+    fn calibrated_int8_lenet() -> Graph {
+        let src = crate::zoo::lenet5(10).unwrap();
+        let mut absmax = vec![0.0f32; src.tensor_count()];
+        let mut runner = Runner::builder().build(&src).unwrap();
+        for seed in 1..=4 {
+            let x = Tensor::random(Shape::nchw(1, 1, 28, 28), seed, 1.0);
+            let opts = RunOptions::new().capture_intermediates(true);
+            let out = runner.execute(&[x], opts).unwrap();
+            for (m, t) in absmax.iter_mut().zip(out.intermediates().unwrap()) {
+                *m = m.max(t.as_ref().map_or(0.0, Tensor::abs_max));
+            }
+        }
+        let mut b = GraphBuilder::new("lenet5-int8");
+        let mut ids = vec![TensorId(0); src.tensor_count()];
+        for &t in src.inputs() {
+            ids[t.0] = b.input(src.tensor_shape(t).unwrap().clone());
+        }
+        for node in src.nodes() {
+            let mut inputs: Vec<TensorId> = node.inputs.iter().map(|t| ids[t.0]).collect();
+            let mut weights = src.node_weights(node).unwrap().into_owned();
+            if matches!(node.op, Op::Conv2d(_) | Op::Dense { .. }) {
+                let scale = absmax[node.inputs[0].0] / 127.0;
+                let q = Op::FakeQuant { scale };
+                inputs[0] = b
+                    .apply(format!("{}.q", node.name), q, &inputs[..1])
+                    .unwrap();
+                weights[0].quantize_i8_per_channel();
+            }
+            let w = WeightInit::Explicit(weights);
+            ids[node.output.0] = b
+                .apply_with_weights(node.name.clone(), node.op.clone(), &inputs, w)
+                .unwrap();
+        }
+        b.finish(src.outputs().iter().map(|t| ids[t.0]).collect())
+    }
+
+    #[test]
+    fn int8_plans_only_graphs_with_i8_weights() {
+        let planned = |g: &Graph| {
+            let runner = Runner::builder().build(g).unwrap();
+            runner.int8_plans.iter().flatten().count()
+        };
+        assert_eq!(planned(&crate::zoo::lenet5(10).unwrap()), 0);
+        assert_eq!(planned(&calibrated_int8_lenet()), 5);
+    }
+
+    #[test]
+    fn runner_borrows_explicit_weights_and_owns_seeded_ones() {
+        let seeded = crate::zoo::lenet5(10).unwrap();
+        let mut explicit = seeded.clone();
+        explicit.explicit_weights(|_| true);
+        let input = Tensor::random(Shape::nchw(1, 1, 28, 28), 3, 1.0);
+        for g in [&explicit, &seeded] {
+            let mut runner = Runner::builder().build(g).unwrap();
+            runner
+                .execute(std::slice::from_ref(&input), RunOptions::default())
+                .unwrap();
+            for (node, entry) in g.nodes().iter().zip(&runner.weights) {
+                match (&node.weights, entry.as_ref().expect("used in the pass")) {
+                    (WeightInit::Explicit(held), Cow::Borrowed(lent)) => {
+                        assert!(std::ptr::eq(held.as_slice(), *lent), "{}", node.name);
+                        for (h, l) in held.iter().zip(lent.iter()) {
+                            assert!(std::ptr::eq(h.data(), l.data()), "{}", node.name);
+                        }
+                    }
+                    (WeightInit::Seeded(_), Cow::Owned(_)) => {}
+                    (init, _) => panic!("{}: {init:?} held the wrong way", node.name),
+                }
+            }
+        }
     }
 
     #[test]

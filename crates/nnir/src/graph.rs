@@ -18,6 +18,7 @@ use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::NnirError;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Identifier of a value tensor within one graph.
@@ -215,8 +216,8 @@ impl Graph {
             .collect()
     }
 
-    /// Materializes a node's weight tensors: explicit weights are
-    /// cloned, seeded ones are generated by a deterministic fan-in-scaled
+    /// A node's weight tensors: explicit weights are borrowed, seeded
+    /// ones are generated (owned) by a deterministic fan-in-scaled
     /// uniform initialization, so the same graph always yields the same
     /// bits. This is the one place a [`WeightInit`] turns into tensors:
     /// the execution engine, the dataflow analyses, the toolchain
@@ -227,14 +228,14 @@ impl Graph {
     ///
     /// Returns [`NnirError::ExecutionFailure`] if the node's operator
     /// requires weights but it has [`WeightInit::None`].
-    pub fn node_weights(&self, node: &Node) -> Result<Vec<Tensor>, NnirError> {
+    pub fn node_weights<'a>(&'a self, node: &'a Node) -> Result<Cow<'a, [Tensor]>, NnirError> {
         if let WeightInit::Explicit(tensors) = &node.weights {
-            return Ok(tensors.clone());
+            return Ok(Cow::Borrowed(tensors));
         }
         let shapes = node.weight_shapes(&self.node_input_shapes(node));
         match node.weights {
-            WeightInit::Seeded(seed) => Ok(materialize_seeded(&node.op, &shapes, seed)),
-            _ if shapes.is_empty() => Ok(Vec::new()),
+            WeightInit::Seeded(seed) => Ok(Cow::Owned(materialize_seeded(&node.op, &shapes, seed))),
+            _ if shapes.is_empty() => Ok(Cow::Borrowed(&[])),
             _ => Err(NnirError::ExecutionFailure(format!(
                 "node {} requires weights but has none",
                 node.name
@@ -258,7 +259,7 @@ impl Graph {
                 continue;
             }
             // Seeded weights always materialize.
-            if let Ok(tensors) = self.node_weights(node) {
+            if let Ok(tensors) = self.node_weights(node).map(Cow::into_owned) {
                 self.nodes[i].weights = WeightInit::Explicit(tensors);
             }
         }

@@ -659,7 +659,7 @@ impl Pass for PruneChannels {
                                     keep.iter().map(|&c| weights[1].data()[c]).collect(),
                                 )?,
                             ],
-                            None => weights,
+                            None => weights.into_owned(),
                         };
                         let out = b.apply_with_weights(
                             node.name.clone(),
