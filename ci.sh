@@ -39,6 +39,9 @@ if [[ $fast -eq 0 ]]; then
   echo "==> nnir proptests in release (the shipped kernels' codegen: the conv tiles vectorize only at opt-level >= 2)"
   cargo test --release -q -p vedliot-nnir --test proptests
 
+  echo "==> SHA-256 lane oracle tests in release (the 16-lane compress vectorizes only at opt-level >= 2)"
+  cargo test --release -q -p vedliot-trust --lib hash::tests
+
   echo "==> histogram snapshot race in release (debug builds did not hit the race it guards)"
   cargo test --release -q -p vedliot-obs --lib hist::tests::snapshot_during_recording_bounds_what_it_counts
 fi

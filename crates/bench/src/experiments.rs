@@ -1261,12 +1261,33 @@ pub fn serving() -> Experiment {
     }
 }
 
+/// The middle element of `xs` (the upper one of an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// Engine-level per-sample cost in milliseconds of each arm `(model,
 /// batch, int8)`: median of 7 timed windows of serial forward passes
 /// over about `samples` samples each, per sample. The arms' windows
 /// are equally long and alternate, so a drift in host speed lands on
 /// every arm alike and the ratios between arms hold on a noisy host.
 fn per_sample_ms(arms: &[(&Graph, usize, bool)], samples: usize) -> Vec<f64> {
+    per_sample_windows(arms, samples, 7)
+        .into_iter()
+        .map(median)
+        .collect()
+}
+
+/// Each arm's `rounds` per-sample window costs in milliseconds, in the
+/// order timed: every round times one window of about `samples`
+/// samples on each arm in turn, so the arms' windows of one round ran
+/// side by side.
+fn per_sample_windows(
+    arms: &[(&Graph, usize, bool)],
+    samples: usize,
+    rounds: usize,
+) -> Vec<Vec<f64>> {
     use std::time::Instant;
     use vedliot::nnir::exec::{Parallelism, RunOptions, Runner};
     use vedliot::nnir::Tensor;
@@ -1295,7 +1316,7 @@ fn per_sample_ms(arms: &[(&Graph, usize, bool)], samples: usize) -> Vec<f64> {
             (runner, input, g.batch(), Vec::new())
         })
         .collect();
-    for _ in 0..7 {
+    for _ in 0..rounds {
         for (runner, input, batch, windows) in &mut runs {
             let reps = samples.div_ceil(*batch);
             let start = Instant::now();
@@ -1307,12 +1328,7 @@ fn per_sample_ms(arms: &[(&Graph, usize, bool)], samples: usize) -> Vec<f64> {
             windows.push(start.elapsed().as_secs_f64() * 1e3 / (reps * *batch) as f64);
         }
     }
-    runs.into_iter()
-        .map(|(_, _, _, mut windows)| {
-            windows.sort_by(f64::total_cmp);
-            windows[windows.len() / 2]
-        })
-        .collect()
+    runs.into_iter().map(|(_, _, _, windows)| windows).collect()
 }
 
 /// Serial f32 MobileNetV3-Large at 224×224, over the same `passes`
@@ -1398,13 +1414,16 @@ fn sha256_lanes_speedup() -> f64 {
 
 /// E24 — cache-blocked kernels: per-sample conv cost vs batch (the E21
 /// cliff fix) and the INT8 execution path against its fake-quant f32
-/// reference, in accuracy and in per-sample time.
+/// reference, in accuracy and in per-sample time, on LeNet-5 and on
+/// MobileNetV3.
 ///
 /// Before the pixel-blocked im2col, the conv scratch was the full-batch
 /// `n*opix*k_len` matrix, so growing the batch pushed the working set
 /// out of cache and per-sample cost *rose* with batch. The blocked
 /// kernel's scratch is batch-independent, so per-sample cost must now be
 /// non-increasing from batch 1 to 8 (asserted here with noise headroom).
+/// Interleaved serial MobileNetV3 passes time the INT8 path against the
+/// fake-quant f32 path of the same graph and against plain f32.
 /// Profiled MobileNetV3 passes then set the depthwise convs' cost per
 /// MAC against the pointwise GEMM's, the within-run view of how close
 /// the two f32 conv kernels run to each other. Last, the OTA path's
@@ -1432,7 +1451,7 @@ pub fn kernels() -> Experiment {
     let mut arms: Vec<(&Graph, usize, bool)> = batches.iter().map(|&b| (&model, b, true)).collect();
     arms.extend([(&quantized, 1, false), (&quantized, 1, true)]);
     let costs = per_sample_ms(&arms, 32);
-    let mut table = Table::new(&["config", "per-sample ms", "vs f32 b=1"]);
+    let mut table = Table::new(&["config", "per-sample ms", "vs its f32 b=1"]);
     let labels = batches
         .iter()
         .map(|b| format!("f32 b={b}"))
@@ -1442,6 +1461,48 @@ pub fn kernels() -> Experiment {
             label,
             format!("{ms:.3}"),
             format!("{:.2}x", ms / costs[0]),
+        ]);
+    }
+    // The same three arms on MobileNetV3-Large, calibrated on two
+    // 224×224 inputs. The ratios are medians of per-round ratios: a
+    // round's three passes run back to back, so a slow spell on a
+    // shared host slows all three and cancels. On a 2-thread host,
+    // INT8 over fake-quant f32 read 0.87-0.95 over 20 runs; the ratio
+    // of the arms' separate medians over seven rounds of three passes
+    // read 0.85-1.03.
+    let mb = zoo::mobilenet_v3_large(1000).expect("builds");
+    let calib: Vec<Tensor> = (1..=2)
+        .map(|i| Tensor::random(Shape::nchw(1, 3, 224, 224), i, 1.0))
+        .collect();
+    let (mb_quantized, _) = QuantizeInt8::with_calibration(calib)
+        .run(mb.clone())
+        .expect("quantization pass succeeds");
+    let mb_runner = Runner::builder().build(&mb_quantized).expect("builds");
+    assert!(
+        mb_runner.uses_int8(),
+        "INT8 plan must engage on MobileNetV3"
+    );
+    let mb_arms = [
+        (&mb, 1, true),
+        (&mb_quantized, 1, false),
+        (&mb_quantized, 1, true),
+    ];
+    let [mb_f32, mb_fake_quant, mb_int8] = &per_sample_windows(&mb_arms, 1, 21)[..] else {
+        unreachable!("one window list per arm")
+    };
+    let over = |base: &[f64]| median(mb_int8.iter().zip(base).map(|(i, b)| i / b).collect());
+    let (mb_over_fq, mb_over_f32) = (over(mb_fake_quant), over(mb_f32));
+    let mb_f32_ms = median(mb_f32.clone());
+    for (label, windows) in [
+        ("f32", mb_f32),
+        ("fake-quant f32", mb_fake_quant),
+        ("int8", mb_int8),
+    ] {
+        let ms = median(windows.clone());
+        table.push(vec![
+            format!("MobileNetV3 {label} b=1"),
+            format!("{ms:.1}"),
+            format!("{:.2}x", ms / mb_f32_ms),
         ]);
     }
     let ratio = costs[3] / costs[0];
@@ -1526,6 +1587,16 @@ pub fn kernels() -> Experiment {
                 f64::from(diff),
             ),
             Metric::gauge(
+                "mobilenet_int8_over_f32",
+                "serial INT8 MobileNetV3 pass relative to its fake-quant f32 pass, median over 21 rounds of one pass each",
+                mb_over_fq,
+            ),
+            Metric::gauge(
+                "mobilenet_int8_over_plain_f32",
+                "serial INT8 MobileNetV3 pass relative to a plain f32 MobileNetV3 pass, median over 21 rounds of one pass each",
+                mb_over_f32,
+            ),
+            Metric::gauge(
                 "depthwise_over_pointwise_ns_per_mac",
                 "serial MobileNetV3 depthwise conv time per MAC relative to its pointwise convs, same passes",
                 dw_over_pw,
@@ -1558,6 +1629,10 @@ pub fn kernels() -> Experiment {
             format!(
                 "INT8 per sample = {:.2}x the fake-quant f32 path on the same graph (gated <= 1.0)",
                 int8_ms / f32_ms
+            ),
+            format!(
+                "INT8 MobileNetV3 pass = {mb_over_fq:.2}x its fake-quant f32 pass (gated <= 1.0) \
+                 and {mb_over_f32:.2}x a plain f32 pass"
             ),
             format!(
                 "MobileNetV3 f32 convs: depthwise {dw_ns:.3} ns/MAC, pointwise {pw_ns:.3} ns/MAC \
@@ -2183,10 +2258,6 @@ pub fn observe() -> Experiment {
     let breakdown = StageBreakdown::of(&recent);
 
     // -- 3) the observability tax (median of 3 trials each) -----------
-    let median = |mut xs: Vec<f64>| {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
-    };
     let disabled_rps = median((0..3).map(|_| run_once(None).0).collect());
     let enabled_rps = median(
         (0..3)
@@ -2746,10 +2817,6 @@ pub fn slo() -> Experiment {
             }
         };
         serve_burst(&model, config, &obs_inputs, evaluate_every_50).0
-    };
-    let median = |mut xs: Vec<f64>| {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
     };
     let trace_rps = median((0..3).map(|_| run_once(false)).collect());
     let full_rps = median((0..3).map(|_| run_once(true)).collect());

@@ -46,6 +46,14 @@ pub enum ArtifactError {
         /// Index of the offending chunk.
         index: u32,
     },
+    /// A chunk's index is not its position in the payload: the chunks
+    /// were reordered or one was duplicated.
+    ChunkOutOfOrder {
+        /// Where the chunk sits in the payload.
+        position: u32,
+        /// The index the chunk carries.
+        index: u32,
+    },
     /// The chained root over all chunks does not match the manifest.
     RootMismatch,
     /// The version string contains a newline (the header is line-based).
@@ -60,6 +68,9 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::Malformed(why) => write!(f, "malformed artifact: {why}"),
             ArtifactError::ChunkHashMismatch { index } => {
                 write!(f, "chunk {index} failed its hash check")
+            }
+            ArtifactError::ChunkOutOfOrder { position, index } => {
+                write!(f, "chunk at position {position} carries index {index}")
             }
             ArtifactError::RootMismatch => write!(f, "assembled payload root mismatch"),
             ArtifactError::BadVersionName => write!(f, "version string must not contain newlines"),
@@ -227,13 +238,22 @@ impl ModelArtifact {
         self.manifest.payload_bytes
     }
 
-    /// Verifies every chunk hash and the chained root.
+    /// Verifies every chunk in payload order, and the chained root: the
+    /// install-time check. Each chunk must carry its own position as its
+    /// index and hash to the manifest entry there, since
+    /// [`unpack`](Self::unpack) reads the chunks in the order they are
+    /// held; the root proves the manifest, not that order.
+    /// ([`Chunk::verify`] is the on-arrival check: it hashes one chunk
+    /// against the entry at the index it carries.)
     ///
     /// # Errors
     ///
-    /// Returns the first failing chunk, or [`ArtifactError::RootMismatch`]
-    /// if the per-chunk hashes pass but the chained root differs (a
-    /// manifest/payload mix-up).
+    /// [`ArtifactError::Malformed`] if the chunk and manifest counts
+    /// differ; else the first failing chunk in payload order
+    /// ([`ArtifactError::ChunkOutOfOrder`] or
+    /// [`ArtifactError::ChunkHashMismatch`]); else
+    /// [`ArtifactError::RootMismatch`] if the per-chunk hashes pass but
+    /// the chained root differs (a manifest/payload mix-up).
     pub fn verify(&self) -> Result<(), ArtifactError> {
         if self.chunks.len() != self.manifest.chunk_hashes.len() {
             return Err(ArtifactError::Malformed(format!(
@@ -242,7 +262,14 @@ impl ModelArtifact {
                 self.manifest.chunk_hashes.len()
             )));
         }
-        for (c, hash) in self.chunks.iter().zip(hash_chunks(&self.chunks)) {
+        let hashes = hash_chunks(&self.chunks);
+        for (position, (c, hash)) in self.chunks.iter().zip(hashes).enumerate() {
+            if c.index as usize != position {
+                return Err(ArtifactError::ChunkOutOfOrder {
+                    position: u32::try_from(position).unwrap_or(u32::MAX),
+                    index: c.index,
+                });
+            }
             if self.manifest.chunk_hashes.get(c.index as usize) != Some(&hash) {
                 return Err(ArtifactError::ChunkHashMismatch { index: c.index });
             }
@@ -607,6 +634,46 @@ mod tests {
             Err(ArtifactError::RootMismatch) => {}
             other => panic!("expected root mismatch, got {other:?}"),
         }
+    }
+
+    /// LeNet-5 with explicit weights, packed in 4 KiB chunks.
+    fn lenet_release() -> ModelArtifact {
+        let mut g = vedliot_nnir::zoo::lenet5(10).expect("lenet builds");
+        g.explicit_weights(|_| true);
+        let artifact = ModelArtifact::pack("v1", &g, 4096).expect("packs");
+        assert!(artifact.chunks.len() > 22);
+        artifact
+    }
+
+    /// Both `verify` and `unpack` refuse `artifact` for the chunk at
+    /// `position` carrying `index`.
+    fn assert_out_of_order(artifact: &ModelArtifact, position: u32, index: u32) {
+        for result in [artifact.verify(), artifact.unpack().map(|_| ())] {
+            match result {
+                Err(ArtifactError::ChunkOutOfOrder {
+                    position: p,
+                    index: i,
+                }) if (p, i) == (position, index) => {}
+                other => panic!("expected chunk {index} out of order at {position}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn swapped_chunks_are_refused() {
+        // Both chunks keep their own index and hash, so each passes the
+        // on-arrival check; the install-time check refuses the order.
+        let mut artifact = lenet_release();
+        artifact.chunks.swap(20, 21);
+        assert!(artifact.chunks.iter().all(|c| c.verify(&artifact.manifest)));
+        assert_out_of_order(&artifact, 20, 21);
+    }
+
+    #[test]
+    fn duplicated_chunk_is_refused() {
+        let mut artifact = lenet_release();
+        artifact.chunks[21] = artifact.chunks[20].clone();
+        assert_out_of_order(&artifact, 21, 20);
     }
 
     #[test]

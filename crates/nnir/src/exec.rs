@@ -49,11 +49,16 @@
 //! with one multiply per output scalar. Both operands are held as i16 —
 //! weights widened once at build, activations quantized per call —
 //! because i16 products are what baseline x86-64 SIMD multiplies
-//! (`pmullw`, `pmaddwd`); i8 ones it does not. Dense convolutions take
-//! a direct kernel with no im2col (one weight code × a contiguous run
-//! of a zero-padded activation plane per tap). Integer accumulation is
-//! exact, so every INT8 output is independent of threading, planning
-//! and batch size too. See [`RunnerBuilder::int8`].
+//! (`pmullw`, `pmaddwd`); i8 ones it does not. Dense convolutions and
+//! dense layers run one INT8 GEMM: weight rows are packed once, zero-
+//! padded to whole 16-code chunks, patch rows are gathered from
+//! zero-padded code planes (a dense input is one such row), and a
+//! micro-kernel reduces each pair of rows to i32 with `pmaddwd`. Only a
+//! stride-1 conv of at most 32 codes per patch runs a direct kernel
+//! instead (weight-code pairs × contiguous runs of the code planes),
+//! chosen once at build. Integer accumulation is exact, so every INT8
+//! output is independent of the kernel, threading, planning and batch
+//! size too. See [`RunnerBuilder::int8`].
 //!
 //! The runner executes the schedule in *steps*: a conv, dense, max- or
 //! average-pool or flatten node takes the chain of `BatchNorm`,
@@ -99,14 +104,19 @@ use std::ops::Range;
 const PAR_MIN_WORK: usize = 1 << 15;
 
 /// How the execution engine distributes kernel work over threads.
+///
+/// `Serial` is the default: at batch 1 a kernel call is too short to
+/// pay for spawning, and `Threads(2)` ran LeNet-5 2.49× slower than
+/// `Serial` (medians of alternating rounds on a 2-thread host). Every
+/// policy computes the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Single-threaded reference path (equivalence baseline).
+    /// Single-threaded reference path (equivalence baseline; default).
+    #[default]
     Serial,
     /// Exactly this many worker threads for large kernels.
     Threads(usize),
-    /// One worker per available hardware thread (default).
-    #[default]
+    /// One worker per available hardware thread.
     Auto,
 }
 
@@ -320,19 +330,31 @@ fn dot4_lanes(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [[f32; 4]; 8] {
     [a00, a01, a10, a11, a20, a21, a30, a31]
 }
 
-/// i32 dot product of INT8 codes held as i16 — the arithmetic the
-/// CFU/socsim accelerator story (E9) implements in hardware. Integer
-/// accumulation is exact, so the summation order is free and this
-/// plain sum of widened products lowers to `pmaddwd` on baseline
-/// x86-64. i32 cannot overflow for any reduction this engine runs:
-/// `|a·b| ≤ 128·127` per term allows `K > 130_000`.
+/// INT8 codes the GEMM micro-kernel reduces at once: every packed
+/// weight row and gathered patch row is a whole number of these chunks.
+const CODE_CHUNK: usize = 16;
+
+/// The INT8 GEMM micro-kernel: the i32 dot product of two runs of
+/// 16-code chunks, INT8 codes held as i16 — the arithmetic the
+/// CFU/socsim accelerator story (E9) implements in hardware. Lane `i`
+/// sums elements `i, i+16, …` and the lanes sum once at the end;
+/// integer accumulation is exact, so that order is free, and LLVM
+/// lowers each chunk to two `pmaddwd` and two `paddd` on baseline
+/// x86-64, with no scalar tail. One output is the whole register tile:
+/// every tile of two or more outputs per loop that was tried lost the
+/// `pmaddwd` form and ran no faster (DESIGN.md §10). i32 cannot
+/// overflow for any reduction this engine runs: `|a·b| ≤ 128·127` per
+/// term allows `K > 130_000`.
 #[inline]
-fn dot_i16(a: &[i16], b: &[i16]) -> i32 {
+fn dot_codes(a: &[[i16; CODE_CHUNK]], b: &[[i16; CODE_CHUNK]]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| i32::from(x) * i32::from(y))
-        .sum()
+    let mut lanes = [0i32; CODE_CHUNK];
+    for (x, y) in a.iter().zip(b) {
+        for i in 0..CODE_CHUNK {
+            lanes[i] += i32::from(x[i]) * i32::from(y[i]);
+        }
+    }
+    lanes.iter().sum()
 }
 
 /// INT8 code of one activation, as the i16 the kernels multiply.
@@ -365,10 +387,15 @@ struct Scratch {
     /// Output tile the blocked GEMM writes before scattering into the
     /// strided output planes.
     outb: Vec<f32>,
-    /// Quantized input activations (INT8 path; zero-padded planes for
-    /// a conv).
+    /// Quantized input activations (INT8 path): zero-padded code planes
+    /// for a conv, rows of a plan's padded length for a dense layer.
     qin: Vec<i16>,
-    /// Per-worker i32 accumulator runs (INT8 conv).
+    /// Offsets of the INT8 conv's patch positions in its code planes.
+    taps: Vec<usize>,
+    /// The INT8 conv's patch block: one padded-length code row per
+    /// output pixel of a cache-sized block.
+    qcol: Vec<i16>,
+    /// The INT8 conv's i32 accumulator tile for one block.
     acc: Vec<i32>,
 }
 
@@ -505,7 +532,7 @@ impl Default for RunnerBuilder {
 }
 
 impl RunnerBuilder {
-    /// Sets the kernel parallelism policy (default: [`Parallelism::Auto`]).
+    /// Sets the kernel parallelism policy (default: [`Parallelism::Serial`]).
     #[must_use]
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -521,9 +548,9 @@ impl RunnerBuilder {
     /// i32-accumulator kernel, provided the quant-safety dataflow
     /// analysis ([`crate::analysis::QuantSafety`]) proves the node's
     /// worst-case rounding error fits the tolerance below. `build` widens
-    /// those nodes' weight codes to i16 once; each call quantizes the
-    /// input activations to i16 codes and, for a convolution, runs the
-    /// direct kernel over zero-padded code planes (no im2col). With it
+    /// those nodes' weight codes to i16 rows once; each call quantizes
+    /// the input activations to i16 codes and runs the INT8 GEMM (or,
+    /// for a short stride-1 conv, the direct kernel) over them. With it
     /// disabled the runner always takes the f32 reference path — the
     /// baseline the INT8 tolerance contract is stated against: outputs
     /// agree with the fake-quant f32 reference to within f32 summation
@@ -594,15 +621,53 @@ impl RunnerBuilder {
 }
 
 /// Build-time INT8 plan of one node: the activation scale its input is
-/// quantized with, and its weights packed for the kernel.
+/// quantized with, and its weights packed for the GEMM.
 #[derive(Debug, Clone)]
 struct Int8Plan<'g> {
     in_scale: f32,
-    /// The payload's i8 weight codes widened to i16, once.
+    /// The payload's i8 weight codes widened to i16 once, each row
+    /// zero-padded to `row_len`: the GEMM's A operand.
     codes: Vec<i16>,
+    /// Padded row length, a non-zero multiple of [`CODE_CHUNK`].
+    row_len: usize,
+    /// Codes in the payload: the kernels check it against the node's
+    /// geometry before reading a row.
+    payload_len: usize,
+    /// Whether the conv runs [`conv2d_int8_direct`] rather than the
+    /// GEMM: the one INT8 kernel-selection rule, made in
+    /// [`int8_plans`].
+    direct: bool,
     /// The payload's per-row weight scales.
     scales: &'g [f32],
 }
+
+impl Int8Plan<'_> {
+    /// Row `r` of the packed codes, as whole chunks.
+    fn row(&self, r: usize) -> &[[i16; CODE_CHUNK]] {
+        self.codes[r * self.row_len..][..self.row_len].as_chunks().0
+    }
+
+    /// Fails unless the payload is `rows` rows of `k` codes with one
+    /// scale each.
+    fn check(&self, rows: usize, k: usize, what: &str) -> Result<(), NnirError> {
+        if self.payload_len == rows * k && self.scales.len() == rows {
+            return Ok(());
+        }
+        Err(NnirError::ExecutionFailure(format!(
+            "int8 {what} payload mismatch: {} codes / {} scales for [{rows}, {k}]",
+            self.payload_len,
+            self.scales.len()
+        )))
+    }
+}
+
+/// Longest patch row a stride-1 INT8 conv runs direct rather than on
+/// the GEMM: two chunks. Below it the GEMM's fixed cost per output —
+/// the patch gather and one horizontal sum — outweighs the direct
+/// kernel's whole-plane tap runs; above it, and at any other stride,
+/// the GEMM is faster (measured per layer in DESIGN.md §10,
+/// "Kernel-selection rules").
+const DIRECT_MAX_K: usize = 2 * CODE_CHUNK;
 
 /// Computes the per-node INT8 execution plan: `Some` for every node the
 /// runner will execute with the integer-code / i32-accumulator kernel,
@@ -619,6 +684,9 @@ struct Int8Plan<'g> {
 /// Eligibility is per node: one saturating layer no longer forces the
 /// whole graph onto the f32 path. A graph without i8 weights plans
 /// nothing, and the analysis (which reads every weight) is not run.
+/// Each plan also fixes its kernel: a stride-1 conv of at most
+/// [`DIRECT_MAX_K`] codes per patch runs direct, every other conv and
+/// every dense layer the GEMM.
 fn int8_plans(graph: &Graph) -> Vec<Option<Int8Plan<'_>>> {
     let has_i8 = graph.nodes().iter().any(|n| match &n.weights {
         WeightInit::Explicit(w) => w
@@ -640,9 +708,24 @@ fn int8_plans(graph: &Graph) -> Vec<Option<Int8Plan<'_>>> {
                 return None;
             };
             let q = weights.first()?.quant()?;
+            // One row per scale, at least one chunk long; a payload that
+            // is not a whole number of rows fails the kernel's check
+            // before a row is read.
+            let k = q.codes.len() / q.scales.len().max(1);
+            let row_len = k.next_multiple_of(CODE_CHUNK).max(CODE_CHUNK);
+            let mut codes = vec![0; q.scales.len() * row_len];
+            for (r, dst) in codes.chunks_exact_mut(row_len).enumerate() {
+                for (d, &c) in dst.iter_mut().zip(&q.codes[r * k..][..k]) {
+                    *d = i16::from(c);
+                }
+            }
             Some(Int8Plan {
                 in_scale,
-                codes: q.codes.iter().map(|&c| i16::from(c)).collect(),
+                codes,
+                row_len,
+                payload_len: q.codes.len(),
+                direct: matches!(&node.op, Op::Conv2d(a) if a.stride == (1, 1))
+                    && k <= DIRECT_MAX_K,
                 scales: &q.scales,
             })
         })
@@ -1558,7 +1641,7 @@ fn conv2d_geometry(
 }
 
 /// Derived dense-conv (`groups == 1`) geometry shared by the f32 im2col
-/// and INT8 direct paths.
+/// and the INT8 kernels.
 #[derive(Clone, Copy)]
 struct ConvGeom {
     in_c: usize,
@@ -1671,8 +1754,8 @@ fn gemm_rows(k_len: usize, w: &[f32], col: &[f32], bias: Option<&[f32]>, dst: &m
 ///
 /// Dense (`groups == 1`) convolutions lower to pixel-blocked im2col
 /// ([`fill_patches`]) and a GEMM over units of four out-channel rows
-/// ([`gemm_rows`], register-tiled by [`dot4_tile`]), or to the direct
-/// INT8 kernel when the node has an INT8 plan; grouped and depthwise
+/// ([`gemm_rows`], register-tiled by [`dot4_tile`]), or to the INT8
+/// kernels ([`conv2d_int8`]) when the node has an INT8 plan; grouped and depthwise
 /// ones take the channel-blocked [`conv2d_grouped`]. Each f32 output
 /// scalar is a fixed-association reduction over the patch and each
 /// INT8 one an exact integer sum, so results are independent of
@@ -1992,19 +2075,16 @@ fn grouped_row(
     }
 }
 
-/// Dense-conv INT8 kernel, direct (no im2col).
+/// Dense-conv INT8 kernels: the step they share, then the kernel the
+/// plan chose at build (see [`int8_plans`]).
 ///
 /// Each input plane is quantized once into a zero-padded i16 code plane
 /// (exact, since a `FakeQuant` producer pinned the activations to the
-/// grid). Each output plane then accumulates, per pair of (input
-/// channel, tap)s, two i16 weight codes × two contiguous runs of codes,
-/// summed in i16 and widened into i32 — exact, so the tap order is
-/// free — and is dequantized with one multiply per scalar:
-/// `bias + acc · (w_scale[oc] · in_scale)`. At stride 1 the run
-/// spans the whole output plane at the padded row pitch (the `kw - 1`
-/// accumulators past each output row are computed and dropped), long
-/// enough to vectorize; at larger strides it is one output row. Output
-/// planes are split over the workers, each with its own accumulator.
+/// grid), and each patch position's offset in those planes is listed
+/// once, in the kernel's (ic, ky, kx) order. Both kernels sum exact
+/// integer products, so every output is the same i32 whichever runs,
+/// and each is dequantized with one multiply, `bias + acc · (w_scale[oc]
+/// · in_scale)`, before the fused stages run on it.
 fn conv2d_int8(
     input: &Tensor,
     plan: &Int8Plan<'_>,
@@ -2013,29 +2093,12 @@ fn conv2d_int8(
     ctx: &mut KernelCtx<'_>,
     g: ConvGeom,
 ) -> Result<(), NnirError> {
-    let k_len = g.k_len();
-    if plan.codes.len() != g.out_c * k_len || plan.scales.len() != g.out_c {
-        return Err(NnirError::ExecutionFailure(format!(
-            "int8 conv payload mismatch: {} codes / {} scales for a {}x{} kernel",
-            plan.codes.len(),
-            plan.scales.len(),
-            g.out_c,
-            k_len
-        )));
-    }
-    let n = input.shape().batch();
+    plan.check(g.out_c, g.k_len(), "conv")?;
     let (hp, wp) = (g.h + 2 * g.ph, g.w + 2 * g.pw);
-    let oh = g.opix / g.ow;
-    let (runs, rows_per_run) = if g.sh == 1 && g.sw == 1 {
-        (1, oh)
-    } else {
-        (oh, 1)
-    };
-    let run_len = (rows_per_run - 1) * wp + g.ow;
     let inv = 1.0 / plan.in_scale;
-    let Scratch { qin, acc, .. } = ctx.scratch;
+    let Scratch { qin, taps, .. } = ctx.scratch;
     qin.clear();
-    qin.resize(n * g.in_c * hp * wp, 0);
+    qin.resize(input.shape().batch() * g.in_c * hp * wp, 0);
     for (p, plane) in qin.chunks_exact_mut(hp * wp).enumerate() {
         for y in 0..g.h {
             let src = &input.data()[(p * g.h + y) * g.w..][..g.w];
@@ -2045,58 +2108,158 @@ fn conv2d_int8(
             }
         }
     }
-    let qin: &[i16] = qin;
-    let workers = ctx.par.workers_for(n * g.out_c * g.opix * k_len);
-    acc.resize(workers * run_len, 0);
-    let epi = ctx.epi;
-    par_chunks_with(workers, out.data_mut(), g.opix, acc, |u, dst, acc| {
-        let (bi, oc) = (u / g.out_c, u % g.out_c);
-        let b0 = bias_data.map_or(0.0, |b| b[oc]);
-        let dq = plan.scales[oc] * plan.in_scale;
-        let krow = &plan.codes[oc * k_len..][..k_len];
-        let planes = &qin[bi * g.in_c * hp * wp..][..g.in_c * hp * wp];
-        let acc = &mut acc[..run_len];
-        for r in 0..runs {
-            acc.fill(0);
-            // Each tap's weight code with the run of codes it reads, in
-            // (ic, ky, kx) order.
-            let mut taps = krow.iter().zip((0..g.in_c).flat_map(|ic| {
-                (0..g.kh).flat_map(move |ky| {
-                    (0..g.kw).map(move |kx| &planes[ic * hp * wp + (r * g.sh + ky) * wp + kx..])
-                })
-            }));
-            // Taps go in pairs: |w·x| ≤ 128·127, so even the sum of two
-            // products is an exact i16, widened to i32 once per pair.
-            while let Some((&w0, s0)) = taps.next() {
-                match taps.next() {
-                    Some((&w1, s1)) if g.sw == 1 => {
-                        for ((a, &x0), &x1) in acc.iter_mut().zip(s0).zip(s1) {
-                            *a += i32::from(w0 * x0 + w1 * x1);
+    taps.clear();
+    for ic in 0..g.in_c {
+        for ky in 0..g.kh {
+            taps.extend((0..g.kw).map(|kx| (ic * hp + ky) * wp + kx));
+        }
+    }
+    if plan.direct {
+        conv2d_int8_direct(plan, bias_data, out.data_mut(), ctx, g);
+    } else {
+        conv2d_int8_gemm(plan, bias_data, out.data_mut(), ctx, g);
+    }
+    Ok(())
+}
+
+/// The INT8 GEMM over 16-code chunks.
+///
+/// Output pixels go in blocks whose patch rows fit a cache budget:
+/// [`gather_codes`] copies each pixel's patch from the code planes into
+/// a row of the plan's padded length, and [`dot_codes`] reduces every
+/// packed weight row against every patch row into i32. A patch row's
+/// tail past K is never cleared: whatever it holds meets the zero codes
+/// that pad each weight row and adds 0, and integer sums are exact, so
+/// neither the padding nor the chunk order changes a bit. Each row is
+/// dequantized into its output plane, where the fused stages run on it.
+/// Units of four weight rows split over the workers, as in the f32
+/// GEMM.
+fn conv2d_int8_gemm(
+    plan: &Int8Plan<'_>,
+    bias_data: Option<&[f32]>,
+    out: &mut [f32],
+    ctx: &mut KernelCtx<'_>,
+    g: ConvGeom,
+) {
+    let Scratch {
+        qin,
+        taps,
+        qcol,
+        acc,
+        ..
+    } = ctx.scratch;
+    let (plane, wp) = ((g.h + 2 * g.ph) * (g.w + 2 * g.pw), g.w + 2 * g.pw);
+    // As many pixels per block as fit the f32 block's bytes.
+    let row_len = plan.row_len;
+    let block_pix = (2 * COL_BLOCK_ELEMS / row_len).clamp(1, g.opix);
+    qcol.resize(block_pix * row_len, 0);
+    acc.resize(g.out_c * block_pix, 0);
+    for bi in 0..out.len() / (g.out_c * g.opix).max(1) {
+        let planes = &qin[bi * g.in_c * plane..][..g.in_c * plane];
+        for p0 in (0..g.opix).step_by(block_pix) {
+            let pb = block_pix.min(g.opix - p0);
+            gather_codes(planes, g, wp, p0, taps, &mut qcol[..pb * row_len], row_len);
+            let (col, _) = qcol[..pb * row_len].as_chunks();
+            let tile = &mut acc[..g.out_c * pb];
+            par_chunks(
+                ctx.par.workers_for(g.out_c * pb * row_len),
+                tile,
+                4 * pb,
+                |u, dst| {
+                    for (r, row) in dst.chunks_exact_mut(pb).enumerate() {
+                        let w = plan.row(4 * u + r);
+                        for (a, x) in row.iter_mut().zip(col.chunks_exact(w.len())) {
+                            *a = dot_codes(w, x);
                         }
                     }
-                    Some((&w1, s1)) => {
-                        let s1 = s1.iter().step_by(g.sw);
-                        for ((a, &x0), &x1) in acc.iter_mut().zip(s0.iter().step_by(g.sw)).zip(s1) {
-                            *a += i32::from(w0 * x0 + w1 * x1);
-                        }
-                    }
-                    None => {
-                        for (a, &x) in acc.iter_mut().zip(s0.iter().step_by(g.sw)) {
-                            *a += i32::from(w0 * x);
-                        }
-                    }
-                }
-            }
-            let rows = &mut dst[r * rows_per_run * g.ow..][..rows_per_run * g.ow];
-            for (i, row) in rows.chunks_exact_mut(g.ow).enumerate() {
-                for (o, &a) in row.iter_mut().zip(&acc[i * wp..]) {
+                },
+            );
+            for (oc, row) in tile.chunks_exact(pb).enumerate() {
+                let b0 = bias_data.map_or(0.0, |b| b[oc]);
+                let dq = plan.scales[oc] * plan.in_scale;
+                let at = (bi * g.out_c + oc) * g.opix + p0;
+                let dst = &mut out[at..][..pb];
+                for (o, &a) in dst.iter_mut().zip(row) {
                     *o = b0 + a as f32 * dq;
                 }
+                ctx.epi.apply(dst, at);
             }
-            epi.apply(rows, u * g.opix + r * rows_per_run * g.ow);
         }
+    }
+}
+
+/// The direct INT8 conv, for the stride-1 convs with short patch rows
+/// that [`int8_plans`] selects it for. Per output plane, each pair of
+/// taps multiplies two weight codes by two runs of the code planes,
+/// summed in i16 — exact, since two products stay within `2·128·127 =
+/// 32512` — and added into an i32 accumulator run, one widening per
+/// pair. The run spans the whole output plane at the padded row pitch;
+/// the `kw − 1` accumulators past each output row are computed and
+/// dropped. Output planes split over the workers, each with its own
+/// run.
+fn conv2d_int8_direct(
+    plan: &Int8Plan<'_>,
+    bias_data: Option<&[f32]>,
+    out: &mut [f32],
+    ctx: &mut KernelCtx<'_>,
+    g: ConvGeom,
+) {
+    let Scratch { qin, taps, acc, .. } = ctx.scratch;
+    // Taps go in pairs: an odd K's last tap pairs with the zero code
+    // padding its weight row.
+    if taps.len() % 2 == 1 {
+        taps.push(0);
+    }
+    let (taps, epi) = (taps.as_slice(), ctx.epi);
+    let (plane, wp) = ((g.h + 2 * g.ph) * (g.w + 2 * g.pw), g.w + 2 * g.pw);
+    let run_len = (g.opix / g.ow - 1) * wp + g.ow;
+    let workers = ctx.par.workers_for(out.len() * taps.len());
+    acc.resize(workers * run_len, 0);
+    par_chunks_with(workers, out, g.opix, acc, |u, dst, acc| {
+        let (bi, oc) = (u / g.out_c, u % g.out_c);
+        let planes = &qin[bi * g.in_c * plane..][..g.in_c * plane];
+        let acc = &mut acc[..run_len];
+        acc.fill(0);
+        let krow = &plan.codes[oc * plan.row_len..][..taps.len()];
+        for (w, t) in krow.chunks_exact(2).zip(taps.chunks_exact(2)) {
+            let (s0, s1) = (&planes[t[0]..], &planes[t[1]..]);
+            for ((a, &x0), &x1) in acc.iter_mut().zip(s0).zip(s1) {
+                *a += i32::from(w[0] * x0 + w[1] * x1);
+            }
+        }
+        let b0 = bias_data.map_or(0.0, |b| b[oc]);
+        let dq = plan.scales[oc] * plan.in_scale;
+        for (row, a) in dst.chunks_exact_mut(g.ow).zip(acc.chunks(wp)) {
+            for (o, &a) in row.iter_mut().zip(a) {
+                *o = b0 + a as f32 * dq;
+            }
+        }
+        epi.apply(dst, u * g.opix);
     });
-    Ok(())
+}
+
+/// Fills `col` with the INT8 patch rows of output pixels `p0, p0 + 1,
+/// …` (as many as it holds, `row_len` codes each) from one batch item's
+/// zero-padded code planes, `wp` codes per row. `taps` holds each patch
+/// position's offset from its pixel's first input code, in the kernel's
+/// (ic, ky, kx) order: every geometry gathers through one loop, and the
+/// planes' zero border means no tap asks whether it lands in the input.
+fn gather_codes(
+    planes: &[i16],
+    g: ConvGeom,
+    wp: usize,
+    p0: usize,
+    taps: &[usize],
+    col: &mut [i16],
+    row_len: usize,
+) {
+    for (j, row) in col.chunks_exact_mut(row_len).enumerate() {
+        let (oy, ox) = ((p0 + j) / g.ow, (p0 + j) % g.ow);
+        let src = &planes[oy * g.sh * wp + ox * g.sw..];
+        for (d, &o) in row.iter_mut().zip(taps) {
+            *d = src[o];
+        }
+    }
 }
 
 // --------------------------------------------------------------------
@@ -2175,27 +2338,32 @@ fn dense_into(
     };
 
     if let Some(plan) = ctx.int8 {
-        if plan.codes.len() != out_f * in_f || plan.scales.len() != out_f {
-            return Err(NnirError::ExecutionFailure(format!(
-                "int8 dense payload mismatch: {} codes / {} scales for [{out_f}, {in_f}]",
-                plan.codes.len(),
-                plan.scales.len()
-            )));
-        }
-        let inv = 1.0 / plan.in_scale;
+        // The GEMM with one patch row per sample: each input row is
+        // quantized into a row of the plan's padded length, whose zero
+        // tail meets the zero codes padding the weight rows.
+        plan.check(out_f, in_f, "dense")?;
+        let (inv, row_len) = (1.0 / plan.in_scale, plan.row_len);
         let qin = &mut ctx.scratch.qin;
         qin.clear();
-        qin.extend(in_data.iter().map(|&x| quantize_activation(x, inv)));
+        qin.resize(n * row_len, 0);
+        for (dst, src) in qin
+            .chunks_exact_mut(row_len)
+            .zip(in_data.chunks_exact(in_f.max(1)))
+        {
+            for (d, &x) in dst.iter_mut().zip(src) {
+                *d = quantize_activation(x, inv);
+            }
+        }
         let qin: &[i16] = qin;
         par_chunks(workers, out.data_mut(), chunk, |u, dst| {
             let base = u * chunk;
             let bi = base / out_f;
             let of0 = base % out_f;
-            let x = &qin[bi * in_f..][..in_f];
+            let (x, _) = qin[bi * row_len..][..row_len].as_chunks();
             for (i, o) in dst.iter_mut().enumerate() {
                 let of = of0 + i;
                 let b0 = bias_data.map_or(0.0, |b| b[of]);
-                let acc = dot_i16(&plan.codes[of * in_f..][..in_f], x);
+                let acc = dot_codes(plan.row(of), x);
                 *o = b0 + acc as f32 * (plan.scales[of] * plan.in_scale);
             }
             epi.apply(dst, base);
@@ -3083,12 +3251,22 @@ mod tests {
         // i32 accumulation never rounds: compare against an i64 sum, on
         // every length up to a few SIMD widths past the tail and on the
         // extreme codes (an i8 weight may be -128, an activation ±127).
+        // Each operand is zero-padded to whole chunks, as the plans and
+        // patch rows are.
         let a: Vec<i16> = (0..301)
             .map(|i| ((i * 37 + 11) % 256 - 128) as i16)
             .collect();
         let b: Vec<i16> = (0..301)
             .map(|i| ((i * 53 + 7) % 255 - 127) as i16)
             .collect();
+        let dot_i16 = |a: &[i16], b: &[i16]| {
+            let chunks = |v: &[i16]| {
+                let mut p = v.to_vec();
+                p.resize(v.len().next_multiple_of(CODE_CHUNK), 0);
+                p.as_chunks::<CODE_CHUNK>().0.to_vec()
+            };
+            dot_codes(&chunks(a), &chunks(b))
+        };
         for len in (0..40).chain([255, 301]) {
             let wide: i64 = a[..len]
                 .iter()

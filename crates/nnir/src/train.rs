@@ -161,14 +161,20 @@ pub fn train_mlp(
     Ok(evaluate(graph, data)?.accuracy())
 }
 
-/// Runs the graph over a dataset and fills a confusion matrix, using the
-/// default parallelism policy.
+/// Runs the graph over a dataset and fills a confusion matrix, spreading
+/// the samples over the host's threads ([`Parallelism::Auto`]) when the
+/// work amortizes them.
+///
+/// Unlike a kernel split, a split across samples spawns its threads
+/// once per dataset, so this does not follow the `Serial` default.
+///
+/// [`Parallelism::Auto`]: crate::exec::Parallelism::Auto
 ///
 /// # Errors
 ///
 /// Propagates execution failures.
 pub fn evaluate(graph: &Graph, data: &ClassificationSet) -> Result<ConfusionMatrix, NnirError> {
-    evaluate_with(graph, data, crate::exec::Parallelism::default())
+    evaluate_with(graph, data, crate::exec::Parallelism::Auto)
 }
 
 /// Runs the graph over a dataset with an explicit parallelism policy.

@@ -19,7 +19,7 @@ fn run_with(g: &Graph, par: Parallelism, inputs: &[Tensor]) -> Result<Vec<Tensor
         .into_outputs())
 }
 
-/// One forward pass with the default (Auto) parallelism.
+/// One forward pass with the default (Serial) parallelism.
 fn run_once(g: &Graph, inputs: &[Tensor]) -> Result<Vec<Tensor>, NnirError> {
     run_with(g, Parallelism::default(), inputs)
 }
@@ -266,8 +266,8 @@ proptest! {
             "parallel diverged from serial by {}",
             max_abs_diff(&reference, &parallel)
         );
-        // The default (Auto) parallelism agrees too.
-        let auto = run_once(&g, std::slice::from_ref(&input)).unwrap();
+        // The host-sized (Auto) parallelism agrees too.
+        let auto = run_with(&g, Parallelism::Auto, std::slice::from_ref(&input)).unwrap();
         prop_assert!(max_abs_diff(&reference, &auto) <= 1e-5);
     }
 }
@@ -1448,4 +1448,143 @@ fn dense_conv_over_zero_input_channels_is_its_bias() {
     let got = run_with(&g, Parallelism::Serial, &[input]).unwrap();
     let relu: Vec<f32> = want.iter().map(|&v| ActKind::Relu.apply(v)).collect();
     assert_eq!(bits(got[0].data()), bits(&relu));
+}
+
+/// The INT8 kernels at their seams, bit for bit against
+/// [`conv_int8_reference`] and [`dense_reference`] (through
+/// [`reference_values`]): patch rows of K ∈ {1, 15, 16, 17, 25, 31, 32,
+/// 33, 150} codes, each at stride 1 (unpadded, batch 1) and at stride 2
+/// (padding 1, batch 2), so both sides of every 16-code chunk edge run
+/// on the GEMM and the short stride-1 rows on the direct kernel; 1, 3,
+/// 4, 5 and 9 output channels, so some four-row units are partial; and
+/// one 28×28 output plane whose 160-code patch rows span four 64 KiB
+/// pixel blocks. Each conv takes a fused ReLU + `FakeQuant` tail and
+/// feeds a dense layer through `Flatten` and a `FakeQuant`, its input
+/// length mostly not a multiple of 16. Serial and over two workers,
+/// planned and unplanned, plain and capturing every intermediate.
+#[test]
+fn int8_kernels_match_references_at_chunk_and_block_seams() {
+    let s_in = 1.0 / 127.0;
+    // (in_c, kernel): K = in_c · kh · kw.
+    let ks = [
+        (1, (1, 1)),
+        (3, (1, 5)),
+        (16, (1, 1)),
+        (17, (1, 1)),
+        (1, (5, 5)),
+        (31, (1, 1)),
+        (2, (4, 4)),
+        (11, (3, 1)),
+        (6, (5, 5)),
+    ];
+    let out_cs = [1, 3, 4, 5, 9];
+    let mut cases = Vec::new();
+    for (i, &(in_c, kernel)) in ks.iter().enumerate() {
+        for (j, (stride, padding, batch)) in [(1, 0, 1), (2, 1, 2)].into_iter().enumerate() {
+            let out_c = out_cs[(2 * i + j) % out_cs.len()];
+            cases.push((in_c, kernel, out_c, stride, padding, batch, 7));
+        }
+    }
+    cases.push((6, (5, 5), 5, 1, 2, 1, 28));
+    let mut dense_off_chunk = 0;
+    for (case, &(in_c, (kh, kw), out_c, stride, padding, batch, hw)) in cases.iter().enumerate() {
+        let seed = case as u64 * 10;
+        let attrs = Conv2dAttrs {
+            out_channels: out_c,
+            kernel: (kh, kw),
+            stride: (stride, stride),
+            padding: (padding, padding),
+            groups: 1,
+            bias: true,
+        };
+        let (oh, ow) = (
+            (hw + 2 * padding - kh) / stride + 1,
+            (hw + 2 * padding - kw) / stride + 1,
+        );
+        let in_f = out_c * oh * ow;
+        dense_off_chunk += usize::from(in_f % 16 != 0);
+        let kernel = quantized(Shape::new(vec![out_c, in_c, kh, kw]), seed);
+        let conv_bias = Tensor::random(Shape::new(vec![out_c]), seed + 1, 0.1);
+        let input = Tensor::random(Shape::nchw(batch, in_c, hw, hw), seed + 2, 1.0);
+        // The tail's grid spans the ReLU'd conv output, as calibration
+        // would set it.
+        let xq: Vec<f32> = input.data().iter().map(|&x| fake_quant(x, s_in)).collect();
+        let xq = Tensor::from_vec(input.shape().clone(), xq).unwrap();
+        let conv = conv_int8_reference(&xq, &kernel, &conv_bias, &attrs, s_in);
+        let s_mid = conv.iter().fold(0.0f32, |m, &x| m.max(x)).max(1e-3) / 127.0;
+        let out_f = out_cs[case % out_cs.len()];
+        let mut b = GraphBuilder::new("int8-seams");
+        let x = b.input(input.shape().clone());
+        let x = b.apply("x.q", Op::FakeQuant { scale: s_in }, &[x]).unwrap();
+        let conv_weights = WeightInit::Explicit(vec![kernel, conv_bias]);
+        let c = b
+            .apply_with_weights("conv", Op::Conv2d(attrs), &[x], conv_weights)
+            .unwrap();
+        let c = b
+            .apply("conv.relu", Op::Activation(ActKind::Relu), &[c])
+            .unwrap();
+        let c = b
+            .apply("conv.q", Op::FakeQuant { scale: s_mid }, &[c])
+            .unwrap();
+        let f = b.apply("flatten", Op::Flatten, &[c]).unwrap();
+        let f = b
+            .apply("flatten.q", Op::FakeQuant { scale: s_mid }, &[f])
+            .unwrap();
+        let dense = Op::Dense {
+            out_features: out_f,
+            bias: true,
+        };
+        let fc = quantized(Shape::nf(out_f, in_f), seed + 3);
+        let fc_bias = Tensor::random(Shape::new(vec![out_f]), seed + 4, 0.1);
+        let d = b
+            .apply_with_weights("fc", dense, &[f], WeightInit::Explicit(vec![fc, fc_bias]))
+            .unwrap();
+        let g = b.finish(vec![d]);
+        let want = reference_values(&g, std::slice::from_ref(&input));
+        let label = format!(
+            "K {} out_c {out_c} stride {stride} batch {batch}",
+            in_c * kh * kw
+        );
+        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+            for planning in [true, false] {
+                let mut runner = Runner::builder()
+                    .parallelism(par)
+                    .memory_planning(planning)
+                    .build(&g)
+                    .unwrap();
+                let plain = runner.execute(
+                    std::slice::from_ref(&input),
+                    RunOptions::new().profile(true),
+                );
+                let plain = plain.unwrap();
+                assert_eq!(plain.profile().unwrap().int8_nodes(), 2, "{label}");
+                let wanted = want[d.0].as_ref().unwrap();
+                assert_eq!(
+                    bits(plain.outputs()[0].data()),
+                    bits(wanted.data()),
+                    "{label} {par:?}"
+                );
+                let opts = RunOptions::new().capture_intermediates(true);
+                let captured = runner.execute(std::slice::from_ref(&input), opts).unwrap();
+                for (t, (got, wanted)) in captured
+                    .intermediates()
+                    .unwrap()
+                    .iter()
+                    .zip(&want)
+                    .enumerate()
+                {
+                    let (got, wanted) = (got.as_ref().unwrap(), wanted.as_ref().unwrap());
+                    assert_eq!(
+                        bits(got.data()),
+                        bits(wanted.data()),
+                        "{label} {par:?} tensor {t}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        dense_off_chunk > 0,
+        "some dense input is not a whole number of chunks"
+    );
 }
