@@ -1450,7 +1450,8 @@ pub fn kernels() -> Experiment {
     let batches = [1usize, 2, 4, 8];
     let mut arms: Vec<(&Graph, usize, bool)> = batches.iter().map(|&b| (&model, b, true)).collect();
     arms.extend([(&quantized, 1, false), (&quantized, 1, true)]);
-    let costs = per_sample_ms(&arms, 32);
+    let windows = per_sample_windows(&arms, 32, 21);
+    let costs: Vec<f64> = windows.iter().cloned().map(median).collect();
     let mut table = Table::new(&["config", "per-sample ms", "vs its f32 b=1"]);
     let labels = batches
         .iter()
@@ -1505,7 +1506,19 @@ pub fn kernels() -> Experiment {
             format!("{:.2}x", ms / mb_f32_ms),
         ]);
     }
-    let ratio = costs[3] / costs[0];
+    // b8/b1 is the median of 21 rounds' ratios, as the MobileNetV3
+    // ratios are: a round's windows run side by side, so a slow spell
+    // lands on both arms of it. Over 20 runs beside a busy loop on a
+    // 2-thread host it read 0.94-1.01; the ratio of the arms' separate
+    // medians over 7 rounds read 0.73-1.33 there, against a 1.274 bound
+    // (EXPERIMENTS.md E24).
+    let ratio = median(
+        windows[3]
+            .iter()
+            .zip(&windows[0])
+            .map(|(b8, b1)| b8 / b1)
+            .collect(),
+    );
     assert!(
         ratio <= 1.35,
         "per-sample conv cost must not rise with batch (E21 cliff): b8/b1 = {ratio:.2}"
@@ -1524,6 +1537,9 @@ pub fn kernels() -> Experiment {
         )
         .expect("runs");
     let int8_nodes = got.profile().expect("profiled").int8_nodes();
+    // Each INT8 conv folds the max-pool after it, so its full-resolution
+    // output never takes an arena slot: 7,840 bytes, from 23,520.
+    let int8_arena = int8_runner.memory_plan().peak_bytes();
     let want = Runner::builder()
         .int8(false)
         .build(&quantized)
@@ -1586,6 +1602,11 @@ pub fn kernels() -> Experiment {
                 "INT8 output deviation from the fake-quant f32 reference",
                 f64::from(diff),
             ),
+            Metric::counter(
+                "int8_arena_peak_bytes",
+                "planned value-arena peak of the quantized LeNet-5 on the INT8 path, bytes",
+                int8_arena,
+            ),
             Metric::gauge(
                 "mobilenet_int8_over_f32",
                 "serial INT8 MobileNetV3 pass relative to its fake-quant f32 pass, median over 21 rounds of one pass each",
@@ -1629,6 +1650,10 @@ pub fn kernels() -> Experiment {
             format!(
                 "INT8 per sample = {:.2}x the fake-quant f32 path on the same graph (gated <= 1.0)",
                 int8_ms / f32_ms
+            ),
+            format!(
+                "INT8 LeNet-5 arena peak {int8_arena} bytes: each INT8 conv pools its i32 \
+                 accumulators, so its full-resolution output owns no slot (gated <= baseline)"
             ),
             format!(
                 "INT8 MobileNetV3 pass = {mb_over_fq:.2}x its fake-quant f32 pass (gated <= 1.0) \

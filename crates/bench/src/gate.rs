@@ -98,6 +98,10 @@ pub const RULES: &[Rule] = &[
     // INT8 must pay for itself: per sample, the INT8 kernels are no slower
     // than the fake-quant f32 path timed on the same graph in the same run.
     Rule::new("kernels", "int8_over_f32", None, |_| -INF..=1.0),
+    // Each INT8 conv of LeNet-5 folds the max-pool after it, so its
+    // full-resolution output owns no arena slot; the planned peak is
+    // deterministic and may only fall.
+    Rule::new("kernels", "int8_arena_peak_bytes", None, |b| -INF..=b),
     // The same on the paper's own model: a serial INT8 MobileNetV3 pass
     // is no slower than the same graph's fake-quant f32 pass (median of
     // 21 per-round ratios). It read 1.5-1.8 before the INT8 GEMM and

@@ -163,6 +163,14 @@ impl ModelArtifact {
     /// Packs a graph (explicit weights and all) into a chunked,
     /// hash-chained artifact.
     ///
+    /// The payload is the header (magic, version line), the length-
+    /// prefixed architecture text with every explicit weight written as
+    /// the placeholder `seed=0`, then one record per node with explicit
+    /// weights, keyed by node index, each tensor a length-prefixed run
+    /// of little-endian f32s. It is written straight into the chunks,
+    /// each allocated once at its final size: neither the graph nor a
+    /// tensor is copied, and no payload buffer is assembled.
+    ///
     /// # Errors
     ///
     /// Fails if the version label is multi-line, if the architecture
@@ -174,57 +182,64 @@ impl ModelArtifact {
         if chunk_bytes == 0 {
             return Err(ArtifactError::Malformed("chunk_bytes must be > 0".into()));
         }
-        // Strip explicit weights for the architecture dump; record them
-        // in the binary section keyed by node index.
-        let mut arch = graph.clone();
-        let mut weight_records: Vec<(u32, Vec<Tensor>)> = Vec::new();
-        for (idx, node) in arch.nodes_mut().iter_mut().enumerate() {
-            if let WeightInit::Explicit(tensors) = &node.weights {
-                let idx = u32::try_from(idx)
-                    .map_err(|_| ArtifactError::Malformed("node index overflow".into()))?;
-                weight_records.push((idx, tensors.clone()));
-                node.weights = WeightInit::Seeded(0);
-            }
-        }
-        let text = textual::write(&arch)?;
+        let text = textual::write_architecture(graph)?;
+        let records = graph
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, node)| match &node.weights {
+                WeightInit::Explicit(tensors) => Some((idx, tensors.as_slice())),
+                _ => None,
+            })
+            .map(|(idx, tensors)| {
+                u32::try_from(idx)
+                    .map(|idx| (idx, tensors))
+                    .map_err(|_| ArtifactError::Malformed("node index overflow".into()))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let record_bytes = |tensors: &[Tensor]| {
+            8 + tensors
+                .iter()
+                .map(|t| 8 + 4 * t.data().len())
+                .sum::<usize>()
+        };
+        let payload_bytes = MAGIC.len()
+            + version.len()
+            + 1
+            + 8
+            + text.len()
+            + 4
+            + records.iter().map(|(_, t)| record_bytes(t)).sum::<usize>();
 
-        let mut payload = Vec::with_capacity(text.len() + 64);
-        payload.extend_from_slice(MAGIC);
-        payload.extend_from_slice(version.as_bytes());
-        payload.push(b'\n');
-        payload.extend_from_slice(&(text.len() as u64).to_le_bytes());
-        payload.extend_from_slice(text.as_bytes());
-        payload.extend_from_slice(&(weight_records.len() as u32).to_le_bytes());
-        for (idx, tensors) in &weight_records {
-            payload.extend_from_slice(&idx.to_le_bytes());
-            payload.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
-            for t in tensors {
-                payload.extend_from_slice(&(t.data().len() as u64).to_le_bytes());
+        let mut w = ChunkWriter::new(payload_bytes, chunk_bytes);
+        w.put(MAGIC);
+        w.put(version.as_bytes());
+        w.put(b"\n");
+        w.put(&(text.len() as u64).to_le_bytes());
+        w.put(text.as_bytes());
+        w.put(&(records.len() as u32).to_le_bytes());
+        for (idx, tensors) in &records {
+            w.put(&idx.to_le_bytes());
+            w.put(&(tensors.len() as u32).to_le_bytes());
+            for t in *tensors {
+                w.put(&(t.data().len() as u64).to_le_bytes());
                 for v in t.data() {
-                    payload.extend_from_slice(&v.to_le_bytes());
+                    w.put(&v.to_le_bytes());
                 }
             }
         }
-
-        Ok(Self::from_payload(version, &payload, chunk_bytes))
+        debug_assert_eq!(w.left, 0, "payload size miscounted");
+        Ok(Self::from_chunks(version, w.chunks, payload_bytes))
     }
 
-    /// Chunks `payload` and hash-chains the chunks under `version`.
-    fn from_payload(version: &str, payload: &[u8], chunk_bytes: usize) -> Self {
-        let chunks: Vec<Chunk> = payload
-            .chunks(chunk_bytes)
-            .enumerate()
-            .map(|(i, c)| Chunk {
-                index: i as u32,
-                payload: c.to_vec(),
-            })
-            .collect();
+    /// Hash-chains `chunks`, `payload_bytes` in all, under `version`.
+    fn from_chunks(version: &str, chunks: Vec<Chunk>, payload_bytes: usize) -> Self {
         let chunk_hashes = hash_chunks(&chunks);
         let root = Manifest::chain_root(version, &chunk_hashes);
         ModelArtifact {
             manifest: Manifest {
                 version: version.to_string(),
-                payload_bytes: payload.len(),
+                payload_bytes,
                 chunk_hashes,
                 root,
             },
@@ -382,6 +397,49 @@ fn hash_chunks(chunks: &[Chunk]) -> Vec<[u8; 32]> {
     sha256_each(&payloads)
 }
 
+/// Writes a payload of known length into chunks of `chunk_bytes` (the
+/// last one short), each allocated once at its final size.
+struct ChunkWriter {
+    chunks: Vec<Chunk>,
+    chunk_bytes: usize,
+    /// Payload bytes not written yet.
+    left: usize,
+}
+
+impl ChunkWriter {
+    fn new(payload_bytes: usize, chunk_bytes: usize) -> Self {
+        ChunkWriter {
+            chunks: Vec::with_capacity(payload_bytes.div_ceil(chunk_bytes)),
+            chunk_bytes,
+            left: payload_bytes,
+        }
+    }
+
+    /// Appends `bytes`, opening chunks as the last one fills.
+    fn put(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            if self
+                .chunks
+                .last()
+                .is_none_or(|c| c.payload.len() == self.chunk_bytes)
+            {
+                self.chunks.push(Chunk {
+                    index: u32::try_from(self.chunks.len()).unwrap_or(u32::MAX),
+                    payload: Vec::with_capacity(self.chunk_bytes.min(self.left)),
+                });
+            }
+            let Some(chunk) = self.chunks.last_mut() else {
+                return;
+            };
+            let (now, rest) =
+                bytes.split_at((self.chunk_bytes - chunk.payload.len()).min(bytes.len()));
+            chunk.payload.extend_from_slice(now);
+            self.left = self.left.saturating_sub(now.len());
+            bytes = rest;
+        }
+    }
+}
+
 /// Bounds-checked little-endian reader over the chunks in place: a
 /// field inside one chunk is borrowed, one that straddles a chunk
 /// boundary is copied.
@@ -503,6 +561,95 @@ mod tests {
     use vedliot_nnir::exec::{RunOptions, Runner};
     use vedliot_nnir::shape::Shape;
     use vedliot_nnir::train::mlp;
+    use vedliot_nnir::zoo;
+
+    /// Chunks `payload` and hash-chains the chunks under `version`.
+    fn from_payload(version: &str, payload: &[u8], chunk_bytes: usize) -> ModelArtifact {
+        let chunks: Vec<Chunk> = payload
+            .chunks(chunk_bytes)
+            .enumerate()
+            .map(|(i, c)| Chunk {
+                index: i as u32,
+                payload: c.to_vec(),
+            })
+            .collect();
+        ModelArtifact::from_chunks(version, chunks, payload.len())
+    }
+
+    /// The packer before it streamed into chunks, kept as the oracle:
+    /// it clones the graph to swap its explicit weights for seeded
+    /// placeholders, clones every weight tensor into its records, and
+    /// assembles the whole payload before chunking it.
+    fn pack_reference(version: &str, graph: &Graph, chunk_bytes: usize) -> ModelArtifact {
+        let mut arch = graph.clone();
+        let mut weight_records: Vec<(u32, Vec<Tensor>)> = Vec::new();
+        for (idx, node) in arch.nodes_mut().iter_mut().enumerate() {
+            if let WeightInit::Explicit(tensors) = &node.weights {
+                weight_records.push((idx as u32, tensors.clone()));
+                node.weights = WeightInit::Seeded(0);
+            }
+        }
+        let text = textual::write(&arch).expect("serializes");
+        let mut payload = Vec::with_capacity(text.len() + 64);
+        payload.extend_from_slice(MAGIC);
+        payload.extend_from_slice(version.as_bytes());
+        payload.push(b'\n');
+        payload.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        payload.extend_from_slice(text.as_bytes());
+        payload.extend_from_slice(&(weight_records.len() as u32).to_le_bytes());
+        for (idx, tensors) in &weight_records {
+            payload.extend_from_slice(&idx.to_le_bytes());
+            payload.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
+            for t in tensors {
+                payload.extend_from_slice(&(t.data().len() as u64).to_le_bytes());
+                for v in t.data() {
+                    payload.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+        from_payload(version, &payload, chunk_bytes)
+    }
+
+    #[test]
+    fn streamed_pack_equals_the_reference_packer() {
+        // The small zoo models at every chunk size (LeNet-5's 245 KB in
+        // 1-byte chunks aside), MobileNetV3-Large (a 21.9 MB release) in
+        // 64 KiB ones, each with its weights materialized and as built
+        // (no explicit weights): the same chunks and the same manifest,
+        // every chunk allocated at its final size. (Each pack here hashes
+        // every chunk, twice with the reference: in a debug build the
+        // 86–257 MB releases of ResNet-50, EfficientNetV2-S and YOLOv4
+        // would take minutes, so they are left out.)
+        let small: &[usize] = &[1, 7, 4096, 65_536];
+        let cases = [
+            (zoo::lenet5(10).expect("builds"), &small[1..]),
+            (
+                zoo::tiny_cnn("t", Shape::nchw(1, 3, 16, 16), &[8, 16], 4).expect("builds"),
+                small,
+            ),
+            (
+                zoo::conv1d_classifier("c", 2, 64, &[8, 16], 3).expect("builds"),
+                small,
+            ),
+            (zoo::mobilenet_v3_large(1000).expect("builds"), &[65_536]),
+        ];
+        for (model, sizes) in cases {
+            let mut explicit = model.clone();
+            explicit.explicit_weights(|_| true);
+            for graph in [&explicit, &model] {
+                for &size in sizes {
+                    let got = ModelArtifact::pack("v1", graph, size).expect("packs");
+                    let want = pack_reference("v1", graph, size);
+                    assert_eq!(got.manifest, want.manifest, "{} at {size}", graph.name());
+                    assert!(got.chunks == want.chunks, "{} at {size}", graph.name());
+                    assert!(got
+                        .chunks
+                        .iter()
+                        .all(|c| c.payload.capacity() == c.payload.len()));
+                }
+            }
+        }
+    }
 
     fn explicit_model() -> Graph {
         // Materialize the seeded weights so the graph carries Explicit
@@ -713,7 +860,7 @@ mod tests {
         payload.extend_from_slice(&2u32.to_le_bytes()); // weight + bias
         payload.extend_from_slice(&(1u64 << 40).to_le_bytes());
         payload.extend_from_slice(&[0; 8]);
-        let artifact = ModelArtifact::from_payload("v1", &payload, 64);
+        let artifact = from_payload("v1", &payload, 64);
         artifact.verify().expect("integrity holds");
         match artifact.unpack() {
             Err(ArtifactError::Malformed(_)) => {}
@@ -738,7 +885,7 @@ mod tests {
         payload.extend_from_slice(&0u32.to_le_bytes()); // node 0: fc1
         payload.extend_from_slice(&1u32.to_le_bytes()); // weight only
         payload.extend_from_slice(&0u64.to_le_bytes()); // of 0 floats
-        let artifact = ModelArtifact::from_payload("v1", &payload, 64);
+        let artifact = from_payload("v1", &payload, 64);
         artifact.verify().expect("integrity holds");
         match artifact.unpack() {
             Err(ArtifactError::Malformed(_)) => {}
@@ -758,7 +905,7 @@ mod tests {
             .flat_map(|c| c.payload.clone())
             .collect();
         let last = artifact.chunks.last().expect("has chunks").payload.len();
-        let truncated = ModelArtifact::from_payload("v1", &payload[..payload.len() - last], 128);
+        let truncated = from_payload("v1", &payload[..payload.len() - last], 128);
         match truncated.unpack() {
             Err(ArtifactError::Malformed(_)) => {}
             other => panic!("expected malformed, got {other:?}"),
@@ -766,7 +913,7 @@ mod tests {
         // Cut at every length, re-chained in chunks the fields straddle:
         // always a typed error, never a panic.
         for len in 0..payload.len() {
-            let cut = ModelArtifact::from_payload("v1", &payload[..len], 7);
+            let cut = from_payload("v1", &payload[..len], 7);
             assert!(cut.unpack().is_err(), "payload cut to {len} bytes unpacked");
         }
     }

@@ -58,7 +58,9 @@
 //! instead (weight-code pairs × contiguous runs of the code planes),
 //! chosen once at build. Integer accumulation is exact, so every INT8
 //! output is independent of the kernel, threading, planning and batch
-//! size too. See [`RunnerBuilder::int8`].
+//! size too. An INT8 conv followed by monotone stages and a max-pool
+//! pools its i32 accumulators first and dequantizes only the pooled
+//! values (see the steps below). See [`RunnerBuilder::int8`].
 //!
 //! The runner executes the schedule in *steps*: a conv, dense, max- or
 //! average-pool or flatten node takes the chain of `BatchNorm`,
@@ -73,9 +75,15 @@
 //! when the node stands alone. A stage computes the same
 //! expression on the same operand per element either way, so fusion
 //! changes no bit; the chain's inner values are simply never stored.
-//! [`RunOptions::capture_intermediates`] runs the stages one at a time
-//! over the step's buffer instead, cloning each value, so every
-//! intermediate is still returned with the same bits.
+//! An INT8 conv's step also takes a max-pool after a chain of monotone
+//! non-decreasing stages whose zeros all come out `+0.0`: its exact i32
+//! accumulators are pooled before the dequantization, and the largest
+//! output of a window is then the output of its largest accumulator,
+//! bit for bit. A `FakeQuant` whose input already lies on its grid runs
+//! as no stage. [`RunOptions::capture_intermediates`] runs the stages
+//! one at a time over the step's buffer instead (a folded pool as its
+//! own kernel over the full-resolution values), cloning each value, so
+//! every intermediate is still returned with the same bits.
 //!
 //! The value arena is laid out by a [`MemoryPlan`]: tensor liveness
 //! intervals, counted in steps, are colored greedily so values with
@@ -395,7 +403,10 @@ struct Scratch {
     /// The INT8 conv's patch block: one padded-length code row per
     /// output pixel of a cache-sized block.
     qcol: Vec<i16>,
-    /// The INT8 conv's i32 accumulator tile for one block.
+    /// The INT8 conv's i32 accumulators: the GEMM's tile for one block
+    /// or each worker's run of the direct kernel, then, under a folded
+    /// max-pool, the planes it pools, their padded copy and the pooled
+    /// values.
     acc: Vec<i32>,
 }
 
@@ -414,8 +425,9 @@ pub struct RunOptions {
     /// [`TensorId`] — the hook quantization calibration uses to observe
     /// activation ranges. The elementwise nodes a head kernel (conv,
     /// dense, pool or flatten) would fuse into its output write then run
-    /// one at a time over its output, so each value they pass along
-    /// exists to be cloned; every value has the bits of the fused run.
+    /// one at a time over its output, and a max-pool an INT8 conv would
+    /// fold runs as its own kernel, so each value they pass along exists
+    /// to be cloned; every value has the bits of the fused run.
     pub capture_intermediates: bool,
     /// Record a per-node [`RunProfile`] (name, op, duration, static
     /// operation counts) for this pass. Off by default: a plain run
@@ -569,7 +581,9 @@ impl RunnerBuilder {
     /// ([`crate::analysis::Liveness`]) and computes a [`MemoryPlan`]
     /// that lets values with disjoint live ranges share one arena slot
     /// — the slot-reuse that shrinks peak intermediate memory on small
-    /// devices — and gives the values inside a fused chain none.
+    /// devices — and gives the values inside a fused chain (the
+    /// full-resolution output of an INT8 conv that folds a max-pool
+    /// among them) none.
     /// Kernels fully overwrite their output buffers and the plan never
     /// aliases overlapping live ranges, so outputs are bit-identical to
     /// the unplanned layout (proptested). Disable to keep the historical
@@ -600,20 +614,22 @@ impl RunnerBuilder {
         } else {
             vec![None; graph.nodes().len()]
         };
+        let steps = fused_steps(graph, &int8_plans);
         let plan = if self.memory_planning {
-            MemoryPlan::plan(graph)
+            MemoryPlan::over(graph, &steps)
         } else {
             MemoryPlan::identity(graph)
         };
-        let steps = fused_steps(graph);
         Ok(Runner {
             graph,
             parallelism: self.parallelism,
             weights: vec![None; graph.nodes().len()],
             values: vec![None; plan.slot_count()],
+            spill: None,
             scratch: Scratch::default(),
             records: profile_records(graph, &steps, &int8_plans),
             int8_plans,
+            identity_quants: identity_quants(graph),
             steps,
             plan,
         })
@@ -754,21 +770,35 @@ const MAX_TAILS: usize = 8;
 /// kernel's output write and their inputs never exist as tensors of
 /// their own. Because a tail is always the next node, an `Add`'s other
 /// operand was produced before the head.
-fn fused_steps(graph: &Graph) -> Vec<Range<usize>> {
+///
+/// A conv head with an INT8 plan (`int8`) also takes one `MaxPool2d`
+/// whose every window holds an input tap, when each node between them
+/// is a monotone non-decreasing map whose zeros all come out `+0.0`
+/// ([`Zeros`]); the kernel then pools its i32 accumulators and runs
+/// every other tail on the pooled values only (DESIGN.md §10, "Fused
+/// epilogues"). The tails after the pool follow the rule above.
+fn fused_steps(graph: &Graph, int8: &[Option<Int8Plan<'_>>]) -> Vec<Range<usize>> {
     let nodes = graph.nodes();
     let fanout = graph.fanout();
+    let sole = |value: TensorId| fanout[value.0].len() == 1 && !graph.outputs().contains(&value);
     let fuses = |value: TensorId, next: &Node| {
-        let sole = fanout[value.0].len() == 1 && !graph.outputs().contains(&value);
-        sole && match next.op {
-            Op::BatchNorm | Op::Activation(_) | Op::FakeQuant { .. } => next.inputs[0] == value,
-            Op::Add => {
-                let [a, b] = next.inputs[..] else {
-                    return false;
-                };
-                (a == value || b == value) && graph.tensor_shape(a) == graph.tensor_shape(b)
+        sole(value)
+            && match next.op {
+                Op::BatchNorm | Op::Activation(_) | Op::FakeQuant { .. } => next.inputs[0] == value,
+                Op::Add => {
+                    let [a, b] = next.inputs[..] else {
+                        return false;
+                    };
+                    (a == value || b == value) && graph.tensor_shape(a) == graph.tensor_shape(b)
+                }
+                _ => false,
             }
-            _ => false,
-        }
+    };
+    let folds = |chain: Option<Zeros>, value: TensorId, next: &Node| {
+        matches!(&next.op, Op::MaxPool2d(a) if pool_has_taps(a))
+            && next.inputs[0] == value
+            && sole(value)
+            && chain.is_some_and(|z| !z.negative)
     };
     let mut steps = Vec::new();
     let mut start = 0;
@@ -778,10 +808,20 @@ fn fused_steps(graph: &Graph) -> Vec<Range<usize>> {
             nodes[start].op,
             Op::Conv2d(_) | Op::Dense { .. } | Op::MaxPool2d(_) | Op::AvgPool2d(_) | Op::Flatten
         ) {
-            while end < nodes.len()
-                && end - start <= MAX_TAILS
-                && fuses(nodes[end - 1].output, &nodes[end])
-            {
+            // What the chain so far can output, while a pool may still
+            // fold into this step.
+            let mut chain = int8[start]
+                .as_ref()
+                .and_then(|plan| Zeros::dequantized(graph, &nodes[start], plan));
+            while end < nodes.len() && end - start <= MAX_TAILS {
+                let (value, next) = (nodes[end - 1].output, &nodes[end]);
+                if fuses(value, next) {
+                    chain = chain.and_then(|z| z.through(graph, next));
+                } else if folds(chain, value, next) {
+                    chain = None;
+                } else {
+                    break;
+                }
                 end += 1;
             }
         }
@@ -789,6 +829,135 @@ fn fused_steps(graph: &Graph) -> Vec<Range<usize>> {
         start = end;
     }
     steps
+}
+
+/// Whether every window of a pool holds at least one input tap: kernel
+/// past padding in both dimensions. Such a max-pool outputs one of its
+/// inputs, bit for bit, and never its padding.
+fn pool_has_taps(a: &Pool2dAttrs) -> bool {
+    a.kernel.0 > a.padding.0 && a.kernel.1 > a.padding.1
+}
+
+/// What a chain after an INT8 conv can output as a zero, for the
+/// max-pool fold in [`fused_steps`] (the rule and its proof are in
+/// DESIGN.md §10, "Fused epilogues").
+#[derive(Debug, Clone, Copy)]
+struct Zeros {
+    /// The chain may output `-0.0`.
+    negative: bool,
+    /// Every output is `+0.0` or above.
+    nonnegative: bool,
+}
+
+/// Outputs never below `+0.0`.
+const POSITIVE: Zeros = Zeros {
+    negative: false,
+    nonnegative: true,
+};
+
+fn is_negative_zero(x: &f32) -> bool {
+    x.to_bits() == (-0.0f32).to_bits()
+}
+
+impl Zeros {
+    /// A conv head's `bias + acc·dq`: monotone and never NaN when the
+    /// bias and every `dq = w_scale·in_scale` are finite and `dq ≥ 0`;
+    /// `-0.0` only from a `-0.0` bias (a sum is `-0.0` only when both
+    /// operands are).
+    fn dequantized(graph: &Graph, head: &Node, plan: &Int8Plan<'_>) -> Option<Zeros> {
+        let Op::Conv2d(attrs) = &head.op else {
+            return None;
+        };
+        let weights = graph.node_weights(head).ok()?;
+        let bias = if attrs.bias {
+            weights.get(1)?.data()
+        } else {
+            &[]
+        };
+        let dq_ok = |&s: &f32| (s * plan.in_scale >= 0.0) && (s * plan.in_scale).is_finite();
+        (plan.scales.iter().all(dq_ok) && bias.iter().all(|b| b.is_finite())).then(|| Zeros {
+            negative: bias.iter().any(is_negative_zero),
+            nonnegative: false,
+        })
+    }
+
+    /// The chain extended by `node`, or `None` unless `node` is a
+    /// monotone non-decreasing map per channel that turns no value,
+    /// `±∞` included, into a NaN.
+    fn through(self, graph: &Graph, node: &Node) -> Option<Zeros> {
+        let Zeros {
+            negative,
+            nonnegative,
+        } = self;
+        match node.op {
+            // Scale 0 fills +0.0; any other sends (-s/2, 0] to -0.0.
+            Op::FakeQuant { scale: 0.0 } => Some(POSITIVE),
+            Op::FakeQuant { scale } if scale > 0.0 && scale.is_finite() => Some(Zeros {
+                negative: !nonnegative,
+                nonnegative,
+            }),
+            Op::Activation(ActKind::Relu | ActKind::HardSigmoid) => Some(POSITIVE),
+            // A clamp: negatives go to +0.0, -0.0 stays.
+            Op::Activation(ActKind::Relu6) => Some(Zeros {
+                negative,
+                nonnegative: !negative,
+            }),
+            // -0.0 stays, and `slope·x` can underflow to -0.0; slope 0
+            // is left out, as 0·(-∞) is NaN.
+            Op::Activation(ActKind::LeakyRelu(slope)) if slope > 0.0 && slope.is_finite() => {
+                Some(Zeros {
+                    negative: negative || !nonnegative,
+                    nonnegative,
+                })
+            }
+            // `s·x + t` is -0.0 only for a -0.0 shift and product.
+            Op::BatchNorm => {
+                let weights = graph.node_weights(node).ok()?;
+                let [scale, shift, ..] = &weights[..] else {
+                    return None;
+                };
+                let (scale, shift) = (scale.data(), shift.data());
+                let ok = scale.iter().all(|&s| s > 0.0 && s.is_finite())
+                    && shift.iter().all(|t| t.is_finite());
+                ok.then(|| Zeros {
+                    negative: shift.iter().any(is_negative_zero) && (negative || !nonnegative),
+                    nonnegative: nonnegative && shift.iter().all(|t| t.is_sign_positive()),
+                })
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The `FakeQuant` nodes that change no bit of their input and so run
+/// as no stage: a `FakeQuant(s)` whose input was produced by a
+/// `FakeQuant` of the same scale bits, then passed only through ReLU,
+/// `Flatten` or max-pools whose every window holds an input tap. For a
+/// normal `s` with `127·s` finite (or scale 0), re-rounding such an
+/// input returns it bit for bit (DESIGN.md §10). Decided once per graph,
+/// across steps, by node index.
+fn identity_quants(graph: &Graph) -> Vec<bool> {
+    // The scale bits each tensor's values lie on the grid of.
+    let mut grid: Vec<Option<u32>> = vec![None; graph.tensor_count()];
+    graph
+        .nodes()
+        .iter()
+        .map(|node| {
+            let input = node.inputs.first().and_then(|t| grid[t.0]);
+            let (out, identity) = match &node.op {
+                Op::FakeQuant { scale: s } => {
+                    let exact = *s == 0.0 || (*s > 0.0 && s.is_normal() && (127.0 * s).is_finite());
+                    let bits = exact.then_some(s.to_bits());
+                    (bits, bits.is_some() && input == bits)
+                }
+                Op::Activation(ActKind::Relu) | Op::Flatten => (input, false),
+                Op::MaxPool2d(a) if pool_has_taps(a) => (input, false),
+                _ => (None, false),
+            };
+            grid[node.output.0] = out;
+            identity
+        })
+        .collect()
 }
 
 // --------------------------------------------------------------------
@@ -805,13 +974,14 @@ const ARENA_ELEM_BYTES: u64 = 4;
 /// Computed once at [`RunnerBuilder::build`] by greedy interval-graph
 /// coloring over the [`Liveness`](crate::analysis::Liveness) intervals,
 /// counted in the runner's *steps* (a head node together with the
-/// elementwise nodes fused into its output write) rather than
-/// nodes: a fused chain's inner values are never written, so they own
-/// no slot; its final value is defined, and every operand it reads is
-/// live, at the head's step. Tensors are visited in definition order,
-/// each taking the free slot that fits its size best (preferring the
-/// smallest already-large-enough buffer, then the largest smaller one)
-/// or opening a new slot. Graph outputs stay live past the end of the
+/// elementwise nodes, and the max-pool an INT8 conv folds, run in its
+/// output write) rather than nodes: a fused chain's inner values — a
+/// folded pool's full-resolution input among them — are never written,
+/// so they own no slot; its final value is defined, and every operand
+/// it reads is live, at the head's step. Tensors are visited in
+/// definition order, each taking the free slot that fits its size best
+/// (preferring the smallest already-large-enough buffer, then the
+/// largest smaller one) or opening a new slot. Graph outputs stay live past the end of the
 /// schedule, so their slots are never recycled and output collection is
 /// untouched.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -826,11 +996,17 @@ pub struct MemoryPlan {
 
 impl MemoryPlan {
     /// Computes the slot-reuse plan for `graph` from tensor liveness
-    /// over the runner's fused steps.
+    /// over the steps a default runner runs: its INT8 plans, and so the
+    /// pools they fold, included.
     #[must_use]
     pub fn plan(graph: &Graph) -> Self {
+        Self::over(graph, &fused_steps(graph, &int8_plans(graph)))
+    }
+
+    /// The slot-reuse plan over `steps`, the runner's cut of the
+    /// schedule.
+    fn over(graph: &Graph, steps: &[Range<usize>]) -> Self {
         let live = crate::analysis::Liveness::of(graph);
-        let steps = fused_steps(graph);
         // Step of each schedule position; graph outputs, live past the
         // last node, stay live past the last step.
         let mut step_of = vec![steps.len(); graph.nodes().len() + 1];
@@ -985,15 +1161,21 @@ pub struct Runner<'g> {
     /// under the memory plan — across tensors with disjoint live
     /// ranges.
     values: Vec<Option<Tensor>>,
+    /// The pre-pool values of a step that folds a max-pool, in a run
+    /// that captures intermediates (a plain run never holds them).
+    spill: Option<Tensor>,
     /// Kernel scratch (im2col tiles, INT8 code buffers), grown to the
     /// largest kernel seen.
     scratch: Scratch,
     /// Build-time INT8 kernel selection and packed weights for each
     /// node that executes on the INT8 path (see [`int8_plans`]).
     int8_plans: Vec<Option<Int8Plan<'g>>>,
+    /// The `FakeQuant` nodes that run as no stage, by node index (see
+    /// [`identity_quants`]).
+    identity_quants: Vec<bool>,
     /// The schedule as the kernels run it: each step a node, or a head
-    /// with the elementwise nodes fused into its output write (see
-    /// [`fused_steps`]).
+    /// with the elementwise nodes (and an INT8 conv's max-pool) fused
+    /// into its output write (see [`fused_steps`]).
     steps: Vec<Range<usize>>,
     /// Each node's profile record less its duration (see
     /// [`profile_records`]).
@@ -1160,17 +1342,35 @@ impl<'g> Runner<'g> {
                 }
             }
             let (head, tails) = (&nodes[step.start], &nodes[step.start + 1..step.end]);
-            // Every value of the step has the head's output shape, and
-            // the step writes its last one.
+            // The step writes its last value. Every value has the head's
+            // output shape, or past a folded max-pool the pool's.
             let last = tails.last().unwrap_or(head);
-            let out_shape = self.graph.tensor_shape(last.output).ok_or_else(|| {
-                NnirError::ExecutionFailure(format!("node {} has no output shape", last.name))
-            })?;
+            let shape_of = |node: &Node| {
+                self.graph.tensor_shape(node.output).ok_or_else(|| {
+                    NnirError::ExecutionFailure(format!("node {} has no output shape", node.name))
+                })
+            };
+            let out_shape = shape_of(last)?;
             let plane = channel_plane(out_shape);
             let out_slot = self.plan.slot_of(last.output).ok_or_else(|| {
                 NnirError::ExecutionFailure(format!("output of {} has no arena slot", last.name))
             })?;
             let mut out = recycle(self.values[out_slot].take(), out_shape);
+            // Tails run in the head kernel's output write, unless the
+            // caller captures intermediates: then each runs as a pass of
+            // its own over the step's buffer, so every value it produces
+            // can be cloned, and a max-pool the INT8 conv head folds
+            // (see `fused_steps`) runs as its own kernel over the head's
+            // full-resolution output, held in a buffer of its own.
+            let fused = !options.capture_intermediates;
+            let pool = tails
+                .iter()
+                .position(|n| matches!(n.op, Op::MaxPool2d(_)))
+                .map(|i| step.start + 1 + i);
+            let mut pre = match pool {
+                Some(_) if !fused => Some(recycle(self.spill.take(), shape_of(head)?)),
+                _ => None,
+            };
             let value = |t: TensorId| {
                 self.plan
                     .slot_of(t)
@@ -1183,24 +1383,29 @@ impl<'g> Runner<'g> {
             };
             // Materialized above; a kernel reports missing tensors itself.
             let weights = |idx: usize| self.weights[idx].as_deref().unwrap_or_default();
-            // The tail's stage over the chain value `v`, its other
-            // operand (an `Add`'s) read from the arena.
-            let stage = |idx: usize, v: TensorId| {
+            // Node `idx`'s stage over the chain value `v` in a buffer of
+            // `shape`, its other operand (an `Add`'s) read from the
+            // arena; none for a `FakeQuant` that changes no bit.
+            let stage = |idx: usize, v: TensorId, shape: &Shape| {
+                if self.identity_quants[idx] {
+                    return Ok(None);
+                }
                 let node = &nodes[idx];
                 let other = node.inputs.iter().find(|&&t| t != v).map(|&t| value(t));
-                Stage::of(node, v, weights(idx), other.transpose()?, out_shape)
+                Stage::of(node, v, weights(idx), other.transpose()?, shape).map(Some)
             };
-            // Tails run in the head kernel's output write, unless the
-            // caller captures intermediates: then each runs as a pass of
-            // its own over the step's buffer, so every value it produces
-            // can be cloned.
-            let fused = !options.capture_intermediates;
             let mut stages = [None; MAX_TAILS];
+            let mut staged = 0;
             if fused {
                 let mut v = head.output;
-                for (s, idx) in stages.iter_mut().zip(step.start + 1..step.end) {
-                    *s = Some(stage(idx, v)?);
-                    v = nodes[idx].output;
+                for (idx, tail) in (step.start + 1..step.end).zip(tails) {
+                    if Some(idx) != pool {
+                        if let Some(s) = stage(idx, v, out_shape)? {
+                            stages[staged] = Some(s);
+                            staged += 1;
+                        }
+                    }
+                    v = tail.output;
                 }
             }
             let head_start = durations.is_some().then(std::time::Instant::now);
@@ -1208,34 +1413,70 @@ impl<'g> Runner<'g> {
                 scratch: &mut self.scratch,
                 par: self.parallelism,
                 int8: self.int8_plans[step.start].as_ref(),
+                pool: match pool.map(|i| &nodes[i].op) {
+                    Some(Op::MaxPool2d(a)) if fused => Some(a),
+                    _ => None,
+                },
                 epi: Epilogue {
-                    stages: &stages[..tails.len()],
+                    stages: &stages[..staged],
                     plane,
                 },
             };
-            eval_node_into(head, value, weights(step.start), &mut out, &mut ctx)?;
+            let head_out = pre.as_mut().unwrap_or(&mut out);
+            if self.identity_quants[step.start] {
+                // A `FakeQuant` on its input's grid: its value is its
+                // input.
+                head_out
+                    .data_mut()
+                    .copy_from_slice(value(head.inputs[0])?.data());
+            } else {
+                eval_node_into(head, value, weights(step.start), head_out, &mut ctx)?;
+            }
             // A record measures only its kernel (a fused head's: the
             // whole step).
             if let (Some(ns), Some(start)) = (durations.as_mut(), head_start) {
                 ns[step.start] = start.elapsed().as_nanos() as u64;
             }
             if let Some(cap) = captured.as_mut() {
-                cap[head.output.0] = Some(out.clone());
+                cap[head.output.0] = Some(pre.as_ref().unwrap_or(&out).clone());
             }
             let mut v = head.output;
             for (idx, tail) in (step.start + 1..step.end).zip(tails) {
+                // The values before a folded pool live in `pre`.
+                let in_pre = pool.is_some_and(|p| idx < p);
                 if !fused {
-                    let stage = stage(idx, v)?;
                     let start = std::time::Instant::now();
-                    stage.apply(out.data_mut(), 0, plane);
+                    match (&tail.op, pre.as_mut()) {
+                        (Op::MaxPool2d(attrs), Some(pre)) => {
+                            let mut ctx = KernelCtx::f32(&mut self.scratch, self.parallelism);
+                            pool2d_into(pre, attrs, PoolMode::Max, &mut out, &mut ctx)?;
+                        }
+                        (_, pre) => {
+                            let buf = match pre {
+                                Some(pre) if in_pre => pre,
+                                _ => &mut out,
+                            };
+                            if let Some(stage) = stage(idx, v, buf.shape())? {
+                                let plane = channel_plane(buf.shape());
+                                stage.apply(buf.data_mut(), 0, plane);
+                            }
+                        }
+                    }
                     if let Some(ns) = durations.as_mut() {
                         ns[idx] = start.elapsed().as_nanos() as u64;
                     }
                 }
                 if let Some(cap) = captured.as_mut() {
-                    cap[tail.output.0] = Some(out.clone());
+                    let buf = match &pre {
+                        Some(pre) if in_pre => pre,
+                        _ => &out,
+                    };
+                    cap[tail.output.0] = Some(buf.clone());
                 }
                 v = tail.output;
+            }
+            if pre.is_some() {
+                self.spill = pre;
             }
             self.values[out_slot] = Some(out);
         }
@@ -1314,20 +1555,24 @@ struct KernelCtx<'a> {
     /// `Some` when the build-time plan selected the INT8 kernel for
     /// this node.
     int8: Option<&'a Int8Plan<'a>>,
+    /// The max-pool an INT8 conv head folds: its kernel pools the i32
+    /// accumulators and writes the pooled output (see [`fused_steps`]).
+    pool: Option<&'a Pool2dAttrs>,
     /// What a head kernel (conv, dense, pool or flatten) applies to
     /// each run of output it writes; empty for every other node.
     epi: Epilogue<'a>,
 }
 
 impl<'a> KernelCtx<'a> {
-    /// f32-only context (no INT8 plan, no fused stages) over `scratch`
-    /// — the direct kernel-call harness the unit tests use.
-    #[cfg(test)]
+    /// f32-only context (no INT8 plan, no folded pool, no fused stages)
+    /// over `scratch`: a capture run's split-off pool, and the direct
+    /// kernel-call harness the unit tests use.
     fn f32(scratch: &'a mut Scratch, par: Parallelism) -> Self {
         KernelCtx {
             scratch,
             par,
             int8: None,
+            pool: None,
             epi: Epilogue {
                 stages: &[],
                 plane: 1,
@@ -1803,7 +2048,7 @@ fn conv2d_into(
         None
     };
 
-    debug_assert_eq!(out.shape().elem_count(), n * out_c * oh * ow);
+    debug_assert!(ctx.pool.is_some() || out.shape().elem_count() == n * out_c * oh * ow);
     let opix = oh * ow;
     let in_data = input.data();
     let k_data = kernel.data();
@@ -2084,7 +2329,11 @@ fn grouped_row(
 /// once, in the kernel's (ic, ky, kx) order. Both kernels sum exact
 /// integer products, so every output is the same i32 whichever runs,
 /// and each is dequantized with one multiply, `bias + acc · (w_scale[oc]
-/// · in_scale)`, before the fused stages run on it.
+/// · in_scale)`, before the fused stages run on it. A folded max-pool
+/// (`ctx.pool`) takes each plane of accumulators first
+/// ([`pool_plane`], border `i32::MIN`), so the dequantization and the
+/// stages run on the pooled values only; the fold's rule makes that
+/// exact (DESIGN.md §10).
 fn conv2d_int8(
     input: &Tensor,
     plan: &Int8Plan<'_>,
@@ -2094,6 +2343,15 @@ fn conv2d_int8(
     g: ConvGeom,
 ) -> Result<(), NnirError> {
     plan.check(g.out_c, g.k_len(), "conv")?;
+    let pool = ctx
+        .pool
+        .map(|a| PoolGeom::new(a, g.opix / g.ow, g.ow))
+        .transpose()?;
+    let unit = pool.map_or(g.opix, PoolGeom::opix);
+    debug_assert_eq!(
+        out.shape().elem_count(),
+        input.shape().batch() * g.out_c * unit
+    );
     let (hp, wp) = (g.h + 2 * g.ph, g.w + 2 * g.pw);
     let inv = 1.0 / plan.in_scale;
     let Scratch { qin, taps, .. } = ctx.scratch;
@@ -2115,11 +2373,22 @@ fn conv2d_int8(
         }
     }
     if plan.direct {
-        conv2d_int8_direct(plan, bias_data, out.data_mut(), ctx, g);
+        conv2d_int8_direct(plan, bias_data, out.data_mut(), ctx, g, pool);
     } else {
-        conv2d_int8_gemm(plan, bias_data, out.data_mut(), ctx, g);
+        conv2d_int8_gemm(plan, bias_data, out.data_mut(), ctx, g, pool);
     }
     Ok(())
+}
+
+/// Dequantizes a run of i32 accumulators of output channel `oc` into
+/// `dst`: `bias + acc · (w_scale · in_scale)`, the one spelling of it
+/// the INT8 conv kernels share.
+fn dequantize(dst: &mut [f32], acc: &[i32], plan: &Int8Plan<'_>, bias: Option<&[f32]>, oc: usize) {
+    let b0 = bias.map_or(0.0, |b| b[oc]);
+    let dq = plan.scales[oc] * plan.in_scale;
+    for (o, &a) in dst.iter_mut().zip(acc) {
+        *o = b0 + a as f32 * dq;
+    }
 }
 
 /// The INT8 GEMM over 16-code chunks.
@@ -2131,7 +2400,10 @@ fn conv2d_int8(
 /// tail past K is never cleared: whatever it holds meets the zero codes
 /// that pad each weight row and adds 0, and integer sums are exact, so
 /// neither the padding nor the chunk order changes a bit. Each row is
-/// dequantized into its output plane, where the fused stages run on it.
+/// dequantized into its output plane, where the fused stages run on it;
+/// under a folded pool, each block's rows land in whole accumulator
+/// planes instead (pooling windows cross block seams), and each plane
+/// is pooled, then dequantized, once the batch item's last block is in.
 /// Units of four weight rows split over the workers, as in the f32
 /// GEMM.
 fn conv2d_int8_gemm(
@@ -2140,6 +2412,7 @@ fn conv2d_int8_gemm(
     out: &mut [f32],
     ctx: &mut KernelCtx<'_>,
     g: ConvGeom,
+    pool: Option<PoolGeom>,
 ) {
     let Scratch {
         qin,
@@ -2153,14 +2426,23 @@ fn conv2d_int8_gemm(
     let row_len = plan.row_len;
     let block_pix = (2 * COL_BLOCK_ELEMS / row_len).clamp(1, g.opix);
     qcol.resize(block_pix * row_len, 0);
-    acc.resize(g.out_c * block_pix, 0);
-    for bi in 0..out.len() / (g.out_c * g.opix).max(1) {
-        let planes = &qin[bi * g.in_c * plane..][..g.in_c * plane];
+    // The block's tile, then for a folded pool the accumulator planes,
+    // the padded plane and the pooled plane.
+    let (planes, pad, pooled) =
+        pool.map_or((0, 0, 0), |p| (g.out_c * g.opix, p.pad_len(), p.opix()));
+    acc.resize(g.out_c * block_pix + planes + pad + pooled, 0);
+    let (tile_buf, rest) = acc.split_at_mut(g.out_c * block_pix);
+    let (planes, rest) = rest.split_at_mut(planes);
+    let (pad, pooled) = rest.split_at_mut(pad);
+    pad.fill(i32::MIN);
+    let unit = pool.map_or(g.opix, PoolGeom::opix);
+    for bi in 0..out.len() / (g.out_c * unit).max(1) {
+        let codes = &qin[bi * g.in_c * plane..][..g.in_c * plane];
         for p0 in (0..g.opix).step_by(block_pix) {
             let pb = block_pix.min(g.opix - p0);
-            gather_codes(planes, g, wp, p0, taps, &mut qcol[..pb * row_len], row_len);
+            gather_codes(codes, g, wp, p0, taps, &mut qcol[..pb * row_len], row_len);
             let (col, _) = qcol[..pb * row_len].as_chunks();
-            let tile = &mut acc[..g.out_c * pb];
+            let tile = &mut tile_buf[..g.out_c * pb];
             par_chunks(
                 ctx.par.workers_for(g.out_c * pb * row_len),
                 tile,
@@ -2175,13 +2457,22 @@ fn conv2d_int8_gemm(
                 },
             );
             for (oc, row) in tile.chunks_exact(pb).enumerate() {
-                let b0 = bias_data.map_or(0.0, |b| b[oc]);
-                let dq = plan.scales[oc] * plan.in_scale;
-                let at = (bi * g.out_c + oc) * g.opix + p0;
-                let dst = &mut out[at..][..pb];
-                for (o, &a) in dst.iter_mut().zip(row) {
-                    *o = b0 + a as f32 * dq;
+                if pool.is_some() {
+                    planes[oc * g.opix + p0..][..pb].copy_from_slice(row);
+                } else {
+                    let at = (bi * g.out_c + oc) * g.opix + p0;
+                    let dst = &mut out[at..][..pb];
+                    dequantize(dst, row, plan, bias_data, oc);
+                    ctx.epi.apply(dst, at);
                 }
+            }
+        }
+        if let Some(p) = pool {
+            for (oc, accs) in planes.chunks_exact(g.opix).enumerate() {
+                pool_plane(accs, g.ow, p, pad, i32::MIN, i32::max, pooled);
+                let at = (bi * g.out_c + oc) * unit;
+                let dst = &mut out[at..][..unit];
+                dequantize(dst, pooled, plan, bias_data, oc);
                 ctx.epi.apply(dst, at);
             }
         }
@@ -2195,14 +2486,16 @@ fn conv2d_int8_gemm(
 /// 32512` — and added into an i32 accumulator run, one widening per
 /// pair. The run spans the whole output plane at the padded row pitch;
 /// the `kw − 1` accumulators past each output row are computed and
-/// dropped. Output planes split over the workers, each with its own
-/// run.
+/// dropped (a folded pool reads the run in place at that pitch). Output
+/// planes split over the workers, each with its own run, and its own
+/// padded and pooled planes under a folded pool.
 fn conv2d_int8_direct(
     plan: &Int8Plan<'_>,
     bias_data: Option<&[f32]>,
     out: &mut [f32],
     ctx: &mut KernelCtx<'_>,
     g: ConvGeom,
+    pool: Option<PoolGeom>,
 ) {
     let Scratch { qin, taps, acc, .. } = ctx.scratch;
     // Taps go in pairs: an odd K's last tap pairs with the zero code
@@ -2212,29 +2505,43 @@ fn conv2d_int8_direct(
     }
     let (taps, epi) = (taps.as_slice(), ctx.epi);
     let (plane, wp) = ((g.h + 2 * g.ph) * (g.w + 2 * g.pw), g.w + 2 * g.pw);
-    let run_len = (g.opix / g.ow - 1) * wp + g.ow;
-    let workers = ctx.par.workers_for(out.len() * taps.len());
-    acc.resize(workers * run_len, 0);
-    par_chunks_with(workers, out, g.opix, acc, |u, dst, acc| {
+    let oh = g.opix / g.ow;
+    let run_len = (oh - 1) * wp + g.ow;
+    let (pad, unit) = pool.map_or((0, g.opix), |p| (p.pad_len(), p.opix()));
+    // Per worker: the run, whole rows long so a pool's windows can read
+    // it at its pitch, then a folded pool's padded and pooled planes.
+    let part = oh * wp + pool.map_or(0, |_| pad + unit);
+    let workers = ctx.par.workers_for(out.len() / unit * g.opix * taps.len());
+    acc.resize(workers * part, 0);
+    for part in acc.chunks_exact_mut(part) {
+        part[oh * wp..][..pad].fill(i32::MIN);
+    }
+    par_chunks_with(workers, out, unit, acc, |u, dst, part| {
         let (bi, oc) = (u / g.out_c, u % g.out_c);
-        let planes = &qin[bi * g.in_c * plane..][..g.in_c * plane];
-        let acc = &mut acc[..run_len];
-        acc.fill(0);
+        let codes = &qin[bi * g.in_c * plane..][..g.in_c * plane];
+        let (run, rest) = part.split_at_mut(oh * wp);
+        let sums = &mut run[..run_len];
+        sums.fill(0);
         let krow = &plan.codes[oc * plan.row_len..][..taps.len()];
         for (w, t) in krow.chunks_exact(2).zip(taps.chunks_exact(2)) {
-            let (s0, s1) = (&planes[t[0]..], &planes[t[1]..]);
-            for ((a, &x0), &x1) in acc.iter_mut().zip(s0).zip(s1) {
+            let (s0, s1) = (&codes[t[0]..], &codes[t[1]..]);
+            for ((a, &x0), &x1) in sums.iter_mut().zip(s0).zip(s1) {
                 *a += i32::from(w[0] * x0 + w[1] * x1);
             }
         }
-        let b0 = bias_data.map_or(0.0, |b| b[oc]);
-        let dq = plan.scales[oc] * plan.in_scale;
-        for (row, a) in dst.chunks_exact_mut(g.ow).zip(acc.chunks(wp)) {
-            for (o, &a) in row.iter_mut().zip(a) {
-                *o = b0 + a as f32 * dq;
+        match pool {
+            Some(p) => {
+                let (pad, pooled) = rest.split_at_mut(pad);
+                pool_plane(run, wp, p, pad, i32::MIN, i32::max, &mut pooled[..unit]);
+                dequantize(dst, pooled, plan, bias_data, oc);
+            }
+            None => {
+                for (row, a) in dst.chunks_exact_mut(g.ow).zip(run.chunks(wp)) {
+                    dequantize(row, a, plan, bias_data, oc);
+                }
             }
         }
-        epi.apply(dst, u * g.opix);
+        epi.apply(dst, u * unit);
     });
 }
 
@@ -2396,14 +2703,74 @@ enum PoolMode {
     Avg,
 }
 
-/// Max and average pooling, one output row at a time.
+/// A pool's windows over planes of `h × w` values: the geometry
+/// [`pool_plane`] runs, for a pool node and for the max-pool an INT8
+/// conv folds.
+#[derive(Clone, Copy)]
+struct PoolGeom {
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    sh: usize,
+    sw: usize,
+    ph: usize,
+    pw: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl PoolGeom {
+    /// The windows of `a` over an `h × w` plane.
+    fn new(a: &Pool2dAttrs, h: usize, w: usize) -> Result<Self, NnirError> {
+        let ((kh, kw), (sh, sw), (ph, pw)) = (a.kernel, a.stride, a.padding);
+        if sh == 0 || sw == 0 || kh == 0 || kw == 0 {
+            return Err(NnirError::ExecutionFailure(format!(
+                "pool2d requires non-zero stride and kernel (stride {sh}x{sw}, kernel {kh}x{kw})"
+            )));
+        }
+        let (hp, wp) = (h + 2 * ph, w + 2 * pw);
+        if hp < kh || wp < kw {
+            return Err(NnirError::ExecutionFailure(format!(
+                "pool2d kernel {kh}x{kw} exceeds padded input {hp}x{wp}"
+            )));
+        }
+        Ok(PoolGeom {
+            h,
+            w,
+            kh,
+            kw,
+            sh,
+            sw,
+            ph,
+            pw,
+            oh: (hp - kh) / sh + 1,
+            ow: (wp - kw) / sw + 1,
+        })
+    }
+
+    /// Output values per plane.
+    fn opix(self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Values of the padded plane [`pool_plane`] copies a plane into;
+    /// none for an unpadded pool, which reads its input in place.
+    fn pad_len(self) -> usize {
+        if self.ph > 0 || self.pw > 0 {
+            (self.h + 2 * self.ph) * (self.w + 2 * self.pw)
+        } else {
+            0
+        }
+    }
+}
+
+/// Max and average pooling, one output plane at a time ([`pool_plane`]).
 ///
-/// A plane with padding is first copied into a padded plane whose
-/// border holds a value no accumulator changes on — `-∞` for max,
-/// `-0.0` for the average's sum (`x + -0.0` is `x` for every `x`,
-/// zeros and NaNs included) — so every tap of every output lands inside
-/// it and none needs a bounds check. Each output row then goes a group
-/// of outputs at a time ([`pool_row`]): the group's lanes start where a
+/// A padded plane's border holds a value no accumulator changes on —
+/// `-∞` for max, `-0.0` for the average's sum (`x + -0.0` is `x` for
+/// every `x`, zeros and NaNs included). Each output row goes a group of
+/// outputs at a time ([`pool_row`]): the group's lanes start where a
 /// per-output loop starts (`-∞`, or `0.0` for the sum) and take the
 /// taps in (ky, kx) order, each tap applied lane-wise. A padded tap
 /// leaves its lane unchanged, so every output combines its valid taps
@@ -2423,60 +2790,35 @@ fn pool2d_into(
     ctx: &mut KernelCtx<'_>,
 ) -> Result<(), NnirError> {
     let [n, c, h, w] = dims4(input.shape())?;
-    let (kh, kw) = attrs.kernel;
-    let (sh, sw) = attrs.stride;
-    let (ph, pw) = attrs.padding;
-    if sh == 0 || sw == 0 || kh == 0 || kw == 0 {
-        return Err(NnirError::ExecutionFailure(format!(
-            "pool2d requires non-zero stride and kernel (stride {sh}x{sw}, kernel {kh}x{kw})"
-        )));
-    }
-    let (hp, wp) = (h + 2 * ph, w + 2 * pw);
-    if hp < kh || wp < kw {
-        return Err(NnirError::ExecutionFailure(format!(
-            "pool2d kernel {kh}x{kw} exceeds padded input {hp}x{wp}"
-        )));
-    }
-    let oh = (hp - kh) / sh + 1;
-    let ow = (wp - kw) / sw + 1;
-    debug_assert_eq!(out.shape().elem_count(), n * c * oh * ow);
-    let opix = oh * ow;
+    let g = PoolGeom::new(attrs, h, w)?;
+    let opix = g.opix();
+    debug_assert_eq!(out.shape().elem_count(), n * c * opix);
     // What a padded tap reads: a value that leaves every accumulator
     // unchanged.
-    let identity = match mode {
+    let border = match mode {
         PoolMode::Max => f32::NEG_INFINITY,
         PoolMode::Avg => -0.0,
     };
-    let padded = ph > 0 || pw > 0;
-    let workers = ctx.par.workers_for(n * c * opix * kh * kw);
+    let workers = ctx.par.workers_for(n * c * opix * g.kh * g.kw);
     let pads = &mut ctx.scratch.col;
     pads.clear();
-    pads.resize(if padded { workers * hp * wp } else { 0 }, identity);
+    pads.resize(workers * g.pad_len(), border);
     let in_data = input.data();
     let epi = ctx.epi;
     par_chunks_with(workers, out.data_mut(), opix, pads, |u, dst, pad| {
         let plane = &in_data[u * h * w..][..h * w];
-        let plane = if padded {
-            // The border keeps the identity it was filled with.
-            for (y, row) in plane.chunks_exact(w.max(1)).enumerate() {
-                pad[(y + ph) * wp + pw..][..w].copy_from_slice(row);
-            }
-            &pad[..hp * wp]
-        } else {
-            plane
-        };
-        for (oy, row) in dst.chunks_exact_mut(ow).enumerate() {
-            let rows = &plane[oy * sh * wp..][..kh * wp];
-            match mode {
-                PoolMode::Max => pool_row(row, rows, wp, kw, sw, f32::NEG_INFINITY, max_tap),
-                PoolMode::Avg => {
-                    pool_row(row, rows, wp, kw, sw, 0.0, |a, x| a + x);
+        match mode {
+            PoolMode::Max => pool_plane(plane, w, g, pad, f32::NEG_INFINITY, max_tap, dst),
+            PoolMode::Avg => {
+                pool_plane(plane, w, g, pad, 0.0, |a, x| a + x, dst);
+                for (oy, row) in dst.chunks_exact_mut(g.ow).enumerate() {
                     // The valid taps: kernel rows and columns inside the
                     // input.
-                    let ky = ph.saturating_sub(oy * sh)..kh.min((h + ph).saturating_sub(oy * sh));
+                    let ky = g.ph.saturating_sub(oy * g.sh)
+                        ..g.kh.min((h + g.ph).saturating_sub(oy * g.sh));
                     for (ox, o) in row.iter_mut().enumerate() {
-                        let kx =
-                            pw.saturating_sub(ox * sw)..kw.min((w + pw).saturating_sub(ox * sw));
+                        let kx = g.pw.saturating_sub(ox * g.sw)
+                            ..g.kw.min((w + g.pw).saturating_sub(ox * g.sw));
                         let count = ky.len() * kx.len();
                         *o = if count > 0 { *o / count as f32 } else { 0.0 };
                     }
@@ -2502,29 +2844,62 @@ fn max_tap(acc: f32, x: f32) -> f32 {
     }
 }
 
-/// One output row of [`pool2d_into`]: `rows` holds, every `wp` values,
-/// the padded input rows its windows span. The outputs go in groups of
-/// eight, four or one, as the row's width allows; each group's lanes
-/// start at `init` and take every tap with `f` ([`pool_taps`]). A last
-/// group that would run past the row's end is moved back to end there,
+/// Pools one plane into `dst`, `g.oh` rows of `g.ow` outputs: `src`
+/// holds the plane's `g.h` rows, `pitch` values apart. A padded pool
+/// first copies the plane into `pad`, whose border the caller filled
+/// with a value no accumulator changes on, so every tap of every window
+/// lands inside it and none needs a bounds check; an unpadded one reads
+/// `src` in place. Each output row then goes through [`pool_row`], its
+/// lanes starting at `init` and taking the taps with `f`. One kernel
+/// for f32 and i32: a pool node's planes, and the i32 accumulators of
+/// an INT8 conv that folds a max-pool.
+fn pool_plane<T: Copy>(
+    src: &[T],
+    pitch: usize,
+    g: PoolGeom,
+    pad: &mut [T],
+    init: T,
+    f: impl Fn(T, T) -> T + Copy,
+    dst: &mut [T],
+) {
+    let (plane, wp) = if g.pad_len() > 0 {
+        let wp = g.w + 2 * g.pw;
+        for y in 0..g.h {
+            pad[(y + g.ph) * wp + g.pw..][..g.w].copy_from_slice(&src[y * pitch..][..g.w]);
+        }
+        (&pad[..g.pad_len()], wp)
+    } else {
+        (src, pitch)
+    };
+    for (oy, row) in dst.chunks_exact_mut(g.ow).enumerate() {
+        let rows = &plane[oy * g.sh * wp..][..g.kh * wp];
+        pool_row(row, rows, wp, g.kw, g.sw, init, f);
+    }
+}
+
+/// One output row of [`pool_plane`]: `rows` holds, every `wp` values,
+/// the input rows its windows span. The outputs go in groups of eight,
+/// four or one, as the row's width allows; each group's lanes start at
+/// `init` and take every tap with `f` ([`pool_taps`]). A last group
+/// that would run past the row's end is moved back to end there,
 /// recomputing a few outputs to the same bits.
-fn pool_row(
-    row: &mut [f32],
-    rows: &[f32],
+fn pool_row<T: Copy>(
+    row: &mut [T],
+    rows: &[T],
     wp: usize,
     kw: usize,
     sw: usize,
-    init: f32,
-    f: impl Fn(f32, f32) -> f32 + Copy,
+    init: T,
+    f: impl Fn(T, T) -> T + Copy,
 ) {
-    fn groups<const L: usize>(
-        row: &mut [f32],
-        rows: &[f32],
+    fn groups<T: Copy, const L: usize>(
+        row: &mut [T],
+        rows: &[T],
         wp: usize,
         kw: usize,
         sw: usize,
-        init: f32,
-        f: impl Fn(f32, f32) -> f32 + Copy,
+        init: T,
+        f: impl Fn(T, T) -> T + Copy,
     ) {
         let ow = row.len();
         for ox in (0..ow).step_by(L) {
@@ -2537,24 +2912,24 @@ fn pool_row(
         }
     }
     match row.len() {
-        8.. => groups::<8>(row, rows, wp, kw, sw, init, f),
-        4.. => groups::<4>(row, rows, wp, kw, sw, init, f),
-        _ => groups::<1>(row, rows, wp, kw, sw, init, f),
+        8.. => groups::<T, 8>(row, rows, wp, kw, sw, init, f),
+        4.. => groups::<T, 4>(row, rows, wp, kw, sw, init, f),
+        _ => groups::<T, 1>(row, rows, wp, kw, sw, init, f),
     }
 }
 
-/// Takes the `kw` taps of one padded input row into a group of outputs:
-/// lane `l` combines `xs[l·sw + kx]` for each tap `kx` in order. Stride
-/// 2 (LeNet-5's and ResNet-50's pools) reads one run of `2L` per pair of
+/// Takes the `kw` taps of one input row into a group of outputs: lane
+/// `l` combines `xs[l·sw + kx]` for each tap `kx` in order. Stride 2
+/// (LeNet-5's and ResNet-50's pools) reads one run of `2L` per pair of
 /// taps, the first tap on its even lanes and the second on its odd ones;
 /// other strides gather lane by lane.
 #[inline]
-fn pool_taps<const L: usize>(
-    acc: &mut [f32; L],
-    xs: &[f32],
+fn pool_taps<T: Copy, const L: usize>(
+    acc: &mut [T; L],
+    xs: &[T],
     kw: usize,
     sw: usize,
-    f: impl Fn(f32, f32) -> f32,
+    f: impl Fn(T, T) -> T,
 ) {
     match sw {
         2 => {
@@ -3078,7 +3453,7 @@ mod tests {
             let slotless: Vec<usize> = (0..g.tensor_count())
                 .filter(|&t| plan.slot_of(TensorId(t)).is_none())
                 .collect();
-            let mut inner: Vec<usize> = fused_steps(&g)
+            let mut inner: Vec<usize> = fused_steps(&g, &int8_plans(&g))
                 .into_iter()
                 .flat_map(|step| &g.nodes()[step.start..step.end - 1])
                 .map(|node| node.output.0)
@@ -3339,9 +3714,10 @@ mod tests {
         assert!(diff <= bound, "int8 vs fake-quant diff {diff} > {bound}");
     }
 
-    /// LeNet-5 with per-channel i8 weights, each conv and dense layer
-    /// behind a `FakeQuant` grid calibrated on four inputs (the absmax
-    /// it sees, over 127), as the toolchain's `QuantizeInt8` builds it.
+    /// LeNet-5 with per-channel i8 weights and a `FakeQuant` after its
+    /// input and after every node, each on the grid of the absmax it
+    /// sees over four calibration inputs (over 127), as the toolchain's
+    /// `QuantizeInt8` builds it from vbench's calibration set.
     fn calibrated_int8_lenet() -> Graph {
         let src = crate::zoo::lenet5(10).unwrap();
         let mut absmax = vec![0.0f32; src.tensor_count()];
@@ -3356,26 +3732,98 @@ mod tests {
         }
         let mut b = GraphBuilder::new("lenet5-int8");
         let mut ids = vec![TensorId(0); src.tensor_count()];
+        let quant = |b: &mut GraphBuilder, name: String, old: TensorId, new: TensorId| {
+            let scale = absmax[old.0] / 127.0;
+            if scale > 0.0 {
+                b.apply(name, Op::FakeQuant { scale }, &[new]).unwrap()
+            } else {
+                new
+            }
+        };
         for &t in src.inputs() {
-            ids[t.0] = b.input(src.tensor_shape(t).unwrap().clone());
+            let x = b.input(src.tensor_shape(t).unwrap().clone());
+            ids[t.0] = quant(&mut b, format!("{t}.quant"), t, x);
         }
         for node in src.nodes() {
-            let mut inputs: Vec<TensorId> = node.inputs.iter().map(|t| ids[t.0]).collect();
+            let inputs: Vec<TensorId> = node.inputs.iter().map(|t| ids[t.0]).collect();
             let mut weights = src.node_weights(node).unwrap().into_owned();
             if matches!(node.op, Op::Conv2d(_) | Op::Dense { .. }) {
-                let scale = absmax[node.inputs[0].0] / 127.0;
-                let q = Op::FakeQuant { scale };
-                inputs[0] = b
-                    .apply(format!("{}.q", node.name), q, &inputs[..1])
-                    .unwrap();
                 weights[0].quantize_i8_per_channel();
             }
             let w = WeightInit::Explicit(weights);
-            ids[node.output.0] = b
+            let out = b
                 .apply_with_weights(node.name.clone(), node.op.clone(), &inputs, w)
                 .unwrap();
+            ids[node.output.0] = quant(&mut b, format!("{}.quant", node.name), node.output, out);
         }
         b.finish(src.outputs().iter().map(|t| ids[t.0]).collect())
+    }
+
+    #[test]
+    fn int8_lenet_folds_both_pools_and_elides_five_quants() {
+        let g = calibrated_int8_lenet();
+        let runner = Runner::builder().build(&g).unwrap();
+        let named = |idx: usize| g.nodes()[idx].name.as_str();
+        // Each INT8 conv's step runs through its pool and the pool's
+        // FakeQuant; its pre-pool values own no arena slot.
+        for head in ["conv1", "conv2"] {
+            let step = runner
+                .steps
+                .iter()
+                .find(|s| named(s.start) == head)
+                .unwrap();
+            let names: Vec<&str> = step.clone().map(named).collect();
+            let pool = if head == "conv1" { "pool1" } else { "pool2" };
+            assert_eq!(
+                names,
+                [
+                    head,
+                    &format!("{head}.quant"),
+                    &format!("{head}.act"),
+                    &format!("{head}.act.quant"),
+                    pool,
+                    &format!("{pool}.quant"),
+                ]
+            );
+        }
+        assert_eq!(runner.memory_plan().peak_bytes(), 7840);
+        assert_eq!(runner.memory_plan(), &MemoryPlan::plan(&g));
+        // The FakeQuants whose input already lies on their grid.
+        let identities: Vec<&str> = (0..g.nodes().len())
+            .filter(|&i| runner.identity_quants[i])
+            .map(named)
+            .collect();
+        assert_eq!(
+            identities,
+            [
+                "pool1.quant",
+                "conv2.act.quant",
+                "pool2.quant",
+                "flatten.quant",
+                "fc2.relu.quant"
+            ]
+        );
+    }
+
+    #[test]
+    fn relu_sends_every_zero_negative_and_nan_to_positive_zero() {
+        // The INT8 conv's pool fold counts on it in every build: the
+        // scalar form and the vectorized stage both.
+        let xs = [
+            -0.0f32,
+            0.0,
+            -1.0,
+            -f32::MIN_POSITIVE,
+            f32::NAN,
+            f32::NEG_INFINITY,
+        ];
+        for x in xs {
+            assert_eq!(ActKind::Relu.apply(x).to_bits(), 0, "{x}");
+        }
+        let mut run: Vec<f32> = xs.iter().cycle().take(67).copied().collect();
+        activation(ActKind::Relu, &mut run);
+        assert!(run.iter().all(|x| x.to_bits() == 0), "{run:?}");
+        assert_eq!(ActKind::Relu.apply(2.5), 2.5);
     }
 
     #[test]

@@ -45,7 +45,19 @@ impl ActKind {
     #[inline]
     pub fn apply(self, x: f32) -> f32 {
         match self {
-            ActKind::Relu => x.max(0.0),
+            // Not `x.max(0.0)`: that leaves the sign of ReLU(-0.0) to
+            // the lowering (+0.0 from an optimized build's `maxss`,
+            // -0.0 from the libm call of a debug build). This is the
+            // optimized lowering spelled out: every zero, negative and
+            // NaN goes to +0.0, which the INT8 conv's folded max-pool
+            // relies on (DESIGN.md §10).
+            ActKind::Relu => {
+                if x > 0.0 {
+                    x
+                } else {
+                    0.0
+                }
+            }
             ActKind::Relu6 => x.clamp(0.0, 6.0),
             ActKind::LeakyRelu(slope) => {
                 if x >= 0.0 {

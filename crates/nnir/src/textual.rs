@@ -70,6 +70,25 @@ fn pair(p: (usize, usize)) -> String {
 /// — the format exchanges architectures (ONNX-without-initializers);
 /// export trained models through their training pipeline instead.
 pub fn write(graph: &Graph) -> Result<String, TextFormatError> {
+    write_with(graph, None)
+}
+
+/// [`write()`] with every explicit weight written as the placeholder
+/// `seed=0`: the text `write` gives for the graph with those weights
+/// swapped for `WeightInit::Seeded(0)`, without a copy of the graph. A
+/// container that stores the weights itself (the OTA artifact) ships
+/// this beside them.
+///
+/// # Errors
+///
+/// Returns an error if a graph input has no shape.
+pub fn write_architecture(graph: &Graph) -> Result<String, TextFormatError> {
+    write_with(graph, Some(0))
+}
+
+/// The textual format of `graph`, explicit weights written as seed
+/// `explicit` or refused when it is `None`.
+fn write_with(graph: &Graph, explicit: Option<u64>) -> Result<String, TextFormatError> {
     let mut out = String::new();
     let _ = writeln!(out, "model \"{}\"", graph.name());
     for &t in graph.inputs() {
@@ -82,6 +101,7 @@ pub fn write(graph: &Graph) -> Result<String, TextFormatError> {
         let seed = match &node.weights {
             WeightInit::Seeded(s) => Some(*s),
             WeightInit::None => None,
+            WeightInit::Explicit(_) if explicit.is_some() => explicit,
             WeightInit::Explicit(_) => {
                 return Err(err(
                     0,

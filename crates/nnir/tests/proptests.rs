@@ -1097,9 +1097,10 @@ fn reference_values(g: &Graph, inputs: &[Tensor]) -> Vec<Option<Tensor>> {
 }
 
 /// The elementwise tails the fused-chain property draws from: BatchNorm,
-/// every activation kind, `FakeQuant` (scale 0 included) and `Add` with
-/// the chain value on either side.
-const TAIL_KINDS: usize = 14;
+/// every activation kind, `FakeQuant` (scale 0 included, and at two
+/// scales, so a repeat of the first can run as no stage and one of the
+/// second must not) and `Add` with the chain value on either side.
+const TAIL_KINDS: usize = 15;
 
 /// One case of the fused-chain property: a head and the chain after it.
 #[derive(Debug)]
@@ -1123,7 +1124,46 @@ struct ChainCase {
     /// after `at % (tails + 1)` tails.
     breaker: usize,
     at: usize,
+    /// After a conv head's tails, a max-pool (`kernel`, `stride`,
+    /// `padding < kernel`) followed by a `FakeQuant` of its own. An
+    /// INT8 conv folds it when nothing broke the chain and the tails
+    /// pass [`folds_after`].
+    pool: Option<(usize, usize, usize)>,
     seed: u64,
+}
+
+/// Whether an INT8 conv's max-pool fold admits a chain: `zeros` is what
+/// the chain so far can output, `(-0.0 possible, never below +0.0)`,
+/// and `kind` (with a BatchNorm's `scale` and `shift`) the next tail.
+/// `None` once a tail is not a monotone non-decreasing map; the fold
+/// needs `Some((false, _))` at the pool. The rule of DESIGN.md §10,
+/// spelled out for the tail kinds the property draws.
+fn folds_after(
+    zeros: Option<(bool, bool)>,
+    kind: usize,
+    bn: Option<(&Tensor, &Tensor)>,
+) -> Option<(bool, bool)> {
+    let neg_zero = |t: &Tensor| t.data().iter().any(|x| *x == 0.0 && x.is_sign_negative());
+    let (neg, nonneg) = zeros?;
+    match kind {
+        0 => {
+            let (scale, shift) = bn?;
+            scale.data().iter().all(|&s| s > 0.0).then(|| {
+                (
+                    neg_zero(shift) && (neg || !nonneg),
+                    nonneg && shift.data().iter().all(|t| t.is_sign_positive()),
+                )
+            })
+        }
+        // ReLU, HardSigmoid, FakeQuant(0): never below +0.0.
+        1 | 5 | 11 => Some((false, true)),
+        // ReLU6 keeps -0.0; LeakyReLU(0.1) and FakeQuant(s > 0) can
+        // make one out of a negative.
+        2 => Some((neg, !neg)),
+        3 => Some((neg || !nonneg, nonneg)),
+        10 | 14 => Some((!nonneg, nonneg)),
+        _ => None,
+    }
 }
 
 /// Builds `case`'s graph and checks that a plain run, a run capturing
@@ -1176,20 +1216,23 @@ fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
     };
     let x = bld.input(in_shape.clone());
     inputs.push(Tensor::random(in_shape.clone(), seed, 1.0));
-    let src = if int8 {
-        bld.apply("x.q", Op::FakeQuant { scale: s_in }, &[x])
-            .unwrap()
-    } else {
-        x
-    };
+    // The INT8 head reads its activation grid; a pool or flatten head
+    // reads the grid of tail kind 10, so a tail of that kind after a
+    // max-pool or a flatten changes no bit.
+    let src = match head {
+        4 | 5 => bld.apply("x.q", Op::FakeQuant { scale: s_in }, &[x]),
+        6..=8 => bld.apply("x.q", Op::FakeQuant { scale: 0.05 }, &[x]),
+        _ => Ok(x),
+    }
+    .unwrap();
     let out_c = chain_shape.dims()[1];
+    let bias = Tensor::random(Shape::new(vec![out_c]), seed + 1, 0.5);
     let window = Pool2dAttrs::square(kernel, stride).with_padding(pad);
     let head_out = match head {
         6 => bld.apply("head", Op::MaxPool2d(window), &[src]),
         7 => bld.apply("head", Op::AvgPool2d(window), &[src]),
         8 => bld.apply("head", Op::Flatten, &[src]),
         _ => {
-            let bias = Tensor::random(Shape::new(vec![out_c]), seed + 1, 0.5);
             let (op, mut weight) = if chain_shape.rank() == 2 {
                 let op = Op::Dense {
                     out_features: out_c,
@@ -1212,7 +1255,8 @@ fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
             if int8 {
                 weight.quantize_i8_per_channel();
             }
-            bld.apply_with_weights("head", op, &[src], WeightInit::Explicit(vec![weight, bias]))
+            let weights = WeightInit::Explicit(vec![weight, bias.clone()]);
+            bld.apply_with_weights("head", op, &[src], weights)
         }
     }
     .unwrap();
@@ -1224,6 +1268,11 @@ fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
     let mut outputs = Vec::new();
     let mut v = head_out;
     let mut values = vec![v];
+    let neg_zero = bias
+        .data()
+        .iter()
+        .any(|b| *b == 0.0 && b.is_sign_negative());
+    let mut zeros = Some((neg_zero, false));
     let acts = [
         ActKind::Relu,
         ActKind::Relu6,
@@ -1246,6 +1295,7 @@ fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
             0 => {
                 let scale = Tensor::random(Shape::new(vec![out_c]), seed + 10 + i as u64, 1.5);
                 let shift = Tensor::random(Shape::new(vec![out_c]), seed + 20 + i as u64, 0.5);
+                zeros = folds_after(zeros, kind, Some((&scale, &shift)));
                 let bn = WeightInit::Explicit(vec![scale, shift]);
                 bld.apply_with_weights(name, Op::BatchNorm, &[v], bn)
                     .unwrap()
@@ -1258,9 +1308,24 @@ fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
                 .unwrap(),
             11 => bld.apply(name, Op::FakeQuant { scale: 0.0 }, &[v]).unwrap(),
             12 => bld.apply(name, Op::Add, &[v, addend]).unwrap(),
-            _ => bld.apply(name, Op::Add, &[addend, v]).unwrap(),
+            13 => bld.apply(name, Op::Add, &[addend, v]).unwrap(),
+            _ => bld.apply(name, Op::FakeQuant { scale: 0.1 }, &[v]).unwrap(),
         };
+        if kind != 0 {
+            zeros = folds_after(zeros, kind, None);
+        }
         values.push(v);
+    }
+    // The trailing pool and its own tail.
+    let pool = case.pool.filter(|_| matches!(head, 0 | 1 | 2 | 4));
+    if let Some((pk, ps, pp)) = pool {
+        // Padding below the kernel, and at least enough for one window.
+        let pp = (pp % pk).max(pk.saturating_sub(oh.min(ow)).div_ceil(2));
+        let attrs = Pool2dAttrs::square(pk, ps).with_padding(pp);
+        v = bld.apply("pool", Op::MaxPool2d(attrs), &[v]).unwrap();
+        v = bld
+            .apply("pool.q", Op::FakeQuant { scale: 0.05 }, &[v])
+            .unwrap();
     }
     outputs.insert(0, v);
     if k < tails.len() {
@@ -1275,6 +1340,7 @@ fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
     }
     let g = bld.finish(outputs);
     let fused = if breaker == 0 { tails.len() } else { k };
+    let folded = pool.is_some() && int8 && fused == tails.len() && zeros.is_some_and(|z| !z.0);
 
     let want = reference_values(&g, &inputs);
     let want_out: Vec<Vec<u32>> = g
@@ -1330,7 +1396,11 @@ fn check_fused_chain(case: &ChainCase) -> Result<(), TestCaseError> {
                     .name
                     .strip_prefix('t')
                     .and_then(|i| i.parse::<usize>().ok());
-                let want_head = tail.filter(|&i| i < fused).map(|_| "head");
+                let want_head = match record.name.as_str() {
+                    "pool" | "pool.q" if folded => Some("head"),
+                    "pool.q" => Some("pool"),
+                    _ => tail.filter(|&i| i < fused).map(|_| "head"),
+                };
                 prop_assert_eq!(
                     record.fused_into.as_deref(),
                     want_head,
@@ -1371,9 +1441,50 @@ proptest! {
         (kernel, stride) in (1usize..4, 1usize..3),
         tails in proptest::collection::vec(0usize..TAIL_KINDS, 0..6),
         (breaker, at) in (0usize..4, 0usize..6),
+        (pooled, pk, ps, pp) in (0usize..3, 1usize..4, 1usize..3, 0usize..3),
         seed in 0u64..1_000,
     ) {
-        let case = ChainCase { head, abc, batch, hw, kernel, stride, tails, breaker, at, seed };
+        let pool = (pooled > 0).then_some((pk, ps, pp));
+        let case = ChainCase { head, abc, batch, hw, kernel, stride, tails, breaker, at, pool, seed };
+        check_fused_chain(&case)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fused-chain property on an INT8 conv always followed by a
+    /// max-pool (kernel 1–3, stride 1–2, padding below the kernel) and
+    /// the pool's own `FakeQuant`, its tails drawn mostly from the kinds
+    /// the fold admits (ReLU, ReLU6, LeakyReLU, HardSigmoid, `FakeQuant`
+    /// at scale 0, 0.05 and 0.1, BatchNorm) with HardSwish and `Add`
+    /// mixed in: the pool folds exactly when [`folds_after`] says so,
+    /// and every output and captured intermediate — the pre-pool values
+    /// included — equals its reference bit for bit.
+    #[test]
+    fn int8_conv_folds_max_pools_bit_exactly(
+        abc in (1usize..4, 1usize..6, 1usize..9),
+        batch in 1usize..3,
+        hw in (1usize..10, 1usize..10),
+        (kernel, stride) in (1usize..4, 1usize..3),
+        picks in proptest::collection::vec(0usize..10, 0..5),
+        (pk, ps, pp) in (1usize..4, 1usize..3, 0usize..3),
+        seed in 0u64..1_000,
+    ) {
+        let tails = picks.iter().map(|&p| [1, 2, 3, 5, 10, 11, 14, 0, 4, 12][p]).collect();
+        let case = ChainCase {
+            head: 4,
+            abc,
+            batch,
+            hw,
+            kernel,
+            stride,
+            tails,
+            breaker: 0,
+            at: 0,
+            pool: Some((pk, ps, pp)),
+            seed,
+        };
         check_fused_chain(&case)?;
     }
 }
@@ -1381,7 +1492,9 @@ proptest! {
 /// The fused-chain property on heads large enough that two workers
 /// split them (the random cases stay under the threading threshold):
 /// every kernel applies its stages at the right output offset in each
-/// worker's share.
+/// worker's share, and an INT8 conv that folds a max-pool — on the GEMM
+/// (K = 45) and on the direct kernel (K = 27), padded and not — pools
+/// each worker's planes.
 #[test]
 fn fused_chains_split_over_workers_equal_unfused_execution() {
     let wide = |head, abc, batch, hw, tails: &[usize]| ChainCase {
@@ -1394,7 +1507,12 @@ fn fused_chains_split_over_workers_equal_unfused_execution() {
         tails: tails.to_vec(),
         breaker: 0,
         at: 0,
+        pool: None,
         seed: 7,
+    };
+    let pooled = |abc, tails: &[usize], pool| ChainCase {
+        pool: Some(pool),
+        ..wide(4, abc, 2, (16, 16), tails)
     };
     for case in [
         wide(0, (1, 5, 9), 2, (16, 16), &[0, 13, 10, 4]),
@@ -1406,6 +1524,9 @@ fn fused_chains_split_over_workers_equal_unfused_execution() {
         wide(5, (512, 1, 96), 1, (1, 1), &[12, 0, 10, 4]),
         wide(6, (16, 1, 1), 2, (24, 24), &[10, 0, 13, 4]),
         wide(7, (16, 1, 1), 2, (24, 24), &[12, 10, 1]),
+        pooled((1, 5, 8), &[10, 1, 10], (2, 2, 0)),
+        pooled((1, 3, 8), &[1, 10], (3, 2, 1)),
+        pooled((1, 3, 8), &[2, 5], (2, 1, 1)),
     ] {
         check_fused_chain(&case).unwrap();
     }
@@ -1460,8 +1581,12 @@ fn dense_conv_over_zero_input_channels_is_its_bias() {
 /// one 28×28 output plane whose 160-code patch rows span four 64 KiB
 /// pixel blocks. Each conv takes a fused ReLU + `FakeQuant` tail and
 /// feeds a dense layer through `Flatten` and a `FakeQuant`, its input
-/// length mostly not a multiple of 16. Serial and over two workers,
-/// planned and unplanned, plain and capturing every intermediate.
+/// length mostly not a multiple of 16. Three more convs fold a max-pool
+/// after that tail: the 28×28 plane under a padded 3×3/s2 pool whose
+/// windows cross the block seams, and a batch of two 7×7 planes on the
+/// direct kernel under 2×2/s2 and 3×3/s1 pools. Serial and over two
+/// workers, planned and unplanned, plain and capturing every
+/// intermediate.
 #[test]
 fn int8_kernels_match_references_at_chunk_and_block_seams() {
     let s_in = 1.0 / 127.0;
@@ -1482,12 +1607,18 @@ fn int8_kernels_match_references_at_chunk_and_block_seams() {
     for (i, &(in_c, kernel)) in ks.iter().enumerate() {
         for (j, (stride, padding, batch)) in [(1, 0, 1), (2, 1, 2)].into_iter().enumerate() {
             let out_c = out_cs[(2 * i + j) % out_cs.len()];
-            cases.push((in_c, kernel, out_c, stride, padding, batch, 7));
+            cases.push((in_c, kernel, out_c, stride, padding, batch, 7, None));
         }
     }
-    cases.push((6, (5, 5), 5, 1, 2, 1, 28));
+    cases.push((6, (5, 5), 5, 1, 2, 1, 28, None));
+    let pool = |k, s, p| Some(Pool2dAttrs::square(k, s).with_padding(p));
+    cases.push((6, (5, 5), 5, 1, 2, 1, 28, pool(3, 2, 1)));
+    cases.push((1, (5, 5), 3, 1, 2, 2, 7, pool(2, 2, 0)));
+    cases.push((1, (5, 5), 4, 1, 2, 2, 7, pool(3, 1, 1)));
     let mut dense_off_chunk = 0;
-    for (case, &(in_c, (kh, kw), out_c, stride, padding, batch, hw)) in cases.iter().enumerate() {
+    for (case, &(in_c, (kh, kw), out_c, stride, padding, batch, hw, pool)) in
+        cases.iter().enumerate()
+    {
         let seed = case as u64 * 10;
         let attrs = Conv2dAttrs {
             out_channels: out_c,
@@ -1501,6 +1632,12 @@ fn int8_kernels_match_references_at_chunk_and_block_seams() {
             (hw + 2 * padding - kh) / stride + 1,
             (hw + 2 * padding - kw) / stride + 1,
         );
+        let (oh, ow) = pool.map_or((oh, ow), |p: Pool2dAttrs| {
+            (
+                (oh + 2 * p.padding.0 - p.kernel.0) / p.stride.0 + 1,
+                (ow + 2 * p.padding.1 - p.kernel.1) / p.stride.1 + 1,
+            )
+        });
         let in_f = out_c * oh * ow;
         dense_off_chunk += usize::from(in_f % 16 != 0);
         let kernel = quantized(Shape::new(vec![out_c, in_c, kh, kw]), seed);
@@ -1526,6 +1663,10 @@ fn int8_kernels_match_references_at_chunk_and_block_seams() {
         let c = b
             .apply("conv.q", Op::FakeQuant { scale: s_mid }, &[c])
             .unwrap();
+        let c = match pool {
+            Some(p) => b.apply("pool", Op::MaxPool2d(p), &[c]).unwrap(),
+            None => c,
+        };
         let f = b.apply("flatten", Op::Flatten, &[c]).unwrap();
         let f = b
             .apply("flatten.q", Op::FakeQuant { scale: s_mid }, &[f])
@@ -1557,7 +1698,16 @@ fn int8_kernels_match_references_at_chunk_and_block_seams() {
                     RunOptions::new().profile(true),
                 );
                 let plain = plain.unwrap();
-                assert_eq!(plain.profile().unwrap().int8_nodes(), 2, "{label}");
+                let profile = plain.profile().unwrap();
+                assert_eq!(profile.int8_nodes(), 2, "{label}");
+                if pool.is_some() {
+                    let record = profile.per_node.iter().find(|r| r.name == "pool");
+                    assert_eq!(
+                        record.unwrap().fused_into.as_deref(),
+                        Some("conv"),
+                        "{label}"
+                    );
+                }
                 let wanted = want[d.0].as_ref().unwrap();
                 assert_eq!(
                     bits(plain.outputs()[0].data()),
@@ -1587,4 +1737,237 @@ fn int8_kernels_match_references_at_chunk_and_block_seams() {
         dense_off_chunk > 0,
         "some dense input is not a whole number of chunks"
     );
+}
+
+/// `x → FakeQuant(1/127) → conv "conv" (1×1 over one channel, weight
+/// code 127, `bias`, INT8 unless `f32_head`) → chain → MaxPool "pool"`
+/// (2×2/s2 unless `window` says otherwise), where `chain` builds the
+/// nodes between conv and pool from the conv's output and returns the
+/// pool's input, plus any extra graph outputs. The pool's output is the
+/// first graph output.
+fn pooled_conv(
+    bias: f32,
+    f32_head: bool,
+    window: Option<Pool2dAttrs>,
+    chain: impl FnOnce(
+        &mut GraphBuilder,
+        vedliot_nnir::TensorId,
+    ) -> (vedliot_nnir::TensorId, Vec<vedliot_nnir::TensorId>),
+) -> Graph {
+    let mut b = GraphBuilder::new("pooled");
+    let x = b.input(Shape::nchw(1, 1, 4, 4));
+    let x = b
+        .apply("x.q", Op::FakeQuant { scale: 1.0 / 127.0 }, &[x])
+        .unwrap();
+    let mut k = Tensor::full(Shape::new(vec![1, 1, 1, 1]), 1.0);
+    if !f32_head {
+        k.quantize_i8_per_channel();
+    }
+    let bias = Tensor::full(Shape::new(vec![1]), bias);
+    let c = b
+        .apply_with_weights(
+            "conv",
+            Op::Conv2d(Conv2dAttrs::pointwise(1).with_bias()),
+            &[x],
+            WeightInit::Explicit(vec![k, bias]),
+        )
+        .unwrap();
+    let (v, extra) = chain(&mut b, c);
+    let window = window.unwrap_or(Pool2dAttrs::square(2, 2));
+    let p = b.apply("pool", Op::MaxPool2d(window), &[v]).unwrap();
+    b.finish(std::iter::once(p).chain(extra).collect())
+}
+
+/// Four 2×2 windows of one 4×4 plane: all negative, all zero, a mix
+/// whose first tap is a small negative and whose largest is a zero, and
+/// a mix with a positive.
+fn signed_zero_windows() -> Tensor {
+    #[rustfmt::skip]
+    let data = vec![
+        -0.2, -0.3, 0.0, 0.0,
+        -0.1, -0.4, 0.0, 0.0,
+        -0.2, 0.0, -0.3, 0.6,
+        0.0, -0.1, 0.0, 0.2,
+    ];
+    Tensor::from_vec(Shape::nchw(1, 1, 4, 4), data).unwrap()
+}
+
+/// Runs `g` on `input` under every runner configuration (and with the
+/// INT8 path off when `int8` is false), checks every output and captured
+/// intermediate against [`reference_values`] bit for bit, and returns
+/// the output and whether the conv folded the pool.
+fn run_pooled(g: &Graph, input: &Tensor, int8: bool) -> (Tensor, bool) {
+    let want = reference_values(g, std::slice::from_ref(input));
+    let mut folded = Vec::new();
+    for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+        for planning in [true, false] {
+            let mut runner = Runner::builder()
+                .parallelism(par)
+                .memory_planning(planning)
+                .int8(int8)
+                .build(g)
+                .unwrap();
+            let plain = runner
+                .execute(std::slice::from_ref(input), RunOptions::new().profile(true))
+                .unwrap();
+            for (t, got) in g.outputs().iter().zip(plain.outputs()) {
+                assert_eq!(
+                    bits(got.data()),
+                    bits(want[t.0].as_ref().unwrap().data()),
+                    "{par:?}"
+                );
+            }
+            let pool = plain
+                .profile()
+                .unwrap()
+                .per_node
+                .iter()
+                .find(|r| r.name == "pool");
+            folded.push(pool.unwrap().fused_into.as_deref() == Some("conv"));
+            let opts = RunOptions::new().capture_intermediates(true);
+            let captured = runner.execute(std::slice::from_ref(input), opts).unwrap();
+            for (t, got) in captured.intermediates().unwrap().iter().enumerate() {
+                let (got, want) = (got.as_ref().unwrap(), want[t].as_ref().unwrap());
+                assert_eq!(bits(got.data()), bits(want.data()), "t{t} {par:?}");
+            }
+        }
+    }
+    assert!(folded.iter().all(|&f| f == folded[0]), "{folded:?}");
+    (want[g.outputs()[0].0].clone().unwrap(), folded[0])
+}
+
+/// The INT8 conv's max-pool fold at signed zeros: windows whose
+/// accumulators are all negative, all zero, or a mix. Behind a ReLU
+/// every zero is `+0.0`, so the pool folds (with or without a
+/// `FakeQuant` that makes `-0.0`s before the ReLU); behind a `FakeQuant`
+/// alone a window's first tap can be `-0.0` where its largest
+/// accumulator gives `+0.0`, so the pool must not fold — and the f32
+/// pool does keep that `-0.0`.
+#[test]
+fn max_pool_folds_only_where_every_zero_is_positive() {
+    let input = signed_zero_windows();
+    let relu = |b: &mut GraphBuilder, v| {
+        let r = b
+            .apply("relu", Op::Activation(ActKind::Relu), &[v])
+            .unwrap();
+        (r, vec![])
+    };
+    let (out, folded) = run_pooled(&pooled_conv(0.0, false, None, relu), &input, true);
+    assert!(folded);
+    assert_eq!(bits(&out.data()[..3]), [0; 3]);
+    assert!(out.data()[3] > 0.5, "{out:?}");
+
+    let quant_relu = |b: &mut GraphBuilder, v| {
+        let q = b.apply("q", Op::FakeQuant { scale: 1.0 }, &[v]).unwrap();
+        let r = b
+            .apply("relu", Op::Activation(ActKind::Relu), &[q])
+            .unwrap();
+        (r, vec![])
+    };
+    let (out, folded) = run_pooled(&pooled_conv(0.0, false, None, quant_relu), &input, true);
+    assert!(folded);
+    assert!(
+        out.data().iter().all(|x| x.to_bits() == 0 || *x == 1.0),
+        "{out:?}"
+    );
+
+    let quant = |b: &mut GraphBuilder, v| {
+        let q = b.apply("q", Op::FakeQuant { scale: 1.0 }, &[v]).unwrap();
+        (q, vec![])
+    };
+    let (out, folded) = run_pooled(&pooled_conv(0.0, false, None, quant), &input, true);
+    assert!(!folded);
+    let signs: Vec<bool> = out.data().iter().map(|x| x.is_sign_negative()).collect();
+    assert_eq!(signs, [true, false, true, false], "{out:?}");
+
+    // A -0.0 bias: `-0.0 + (-0.0)` is the one sum that stays -0.0, so
+    // ReLU6, which keeps -0.0, must not let the pool fold.
+    let relu6 = |b: &mut GraphBuilder, v| {
+        let r = b
+            .apply("relu6", Op::Activation(ActKind::Relu6), &[v])
+            .unwrap();
+        (r, vec![])
+    };
+    assert!(!run_pooled(&pooled_conv(-0.0, false, None, relu6), &input, true).1);
+    assert!(run_pooled(&pooled_conv(0.5, false, None, relu6), &input, true).1);
+}
+
+/// What keeps a max-pool out of the INT8 conv's step: a stage that is
+/// not monotone non-decreasing (a BatchNorm with a negative scale,
+/// HardSwish, an `Add`), a non-finite bias, an f32 head, a runner with
+/// the INT8 path off, a pool input with a second consumer, and windows
+/// that hold no input tap (padding as wide as the kernel: the f32 pool
+/// gives `-∞` there). Each runs bit-equal to its reference all the
+/// same.
+#[test]
+fn max_pool_stays_out_of_steps_its_rule_refuses() {
+    let input = signed_zero_windows();
+    let relu = |b: &mut GraphBuilder, v| {
+        let r = b
+            .apply("relu", Op::Activation(ActKind::Relu), &[v])
+            .unwrap();
+        (r, vec![])
+    };
+    let bn = |scale: f32| {
+        move |b: &mut GraphBuilder, v| {
+            let w = vec![
+                Tensor::full(Shape::new(vec![1]), scale),
+                Tensor::full(Shape::new(vec![1]), 0.25),
+            ];
+            let n = b
+                .apply_with_weights("bn", Op::BatchNorm, &[v], WeightInit::Explicit(w))
+                .unwrap();
+            (n, vec![])
+        }
+    };
+    let hswish = |b: &mut GraphBuilder, v| {
+        let h = b
+            .apply("hswish", Op::Activation(ActKind::HardSwish), &[v])
+            .unwrap();
+        (h, vec![])
+    };
+    let add = |b: &mut GraphBuilder, v| {
+        let other = b.input(Shape::nchw(1, 1, 4, 4));
+        let a = b.apply("add", Op::Add, &[v, other]).unwrap();
+        (a, vec![])
+    };
+    let shared = |b: &mut GraphBuilder, v| {
+        let r = b
+            .apply("relu", Op::Activation(ActKind::Relu), &[v])
+            .unwrap();
+        let second = b
+            .apply("second", Op::Activation(ActKind::Relu6), &[r])
+            .unwrap();
+        (r, vec![second])
+    };
+    assert!(run_pooled(&pooled_conv(0.0, false, None, relu), &input, true).1);
+    assert!(run_pooled(&pooled_conv(0.0, false, None, bn(2.0)), &input, true).1);
+    assert!(!run_pooled(&pooled_conv(0.0, false, None, bn(-2.0)), &input, true).1);
+    assert!(!run_pooled(&pooled_conv(0.0, false, None, hswish), &input, true).1);
+    assert!(!run_pooled(&pooled_conv(f32::INFINITY, false, None, relu), &input, true).1);
+    assert!(!run_pooled(&pooled_conv(0.0, true, None, relu), &input, true).1);
+    assert!(!run_pooled(&pooled_conv(0.0, false, None, relu), &input, false).1);
+    assert!(!run_pooled(&pooled_conv(0.0, false, None, shared), &input, true).1);
+    let empty_windows = Some(Pool2dAttrs::square(2, 2).with_padding(2));
+    let (out, folded) = run_pooled(&pooled_conv(0.0, false, empty_windows, relu), &input, true);
+    assert!(!folded);
+    assert!(out.data().contains(&f32::NEG_INFINITY), "{out:?}");
+    let g = pooled_conv(0.0, false, None, add);
+    let addend = Tensor::random(Shape::nchw(1, 1, 4, 4), 5, 1.0);
+    let want = reference_values(&g, &[input.clone(), addend.clone()]);
+    let mut runner = Runner::builder().build(&g).unwrap();
+    let out = runner
+        .execute(&[input, addend], RunOptions::new().profile(true))
+        .unwrap();
+    assert_eq!(
+        bits(out.outputs()[0].data()),
+        bits(want[g.outputs()[0].0].as_ref().unwrap().data())
+    );
+    let pool = out
+        .profile()
+        .unwrap()
+        .per_node
+        .iter()
+        .find(|r| r.name == "pool");
+    assert_eq!(pool.unwrap().fused_into, None);
 }

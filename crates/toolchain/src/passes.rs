@@ -1294,8 +1294,11 @@ mod tests {
 
     #[test]
     fn profiled_int8_lenet5_runs_pool_and_flatten_quants_fused() {
-        // The FakeQuant after each pool and after the flatten runs in
-        // that node's output write: 0 ns, and `fused_into` names it.
+        // Each pool and its FakeQuant run in the output write of the
+        // INT8 conv before them, which pools its i32 accumulators; the
+        // FakeQuant after the flatten runs in the flatten's. Each reads
+        // 0 ns, and `fused_into` names its head; the pools stay f32
+        // records, so the INT8 node count is still 5.
         let calib: Vec<Tensor> = (0..4)
             .map(|s| Tensor::random(Shape::nchw(1, 1, 28, 28), s + 1, 1.0))
             .collect();
@@ -1309,14 +1312,18 @@ mod tests {
             .into_profile()
             .unwrap();
         for (tail, head) in [
-            ("pool1.quant", "pool1"),
-            ("pool2.quant", "pool2"),
+            ("pool1", "conv1"),
+            ("pool1.quant", "conv1"),
+            ("pool2", "conv2"),
+            ("pool2.quant", "conv2"),
             ("flatten.quant", "flatten"),
         ] {
             let record = profile.per_node.iter().find(|n| n.name == tail).unwrap();
             assert_eq!(record.fused_into.as_deref(), Some(head), "{tail}");
             assert_eq!(record.duration_ns, 0, "{tail}");
+            assert_eq!(record.precision, vedliot_nnir::DataType::F32, "{tail}");
         }
+        assert_eq!(profile.int8_nodes(), 5);
     }
 
     #[test]
