@@ -1331,26 +1331,68 @@ fn per_sample_windows(
     runs.into_iter().map(|(_, _, _, windows)| windows).collect()
 }
 
+/// What E24 reads from profiled passes of serial f32 MobileNetV3-Large:
+/// nanoseconds per MAC of its conv kernels, and the share of pass wall
+/// time outside every conv record.
+struct ConvCosts {
+    /// Depthwise convs.
+    depthwise: f64,
+    /// Every 1×1 dense conv.
+    pointwise: f64,
+    /// The median over passes of the lane kernel's time per MAC over
+    /// the im2col tile's, each pass's ratio on its own.
+    lanes_over_tile: f64,
+    /// The least over passes of the same ratio for the matrix-vector
+    /// tile (the one-pixel 1×1 convs and the dense head).
+    matvec_over_tile: f64,
+    non_conv_share: f64,
+}
+
 /// Serial f32 MobileNetV3-Large at 224×224, over the same `passes`
 /// profiled passes after a warm-up (so a drift in host speed lands on
-/// every figure alike): nanoseconds per MAC of its depthwise and of its
-/// pointwise convs, and the share of pass wall time outside every conv
-/// record — `(depthwise, pointwise, non_conv_share)`. A conv's record
-/// covers the elementwise nodes fused into its output write.
-fn conv_ns_per_mac(passes: usize) -> (f64, f64, f64) {
+/// every figure alike). A conv's record covers the elementwise nodes
+/// fused into its output write. The 1×1 convs split by the geometry the
+/// f32 kernel-selection rule reads (DESIGN.md §10): one output pixel
+/// (the matrix-vector tile, with the dense head), stride 1, unpadded,
+/// at most 32 input channels and at least 8 pixels (the lane kernel),
+/// or anything else (the im2col tile). Those two ratios are taken per
+/// pass: the lane convs run first, on the largest planes, so a slow
+/// spell of the host lands on them and the tile unevenly, and the
+/// median of 15 passes outlasts it where a sum does not. The
+/// matrix-vector layers stream about 16 MB of weights a pass, so their
+/// time follows the memory traffic of whatever else shares the host,
+/// for a whole run at a time; their best pass is the one least
+/// disturbed.
+fn conv_ns_per_mac(passes: usize) -> ConvCosts {
     use std::collections::HashMap;
     use vedliot::nnir::exec::{Parallelism, RunOptions, Runner};
     use vedliot::nnir::{Op, Tensor};
 
     let model = zoo::mobilenet_v3_large(1000).expect("builds");
-    // 0 depthwise, 1 pointwise, 2 any other conv.
-    let class: HashMap<&str, usize> = model
+    let dims = |t| model.tensor_shape(t).expect("shaped").dims().to_vec();
+    // The sums each record counts towards: 0 depthwise, 1 pointwise,
+    // 2 any other conv (these three are the conv records), 3 lane
+    // kernel, 4 matrix-vector tile, 5 im2col-tile pointwise.
+    let class: HashMap<&str, Vec<usize>> = model
         .nodes()
         .iter()
         .filter_map(|n| match &n.op {
-            Op::Conv2d(a) if a.groups > 1 => Some((n.name.as_str(), 0)),
-            Op::Conv2d(a) if a.kernel == (1, 1) => Some((n.name.as_str(), 1)),
-            Op::Conv2d(_) => Some((n.name.as_str(), 2)),
+            Op::Conv2d(a) if a.groups > 1 => Some((n.name.as_str(), vec![0])),
+            Op::Conv2d(a) if a.kernel == (1, 1) => {
+                let (k, out) = (dims(n.inputs[0])[1], dims(n.output));
+                let pix = out[2] * out[3];
+                let lane = a.stride == (1, 1) && a.padding == (0, 0) && k <= 32 && pix >= 8;
+                let kernel = if pix == 1 {
+                    4
+                } else if lane {
+                    3
+                } else {
+                    5
+                };
+                Some((n.name.as_str(), vec![1, kernel]))
+            }
+            Op::Conv2d(_) => Some((n.name.as_str(), vec![2])),
+            Op::Dense { .. } => Some((n.name.as_str(), vec![4])),
             _ => None,
         })
         .collect();
@@ -1362,9 +1404,10 @@ fn conv_ns_per_mac(passes: usize) -> (f64, f64, f64) {
     runner
         .execute(std::slice::from_ref(&input), RunOptions::default())
         .expect("warm-up run");
-    // (ns, MACs) of the depthwise, the pointwise and the other convs.
-    let mut sums = [(0u64, 0u64); 3];
-    let mut wall_ns = 0u64;
+    let per_mac = |sums: [(u64, u64); 6]| sums.map(|(ns, macs)| ns as f64 / macs as f64);
+    // (ns, MACs) per class, over all passes.
+    let mut sums = [(0u64, 0u64); 6];
+    let (mut wall_ns, mut lanes, mut matvec) = (0u64, Vec::new(), Vec::new());
     for _ in 0..passes {
         let out = runner
             .execute(
@@ -1374,22 +1417,37 @@ fn conv_ns_per_mac(passes: usize) -> (f64, f64, f64) {
             .expect("runs");
         let profile = out.profile().expect("profiled");
         wall_ns += profile.wall_ns;
+        let mut pass = [(0u64, 0u64); 6];
         for node in &profile.per_node {
-            if let Some(&c) = class.get(node.name.as_str()) {
-                sums[c].0 += node.duration_ns;
-                sums[c].1 += node.macs;
+            for &c in class.get(node.name.as_str()).into_iter().flatten() {
+                pass[c].0 += node.duration_ns;
+                pass[c].1 += node.macs;
             }
         }
+        let [.., lane, vector, tile] = per_mac(pass);
+        lanes.push(lane / tile);
+        matvec.push(vector / tile);
+        for (sum, (ns, macs)) in sums.iter_mut().zip(pass) {
+            *sum = (sum.0 + ns, sum.1 + macs);
+        }
     }
-    let conv_ns: u64 = sums.iter().map(|(ns, _)| ns).sum();
-    let [dw, pw, _] = sums.map(|(ns, macs)| ns as f64 / macs as f64);
-    (dw, pw, 1.0 - conv_ns as f64 / wall_ns as f64)
+    let conv_ns: u64 = sums[..3].iter().map(|(ns, _)| ns).sum();
+    let [depthwise, pointwise, ..] = per_mac(sums);
+    ConvCosts {
+        depthwise,
+        pointwise,
+        lanes_over_tile: median(lanes),
+        matvec_over_tile: matvec.into_iter().fold(f64::INFINITY, f64::min),
+        non_conv_share: 1.0 - conv_ns as f64 / wall_ns as f64,
+    }
 }
 
 /// E24's hashing gauge: the time `sha256` takes to hash 64 chunks of
 /// 64 KiB one at a time over the time `sha256_each` takes for the same
-/// chunks in runs of sixteen, best of five interleaved repetitions of
-/// each. It reads about 1.0 if the lane loop stops vectorizing.
+/// chunks in runs of sixteen, the median of 21 rounds' ratios, each
+/// round timing both side by side (so a slow spell on a shared host
+/// lands on both arms of a round). It reads about 1.0 if the lane loop
+/// stops vectorizing.
 fn sha256_lanes_speedup() -> f64 {
     use std::hint::black_box;
     use std::time::Instant;
@@ -1399,17 +1457,19 @@ fn sha256_lanes_speedup() -> f64 {
         .map(|i| (0..64 * 1024).map(|j| (i * 31 + j * 7) as u8).collect())
         .collect();
     let chunks: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
-    let (mut one, mut lanes) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        let start = Instant::now();
-        let alone: Vec<[u8; 32]> = chunks.iter().map(|c| sha256(black_box(c))).collect();
-        one = one.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let side_by_side = sha256_each(black_box(&chunks));
-        lanes = lanes.min(start.elapsed().as_secs_f64());
-        assert_eq!(alone, side_by_side, "sha256_each must agree with sha256");
-    }
-    one / lanes
+    let ratios = (0..21)
+        .map(|_| {
+            let start = Instant::now();
+            let alone: Vec<[u8; 32]> = chunks.iter().map(|c| sha256(black_box(c))).collect();
+            let one = start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            let side_by_side = sha256_each(black_box(&chunks));
+            let lanes = start.elapsed().as_secs_f64();
+            assert_eq!(alone, side_by_side, "sha256_each must agree with sha256");
+            one / lanes
+        })
+        .collect();
+    median(ratios)
 }
 
 /// E24 — cache-blocked kernels: per-sample conv cost vs batch (the E21
@@ -1426,8 +1486,10 @@ fn sha256_lanes_speedup() -> f64 {
 /// fake-quant f32 path of the same graph and against plain f32.
 /// Profiled MobileNetV3 passes then set the depthwise convs' cost per
 /// MAC against the pointwise GEMM's, the within-run view of how close
-/// the two f32 conv kernels run to each other. Last, the OTA path's
-/// SHA-256 is timed hashing chunks side by side against one at a time.
+/// the two f32 conv kernels run to each other, and the lane kernel's
+/// and the matrix-vector tile's against the im2col tile's. Last, the
+/// OTA path's SHA-256 is timed hashing chunks side by side against one
+/// at a time.
 ///
 /// Carries the machine-readable snapshot `harness kernels` writes to
 /// `BENCH_pr6.json` (the perf-trajectory baseline ci.sh checks against).
@@ -1555,7 +1617,13 @@ pub fn kernels() -> Experiment {
         "INT8 tolerance contract violated: {diff} > {bound}"
     );
 
-    let (dw_ns, pw_ns, non_conv_share) = conv_ns_per_mac(5);
+    let ConvCosts {
+        depthwise: dw_ns,
+        pointwise: pw_ns,
+        lanes_over_tile,
+        matvec_over_tile,
+        non_conv_share,
+    } = conv_ns_per_mac(15);
     let dw_over_pw = dw_ns / pw_ns;
     let sha_speedup = sha256_lanes_speedup();
 
@@ -1623,13 +1691,23 @@ pub fn kernels() -> Experiment {
                 dw_over_pw,
             ),
             Metric::gauge(
+                "pointwise_lanes_over_tile_ns_per_mac",
+                "serial MobileNetV3 time per MAC of the 1x1 convs the lane kernel runs relative to the 1x1 convs on the im2col tile, median over 15 passes of each pass's ratio",
+                lanes_over_tile,
+            ),
+            Metric::gauge(
+                "matvec_over_tile_ns_per_mac",
+                "serial MobileNetV3 time per MAC of the one-pixel 1x1 convs and the dense head relative to the 1x1 convs on the im2col tile, least over 15 passes of each pass's ratio",
+                matvec_over_tile,
+            ),
+            Metric::gauge(
                 "non_conv_share",
                 "share of serial MobileNetV3 pass wall time outside the conv records, which include their fused epilogues",
                 non_conv_share,
             ),
             Metric::gauge(
                 "sha256_lanes_speedup",
-                "time to hash 64 chunks of 64 KiB one at a time over the time side by side in 16 lanes, best of five",
+                "time to hash 64 chunks of 64 KiB one at a time over the time side by side in 16 lanes, median of 21 rounds' ratios",
                 sha_speedup,
             ),
         ],
@@ -1663,6 +1741,11 @@ pub fn kernels() -> Experiment {
                 "MobileNetV3 f32 convs: depthwise {dw_ns:.3} ns/MAC, pointwise {pw_ns:.3} ns/MAC \
                  = {dw_over_pw:.2}x (gated <= 5.0), each with its fused BatchNorm, activation \
                  and residual add"
+            ),
+            format!(
+                "MobileNetV3 per MAC against the 1x1 convs on the im2col tile: the lane kernel's \
+                 {lanes_over_tile:.2}x (median over 15 passes), the matrix-vector tile's \
+                 (one-pixel convs and the dense head) {matvec_over_tile:.2}x (best pass)"
             ),
             format!(
                 "{:.1}% of the MobileNetV3 pass runs outside the conv kernels (gated <= 15%)",

@@ -114,6 +114,19 @@ pub const RULES: &[Rule] = &[
     // GEMM, both timed in the same profiled passes. Reverting either
     // conv kernel to its pre-tiling loop crosses this line.
     Rule::new("kernels", "depthwise_over_pointwise_ns_per_mac", None, |_| -INF..=5.0),
+    // Short 1×1 convs (at most 32 input channels, at least 8 pixels) run
+    // the lane kernel: per MAC at most 1.85x the 1×1 convs left on the
+    // im2col tile (median over 15 profiled MobileNetV3 passes of each
+    // pass's ratio). On the tile they read 1.82-2.12 over 30 runs
+    // (median 2.04; 2 of the 30 under the bound), on the lane kernel
+    // 1.60-1.81 over 40.
+    Rule::new("kernels", "pointwise_lanes_over_tile_ns_per_mac", None, |_| -INF..=1.85),
+    // One-pixel 1×1 convs and the dense head run the matrix-vector tile:
+    // per MAC at most 4.6x the im2col tile in the least disturbed of the
+    // same passes (they stream ~16 MB of weights a pass, so their time
+    // follows the host's memory traffic). As lone dot4 chains they read
+    // 4.95-6.61 over 10 runs, on the tile 2.82-4.23 over 20.
+    Rule::new("kernels", "matvec_over_tile_ns_per_mac", None, |_| -INF..=4.6),
     // The runner fuses BatchNorm, activation and residual add into the
     // conv that feeds them, so a MobileNetV3 pass spends at most 15% of
     // its wall time outside the conv records. It fails if fusion stops

@@ -378,6 +378,66 @@ impl Liveness {
 // Quant safety
 // --------------------------------------------------------------------
 
+/// The `FakeQuant` grid each tensor's values lie on exactly, by tensor
+/// id: the `FakeQuant` node that produced them, directly or through
+/// ReLU, `Flatten` and max-pools whose every window holds an input tap,
+/// when its scale is 0 or a normal `s` with `127·s` finite. Such a value
+/// is `+0.0`, `-0.0` or `fl(k·s)` with `|k| ≤ 127` (ReLU sends a
+/// negative to `+0.0`; pools and `Flatten` copy values), so re-rounding
+/// it to the grid of `s` returns it bit for bit and the INT8 kernels
+/// quantize it to exactly `k` (DESIGN.md §10).
+#[must_use]
+pub fn exact_grids(graph: &Graph) -> Vec<Option<NodeId>> {
+    let mut grid: Vec<Option<NodeId>> = vec![None; graph.tensor_count()];
+    for (i, node) in graph.nodes().iter().enumerate() {
+        let input = node
+            .inputs
+            .first()
+            .and_then(|t| grid.get(t.0).copied().flatten());
+        let out = match &node.op {
+            Op::FakeQuant { scale: s } => {
+                let exact = *s == 0.0 || (*s > 0.0 && s.is_normal() && (127.0 * s).is_finite());
+                exact.then_some(NodeId(i))
+            }
+            Op::Activation(ActKind::Relu) | Op::Flatten => input,
+            Op::MaxPool2d(a) if a.has_taps() => input,
+            _ => None,
+        };
+        if let Some(g) = grid.get_mut(node.output.0) {
+            *g = out;
+        }
+    }
+    grid
+}
+
+/// The `FakeQuant` nodes that change no bit of their input, by node
+/// index: a `FakeQuant(s)` whose input lies on the [`exact_grids`] grid
+/// of a `FakeQuant` with the same scale bits. The runner runs them as
+/// no stage, and `QuantizeInt8` does not insert them.
+#[must_use]
+pub fn identity_quants(graph: &Graph) -> Vec<bool> {
+    let grids = exact_grids(graph);
+    let scale = |n: NodeId| match graph.nodes()[n.0].op {
+        Op::FakeQuant { scale } => Some(scale.to_bits()),
+        _ => None,
+    };
+    graph
+        .nodes()
+        .iter()
+        .enumerate()
+        .map(|(i, node)| {
+            let on = node
+                .inputs
+                .first()
+                .and_then(|t| grids.get(t.0).copied().flatten());
+            grids.get(node.output.0) == Some(&Some(NodeId(i)))
+                && on
+                    .and_then(scale)
+                    .is_some_and(|bits| Some(bits) == scale(NodeId(i)))
+        })
+        .collect()
+}
+
 /// Per-node verdict of the quant-safety dataflow analysis.
 #[derive(Debug, Clone)]
 pub struct NodeQuantVerdict {
@@ -413,8 +473,8 @@ impl NodeQuantVerdict {
 /// A node is a candidate when it is a dense (`groups == 1`)
 /// convolution or dense layer whose explicit weights carry an i8
 /// [`crate::tensor::QuantPayload`] and whose data input is produced by
-/// a `FakeQuant` node (so incoming activations already lie on the
-/// grid and quantize exactly). A candidate is *refuted* when its grid
+/// a `FakeQuant` node, or lies on one's grid exactly ([`exact_grids`]),
+/// so incoming activations quantize exactly. A candidate is *refuted* when its grid
 /// is degenerate, the propagated input range collapses onto one grid
 /// endpoint (the W108 full-clamp condition — stale calibration), the
 /// range is non-finite, or the summation-rounding bound exceeds the
@@ -438,6 +498,7 @@ impl QuantSafety {
     pub fn with_input_absmax(graph: &Graph, input_absmax: f32) -> Self {
         let ranges = value_ranges(graph, input_absmax);
         let tc = graph.tensor_count();
+        let grids = exact_grids(graph);
         let verdicts = graph
             .nodes()
             .iter()
@@ -462,15 +523,21 @@ impl QuantSafety {
                 let Some(&input) = node.inputs.first() else {
                     return NodeQuantVerdict::not_candidate("node has no data input");
                 };
+                // The input's grid: its producer's, when that is a
+                // `FakeQuant`, or one it reached exactly through ReLU,
+                // `Flatten` and max-pools.
+                let fake_quant = |p: NodeId| {
+                    let node = graph.nodes().get(p.0)?;
+                    matches!(node.op, Op::FakeQuant { .. }).then_some(node)
+                };
                 let producer = if input.0 < tc {
-                    graph.producer(input).and_then(|p| graph.nodes().get(p.0))
+                    let direct = graph.producer(input).and_then(fake_quant);
+                    direct.or_else(|| grids[input.0].and_then(fake_quant))
                 } else {
                     None
                 };
                 let Some(Op::FakeQuant { scale }) = producer.map(|p| &p.op) else {
-                    return NodeQuantVerdict::not_candidate(
-                        "input is not produced by a FakeQuant grid",
-                    );
+                    return NodeQuantVerdict::not_candidate("input is not on a FakeQuant grid");
                 };
                 let scale = *scale;
                 if scale <= 0.0 || !scale.is_finite() {

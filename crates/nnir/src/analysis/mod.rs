@@ -51,7 +51,8 @@ mod framework;
 mod passes;
 
 pub use dataflow::{
-    value_ranges, Interval, LiveRange, Liveness, NodeQuantVerdict, QuantSafety, ValueRangeAnalysis,
+    exact_grids, identity_quants, value_ranges, Interval, LiveRange, Liveness, NodeQuantVerdict,
+    QuantSafety, ValueRangeAnalysis,
 };
 pub use diagnostics::{text_line_of_node, Code, Diagnostic, Report, Severity, Totals};
 pub use framework::{

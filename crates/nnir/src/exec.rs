@@ -338,6 +338,137 @@ fn dot4_lanes(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [[f32; 4]; 8] {
     [a00, a01, a10, a11, a20, a21, a30, a31]
 }
 
+/// The matrix-vector tile: four kernel rows `w` against one vector `x`,
+/// with `t[r]` equal to `bias[r] + dot4(w[r], x)` bit for bit —
+/// [`dot4_tile`]'s association with one column. Four independent 4-lane
+/// chains share each load of `x` where a lone `dot4` waits on one.
+///
+/// The tail runs through the same loop as one more chunk, the weights
+/// padded with `+0.0` and `x` with `-0.0`: a padded lane gains
+/// `+0.0·-0.0 = -0.0`, and `l + -0.0` is `l` bit for bit, so the tail
+/// lands on lanes `0..len % 4` exactly as in `dot4`. Out of line, with
+/// the combine and the bias, for the reason [`dot4_lanes`] is and so
+/// that one codegen serves every caller: drafts that combined the lanes
+/// or added the bias in the inlined caller, or ran the tail as scalar
+/// code, had LLVM add `l1 + l0` or `sum + bias` or multiply `x·w`, each
+/// of which keeps the other payload when both operands are NaN.
+#[inline(never)]
+fn dot4_col(w: [&[f32]; 4], x: &[f32], bias: [f32; 4]) -> [f32; 4] {
+    let body = x.len() / 4 * 4;
+    let lanes = dot4_col_lanes(w.map(|r| &r[..body]), &x[..body], [[0.0; 4]; 4]);
+    let (mut wt, mut xt) = ([[0.0f32; 4]; 4], [-0.0f32; 4]);
+    for (t, r) in wt.iter_mut().zip(w) {
+        t[..x.len() - body].copy_from_slice(&r[body..]);
+    }
+    xt[..x.len() - body].copy_from_slice(&x[body..]);
+    let lanes = dot4_col_lanes(wt.each_ref().map(|t| &t[..]), &xt, lanes);
+    let sum = lanes.map(|l| (l[0] + l[1]) + (l[2] + l[3]));
+    std::array::from_fn(|r| bias[r] + sum[r])
+}
+
+/// The lane vectors of [`dot4_col`] over whole 4-element chunks, added
+/// onto `acc`, one named accumulator per row: each product lands in the
+/// register of the weights it consumes, `x`'s load being shared.
+#[inline(never)]
+fn dot4_col_lanes(w: [&[f32]; 4], x: &[f32], acc: [[f32; 4]; 4]) -> [[f32; 4]; 4] {
+    let [w0, w1, w2, w3] = w;
+    let [mut a0, mut a1, mut a2, mut a3] = acc;
+    let rows = w0.chunks_exact(4).zip(w1.chunks_exact(4));
+    let rows = rows.zip(w2.chunks_exact(4).zip(w3.chunks_exact(4)));
+    for (((c0, c1), (c2, c3)), y) in rows.zip(x.chunks_exact(4)) {
+        for i in 0..4 {
+            a0[i] += c0[i] * y[i];
+            a1[i] += c1[i] * y[i];
+            a2[i] += c2[i] * y[i];
+            a3[i] += c3[i] * y[i];
+        }
+    }
+    [a0, a1, a2, a3]
+}
+
+/// Output pixels the pointwise lane kernel computes at once, one per
+/// f32 lane: each of its four lane accumulators is two 4-lane registers.
+const PIX_LANES: usize = 8;
+
+/// Longest reduction a 1×1 conv runs on the lane kernel rather than the
+/// im2col tile. Up to it, the tile's fixed cost per output — the
+/// transpose fill, one horizontal sum and a scattered store — outweighs
+/// its few multiply-adds; above it the tile's operand reuse wins
+/// (measured per layer in DESIGN.md §10, "Kernel-selection rules").
+const LANE_MAX_K: usize = 32;
+
+/// The f32 dense-conv kernel-selection rule, read from the geometry
+/// alone: a 1×1, stride-1, unpadded conv of at most [`LANE_MAX_K`]
+/// input channels over planes of at least [`PIX_LANES`] pixels runs
+/// [`pointwise_plane`]; every other dense conv runs the im2col tile.
+fn lane_kernel(g: ConvGeom) -> bool {
+    (g.kh, g.kw, g.sh, g.sw, g.ph, g.pw) == (1, 1, 1, 1, 0, 0)
+        && g.k_len() <= LANE_MAX_K
+        && g.opix >= PIX_LANES
+}
+
+/// One output plane of a 1×1, stride-1, unpadded conv, read straight
+/// from the input channel `planes` (`w.len()` planes of `dst.len() ≥ 8`
+/// pixels): `dst[p] = b0 + dot4(w, column p)` bit for bit, where column
+/// `p` is pixel `p` of every plane in channel order.
+///
+/// Eight adjacent pixels form the SIMD lanes. For each block of eight,
+/// [`pixel_lanes`] builds the four lane vectors of their eight `dot4`s
+/// — lane `j` summing the channels `k ≡ j (mod 4)` in ascending `k`
+/// from `+0.0` — and they combine as `(l0+l1) + (l2+l3)`, then `b0 +`
+/// the sum, eight outputs at a time. The last block ends at the plane's
+/// end, overlapping the one before it when the plane is not a multiple
+/// of eight; each output is a function of its own column, so the
+/// overlap rewrites the same bits, and every output takes one codegen.
+fn pointwise_plane(w: &[f32], planes: &[f32], b0: f32, dst: &mut [f32]) {
+    let pix = dst.len();
+    // Each weight as a whole lane vector, loaded afresh for each half of
+    // a block: the product then lands in the weight's register, so when
+    // `w` and `x` are both NaN it keeps `w`'s payload, as `dot4` does. A
+    // broadcast register shared by both halves made LLVM multiply into
+    // the input's register instead.
+    let mut wv = [[0.0f32; PIX_LANES]; LANE_MAX_K];
+    for (v, &wk) in wv.iter_mut().zip(w) {
+        *v = [wk; PIX_LANES];
+    }
+    let wv = &wv[..w.len()];
+    for p in (0..pix).step_by(PIX_LANES) {
+        let p = p.min(pix - PIX_LANES);
+        let [l0, l1, l2, l3] = pixel_lanes(wv, planes, pix, p);
+        for (i, o) in dst[p..][..PIX_LANES].iter_mut().enumerate() {
+            *o = b0 + ((l0[i] + l1[i]) + (l2[i] + l3[i]));
+        }
+    }
+}
+
+/// The four lane vectors of the `dot4`s of the weights `wv` (each
+/// repeated across the lanes) against pixels `p..p + 8` of `planes`:
+/// `acc[j][i]` sums `w[k]·x_k[p + i]` over `k ≡ j (mod 4)` in ascending
+/// `k`, the last `K % 4` channels on lanes `0..K % 4`.
+#[inline]
+fn pixel_lanes(
+    wv: &[[f32; PIX_LANES]],
+    planes: &[f32],
+    pix: usize,
+    p: usize,
+) -> [[f32; PIX_LANES]; 4] {
+    let add = |a: &mut [f32; PIX_LANES], (w, plane): (&[f32; PIX_LANES], &[f32])| {
+        let x: [f32; PIX_LANES] = plane[p..p + PIX_LANES].try_into().unwrap_or_default();
+        for ((a, w), x) in a.iter_mut().zip(w).zip(x) {
+            *a += w * x;
+        }
+    };
+    let mut acc = [[0.0f32; PIX_LANES]; 4];
+    let mut cols = wv.iter().zip(planes.chunks_exact(pix));
+    // Each pass deals the next (at most) four channels onto lanes 0, 1, …
+    while cols.len() > 0 {
+        for (a, col) in acc.iter_mut().zip(&mut cols) {
+            add(a, col);
+        }
+    }
+    acc
+}
+
 /// INT8 codes the GEMM micro-kernel reduces at once: every packed
 /// weight row and gathered patch row is a whole number of these chunks.
 const CODE_CHUNK: usize = 16;
@@ -629,7 +760,7 @@ impl RunnerBuilder {
             scratch: Scratch::default(),
             records: profile_records(graph, &steps, &int8_plans),
             int8_plans,
-            identity_quants: identity_quants(graph),
+            identity_quants: crate::analysis::identity_quants(graph),
             steps,
             plan,
         })
@@ -795,7 +926,7 @@ fn fused_steps(graph: &Graph, int8: &[Option<Int8Plan<'_>>]) -> Vec<Range<usize>
             }
     };
     let folds = |chain: Option<Zeros>, value: TensorId, next: &Node| {
-        matches!(&next.op, Op::MaxPool2d(a) if pool_has_taps(a))
+        matches!(&next.op, Op::MaxPool2d(a) if a.has_taps())
             && next.inputs[0] == value
             && sole(value)
             && chain.is_some_and(|z| !z.negative)
@@ -829,13 +960,6 @@ fn fused_steps(graph: &Graph, int8: &[Option<Int8Plan<'_>>]) -> Vec<Range<usize>
         start = end;
     }
     steps
-}
-
-/// Whether every window of a pool holds at least one input tap: kernel
-/// past padding in both dimensions. Such a max-pool outputs one of its
-/// inputs, bit for bit, and never its padding.
-fn pool_has_taps(a: &Pool2dAttrs) -> bool {
-    a.kernel.0 > a.padding.0 && a.kernel.1 > a.padding.1
 }
 
 /// What a chain after an INT8 conv can output as a zero, for the
@@ -927,37 +1051,6 @@ impl Zeros {
             _ => None,
         }
     }
-}
-
-/// The `FakeQuant` nodes that change no bit of their input and so run
-/// as no stage: a `FakeQuant(s)` whose input was produced by a
-/// `FakeQuant` of the same scale bits, then passed only through ReLU,
-/// `Flatten` or max-pools whose every window holds an input tap. For a
-/// normal `s` with `127·s` finite (or scale 0), re-rounding such an
-/// input returns it bit for bit (DESIGN.md §10). Decided once per graph,
-/// across steps, by node index.
-fn identity_quants(graph: &Graph) -> Vec<bool> {
-    // The scale bits each tensor's values lie on the grid of.
-    let mut grid: Vec<Option<u32>> = vec![None; graph.tensor_count()];
-    graph
-        .nodes()
-        .iter()
-        .map(|node| {
-            let input = node.inputs.first().and_then(|t| grid[t.0]);
-            let (out, identity) = match &node.op {
-                Op::FakeQuant { scale: s } => {
-                    let exact = *s == 0.0 || (*s > 0.0 && s.is_normal() && (127.0 * s).is_finite());
-                    let bits = exact.then_some(s.to_bits());
-                    (bits, bits.is_some() && input == bits)
-                }
-                Op::Activation(ActKind::Relu) | Op::Flatten => (input, false),
-                Op::MaxPool2d(a) if pool_has_taps(a) => (input, false),
-                _ => (None, false),
-            };
-            grid[node.output.0] = out;
-            identity
-        })
-        .collect()
 }
 
 // --------------------------------------------------------------------
@@ -1171,7 +1264,7 @@ pub struct Runner<'g> {
     /// node that executes on the INT8 path (see [`int8_plans`]).
     int8_plans: Vec<Option<Int8Plan<'g>>>,
     /// The `FakeQuant` nodes that run as no stage, by node index (see
-    /// [`identity_quants`]).
+    /// [`crate::analysis::identity_quants`]).
     identity_quants: Vec<bool>,
     /// The schedule as the kernels run it: each step a node, or a head
     /// with the elementwise nodes (and an INT8 conv's max-pool) fused
@@ -1963,8 +2056,9 @@ fn fill_patches(src: &[f32], g: ConvGeom, bi: usize, p: usize, dst: &mut [f32]) 
 /// One GEMM unit: `dst[r·pb + p] = bias[r] + dot4(w_r, x_p)` for the
 /// (at most four) K-length kernel rows `w_r` of `w` and the `pb` patch
 /// rows `x_p` of `col`. A four-row unit runs [`dot4_tile`] over pixel
-/// pairs; a shorter unit (the last `out_c % 4` rows) and an odd last
-/// pixel fall back to [`dot4`], which computes the same bits.
+/// pairs and [`dot4_col`] over an odd last pixel (every pixel of a
+/// one-pixel conv or a dense layer); a shorter unit (the last
+/// `out_c % 4` rows) falls back to [`dot4`]. All compute the same bits.
 fn gemm_rows(k_len: usize, w: &[f32], col: &[f32], bias: Option<&[f32]>, dst: &mut [f32]) {
     let rows = w.len() / k_len;
     let pb = dst.len() / rows;
@@ -1979,7 +2073,16 @@ fn gemm_rows(k_len: usize, w: &[f32], col: &[f32], bias: Option<&[f32]>, dst: &m
                 dst[r * pb + 2 * j + 1] = b(r) + t1;
             }
         }
-        done = pb / 2 * 2;
+        if pb % 2 == 1 {
+            let x = &col[(pb - 1) * k_len..][..k_len];
+            for (r, t) in dot4_col(wr, x, std::array::from_fn(b))
+                .into_iter()
+                .enumerate()
+            {
+                dst[r * pb + pb - 1] = t;
+            }
+        }
+        done = pb;
     }
     for (r, (wr, out)) in w
         .chunks_exact(k_len)
@@ -2085,6 +2188,20 @@ fn conv2d_into(
                 dst.fill(bias_data.map_or(0.0, |b| b[u % out_c]) + 0.0);
                 epi.apply(dst, u * opix);
             }
+            return Ok(());
+        }
+        if lane_kernel(geom) {
+            // One unit per output plane, read from its batch item's
+            // input planes in place; the fused stages run on each plane
+            // right after it is written.
+            let work = n * out_c * opix * k_len;
+            par_chunks(par.workers_for(work), out_data, opix, |u, dst| {
+                let (bi, oc) = (u / out_c, u % out_c);
+                let planes = &in_data[bi * k_len * opix..][..k_len * opix];
+                let w = &k_data[oc * k_len..][..k_len];
+                pointwise_plane(w, planes, bias_data.map_or(0.0, |b| b[oc]), dst);
+                epi.apply(dst, u * opix);
+            });
             return Ok(());
         }
 
@@ -2633,13 +2750,14 @@ fn dense_into(
     let work = n * out_f * in_f;
     let workers = par.workers_for(work);
     // One unit per batch row of the output; a solo row is further split
-    // into feature blocks so single-sample heads still use every
-    // worker. (The old schedule made one unit per output *scalar* —
-    // chunk size 1 — which defeated vectorization of the inner dot and
-    // paid scheduling overhead per scalar.) Chunking never affects
-    // bits: each output scalar is one dot4 of the same operands.
+    // into feature blocks of whole four-row tiles so single-sample
+    // heads still use every worker. (The old schedule made one unit per
+    // output *scalar* — chunk size 1 — which defeated vectorization of
+    // the inner dot and paid scheduling overhead per scalar.) Chunking
+    // never affects bits: each output scalar is one dot4 of the same
+    // operands.
     let chunk = if n == 1 {
-        out_f.div_ceil(workers * 4).max(1)
+        out_f.div_ceil(workers * 4).next_multiple_of(4)
     } else {
         out_f
     };
@@ -2683,10 +2801,19 @@ fn dense_into(
         let bi = base / out_f;
         let of0 = base % out_f;
         let x = &in_data[bi * in_f..][..in_f];
-        for (i, o) in dst.iter_mut().enumerate() {
-            let of = of0 + i;
-            let b0 = bias_data.map_or(0.0, |b| b[of]);
-            *o = b0 + dot4(&w_data[of * in_f..][..in_f], x);
+        // Four weight rows per matrix-vector tile, the last `out_f % 4`
+        // rows one dot4 each.
+        for (t, d) in dst.chunks_mut(4).enumerate() {
+            let of = of0 + 4 * t;
+            let row = |r: usize| &w_data[(of + r) * in_f..][..in_f];
+            let b = |r: usize| bias_data.map_or(0.0, |b| b[of + r]);
+            if let Ok(d) = <&mut [f32; 4]>::try_from(&mut *d) {
+                *d = dot4_col(std::array::from_fn(row), x, std::array::from_fn(b));
+            } else {
+                for (r, o) in d.iter_mut().enumerate() {
+                    *o = b(r) + dot4(row(r), x);
+                }
+            }
         }
         epi.apply(dst, base);
     });

@@ -198,6 +198,14 @@ impl Pool2dAttrs {
         self.padding = (pad, pad);
         self
     }
+
+    /// Whether every window holds at least one input tap: kernel past
+    /// padding in both dimensions. Such a max-pool outputs one of its
+    /// inputs, bit for bit, and never its padding.
+    #[must_use]
+    pub fn has_taps(&self) -> bool {
+        self.kernel.0 > self.padding.0 && self.kernel.1 > self.padding.1
+    }
 }
 
 /// An IR operator.

@@ -553,9 +553,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The f32 conv kernels against [`conv_reference`]: the register-tiled
-    /// GEMM (with the transpose fill for 1×1/s1/p0 convs) and the
-    /// channel-blocked grouped kernel are **bit-equal** to the documented
-    /// per-output arithmetic, serial and threaded, planned and unplanned.
+    /// GEMM, the 1×1/s1/p0 lane kernel (these draws have at most 9 input
+    /// channels) and the channel-blocked grouped kernel are **bit-equal**
+    /// to the documented per-output arithmetic, serial and threaded,
+    /// planned and unplanned.
     /// Channel counts straddle the 4-row GEMM unit and the 16-channel
     /// grouped block, and kernels are asymmetric.
     #[test]
@@ -626,9 +627,11 @@ proptest! {
 
 /// Wide planes take every f32 conv path past its first cache block:
 /// the grouped kernel through several row strips (its budget holds only
-/// a few interleaved input rows), and the GEMM through several pixel
-/// blocks, for the 1×1 transpose fill and the general patch gather
-/// alike. Serial and over two workers, no seam may change a bit against
+/// a few interleaved input rows), the GEMM through several pixel
+/// blocks, for the 1×1 transpose fill (40 input channels, past the lane
+/// kernel's bound) and the general patch gather alike, and the 1×1 lane
+/// kernel over one 7,500-pixel plane per output channel. Serial and
+/// over two workers, no seam may change a bit against
 /// [`conv_reference`]. The depthwise case spans a full and a one-channel
 /// block; the grouped one has three input channels per group.
 #[test]
@@ -637,6 +640,7 @@ fn wide_planes_match_scalar_reference() {
         (17, 1, 1, (3, 5), (1, 2), (1, 2), (21, 500)),
         (2, 3, 5, (5, 3), (2, 1), (2, 0), (30, 300)),
         (1, 5, 7, (1, 1), (1, 1), (0, 0), (30, 250)),
+        (1, 40, 6, (1, 1), (1, 1), (0, 0), (20, 61)),
         (1, 3, 6, (3, 2), (1, 1), (1, 0), (20, 61)),
     ] {
         let attrs = Conv2dAttrs {
@@ -663,6 +667,281 @@ fn wide_planes_match_scalar_reference() {
                 bits(&want),
                 "groups {groups} under {par:?}"
             );
+        }
+    }
+}
+
+/// Runs `g` on `inputs` serial and over two workers, planned and
+/// unplanned, plain and capturing every intermediate, and asserts that
+/// every output and every captured value is bit-equal to `want`
+/// (one value per tensor, as [`reference_values`] returns them).
+fn assert_matches_values(g: &Graph, inputs: &[Tensor], want: &[Option<Tensor>], label: &str) {
+    for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+        for planning in [true, false] {
+            let mut runner = Runner::builder()
+                .parallelism(par)
+                .memory_planning(planning)
+                .build(g)
+                .unwrap();
+            let plain = runner.execute(inputs, RunOptions::default()).unwrap();
+            for (got, t) in plain.outputs().iter().zip(g.outputs()) {
+                let wanted = want[t.0].as_ref().unwrap();
+                assert_eq!(
+                    bits(got.data()),
+                    bits(wanted.data()),
+                    "{label} under {par:?}, planned {planning}"
+                );
+            }
+            let opts = RunOptions::new().capture_intermediates(true);
+            let captured = runner.execute(inputs, opts).unwrap();
+            for (t, (got, wanted)) in captured
+                .intermediates()
+                .unwrap()
+                .iter()
+                .zip(want)
+                .enumerate()
+            {
+                let (got, wanted) = (got.as_ref().unwrap(), wanted.as_ref().unwrap());
+                assert_eq!(
+                    bits(got.data()),
+                    bits(wanted.data()),
+                    "{label} under {par:?}, planned {planning}: tensor {t}"
+                );
+            }
+        }
+    }
+}
+
+/// [`assert_matches_values`] against [`reference_values`].
+fn assert_matches_reference(g: &Graph, inputs: &[Tensor], label: &str) {
+    assert_matches_values(g, inputs, &reference_values(g, inputs), label);
+}
+
+/// `x → conv` (1×1, stride 1, unpadded, `out_c` channels, `bias`) over
+/// `x`, optionally followed by a fused BatchNorm, HardSwish and a
+/// residual `Add` of a second input `r` (the chain value on the left
+/// when `chain_first`).
+fn pointwise_graph(
+    x: &Tensor,
+    out_c: usize,
+    bias: Option<Tensor>,
+    kernel: Tensor,
+    residual: Option<(&Tensor, bool)>,
+) -> Graph {
+    let attrs = Conv2dAttrs {
+        out_channels: out_c,
+        kernel: (1, 1),
+        stride: (1, 1),
+        padding: (0, 0),
+        groups: 1,
+        bias: bias.is_some(),
+    };
+    let mut b = GraphBuilder::new("pointwise");
+    let xi = b.input(x.shape().clone());
+    let weights = std::iter::once(kernel).chain(bias).collect();
+    let conv = Op::Conv2d(attrs);
+    let c = b
+        .apply_with_weights("conv", conv, &[xi], WeightInit::Explicit(weights))
+        .unwrap();
+    let Some((r, chain_first)) = residual else {
+        return b.finish(vec![c]);
+    };
+    let ri = b.input(r.shape().clone());
+    let bn = WeightInit::Explicit(vec![
+        Tensor::random(Shape::new(vec![out_c]), 31, 1.0),
+        Tensor::random(Shape::new(vec![out_c]), 32, 0.5),
+    ]);
+    let c = b.apply_with_weights("bn", Op::BatchNorm, &[c], bn).unwrap();
+    let c = b
+        .apply("act", Op::Activation(ActKind::HardSwish), &[c])
+        .unwrap();
+    let pair = if chain_first { [c, ri] } else { [ri, c] };
+    let c = b.apply("add", Op::Add, &pair).unwrap();
+    b.finish(vec![c])
+}
+
+/// The f32 kernel-selection rule at its seams: 1×1, stride-1, unpadded
+/// convs of K ∈ {1, 2, 3, 4, 5, 8, 15, 16, 17, 31, 32, 33} input
+/// channels (the lane kernel's bound of 32 ± 1) over planes of 1, 7, 8,
+/// 9, 15, 16 and 17 pixels (its threshold of 8 ± 1), each with 1, 3, 4,
+/// 5 and 9 output channels, with and without bias, at batch 1 and 3,
+/// plus one 64×65 plane per K. Every output and captured value is
+/// `bias + dot4(w, column)` bit for bit ([`conv_reference`]), on the
+/// lane kernel and on the im2col tile alike, and so are the values of a
+/// BatchNorm, HardSwish and residual `Add` fused into the conv.
+#[test]
+fn pointwise_rule_seams_match_scalar_reference() {
+    let ks = [1, 2, 3, 4, 5, 8, 15, 16, 17, 31, 32, 33];
+    let planes = [(1, 1), (1, 7), (2, 4), (3, 3), (3, 5), (4, 4), (1, 17)];
+    let out_cs = [1, 3, 4, 5, 9];
+    let mut case = 0u64;
+    for (i, &k) in ks.iter().enumerate() {
+        let mut shapes: Vec<((usize, usize), usize, bool, usize)> = Vec::new();
+        for &hw in &planes {
+            for &out_c in &out_cs {
+                for (bias, batch) in [(false, 1), (true, 1), (false, 3), (true, 3)] {
+                    shapes.push((hw, out_c, bias, batch));
+                }
+            }
+        }
+        shapes.push(((64, 65), out_cs[i % 5], i % 2 == 0, 1 + 2 * (i / 2 % 2)));
+        for ((h, w), out_c, bias, batch) in shapes {
+            case += 1;
+            let x = Tensor::random(Shape::nchw(batch, k, h, w), case, 1.0);
+            let kernel = Tensor::random(Shape::new(vec![out_c, k, 1, 1]), case + 1, 1.0);
+            let b = bias.then(|| Tensor::random(Shape::new(vec![out_c]), case + 2, 0.5));
+            let g = pointwise_graph(&x, out_c, b, kernel, None);
+            let label = format!("K {k}, {h}x{w}, out_c {out_c}, bias {bias}, batch {batch}");
+            assert_matches_reference(&g, std::slice::from_ref(&x), &label);
+        }
+    }
+    for (k, (h, w), batch, chain_first) in [
+        (16, (3, 3), 3, true),
+        (16, (64, 64), 1, false),
+        (40, (9, 9), 2, false),
+        (40, (64, 64), 1, true),
+    ] {
+        let x = Tensor::random(Shape::nchw(batch, k, h, w), 41, 1.0);
+        let r = Tensor::random(Shape::nchw(batch, 5, h, w), 42, 1.0);
+        let kernel = Tensor::random(Shape::new(vec![5, k, 1, 1]), 43, 1.0);
+        let b = Tensor::random(Shape::new(vec![5]), 44, 0.5);
+        let g = pointwise_graph(&x, 5, Some(b), kernel, Some((&r, chain_first)));
+        let label = format!("fused K {k}, {h}x{w}, batch {batch}");
+        assert_matches_reference(&g, &[x, r], &label);
+    }
+}
+
+/// The matrix-vector tile against [`dense_reference`]: dense layers of
+/// 1..=9 output features (whole four-row tiles and the one-row rest)
+/// over 1..=33 input features, at batch 1 and 3, with and without a
+/// bias, and a one-pixel 1×1 conv (squeeze-excite's shape), whose every
+/// four-row GEMM unit is one tile.
+#[test]
+fn matrix_vector_tile_matches_scalar_reference() {
+    for out_f in 1..=9 {
+        for in_f in 1..=33 {
+            for batch in [1, 3] {
+                let seed = (out_f * 100 + in_f * 3 + batch) as u64;
+                let x = Tensor::random(Shape::nf(batch, in_f), seed, 1.0);
+                let w = Tensor::random(Shape::nf(out_f, in_f), seed + 1, 1.0);
+                let bias = Tensor::random(Shape::new(vec![out_f]), seed + 2, 0.5);
+                let g = dense_graph(x.shape(), w, bias);
+                let label = format!("dense {in_f} -> {out_f}, batch {batch}");
+                assert_matches_reference(&g, std::slice::from_ref(&x), &label);
+            }
+        }
+    }
+    for (k, out_c, batch) in [(960, 240, 1), (17, 9, 3), (3, 4, 1)] {
+        let x = Tensor::random(Shape::nchw(batch, k, 1, 1), 51, 1.0);
+        let kernel = Tensor::random(Shape::new(vec![out_c, k, 1, 1]), 52, 1.0);
+        let g = pointwise_graph(&x, out_c, None, kernel, None);
+        let label = format!("one-pixel conv K {k}, out_c {out_c}, batch {batch}");
+        assert_matches_reference(&g, std::slice::from_ref(&x), &label);
+    }
+}
+
+/// A one-layer dense graph of `w` (`[out_f, in_f]`) and `bias` over an
+/// input of `shape`.
+fn dense_graph(shape: &Shape, w: Tensor, bias: Tensor) -> Graph {
+    let mut b = GraphBuilder::new("dense");
+    let x = b.input(shape.clone());
+    let dense = Op::Dense {
+        out_features: w.shape().dims()[0],
+        bias: true,
+    };
+    let d = b
+        .apply_with_weights("fc", dense, &[x], WeightInit::Explicit(vec![w, bias]))
+        .unwrap();
+    b.finish(vec![d])
+}
+
+/// Special values through both kernels, at K up to 31 (the tail on
+/// every lane), over one pixel (the matrix-vector tile) and planes of
+/// 9, 16 and 81 pixels (the lane kernel), and through the tile as a
+/// dense layer:
+///
+/// * products that are all `-0.0`: every lane starts at `+0.0`, so the
+///   sum is `+0.0`, and a `-0.0` bias plus it is `+0.0`;
+/// * ±inf, zeros of both signs and subnormals among ordinary values,
+///   against the scalar reference (no input is a NaN, so every NaN a
+///   product or a sum makes is the default NaN, whose bits no
+///   evaluation order changes);
+/// * one NaN of payload A in every kernel row and one of payload B in
+///   every input column, at the same channel `c`, everything else
+///   finite: each output holds exactly one NaN product, and it must keep
+///   A, the payload of `w` in `w·x`. Which payload a product keeps is
+///   the compiler's choice of destination register (`fmul` is
+///   commutative to LLVM), so this holds for the optimized build the
+///   kernels ship in, where ci.sh runs these tests; an unoptimized
+///   build of the lane kernel keeps B.
+#[test]
+fn pointwise_and_matrix_vector_kernels_keep_special_value_bits() {
+    let nan_w = f32::from_bits(0x7fc0_0001);
+    let nan_x = f32::from_bits(0xffc0_0002);
+    let finite = |shape: Shape, seed: u64| {
+        let t = special_values(shape.clone(), seed, false);
+        let v = t.data().iter().map(|&v| if v.is_nan() { 1.5 } else { v });
+        Tensor::from_vec(shape, v.collect()).unwrap()
+    };
+    for k in [3, 5, 7, 16, 17, 31] {
+        for (h, w) in [(1, 1), (3, 3), (4, 4), (9, 9)] {
+            let (pix, kshape) = (h * w, Shape::new(vec![4, k, 1, 1]));
+            let zeros = Tensor::zeros(Shape::nchw(1, k, h, w));
+            let kernel = Tensor::from_vec(kshape.clone(), vec![-1.0; 4 * k]).unwrap();
+            for bias in [None, Some(-0.0)] {
+                let b = bias.map(|v| Tensor::from_vec(Shape::new(vec![4]), vec![v; 4]).unwrap());
+                let g = pointwise_graph(&zeros, 4, b, kernel.clone(), None);
+                let label = format!("-0.0 products, K {k}, {h}x{w}, bias {bias:?}");
+                let out = run_once(&g, std::slice::from_ref(&zeros)).unwrap();
+                assert!(out[0].data().iter().all(|v| v.to_bits() == 0), "{label}");
+                assert_matches_reference(&g, std::slice::from_ref(&zeros), &label);
+            }
+
+            let x = finite(Shape::nchw(1, k, h, w), pix as u64);
+            let kernel = finite(kshape.clone(), k as u64);
+            let b = finite(Shape::new(vec![4]), 3);
+            let g = pointwise_graph(&x, 4, Some(b.clone()), kernel.clone(), None);
+            let label = format!("±inf, ±0, subnormals, K {k}, {h}x{w}");
+            assert_matches_reference(&g, std::slice::from_ref(&x), &label);
+            let column: Vec<f32> = x.data().iter().step_by(pix).copied().collect();
+            let column = Tensor::from_vec(Shape::nf(1, k), column).unwrap();
+            let g = dense_graph(column.shape(), kernel.reshape(Shape::nf(4, k)).unwrap(), b);
+            assert_matches_reference(&g, &[column], &format!("dense {label}"));
+
+            if cfg!(debug_assertions) {
+                continue;
+            }
+            let c = pix % k;
+            let mut xdata = Tensor::random(Shape::nchw(1, k, h, w), 7, 1.0)
+                .data()
+                .to_vec();
+            xdata[c * pix..][..pix].fill(nan_x);
+            let x = Tensor::from_vec(Shape::nchw(1, k, h, w), xdata).unwrap();
+            let mut kdata = Tensor::random(kshape.clone(), 8, 1.0).data().to_vec();
+            for row in kdata.chunks_exact_mut(k) {
+                row[c] = nan_w;
+            }
+            let kernel = Tensor::from_vec(kshape, kdata).unwrap();
+            let b = Tensor::random(Shape::new(vec![4]), 9, 0.5);
+            let label = format!("payload NaNs at channel {c}, K {k}, {h}x{w}");
+            let g = pointwise_graph(&x, 4, Some(b.clone()), kernel.clone(), None);
+            let out = Tensor::from_vec(Shape::nchw(1, 4, h, w), vec![nan_w; 4 * pix]).unwrap();
+            assert_matches_values(
+                &g,
+                std::slice::from_ref(&x),
+                &[Some(x.clone()), Some(out)],
+                &label,
+            );
+            let column = Tensor::from_vec(
+                Shape::nf(1, k),
+                x.data().iter().step_by(pix).copied().collect(),
+            )
+            .unwrap();
+            let g = dense_graph(column.shape(), kernel.reshape(Shape::nf(4, k)).unwrap(), b);
+            let out = Tensor::from_vec(Shape::nf(1, 4), vec![nan_w; 4]).unwrap();
+            let want = [Some(column.clone()), Some(out)];
+            let label = format!("dense {label}");
+            assert_matches_values(&g, std::slice::from_ref(&column), &want, &label);
         }
     }
 }

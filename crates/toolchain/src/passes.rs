@@ -790,6 +790,27 @@ impl Pass for QuantizeInt8 {
                     Ok(fake_quant(b, name, out, absmax[node.output.0])?)
                 },
             )?;
+            // A `FakeQuant` whose input already lies on its grid (after a
+            // max-pool, a `Flatten` or a ReLU of a same-scale `FakeQuant`)
+            // changes no bit: drop it, by the runner's own rule. The
+            // INT8 kernels read that grid through the same rule.
+            let identity = vedliot_nnir::analysis::identity_quants(&graph);
+            if identity.contains(&true) {
+                let mut at = 0;
+                graph = rebuild(
+                    self.name(),
+                    &graph,
+                    |_, _, t| Ok(t),
+                    |b, node, inputs| {
+                        at += 1;
+                        if identity[at - 1] {
+                            Ok(inputs[0])
+                        } else {
+                            keep(b, node, &inputs)
+                        }
+                    },
+                )?;
+            }
         }
 
         let quantized =
@@ -1294,11 +1315,13 @@ mod tests {
 
     #[test]
     fn profiled_int8_lenet5_runs_pool_and_flatten_quants_fused() {
-        // Each pool and its FakeQuant run in the output write of the
-        // INT8 conv before them, which pools its i32 accumulators; the
-        // FakeQuant after the flatten runs in the flatten's. Each reads
-        // 0 ns, and `fused_into` names its head; the pools stay f32
-        // records, so the INT8 node count is still 5.
+        // Each pool runs in the output write of the INT8 conv before it,
+        // which pools its i32 accumulators, and reads 0 ns with
+        // `fused_into` naming its head; the pools stay f32 records. The
+        // five `FakeQuant`s that would re-round a value already on their
+        // grid — after each pool, the flatten and two ReLUs — are not
+        // inserted, and the convs and dense layers after them still read
+        // that grid: the INT8 node count is still 5.
         let calib: Vec<Tensor> = (0..4)
             .map(|s| Tensor::random(Shape::nchw(1, 1, 28, 28), s + 1, 1.0))
             .collect();
@@ -1311,18 +1334,32 @@ mod tests {
             .unwrap()
             .into_profile()
             .unwrap();
-        for (tail, head) in [
-            ("pool1", "conv1"),
-            ("pool1.quant", "conv1"),
-            ("pool2", "conv2"),
-            ("pool2.quant", "conv2"),
-            ("flatten.quant", "flatten"),
-        ] {
+        for (tail, head) in [("pool1", "conv1"), ("pool2", "conv2")] {
             let record = profile.per_node.iter().find(|n| n.name == tail).unwrap();
             assert_eq!(record.fused_into.as_deref(), Some(head), "{tail}");
             assert_eq!(record.duration_ns, 0, "{tail}");
             assert_eq!(record.precision, vedliot_nnir::DataType::F32, "{tail}");
         }
+        let quants: Vec<&str> = quantized
+            .nodes()
+            .iter()
+            .filter(|n| matches!(n.op, Op::FakeQuant { .. }))
+            .map(|n| n.name.as_str())
+            .collect();
+        assert_eq!(
+            quants,
+            [
+                "t0.quant",
+                "conv1.quant",
+                "conv1.act.quant",
+                "conv2.quant",
+                "fc1.quant",
+                "fc1.relu.quant",
+                "fc2.quant",
+                "fc3.quant"
+            ]
+        );
+        assert!(!vedliot_nnir::analysis::identity_quants(&quantized).contains(&true));
         assert_eq!(profile.int8_nodes(), 5);
     }
 
