@@ -1360,9 +1360,13 @@ struct ConvCosts {
 /// spell of the host lands on them and the tile unevenly, and the
 /// median of 15 passes outlasts it where a sum does not. The
 /// matrix-vector layers stream about 16 MB of weights a pass, so their
-/// time follows the memory traffic of whatever else shares the host,
-/// for a whole run at a time; their best pass is the one least
-/// disturbed.
+/// time follows the memory traffic of whatever else shares the host;
+/// their best pass is the one least disturbed. The tile's own time per
+/// MAC swings up to 1.8x between runs and from pass to pass within one
+/// on a 2-thread host, far more than the matrix-vector layers' (±15%),
+/// so that ratio's spread is the tile's, and no count of passes
+/// removes it: the least of 45 passes crossed 4.6 in 3 of 30 runs,
+/// the least of 15 in 1 of 30.
 fn conv_ns_per_mac(passes: usize) -> ConvCosts {
     use std::collections::HashMap;
     use vedliot::nnir::exec::{Parallelism, RunOptions, Runner};
@@ -1440,6 +1444,45 @@ fn conv_ns_per_mac(passes: usize) -> ConvCosts {
         matvec_over_tile: matvec.into_iter().fold(f64::INFINITY, f64::min),
         non_conv_share: 1.0 - conv_ns as f64 / wall_ns as f64,
     }
+}
+
+/// E24's spatial lane gauge: serial f32 LeNet-5 over `passes` profiled
+/// passes after a warm-up, the median over passes of `conv1`'s time per
+/// MAC (its 25-tap 5×5 conv, the lane kernel's) over `conv2`'s (150
+/// taps, the im2col tile's), each pass's ratio on its own so a slow
+/// spell of the host lands on both convs of a pass alike. It read about
+/// 2.7 while `conv1` took the tile's gather.
+fn spatial_lanes_over_tile(passes: usize) -> f64 {
+    use vedliot::nnir::exec::{Parallelism, RunOptions, Runner};
+    use vedliot::nnir::Tensor;
+
+    let model = zoo::lenet5(10).expect("builds");
+    let input = Tensor::random(Shape::nchw(1, 1, 28, 28), 7, 1.0);
+    let mut runner = Runner::builder()
+        .parallelism(Parallelism::Serial)
+        .build(&model)
+        .expect("zoo graph passes the verifier");
+    runner
+        .execute(std::slice::from_ref(&input), RunOptions::default())
+        .expect("warm-up run");
+    let ratios = (0..passes)
+        .map(|_| {
+            let out = runner
+                .execute(
+                    std::slice::from_ref(&input),
+                    RunOptions::new().profile(true),
+                )
+                .expect("runs");
+            let per_mac = |name: &str| {
+                let profile = out.profile().expect("profiled");
+                let node = profile.per_node.iter().find(|n| n.name == name);
+                let node = node.expect("LeNet-5 has conv1 and conv2");
+                node.duration_ns as f64 / node.macs as f64
+            };
+            per_mac("conv1") / per_mac("conv2")
+        })
+        .collect();
+    median(ratios)
 }
 
 /// E24's hashing gauge: the time `sha256` takes to hash 64 chunks of
@@ -1532,7 +1575,11 @@ pub fn kernels() -> Experiment {
     // shared host slows all three and cancels. On a 2-thread host,
     // INT8 over fake-quant f32 read 0.87-0.95 over 20 runs; the ratio
     // of the arms' separate medians over seven rounds of three passes
-    // read 0.85-1.03.
+    // read 0.85-1.03. A pass's time swings 1.5-2x within one run, and
+    // a disturbed spell can cover half of 21 rounds (one probe run read
+    // 0.98 over its first 21 rounds and 0.91 over the next 20): the
+    // median of 41 rounds read 0.914-0.949 over 15 probe runs, of 21
+    // 0.915-0.979; running the arms in alternating order changed nothing.
     let mb = zoo::mobilenet_v3_large(1000).expect("builds");
     let calib: Vec<Tensor> = (1..=2)
         .map(|i| Tensor::random(Shape::nchw(1, 3, 224, 224), i, 1.0))
@@ -1550,7 +1597,7 @@ pub fn kernels() -> Experiment {
         (&mb_quantized, 1, false),
         (&mb_quantized, 1, true),
     ];
-    let [mb_f32, mb_fake_quant, mb_int8] = &per_sample_windows(&mb_arms, 1, 21)[..] else {
+    let [mb_f32, mb_fake_quant, mb_int8] = &per_sample_windows(&mb_arms, 1, 41)[..] else {
         unreachable!("one window list per arm")
     };
     let over = |base: &[f64]| median(mb_int8.iter().zip(base).map(|(i, b)| i / b).collect());
@@ -1569,7 +1616,7 @@ pub fn kernels() -> Experiment {
         ]);
     }
     // b8/b1 is the median of 21 rounds' ratios, as the MobileNetV3
-    // ratios are: a round's windows run side by side, so a slow spell
+    // ratios are of 41: a round's windows run side by side, so a slow spell
     // lands on both arms of it. Over 20 runs beside a busy loop on a
     // 2-thread host it read 0.94-1.01; the ratio of the arms' separate
     // medians over 7 rounds read 0.73-1.33 there, against a 1.274 bound
@@ -1625,6 +1672,7 @@ pub fn kernels() -> Experiment {
         non_conv_share,
     } = conv_ns_per_mac(15);
     let dw_over_pw = dw_ns / pw_ns;
+    let spatial_lanes = spatial_lanes_over_tile(101);
     let sha_speedup = sha256_lanes_speedup();
 
     let export = Export {
@@ -1677,12 +1725,12 @@ pub fn kernels() -> Experiment {
             ),
             Metric::gauge(
                 "mobilenet_int8_over_f32",
-                "serial INT8 MobileNetV3 pass relative to its fake-quant f32 pass, median over 21 rounds of one pass each",
+                "serial INT8 MobileNetV3 pass relative to its fake-quant f32 pass, median over 41 rounds of one pass each",
                 mb_over_fq,
             ),
             Metric::gauge(
                 "mobilenet_int8_over_plain_f32",
-                "serial INT8 MobileNetV3 pass relative to a plain f32 MobileNetV3 pass, median over 21 rounds of one pass each",
+                "serial INT8 MobileNetV3 pass relative to a plain f32 MobileNetV3 pass, median over 41 rounds of one pass each",
                 mb_over_f32,
             ),
             Metric::gauge(
@@ -1699,6 +1747,11 @@ pub fn kernels() -> Experiment {
                 "matvec_over_tile_ns_per_mac",
                 "serial MobileNetV3 time per MAC of the one-pixel 1x1 convs and the dense head relative to the 1x1 convs on the im2col tile, least over 15 passes of each pass's ratio",
                 matvec_over_tile,
+            ),
+            Metric::gauge(
+                "spatial_lanes_over_tile_ns_per_mac",
+                "serial f32 LeNet-5 time per MAC of conv1 (5x5, 25 taps, the lane kernel) relative to conv2 (150 taps, the im2col tile), median over 101 profiled passes of each pass's ratio",
+                spatial_lanes,
             ),
             Metric::gauge(
                 "non_conv_share",
@@ -1746,6 +1799,10 @@ pub fn kernels() -> Experiment {
                 "MobileNetV3 per MAC against the 1x1 convs on the im2col tile: the lane kernel's \
                  {lanes_over_tile:.2}x (median over 15 passes), the matrix-vector tile's \
                  (one-pixel convs and the dense head) {matvec_over_tile:.2}x (best pass)"
+            ),
+            format!(
+                "LeNet-5 per MAC: the lane kernel's 5x5 conv1 {spatial_lanes:.2}x the tile's \
+                 conv2 (median over 101 passes)"
             ),
             format!(
                 "{:.1}% of the MobileNetV3 pass runs outside the conv kernels (gated <= 15%)",

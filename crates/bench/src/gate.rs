@@ -127,6 +127,12 @@ pub const RULES: &[Rule] = &[
     // follows the host's memory traffic). As lone dot4 chains they read
     // 4.95-6.61 over 10 runs, on the tile 2.82-4.23 over 20.
     Rule::new("kernels", "matvec_over_tile_ns_per_mac", None, |_| -INF..=4.6),
+    // Stride-1 convs of at most 32 taps over rows of at least 8 pixels
+    // run the lane kernel too: LeNet-5's 5x5 conv1 costs per MAC at most
+    // 2.0x its conv2 on the im2col tile (median over 101 profiled passes
+    // of each pass's ratio). With conv1 on the tile's gather it read
+    // 2.38-2.83 over 30 runs, on the lane kernel 1.31-1.68 over 30.
+    Rule::new("kernels", "spatial_lanes_over_tile_ns_per_mac", None, |_| -INF..=2.0),
     // The runner fuses BatchNorm, activation and residual add into the
     // conv that feeds them, so a MobileNetV3 pass spends at most 15% of
     // its wall time outside the conv records. It fails if fusion stops

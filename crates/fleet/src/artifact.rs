@@ -360,16 +360,11 @@ impl ModelArtifact {
                 // The architecture is trusted for its structure only: a
                 // shape whose element or byte count overflows is refused
                 // before it is compared with the record.
-                let want = shape
-                    .dims()
-                    .iter()
-                    .try_fold(1usize, |n, &d| n.checked_mul(d))
-                    .filter(|n| n.checked_mul(4).is_some())
-                    .ok_or_else(|| {
-                        ArtifactError::Malformed(format!(
-                            "node {node_idx}: weight shape {shape} overflows"
-                        ))
-                    })?;
+                let want = shape.checked_elem_count().ok_or_else(|| {
+                    ArtifactError::Malformed(format!(
+                        "node {node_idx}: weight shape {shape} overflows"
+                    ))
+                })?;
                 let n = usize::try_from(r.u64()?)
                     .map_err(|_| ArtifactError::Malformed("tensor length overflow".into()))?;
                 if n != want {
@@ -890,6 +885,29 @@ mod tests {
         match artifact.unpack() {
             Err(ArtifactError::Malformed(_)) => {}
             other => panic!("expected malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn activation_shape_overflowing_usize_is_a_verifier_error() {
+        // `zoo::tiny_cnn`'s architecture with a 2^32 x 2^32 input: every
+        // element count in it overflows. The verifier refuses it before
+        // a record is read or a shape multiplied.
+        let g = zoo::tiny_cnn("t", Shape::nchw(1, 1, 16, 16), &[4], 2).expect("builds");
+        let text = textual::write(&g).expect("serializes");
+        let text = text.replacen("[1x1x16x16]", "[1x1x4294967296x4294967296]", 1);
+        let mut payload = MAGIC.to_vec();
+        payload.extend_from_slice(b"v1\n");
+        payload.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        payload.extend_from_slice(text.as_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes()); // no records
+        let artifact = from_payload("v1", &payload, 64);
+        artifact.verify().expect("integrity holds");
+        match artifact.unpack() {
+            Err(ArtifactError::Graph(NnirError::VerifierRejected { code, .. })) => {
+                assert_eq!(code, "V010");
+            }
+            other => panic!("expected a V010 rejection, got {other:?}"),
         }
     }
 

@@ -61,6 +61,9 @@ pub enum Code {
     OperatorContract,
     /// `V009` — two nodes claim to produce the same tensor.
     DuplicateProducer,
+    /// `V010` — a stored tensor shape or an explicit weight shape has
+    /// more elements, or more bytes as f32, than `usize` can count.
+    ElementCountOverflow,
     /// `W101` — a dead node: its result cannot reach any graph output.
     DeadNode,
     /// `W102` — two nodes share a name (provenance becomes ambiguous).
@@ -98,7 +101,7 @@ impl Code {
     /// Every stable code, for registry-exhaustiveness tests: each entry
     /// must be documented in DESIGN.md §8 and emitted by at least one
     /// test.
-    pub const ALL: [Code; 20] = [
+    pub const ALL: [Code; 21] = [
         Code::NodeIdMismatch,
         Code::UnknownTensorRef,
         Code::ScheduleViolation,
@@ -108,6 +111,7 @@ impl Code {
         Code::DanglingEdge,
         Code::OperatorContract,
         Code::DuplicateProducer,
+        Code::ElementCountOverflow,
         Code::DeadNode,
         Code::DuplicateName,
         Code::WeightAliasing,
@@ -134,6 +138,7 @@ impl Code {
             Code::DanglingEdge => "V007",
             Code::OperatorContract => "V008",
             Code::DuplicateProducer => "V009",
+            Code::ElementCountOverflow => "V010",
             Code::DeadNode => "W101",
             Code::DuplicateName => "W102",
             Code::WeightAliasing => "W103",
@@ -161,6 +166,7 @@ impl Code {
             | Code::DanglingEdge
             | Code::OperatorContract
             | Code::DuplicateProducer
+            | Code::ElementCountOverflow
             | Code::InterfaceChanged => Severity::Error,
             Code::DeadNode
             | Code::DuplicateName

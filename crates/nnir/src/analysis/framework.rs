@@ -4,8 +4,8 @@
 
 use super::diagnostics::{Code, Diagnostic};
 use super::passes::{
-    BatchDimCheck, DataflowCheck, DeadCodeCheck, DeadValueCheck, NamingCheck, QuantReadinessCheck,
-    RangeCheck, ScheduleCheck, StructureCheck, WeightSanityCheck,
+    BatchDimCheck, DataflowCheck, DeadCodeCheck, DeadValueCheck, ElementCountCheck, NamingCheck,
+    QuantReadinessCheck, RangeCheck, ScheduleCheck, StructureCheck, WeightSanityCheck,
 };
 use super::Report;
 use crate::error::NnirError;
@@ -39,6 +39,7 @@ impl Analyzer {
     #[must_use]
     pub fn error_gate() -> Self {
         let mut a = Analyzer::default();
+        a.push(ElementCountCheck);
         a.push(StructureCheck);
         a.push(ScheduleCheck);
         a.push(DataflowCheck);

@@ -60,8 +60,8 @@ pub use framework::{
     Analyzer, ForwardAnalysis, InterfaceSignature,
 };
 pub use passes::{
-    BatchDimCheck, DataflowCheck, DeadCodeCheck, DeadValueCheck, NamingCheck, QuantReadinessCheck,
-    RangeCheck, ScheduleCheck, StructureCheck, WeightSanityCheck,
+    BatchDimCheck, DataflowCheck, DeadCodeCheck, DeadValueCheck, ElementCountCheck, NamingCheck,
+    QuantReadinessCheck, RangeCheck, ScheduleCheck, StructureCheck, WeightSanityCheck,
 };
 
 // --------------------------------------------------------------------
@@ -122,7 +122,7 @@ mod tests {
     fn clean_graph_produces_no_findings() {
         let report = Analyzer::full().analyze(&tiny());
         assert!(report.is_clean(Severity::Info), "{report:?}");
-        assert_eq!(report.passes_run.len(), 10);
+        assert_eq!(report.passes_run.len(), 11);
     }
 
     #[test]
@@ -613,6 +613,53 @@ mod tests {
         assert!(lines[relu_line - 1].contains("\"relu\""), "{text}");
     }
 
+    /// `zoo::tiny_cnn`'s text with its input widened to 2^32 x 2^32
+    /// pixels: the element counts overflow `usize`.
+    fn overflowing_tiny_cnn() -> Graph {
+        let g = crate::zoo::tiny_cnn("t", Shape::nchw(1, 1, 16, 16), &[4], 2).unwrap();
+        let text = crate::textual::write(&g).unwrap();
+        let huge = "[1x1x4294967296x4294967296]";
+        crate::textual::read(&text.replacen("[1x1x16x16]", huge, 1)).unwrap()
+    }
+
+    #[test]
+    fn element_counts_that_overflow_usize_are_rejected_before_any_product() {
+        let g = overflowing_tiny_cnn();
+        let report = Analyzer::error_gate().analyze(&g);
+        let first = report.first_error().expect("the gate rejects the graph");
+        assert_eq!(first.code.as_str(), "V010");
+        assert_eq!(first.tensor, Some(g.inputs()[0]));
+        // The runner and the cost model refuse it with the same typed
+        // error, where they multiplied the extents unchecked before.
+        let rejected = |r: Result<(), NnirError>| match r {
+            Err(NnirError::VerifierRejected { code, .. }) => assert_eq!(code, "V010"),
+            other => panic!("expected V010, got {other:?}"),
+        };
+        rejected(verify_for_execution(&g));
+        rejected(crate::exec::Runner::builder().build(&g).map(drop));
+        rejected(crate::cost::CostReport::of(&g).map(drop));
+        // A release build wraps a 2^32 x 2^32 weight's element count to
+        // 0, which an empty buffer matches; the gate refuses it at its
+        // node. (A debug build panics on the product first.)
+        if !cfg!(debug_assertions) {
+            let mut g = tiny();
+            let w = Tensor::from_vec(Shape::new(vec![1 << 32, 1 << 32]), Vec::new()).unwrap();
+            g.nodes_mut()[0].weights = WeightInit::Explicit(vec![w]);
+            let report = Analyzer::error_gate().analyze(&g);
+            let first = report.first_error().expect("the gate rejects the weight");
+            assert_eq!((first.code.as_str(), first.node), ("V010", Some(NodeId(0))));
+        }
+        assert_eq!(
+            Shape::new(vec![1 << 61]).checked_elem_count(),
+            Some(1 << 61)
+        );
+        assert_eq!(
+            Shape::new(vec![1 << 62]).checked_elem_count(),
+            None,
+            "2^64 bytes"
+        );
+    }
+
     #[test]
     fn verify_for_execution_rejects_with_coded_error() {
         let mut g = tiny();
@@ -669,6 +716,7 @@ mod tests {
             (Code::DanglingEdge, "V007"),
             (Code::OperatorContract, "V008"),
             (Code::DuplicateProducer, "V009"),
+            (Code::ElementCountOverflow, "V010"),
             (Code::DeadNode, "W101"),
             (Code::DuplicateName, "W102"),
             (Code::WeightAliasing, "W103"),

@@ -6,7 +6,7 @@ use super::dataflow::{value_ranges, Liveness, QuantSafety, INT8_UNIT_GRID};
 use super::diagnostics::{text_line_of_node, Code, Diagnostic};
 use super::framework::AnalysisPass;
 use crate::error::NnirError;
-use crate::graph::{Graph, NodeId, WeightInit};
+use crate::graph::{Graph, NodeId, TensorId, WeightInit};
 use crate::ops::Op;
 use crate::shape::Shape;
 use std::collections::HashMap;
@@ -14,6 +14,61 @@ use std::collections::HashMap;
 // --------------------------------------------------------------------
 // Error-severity passes
 // --------------------------------------------------------------------
+
+/// Refuses every stored tensor shape and explicit weight shape whose
+/// element count, or byte count as f32, overflows `usize` (`V010`). It
+/// runs first: the passes after it, and everything that takes a
+/// verified graph (the cost model, the arena planner, the kernels),
+/// multiply extents unchecked, which panics in a debug build and wraps
+/// to a wrong small size in a release build.
+pub struct ElementCountCheck;
+
+impl AnalysisPass for ElementCountCheck {
+    fn name(&self) -> &'static str {
+        "element-count"
+    }
+
+    fn run(&self, graph: &Graph, out: &mut Vec<Diagnostic>) {
+        for t in (0..graph.tensor_count()).map(TensorId) {
+            let Some(shape) = graph.tensor_shape(t) else {
+                continue;
+            };
+            if shape.checked_elem_count().is_none() {
+                let d = Diagnostic::new(
+                    Code::ElementCountOverflow,
+                    format!("tensor {t} of shape {shape} has more elements than usize counts"),
+                )
+                .at_tensor(t);
+                out.push(
+                    match graph.producer(t).and_then(|p| graph.nodes().get(p.0)) {
+                        Some(node) => d.at_node(graph, node),
+                        None => d,
+                    },
+                );
+            }
+        }
+        for node in graph.nodes() {
+            let WeightInit::Explicit(tensors) = &node.weights else {
+                continue;
+            };
+            for w in tensors
+                .iter()
+                .filter(|w| w.shape().checked_elem_count().is_none())
+            {
+                out.push(
+                    Diagnostic::new(
+                        Code::ElementCountOverflow,
+                        format!(
+                            "weight of shape {} has more elements than usize counts",
+                            w.shape()
+                        ),
+                    )
+                    .at_node(graph, node),
+                );
+            }
+        }
+    }
+}
 
 /// Checks node ids, tensor references, producer uniqueness, dangling
 /// edges and the graph I/O interface (`V001`, `V002`, `V006`, `V007`,
@@ -165,6 +220,9 @@ impl AnalysisPass for DataflowCheck {
                 .collect();
             if in_shapes.len() != node.inputs.len() {
                 continue; // bounds already checked; shapes must resolve
+            }
+            if in_shapes.iter().any(|s| s.checked_elem_count().is_none()) {
+                continue; // V010: inference would multiply the extents
             }
             let inferred = match node.op.infer_shape(&in_shapes) {
                 Ok(s) => s,

@@ -67,9 +67,11 @@ impl CostReport {
     ///
     /// # Errors
     ///
-    /// Propagates graph validation errors; a builder-produced graph cannot
-    /// fail here.
+    /// [`NnirError::VerifierRejected`] for a graph the execution verifier
+    /// rejects (the report multiplies extents unchecked); a
+    /// builder-produced graph cannot fail here.
     pub fn of(graph: &Graph) -> Result<CostReport, NnirError> {
+        crate::analysis::verify_for_execution(graph)?;
         let mut per_node = Vec::with_capacity(graph.nodes().len());
         let mut total_macs = 0u64;
         let mut total_elementwise = 0u64;

@@ -19,13 +19,16 @@
 //! Heavy kernels (`conv2d`, `dense`, `pool2d`) are data
 //! parallel: the output buffer is split into disjoint contiguous tiles
 //! and distributed over scoped threads according to a [`Parallelism`]
-//! policy. Dense (`groups == 1`) convolutions lower to a *pixel-blocked*
-//! im2col plus register-tiled GEMM: patch rows for a cache-sized block
-//! of output pixels are gathered (padded positions contribute an exact
-//! `0.0`; a 1×1, stride-1, unpadded conv's block is a plain transpose of
-//! its input planes) and multiplied four kernel rows × two patch rows at
-//! a time, each of the eight products exactly the 4-lane `dot4` it
-//! stands for. Grouped and depthwise convolutions are channel-blocked:
+//! policy. Every f32 dense kernel computes each output as `bias +
+//! dot4(w, x)`: lane `i` of four accumulates the products `w[k]·x[k]` of
+//! `k = i, i+4, …` in order from `+0.0` (the last `len % 4` on lanes
+//! `0..len % 4`), and the lanes combine as `(l0+l1) + (l2+l3)`. Dense
+//! (`groups == 1`) convolutions read zero-padded input planes (the input
+//! itself when unpadded) through one list of tap offsets: a short
+//! stride-1 conv runs eight output pixels as the lanes of its
+//! accumulators, every other one a *pixel-blocked* im2col plus a GEMM
+//! register-tiled four kernel rows × two patch rows at a time.
+//! Grouped and depthwise convolutions are channel-blocked:
 //! sixteen output channels run as the lanes of one accumulator, each
 //! adding its valid taps in the order of a plain per-output loop. Every
 //! output scalar is a pure function of its operands — the lane split
@@ -253,59 +256,25 @@ fn par_chunks_with<T, S, F>(
 /// cache as the batch grew, and made per-sample cost *rise* with batch.
 const COL_BLOCK_ELEMS: usize = 16 * 1024;
 
-/// 4-lane f32 dot product — the reduction of every f32 GEMM-shaped
-/// kernel here (the conv GEMM's [`dot4_tile`] computes eight at once).
-///
-/// The reduction is a pure function of the operand slices: lane `i`
-/// accumulates elements `i, i+4, i+8, …`, the tail lands on lanes
-/// `0..len%4` in order, and the lanes combine as `(l0+l1) + (l2+l3)`.
-/// Because no call site changes that association, serial and threaded
-/// runs, any pixel blocking and any batch size produce bit-identical
-/// results — while the four independent accumulators let the compiler
-/// keep four scalar FMAs (or one SIMD lane set) in flight instead of
-/// serializing on one add chain.
-#[inline]
-fn dot4(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut lanes = [0.0f32; 4];
-    let mut ac = a.chunks_exact(4);
-    let mut bc = b.chunks_exact(4);
-    for (av, bv) in (&mut ac).zip(&mut bc) {
-        lanes[0] += av[0] * bv[0];
-        lanes[1] += av[1] * bv[1];
-        lanes[2] += av[2] * bv[2];
-        lanes[3] += av[3] * bv[3];
-    }
-    for (i, (&av, &bv)) in ac.remainder().iter().zip(bc.remainder()).enumerate() {
-        lanes[i] += av * bv;
-    }
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-}
-
 /// The GEMM's register tile: four kernel rows `w` against two patch
-/// rows `x0`, `x1`, with `t[r][j]` equal to `dot4(w[r], x_j)` bit for
-/// bit. [`dot4_lanes`] builds the eight lane vectors over the whole
-/// 4-element chunks, this adds the tail onto lanes `0..len % 4` in
-/// order and combines each vector as `(l0+l1) + (l2+l3)` — exactly
-/// `dot4`'s association.
+/// rows `x0`, `x1` of whole 4-element chunks, with `t[r][j]` equal to
+/// `bias[r] + dot4(w[r], x_j)` bit for bit: [`dot4_lanes`]' eight lane
+/// vectors, each combined as `(l0+l1) + (l2+l3)`, plus the bias. The
+/// GEMM pads a reduction that is not a whole number of chunks (its
+/// weight rows with `+0.0`, its patch rows with `-0.0`), so the tile
+/// has no tail: a padded lane gains `+0.0·-0.0 = -0.0`, and `l + -0.0`
+/// is `l` bit for bit.
 #[inline]
-fn dot4_tile(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [[f32; 2]; 4] {
-    let body = x0.len() / 4 * 4;
-    let mut lanes = dot4_lanes(w.map(|r| &r[..body]), &x0[..body], &x1[..body]);
-    for (i, k) in (body..x0.len()).enumerate() {
-        for (r, row) in w.iter().enumerate() {
-            lanes[2 * r][i] += row[k] * x0[k];
-            lanes[2 * r + 1][i] += row[k] * x1[k];
-        }
-    }
+fn dot4_tile(w: [&[f32]; 4], x0: &[f32], x1: &[f32], bias: [f32; 4]) -> [[f32; 2]; 4] {
+    let lanes = dot4_lanes(w, w, x0, x1);
     let sum = |l: [f32; 4]| (l[0] + l[1]) + (l[2] + l[3]);
-    std::array::from_fn(|r| [sum(lanes[2 * r]), sum(lanes[2 * r + 1])])
+    std::array::from_fn(|r| [bias[r] + sum(lanes[2 * r]), bias[r] + sum(lanes[2 * r + 1])])
 }
 
-/// The lane vectors of eight [`dot4`]s over operands whose length is a
+/// The lane vectors of eight `dot4`s over operands whose length is a
 /// multiple of 4: `[w0·x0, w0·x1, w1·x0, …, w3·x1]`, each one lane `i`
 /// accumulating elements `i, i+4, …` in order. The eight named
-/// accumulators are independent add chains that share every operand
+/// accumulators are independent add chains that share every input
 /// load, so eight 4-lane multiply-adds are in flight where a lone
 /// `dot4` waits on one.
 ///
@@ -313,26 +282,32 @@ fn dot4_tile(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [[f32; 2]; 4] {
 /// *different* accumulators into adjacent outputs leads LLVM's SLP
 /// vectorizer to pack the loop across accumulators instead of across
 /// lanes, and the loop compiles to scalar loads and shuffles slower
-/// than plain `dot4`. Returned raw, each accumulator stays one SIMD
+/// than a lone `dot4`. Returned raw, each accumulator stays one SIMD
 /// register.
+///
+/// The rows come twice, `w` for the products with `x0` and `w_again`
+/// (the same rows) for those with `x1`, so each weight load feeds one
+/// product and LLVM multiplies into its register: a NaN weight meeting
+/// a NaN input keeps the weight's payload, as in the other kernels. With
+/// one load per chunk it multiplied some products into an input copy.
 #[inline(never)]
-fn dot4_lanes(w: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [[f32; 4]; 8] {
-    let [w0, w1, w2, w3] = w;
-    let (mut a00, mut a01, mut a10, mut a11) = ([0.0f32; 4], [0.0f32; 4], [0.0f32; 4], [0.0f32; 4]);
-    let (mut a20, mut a21, mut a30, mut a31) = ([0.0f32; 4], [0.0f32; 4], [0.0f32; 4], [0.0f32; 4]);
-    let rows = w0.chunks_exact(4).zip(w1.chunks_exact(4));
-    let rows = rows.zip(w2.chunks_exact(4).zip(w3.chunks_exact(4)));
+fn dot4_lanes(w: [&[f32]; 4], w_again: [&[f32]; 4], x0: &[f32], x1: &[f32]) -> [[f32; 4]; 8] {
+    let [mut a00, mut a01, mut a10, mut a11] = [[0.0f32; 4]; 4];
+    let [mut a20, mut a21, mut a30, mut a31] = [[0.0f32; 4]; 4];
+    let [w0, w1, w2, w3] = w.map(|r| r.chunks_exact(4));
+    let [v0, v1, v2, v3] = w_again.map(|r| r.chunks_exact(4));
+    let rows = w0.zip(w1).zip(w2.zip(w3)).zip(v0.zip(v1).zip(v2.zip(v3)));
     let cols = x0.chunks_exact(4).zip(x1.chunks_exact(4));
-    for (((c0, c1), (c2, c3)), (y0, y1)) in rows.zip(cols) {
+    for ((((c0, c1), (c2, c3)), ((d0, d1), (d2, d3))), (y0, y1)) in rows.zip(cols) {
         for i in 0..4 {
             a00[i] += c0[i] * y0[i];
-            a01[i] += c0[i] * y1[i];
+            a01[i] += d0[i] * y1[i];
             a10[i] += c1[i] * y0[i];
-            a11[i] += c1[i] * y1[i];
+            a11[i] += d1[i] * y1[i];
             a20[i] += c2[i] * y0[i];
-            a21[i] += c2[i] * y1[i];
+            a21[i] += d2[i] * y1[i];
             a30[i] += c3[i] * y0[i];
-            a31[i] += c3[i] * y1[i];
+            a31[i] += d3[i] * y1[i];
         }
     }
     [a00, a01, a10, a11, a20, a21, a30, a31]
@@ -386,65 +361,79 @@ fn dot4_col_lanes(w: [&[f32]; 4], x: &[f32], acc: [[f32; 4]; 4]) -> [[f32; 4]; 4
     [a0, a1, a2, a3]
 }
 
-/// Output pixels the pointwise lane kernel computes at once, one per
-/// f32 lane: each of its four lane accumulators is two 4-lane registers.
+/// Output pixels the lane kernel computes at once, one per f32 lane:
+/// each of its four lane accumulators is two 4-lane registers.
 const PIX_LANES: usize = 8;
 
-/// Longest reduction a 1×1 conv runs on the lane kernel rather than the
-/// im2col tile. Up to it, the tile's fixed cost per output — the
-/// transpose fill, one horizontal sum and a scattered store — outweighs
-/// its few multiply-adds; above it the tile's operand reuse wins
-/// (measured per layer in DESIGN.md §10, "Kernel-selection rules").
-const LANE_MAX_K: usize = 32;
+/// Most taps a stride-1 dense conv runs direct with rather than on a
+/// GEMM, in both precisions: the f32 lane kernel ([`lane_rows`]) and the
+/// INT8 direct kernel ([`conv2d_int8_direct`], two 16-code chunks). Up
+/// to it, the GEMM's fixed cost per output — the patch gather, one
+/// horizontal sum and a scattered store — outweighs its few
+/// multiply-adds; above it, and at any other stride, the GEMM's operand
+/// reuse wins (measured per layer in DESIGN.md §10, "Kernel-selection
+/// rules").
+const DIRECT_MAX_K: usize = 2 * CODE_CHUNK;
 
-/// The f32 dense-conv kernel-selection rule, read from the geometry
-/// alone: a 1×1, stride-1, unpadded conv of at most [`LANE_MAX_K`]
-/// input channels over planes of at least [`PIX_LANES`] pixels runs
-/// [`pointwise_plane`]; every other dense conv runs the im2col tile.
-fn lane_kernel(g: ConvGeom) -> bool {
-    (g.kh, g.kw, g.sh, g.sw, g.ph, g.pw) == (1, 1, 1, 1, 0, 0)
-        && g.k_len() <= LANE_MAX_K
-        && g.opix >= PIX_LANES
+/// The dense-conv kernel-selection rule both precisions share: a
+/// stride-1 conv of at most [`DIRECT_MAX_K`] taps runs direct.
+fn runs_direct(stride: (usize, usize), taps: usize) -> bool {
+    stride == (1, 1) && taps <= DIRECT_MAX_K
 }
 
-/// One output plane of a 1×1, stride-1, unpadded conv, read straight
-/// from the input channel `planes` (`w.len()` planes of `dst.len() ≥ 8`
-/// pixels): `dst[p] = b0 + dot4(w, column p)` bit for bit, where column
-/// `p` is pixel `p` of every plane in channel order.
+/// The f32 rule, read from the geometry alone: the pixels of one lane
+/// run when the conv runs direct ([`runs_direct`]) and its output rows
+/// hold at least [`PIX_LANES`] pixels, `None` for the im2col tile. An
+/// unpadded 1×1 conv's taps are its input planes, so its output plane
+/// is one run.
+fn lane_run(g: ConvGeom) -> Option<usize> {
+    let run = if g.pointwise() { g.opix } else { g.ow };
+    (runs_direct((g.sh, g.sw), g.k_len()) && run >= PIX_LANES).then_some(run)
+}
+
+/// Output rows of a direct f32 conv: `dst` holds rows of `len ≥ 8`
+/// pixels, and `runs` holds, for each of them, the run of `len` input
+/// values each of the `w.len()` taps reads, in tap order. Then
+/// `dst[p] = b0 + dot4(w, column p)` bit for bit, where column `p` is
+/// pixel `p` of every run of its row.
 ///
 /// Eight adjacent pixels form the SIMD lanes. For each block of eight,
 /// [`pixel_lanes`] builds the four lane vectors of their eight `dot4`s
-/// — lane `j` summing the channels `k ≡ j (mod 4)` in ascending `k`
-/// from `+0.0` — and they combine as `(l0+l1) + (l2+l3)`, then `b0 +`
-/// the sum, eight outputs at a time. The last block ends at the plane's
-/// end, overlapping the one before it when the plane is not a multiple
-/// of eight; each output is a function of its own column, so the
-/// overlap rewrites the same bits, and every output takes one codegen.
-fn pointwise_plane(w: &[f32], planes: &[f32], b0: f32, dst: &mut [f32]) {
-    let pix = dst.len();
+/// — lane `j` summing the taps `k ≡ j (mod 4)` in ascending `k` from
+/// `+0.0` — and they combine as `(l0+l1) + (l2+l3)`, then `b0 +` the
+/// sum, eight outputs at a time. The last block ends at the row's end,
+/// overlapping the one before it when the row is not a multiple of
+/// eight; each output is a function of its own column, so the overlap
+/// rewrites the same bits, and every output takes one codegen.
+fn lane_rows(w: &[f32], runs: &[f32], len: usize, b0: f32, dst: &mut [f32]) {
     // Each weight as a whole lane vector, loaded afresh for each half of
     // a block: the product then lands in the weight's register, so when
     // `w` and `x` are both NaN it keeps `w`'s payload, as `dot4` does. A
     // broadcast register shared by both halves made LLVM multiply into
     // the input's register instead.
-    let mut wv = [[0.0f32; PIX_LANES]; LANE_MAX_K];
+    let mut wv = [[0.0f32; PIX_LANES]; DIRECT_MAX_K];
     for (v, &wk) in wv.iter_mut().zip(w) {
         *v = [wk; PIX_LANES];
     }
     let wv = &wv[..w.len()];
-    for p in (0..pix).step_by(PIX_LANES) {
-        let p = p.min(pix - PIX_LANES);
-        let [l0, l1, l2, l3] = pixel_lanes(wv, planes, pix, p);
-        for (i, o) in dst[p..][..PIX_LANES].iter_mut().enumerate() {
-            *o = b0 + ((l0[i] + l1[i]) + (l2[i] + l3[i]));
+    let row_runs = runs.chunks_exact(wv.len() * len);
+    for (runs, dst) in row_runs.zip(dst.chunks_exact_mut(len)) {
+        for p in (0..len).step_by(PIX_LANES) {
+            let p = p.min(len - PIX_LANES);
+            let [l0, l1, l2, l3] = pixel_lanes(wv, runs, len, p);
+            for (i, o) in dst[p..][..PIX_LANES].iter_mut().enumerate() {
+                *o = b0 + ((l0[i] + l1[i]) + (l2[i] + l3[i]));
+            }
         }
     }
 }
 
 /// The four lane vectors of the `dot4`s of the weights `wv` (each
-/// repeated across the lanes) against pixels `p..p + 8` of `planes`:
-/// `acc[j][i]` sums `w[k]·x_k[p + i]` over `k ≡ j (mod 4)` in ascending
-/// `k`, the last `K % 4` channels on lanes `0..K % 4`.
+/// repeated across the lanes) against pixels `p..p + 8` of the runs of
+/// `pix` values in `planes`: `acc[j][i]` sums `w[k]·x_k[p + i]` over
+/// `k ≡ j (mod 4)` in ascending `k`, the last `K % 4` taps on lanes
+/// `0..K % 4`. Every run has the one length `pix`, so the bounds check
+/// of `p` is the same for each tap and stays out of the k loop.
 #[inline]
 fn pixel_lanes(
     wv: &[[f32; PIX_LANES]],
@@ -520,16 +509,24 @@ fn quantize_activation(x: f32, inv: f32) -> i16 {
 #[derive(Debug, Default)]
 struct Scratch {
     /// f32 im2col patch block (one cache-sized pixel tile — never the
-    /// whole batch); the grouped conv's interleaved strips and the
-    /// pooling kernel's padded planes reuse it.
+    /// whole batch) or the lane kernel's strip of runs; the grouped
+    /// conv's interleaved strips and the pooling kernel's padded planes
+    /// reuse it.
     col: Vec<f32>,
     /// Output tile the blocked GEMM writes before scattering into the
     /// strided output planes.
     outb: Vec<f32>,
+    /// The f32 dense conv's zero-padded input planes (an unpadded conv
+    /// reads its input in place).
+    pad: Vec<f32>,
+    /// The f32 GEMM's weight rows, padded to whole 4-element chunks
+    /// when K is not a multiple of 4.
+    wpad: Vec<f32>,
     /// Quantized input activations (INT8 path): zero-padded code planes
     /// for a conv, rows of a plan's padded length for a dense layer.
     qin: Vec<i16>,
-    /// Offsets of the INT8 conv's patch positions in its code planes.
+    /// Offsets of a dense conv's patch positions in its staged planes,
+    /// in either precision.
     taps: Vec<usize>,
     /// The INT8 conv's patch block: one padded-length code row per
     /// output pixel of a cache-sized block.
@@ -808,14 +805,6 @@ impl Int8Plan<'_> {
     }
 }
 
-/// Longest patch row a stride-1 INT8 conv runs direct rather than on
-/// the GEMM: two chunks. Below it the GEMM's fixed cost per output —
-/// the patch gather and one horizontal sum — outweighs the direct
-/// kernel's whole-plane tap runs; above it, and at any other stride,
-/// the GEMM is faster (measured per layer in DESIGN.md §10,
-/// "Kernel-selection rules").
-const DIRECT_MAX_K: usize = 2 * CODE_CHUNK;
-
 /// Computes the per-node INT8 execution plan: `Some` for every node the
 /// runner will execute with the integer-code / i32-accumulator kernel,
 /// `None` for the f32 path.
@@ -831,9 +820,10 @@ const DIRECT_MAX_K: usize = 2 * CODE_CHUNK;
 /// Eligibility is per node: one saturating layer no longer forces the
 /// whole graph onto the f32 path. A graph without i8 weights plans
 /// nothing, and the analysis (which reads every weight) is not run.
-/// Each plan also fixes its kernel: a stride-1 conv of at most
-/// [`DIRECT_MAX_K`] codes per patch runs direct, every other conv and
-/// every dense layer the GEMM.
+/// Each plan also fixes its kernel by the rule the f32 convs share
+/// ([`runs_direct`]): a stride-1 conv of at most [`DIRECT_MAX_K`] codes
+/// per patch runs direct, every other conv and every dense layer the
+/// GEMM.
 fn int8_plans(graph: &Graph) -> Vec<Option<Int8Plan<'_>>> {
     let has_i8 = graph.nodes().iter().any(|n| match &n.weights {
         WeightInit::Explicit(w) => w
@@ -871,8 +861,7 @@ fn int8_plans(graph: &Graph) -> Vec<Option<Int8Plan<'_>>> {
                 codes,
                 row_len,
                 payload_len: q.codes.len(),
-                direct: matches!(&node.op, Op::Conv2d(a) if a.stride == (1, 1))
-                    && k <= DIRECT_MAX_K,
+                direct: matches!(&node.op, Op::Conv2d(a) if runs_direct(a.stride, k)),
                 scales: &q.scales,
             })
         })
@@ -2002,109 +1991,123 @@ impl ConvGeom {
     fn k_len(self) -> usize {
         self.in_c * self.kh * self.kw
     }
-}
 
-/// Gathers the K-length im2col patch row for output pixel `p` of batch
-/// item `bi` into `dst`, reading from `src` laid out NCHW. Positions
-/// outside the input contribute an exact `0.0`, K in the kernel's own
-/// ascending (ic, ky, kx) order.
-#[inline]
-fn fill_patch(src: &[f32], g: ConvGeom, bi: usize, p: usize, dst: &mut [f32]) {
-    let oy = p / g.ow;
-    let ox = p % g.ow;
-    let mut i = 0usize;
-    for ic in 0..g.in_c {
-        let plane = &src[(bi * g.in_c + ic) * g.h * g.w..][..g.h * g.w];
-        for ky in 0..g.kh {
-            let iy = (oy * g.sh + ky) as isize - g.ph as isize;
-            let row_ok = iy >= 0 && iy < g.h as isize;
-            for kx in 0..g.kw {
-                let ix = (ox * g.sw + kx) as isize - g.pw as isize;
-                dst[i] = if row_ok && ix >= 0 && ix < g.w as isize {
-                    plane[iy as usize * g.w + ix as usize]
-                } else {
-                    0.0
-                };
-                i += 1;
-            }
-        }
+    /// Rows and columns of a zero-padded input plane.
+    fn padded(self) -> (usize, usize) {
+        (self.h + 2 * self.ph, self.w + 2 * self.pw)
+    }
+
+    /// Whether the conv is 1×1, stride 1 and unpadded: the patch row of
+    /// an output pixel is then its column across the input planes.
+    fn pointwise(self) -> bool {
+        (self.kh, self.kw, self.sh, self.sw, self.ph, self.pw) == (1, 1, 1, 1, 0, 0)
     }
 }
 
-/// Fills `dst` with the patch rows of output pixels `p, p + 1, …` of
-/// batch item `bi`, one K-length row each. The patch row of a 1×1,
-/// stride-1, unpadded conv is its pixel's column across the channel
-/// planes, so that block is a plain transpose of plane runs; every other
-/// geometry gathers row by row with [`fill_patch`].
-fn fill_patches(src: &[f32], g: ConvGeom, bi: usize, p: usize, dst: &mut [f32]) {
-    let k_len = g.k_len();
-    if (g.kh, g.kw, g.sh, g.sw, g.ph, g.pw) == (1, 1, 1, 1, 0, 0) {
-        let pix = p..p + dst.len() / k_len;
-        let planes = &src[bi * g.in_c * g.h * g.w..][..g.in_c * g.h * g.w];
-        for (ic, plane) in planes.chunks_exact(g.h * g.w).enumerate() {
-            for (d, &x) in dst[ic..].iter_mut().step_by(k_len).zip(&plane[pix.clone()]) {
-                *d = x;
+/// Stages a dense conv's input for both precisions: `taps` gets each
+/// patch position's offset from its output pixel's first input value,
+/// in (ic, ky, kx) order, within the returned planes — `in_place` when
+/// given and the conv is unpadded, else `planes`, `f` of each value of
+/// the `n` NCHW items of `input` inside a border of `T::default()`
+/// (`+0.0` in f32, the zero code in INT8). No tap asks whether it lands
+/// in the input.
+fn stage_planes<'a, T: Copy + Default>(
+    input: &[f32],
+    in_place: Option<&'a [T]>,
+    g: ConvGeom,
+    n: usize,
+    f: impl Fn(f32) -> T,
+    planes: &'a mut Vec<T>,
+    taps: &mut Vec<usize>,
+) -> &'a [T] {
+    let (hp, wp) = g.padded();
+    taps.clear();
+    for ic in 0..g.in_c {
+        for ky in 0..g.kh {
+            taps.extend((0..g.kw).map(|kx| (ic * hp + ky) * wp + kx));
+        }
+    }
+    if let Some(input) = in_place.filter(|_| (g.ph, g.pw) == (0, 0)) {
+        return input;
+    }
+    planes.clear();
+    planes.resize(n * g.in_c * hp * wp, T::default());
+    for (p, plane) in planes.chunks_exact_mut(hp * wp).enumerate() {
+        for y in 0..g.h {
+            let src = &input[(p * g.h + y) * g.w..][..g.w];
+            let row = &mut plane[(y + g.ph) * wp + g.pw..][..g.w];
+            for (d, &x) in row.iter_mut().zip(src) {
+                *d = f(x);
             }
         }
-    } else {
-        for (j, row) in dst.chunks_exact_mut(k_len).enumerate() {
-            fill_patch(src, g, bi, p + j, row);
+    }
+    planes
+}
+
+/// Fills `col` with the patch rows of output pixels `p0, p0 + 1, …` (as
+/// many as it holds, `row_len` values each) from one batch item's
+/// staged `planes`, in either precision: pixel by pixel, each value
+/// its tap's offset in [`stage_planes`]' list names. A row's padding
+/// past K is left as it is: the f32 GEMM fills it with `-0.0` once per
+/// conv, and the INT8 GEMM's meets zero weight codes, whatever it holds.
+fn gather_patches<T: Copy>(
+    planes: &[T],
+    g: ConvGeom,
+    p0: usize,
+    taps: &[usize],
+    col: &mut [T],
+    row_len: usize,
+) {
+    let (_, wp) = g.padded();
+    for (j, row) in col.chunks_exact_mut(row_len).enumerate() {
+        let (oy, ox) = ((p0 + j) / g.ow, (p0 + j) % g.ow);
+        let src = &planes[oy * g.sh * wp + ox * g.sw..];
+        for (d, &o) in row.iter_mut().zip(taps) {
+            *d = src[o];
         }
     }
 }
 
 /// One GEMM unit: `dst[r·pb + p] = bias[r] + dot4(w_r, x_p)` for the
-/// (at most four) K-length kernel rows `w_r` of `w` and the `pb` patch
-/// rows `x_p` of `col`. A four-row unit runs [`dot4_tile`] over pixel
-/// pairs and [`dot4_col`] over an odd last pixel (every pixel of a
-/// one-pixel conv or a dense layer); a shorter unit (the last
-/// `out_c % 4` rows) falls back to [`dot4`]. All compute the same bits.
-fn gemm_rows(k_len: usize, w: &[f32], col: &[f32], bias: Option<&[f32]>, dst: &mut [f32]) {
-    let rows = w.len() / k_len;
+/// (at most four) kernel rows `w_r` of `w` and the `pb` patch rows `x_p`
+/// of `col`, all `row_len` long, a multiple of 4: [`dot4_tile`] over
+/// pixel pairs and [`dot4_col`] over an odd last pixel (every pixel of
+/// a one-pixel conv). A unit of fewer than four rows (the last
+/// `out_c % 4`) repeats its last row into the spare ones and drops
+/// their outputs; each output is a function of its own row, so the
+/// repeats change no bit.
+fn gemm_rows(row_len: usize, w: &[f32], col: &[f32], bias: Option<&[f32]>, dst: &mut [f32]) {
+    let rows = w.len() / row_len;
     let pb = dst.len() / rows;
-    let b = |r: usize| bias.map_or(0.0, |b| b[r]);
-    let mut done = 0;
-    if rows == 4 {
-        let wr: [&[f32]; 4] = std::array::from_fn(|r| &w[r * k_len..][..k_len]);
-        for (j, x) in col[..pb * k_len].chunks_exact(2 * k_len).enumerate() {
-            let (x0, x1) = x.split_at(k_len);
-            for (r, [t0, t1]) in dot4_tile(wr, x0, x1).into_iter().enumerate() {
-                dst[r * pb + 2 * j] = b(r) + t0;
-                dst[r * pb + 2 * j + 1] = b(r) + t1;
-            }
+    let row = |r: usize| r.min(rows - 1);
+    let wr: [&[f32]; 4] = std::array::from_fn(|r| &w[row(r) * row_len..][..row_len]);
+    let b = std::array::from_fn(|r| bias.map_or(0.0, |b| b[row(r)]));
+    for (j, x) in col[..pb * row_len].chunks_exact(2 * row_len).enumerate() {
+        let (x0, x1) = x.split_at(row_len);
+        for (r, [t0, t1]) in dot4_tile(wr, x0, x1, b).into_iter().take(rows).enumerate() {
+            dst[r * pb + 2 * j] = t0;
+            dst[r * pb + 2 * j + 1] = t1;
         }
-        if pb % 2 == 1 {
-            let x = &col[(pb - 1) * k_len..][..k_len];
-            for (r, t) in dot4_col(wr, x, std::array::from_fn(b))
-                .into_iter()
-                .enumerate()
-            {
-                dst[r * pb + pb - 1] = t;
-            }
-        }
-        done = pb;
     }
-    for (r, (wr, out)) in w
-        .chunks_exact(k_len)
-        .zip(dst.chunks_exact_mut(pb))
-        .enumerate()
-    {
-        for (o, x) in out[done..]
-            .iter_mut()
-            .zip(col[done * k_len..].chunks_exact(k_len))
-        {
-            *o = b(r) + dot4(wr, x);
+    if pb % 2 == 1 {
+        let x = &col[(pb - 1) * row_len..][..row_len];
+        for (r, t) in dot4_col(wr, x, b).into_iter().take(rows).enumerate() {
+            dst[r * pb + pb - 1] = t;
         }
     }
 }
 
 /// Convolution with groups, stride and symmetric padding.
 ///
-/// Dense (`groups == 1`) convolutions lower to pixel-blocked im2col
-/// ([`fill_patches`]) and a GEMM over units of four out-channel rows
-/// ([`gemm_rows`], register-tiled by [`dot4_tile`]), or to the INT8
-/// kernels ([`conv2d_int8`]) when the node has an INT8 plan; grouped and depthwise
-/// ones take the channel-blocked [`conv2d_grouped`]. Each f32 output
+/// Dense (`groups == 1`) f32 convolutions read their input through
+/// [`stage_planes`]' tap list: a stride-1 conv of at most
+/// [`DIRECT_MAX_K`] taps over output rows of at least eight pixels
+/// ([`lane_run`]) runs the lane kernel ([`lane_rows`]), every other one
+/// pixel-blocked im2col ([`gather_patches`]) and a GEMM over units of
+/// four out-channel rows ([`gemm_rows`], register-tiled by
+/// [`dot4_tile`]). A node with an INT8 plan runs the INT8 kernels
+/// ([`conv2d_int8`]); grouped and depthwise ones take the
+/// channel-blocked [`conv2d_grouped`]. Each f32 output
 /// scalar is a fixed-association reduction over the patch and each
 /// INT8 one an exact integer sum, so results are independent of
 /// threading, blocking and batch size.
@@ -2172,10 +2175,6 @@ fn conv2d_into(
         opix,
     };
     if attrs.groups == 1 {
-        // im2col: one K-length patch row per output pixel, K laid out in
-        // the kernel's own (ic, ky, kx) order so the GEMM inner loop is a
-        // contiguous dot product on both sides. Pixels are processed in
-        // cache-sized blocks — scratch never scales with the batch.
         if let Some(plan) = ctx.int8 {
             return conv2d_int8(input, plan, bias_data, out, ctx, geom);
         }
@@ -2190,56 +2189,102 @@ fn conv2d_into(
             }
             return Ok(());
         }
-        if lane_kernel(geom) {
-            // One unit per output plane, read from its batch item's
-            // input planes in place; the fused stages run on each plane
-            // right after it is written.
-            let work = n * out_c * opix * k_len;
-            par_chunks(par.workers_for(work), out_data, opix, |u, dst| {
-                let (bi, oc) = (u / out_c, u % out_c);
-                let planes = &in_data[bi * k_len * opix..][..k_len * opix];
-                let w = &k_data[oc * k_len..][..k_len];
-                pointwise_plane(w, planes, bias_data.map_or(0.0, |b| b[oc]), dst);
-                epi.apply(dst, u * opix);
-            });
+        let s = &mut *ctx.scratch;
+        let (pad, taps) = (&mut s.pad, &mut s.taps);
+        let src = stage_planes(in_data, Some(in_data), geom, n, |x| x, pad, taps);
+        let (col, taps, (hp, wp)) = (&mut s.col, taps.as_slice(), geom.padded());
+        let item = in_c * hp * wp;
+        let outs = out_data.chunks_exact_mut((out_c * opix).max(1));
+        if let Some(len) = lane_run(geom) {
+            // Output rows in strips whose runs fit the block budget. Each
+            // tap's window is copied once per output row, for every output
+            // channel (an unpadded 1×1 conv's runs are its input planes);
+            // workers split the output planes, whose strip rows take the
+            // fused stages right after they are written.
+            let rows = opix / len;
+            let strip = (COL_BLOCK_ELEMS / (k_len * len)).clamp(1, rows);
+            col.resize(
+                if geom.pointwise() {
+                    0
+                } else {
+                    strip * k_len * len
+                },
+                0.0,
+            );
+            for (bi, out) in outs.enumerate() {
+                let planes = &src[bi * item..][..item];
+                for r0 in (0..rows).step_by(strip) {
+                    let nr = strip.min(rows - r0);
+                    let runs: &[f32] = if geom.pointwise() {
+                        planes
+                    } else {
+                        let runs = &mut col[..nr * k_len * len];
+                        for (r, row) in runs.chunks_exact_mut(k_len * len).enumerate() {
+                            let src = &planes[(r0 + r) * wp..];
+                            for (run, &o) in row.chunks_exact_mut(len).zip(taps) {
+                                run.copy_from_slice(&src[o..][..len]);
+                            }
+                        }
+                        runs
+                    };
+                    let work = out_c * nr * len * k_len;
+                    par_chunks(par.workers_for(work), out, opix, |oc, plane| {
+                        let dst = &mut plane[r0 * len..][..nr * len];
+                        let w = &k_data[oc * k_len..][..k_len];
+                        lane_rows(w, runs, len, bias_data.map_or(0.0, |b| b[oc]), dst);
+                        epi.apply(dst, (bi * out_c + oc) * opix + r0 * len);
+                    });
+                }
+            }
             return Ok(());
         }
 
-        let block_pix = (COL_BLOCK_ELEMS / k_len).clamp(1, opix);
-        let Scratch { col, outb, .. } = ctx.scratch;
-        col.resize(block_pix * k_len, 0.0);
-        outb.resize(out_c * block_pix, 0.0);
-        for bi in 0..n {
-            let mut p0 = 0usize;
-            while p0 < opix {
+        // im2col: one patch row per output pixel, in cache-sized blocks
+        // of pixels. A K that is not a multiple of 4 pads each patch row
+        // with -0.0 and each weight row with +0.0: a padded lane gains
+        // -0.0, which leaves every sum's bits as `dot4`'s tail does.
+        let row_len = k_len.next_multiple_of(4);
+        let k_rows: &[f32] = if row_len == k_len {
+            k_data
+        } else {
+            let wpad = &mut s.wpad;
+            wpad.clear();
+            for row in k_data.chunks_exact(k_len) {
+                wpad.extend(row.iter().copied().chain([0.0; 3]).take(row_len));
+            }
+            wpad
+        };
+        let block_pix = (COL_BLOCK_ELEMS / row_len).clamp(1, opix);
+        if row_len > k_len {
+            col.clear();
+        }
+        col.resize(block_pix * row_len, -0.0);
+        s.outb.resize(out_c * block_pix, 0.0);
+        for (bi, out) in outs.enumerate() {
+            let planes = &src[bi * item..][..item];
+            for p0 in (0..opix).step_by(block_pix) {
                 let pb = block_pix.min(opix - p0);
                 // Filling a block is one worker's job: it holds under
                 // PAR_MIN_WORK elements, or a single patch row.
-                let colb = &mut col[..pb * k_len];
-                fill_patches(in_data, geom, bi, p0, colb);
+                let colb = &mut col[..pb * row_len];
+                gather_patches(planes, geom, p0, taps, colb, row_len);
                 let colb: &[f32] = colb;
                 // GEMM: four out-channel rows of `pb` pixels per unit,
                 // over the cache-resident patch block.
-                let tile = &mut outb[..out_c * pb];
-                par_chunks(
-                    par.workers_for(out_c * pb * k_len),
-                    tile,
-                    4 * pb,
-                    |u, dst| {
-                        let rows = 4 * u..4 * u + dst.len() / pb;
-                        let w = &k_data[rows.start * k_len..rows.end * k_len];
-                        gemm_rows(k_len, w, colb, bias_data.map(|b| &b[rows]), dst);
-                    },
-                );
+                let workers = par.workers_for(out_c * pb * k_len);
+                let tile = &mut s.outb[..out_c * pb];
+                par_chunks(workers, tile, 4 * pb, |u, dst| {
+                    let rows = 4 * u..4 * u + dst.len() / pb;
+                    let w = &k_rows[rows.start * row_len..rows.end * row_len];
+                    gemm_rows(row_len, w, colb, bias_data.map(|b| &b[rows]), dst);
+                });
                 // Each row lands in its output plane and takes the
                 // fused stages while it is still in cache.
                 for (oc, row) in tile.chunks_exact(pb).enumerate() {
-                    let at = (bi * out_c + oc) * opix + p0;
-                    let dst = &mut out_data[at..][..pb];
+                    let dst = &mut out[oc * opix + p0..][..pb];
                     dst.copy_from_slice(row);
-                    epi.apply(dst, at);
+                    epi.apply(dst, (bi * out_c + oc) * opix + p0);
                 }
-                p0 += pb;
             }
         }
         return Ok(());
@@ -2440,10 +2485,11 @@ fn grouped_row(
 /// Dense-conv INT8 kernels: the step they share, then the kernel the
 /// plan chose at build (see [`int8_plans`]).
 ///
-/// Each input plane is quantized once into a zero-padded i16 code plane
-/// (exact, since a `FakeQuant` producer pinned the activations to the
-/// grid), and each patch position's offset in those planes is listed
-/// once, in the kernel's (ic, ky, kx) order. Both kernels sum exact
+/// [`stage_planes`] quantizes each input plane once into a zero-padded
+/// i16 code plane (exact, since a `FakeQuant` producer pinned the
+/// activations to the grid) and lists each patch position's offset in
+/// those planes once, in the kernel's (ic, ky, kx) order, as it does for
+/// the f32 convs. Both kernels sum exact
 /// integer products, so every output is the same i32 whichever runs,
 /// and each is dequantized with one multiply, `bias + acc · (w_scale[oc]
 /// · in_scale)`, before the fused stages run on it. A folded max-pool
@@ -2469,26 +2515,10 @@ fn conv2d_int8(
         out.shape().elem_count(),
         input.shape().batch() * g.out_c * unit
     );
-    let (hp, wp) = (g.h + 2 * g.ph, g.w + 2 * g.pw);
-    let inv = 1.0 / plan.in_scale;
+    let (inv, n) = (1.0 / plan.in_scale, input.shape().batch());
     let Scratch { qin, taps, .. } = ctx.scratch;
-    qin.clear();
-    qin.resize(input.shape().batch() * g.in_c * hp * wp, 0);
-    for (p, plane) in qin.chunks_exact_mut(hp * wp).enumerate() {
-        for y in 0..g.h {
-            let src = &input.data()[(p * g.h + y) * g.w..][..g.w];
-            let row = &mut plane[(y + g.ph) * wp + g.pw..][..g.w];
-            for (c, &x) in row.iter_mut().zip(src) {
-                *c = quantize_activation(x, inv);
-            }
-        }
-    }
-    taps.clear();
-    for ic in 0..g.in_c {
-        for ky in 0..g.kh {
-            taps.extend((0..g.kw).map(|kx| (ic * hp + ky) * wp + kx));
-        }
-    }
+    let q = |x| quantize_activation(x, inv);
+    stage_planes(input.data(), None, g, n, q, qin, taps);
     if plan.direct {
         conv2d_int8_direct(plan, bias_data, out.data_mut(), ctx, g, pool);
     } else {
@@ -2511,8 +2541,8 @@ fn dequantize(dst: &mut [f32], acc: &[i32], plan: &Int8Plan<'_>, bias: Option<&[
 /// The INT8 GEMM over 16-code chunks.
 ///
 /// Output pixels go in blocks whose patch rows fit a cache budget:
-/// [`gather_codes`] copies each pixel's patch from the code planes into
-/// a row of the plan's padded length, and [`dot_codes`] reduces every
+/// [`gather_patches`] copies each pixel's patch from the code planes
+/// into a row of the plan's padded length, and [`dot_codes`] reduces every
 /// packed weight row against every patch row into i32. A patch row's
 /// tail past K is never cleared: whatever it holds meets the zero codes
 /// that pad each weight row and adds 0, and integer sums are exact, so
@@ -2538,7 +2568,7 @@ fn conv2d_int8_gemm(
         acc,
         ..
     } = ctx.scratch;
-    let (plane, wp) = ((g.h + 2 * g.ph) * (g.w + 2 * g.pw), g.w + 2 * g.pw);
+    let plane = g.padded().0 * g.padded().1;
     // As many pixels per block as fit the f32 block's bytes.
     let row_len = plan.row_len;
     let block_pix = (2 * COL_BLOCK_ELEMS / row_len).clamp(1, g.opix);
@@ -2557,7 +2587,7 @@ fn conv2d_int8_gemm(
         let codes = &qin[bi * g.in_c * plane..][..g.in_c * plane];
         for p0 in (0..g.opix).step_by(block_pix) {
             let pb = block_pix.min(g.opix - p0);
-            gather_codes(codes, g, wp, p0, taps, &mut qcol[..pb * row_len], row_len);
+            gather_patches(codes, g, p0, taps, &mut qcol[..pb * row_len], row_len);
             let (col, _) = qcol[..pb * row_len].as_chunks();
             let tile = &mut tile_buf[..g.out_c * pb];
             par_chunks(
@@ -2621,8 +2651,8 @@ fn conv2d_int8_direct(
         taps.push(0);
     }
     let (taps, epi) = (taps.as_slice(), ctx.epi);
-    let (plane, wp) = ((g.h + 2 * g.ph) * (g.w + 2 * g.pw), g.w + 2 * g.pw);
-    let oh = g.opix / g.ow;
+    let (hp, wp) = g.padded();
+    let (plane, oh) = (hp * wp, g.opix / g.ow);
     let run_len = (oh - 1) * wp + g.ow;
     let (pad, unit) = pool.map_or((0, g.opix), |p| (p.pad_len(), p.opix()));
     // Per worker: the run, whole rows long so a pool's windows can read
@@ -2660,30 +2690,6 @@ fn conv2d_int8_direct(
         }
         epi.apply(dst, u * unit);
     });
-}
-
-/// Fills `col` with the INT8 patch rows of output pixels `p0, p0 + 1,
-/// …` (as many as it holds, `row_len` codes each) from one batch item's
-/// zero-padded code planes, `wp` codes per row. `taps` holds each patch
-/// position's offset from its pixel's first input code, in the kernel's
-/// (ic, ky, kx) order: every geometry gathers through one loop, and the
-/// planes' zero border means no tap asks whether it lands in the input.
-fn gather_codes(
-    planes: &[i16],
-    g: ConvGeom,
-    wp: usize,
-    p0: usize,
-    taps: &[usize],
-    col: &mut [i16],
-    row_len: usize,
-) {
-    for (j, row) in col.chunks_exact_mut(row_len).enumerate() {
-        let (oy, ox) = ((p0 + j) / g.ow, (p0 + j) % g.ow);
-        let src = &planes[oy * g.sh * wp + ox * g.sw..];
-        for (d, &o) in row.iter_mut().zip(taps) {
-            *d = src[o];
-        }
-    }
 }
 
 // --------------------------------------------------------------------
@@ -2801,19 +2807,13 @@ fn dense_into(
         let bi = base / out_f;
         let of0 = base % out_f;
         let x = &in_data[bi * in_f..][..in_f];
-        // Four weight rows per matrix-vector tile, the last `out_f % 4`
-        // rows one dot4 each.
+        // Four weight rows per matrix-vector tile; a last tile of fewer
+        // (`out_f % 4`) repeats its last row and drops the spare outputs.
         for (t, d) in dst.chunks_mut(4).enumerate() {
-            let of = of0 + 4 * t;
-            let row = |r: usize| &w_data[(of + r) * in_f..][..in_f];
-            let b = |r: usize| bias_data.map_or(0.0, |b| b[of + r]);
-            if let Ok(d) = <&mut [f32; 4]>::try_from(&mut *d) {
-                *d = dot4_col(std::array::from_fn(row), x, std::array::from_fn(b));
-            } else {
-                for (r, o) in d.iter_mut().enumerate() {
-                    *o = b(r) + dot4(row(r), x);
-                }
-            }
+            let row = |r: usize| of0 + 4 * t + r.min(d.len() - 1);
+            let w = std::array::from_fn(|r| &w_data[row(r) * in_f..][..in_f]);
+            let b = std::array::from_fn(|r| bias_data.map_or(0.0, |b| b[row(r)]));
+            d.copy_from_slice(&dot4_col(w, x, b)[..d.len()]);
         }
         epi.apply(dst, base);
     });
@@ -3735,7 +3735,10 @@ mod tests {
     fn dot4_matches_documented_lane_association() {
         // Lane j accumulates elements j, j+4, ... in index order; the
         // combine is (l0+l1)+(l2+l3). Bit-exact by construction for any
-        // length, including tails of 1..3.
+        // length, including tails of 1..3, in both 4-row kernels: the
+        // matrix-vector tile pads the tail itself, the GEMM tile gets
+        // rows padded as the GEMM pads them (weights with +0.0, inputs
+        // with -0.0), and a `-0.0` bias adds nothing to any sum.
         for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 13, 127] {
             let a: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
             let b: Vec<f32> = (0..len).map(|i| (i as f32 * 0.11).cos() - 0.4).collect();
@@ -3744,7 +3747,17 @@ mod tests {
                 lanes[i % 4] += a[i] * b[i];
             }
             let reference = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-            assert_eq!(dot4(&a, &b).to_bits(), reference.to_bits(), "len {len}");
+            let col = dot4_col([&a[..]; 4], &b, [-0.0; 4]);
+            let padded = |v: &[f32], fill| {
+                let mut v = v.to_vec();
+                v.resize(len.next_multiple_of(4), fill);
+                v
+            };
+            let (a, b) = (padded(&a, 0.0), padded(&b, -0.0));
+            let tile = dot4_tile([&a[..]; 4], &b, &b, [-0.0; 4]);
+            for got in col.into_iter().chain(tile.into_iter().flatten()) {
+                assert_eq!(got.to_bits(), reference.to_bits(), "len {len}");
+            }
         }
     }
 

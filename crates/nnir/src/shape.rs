@@ -62,9 +62,22 @@ impl Shape {
     }
 
     /// Total number of elements (product of extents; 1 for scalars).
+    /// Unchecked: a graph that passed the verifier's `V010` check holds
+    /// no shape whose product overflows.
     #[must_use]
     pub fn elem_count(&self) -> usize {
         self.0.iter().product()
+    }
+
+    /// [`Shape::elem_count`], or `None` when the element count, or its
+    /// size in bytes as f32, does not fit in `usize`: no buffer could
+    /// hold such a tensor.
+    #[must_use]
+    pub fn checked_elem_count(&self) -> Option<usize> {
+        self.0
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .filter(|n| n.checked_mul(std::mem::size_of::<f32>()).is_some())
     }
 
     /// Batch dimension (`dims[0]`), defaulting to 1 for scalars.

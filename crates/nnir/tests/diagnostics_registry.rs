@@ -60,7 +60,7 @@ fn every_stable_code_is_exercised_by_a_test() {
 
 #[test]
 fn registry_is_complete_and_severities_are_stable() {
-    // 20 codes, no duplicates, stable severity mapping.
+    // 21 codes, no duplicates, stable severity mapping.
     let mut seen = std::collections::BTreeSet::new();
     for code in Code::ALL {
         assert!(seen.insert(code.as_str()), "duplicate code {code:?}");

@@ -736,7 +736,19 @@ fn pointwise_graph(
         groups: 1,
         bias: bias.is_some(),
     };
-    let mut b = GraphBuilder::new("pointwise");
+    conv_chain_graph(x, attrs, bias, kernel, residual)
+}
+
+/// [`pointwise_graph`] for a conv of any `attrs`.
+fn conv_chain_graph(
+    x: &Tensor,
+    attrs: Conv2dAttrs,
+    bias: Option<Tensor>,
+    kernel: Tensor,
+    residual: Option<(&Tensor, bool)>,
+) -> Graph {
+    let out_c = attrs.out_channels;
+    let mut b = GraphBuilder::new("conv-chain");
     let xi = b.input(x.shape().clone());
     let weights = std::iter::once(kernel).chain(bias).collect();
     let conv = Op::Conv2d(attrs);
@@ -811,6 +823,97 @@ fn pointwise_rule_seams_match_scalar_reference() {
     }
 }
 
+/// The f32 kernel-selection rule for spatial convs at its seams: a
+/// stride-1 conv of at most 32 taps whose output rows hold at least 8
+/// pixels runs the lane kernel, every other one the im2col tile, and
+/// both read the same zero-padded planes through one tap list. Kernels
+/// 1×5, 5×1, 3×3, 5×5 and 7×7 (plus 2×2 and 3×1 to reach K = 32 and
+/// 33) over K ∈ {9, 25, 27, 32, 33, 49}, every padding from 0 to the
+/// kernel's extent − 1, stride 1 and 2, and output rows of 1, 7, 8, 9,
+/// 15, 16 and 17 pixels; the cases take 1, 4 and 5 output channels,
+/// with and without bias, at batch 1 and 3 in turn. Every output and
+/// captured value is `bias + dot4(w, patch)` bit for bit
+/// ([`conv_reference`]), serial and over two workers, planned and
+/// unplanned, and so are the values of a BatchNorm, HardSwish and
+/// residual `Add` fused into a padded 5×5 conv on either kernel.
+#[test]
+fn spatial_rule_seams_match_scalar_reference() {
+    let kernels = [
+        ((3, 3), 1),
+        ((3, 3), 3),
+        ((5, 5), 1),
+        ((1, 5), 5),
+        ((5, 1), 5),
+        ((2, 2), 8),
+        ((3, 1), 11),
+        ((7, 7), 1),
+    ];
+    let turns = [
+        (1, false, 1),
+        (4, true, 3),
+        (5, true, 1),
+        (1, true, 3),
+        (4, false, 1),
+        (5, false, 3),
+    ];
+    let mut case = 0usize;
+    for ((kh, kw), in_c) in kernels {
+        for p in 0..kh.max(kw) {
+            let (ph, pw) = (p.min(kh - 1), p.min(kw - 1));
+            for stride in [1, 2] {
+                for ow in [1, 7, 8, 9, 15, 16, 17] {
+                    // Input extents that give `ow` columns and 3 rows.
+                    let w = (ow - 1) * stride + kw;
+                    let h = 2 * stride + kh;
+                    if w <= 2 * pw || h <= 2 * ph {
+                        continue;
+                    }
+                    let (h, w) = (h - 2 * ph, w - 2 * pw);
+                    case += 1;
+                    let (out_c, bias, batch) = turns[case % turns.len()];
+                    let attrs = Conv2dAttrs {
+                        out_channels: out_c,
+                        kernel: (kh, kw),
+                        stride: (stride, stride),
+                        padding: (ph, pw),
+                        groups: 1,
+                        bias,
+                    };
+                    let seed = case as u64 * 3;
+                    let x = Tensor::random(Shape::nchw(batch, in_c, h, w), seed, 1.0);
+                    let kshape = Shape::new(vec![out_c, in_c, kh, kw]);
+                    let kernel = Tensor::random(kshape, seed + 1, 1.0);
+                    let b = bias.then(|| Tensor::random(Shape::new(vec![out_c]), seed + 2, 0.5));
+                    let g = conv_chain_graph(&x, attrs, b, kernel, None);
+                    let label = format!(
+                        "{kh}x{kw} K {}, pad {ph}x{pw}, stride {stride}, {h}x{w} -> row of {ow}, \
+                         out_c {out_c}, bias {bias}, batch {batch}",
+                        in_c * kh * kw
+                    );
+                    assert_matches_reference(&g, std::slice::from_ref(&x), &label);
+                }
+            }
+        }
+    }
+    for (in_c, (h, w), batch, chain_first) in [(1, (9, 12), 3, true), (2, (6, 9), 1, false)] {
+        let attrs = Conv2dAttrs {
+            out_channels: 5,
+            kernel: (5, 5),
+            stride: (1, 1),
+            padding: (2, 2),
+            groups: 1,
+            bias: true,
+        };
+        let x = Tensor::random(Shape::nchw(batch, in_c, h, w), 61, 1.0);
+        let r = Tensor::random(Shape::nchw(batch, 5, h, w), 62, 1.0);
+        let kernel = Tensor::random(Shape::new(vec![5, in_c, 5, 5]), 63, 1.0);
+        let b = Tensor::random(Shape::new(vec![5]), 64, 0.5);
+        let g = conv_chain_graph(&x, attrs, Some(b), kernel, Some((&r, chain_first)));
+        let label = format!("fused padded 5x5, K {}, {h}x{w}, batch {batch}", 25 * in_c);
+        assert_matches_reference(&g, &[x, r], &label);
+    }
+}
+
 /// The matrix-vector tile against [`dense_reference`]: dense layers of
 /// 1..=9 output features (whole four-row tiles and the one-row rest)
 /// over 1..=33 input features, at batch 1 and 3, with and without a
@@ -855,10 +958,12 @@ fn dense_graph(shape: &Shape, w: Tensor, bias: Tensor) -> Graph {
     b.finish(vec![d])
 }
 
-/// Special values through both kernels, at K up to 31 (the tail on
-/// every lane), over one pixel (the matrix-vector tile) and planes of
-/// 9, 16 and 81 pixels (the lane kernel), and through the tile as a
-/// dense layer:
+/// Special values through every f32 dense kernel: 1×1 convs of K up to
+/// 31 (the tail on every lane) over planes of 9, 16 and 81 pixels (the
+/// lane kernel), of K 33 and 40 over the same planes (the im2col tile,
+/// pixel pairs and an odd last pixel), over one pixel (the
+/// matrix-vector tile), through the tile as a dense layer, and with 4
+/// and 5 output channels (5 leaves a unit of one row):
 ///
 /// * products that are all `-0.0`: every lane starts at `+0.0`, so the
 ///   sum is `+0.0`, and a `-0.0` bias plus it is `+0.0`;
@@ -874,6 +979,14 @@ fn dense_graph(shape: &Shape, w: Tensor, bias: Tensor) -> Graph {
 ///   commutative to LLVM), so this holds for the optimized build the
 ///   kernels ship in, where ci.sh runs these tests; an unoptimized
 ///   build of the lane kernel keeps B.
+///
+/// Then a padded 5×5 conv on the lane kernel and on the tile (two input
+/// channels, 50 taps): ±inf and NaN weights meet the `+0.0` of padded
+/// taps (`inf·+0.0` is NaN) against the scalar reference — each NaN
+/// weight is the NaN the host's `inf·0` makes, so every NaN is one
+/// value, whose bits no evaluation order changes — and with every
+/// weight a NaN of payload A and every input one of payload B, every
+/// product, padded taps included, and so every output must keep A.
 #[test]
 fn pointwise_and_matrix_vector_kernels_keep_special_value_bits() {
     let nan_w = f32::from_bits(0x7fc0_0001);
@@ -883,15 +996,19 @@ fn pointwise_and_matrix_vector_kernels_keep_special_value_bits() {
         let v = t.data().iter().map(|&v| if v.is_nan() { 1.5 } else { v });
         Tensor::from_vec(shape, v.collect()).unwrap()
     };
-    for k in [3, 5, 7, 16, 17, 31] {
-        for (h, w) in [(1, 1), (3, 3), (4, 4), (9, 9)] {
-            let (pix, kshape) = (h * w, Shape::new(vec![4, k, 1, 1]));
+    for k in [3, 5, 7, 16, 17, 31, 33, 40] {
+        for ((h, w), out_c) in [(1, 1), (3, 3), (4, 4), (9, 9)]
+            .into_iter()
+            .flat_map(|hw| [(hw, 4), (hw, 5)])
+        {
+            let (pix, kshape) = (h * w, Shape::new(vec![out_c, k, 1, 1]));
             let zeros = Tensor::zeros(Shape::nchw(1, k, h, w));
-            let kernel = Tensor::from_vec(kshape.clone(), vec![-1.0; 4 * k]).unwrap();
+            let kernel = Tensor::from_vec(kshape.clone(), vec![-1.0; out_c * k]).unwrap();
             for bias in [None, Some(-0.0)] {
-                let b = bias.map(|v| Tensor::from_vec(Shape::new(vec![4]), vec![v; 4]).unwrap());
-                let g = pointwise_graph(&zeros, 4, b, kernel.clone(), None);
-                let label = format!("-0.0 products, K {k}, {h}x{w}, bias {bias:?}");
+                let b = bias
+                    .map(|v| Tensor::from_vec(Shape::new(vec![out_c]), vec![v; out_c]).unwrap());
+                let g = pointwise_graph(&zeros, out_c, b, kernel.clone(), None);
+                let label = format!("-0.0 products, K {k}, {h}x{w}, out_c {out_c}, bias {bias:?}");
                 let out = run_once(&g, std::slice::from_ref(&zeros)).unwrap();
                 assert!(out[0].data().iter().all(|v| v.to_bits() == 0), "{label}");
                 assert_matches_reference(&g, std::slice::from_ref(&zeros), &label);
@@ -899,13 +1016,14 @@ fn pointwise_and_matrix_vector_kernels_keep_special_value_bits() {
 
             let x = finite(Shape::nchw(1, k, h, w), pix as u64);
             let kernel = finite(kshape.clone(), k as u64);
-            let b = finite(Shape::new(vec![4]), 3);
-            let g = pointwise_graph(&x, 4, Some(b.clone()), kernel.clone(), None);
-            let label = format!("±inf, ±0, subnormals, K {k}, {h}x{w}");
+            let b = finite(Shape::new(vec![out_c]), 3);
+            let g = pointwise_graph(&x, out_c, Some(b.clone()), kernel.clone(), None);
+            let label = format!("±inf, ±0, subnormals, K {k}, {h}x{w}, out_c {out_c}");
             assert_matches_reference(&g, std::slice::from_ref(&x), &label);
             let column: Vec<f32> = x.data().iter().step_by(pix).copied().collect();
             let column = Tensor::from_vec(Shape::nf(1, k), column).unwrap();
-            let g = dense_graph(column.shape(), kernel.reshape(Shape::nf(4, k)).unwrap(), b);
+            let dense_w = kernel.reshape(Shape::nf(out_c, k)).unwrap();
+            let g = dense_graph(column.shape(), dense_w, b);
             assert_matches_reference(&g, &[column], &format!("dense {label}"));
 
             if cfg!(debug_assertions) {
@@ -922,14 +1040,14 @@ fn pointwise_and_matrix_vector_kernels_keep_special_value_bits() {
                 row[c] = nan_w;
             }
             let kernel = Tensor::from_vec(kshape, kdata).unwrap();
-            let b = Tensor::random(Shape::new(vec![4]), 9, 0.5);
-            let label = format!("payload NaNs at channel {c}, K {k}, {h}x{w}");
-            let g = pointwise_graph(&x, 4, Some(b.clone()), kernel.clone(), None);
-            let out = Tensor::from_vec(Shape::nchw(1, 4, h, w), vec![nan_w; 4 * pix]).unwrap();
+            let b = Tensor::random(Shape::new(vec![out_c]), 9, 0.5);
+            let label = format!("payload NaNs at channel {c}, K {k}, {h}x{w}, out_c {out_c}");
+            let g = pointwise_graph(&x, out_c, Some(b.clone()), kernel.clone(), None);
+            let out = Tensor::from_vec(Shape::nchw(1, out_c, h, w), vec![nan_w; out_c * pix]);
             assert_matches_values(
                 &g,
                 std::slice::from_ref(&x),
-                &[Some(x.clone()), Some(out)],
+                &[Some(x.clone()), Some(out.unwrap())],
                 &label,
             );
             let column = Tensor::from_vec(
@@ -937,12 +1055,47 @@ fn pointwise_and_matrix_vector_kernels_keep_special_value_bits() {
                 x.data().iter().step_by(pix).copied().collect(),
             )
             .unwrap();
-            let g = dense_graph(column.shape(), kernel.reshape(Shape::nf(4, k)).unwrap(), b);
-            let out = Tensor::from_vec(Shape::nf(1, 4), vec![nan_w; 4]).unwrap();
+            let dense_w = kernel.reshape(Shape::nf(out_c, k)).unwrap();
+            let g = dense_graph(column.shape(), dense_w, b);
+            let out = Tensor::from_vec(Shape::nf(1, out_c), vec![nan_w; out_c]).unwrap();
             let want = [Some(column.clone()), Some(out)];
             let label = format!("dense {label}");
             assert_matches_values(&g, std::slice::from_ref(&column), &want, &label);
         }
+    }
+    for in_c in [1, 2] {
+        let attrs = Conv2dAttrs {
+            out_channels: 5,
+            kernel: (5, 5),
+            stride: (1, 1),
+            padding: (2, 2),
+            groups: 1,
+            bias: true,
+        };
+        let (xshape, kshape) = (Shape::nchw(1, in_c, 9, 11), Shape::new(vec![5, in_c, 5, 5]));
+        let x = finite(xshape.clone(), 21);
+        let host_nan = std::hint::black_box(f32::INFINITY) * 0.0;
+        let k = special_values(kshape.clone(), 22, false).data().to_vec();
+        let k = k.iter().map(|&v| if v.is_nan() { host_nan } else { v });
+        let k = Tensor::from_vec(kshape.clone(), k.collect()).unwrap();
+        let b = Tensor::random(Shape::new(vec![5]), 23, 0.5);
+        let g = conv_graph(attrs, &xshape, vec![k, b.clone()]);
+        let label = format!("inf and NaN weights on padded taps, {in_c} input channels");
+        assert_matches_reference(&g, std::slice::from_ref(&x), &label);
+        if cfg!(debug_assertions) {
+            continue;
+        }
+        let x = Tensor::from_vec(xshape.clone(), vec![nan_x; xshape.elem_count()]).unwrap();
+        let k = Tensor::from_vec(kshape.clone(), vec![nan_w; kshape.elem_count()]).unwrap();
+        let g = conv_graph(attrs, &xshape, vec![k, b]);
+        let out = Tensor::from_vec(Shape::nchw(1, 5, 9, 11), vec![nan_w; 5 * 99]).unwrap();
+        let label = format!("payload NaNs everywhere, padded 5x5, {in_c} input channels");
+        assert_matches_values(
+            &g,
+            std::slice::from_ref(&x),
+            &[Some(x.clone()), Some(out)],
+            &label,
+        );
     }
 }
 
