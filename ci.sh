@@ -36,8 +36,9 @@ if [[ $fast -eq 0 ]]; then
   echo "==> cargo build --release"
   cargo build --release
 
-  echo "==> nnir proptests in release (the shipped kernels' codegen: the conv tiles vectorize only at opt-level >= 2)"
+  echo "==> nnir proptests and unit tests in release (the shipped kernels' codegen: the conv tiles vectorize only at opt-level >= 2)"
   cargo test --release -q -p vedliot-nnir --test proptests
+  cargo test --release -q -p vedliot-nnir --lib
 
   echo "==> SHA-256 lane oracle tests in release (the 16-lane compress vectorizes only at opt-level >= 2)"
   cargo test --release -q -p vedliot-trust --lib hash::tests

@@ -867,7 +867,9 @@ mod tests {
     fn weight_shape_overflowing_usize_is_malformed() {
         // A correctly chained payload whose architecture declares a
         // 2^31 x 2^33 Dense weight: its element count wraps to 0, which
-        // the record's 0 floats would otherwise match.
+        // the record's 0 floats would otherwise match. The node is
+        // seeded, so the verifier's V010 refuses its derived weight shape
+        // before a record is read.
         let text = "model \"wrap\"\n\
                     input t0 [1x8589934592]\n\
                     node n0 \"fc1\" dense out=2147483648 bias=false in=t0 seed=0\n\
@@ -883,8 +885,53 @@ mod tests {
         let artifact = from_payload("v1", &payload, 64);
         artifact.verify().expect("integrity holds");
         match artifact.unpack() {
-            Err(ArtifactError::Malformed(_)) => {}
-            other => panic!("expected malformed, got {other:?}"),
+            Err(ArtifactError::Graph(NnirError::VerifierRejected { code, .. })) => {
+                assert_eq!(code, "V010");
+            }
+            other => panic!("expected a V010 rejection, got {other:?}"),
+        }
+    }
+
+    /// A correctly chained payload of `text` and no weight records.
+    fn architecture_only(text: &str) -> ModelArtifact {
+        let mut payload = MAGIC.to_vec();
+        payload.extend_from_slice(b"v1\n");
+        payload.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        payload.extend_from_slice(text.as_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes()); // no records
+        let artifact = from_payload("v1", &payload, 64);
+        artifact.verify().expect("integrity holds");
+        artifact
+    }
+
+    #[test]
+    fn window_padding_overflowing_usize_is_a_text_error() {
+        // `h + 2·pad` overflows: shape inference refuses the node while
+        // the architecture is parsed.
+        let text = "model \"pad\"\n\
+                    input t0 [1x1x4x4]\n\
+                    node n0 \"c\" conv2d out=1 kernel=3x3 stride=1x1 pad=9223372036854775808x1 groups=1 bias=false in=t0 seed=1\n\
+                    output t1\n";
+        match architecture_only(text).unpack() {
+            Err(ArtifactError::Text(e)) => assert_eq!(e.line, 3),
+            other => panic!("expected a text error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn seeded_weight_shape_overflowing_usize_is_a_verifier_error() {
+        // A seeded conv whose 2^32 x 2^32 kernel fits its padded
+        // one-pixel input: the OTA format keeps the seed, so the weights
+        // it would materialize (2^64 elements) meet V010 at unpack.
+        let text = "model \"kernel\"\n\
+                    input t0 [1x1x1x1]\n\
+                    node n0 \"c\" conv2d out=1 kernel=4294967296x4294967296 stride=1x1 pad=2147483648x2147483648 groups=1 bias=false in=t0 seed=1\n\
+                    output t1\n";
+        match architecture_only(text).unpack() {
+            Err(ArtifactError::Graph(NnirError::VerifierRejected { code, .. })) => {
+                assert_eq!(code, "V010");
+            }
+            other => panic!("expected a V010 rejection, got {other:?}"),
         }
     }
 

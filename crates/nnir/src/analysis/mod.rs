@@ -613,6 +613,60 @@ mod tests {
         assert!(lines[relu_line - 1].contains("\"relu\""), "{text}");
     }
 
+    /// A seeded conv with `out` channels and a 2^32 x 2^32 kernel over a
+    /// one-pixel input padded to fit it.
+    pub(crate) fn huge_kernel_conv(out: usize) -> Graph {
+        let mut b = GraphBuilder::new("huge-kernel");
+        let x = b.input(Shape::nchw(1, 1, 1, 1));
+        let attrs = Conv2dAttrs {
+            kernel: (1 << 32, 1 << 32),
+            padding: (1 << 31, 1 << 31),
+            ..Conv2dAttrs::same(out, 1, 1)
+        };
+        let y = b.apply("conv", Op::Conv2d(attrs), &[x]).unwrap();
+        b.finish(vec![y])
+    }
+
+    #[test]
+    fn seeded_weight_shapes_that_overflow_usize_are_rejected() {
+        // The weights the seed would materialize hold 2^64 elements: the
+        // runner panicked in `Op::macs` in a debug build and ran with
+        // wrapped counts in a release build.
+        let g = huge_kernel_conv(1);
+        let report = Analyzer::error_gate().analyze(&g);
+        let first = report.first_error().expect("the gate rejects the graph");
+        assert_eq!((first.code.as_str(), first.node), ("V010", Some(NodeId(0))));
+        let rejected = |r: Result<(), NnirError>| match r {
+            Err(NnirError::VerifierRejected { code, .. }) => assert_eq!(code, "V010"),
+            other => panic!("expected V010, got {other:?}"),
+        };
+        rejected(crate::exec::Runner::builder().build(&g).map(drop));
+        rejected(crate::cost::CostReport::of(&g).map(drop));
+        // Without output channels its weights hold no element: the gate
+        // accepts it, and neither counting its work nor running it
+        // panics.
+        let g = huge_kernel_conv(0);
+        assert_eq!(crate::cost::CostReport::of(&g).unwrap().total_macs, 0);
+        let out = crate::exec::Runner::builder()
+            .build(&g)
+            .unwrap()
+            .execute(
+                &[Tensor::full(Shape::nchw(1, 1, 1, 1), 1.0)],
+                Default::default(),
+            )
+            .unwrap();
+        assert_eq!(out.outputs()[0].shape(), &Shape::nchw(1, 0, 2, 2));
+        // A pool has no weights; its count of window taps saturates.
+        let mut b = GraphBuilder::new("huge-pool");
+        let x = b.input(Shape::nchw(1, 1, 1, 1));
+        let pool = crate::ops::Pool2dAttrs::square(1 << 32, 1).with_padding(1 << 31);
+        let y = b.apply("pool", Op::MaxPool2d(pool), &[x]).unwrap();
+        let g = b.finish(vec![y]);
+        let cost = crate::cost::CostReport::of(&g).unwrap();
+        assert_eq!(cost.total_elementwise, u64::MAX);
+        assert!(crate::exec::Runner::builder().build(&g).is_ok());
+    }
+
     /// `zoo::tiny_cnn`'s text with its input widened to 2^32 x 2^32
     /// pixels: the element counts overflow `usize`.
     fn overflowing_tiny_cnn() -> Graph {

@@ -15,12 +15,14 @@ use std::collections::HashMap;
 // Error-severity passes
 // --------------------------------------------------------------------
 
-/// Refuses every stored tensor shape and explicit weight shape whose
-/// element count, or byte count as f32, overflows `usize` (`V010`). It
-/// runs first: the passes after it, and everything that takes a
-/// verified graph (the cost model, the arena planner, the kernels),
-/// multiply extents unchecked, which panics in a debug build and wraps
-/// to a wrong small size in a release build.
+/// Refuses every stored tensor shape and weight shape whose element
+/// count, or byte count as f32, overflows `usize` (`V010`): an explicit
+/// weight's stored shape, and the shapes a seeded node's weights would
+/// materialize with ([`crate::graph::Node::weight_shapes`]). It runs
+/// first: the passes after it, and everything that takes a verified
+/// graph (the cost model, the arena planner, the kernels), multiply
+/// extents unchecked, which panics in a debug build and wraps to a
+/// wrong small size in a release build.
 pub struct ElementCountCheck;
 
 impl AnalysisPass for ElementCountCheck {
@@ -48,20 +50,25 @@ impl AnalysisPass for ElementCountCheck {
             }
         }
         for node in graph.nodes() {
-            let WeightInit::Explicit(tensors) = &node.weights else {
-                continue;
+            let shapes: Vec<Shape> = match &node.weights {
+                WeightInit::Explicit(tensors) => {
+                    tensors.iter().map(|t| t.shape().clone()).collect()
+                }
+                WeightInit::Seeded(_) => {
+                    let ins: Vec<&Shape> = node
+                        .inputs
+                        .iter()
+                        .filter_map(|&t| graph.tensor_shape(t))
+                        .collect();
+                    node.weight_shapes(&ins)
+                }
+                WeightInit::None => continue,
             };
-            for w in tensors
-                .iter()
-                .filter(|w| w.shape().checked_elem_count().is_none())
-            {
+            for shape in shapes.iter().filter(|s| s.checked_elem_count().is_none()) {
                 out.push(
                     Diagnostic::new(
                         Code::ElementCountOverflow,
-                        format!(
-                            "weight of shape {} has more elements than usize counts",
-                            w.shape()
-                        ),
+                        format!("weight of shape {shape} has more elements than usize counts"),
                     )
                     .at_node(graph, node),
                 );

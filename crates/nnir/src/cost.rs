@@ -103,8 +103,8 @@ impl CostReport {
             let macs = node.op.macs(&in_shapes, out_shape);
             let elementwise = node.op.elementwise_ops(&in_shapes, out_shape);
             let params = node.op.param_count(&in_shapes);
-            total_macs += macs;
-            total_elementwise += elementwise;
+            total_macs = total_macs.saturating_add(macs);
+            total_elementwise = total_elementwise.saturating_add(elementwise);
             total_params += params;
             per_node.push(NodeCost {
                 name: node.name.clone(),

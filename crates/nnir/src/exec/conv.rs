@@ -1,16 +1,13 @@
-//! Dense (`groups == 1`) f32 convolution: the lane kernel for short
-//! stride-1 convs and the pixel-blocked im2col GEMM for the rest, over
-//! planes and a tap list shared with the INT8 convs.
+//! Dense (`groups == 1`) f32 convolution: the lane kernel and the
+//! im2col GEMM, over planes and a tap list shared with the INT8 convs.
 
 use super::gemm::{gemm_rows, COL_BLOCK_ELEMS};
-use super::grouped::conv2d_grouped;
-use super::int8::{conv2d_int8, CODE_CHUNK};
+use super::int8::CODE_CHUNK;
 use super::par::par_chunks;
+use super::plan::Conv;
 use super::runner::KernelCtx;
-use super::structural::dims4;
+use super::stage::Epilogue;
 use crate::ops::Conv2dAttrs;
-use crate::tensor::Tensor;
-use crate::NnirError;
 
 /// Output pixels the lane kernel computes at once, one per f32 lane:
 /// each of its four lane accumulators is two 4-lane registers.
@@ -37,7 +34,7 @@ pub(super) fn runs_direct(stride: (usize, usize), taps: usize) -> bool {
 /// hold at least [`PIX_LANES`] pixels, `None` for the im2col tile. An
 /// unpadded 1×1 conv's taps are its input planes, so its output plane
 /// is one run.
-fn lane_run(g: ConvGeom) -> Option<usize> {
+pub(super) fn lane_run(g: ConvGeom) -> Option<usize> {
     let run = if g.pointwise() { g.opix } else { g.ow };
     (runs_direct((g.sh, g.sw), g.k_len()) && run >= PIX_LANES).then_some(run)
 }
@@ -109,47 +106,11 @@ fn pixel_lanes(
     acc
 }
 
-/// Validates convolution attributes against the concrete input, returning
-/// the derived geometry `(icg, ocg, oh, ow)`.
-fn conv2d_geometry(
-    attrs: &Conv2dAttrs,
-    in_c: usize,
-    h: usize,
-    w: usize,
-) -> Result<(usize, usize, usize, usize), NnirError> {
-    let (kh, kw) = attrs.kernel;
-    let (sh, sw) = attrs.stride;
-    let (ph, pw) = attrs.padding;
-    if attrs.groups == 0 || sh == 0 || sw == 0 || kh == 0 || kw == 0 {
-        return Err(NnirError::ExecutionFailure(format!(
-            "conv2d requires non-zero groups, stride and kernel (groups {}, stride {sh}x{sw}, kernel {kh}x{kw})",
-            attrs.groups
-        )));
-    }
-    if !in_c.is_multiple_of(attrs.groups) || !attrs.out_channels.is_multiple_of(attrs.groups) {
-        return Err(NnirError::ExecutionFailure(format!(
-            "conv2d groups {} must divide in_channels {in_c} and out_channels {}",
-            attrs.groups, attrs.out_channels
-        )));
-    }
-    if h + 2 * ph < kh || w + 2 * pw < kw {
-        return Err(NnirError::ExecutionFailure(format!(
-            "conv2d kernel {kh}x{kw} exceeds padded input {}x{}",
-            h + 2 * ph,
-            w + 2 * pw
-        )));
-    }
-    let icg = in_c / attrs.groups;
-    let ocg = attrs.out_channels / attrs.groups;
-    let oh = (h + 2 * ph - kh) / sh + 1;
-    let ow = (w + 2 * pw - kw) / sw + 1;
-    Ok((icg, ocg, oh, ow))
-}
-
-/// Derived dense-conv (`groups == 1`) geometry shared by the f32 im2col
-/// and the INT8 kernels.
-#[derive(Clone, Copy)]
+/// A conv's geometry, read from its verified shapes: shared by every
+/// conv kernel.
+#[derive(Debug, Clone, Copy)]
 pub(super) struct ConvGeom {
+    pub(super) n: usize,
     pub(super) in_c: usize,
     pub(super) h: usize,
     pub(super) w: usize,
@@ -166,9 +127,31 @@ pub(super) struct ConvGeom {
 }
 
 impl ConvGeom {
-    /// Patch row length: the GEMM reduction axis.
+    /// The geometry of a conv of `a` over an `[n, in_c, h, w]` input
+    /// with `oh × ow` output planes.
+    pub(super) fn new(a: &Conv2dAttrs, [n, in_c, h, w]: [usize; 4], oh: usize, ow: usize) -> Self {
+        let ((kh, kw), (sh, sw), (ph, pw)) = (a.kernel, a.stride, a.padding);
+        ConvGeom {
+            n,
+            in_c,
+            h,
+            w,
+            out_c: a.out_channels,
+            kh,
+            kw,
+            sh,
+            sw,
+            ph,
+            pw,
+            ow,
+            opix: oh * ow,
+        }
+    }
+
+    /// Patch row length: the GEMM reduction axis (saturating: a conv
+    /// with outputs has a weight count `V010` proved to fit `usize`).
     pub(super) fn k_len(self) -> usize {
-        self.in_c * self.kh * self.kw
+        self.in_c.saturating_mul(self.kh).saturating_mul(self.kw)
     }
 
     /// Rows and columns of a zero-padded input plane.
@@ -187,14 +170,13 @@ impl ConvGeom {
 /// patch position's offset from its output pixel's first input value,
 /// in (ic, ky, kx) order, within the returned planes — `in_place` when
 /// given and the conv is unpadded, else `planes`, `f` of each value of
-/// the `n` NCHW items of `input` inside a border of `T::default()`
+/// the NCHW items of `input` inside a border of `T::default()`
 /// (`+0.0` in f32, the zero code in INT8). No tap asks whether it lands
 /// in the input.
 pub(super) fn stage_planes<'a, T: Copy + Default>(
     input: &[f32],
     in_place: Option<&'a [T]>,
     g: ConvGeom,
-    n: usize,
     f: impl Fn(f32) -> T,
     planes: &'a mut Vec<T>,
     taps: &mut Vec<usize>,
@@ -210,7 +192,7 @@ pub(super) fn stage_planes<'a, T: Copy + Default>(
         return input;
     }
     planes.clear();
-    planes.resize(n * g.in_c * hp * wp, T::default());
+    planes.resize(g.n * g.in_c * hp * wp, T::default());
     for (p, plane) in planes.chunks_exact_mut(hp * wp).enumerate() {
         for y in 0..g.h {
             let src = &input[(p * g.h + y) * g.w..][..g.w];
@@ -247,207 +229,125 @@ pub(super) fn gather_patches<T: Copy>(
     }
 }
 
-/// Convolution with groups, stride and symmetric padding.
+/// The lane kernel over a stride-1 dense conv whose output rows hold
+/// runs of `len ≥ 8` pixels ([`lane_run`]): [`lane_rows`] on each output
+/// channel.
 ///
-/// Dense (`groups == 1`) f32 convolutions read their input through
-/// [`stage_planes`]' tap list: a stride-1 conv of at most
-/// [`DIRECT_MAX_K`] taps over output rows of at least eight pixels
-/// ([`lane_run`]) runs the lane kernel ([`lane_rows`]), every other one
-/// pixel-blocked im2col ([`gather_patches`]) and a GEMM over units of
-/// four out-channel rows ([`gemm_rows`], register-tiled by
-/// [`dot4_tile`]). A node with an INT8 plan runs the INT8 kernels
-/// ([`conv2d_int8`]); grouped and depthwise ones take the
-/// channel-blocked [`conv2d_grouped`]. Each f32 output
-/// scalar is a fixed-association reduction over the patch and each
-/// INT8 one an exact integer sum, so results are independent of
-/// threading, blocking and batch size.
-pub(super) fn conv2d_into(
-    input: &Tensor,
-    attrs: &Conv2dAttrs,
-    weights: &[Tensor],
-    out: &mut Tensor,
+/// Output rows go in strips whose runs fit the block budget. Each tap's
+/// window is copied once per output row, for every output channel (an
+/// unpadded 1×1 conv's runs are its input planes); workers split the
+/// output planes, whose strip rows take the fused stages right after
+/// they are written. Each output is a fixed-association reduction over
+/// its patch, so results are independent of threading, blocking and
+/// batch size.
+pub(super) fn conv_lanes(
+    input: &[f32],
+    c: &Conv<'_>,
+    len: usize,
+    out: &mut [f32],
     ctx: &mut KernelCtx<'_>,
-) -> Result<(), NnirError> {
-    let par = ctx.par;
-    let [n, in_c, h, w] = dims4(input.shape())?;
-    let (kh, kw) = attrs.kernel;
-    let (sh, sw) = attrs.stride;
-    let (ph, pw) = attrs.padding;
-    let out_c = attrs.out_channels;
-    let (icg, _, oh, ow) = conv2d_geometry(attrs, in_c, h, w)?;
-
-    if weights.is_empty() {
-        return Err(NnirError::ExecutionFailure(
-            "conv2d called without a kernel tensor".into(),
-        ));
-    }
-    let kernel = &weights[0];
-    if kernel.shape().elem_count() != out_c * icg * kh * kw {
-        return Err(NnirError::ExecutionFailure(format!(
-            "conv2d kernel has {} elements, expected {} ({out_c}x{icg}x{kh}x{kw})",
-            kernel.shape().elem_count(),
-            out_c * icg * kh * kw
-        )));
-    }
-    let bias = if attrs.bias {
-        let b = weights.get(1).ok_or_else(|| {
-            NnirError::ExecutionFailure("conv2d declares bias but has no bias tensor".into())
-        })?;
-        if b.shape().elem_count() != out_c {
-            return Err(NnirError::ExecutionFailure(format!(
-                "conv2d bias has {} elements, expected {out_c}",
-                b.shape().elem_count()
-            )));
-        }
-        Some(b)
-    } else {
-        None
-    };
-
-    debug_assert!(ctx.pool.is_some() || out.shape().elem_count() == n * out_c * oh * ow);
-    let opix = oh * ow;
-    let in_data = input.data();
-    let k_data = kernel.data();
-    let bias_data = bias.map(Tensor::data);
-
-    let geom = ConvGeom {
-        in_c,
-        h,
-        w,
-        out_c,
-        kh,
-        kw,
-        sh,
-        sw,
-        ph,
-        pw,
-        ow,
-        opix,
-    };
-    if attrs.groups == 1 {
-        if let Some(plan) = ctx.int8 {
-            return conv2d_int8(input, plan, bias_data, out, ctx, geom);
-        }
-        let (k_len, epi) = (geom.k_len(), ctx.epi);
-        let out_data = out.data_mut();
-        if k_len == 0 {
-            // No input channel: every output is its bias plus an empty
-            // reduction, which sums to 0.0.
-            for (u, dst) in out_data.chunks_exact_mut(opix).enumerate() {
-                dst.fill(bias_data.map_or(0.0, |b| b[u % out_c]) + 0.0);
-                epi.apply(dst, u * opix);
-            }
-            return Ok(());
-        }
-        let s = &mut *ctx.scratch;
-        let (pad, taps) = (&mut s.pad, &mut s.taps);
-        let src = stage_planes(in_data, Some(in_data), geom, n, |x| x, pad, taps);
-        let (col, taps, (hp, wp)) = (&mut s.col, taps.as_slice(), geom.padded());
-        let item = in_c * hp * wp;
-        let outs = out_data.chunks_exact_mut((out_c * opix).max(1));
-        if let Some(len) = lane_run(geom) {
-            // Output rows in strips whose runs fit the block budget. Each
-            // tap's window is copied once per output row, for every output
-            // channel (an unpadded 1×1 conv's runs are its input planes);
-            // workers split the output planes, whose strip rows take the
-            // fused stages right after they are written.
-            let rows = opix / len;
-            let strip = (COL_BLOCK_ELEMS / (k_len * len)).clamp(1, rows);
-            col.resize(
-                if geom.pointwise() {
-                    0
-                } else {
-                    strip * k_len * len
-                },
-                0.0,
-            );
-            for (bi, out) in outs.enumerate() {
-                let planes = &src[bi * item..][..item];
-                for r0 in (0..rows).step_by(strip) {
-                    let nr = strip.min(rows - r0);
-                    let runs: &[f32] = if geom.pointwise() {
-                        planes
-                    } else {
-                        let runs = &mut col[..nr * k_len * len];
-                        for (r, row) in runs.chunks_exact_mut(k_len * len).enumerate() {
-                            let src = &planes[(r0 + r) * wp..];
-                            for (run, &o) in row.chunks_exact_mut(len).zip(taps) {
-                                run.copy_from_slice(&src[o..][..len]);
-                            }
-                        }
-                        runs
-                    };
-                    let work = out_c * nr * len * k_len;
-                    par_chunks(par.workers_for(work), out, opix, |oc, plane| {
-                        let dst = &mut plane[r0 * len..][..nr * len];
-                        let w = &k_data[oc * k_len..][..k_len];
-                        lane_rows(w, runs, len, bias_data.map_or(0.0, |b| b[oc]), dst);
-                        epi.apply(dst, (bi * out_c + oc) * opix + r0 * len);
-                    });
-                }
-            }
-            return Ok(());
-        }
-
-        // im2col: one patch row per output pixel, in cache-sized blocks
-        // of pixels. A K that is not a multiple of 4 pads each patch row
-        // with -0.0 and each weight row with +0.0: a padded lane gains
-        // -0.0, which leaves every sum's bits as `dot4`'s tail does.
-        let row_len = k_len.next_multiple_of(4);
-        let k_rows: &[f32] = if row_len == k_len {
-            k_data
+) {
+    let (g, k_len, epi) = (c.g, c.g.k_len(), ctx.epi);
+    let s = &mut *ctx.scratch;
+    let src = stage_planes(input, Some(input), g, |x| x, &mut s.pad, &mut s.taps);
+    let (col, taps, (hp, wp)) = (&mut s.col, s.taps.as_slice(), g.padded());
+    let item = g.in_c * hp * wp;
+    let rows = g.opix / len;
+    let strip = (COL_BLOCK_ELEMS / (k_len * len)).clamp(1, rows);
+    col.resize(
+        if g.pointwise() {
+            0
         } else {
-            let wpad = &mut s.wpad;
-            wpad.clear();
-            for row in k_data.chunks_exact(k_len) {
-                wpad.extend(row.iter().copied().chain([0.0; 3]).take(row_len));
-            }
-            wpad
-        };
-        let block_pix = (COL_BLOCK_ELEMS / row_len).clamp(1, opix);
-        if row_len > k_len {
-            col.clear();
-        }
-        col.resize(block_pix * row_len, -0.0);
-        s.outb.resize(out_c * block_pix, 0.0);
-        for (bi, out) in outs.enumerate() {
-            let planes = &src[bi * item..][..item];
-            for p0 in (0..opix).step_by(block_pix) {
-                let pb = block_pix.min(opix - p0);
-                // Filling a block is one worker's job: it holds under
-                // PAR_MIN_WORK elements, or a single patch row.
-                let colb = &mut col[..pb * row_len];
-                gather_patches(planes, geom, p0, taps, colb, row_len);
-                let colb: &[f32] = colb;
-                // GEMM: four out-channel rows of `pb` pixels per unit,
-                // over the cache-resident patch block.
-                let workers = par.workers_for(out_c * pb * k_len);
-                let tile = &mut s.outb[..out_c * pb];
-                par_chunks(workers, tile, 4 * pb, |u, dst| {
-                    let rows = 4 * u..4 * u + dst.len() / pb;
-                    let w = &k_rows[rows.start * row_len..rows.end * row_len];
-                    gemm_rows(row_len, w, colb, bias_data.map(|b| &b[rows]), dst);
-                });
-                // Each row lands in its output plane and takes the
-                // fused stages while it is still in cache.
-                for (oc, row) in tile.chunks_exact(pb).enumerate() {
-                    let dst = &mut out[oc * opix + p0..][..pb];
-                    dst.copy_from_slice(row);
-                    epi.apply(dst, (bi * out_c + oc) * opix + p0);
-                }
-            }
-        }
-        return Ok(());
-    }
-
-    conv2d_grouped(
-        in_data,
-        k_data,
-        bias_data,
-        out.data_mut(),
-        ctx,
-        geom,
-        attrs.groups,
+            strip * k_len * len
+        },
+        0.0,
     );
-    Ok(())
+    for (bi, out) in out.chunks_exact_mut((g.out_c * g.opix).max(1)).enumerate() {
+        let planes = &src[bi * item..][..item];
+        for r0 in (0..rows).step_by(strip) {
+            let nr = strip.min(rows - r0);
+            let runs: &[f32] = if g.pointwise() {
+                planes
+            } else {
+                let runs = &mut col[..nr * k_len * len];
+                for (r, row) in runs.chunks_exact_mut(k_len * len).enumerate() {
+                    let src = &planes[(r0 + r) * wp..];
+                    for (run, &o) in row.chunks_exact_mut(len).zip(taps) {
+                        run.copy_from_slice(&src[o..][..len]);
+                    }
+                }
+                runs
+            };
+            let work = g.out_c * nr * len * k_len;
+            par_chunks(ctx.par.workers_for(work), out, g.opix, |oc, plane| {
+                let dst = &mut plane[r0 * len..][..nr * len];
+                let w = &c.w[oc * k_len..][..k_len];
+                lane_rows(w, runs, len, c.bias.as_ref().map_or(0.0, |b| b[oc]), dst);
+                epi.apply(dst, (bi * g.out_c + oc) * g.opix + r0 * len);
+            });
+        }
+    }
+}
+
+/// Pixel-blocked im2col ([`gather_patches`]) and a GEMM over units of
+/// four out-channel rows ([`gemm_rows`], register-tiled by
+/// [`dot4_tile`](super::gemm::dot4_tile)), for every dense f32 conv the
+/// lane kernel does not take.
+///
+/// The patch rows are a K that is not a multiple of 4 padded with
+/// `-0.0`, the weight rows (padded once at build) with `+0.0`: a padded
+/// lane gains `-0.0`, which leaves every sum's bits as `dot4`'s tail
+/// does.
+pub(super) fn conv_gemm(input: &[f32], c: &Conv<'_>, out: &mut [f32], ctx: &mut KernelCtx<'_>) {
+    let (g, epi) = (c.g, ctx.epi);
+    let (k_len, opix, out_c) = (g.k_len(), g.opix, g.out_c);
+    let row_len = k_len.next_multiple_of(4);
+    let s = &mut *ctx.scratch;
+    let src = stage_planes(input, Some(input), g, |x| x, &mut s.pad, &mut s.taps);
+    let (col, taps, (hp, wp)) = (&mut s.col, s.taps.as_slice(), g.padded());
+    let item = g.in_c * hp * wp;
+    let block_pix = (COL_BLOCK_ELEMS / row_len).clamp(1, opix);
+    if row_len > k_len {
+        col.clear();
+    }
+    col.resize(block_pix * row_len, -0.0);
+    s.outb.resize(out_c * block_pix, 0.0);
+    let bias = c.bias.as_deref();
+    for (bi, out) in out.chunks_exact_mut((out_c * opix).max(1)).enumerate() {
+        let planes = &src[bi * item..][..item];
+        for p0 in (0..opix).step_by(block_pix) {
+            let pb = block_pix.min(opix - p0);
+            // Filling a block is one worker's job: it holds under
+            // PAR_MIN_WORK elements, or a single patch row.
+            let colb = &mut col[..pb * row_len];
+            gather_patches(planes, g, p0, taps, colb, row_len);
+            let colb: &[f32] = colb;
+            // GEMM: four out-channel rows of `pb` pixels per unit,
+            // over the cache-resident patch block.
+            let workers = ctx.par.workers_for(out_c * pb * k_len);
+            let tile = &mut s.outb[..out_c * pb];
+            par_chunks(workers, tile, 4 * pb, |u, dst| {
+                let rows = 4 * u..4 * u + dst.len() / pb;
+                let w = &c.w[rows.start * row_len..rows.end * row_len];
+                gemm_rows(row_len, w, colb, bias.map(|b| &b[rows]), dst);
+            });
+            // Each row lands in its output plane and takes the
+            // fused stages while it is still in cache.
+            for (oc, row) in tile.chunks_exact(pb).enumerate() {
+                let dst = &mut out[oc * opix + p0..][..pb];
+                dst.copy_from_slice(row);
+                epi.apply(dst, (bi * out_c + oc) * opix + p0);
+            }
+        }
+    }
+}
+
+/// A dense conv without input channels: every output is its bias plus
+/// an empty reduction, which sums to `0.0`.
+pub(super) fn conv_bias(c: &Conv<'_>, out: &mut [f32], epi: Epilogue<'_>) {
+    let (opix, out_c) = (c.g.opix, c.g.out_c);
+    for (u, dst) in out.chunks_exact_mut(opix.max(1)).enumerate() {
+        dst.fill(c.bias.as_ref().map_or(0.0, |b| b[u % out_c]) + 0.0);
+        epi.apply(dst, u * opix);
+    }
 }

@@ -1,133 +1,42 @@
-//! Dense layers: the f32 matrix-vector tile and the INT8 GEMM with one
-//! patch row per sample.
+//! f32 dense layers on the matrix-vector tile (the INT8 ones are in
+//! `int8`).
 
 use super::gemm::dot4_col;
-use super::int8::{dot_codes, quantize_activation};
-use super::par::par_chunks;
+use super::par::{par_chunks, Parallelism};
+use super::plan::Dense;
 use super::runner::KernelCtx;
-use crate::tensor::Tensor;
-use crate::NnirError;
 
-pub(super) fn dense_into(
-    input: &Tensor,
-    weights: &[Tensor],
-    bias: bool,
-    out: &mut Tensor,
-    ctx: &mut KernelCtx<'_>,
-) -> Result<(), NnirError> {
-    let par = ctx.par;
-    let n = input.shape().batch();
-    let in_f = input.shape().dim(1).ok_or_else(|| {
-        NnirError::ExecutionFailure(format!("dense expects [n, f] input, got {}", input.shape()))
-    })?;
-    let weight = weights.first().ok_or_else(|| {
-        NnirError::ExecutionFailure("dense called without a weight tensor".into())
-    })?;
-    if weight.shape().rank() != 2 {
-        return Err(NnirError::ExecutionFailure(format!(
-            "dense weight must be [out_f, in_f], got {}",
-            weight.shape()
-        )));
-    }
-    let out_f = weight.shape().dim(0).unwrap_or(0);
-    let w_in_f = weight.shape().dim(1).unwrap_or(0);
-    if out_f == 0 {
-        // Regression guard: the old per-scalar schedule papered over
-        // this with `out_f.max(1)` guards and silently produced an
-        // empty tensor.
-        return Err(NnirError::ExecutionFailure(format!(
-            "dense weight has zero output features: {}",
-            weight.shape()
-        )));
-    }
-    if w_in_f != in_f {
-        return Err(NnirError::ExecutionFailure(format!(
-            "dense weight expects {w_in_f} input features but input has {in_f}"
-        )));
-    }
-    let b = if bias {
-        let b = weights.get(1).ok_or_else(|| {
-            NnirError::ExecutionFailure("dense declares bias but has no bias tensor".into())
-        })?;
-        if b.shape().elem_count() != out_f {
-            return Err(NnirError::ExecutionFailure(format!(
-                "dense bias has {} elements, expected {out_f}",
-                b.shape().elem_count()
-            )));
-        }
-        Some(b)
+/// Workers for a dense layer and the output values each unit of work
+/// holds. One unit per batch row of the output; a solo row is further
+/// split into feature blocks of whole four-row tiles so single-sample
+/// heads still use every worker. Chunking never affects bits: each
+/// output scalar is one `dot4` of the same operands.
+pub(super) fn feature_chunk(d: &Dense<'_>, par: Parallelism) -> (usize, usize) {
+    let workers = par.workers_for(d.n * d.out_f * d.in_f);
+    let chunk = if d.n == 1 {
+        d.out_f.div_ceil(workers * 4).next_multiple_of(4)
     } else {
-        None
+        d.out_f
     };
-    debug_assert_eq!(out.shape().elem_count(), n * out_f);
+    (workers, chunk)
+}
 
-    let w_data = weight.data();
-    let in_data = input.data();
-    let bias_data = b.map(Tensor::data);
-    let epi = ctx.epi;
-    let work = n * out_f * in_f;
-    let workers = par.workers_for(work);
-    // One unit per batch row of the output; a solo row is further split
-    // into feature blocks of whole four-row tiles so single-sample
-    // heads still use every worker. (The old schedule made one unit per
-    // output *scalar* — chunk size 1 — which defeated vectorization of
-    // the inner dot and paid scheduling overhead per scalar.) Chunking
-    // never affects bits: each output scalar is one dot4 of the same
-    // operands.
-    let chunk = if n == 1 {
-        out_f.div_ceil(workers * 4).next_multiple_of(4)
-    } else {
-        out_f
-    };
-
-    if let Some(plan) = ctx.int8 {
-        // The GEMM with one patch row per sample: each input row is
-        // quantized into a row of the plan's padded length, whose zero
-        // tail meets the zero codes padding the weight rows.
-        plan.check(out_f, in_f, "dense")?;
-        let (inv, row_len) = (1.0 / plan.in_scale, plan.row_len);
-        let qin = &mut ctx.scratch.qin;
-        qin.clear();
-        qin.resize(n * row_len, 0);
-        for (dst, src) in qin
-            .chunks_exact_mut(row_len)
-            .zip(in_data.chunks_exact(in_f.max(1)))
-        {
-            for (d, &x) in dst.iter_mut().zip(src) {
-                *d = quantize_activation(x, inv);
-            }
-        }
-        let qin: &[i16] = qin;
-        par_chunks(workers, out.data_mut(), chunk, |u, dst| {
-            let base = u * chunk;
-            let bi = base / out_f;
-            let of0 = base % out_f;
-            let (x, _) = qin[bi * row_len..][..row_len].as_chunks();
-            for (i, o) in dst.iter_mut().enumerate() {
-                let of = of0 + i;
-                let b0 = bias_data.map_or(0.0, |b| b[of]);
-                let acc = dot_codes(plan.row(of), x);
-                *o = b0 + acc as f32 * (plan.scales[of] * plan.in_scale);
-            }
-            epi.apply(dst, base);
-        });
-        return Ok(());
-    }
-
-    par_chunks(workers, out.data_mut(), chunk, |u, dst| {
+/// An f32 dense layer: each output is `bias + dot4(w, x)`, four weight
+/// rows per matrix-vector tile ([`dot4_col`]); a last tile of fewer
+/// (`out_f % 4`) repeats its last row and drops the spare outputs.
+pub(super) fn dense_into(input: &[f32], d: &Dense<'_>, out: &mut [f32], ctx: &mut KernelCtx<'_>) {
+    let (workers, chunk) = feature_chunk(d, ctx.par);
+    let (in_f, epi, bias) = (d.in_f, ctx.epi, d.bias.as_deref());
+    par_chunks(workers, out, chunk, |u, dst| {
         let base = u * chunk;
-        let bi = base / out_f;
-        let of0 = base % out_f;
-        let x = &in_data[bi * in_f..][..in_f];
-        // Four weight rows per matrix-vector tile; a last tile of fewer
-        // (`out_f % 4`) repeats its last row and drops the spare outputs.
-        for (t, d) in dst.chunks_mut(4).enumerate() {
-            let row = |r: usize| of0 + 4 * t + r.min(d.len() - 1);
-            let w = std::array::from_fn(|r| &w_data[row(r) * in_f..][..in_f]);
-            let b = std::array::from_fn(|r| bias_data.map_or(0.0, |b| b[row(r)]));
-            d.copy_from_slice(&dot4_col(w, x, b)[..d.len()]);
+        let (bi, of0) = (base / d.out_f, base % d.out_f);
+        let x = &input[bi * in_f..][..in_f];
+        for (t, dst) in dst.chunks_mut(4).enumerate() {
+            let row = |r: usize| of0 + 4 * t + r.min(dst.len() - 1);
+            let w = std::array::from_fn(|r| &d.w[row(r) * in_f..][..in_f]);
+            let b = std::array::from_fn(|r| bias.map_or(0.0, |b| b[row(r)]));
+            dst.copy_from_slice(&dot4_col(w, x, b)[..dst.len()]);
         }
         epi.apply(dst, base);
     });
-    Ok(())
 }

@@ -1,5 +1,8 @@
-//! The f32 reduction micro-kernels: the four-lane `dot4` tiles the
-//! im2col GEMM and the dense layers share, and the GEMM unit over them.
+//! The f32 reduction micro-kernels the im2col GEMM and the dense layers
+//! share. Each output is `bias + dot4(w, x)`: lane `i` of four
+//! accumulates the products `w[k]·x[k]` of `k = i, i+4, …` in order from
+//! `+0.0` (the last `len % 4` on lanes `0..len % 4`), and the lanes
+//! combine as `(l0+l1) + (l2+l3)`.
 
 /// Patch elements held in one im2col scratch block: the cache budget
 /// for a tile of output pixels (64 KiB of f32). The block size is

@@ -4,6 +4,7 @@
 use super::conv::ConvGeom;
 use super::gemm::COL_BLOCK_ELEMS;
 use super::par::par_chunks_with;
+use super::plan::Conv;
 use super::runner::{KernelCtx, Scratch};
 use super::stage::{activation, batchnorm, Epilogue, Stage};
 
@@ -31,13 +32,12 @@ const LANES: usize = 16;
 /// once it is scattered into its channel plane.
 pub(super) fn conv2d_grouped(
     input: &[f32],
-    kernel: &[f32],
-    bias: Option<&[f32]>,
+    c: &Conv<'_>,
+    groups: usize,
     out: &mut [f32],
     ctx: &mut KernelCtx<'_>,
-    g: ConvGeom,
-    groups: usize,
 ) {
+    let (g, kernel, bias) = (c.g, &c.w[..], c.bias.as_deref());
     let (icg, ocg) = (g.in_c / groups, g.out_c / groups);
     let (oh, taps) = (g.opix / g.ow, g.kh * g.kw);
     // Input rows per strip within the budget (at least one kernel's
@@ -49,16 +49,16 @@ pub(super) fn conv2d_grouped(
     let on_lanes = epi
         .stages
         .iter()
-        .take_while(|s| matches!(s, Some(Stage::BatchNorm { .. } | Stage::Activation(_))))
+        .take_while(|s| matches!(s, Stage::BatchNorm { .. } | Stage::Activation(_)))
         .count();
     let (on_lanes, on_rows) = epi.stages.split_at(on_lanes);
     let on_rows = Epilogue {
         stages: on_rows,
-        plane: epi.plane,
+        ..epi
     };
     let lane_bns = || {
         on_lanes.iter().filter_map(|s| match s {
-            Some(Stage::BatchNorm { scale, shift }) => Some((*scale, *shift)),
+            Stage::BatchNorm { scale, shift } => Some((&scale[..], &shift[..])),
             _ => None,
         })
     };
@@ -123,7 +123,7 @@ pub(super) fn conv2d_grouped(
                 for oy in oys {
                     grouped_row(g, packed, xi, pitch, oy, iy0, orow);
                     let mut bn = bn.chunks_exact(2);
-                    for stage in on_lanes.iter().flatten() {
+                    for stage in on_lanes {
                         if let Stage::Activation(kind) = stage {
                             activation(*kind, orow.as_flattened_mut());
                         } else if let Some([s, t]) = bn.next() {

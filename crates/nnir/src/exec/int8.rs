@@ -1,14 +1,19 @@
-//! The INT8 kernels: i16-held codes reduced exactly in i32, by a GEMM
-//! over 16-code chunks or, for short stride-1 convs, a direct kernel.
+//! The INT8 kernels (see [`RunnerBuilder::int8`](super::RunnerBuilder::int8)).
+//! Weight codes × activation codes accumulate exactly in i32, both held
+//! as i16 — weights widened once at build, activations quantized per
+//! call — because i16 products are what baseline x86-64 SIMD multiplies
+//! (`pmullw`, `pmaddwd`); i8 ones it does not. Integer sums are exact,
+//! so every INT8 output is independent of the kernel, threading,
+//! planning and batch size.
 
 use super::conv::{gather_patches, stage_planes, ConvGeom};
+use super::dense::feature_chunk;
 use super::gemm::COL_BLOCK_ELEMS;
 use super::par::{par_chunks, par_chunks_with};
-use super::plan::Int8Plan;
+use super::plan::{Conv, Dense, Int8Plan};
 use super::pool::{pool_plane, PoolGeom};
 use super::runner::{KernelCtx, Scratch};
-use crate::tensor::{round_i8, Tensor};
-use crate::NnirError;
+use crate::tensor::round_i8;
 
 /// INT8 codes the GEMM micro-kernel reduces at once: every packed
 /// weight row and gathered patch row is a whole number of these chunks.
@@ -56,49 +61,24 @@ pub(super) fn quantize_activation(x: f32, inv: f32) -> i16 {
     }
 }
 
-/// Dense-conv INT8 kernels: the step they share, then the kernel the
-/// plan chose at build (see [`int8_plans`]).
-///
-/// [`stage_planes`] quantizes each input plane once into a zero-padded
-/// i16 code plane (exact, since a `FakeQuant` producer pinned the
+/// Quantizes a dense conv's input for both INT8 conv kernels:
+/// [`stage_planes`] turns each input plane once into a zero-padded i16
+/// code plane (exact, since a `FakeQuant` producer pinned the
 /// activations to the grid) and lists each patch position's offset in
 /// those planes once, in the kernel's (ic, ky, kx) order, as it does for
-/// the f32 convs. Both kernels sum exact
-/// integer products, so every output is the same i32 whichever runs,
-/// and each is dequantized with one multiply, `bias + acc · (w_scale[oc]
-/// · in_scale)`, before the fused stages run on it. A folded max-pool
-/// (`ctx.pool`) takes each plane of accumulators first
-/// ([`pool_plane`], border `i32::MIN`), so the dequantization and the
-/// stages run on the pooled values only; the fold's rule makes that
+/// the f32 convs.
+///
+/// Both kernels sum exact integer products, so every output is the same
+/// i32 whichever runs, and each is dequantized with one multiply,
+/// `bias + acc · (w_scale[oc] · in_scale)`, before the fused stages run
+/// on it. A folded max-pool (`pool`) takes each plane of accumulators
+/// first ([`pool_plane`], border `i32::MIN`), so the dequantization and
+/// the stages run on the pooled values only; the fold's rule makes that
 /// exact (DESIGN.md §10).
-pub(super) fn conv2d_int8(
-    input: &Tensor,
-    plan: &Int8Plan<'_>,
-    bias_data: Option<&[f32]>,
-    out: &mut Tensor,
-    ctx: &mut KernelCtx<'_>,
-    g: ConvGeom,
-) -> Result<(), NnirError> {
-    plan.check(g.out_c, g.k_len(), "conv")?;
-    let pool = ctx
-        .pool
-        .map(|a| PoolGeom::new(a, g.opix / g.ow, g.ow))
-        .transpose()?;
-    let unit = pool.map_or(g.opix, PoolGeom::opix);
-    debug_assert_eq!(
-        out.shape().elem_count(),
-        input.shape().batch() * g.out_c * unit
-    );
-    let (inv, n) = (1.0 / plan.in_scale, input.shape().batch());
-    let Scratch { qin, taps, .. } = ctx.scratch;
+fn stage_codes(input: &[f32], g: ConvGeom, plan: &Int8Plan<'_>, s: &mut Scratch) {
+    let inv = 1.0 / plan.in_scale;
     let q = |x| quantize_activation(x, inv);
-    stage_planes(input.data(), None, g, n, q, qin, taps);
-    if plan.direct {
-        conv2d_int8_direct(plan, bias_data, out.data_mut(), ctx, g, pool);
-    } else {
-        conv2d_int8_gemm(plan, bias_data, out.data_mut(), ctx, g, pool);
-    }
-    Ok(())
+    stage_planes(input, None, g, q, &mut s.qin, &mut s.taps);
 }
 
 /// Dequantizes a run of i32 accumulators of output channel `oc` into
@@ -127,14 +107,16 @@ fn dequantize(dst: &mut [f32], acc: &[i32], plan: &Int8Plan<'_>, bias: Option<&[
 /// is pooled, then dequantized, once the batch item's last block is in.
 /// Units of four weight rows split over the workers, as in the f32
 /// GEMM.
-fn conv2d_int8_gemm(
+pub(super) fn conv_int8_gemm(
+    input: &[f32],
+    c: &Conv<'_>,
     plan: &Int8Plan<'_>,
-    bias_data: Option<&[f32]>,
+    pool: Option<PoolGeom>,
     out: &mut [f32],
     ctx: &mut KernelCtx<'_>,
-    g: ConvGeom,
-    pool: Option<PoolGeom>,
 ) {
+    let (g, bias_data) = (c.g, c.bias.as_deref());
+    stage_codes(input, g, plan, ctx.scratch);
     let Scratch {
         qin,
         taps,
@@ -201,7 +183,7 @@ fn conv2d_int8_gemm(
 }
 
 /// The direct INT8 conv, for the stride-1 convs with short patch rows
-/// that [`int8_plans`] selects it for. Per output plane, each pair of
+/// the plan selects it for. Per output plane, each pair of
 /// taps multiplies two weight codes by two runs of the code planes,
 /// summed in i16 — exact, since two products stay within `2·128·127 =
 /// 32512` — and added into an i32 accumulator run, one widening per
@@ -210,14 +192,16 @@ fn conv2d_int8_gemm(
 /// dropped (a folded pool reads the run in place at that pitch). Output
 /// planes split over the workers, each with its own run, and its own
 /// padded and pooled planes under a folded pool.
-fn conv2d_int8_direct(
+pub(super) fn conv_int8_direct(
+    input: &[f32],
+    c: &Conv<'_>,
     plan: &Int8Plan<'_>,
-    bias_data: Option<&[f32]>,
+    pool: Option<PoolGeom>,
     out: &mut [f32],
     ctx: &mut KernelCtx<'_>,
-    g: ConvGeom,
-    pool: Option<PoolGeom>,
 ) {
+    let (g, bias_data) = (c.g, c.bias.as_deref());
+    stage_codes(input, g, plan, ctx.scratch);
     let Scratch { qin, taps, acc, .. } = ctx.scratch;
     // Taps go in pairs: an odd K's last tap pairs with the zero code
     // padding its weight row.
@@ -263,5 +247,44 @@ fn conv2d_int8_direct(
             }
         }
         epi.apply(dst, u * unit);
+    });
+}
+
+/// An INT8 dense layer: the GEMM with one patch row per sample. Each
+/// input row is quantized into a row of the plan's padded length, whose
+/// zero tail meets the zero codes padding the weight rows.
+pub(super) fn dense_int8(
+    input: &[f32],
+    d: &Dense<'_>,
+    plan: &Int8Plan<'_>,
+    out: &mut [f32],
+    ctx: &mut KernelCtx<'_>,
+) {
+    let (inv, row_len, epi) = (1.0 / plan.in_scale, plan.row_len, ctx.epi);
+    let qin = &mut ctx.scratch.qin;
+    qin.clear();
+    qin.resize(d.n * row_len, 0);
+    for (dst, src) in qin
+        .chunks_exact_mut(row_len)
+        .zip(input.chunks_exact(d.in_f.max(1)))
+    {
+        for (dst, &x) in dst.iter_mut().zip(src) {
+            *dst = quantize_activation(x, inv);
+        }
+    }
+    let qin: &[i16] = qin;
+    let (workers, chunk) = feature_chunk(d, ctx.par);
+    let bias = d.bias.as_deref();
+    par_chunks(workers, out, chunk, |u, dst| {
+        let base = u * chunk;
+        let (bi, of0) = (base / d.out_f, base % d.out_f);
+        let (x, _) = qin[bi * row_len..][..row_len].as_chunks();
+        for (i, o) in dst.iter_mut().enumerate() {
+            let of = of0 + i;
+            let b0 = bias.map_or(0.0, |b| b[of]);
+            let acc = dot_codes(plan.row(of), x);
+            *o = b0 + acc as f32 * (plan.scales[of] * plan.in_scale);
+        }
+        epi.apply(dst, base);
     });
 }

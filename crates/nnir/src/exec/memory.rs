@@ -1,4 +1,4 @@
-//! The arena memory plan: tensors with disjoint live ranges share one
+//! The arena memory plan: values with disjoint live ranges share one
 //! buffer slot.
 
 use super::plan::{fused_steps, int8_plans};
@@ -39,10 +39,14 @@ pub struct MemoryPlan {
 impl MemoryPlan {
     /// Computes the slot-reuse plan for `graph` from tensor liveness
     /// over the steps a default runner runs: its INT8 plans, and so the
-    /// pools they fold, included.
+    /// pools they fold, included. A graph whose INT8 payload does not fit
+    /// its weights, which no runner builds, gets its f32 plan.
     #[must_use]
     pub fn plan(graph: &Graph) -> Self {
-        Self::over(graph, &fused_steps(graph, &int8_plans(graph)))
+        Self::over(
+            graph,
+            &fused_steps(graph, &int8_plans(graph).unwrap_or_default()),
+        )
     }
 
     /// The slot-reuse plan over `steps`, the runner's cut of the

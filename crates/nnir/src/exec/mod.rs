@@ -1,100 +1,24 @@
-//! f32 execution engine.
+//! f32 and INT8 execution engine.
 //!
 //! One door: every forward pass goes through [`Runner`], built with
 //! [`Runner::builder`] and driven by [`Runner::execute`] under a
-//! [`RunOptions`] (capture-intermediates and profile flags).
-//! The runner owns a reusable buffer arena (intermediate tensors, the
-//! im2col scratch and materialized weights survive across calls), so
-//! repeated inference over a dataset, a benchmark loop or a serving
-//! worker amortizes every allocation after the first run. Weights
-//! are not the runner's to materialize: it takes each node's tensors
-//! once, on first use, from [`Graph::node_weights`](crate::Graph::node_weights), the one owner of
-//! that step, borrowing explicit weights and keeping seeded ones.
+//! [`RunOptions`] (capture-intermediates and profile flags). `build`
+//! verifies the graph and makes the plan once: each step's kernel,
+//! geometry, weights, arena slot and fused stages (`plan`), and the
+//! arena layout ([`MemoryPlan`], `memory`). A run executes it over a
+//! reusable buffer arena, so repeated inference over a dataset, a
+//! benchmark loop or a serving worker allocates nothing after the
+//! first run (`runner`).
 //!
-//! The pre-redesign surface (the stateless `Executor` facade and the
-//! split `run` / `run_with_intermediates` / `materialize_node_weights`
-//! entry points) has been removed after a four-release deprecation
-//! window; see CHANGELOG.md for the old → new spelling table.
-//!
-//! Heavy kernels (`conv2d`, `dense`, `pool2d`) are data
-//! parallel: the output buffer is split into disjoint contiguous tiles
-//! and distributed over scoped threads according to a [`Parallelism`]
-//! policy. Every f32 dense kernel computes each output as `bias +
-//! dot4(w, x)`: lane `i` of four accumulates the products `w[k]·x[k]` of
-//! `k = i, i+4, …` in order from `+0.0` (the last `len % 4` on lanes
-//! `0..len % 4`), and the lanes combine as `(l0+l1) + (l2+l3)`. Dense
-//! (`groups == 1`) convolutions read zero-padded input planes (the input
-//! itself when unpadded) through one list of tap offsets: a short
-//! stride-1 conv runs eight output pixels as the lanes of its
-//! accumulators, every other one a *pixel-blocked* im2col plus a GEMM
-//! register-tiled four kernel rows × two patch rows at a time.
-//! Grouped and depthwise convolutions are channel-blocked:
-//! sixteen output channels run as the lanes of one accumulator, each
-//! adding its valid taps in the order of a plain per-output loop. Every
-//! output scalar is a pure function of its operands — the lane split
-//! and combine order are fixed — so serial and threaded runs, any pixel
-//! blocking and any batch size produce bit-identical results. Max and
-//! average pooling pad a plane with a value no accumulator changes on
-//! (`-∞`, or `-0.0` for the sum) and run each output row eight or four
-//! outputs at a time, every tap applied lane-wise in (ky, kx) order:
-//! each output sees its valid taps in a per-output loop's order, so it
-//! has that loop's bits.
-//! [`Parallelism::Serial`] keeps the single-threaded path available for
-//! equivalence testing.
-//!
-//! Nodes whose conv/dense weights carry an i8
-//! [`QuantPayload`](crate::tensor::QuantPayload) ([`Tensor::quant`](crate::Tensor::quant))
-//! and whose activations are pinned to the INT8 grid by `FakeQuant`
-//! producers are executed — when the quant-safety dataflow analysis
-//! proves the worst-case rounding error fits the engine tolerance —
-//! with a real INT8 kernel: weight codes × activation codes accumulated
-//! in i32 (the arithmetic the CFU/socsim story accelerates), dequantized
-//! with one multiply per output scalar. Both operands are held as i16 —
-//! weights widened once at build, activations quantized per call —
-//! because i16 products are what baseline x86-64 SIMD multiplies
-//! (`pmullw`, `pmaddwd`); i8 ones it does not. Dense convolutions and
-//! dense layers run one INT8 GEMM: weight rows are packed once, zero-
-//! padded to whole 16-code chunks, patch rows are gathered from
-//! zero-padded code planes (a dense input is one such row), and a
-//! micro-kernel reduces each pair of rows to i32 with `pmaddwd`. Only a
-//! stride-1 conv of at most 32 codes per patch runs a direct kernel
-//! instead (weight-code pairs × contiguous runs of the code planes),
-//! chosen once at build. Integer accumulation is exact, so every INT8
-//! output is independent of the kernel, threading, planning and batch
-//! size too. An INT8 conv followed by monotone stages and a max-pool
-//! pools its i32 accumulators first and dequantizes only the pooled
-//! values (see the steps below). See [`RunnerBuilder::int8`].
-//!
-//! The runner executes the schedule in *steps*: a conv, dense, max- or
-//! average-pool or flatten node takes the chain of `BatchNorm`,
-//! activation, `FakeQuant` and same-shape `Add` nodes that directly
-//! follow it, each the sole consumer of the value before it, into its
-//! own output write (the rule is `fused_steps`). Each of those ops is
-//! one in-place stage with one implementation, run by the kernel on
-//! each run of one output channel while it is still in cache — the
-//! GEMM's output rows, the grouped kernel's accumulator lanes and
-//! scattered rows, the INT8 conv's dequantized rows, the dense rows,
-//! each pooled plane, the flattened copy — and over a copy of its input
-//! when the node stands alone. A stage computes the same
-//! expression on the same operand per element either way, so fusion
-//! changes no bit; the chain's inner values are simply never stored.
-//! An INT8 conv's step also takes a max-pool after a chain of monotone
-//! non-decreasing stages whose zeros all come out `+0.0`: its exact i32
-//! accumulators are pooled before the dequantization, and the largest
-//! output of a window is then the output of its largest accumulator,
-//! bit for bit. A `FakeQuant` whose input already lies on its grid runs
-//! as no stage. [`RunOptions::capture_intermediates`] runs the stages
-//! one at a time over the step's buffer instead (a folded pool as its
-//! own kernel over the full-resolution values), cloning each value, so
-//! every intermediate is still returned with the same bits.
-//!
-//! The value arena is laid out by a [`MemoryPlan`]: tensor liveness
-//! intervals, counted in steps, are colored greedily so values with
-//! disjoint live ranges share a buffer slot, cutting peak intermediate
-//! memory without changing a single output bit (kernels fully overwrite
-//! their output buffers; the proptest suite pins planned ≡ unplanned
-//! equality). A fused chain's inner values own no slot. See
-//! [`RunnerBuilder::memory_planning`].
+//! The kernels, one file per family: the f32 dense conv (`conv`) and
+//! the `dot4` micro-kernels it shares with dense layers (`gemm`),
+//! grouped and depthwise convs (`grouped`), the INT8 conv and dense
+//! kernels (`int8`), f32 dense layers (`dense`), pooling (`pool`), the
+//! structural ops (`structural`) and the elementwise stages every head
+//! kernel runs on its output (`stage`). Each output scalar is a fixed
+//! function of its operands, so serial and threaded runs ([`Parallelism`],
+//! `par`), planned and unplanned arenas, fused and captured runs, any
+//! blocking and any batch size produce bit-identical results.
 
 mod conv;
 mod dense;
@@ -115,14 +39,11 @@ pub use runner::{RunOptions, RunOutput, Runner, RunnerBuilder};
 
 #[cfg(test)]
 mod tests {
-    use super::conv::*;
-    use super::dense::*;
     use super::gemm::*;
     use super::int8::*;
     use super::par::*;
     use super::plan::*;
-    use super::pool::*;
-    use super::runner::*;
+    use super::pool::PoolMode;
     use super::stage::*;
     use super::*;
     use crate::graph::GraphBuilder;
@@ -322,113 +243,113 @@ mod tests {
 
     // ---- regression tests for the validation bugfixes ----
 
+    /// A one-node graph built with `op` over an input of `shape`, whose
+    /// node a buggy pass then rewrites to `bad` with `weights` through
+    /// `nodes_mut`, past the builder's checks.
+    fn tampered(shape: Shape, op: Op, bad: Op, weights: WeightInit) -> Graph {
+        let mut b = GraphBuilder::new("tampered");
+        let x = b.input(shape);
+        let y = b.apply("op", op, &[x]).unwrap();
+        let mut g = b.finish(vec![y]);
+        g.nodes_mut()[0].op = bad;
+        g.nodes_mut()[0].weights = weights;
+        g
+    }
+
+    /// The verifier code `Runner::build` rejects `g` with.
+    fn rejection(g: &Graph) -> String {
+        match Runner::builder().build(g) {
+            Err(NnirError::VerifierRejected { code, .. }) => code,
+            other => panic!("expected a verifier rejection, got {other:?}"),
+        }
+    }
+
     #[test]
     fn conv_rejects_non_dividing_groups() {
         // 3 input channels with groups = 2 used to silently truncate
         // icg = in_c / groups and mis-index the kernel.
-        let input = Tensor::full(Shape::nchw(1, 3, 4, 4), 1.0);
-        let mut attrs = Conv2dAttrs::same(4, 3, 1);
-        attrs.groups = 2;
+        let attrs = Conv2dAttrs::same(4, 3, 1);
         let kernel = Tensor::full(Shape::new(vec![4, 1, 3, 3]), 1.0);
-        let mut out = Tensor::zeros(Shape::nchw(1, 4, 4, 4));
-        let mut scratch = Scratch::default();
-        let err = conv2d_into(
-            &input,
-            &attrs,
-            &[kernel],
-            &mut out,
-            &mut KernelCtx::f32(&mut scratch, Parallelism::Serial),
+        let g = tampered(
+            Shape::nchw(1, 3, 4, 4),
+            Op::Conv2d(attrs),
+            Op::Conv2d(Conv2dAttrs { groups: 2, ..attrs }),
+            WeightInit::Explicit(vec![kernel]),
         );
-        assert!(
-            matches!(err, Err(NnirError::ExecutionFailure(_))),
-            "{err:?}"
-        );
+        assert_eq!(rejection(&g), "V008");
     }
 
     #[test]
     fn conv_rejects_kernel_larger_than_padded_input() {
         // kernel > h + 2*ph used to underflow oh/ow and panic.
-        let input = Tensor::full(Shape::nchw(1, 1, 2, 2), 1.0);
-        let mut attrs = Conv2dAttrs::same(1, 5, 1);
-        attrs.padding = (0, 0);
+        let attrs = Conv2dAttrs {
+            padding: (0, 0),
+            ..Conv2dAttrs::same(1, 1, 1)
+        };
         let kernel = Tensor::full(Shape::new(vec![1, 1, 5, 5]), 1.0);
-        let mut out = Tensor::zeros(Shape::nchw(1, 1, 1, 1));
-        let mut scratch = Scratch::default();
-        let err = conv2d_into(
-            &input,
-            &attrs,
-            &[kernel],
-            &mut out,
-            &mut KernelCtx::f32(&mut scratch, Parallelism::Serial),
+        let g = tampered(
+            Shape::nchw(1, 1, 2, 2),
+            Op::Conv2d(attrs),
+            Op::Conv2d(Conv2dAttrs {
+                kernel: (5, 5),
+                ..attrs
+            }),
+            WeightInit::Explicit(vec![kernel]),
         );
-        assert!(
-            matches!(err, Err(NnirError::ExecutionFailure(_))),
-            "{err:?}"
-        );
+        assert_eq!(rejection(&g), "V008");
     }
 
     #[test]
     fn pool_rejects_kernel_larger_than_padded_input() {
-        let input = Tensor::full(Shape::nchw(1, 1, 2, 2), 1.0);
-        let attrs = Pool2dAttrs::square(5, 1);
-        let mut out = Tensor::zeros(Shape::nchw(1, 1, 1, 1));
-        let mut scratch = Scratch::default();
-        let mut ctx = KernelCtx::f32(&mut scratch, Parallelism::Serial);
-        let err = pool2d_into(&input, &attrs, PoolMode::Max, &mut out, &mut ctx);
-        assert!(
-            matches!(err, Err(NnirError::ExecutionFailure(_))),
-            "{err:?}"
+        let g = tampered(
+            Shape::nchw(1, 1, 2, 2),
+            Op::MaxPool2d(Pool2dAttrs::square(1, 1)),
+            Op::MaxPool2d(Pool2dAttrs::square(5, 1)),
+            WeightInit::None,
         );
+        assert_eq!(rejection(&g), "V008");
     }
 
     #[test]
     fn dense_rejects_malformed_weight() {
         // A weight whose in_f doesn't match the input used to produce a
         // silent empty/garbage output via unwrap_or(0).
-        let input = Tensor::full(Shape::nf(1, 3), 1.0);
+        let dense = Op::Dense {
+            out_features: 2,
+            bias: false,
+        };
         let bad_rank = Tensor::full(Shape::new(vec![6]), 1.0);
-        let mut out = Tensor::zeros(Shape::nf(1, 2));
-        let mut scratch = Scratch::default();
-        assert!(matches!(
-            dense_into(
-                &input,
-                &[bad_rank],
-                false,
-                &mut out,
-                &mut KernelCtx::f32(&mut scratch, Parallelism::Serial)
-            ),
-            Err(NnirError::ExecutionFailure(_))
-        ));
         let wrong_in_f = Tensor::full(Shape::nf(2, 4), 1.0);
-        assert!(matches!(
-            dense_into(
-                &input,
-                &[wrong_in_f],
-                false,
-                &mut out,
-                &mut KernelCtx::f32(&mut scratch, Parallelism::Serial)
-            ),
-            Err(NnirError::ExecutionFailure(_))
-        ));
+        for bad in [bad_rank, wrong_in_f] {
+            let w = WeightInit::Explicit(vec![bad]);
+            let g = tampered(Shape::nf(1, 3), dense.clone(), dense.clone(), w);
+            assert_eq!(rejection(&g), "V005");
+        }
     }
 
     #[test]
     fn dense_rejects_zero_output_features() {
         // Regression: the per-scalar schedule's `out_f.max(1)` guards
         // used to let a [0, in_f] weight "succeed" with an empty output.
-        let input = Tensor::full(Shape::nf(1, 3), 1.0);
-        let empty = Tensor::zeros(Shape::nf(0, 3));
-        let mut out = Tensor::zeros(Shape::nf(1, 0));
-        let mut scratch = Scratch::default();
-        let err = dense_into(
-            &input,
-            &[empty],
-            false,
-            &mut out,
-            &mut KernelCtx::f32(&mut scratch, Parallelism::Serial),
+        let empty = Op::Dense {
+            out_features: 0,
+            bias: false,
+        };
+        let g = tampered(
+            Shape::nf(1, 3),
+            Op::Dense {
+                out_features: 2,
+                bias: false,
+            },
+            empty.clone(),
+            WeightInit::Explicit(vec![Tensor::zeros(Shape::nf(0, 3))]),
         );
+        assert_eq!(rejection(&g), "V008");
+        let mut b = GraphBuilder::new("g");
+        let x = b.input(Shape::nf(1, 3));
+        let err = b.apply("fc", empty, &[x]);
         assert!(
-            matches!(&err, Err(NnirError::ExecutionFailure(msg)) if msg.contains("zero output features")),
+            matches!(&err, Err(NnirError::InvalidAttribute { detail, .. }) if detail.contains("output features")),
             "{err:?}"
         );
     }
@@ -527,7 +448,7 @@ mod tests {
             let slotless: Vec<usize> = (0..g.tensor_count())
                 .filter(|&t| plan.slot_of(TensorId(t)).is_none())
                 .collect();
-            let mut inner: Vec<usize> = fused_steps(&g, &int8_plans(&g))
+            let mut inner: Vec<usize> = fused_steps(&g, &int8_plans(&g).unwrap())
                 .into_iter()
                 .flat_map(|step| &g.nodes()[step.start..step.end - 1])
                 .map(|node| node.output.0)
@@ -846,6 +767,98 @@ mod tests {
         b.finish(src.outputs().iter().map(|t| ids[t.0]).collect())
     }
 
+    /// The kernel a step runs, by its name in DESIGN.md §10's table.
+    fn kernel_name(k: &Kernel<'_>) -> &'static str {
+        match k {
+            Kernel::ConvLanes(..) => "lanes",
+            Kernel::ConvGemm(_) => "gemm",
+            Kernel::ConvBias(_) => "bias",
+            Kernel::Grouped(..) => "grouped",
+            Kernel::Int8Gemm(..) => "int8-gemm",
+            Kernel::Int8Direct(..) => "int8-direct",
+            Kernel::MatVec(_) => "matvec",
+            Kernel::Int8Dense(..) => "int8-dense",
+            Kernel::Pool(_, PoolMode::Max) => "max-pool",
+            Kernel::Pool(_, PoolMode::Avg) => "avg-pool",
+            Kernel::GlobalAvgPool(_) => "global-avg-pool",
+            Kernel::Mul(_) => "mul",
+            Kernel::Concat(_) => "concat",
+            Kernel::Upsample { .. } => "upsample",
+            Kernel::Softmax(_) => "softmax",
+            Kernel::Stage(_) => "stage",
+            Kernel::Copy => "copy",
+        }
+    }
+
+    /// Each step's head and the kernel the plan picks for it.
+    fn plan_of(g: &Graph) -> Vec<(String, &'static str)> {
+        let runner = Runner::builder().build(g).unwrap();
+        let named = |s: &Step<'_>| g.nodes()[s.nodes.start].name.clone();
+        runner
+            .steps
+            .iter()
+            .map(|s| (named(s), kernel_name(&s.kernel)))
+            .collect()
+    }
+
+    #[test]
+    fn plan_pins_every_steps_kernel() {
+        // Every kernel computes the same bits, so only this test sees a
+        // change in kernel selection (DESIGN.md §10, "Kernel-selection
+        // rules").
+        let pinned = |g: &Graph, want: &[(&str, &str)]| {
+            let got = plan_of(g);
+            let got: Vec<(&str, &str)> = got.iter().map(|(n, k)| (n.as_str(), *k)).collect();
+            assert_eq!(got, want, "{}", g.name());
+        };
+        pinned(
+            &crate::zoo::lenet5(10).unwrap(),
+            &[
+                ("conv1", "lanes"),
+                ("pool1", "max-pool"),
+                ("conv2", "gemm"),
+                ("pool2", "max-pool"),
+                ("flatten", "copy"),
+                ("fc1", "matvec"),
+                ("fc2", "matvec"),
+                ("fc3", "matvec"),
+            ],
+        );
+        // The INT8 convs' steps fold their pools.
+        pinned(
+            &calibrated_int8_lenet(),
+            &[
+                ("t0.quant", "stage"),
+                ("conv1", "int8-direct"),
+                ("conv2", "int8-gemm"),
+                ("flatten", "copy"),
+                ("fc1", "int8-dense"),
+                ("fc2", "int8-dense"),
+                ("fc3", "int8-dense"),
+            ],
+        );
+        let plan = plan_of(&crate::zoo::mobilenet_v3_large(1000).unwrap());
+        let mut counts = std::collections::BTreeMap::new();
+        for (_, kernel) in &plan {
+            *counts.entry(*kernel).or_insert(0) += 1;
+        }
+        let want = [
+            ("copy", 1),
+            ("gemm", 44),
+            ("global-avg-pool", 9),
+            ("grouped", 15),
+            ("lanes", 4),
+            ("matvec", 1),
+            ("mul", 8),
+        ];
+        assert_eq!(counts, want.into_iter().collect());
+        let lanes = plan.iter().filter(|(_, k)| *k == "lanes").map(|(n, _)| n);
+        assert_eq!(
+            lanes.collect::<Vec<_>>(),
+            ["conv3", "conv5", "conv8", "conv12"]
+        );
+    }
+
     #[test]
     fn int8_lenet_folds_both_pools_and_elides_five_quants() {
         let g = calibrated_int8_lenet();
@@ -857,9 +870,9 @@ mod tests {
             let step = runner
                 .steps
                 .iter()
-                .find(|s| named(s.start) == head)
+                .find(|s| named(s.nodes.start) == head)
                 .unwrap();
-            let names: Vec<&str> = step.clone().map(named).collect();
+            let names: Vec<&str> = step.nodes.clone().map(named).collect();
             let pool = if head == "conv1" { "pool1" } else { "pool2" };
             assert_eq!(
                 names,
@@ -875,13 +888,22 @@ mod tests {
         }
         assert_eq!(runner.memory_plan().peak_bytes(), 7840);
         assert_eq!(runner.memory_plan(), &MemoryPlan::plan(&g));
-        // The FakeQuants whose input already lies on their grid.
-        let identities: Vec<&str> = (0..g.nodes().len())
-            .filter(|&i| runner.identity_quants[i])
-            .map(named)
+        // The FakeQuants whose input already lies on their grid: a lone
+        // one copies its input, a fused one runs no stage.
+        let mut identities: Vec<usize> = runner
+            .steps
+            .iter()
+            .flat_map(|s| {
+                let head = matches!(s.kernel, Kernel::Copy)
+                    && matches!(g.nodes()[s.nodes.start].op, Op::FakeQuant { .. });
+                let tails = s.nodes.clone().skip(1).zip(&s.tails);
+                let tails = tails.filter(|(_, t)| **t == Tail::Identity).map(|(i, _)| i);
+                head.then_some(s.nodes.start).into_iter().chain(tails)
+            })
             .collect();
+        identities.sort_unstable();
         assert_eq!(
-            identities,
+            identities.into_iter().map(named).collect::<Vec<_>>(),
             [
                 "pool1.quant",
                 "conv2.act.quant",
@@ -917,7 +939,7 @@ mod tests {
     fn int8_plans_only_graphs_with_i8_weights() {
         let planned = |g: &Graph| {
             let runner = Runner::builder().build(g).unwrap();
-            runner.int8_plans.iter().flatten().count()
+            runner.steps.iter().filter(|s| s.kernel.is_int8()).count()
         };
         assert_eq!(planned(&crate::zoo::lenet5(10).unwrap()), 0);
         assert_eq!(planned(&calibrated_int8_lenet()), 5);
@@ -928,24 +950,47 @@ mod tests {
         let seeded = crate::zoo::lenet5(10).unwrap();
         let mut explicit = seeded.clone();
         explicit.explicit_weights(|_| true);
-        let input = Tensor::random(Shape::nchw(1, 1, 28, 28), 3, 1.0);
         for g in [&explicit, &seeded] {
-            let mut runner = Runner::builder().build(g).unwrap();
-            runner
-                .execute(std::slice::from_ref(&input), RunOptions::default())
-                .unwrap();
-            for (node, entry) in g.nodes().iter().zip(&runner.weights) {
-                match (&node.weights, entry.as_ref().expect("used in the pass")) {
-                    (WeightInit::Explicit(held), Cow::Borrowed(lent)) => {
-                        assert!(std::ptr::eq(held.as_slice(), *lent), "{}", node.name);
-                        for (h, l) in held.iter().zip(lent.iter()) {
-                            assert!(std::ptr::eq(h.data(), l.data()), "{}", node.name);
-                        }
+            let runner = Runner::builder().build(g).unwrap();
+            let mut held = 0;
+            for step in &runner.steps {
+                // The conv and dense weights the head's kernel holds, and
+                // each BatchNorm's scale and shift.
+                let (head, padded) = match &step.kernel {
+                    Kernel::ConvLanes(c, _) | Kernel::ConvBias(c) | Kernel::Grouped(c, _) => {
+                        (vec![Some(&c.w), c.bias.as_ref()], false)
                     }
-                    (WeightInit::Seeded(_), Cow::Owned(_)) => {}
-                    (init, _) => panic!("{}: {init:?} held the wrong way", node.name),
+                    Kernel::ConvGemm(c) => {
+                        (vec![Some(&c.w), c.bias.as_ref()], c.g.k_len() % 4 != 0)
+                    }
+                    Kernel::MatVec(d) => (vec![Some(&d.w), d.bias.as_ref()], false),
+                    _ => (Vec::new(), false),
+                };
+                let stages = step.stages.iter().filter_map(|s| match s {
+                    Stage::BatchNorm { scale, shift } => Some([scale, shift]),
+                    _ => None,
+                });
+                assert_eq!(stages.count(), 0, "lenet5 has no BatchNorm");
+                let node = &g.nodes()[step.nodes.start];
+                for (i, data) in head.into_iter().flatten().enumerate() {
+                    held += 1;
+                    match (&node.weights, data) {
+                        (WeightInit::Explicit(t), Cow::Borrowed(lent)) => {
+                            assert!(std::ptr::eq(t[i].data(), *lent), "{}", node.name);
+                        }
+                        // The GEMM pads a K that is not a multiple of 4
+                        // into rows of its own, once.
+                        (WeightInit::Explicit(t), Cow::Owned(rows)) if i == 0 && padded => {
+                            let k = t[0].data().len() / rows.len().max(1);
+                            assert!(rows.len() > t[0].data().len(), "{} {k}", node.name);
+                        }
+                        (WeightInit::Seeded(_), Cow::Owned(_)) => {}
+                        (init, _) => panic!("{}: {init:?} held the wrong way", node.name),
+                    }
                 }
             }
+            // Two convs and three dense layers, each with a bias.
+            assert_eq!(held, 10, "{}", g.name());
         }
     }
 

@@ -1,5 +1,8 @@
 //! Kernel parallelism: the [`Parallelism`] policy and the scoped-thread
-//! helpers that split a kernel's output over workers.
+//! helpers that split a kernel's output into disjoint contiguous tiles
+//! over workers. Each output is computed by one worker with the
+//! association a serial run uses, so every policy computes the same
+//! bits; [`Parallelism::Serial`] is the equivalence baseline.
 
 /// Minimum per-kernel scalar-op estimate before threads are spawned;
 /// below this the spawn overhead dwarfs the work.

@@ -1,14 +1,156 @@
-//! The plan: the build-time INT8 plans and the fusion rule that cuts
-//! the schedule into steps.
+//! The plan: what [`RunnerBuilder::build`](super::RunnerBuilder::build)
+//! decides once, from the verified graph, so that a run only executes.
+//!
+//! The schedule runs in *steps*: a head node and the elementwise nodes
+//! fused into its output write ([`fused_steps`] states the rule). Each
+//! fused op is one in-place stage with one implementation, run by the
+//! kernel on each run of output while it is still in cache, or over a
+//! copy of its input when the node stands alone; either way it computes
+//! the same expression on the same operand, so fusion changes no bit.
+//! Each step becomes one [`Step`]: its [`Kernel`], chosen by [`kernel`]
+//! (the one statement of the kernel-selection rule, DESIGN.md §10) with
+//! its geometry read from the verified shapes and its weights taken
+//! once, its arena slots and its stages. The verifier
+//! ([`crate::analysis::verify_for_execution`]) has proven every shape,
+//! attribute and explicit weight layout the kernels rely on, so nothing
+//! is checked again per call.
 
-use super::conv::runs_direct;
+use super::conv::{lane_run, runs_direct, ConvGeom};
 use super::int8::CODE_CHUNK;
+use super::memory::MemoryPlan;
+use super::pool::{PoolGeom, PoolMode};
+use super::stage::Stage;
 use crate::dtype::DataType;
 use crate::graph::{Graph, Node, TensorId, WeightInit};
 use crate::ops::{ActKind, Op};
+use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::NnirError;
+use std::borrow::Cow;
 use std::ops::Range;
+
+/// A weight tensor's values as the plan holds them: borrowed from the
+/// graph when explicit, materialized once at build when seeded.
+pub(super) type Data<'g> = Cow<'g, [f32]>;
+
+/// One step of the plan: a head node, the elementwise nodes fused into
+/// its output write, and everything build decided for them.
+#[derive(Debug)]
+pub(super) struct Step<'g> {
+    /// Schedule positions of the step's nodes, the head first.
+    pub(super) nodes: Range<usize>,
+    /// What the head runs.
+    pub(super) kernel: Kernel<'g>,
+    /// Arena slots of the head's inputs, in node-input order.
+    pub(super) inputs: Vec<usize>,
+    /// The stages of the tails that change a bit, in schedule order:
+    /// what the kernel runs on each run of output it writes.
+    pub(super) stages: Vec<Stage<'g>>,
+    /// Every tail in schedule order, for a run that captures each value.
+    pub(super) tails: Vec<Tail>,
+    /// The max-pool an INT8 conv head folds.
+    pub(super) fold: Option<Fold>,
+    /// Arena slot and shape of the step's last value, the one it writes.
+    pub(super) out: usize,
+    pub(super) shape: Shape,
+}
+
+/// One fused tail, as a run that captures intermediates replays it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Tail {
+    /// The next of the step's stages.
+    Stage,
+    /// A `FakeQuant` whose input already lies on its grid
+    /// ([`crate::analysis::identity_quants`]): its value is its input.
+    Identity,
+    /// The folded max-pool.
+    Pool,
+}
+
+/// A max-pool an INT8 conv head folds: the kernel pools its i32
+/// accumulators; a run that captures intermediates pools the
+/// full-resolution values, of the head's output shape `pre`, instead.
+#[derive(Debug)]
+pub(super) struct Fold {
+    pub(super) geom: PoolGeom,
+    pub(super) pre: Shape,
+}
+
+/// A conv's geometry and f32 weights.
+#[derive(Debug)]
+pub(super) struct Conv<'g> {
+    pub(super) g: ConvGeom,
+    /// One row of `K` taps per output channel; on the GEMM, each row
+    /// padded with `+0.0` to whole 4-element chunks.
+    pub(super) w: Data<'g>,
+    pub(super) bias: Option<Data<'g>>,
+}
+
+/// A dense layer's geometry and f32 weights.
+#[derive(Debug)]
+pub(super) struct Dense<'g> {
+    pub(super) n: usize,
+    pub(super) in_f: usize,
+    pub(super) out_f: usize,
+    pub(super) w: Data<'g>,
+    pub(super) bias: Option<Data<'g>>,
+}
+
+/// The kernel a step's head runs, with everything it reads but its
+/// inputs.
+#[derive(Debug)]
+pub(super) enum Kernel<'g> {
+    /// A stride-1 dense conv of at most 32 taps over output rows of at
+    /// least eight pixels: the lane kernel, over runs of this many.
+    ConvLanes(Conv<'g>, usize),
+    /// Every other dense f32 conv: pixel-blocked im2col and the GEMM.
+    ConvGemm(Conv<'g>),
+    /// A conv without input or output channels: each output is its bias.
+    ConvBias(Conv<'g>),
+    /// A grouped or depthwise conv over this many groups,
+    /// channel-blocked.
+    Grouped(Conv<'g>, usize),
+    /// An INT8 conv on the INT8 GEMM.
+    Int8Gemm(Conv<'g>, Int8Plan<'g>),
+    /// A stride-1 INT8 conv of at most 32 codes per patch, direct.
+    Int8Direct(Conv<'g>, Int8Plan<'g>),
+    /// An f32 dense layer on the matrix-vector tile.
+    MatVec(Dense<'g>),
+    /// An INT8 dense layer: the INT8 GEMM, one patch row per sample.
+    Int8Dense(Dense<'g>, Int8Plan<'g>),
+    Pool(PoolGeom, PoolMode),
+    /// Global average pooling over planes of this many values.
+    GlobalAvgPool(usize),
+    /// A multiply whose second operand holds one value per this many
+    /// of the first (1 for two same-shape tensors).
+    Mul(usize),
+    /// A channel concat over this batch.
+    Concat(usize),
+    /// Nearest upsampling by `factor` of `h × w` planes.
+    Upsample {
+        factor: usize,
+        h: usize,
+        w: usize,
+    },
+    /// Softmax over rows of this many values.
+    Softmax(usize),
+    /// A standalone elementwise node: its stage over a copy of its first
+    /// input.
+    Stage(Stage<'g>),
+    /// A copy of the input, then the stages: a flatten, or a `FakeQuant`
+    /// whose input already lies on its grid.
+    Copy,
+}
+
+impl Kernel<'_> {
+    /// Whether the kernel multiplies INT8 codes.
+    pub(super) fn is_int8(&self) -> bool {
+        matches!(
+            self,
+            Kernel::Int8Gemm(..) | Kernel::Int8Direct(..) | Kernel::Int8Dense(..)
+        )
+    }
+}
 
 /// Build-time INT8 plan of one node: the activation scale its input is
 /// quantized with, and its weights packed for the GEMM.
@@ -20,13 +162,6 @@ pub(super) struct Int8Plan<'g> {
     pub(super) codes: Vec<i16>,
     /// Padded row length, a non-zero multiple of [`CODE_CHUNK`].
     pub(super) row_len: usize,
-    /// Codes in the payload: the kernels check it against the node's
-    /// geometry before reading a row.
-    pub(super) payload_len: usize,
-    /// Whether the conv runs [`conv2d_int8_direct`] rather than the
-    /// GEMM: the one INT8 kernel-selection rule, made in
-    /// [`int8_plans`].
-    pub(super) direct: bool,
     /// The payload's per-row weight scales.
     pub(super) scales: &'g [f32],
 }
@@ -35,19 +170,6 @@ impl Int8Plan<'_> {
     /// Row `r` of the packed codes, as whole chunks.
     pub(super) fn row(&self, r: usize) -> &[[i16; CODE_CHUNK]] {
         self.codes[r * self.row_len..][..self.row_len].as_chunks().0
-    }
-
-    /// Fails unless the payload is `rows` rows of `k` codes with one
-    /// scale each.
-    pub(super) fn check(&self, rows: usize, k: usize, what: &str) -> Result<(), NnirError> {
-        if self.payload_len == rows * k && self.scales.len() == rows {
-            return Ok(());
-        }
-        Err(NnirError::ExecutionFailure(format!(
-            "int8 {what} payload mismatch: {} codes / {} scales for [{rows}, {k}]",
-            self.payload_len,
-            self.scales.len()
-        )))
     }
 }
 
@@ -66,11 +188,12 @@ impl Int8Plan<'_> {
 /// Eligibility is per node: one saturating layer no longer forces the
 /// whole graph onto the f32 path. A graph without i8 weights plans
 /// nothing, and the analysis (which reads every weight) is not run.
-/// Each plan also fixes its kernel by the rule the f32 convs share
-/// ([`runs_direct`]): a stride-1 conv of at most [`DIRECT_MAX_K`] codes
-/// per patch runs direct, every other conv and every dense layer the
-/// GEMM.
-pub(super) fn int8_plans(graph: &Graph) -> Vec<Option<Int8Plan<'_>>> {
+///
+/// # Errors
+///
+/// Returns [`NnirError::ShapeMismatch`] when a planned node's payload
+/// is not one code per weight and one scale per row.
+pub(super) fn int8_plans(graph: &Graph) -> Result<Vec<Option<Int8Plan<'_>>>, NnirError> {
     let has_i8 = graph.nodes().iter().any(|n| match &n.weights {
         WeightInit::Explicit(w) => w
             .first()
@@ -79,45 +202,57 @@ pub(super) fn int8_plans(graph: &Graph) -> Vec<Option<Int8Plan<'_>>> {
         _ => false,
     });
     if !has_i8 {
-        return vec![None; graph.nodes().len()];
+        return Ok(Vec::new());
     }
     crate::analysis::QuantSafety::of(graph)
         .verdicts()
         .iter()
         .zip(graph.nodes())
         .map(|(v, node)| {
-            let in_scale = v.input_scale.filter(|_| v.eligible)?;
-            let WeightInit::Explicit(weights) = &node.weights else {
-                return None;
+            let Some(in_scale) = v.input_scale.filter(|_| v.eligible) else {
+                return Ok(None);
             };
-            let q = weights.first()?.quant()?;
-            // One row per scale, at least one chunk long; a payload that
-            // is not a whole number of rows fails the kernel's check
-            // before a row is read.
-            let k = q.codes.len() / q.scales.len().max(1);
+            let WeightInit::Explicit(weights) = &node.weights else {
+                return Ok(None);
+            };
+            let Some((w, q)) = weights.first().and_then(|w| Some((w, w.quant()?))) else {
+                return Ok(None);
+            };
+            let rows = w.shape().dim(0).unwrap_or(0);
+            if q.codes.len() != w.shape().elem_count() || q.scales.len() != rows {
+                return Err(NnirError::ShapeMismatch {
+                    op: node.op.name().into(),
+                    detail: format!(
+                        "int8 payload of {} holds {} codes and {} scales for weights {}",
+                        node.name,
+                        q.codes.len(),
+                        q.scales.len(),
+                        w.shape()
+                    ),
+                });
+            }
+            // One row per scale, at least one chunk long.
+            let k = q.codes.len() / rows.max(1);
             let row_len = k.next_multiple_of(CODE_CHUNK).max(CODE_CHUNK);
-            let mut codes = vec![0; q.scales.len() * row_len];
+            let mut codes = vec![0; rows * row_len];
             for (r, dst) in codes.chunks_exact_mut(row_len).enumerate() {
                 for (d, &c) in dst.iter_mut().zip(&q.codes[r * k..][..k]) {
                     *d = i16::from(c);
                 }
             }
-            Some(Int8Plan {
+            Ok(Some(Int8Plan {
                 in_scale,
                 codes,
                 row_len,
-                payload_len: q.codes.len(),
-                direct: matches!(&node.op, Op::Conv2d(a) if runs_direct(a.stride, k)),
                 scales: &q.scales,
-            })
+            }))
         })
         .collect()
 }
 
-/// Most elementwise nodes one head takes into its output write: the
-/// runner resolves a step's stages into a stack array of this size, so
-/// it allocates nothing per call.
-pub(super) const MAX_TAILS: usize = 8;
+/// Most elementwise nodes one head takes into its output write. It
+/// bounds a step, and with it the values that share its arena slots.
+const MAX_TAILS: usize = 8;
 
 /// The schedule cut into steps, each a range of node indices the runner
 /// executes as one kernel — the one place the fusion decision is made.
@@ -133,7 +268,8 @@ pub(super) const MAX_TAILS: usize = 8;
 /// their own. Because a tail is always the next node, an `Add`'s other
 /// operand was produced before the head.
 ///
-/// A conv head with an INT8 plan (`int8`) also takes one `MaxPool2d`
+/// A conv head with an INT8 plan (`int8`, empty when none is planned)
+/// also takes one `MaxPool2d`
 /// whose every window holds an input tap, when each node between them
 /// is a monotone non-decreasing map whose zeros all come out `+0.0`
 /// ([`Zeros`]); the kernel then pools its i32 accumulators and runs
@@ -162,7 +298,7 @@ pub(super) fn fused_steps(graph: &Graph, int8: &[Option<Int8Plan<'_>>]) -> Vec<R
             && sole(value)
             && chain.is_some_and(|z| !z.negative)
     };
-    let mut steps = Vec::new();
+    let mut spans = Vec::new();
     let mut start = 0;
     while start < nodes.len() {
         let mut end = start + 1;
@@ -172,8 +308,9 @@ pub(super) fn fused_steps(graph: &Graph, int8: &[Option<Int8Plan<'_>>]) -> Vec<R
         ) {
             // What the chain so far can output, while a pool may still
             // fold into this step.
-            let mut chain = int8[start]
-                .as_ref()
+            let mut chain = int8
+                .get(start)
+                .and_then(Option::as_ref)
                 .and_then(|plan| Zeros::dequantized(graph, &nodes[start], plan));
             while end < nodes.len() && end - start <= MAX_TAILS {
                 let (value, next) = (nodes[end - 1].output, &nodes[end]);
@@ -187,10 +324,238 @@ pub(super) fn fused_steps(graph: &Graph, int8: &[Option<Int8Plan<'_>>]) -> Vec<R
                 end += 1;
             }
         }
-        steps.push(start..end);
+        spans.push(start..end);
         start = end;
     }
-    steps
+    spans
+}
+
+/// Builds the plan's steps over `spans`, the cut [`fused_steps`] made,
+/// with the INT8 plans `int8` (empty when none is planned) and the
+/// arena slots of `memory`.
+///
+/// # Errors
+///
+/// Returns [`NnirError::ExecutionFailure`] for a node no kernel runs
+/// (an `Input` node, or a weighted node with no weights).
+pub(super) fn steps<'g>(
+    graph: &'g Graph,
+    spans: Vec<Range<usize>>,
+    mut int8: Vec<Option<Int8Plan<'g>>>,
+    memory: &MemoryPlan,
+) -> Result<Vec<Step<'g>>, NnirError> {
+    let nodes = graph.nodes();
+    let identity = crate::analysis::identity_quants(graph);
+    let slot = |t: TensorId| slot(memory, t);
+    spans
+        .into_iter()
+        .map(|span| {
+            let head = &nodes[span.start];
+            let last = &nodes[span.end - 1];
+            let kernel = if identity[span.start] {
+                Kernel::Copy
+            } else {
+                let int8 = int8.get_mut(span.start).and_then(Option::take);
+                kernel(graph, head, int8, &slot)?
+            };
+            let (mut stages, mut tails, mut fold) = (Vec::new(), Vec::new(), None);
+            let mut value = head.output;
+            for (idx, node) in span.clone().zip(&nodes[span.clone()]).skip(1) {
+                tails.push(match &node.op {
+                    _ if identity[idx] => Tail::Identity,
+                    // Only an INT8 conv's fold makes a pool a tail.
+                    Op::MaxPool2d(a) => {
+                        let pre = shape(graph, head.output)?;
+                        let [_, _, h, w] = dims(pre)?;
+                        fold = Some(Fold {
+                            geom: PoolGeom::new(a, h, w),
+                            pre: pre.clone(),
+                        });
+                        Tail::Pool
+                    }
+                    _ => {
+                        stages.push(stage(graph, node, value, &slot)?);
+                        Tail::Stage
+                    }
+                });
+                value = node.output;
+            }
+            Ok(Step {
+                inputs: head
+                    .inputs
+                    .iter()
+                    .map(|&t| slot(t))
+                    .collect::<Result<_, _>>()?,
+                out: slot(last.output)?,
+                shape: shape(graph, last.output)?.clone(),
+                nodes: span,
+                kernel,
+                stages,
+                tails,
+                fold,
+            })
+        })
+        .collect()
+}
+
+/// The kernel `node` runs, given its INT8 plan: the one place a kernel
+/// is chosen (DESIGN.md §10, "Kernel-selection rules").
+///
+/// A conv without outputs runs nothing. An INT8 conv runs direct when
+/// it has stride 1 and at most 32 codes per patch ([`runs_direct`]),
+/// else the INT8 GEMM. An f32 conv runs channel-blocked when grouped,
+/// as its bias when it has no input channel, on the lane kernel when
+/// [`lane_run`] finds runs for it, else on the im2col GEMM, whose weight
+/// rows are padded here once.
+/// A dense layer runs the INT8 GEMM when planned, else the
+/// matrix-vector tile.
+fn kernel<'g>(
+    graph: &'g Graph,
+    node: &'g Node,
+    int8: Option<Int8Plan<'g>>,
+    slot: &impl Fn(TensorId) -> Result<usize, NnirError>,
+) -> Result<Kernel<'g>, NnirError> {
+    let input = || shape(graph, node.inputs[0]);
+    let out = shape(graph, node.output)?;
+    Ok(match &node.op {
+        Op::Conv2d(a) => {
+            let [_, _, oh, ow] = dims(out)?;
+            let g = ConvGeom::new(a, dims(input()?)?, oh, ow);
+            let (w, bias) = weights(graph, node)?;
+            let mut conv = Conv { g, w, bias };
+            let k = g.k_len();
+            match int8 {
+                _ if g.out_c == 0 => Kernel::ConvBias(conv),
+                Some(plan) if runs_direct(a.stride, k) => Kernel::Int8Direct(conv, plan),
+                Some(plan) => Kernel::Int8Gemm(conv, plan),
+                None if a.groups > 1 => Kernel::Grouped(conv, a.groups),
+                None if k == 0 => Kernel::ConvBias(conv),
+                None => match lane_run(g) {
+                    Some(run) => Kernel::ConvLanes(conv, run),
+                    None => {
+                        let row_len = k.next_multiple_of(4);
+                        if row_len > k {
+                            let mut w = Vec::with_capacity(g.out_c * row_len);
+                            for row in conv.w.chunks_exact(k) {
+                                w.extend(row.iter().copied().chain([0.0; 3]).take(row_len));
+                            }
+                            conv.w = Cow::Owned(w);
+                        }
+                        Kernel::ConvGemm(conv)
+                    }
+                },
+            }
+        }
+        Op::Dense { .. } => {
+            let ([n, in_f], [_, out_f]) = (dims(input()?)?, dims(out)?);
+            let (w, bias) = weights(graph, node)?;
+            let dense = Dense {
+                n,
+                in_f,
+                out_f,
+                w,
+                bias,
+            };
+            match int8 {
+                Some(plan) => Kernel::Int8Dense(dense, plan),
+                None => Kernel::MatVec(dense),
+            }
+        }
+        Op::MaxPool2d(a) | Op::AvgPool2d(a) => {
+            let [_, _, h, w] = dims(input()?)?;
+            let mode = match node.op {
+                Op::MaxPool2d(_) => PoolMode::Max,
+                _ => PoolMode::Avg,
+            };
+            Kernel::Pool(PoolGeom::new(a, h, w), mode)
+        }
+        Op::GlobalAvgPool => {
+            let [_, _, h, w] = dims(input()?)?;
+            Kernel::GlobalAvgPool(h * w)
+        }
+        Op::Mul => {
+            let gate = shape(graph, node.inputs[1])?.elem_count();
+            Kernel::Mul((out.elem_count() / gate.max(1)).max(1))
+        }
+        Op::Concat => Kernel::Concat(out.batch()),
+        &Op::Upsample { factor } => {
+            let [_, _, h, w] = dims(input()?)?;
+            Kernel::Upsample { factor, h, w }
+        }
+        Op::Softmax => Kernel::Softmax(out.dims().last().copied().unwrap_or(1)),
+        Op::Flatten => Kernel::Copy,
+        Op::BatchNorm | Op::Activation(_) | Op::FakeQuant { .. } | Op::Add => {
+            Kernel::Stage(stage(graph, node, node.inputs[0], slot)?)
+        }
+        Op::Input(_) => {
+            return Err(NnirError::ExecutionFailure(format!(
+                "input op {} cannot be evaluated",
+                node.name
+            )))
+        }
+    })
+}
+
+/// The stage of elementwise `node` over `value`, the input it
+/// transforms: a standalone node's first input, a fused tail's chain
+/// value. An `Add` reads its other operand from that operand's slot.
+fn stage<'g>(
+    graph: &'g Graph,
+    node: &'g Node,
+    value: TensorId,
+    slot: &impl Fn(TensorId) -> Result<usize, NnirError>,
+) -> Result<Stage<'g>, NnirError> {
+    Ok(match node.op {
+        Op::BatchNorm => {
+            let (scale, shift) = weights(graph, node)?;
+            let shift = shift.unwrap_or_default();
+            Stage::BatchNorm { scale, shift }
+        }
+        Op::Activation(kind) => Stage::Activation(kind),
+        Op::FakeQuant { scale } => Stage::FakeQuant(scale),
+        _ => {
+            let other = node.inputs.iter().find(|&&t| t != value);
+            Stage::Add {
+                other: slot(*other.unwrap_or(&value))?,
+                value_first: node.inputs.first() == Some(&value),
+            }
+        }
+    })
+}
+
+/// A node's first weight tensor (a kernel, or a BatchNorm's scale) and
+/// its second (a bias or shift): borrowed when explicit, generated once
+/// ([`Graph::node_weights`]) when seeded.
+fn weights<'g>(
+    graph: &'g Graph,
+    node: &'g Node,
+) -> Result<(Data<'g>, Option<Data<'g>>), NnirError> {
+    let mut data: Vec<Data<'g>> = match graph.node_weights(node)? {
+        Cow::Borrowed(tensors) => tensors.iter().map(|t| Cow::Borrowed(t.data())).collect(),
+        Cow::Owned(tensors) => tensors.into_iter().map(|t| t.into_data().into()).collect(),
+    };
+    let second = data.get_mut(1).map(std::mem::take);
+    Ok((data.into_iter().next().unwrap_or_default(), second))
+}
+
+/// The arena slot of tensor `t`, which is no fused chain's inner value.
+pub(super) fn slot(memory: &MemoryPlan, t: TensorId) -> Result<usize, NnirError> {
+    memory
+        .slot_of(t)
+        .ok_or_else(|| NnirError::ExecutionFailure(format!("tensor {t} has no arena slot")))
+}
+
+/// The verified shape of tensor `t`.
+pub(super) fn shape(graph: &Graph, t: TensorId) -> Result<&Shape, NnirError> {
+    graph
+        .tensor_shape(t)
+        .ok_or_else(|| NnirError::ExecutionFailure(format!("tensor {t} has no shape")))
+}
+
+/// The extents of a rank-`R` shape: `[n, c, h, w]` or `[n, f]`.
+fn dims<const R: usize>(s: &Shape) -> Result<[usize; R], NnirError> {
+    <[usize; R]>::try_from(s.dims())
+        .map_err(|_| NnirError::ExecutionFailure(format!("expected a rank-{R} tensor, got {s}")))
 }
 
 /// What a chain after an INT8 conv can output as a zero, for the

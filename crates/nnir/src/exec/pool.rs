@@ -3,12 +3,9 @@
 
 use super::par::par_chunks_with;
 use super::runner::KernelCtx;
-use super::structural::dims4;
 use crate::ops::Pool2dAttrs;
-use crate::tensor::Tensor;
-use crate::NnirError;
 
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub(super) enum PoolMode {
     Max,
     Avg,
@@ -17,7 +14,7 @@ pub(super) enum PoolMode {
 /// A pool's windows over planes of `h × w` values: the geometry
 /// [`pool_plane`] runs, for a pool node and for the max-pool an INT8
 /// conv folds.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub(super) struct PoolGeom {
     h: usize,
     w: usize,
@@ -32,21 +29,12 @@ pub(super) struct PoolGeom {
 }
 
 impl PoolGeom {
-    /// The windows of `a` over an `h × w` plane.
-    pub(super) fn new(a: &Pool2dAttrs, h: usize, w: usize) -> Result<Self, NnirError> {
+    /// The windows of `a` over an `h × w` plane, which shape inference
+    /// ([`crate::ops::Op::infer_shape`]) has proven to fit it.
+    pub(super) fn new(a: &Pool2dAttrs, h: usize, w: usize) -> Self {
         let ((kh, kw), (sh, sw), (ph, pw)) = (a.kernel, a.stride, a.padding);
-        if sh == 0 || sw == 0 || kh == 0 || kw == 0 {
-            return Err(NnirError::ExecutionFailure(format!(
-                "pool2d requires non-zero stride and kernel (stride {sh}x{sw}, kernel {kh}x{kw})"
-            )));
-        }
         let (hp, wp) = (h + 2 * ph, w + 2 * pw);
-        if hp < kh || wp < kw {
-            return Err(NnirError::ExecutionFailure(format!(
-                "pool2d kernel {kh}x{kw} exceeds padded input {hp}x{wp}"
-            )));
-        }
-        Ok(PoolGeom {
+        PoolGeom {
             h,
             w,
             kh,
@@ -57,7 +45,7 @@ impl PoolGeom {
             pw,
             oh: (hp - kh) / sh + 1,
             ow: (wp - kw) / sw + 1,
-        })
+        }
     }
 
     /// Output values per plane.
@@ -94,30 +82,26 @@ impl PoolGeom {
 /// Planes are split over the workers, each with a padded plane of its
 /// own.
 pub(super) fn pool2d_into(
-    input: &Tensor,
-    attrs: &Pool2dAttrs,
+    input: &[f32],
+    g: PoolGeom,
     mode: PoolMode,
-    out: &mut Tensor,
+    out: &mut [f32],
     ctx: &mut KernelCtx<'_>,
-) -> Result<(), NnirError> {
-    let [n, c, h, w] = dims4(input.shape())?;
-    let g = PoolGeom::new(attrs, h, w)?;
-    let opix = g.opix();
-    debug_assert_eq!(out.shape().elem_count(), n * c * opix);
+) {
+    let (h, w, opix) = (g.h, g.w, g.opix());
     // What a padded tap reads: a value that leaves every accumulator
     // unchanged.
     let border = match mode {
         PoolMode::Max => f32::NEG_INFINITY,
         PoolMode::Avg => -0.0,
     };
-    let workers = ctx.par.workers_for(n * c * opix * g.kh * g.kw);
+    let workers = ctx.par.workers_for(out.len() * g.kh * g.kw);
     let pads = &mut ctx.scratch.col;
     pads.clear();
     pads.resize(workers * g.pad_len(), border);
-    let in_data = input.data();
     let epi = ctx.epi;
-    par_chunks_with(workers, out.data_mut(), opix, pads, |u, dst, pad| {
-        let plane = &in_data[u * h * w..][..h * w];
+    par_chunks_with(workers, out, opix, pads, |u, dst, pad| {
+        let plane = &input[u * h * w..][..h * w];
         match mode {
             PoolMode::Max => pool_plane(plane, w, g, pad, f32::NEG_INFINITY, max_tap, dst),
             PoolMode::Avg => {
@@ -138,7 +122,6 @@ pub(super) fn pool2d_into(
         }
         epi.apply(dst, u * opix);
     });
-    Ok(())
 }
 
 /// `acc.max(x)` for an `acc` that is never NaN (it starts at `-∞` and
@@ -269,18 +252,15 @@ fn pool_taps<T: Copy, const L: usize>(
     }
 }
 
-pub(super) fn global_avg_pool_into(input: &Tensor, out: &mut Tensor) -> Result<(), NnirError> {
-    let [n, c, h, w] = dims4(input.shape())?;
-    let area = (h * w) as f32;
-    let in_data = input.data();
-    let out_data = out.data_mut();
-    for u in 0..n * c {
-        let plane = &in_data[u * h * w..][..h * w];
+/// Global average pooling: each plane of `plane` values summed in order
+/// from `0.0`, then divided by its size.
+pub(super) fn global_avg_pool_into(input: &[f32], plane: usize, out: &mut [f32]) {
+    let area = plane as f32;
+    for (o, plane) in out.iter_mut().zip(input.chunks_exact(plane.max(1))) {
         let mut acc = 0.0;
         for &v in plane {
             acc += v;
         }
-        out_data[u] = acc / area;
+        *o = acc / area;
     }
-    Ok(())
 }

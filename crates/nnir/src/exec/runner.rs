@@ -1,25 +1,25 @@
-//! The runner: its builder, run options and output, the arena-backed
-//! forward pass and the per-step kernel dispatch.
+//! The runner: its builder, run options and output, the forward pass
+//! over the value arena, and the dispatch of each step to its kernel.
 
-use super::conv::conv2d_into;
+use super::conv::{conv_bias, conv_gemm, conv_lanes};
 use super::dense::dense_into;
+use super::grouped::conv2d_grouped;
+use super::int8::{conv_int8_direct, conv_int8_gemm, dense_int8};
 use super::memory::MemoryPlan;
 use super::par::Parallelism;
-use super::plan::{fused_steps, int8_plans, Int8Plan, MAX_TAILS};
-use super::pool::{global_avg_pool_into, pool2d_into, PoolMode};
-use super::stage::{channel_plane, Epilogue, Stage};
+use super::plan::{self, fused_steps, int8_plans, Kernel, Step, Tail};
+use super::pool::{global_avg_pool_into, pool2d_into, PoolGeom, PoolMode};
+use super::stage::{channel_plane, slot, Epilogue};
 use super::structural::{
     concat_channels_into, mul_broadcast_into, softmax_last_into, upsample_nearest_into,
 };
 use crate::dtype::DataType;
 use crate::graph::{Graph, Node, TensorId};
-use crate::ops::{Op, Pool2dAttrs};
 use crate::profile::{NodeProfile, RunProfile};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::NnirError;
 use std::borrow::Cow;
-use std::ops::Range;
 
 /// Reusable kernel scratch owned by the [`Runner`], grown to the
 /// largest kernel seen and reused across runs.
@@ -36,9 +36,6 @@ pub(super) struct Scratch {
     /// The f32 dense conv's zero-padded input planes (an unpadded conv
     /// reads its input in place).
     pub(super) pad: Vec<f32>,
-    /// The f32 GEMM's weight rows, padded to whole 4-element chunks
-    /// when K is not a multiple of 4.
-    pub(super) wpad: Vec<f32>,
     /// Quantized input activations (INT8 path): zero-padded code planes
     /// for a conv, rows of a plan's padded length for a dense layer.
     pub(super) qin: Vec<i16>,
@@ -238,81 +235,93 @@ impl RunnerBuilder {
     /// ([`crate::analysis::verify_for_execution`]) first: execution is
     /// gated on a provably well-formed graph, so a transform or
     /// deserialization bug surfaces here as a coded diagnostic instead
-    /// of a downstream miscompute.
+    /// of a downstream miscompute. Then it makes the plan: each step's
+    /// kernel, geometry, arena slots and fused stages, and every node's
+    /// weights, borrowed when explicit and materialized when seeded. A
+    /// run only executes it.
     ///
     /// # Errors
     ///
     /// Returns [`NnirError::VerifierRejected`] if the graph fails any
-    /// Error-severity analysis pass.
+    /// Error-severity analysis pass, [`NnirError::ShapeMismatch`] if an
+    /// INT8 payload does not fit its weights, and
+    /// [`NnirError::ExecutionFailure`] for a node no kernel runs (an
+    /// `Input` node, or a weighted node with no weights).
     pub fn build(self, graph: &Graph) -> Result<Runner<'_>, NnirError> {
         crate::analysis::verify_for_execution(graph)?;
-        let int8_plans = if self.int8 {
-            int8_plans(graph)
+        let int8 = if self.int8 {
+            int8_plans(graph)?
         } else {
-            vec![None; graph.nodes().len()]
+            Vec::new()
         };
-        let steps = fused_steps(graph, &int8_plans);
-        let plan = if self.memory_planning {
-            MemoryPlan::over(graph, &steps)
+        let spans = fused_steps(graph, &int8);
+        let memory = if self.memory_planning {
+            MemoryPlan::over(graph, &spans)
         } else {
             MemoryPlan::identity(graph)
         };
+        let steps = plan::steps(graph, spans, int8, &memory)?;
+        let slot = |t: TensorId| plan::slot(&memory, t);
+        let input = |t: TensorId| Ok((t, slot(t)?, plan::shape(graph, t)?));
         Ok(Runner {
             graph,
             parallelism: self.parallelism,
-            weights: vec![None; graph.nodes().len()],
-            values: vec![None; plan.slot_count()],
+            inputs: graph
+                .inputs()
+                .iter()
+                .map(|&t| input(t))
+                .collect::<Result<_, _>>()?,
+            outputs: graph
+                .outputs()
+                .iter()
+                .map(|&t| slot(t))
+                .collect::<Result<_, _>>()?,
+            values: vec![None; memory.slot_count()],
             spill: None,
             scratch: Scratch::default(),
-            records: profile_records(graph, &steps, &int8_plans),
-            int8_plans,
-            identity_quants: crate::analysis::identity_quants(graph),
+            records: profile_records(graph, &steps),
             steps,
-            plan,
+            plan: memory,
         })
     }
 }
 
 /// Reusable execution engine over one graph.
 ///
-/// Holds three arenas that survive across [`execute`](Runner::execute) calls:
-/// per-tensor intermediate buffers (reused in place when shapes match),
-/// node weights (explicit ones borrowed from the graph, seeded ones
-/// materialized once), and the im2col scratch buffer. The first run
-/// allocates; subsequent runs with the same shapes are allocation-free
-/// on the hot path.
+/// Holds the plan [`RunnerBuilder::build`] made (each step's kernel with
+/// its geometry and weights: explicit ones borrowed from the graph,
+/// seeded ones materialized once) and two arenas that survive across
+/// [`execute`](Runner::execute) calls: per-tensor intermediate buffers
+/// (reused in place when shapes match) and the kernel scratch. The first
+/// run allocates; subsequent runs with the same shapes are
+/// allocation-free on the hot path.
 #[derive(Debug)]
 pub struct Runner<'g> {
-    pub(super) graph: &'g Graph,
-    pub(super) parallelism: Parallelism,
-    /// Each node's weights once first used: borrowed from the graph
-    /// when explicit, materialized (owned) when seeded.
-    pub(super) weights: Vec<Option<Cow<'g, [Tensor]>>>,
+    graph: &'g Graph,
+    parallelism: Parallelism,
+    /// Each graph input's tensor id, arena slot and declared shape.
+    inputs: Vec<(TensorId, usize, &'g Shape)>,
+    /// Each graph output's arena slot.
+    outputs: Vec<usize>,
     /// Value arena, one buffer per plan slot, reused across runs and —
     /// under the memory plan — across tensors with disjoint live
     /// ranges.
-    pub(super) values: Vec<Option<Tensor>>,
+    values: Vec<Option<Tensor>>,
     /// The pre-pool values of a step that folds a max-pool, in a run
     /// that captures intermediates (a plain run never holds them).
-    pub(super) spill: Option<Tensor>,
+    spill: Option<Tensor>,
     /// Kernel scratch (im2col tiles, INT8 code buffers), grown to the
     /// largest kernel seen.
-    pub(super) scratch: Scratch,
-    /// Build-time INT8 kernel selection and packed weights for each
-    /// node that executes on the INT8 path (see [`int8_plans`]).
-    pub(super) int8_plans: Vec<Option<Int8Plan<'g>>>,
-    /// The `FakeQuant` nodes that run as no stage, by node index (see
-    /// [`crate::analysis::identity_quants`]).
-    pub(super) identity_quants: Vec<bool>,
-    /// The schedule as the kernels run it: each step a node, or a head
-    /// with the elementwise nodes (and an INT8 conv's max-pool) fused
-    /// into its output write (see [`fused_steps`]).
-    pub(super) steps: Vec<Range<usize>>,
+    scratch: Scratch,
+    /// The plan: the schedule as the kernels run it, each step a head
+    /// with its kernel and the elementwise nodes (and an INT8 conv's
+    /// max-pool) fused into its output write (see [`plan::steps`]).
+    pub(super) steps: Vec<Step<'g>>,
     /// Each node's profile record less its duration (see
     /// [`profile_records`]).
-    pub(super) records: Vec<NodeProfile>,
+    records: Vec<NodeProfile>,
     /// Build-time arena layout: which slot each tensor id lives in.
-    pub(super) plan: MemoryPlan,
+    plan: MemoryPlan,
 }
 
 impl<'g> Runner<'g> {
@@ -332,7 +341,7 @@ impl<'g> Runner<'g> {
     /// at build time.
     #[must_use]
     pub fn uses_int8(&self) -> bool {
-        self.int8_plans.iter().any(Option::is_some)
+        self.steps.iter().any(|s| s.kernel.is_int8())
     }
 
     /// The arena slot-reuse plan this runner executes under.
@@ -346,8 +355,7 @@ impl<'g> Runner<'g> {
     /// # Errors
     ///
     /// Returns [`NnirError::ExecutionFailure`] if the number or shapes of
-    /// `inputs` do not match the graph inputs, or propagates any graph
-    /// inconsistency discovered mid-run.
+    /// `inputs` do not match the graph inputs.
     pub fn execute(
         &mut self,
         inputs: &[Tensor],
@@ -356,16 +364,12 @@ impl<'g> Runner<'g> {
         let wall_start = options.profile.then(std::time::Instant::now);
         let (durations, intermediates) = self.forward(inputs, options)?;
         let outputs = self
-            .graph
-            .outputs()
+            .outputs
             .iter()
-            .map(|t| {
-                self.plan
-                    .slot_of(*t)
-                    .and_then(|s| self.values[s].clone())
-                    .ok_or_else(|| {
-                        NnirError::ExecutionFailure(format!("output {t} never produced"))
-                    })
+            .map(|&s| {
+                self.values[s].clone().ok_or_else(|| {
+                    NnirError::ExecutionFailure(format!("output slot {s} never written"))
+                })
             })
             .collect::<Result<Vec<_>, _>>()?;
         // Wall time spans input staging through output collection, so
@@ -415,11 +419,16 @@ impl<'g> Runner<'g> {
         self.graph.node_weights(node).map(Cow::into_owned)
     }
 
-    /// Evaluates every step in topological order into the arena slots
-    /// the memory plan assigns, returning per-node timing records when
+    /// Runs every step in schedule order into the arena slots the plan
+    /// assigned, returning per-node timing records when
     /// [`RunOptions::profile`] is set and a per-tensor-id snapshot of
     /// every value when [`RunOptions::capture_intermediates`] is set.
     ///
+    /// Tails run in the head kernel's output write, unless the caller
+    /// captures intermediates: then each runs as a pass of its own over
+    /// the step's buffer, so every value it produces can be cloned, and
+    /// a max-pool the INT8 conv head folds runs as its own kernel over
+    /// the head's full-resolution output, held in a buffer of its own.
     /// Intermediates are captured as each value is produced: under slot
     /// reuse a tensor's buffer may be overwritten by a later value
     /// sharing its slot, so the snapshot clones eagerly instead of
@@ -429,187 +438,89 @@ impl<'g> Runner<'g> {
         inputs: &[Tensor],
         options: RunOptions,
     ) -> Result<ForwardArtifacts, NnirError> {
-        let graph_inputs = self.graph.inputs();
-        if inputs.len() != graph_inputs.len() {
+        if inputs.len() != self.inputs.len() {
             return Err(NnirError::ExecutionFailure(format!(
                 "graph has {} inputs but {} were provided",
-                graph_inputs.len(),
+                self.inputs.len(),
                 inputs.len()
             )));
         }
         let mut captured: Option<Vec<Option<Tensor>>> = options
             .capture_intermediates
             .then(|| vec![None; self.graph.tensor_count()]);
-        for (tid, tensor) in graph_inputs.iter().zip(inputs.iter()) {
-            let expected = self.graph.tensor_shape(*tid).ok_or_else(|| {
-                NnirError::ExecutionFailure(format!("input {tid} has no declared shape"))
-            })?;
+        for (&(t, s, expected), tensor) in self.inputs.iter().zip(inputs) {
             if tensor.shape() != expected {
                 return Err(NnirError::ExecutionFailure(format!(
-                    "input {tid} expects shape {expected} but got {}",
+                    "input {t} expects shape {expected} but got {}",
                     tensor.shape()
                 )));
             }
             // Copy into the arena slot's buffer, whatever value it held
             // last: a slot shared with larger values keeps their
             // capacity, so a warm run allocates nothing here.
-            let slot = self.plan.slot_of(*tid).ok_or_else(|| {
-                NnirError::ExecutionFailure(format!("input {tid} has no arena slot"))
-            })?;
-            let mut buf = recycle(self.values[slot].take(), tensor.shape());
+            let mut buf = recycle(self.values[s].take(), expected);
             buf.data_mut().copy_from_slice(tensor.data());
-            self.values[slot] = Some(buf);
+            self.values[s] = Some(buf);
             if let Some(cap) = captured.as_mut() {
-                cap[tid.0] = Some(tensor.clone());
+                cap[t.0] = Some(tensor.clone());
             }
         }
 
-        let nodes: &'g [Node] = self.graph.nodes();
+        let nodes = self.graph.nodes();
         let mut durations = options.profile.then(|| vec![0; nodes.len()]);
         for step in &self.steps {
-            for (idx, node) in step.clone().zip(&nodes[step.clone()]) {
-                if self.weights[idx].is_none() {
-                    self.weights[idx] = Some(self.graph.node_weights(node)?);
-                }
-            }
-            let (head, tails) = (&nodes[step.start], &nodes[step.start + 1..step.end]);
-            // The step writes its last value. Every value has the head's
-            // output shape, or past a folded max-pool the pool's.
-            let last = tails.last().unwrap_or(head);
-            let shape_of = |node: &Node| {
-                self.graph.tensor_shape(node.output).ok_or_else(|| {
-                    NnirError::ExecutionFailure(format!("node {} has no output shape", node.name))
-                })
-            };
-            let out_shape = shape_of(last)?;
-            let plane = channel_plane(out_shape);
-            let out_slot = self.plan.slot_of(last.output).ok_or_else(|| {
-                NnirError::ExecutionFailure(format!("output of {} has no arena slot", last.name))
-            })?;
-            let mut out = recycle(self.values[out_slot].take(), out_shape);
-            // Tails run in the head kernel's output write, unless the
-            // caller captures intermediates: then each runs as a pass of
-            // its own over the step's buffer, so every value it produces
-            // can be cloned, and a max-pool the INT8 conv head folds
-            // (see `fused_steps`) runs as its own kernel over the head's
-            // full-resolution output, held in a buffer of its own.
-            let fused = !options.capture_intermediates;
-            let pool = tails
-                .iter()
-                .position(|n| matches!(n.op, Op::MaxPool2d(_)))
-                .map(|i| step.start + 1 + i);
-            let mut pre = match pool {
-                Some(_) if !fused => Some(recycle(self.spill.take(), shape_of(head)?)),
-                _ => None,
-            };
-            let value = |t: TensorId| {
-                self.plan
-                    .slot_of(t)
-                    .and_then(|s| self.values[s].as_ref())
-                    .ok_or_else(|| {
-                        NnirError::ExecutionFailure(format!(
-                            "tensor {t} consumed before production"
-                        ))
-                    })
-            };
-            // Materialized above; a kernel reports missing tensors itself.
-            let weights = |idx: usize| self.weights[idx].as_deref().unwrap_or_default();
-            // Node `idx`'s stage over the chain value `v` in a buffer of
-            // `shape`, its other operand (an `Add`'s) read from the
-            // arena; none for a `FakeQuant` that changes no bit.
-            let stage = |idx: usize, v: TensorId, shape: &Shape| {
-                if self.identity_quants[idx] {
-                    return Ok(None);
-                }
-                let node = &nodes[idx];
-                let other = node.inputs.iter().find(|&&t| t != v).map(|&t| value(t));
-                Stage::of(node, v, weights(idx), other.transpose()?, shape).map(Some)
-            };
-            let mut stages = [None; MAX_TAILS];
-            let mut staged = 0;
-            if fused {
-                let mut v = head.output;
-                for (idx, tail) in (step.start + 1..step.end).zip(tails) {
-                    if Some(idx) != pool {
-                        if let Some(s) = stage(idx, v, out_shape)? {
-                            stages[staged] = Some(s);
-                            staged += 1;
-                        }
-                    }
-                    v = tail.output;
-                }
-            }
-            let head_start = durations.is_some().then(std::time::Instant::now);
+            let fused = captured.is_none();
+            let mut out = recycle(self.values[step.out].take(), &step.shape);
+            let fold = step.fold.as_ref().filter(|_| fused).map(|f| f.geom);
+            let mut pre = (step.fold.as_ref())
+                .filter(|_| !fused)
+                .map(|f| recycle(self.spill.take(), &f.pre));
+            let head_out = pre.as_mut().unwrap_or(&mut out);
+            let values = &self.values;
             let mut ctx = KernelCtx {
                 scratch: &mut self.scratch,
                 par: self.parallelism,
-                int8: self.int8_plans[step.start].as_ref(),
-                pool: match pool.map(|i| &nodes[i].op) {
-                    Some(Op::MaxPool2d(a)) if fused => Some(a),
-                    _ => None,
-                },
                 epi: Epilogue {
-                    stages: &stages[..staged],
-                    plane,
+                    stages: if fused { &step.stages } else { &[] },
+                    plane: channel_plane(head_out.shape()),
+                    values,
                 },
             };
-            let head_out = pre.as_mut().unwrap_or(&mut out);
-            if self.identity_quants[step.start] {
-                // A `FakeQuant` on its input's grid: its value is its
-                // input.
-                head_out
-                    .data_mut()
-                    .copy_from_slice(value(head.inputs[0])?.data());
-            } else {
-                eval_node_into(head, value, weights(step.start), head_out, &mut ctx)?;
-            }
             // A record measures only its kernel (a fused head's: the
             // whole step).
-            if let (Some(ns), Some(start)) = (durations.as_mut(), head_start) {
-                ns[step.start] = start.elapsed().as_nanos() as u64;
+            let start = durations.is_some().then(std::time::Instant::now);
+            eval_node_into(step, values, head_out.data_mut(), fold, &mut ctx);
+            if let (Some(ns), Some(start)) = (durations.as_mut(), start) {
+                ns[step.nodes.start] = start.elapsed().as_nanos() as u64;
             }
             if let Some(cap) = captured.as_mut() {
-                cap[head.output.0] = Some(pre.as_ref().unwrap_or(&out).clone());
-            }
-            let mut v = head.output;
-            for (idx, tail) in (step.start + 1..step.end).zip(tails) {
+                cap[nodes[step.nodes.start].output.0] = Some(head_out.clone());
                 // The values before a folded pool live in `pre`.
-                let in_pre = pool.is_some_and(|p| idx < p);
-                if !fused {
+                let mut stages = step.stages.iter();
+                for (idx, tail) in step.nodes.clone().skip(1).zip(&step.tails) {
                     let start = std::time::Instant::now();
-                    match (&tail.op, pre.as_mut()) {
-                        (Op::MaxPool2d(attrs), Some(pre)) => {
-                            let mut ctx = KernelCtx::f32(&mut self.scratch, self.parallelism);
-                            pool2d_into(pre, attrs, PoolMode::Max, &mut out, &mut ctx)?;
+                    match (tail, pre.as_mut(), &step.fold) {
+                        (Tail::Pool, Some(p), Some(fold)) => {
+                            let max = PoolMode::Max;
+                            pool2d_into(p.data(), fold.geom, max, out.data_mut(), &mut ctx);
+                            self.spill = pre.take();
                         }
-                        (_, pre) => {
-                            let buf = match pre {
-                                Some(pre) if in_pre => pre,
-                                _ => &mut out,
-                            };
-                            if let Some(stage) = stage(idx, v, buf.shape())? {
-                                let plane = channel_plane(buf.shape());
-                                stage.apply(buf.data_mut(), 0, plane);
+                        (Tail::Stage, buf, _) => {
+                            let buf = buf.unwrap_or(&mut out);
+                            let plane = channel_plane(buf.shape());
+                            if let Some(stage) = stages.next() {
+                                stage.apply(buf.data_mut(), 0, plane, values);
                             }
                         }
+                        _ => {}
                     }
                     if let Some(ns) = durations.as_mut() {
                         ns[idx] = start.elapsed().as_nanos() as u64;
                     }
+                    cap[nodes[idx].output.0] = Some(pre.as_ref().unwrap_or(&out).clone());
                 }
-                if let Some(cap) = captured.as_mut() {
-                    let buf = match &pre {
-                        Some(pre) if in_pre => pre,
-                        _ => &out,
-                    };
-                    cap[tail.output.0] = Some(buf.clone());
-                }
-                v = tail.output;
             }
-            if pre.is_some() {
-                self.spill = pre;
-            }
-            self.values[out_slot] = Some(out);
+            self.values[step.out] = Some(out);
         }
         Ok((durations, captured))
     }
@@ -631,10 +542,7 @@ fn recycle(slot: Option<Tensor>, shape: &Shape) -> Tensor {
         Some(t) => {
             let mut data = t.into_data();
             data.resize(shape.elem_count(), 0.0);
-            match Tensor::from_vec(shape.clone(), data) {
-                Ok(t) => t,
-                Err(_) => Tensor::zeros(shape.clone()),
-            }
+            Tensor::from_vec(shape.clone(), data).unwrap_or_else(|_| Tensor::zeros(shape.clone()))
         }
         None => Tensor::zeros(shape.clone()),
     }
@@ -642,19 +550,16 @@ fn recycle(slot: Option<Tensor>, shape: &Shape) -> Tensor {
 
 /// The static fields of each node's profile record, in schedule order:
 /// everything but the measured duration, built once per runner. A fused
-/// tail names its step's head; every node an INT8 plan selected reads
-/// [`DataType::I8`].
-fn profile_records(
-    graph: &Graph,
-    steps: &[Range<usize>],
-    int8_plans: &[Option<Int8Plan<'_>>],
-) -> Vec<NodeProfile> {
+/// tail names its step's head; every head that runs an INT8 kernel
+/// reads [`DataType::I8`].
+fn profile_records(graph: &Graph, steps: &[Step<'_>]) -> Vec<NodeProfile> {
     let nodes = graph.nodes();
     steps
         .iter()
-        .flat_map(|step| step.clone().map(move |idx| (idx, step.start)))
-        .map(|(idx, head)| {
+        .flat_map(|step| step.nodes.clone().map(move |idx| (idx, step)))
+        .map(|(idx, step)| {
             let node = &nodes[idx];
+            let head = step.nodes.start;
             let in_shapes = graph.node_input_shapes(node);
             let (macs, elementwise) = graph.tensor_shape(node.output).map_or((0, 0), |out| {
                 (
@@ -668,9 +573,11 @@ fn profile_records(
                 macs,
                 elementwise,
                 duration_ns: 0,
-                precision: int8_plans[idx]
-                    .as_ref()
-                    .map_or(DataType::F32, |_| DataType::I8),
+                precision: if idx == head && step.kernel.is_int8() {
+                    DataType::I8
+                } else {
+                    DataType::F32
+                },
                 fused_into: (idx != head).then(|| nodes[head].name.clone()),
             }
         })
@@ -678,82 +585,52 @@ fn profile_records(
 }
 
 /// Mutable per-step kernel context: the runner's scratch arenas, the
-/// parallelism policy, the head's INT8 plan and the stages fused into
-/// its output write.
+/// parallelism policy and the stages fused into the head's output
+/// write.
 pub(super) struct KernelCtx<'a> {
     pub(super) scratch: &'a mut Scratch,
     pub(super) par: Parallelism,
-    /// `Some` when the build-time plan selected the INT8 kernel for
-    /// this node.
-    pub(super) int8: Option<&'a Int8Plan<'a>>,
-    /// The max-pool an INT8 conv head folds: its kernel pools the i32
-    /// accumulators and writes the pooled output (see [`fused_steps`]).
-    pub(super) pool: Option<&'a Pool2dAttrs>,
     /// What a head kernel (conv, dense, pool or flatten) applies to
     /// each run of output it writes; empty for every other node.
     pub(super) epi: Epilogue<'a>,
 }
 
-impl<'a> KernelCtx<'a> {
-    /// f32-only context (no INT8 plan, no folded pool, no fused stages)
-    /// over `scratch`: a capture run's split-off pool, and the direct
-    /// kernel-call harness the unit tests use.
-    pub(super) fn f32(scratch: &'a mut Scratch, par: Parallelism) -> Self {
-        KernelCtx {
-            scratch,
-            par,
-            int8: None,
-            pool: None,
-            epi: Epilogue {
-                stages: &[],
-                plane: 1,
-            },
-        }
-    }
-}
-
-/// Dispatches one node evaluation into a preallocated output tensor,
-/// reading each input tensor from the arena through `value`.
-fn eval_node_into<'v>(
-    node: &Node,
-    value: impl Fn(TensorId) -> Result<&'v Tensor, NnirError>,
-    weights: &[Tensor],
-    out: &mut Tensor,
+/// Runs a step's kernel into `out`, reading its inputs from the arena
+/// `values`. `fold` is the max-pool an INT8 conv head pools its
+/// accumulators by: the step's, except in a run that captures
+/// intermediates.
+fn eval_node_into(
+    step: &Step<'_>,
+    values: &[Option<Tensor>],
+    out: &mut [f32],
+    fold: Option<PoolGeom>,
     ctx: &mut KernelCtx<'_>,
-) -> Result<(), NnirError> {
-    let arg = |i: usize| value(node.inputs[i]);
-    match &node.op {
-        Op::Input(_) => Err(NnirError::ExecutionFailure(
-            "input op cannot be evaluated".into(),
-        )),
-        Op::Conv2d(attrs) => conv2d_into(arg(0)?, attrs, weights, out, ctx),
-        Op::Dense { bias, .. } => dense_into(arg(0)?, weights, *bias, out, ctx),
-        Op::BatchNorm | Op::Activation(_) | Op::FakeQuant { .. } | Op::Add => {
-            // A standalone elementwise node: its stage, run in place
-            // over a copy of its first input.
-            let other = node.inputs.get(1).map(|&t| value(t)).transpose()?;
-            let stage = Stage::of(node, node.inputs[0], weights, other, out.shape())?;
-            let plane = channel_plane(out.shape());
-            out.data_mut().copy_from_slice(arg(0)?.data());
-            stage.apply(out.data_mut(), 0, plane);
-            Ok(())
+) {
+    let arg = |i: usize| slot(values, step.inputs[i]);
+    match &step.kernel {
+        Kernel::ConvLanes(c, run) => conv_lanes(arg(0), c, *run, out, ctx),
+        Kernel::ConvGemm(c) => conv_gemm(arg(0), c, out, ctx),
+        Kernel::ConvBias(c) => conv_bias(c, out, ctx.epi),
+        Kernel::Grouped(c, groups) => conv2d_grouped(arg(0), c, *groups, out, ctx),
+        Kernel::Int8Gemm(c, plan) => conv_int8_gemm(arg(0), c, plan, fold, out, ctx),
+        Kernel::Int8Direct(c, plan) => conv_int8_direct(arg(0), c, plan, fold, out, ctx),
+        Kernel::MatVec(d) => dense_into(arg(0), d, out, ctx),
+        Kernel::Int8Dense(d, plan) => dense_int8(arg(0), d, plan, out, ctx),
+        Kernel::Pool(g, mode) => pool2d_into(arg(0), *g, *mode, out, ctx),
+        Kernel::GlobalAvgPool(plane) => global_avg_pool_into(arg(0), *plane, out),
+        Kernel::Mul(plane) => mul_broadcast_into(arg(0), arg(1), *plane, out),
+        Kernel::Concat(n) => {
+            concat_channels_into(&step.inputs.iter().map(|&s| slot(values, s)), *n, out);
         }
-        Op::MaxPool2d(attrs) => pool2d_into(arg(0)?, attrs, PoolMode::Max, out, ctx),
-        Op::AvgPool2d(attrs) => pool2d_into(arg(0)?, attrs, PoolMode::Avg, out, ctx),
-        Op::GlobalAvgPool => global_avg_pool_into(arg(0)?, out),
-        Op::Mul => mul_broadcast_into(arg(0)?, arg(1)?, out),
-        Op::Concat => concat_channels_into(node.inputs.iter().map(|&t| value(t)), out),
-        Op::Upsample { factor } => upsample_nearest_into(arg(0)?, *factor, out),
-        Op::Flatten => {
-            // Same element order, different shape: a straight copy, then
-            // the fused stages over it.
-            out.data_mut().copy_from_slice(arg(0)?.data());
-            ctx.epi.apply(out.data_mut(), 0);
-            Ok(())
+        Kernel::Upsample { factor, h, w } => upsample_nearest_into(arg(0), *factor, *h, *w, out),
+        Kernel::Softmax(last) => softmax_last_into(arg(0), *last, out),
+        Kernel::Stage(stage) => {
+            out.copy_from_slice(arg(0));
+            stage.apply(out, 0, ctx.epi.plane, values);
         }
-        Op::Softmax => {
-            softmax_last_into(arg(0)?, out);
-            Ok(())
+        Kernel::Copy => {
+            out.copy_from_slice(arg(0));
+            ctx.epi.apply(out, 0);
         }
     }
 }

@@ -1,11 +1,10 @@
 //! The elementwise stages a head kernel runs on its output as it writes
 //! it, and standalone elementwise nodes run over a copy of their input.
 
-use crate::graph::{Node, TensorId};
-use crate::ops::{ActKind, Op};
+use super::plan::Data;
+use crate::ops::ActKind;
 use crate::shape::Shape;
 use crate::tensor::{round_i8, Tensor};
-use crate::NnirError;
 
 /// Elements per channel plane of a tensor: everything past the batch
 /// and channel dims (1 for a dense layer's `[n, f]` output).
@@ -47,75 +46,31 @@ pub(super) fn activation(kind: ActKind, xs: &mut [f32]) {
 /// values: the single implementation of its arithmetic, whether it runs
 /// fused into a head kernel's output write or as a standalone node over
 /// a copy of its input.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum Stage<'a> {
+#[derive(Debug)]
+pub(super) enum Stage<'g> {
     /// `scale[c]·x + shift[c]` for channel `c`.
     BatchNorm {
-        scale: &'a [f32],
-        shift: &'a [f32],
+        scale: Data<'g>,
+        shift: Data<'g>,
     },
     Activation(ActKind),
     /// Snaps each value to the INT8 grid of this scale; scale 0 maps
     /// every value to 0.
     FakeQuant(f32),
-    /// Adds the element of `other` at the same position, on the side
-    /// the graph put it: `x + other` when the running value is the
-    /// `Add`'s first input, `other + x` otherwise.
+    /// Adds the element at the same position of the value in arena slot
+    /// `other`, on the side the graph put it: `x + other` when the
+    /// running value is the `Add`'s first input, `other + x` otherwise.
     Add {
-        other: &'a [f32],
+        other: usize,
         value_first: bool,
     },
 }
 
-impl<'a> Stage<'a> {
-    /// The stage of elementwise `node` over an output of `shape`, where
-    /// `value` is the input it transforms (a standalone node's first
-    /// input, a fused tail's chain value) and `other` an `Add`'s other
-    /// operand.
-    pub(super) fn of(
-        node: &Node,
-        value: TensorId,
-        weights: &'a [Tensor],
-        other: Option<&'a Tensor>,
-        shape: &Shape,
-    ) -> Result<Self, NnirError> {
-        let fail = |msg: String| Err(NnirError::ExecutionFailure(msg));
-        match node.op {
-            Op::BatchNorm => {
-                let Some(c) = shape.dim(1) else {
-                    return fail("batchnorm needs a channel dim".into());
-                };
-                match weights {
-                    [scale, shift, ..]
-                        if scale.shape().elem_count() == c && shift.shape().elem_count() == c =>
-                    {
-                        Ok(Stage::BatchNorm {
-                            scale: scale.data(),
-                            shift: shift.data(),
-                        })
-                    }
-                    _ => fail(format!(
-                        "batchnorm {} needs a scale and a shift of {c}",
-                        node.name
-                    )),
-                }
-            }
-            Op::Activation(kind) => Ok(Stage::Activation(kind)),
-            Op::FakeQuant { scale } => Ok(Stage::FakeQuant(scale)),
-            Op::Add => match other {
-                Some(o) if o.shape() == shape => Ok(Stage::Add {
-                    other: o.data(),
-                    value_first: node.inputs.first() == Some(&value),
-                }),
-                _ => fail(format!("element-wise shape mismatch at {}", node.name)),
-            },
-            _ => fail(format!("{} is not an elementwise op", node.name)),
-        }
-    }
-
+impl Stage<'_> {
     /// Applies the stage to `xs`, the run of the output that starts at
-    /// flat index `at`, in an output of `plane` elements per channel.
-    pub(super) fn apply(self, xs: &mut [f32], at: usize, plane: usize) {
+    /// flat index `at`, in an output of `plane` elements per channel; an
+    /// `Add` reads its other operand from the arena `values`.
+    pub(super) fn apply(&self, xs: &mut [f32], at: usize, plane: usize, values: &[Option<Tensor>]) {
         match self {
             Stage::BatchNorm { scale, shift } => {
                 // One channel's parameters per piece of the run.
@@ -131,8 +86,9 @@ impl<'a> Stage<'a> {
                     (at, rest) = (at + take, tail);
                 }
             }
-            Stage::Activation(kind) => activation(kind, xs),
+            Stage::Activation(kind) => activation(*kind, xs),
             Stage::FakeQuant(scale) => {
+                let scale = *scale;
                 if scale == 0.0 {
                     xs.fill(0.0);
                 } else {
@@ -142,8 +98,8 @@ impl<'a> Stage<'a> {
                 }
             }
             Stage::Add { other, value_first } => {
-                let other = &other[at..][..xs.len()];
-                if value_first {
+                let other = &slot(values, *other)[at..][..xs.len()];
+                if *value_first {
                     for (x, &y) in xs.iter_mut().zip(other) {
                         *x += y;
                     }
@@ -160,21 +116,28 @@ impl<'a> Stage<'a> {
     }
 }
 
-/// The stages fused into a head kernel's output write, and the output's
-/// channel plane, which maps a run of output to its channel.
+/// The values in arena slot `s`: every slot a step reads was written
+/// earlier in the pass.
+pub(super) fn slot(values: &[Option<Tensor>], s: usize) -> &[f32] {
+    values[s].as_ref().map_or(&[], Tensor::data)
+}
+
+/// The stages fused into a head kernel's output write, the output's
+/// channel plane, which maps a run of output to its channel, and the
+/// arena an `Add` reads its other operand from.
 #[derive(Clone, Copy)]
 pub(super) struct Epilogue<'a> {
-    /// One per fused tail, in schedule order (all `Some`).
-    pub(super) stages: &'a [Option<Stage<'a>>],
+    pub(super) stages: &'a [Stage<'a>],
     pub(super) plane: usize,
+    pub(super) values: &'a [Option<Tensor>],
 }
 
 impl Epilogue<'_> {
     /// Applies every stage, in order, to `xs`: the output run that
     /// starts at flat index `at`, just written by the kernel.
     pub(super) fn apply(&self, xs: &mut [f32], at: usize) {
-        for stage in self.stages.iter().flatten() {
-            stage.apply(xs, at, self.plane);
+        for stage in self.stages {
+            stage.apply(xs, at, self.plane, self.values);
         }
     }
 }

@@ -1,102 +1,49 @@
 //! The structural ops: broadcast multiply, channel concat, nearest
 //! upsampling and softmax.
 
-use crate::shape::Shape;
-use crate::tensor::Tensor;
-use crate::NnirError;
-
-pub(super) fn mul_broadcast_into(
-    a: &Tensor,
-    b: &Tensor,
-    out: &mut Tensor,
-) -> Result<(), NnirError> {
-    if a.shape() == b.shape() {
-        for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
-            *o = x * y;
+/// `a · b`, where `b` holds one value per `plane` values of `a`: the
+/// squeeze-excite gate of `[n, c, 1, 1]` over `[n, c, h, w]`, or, at
+/// `plane` 1, a same-shape product.
+pub(super) fn mul_broadcast_into(a: &[f32], b: &[f32], plane: usize, out: &mut [f32]) {
+    for ((out, a), &gate) in out
+        .chunks_exact_mut(plane)
+        .zip(a.chunks_exact(plane))
+        .zip(b)
+    {
+        for (o, &x) in out.iter_mut().zip(a) {
+            *o = x * gate;
         }
-        return Ok(());
-    }
-    // Squeeze-excite: a is [n,c,h,w], b is [n,c,1,1].
-    let [n, c, h, w] = dims4(a.shape())?;
-    if b.shape().elem_count() != n * c {
-        return Err(NnirError::ExecutionFailure(format!(
-            "mul broadcast expects [n,c,1,1] gate, got {}",
-            b.shape()
-        )));
-    }
-    let plane = h * w;
-    let a_data = a.data();
-    let b_data = b.data();
-    let out_data = out.data_mut();
-    for (u, &gate) in b_data.iter().enumerate().take(n * c) {
-        let base = u * plane;
-        for i in 0..plane {
-            out_data[base + i] = a_data[base + i] * gate;
-        }
-    }
-    Ok(())
-}
-
-pub(super) fn dims4(s: &Shape) -> Result<[usize; 4], NnirError> {
-    match *s.dims() {
-        [n, c, h, w] => Ok([n, c, h, w]),
-        _ => Err(NnirError::ExecutionFailure(format!(
-            "expected NCHW tensor, got {s}"
-        ))),
     }
 }
 
+/// Channel concat of NCHW `inputs` over a batch of `n`: each batch item
+/// of the output is each input's item in turn.
 pub(super) fn concat_channels_into<'v>(
-    inputs: impl Iterator<Item = Result<&'v Tensor, NnirError>>,
-    out: &mut Tensor,
-) -> Result<(), NnirError> {
-    let [n, total_c, h, w] = dims4(out.shape())?;
-    let plane = h * w;
-    let out_data = out.data_mut();
-    let mut c_off = 0usize;
-    for t in inputs {
-        let t = t?;
-        let [tn, tc, th, tw] = dims4(t.shape())?;
-        if tn != n || th != h || tw != w || c_off + tc > total_c {
-            return Err(NnirError::ExecutionFailure(
-                "concat spatial mismatch".into(),
-            ));
+    inputs: &(impl Iterator<Item = &'v [f32]> + Clone),
+    n: usize,
+    out: &mut [f32],
+) {
+    let mut at = 0;
+    for bi in 0..n {
+        for t in inputs.clone() {
+            let item = t.len() / n;
+            out[at..][..item].copy_from_slice(&t[bi * item..][..item]);
+            at += item;
         }
-        let t_data = t.data();
-        for bi in 0..n {
-            for ci in 0..tc {
-                let src = &t_data[(bi * tc + ci) * plane..][..plane];
-                let dst = &mut out_data[(bi * total_c + c_off + ci) * plane..][..plane];
-                dst.copy_from_slice(src);
-            }
-        }
-        c_off += tc;
     }
-    if c_off != total_c {
-        return Err(NnirError::ExecutionFailure(format!(
-            "concat inputs hold {c_off} channels, its output {total_c}"
-        )));
-    }
-    Ok(())
 }
 
+/// Nearest upsampling by `factor` of `h × w` planes.
 pub(super) fn upsample_nearest_into(
-    input: &Tensor,
+    input: &[f32],
     factor: usize,
-    out: &mut Tensor,
-) -> Result<(), NnirError> {
-    let [n, c, h, w] = dims4(input.shape())?;
-    if factor == 0 {
-        return Err(NnirError::ExecutionFailure(
-            "upsample factor must be non-zero".into(),
-        ));
-    }
+    h: usize,
+    w: usize,
+    out: &mut [f32],
+) {
     let (uh, uw) = (h * factor, w * factor);
-    let in_data = input.data();
-    let out_data = out.data_mut();
-    for u in 0..n * c {
-        let src = &in_data[u * h * w..][..h * w];
-        let dst = &mut out_data[u * uh * uw..][..uh * uw];
+    let planes = input.chunks_exact((h * w).max(1));
+    for (src, dst) in planes.zip(out.chunks_exact_mut((uh * uw).max(1))) {
         for hi in 0..uh {
             let src_row = &src[(hi / factor) * w..][..w];
             let dst_row = &mut dst[hi * uw..][..uw];
@@ -105,13 +52,12 @@ pub(super) fn upsample_nearest_into(
             }
         }
     }
-    Ok(())
 }
 
-pub(super) fn softmax_last_into(input: &Tensor, out: &mut Tensor) {
-    let last = *input.shape().dims().last().unwrap_or(&1);
-    out.data_mut().copy_from_slice(input.data());
-    for chunk in out.data_mut().chunks_mut(last.max(1)) {
+/// Softmax over each row of `last` values.
+pub(super) fn softmax_last_into(input: &[f32], last: usize, out: &mut [f32]) {
+    out.copy_from_slice(input);
+    for chunk in out.chunks_mut(last.max(1)) {
         let max = chunk.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
         let mut sum = 0.0;
         for x in chunk.iter_mut() {

@@ -87,12 +87,15 @@ impl Node {
     /// * everything else: no weights.
     #[must_use]
     pub fn weight_shapes(&self, input_shapes: &[&Shape]) -> Vec<Shape> {
+        // Channels or features: dim 1 of the first input.
+        let in_c = input_shapes.first().and_then(|s| s.dim(1)).unwrap_or(0);
         match &self.op {
             Op::Conv2d(attrs) => {
-                let in_c = input_shapes[0].dim(1).unwrap_or(0);
+                // Zero groups is the verifier's `V008`; `V010` reads these
+                // shapes before that check runs.
                 let mut shapes = vec![Shape::new(vec![
                     attrs.out_channels,
-                    in_c / attrs.groups,
+                    in_c.checked_div(attrs.groups).unwrap_or(0),
                     attrs.kernel.0,
                     attrs.kernel.1,
                 ])];
@@ -102,17 +105,13 @@ impl Node {
                 shapes
             }
             Op::Dense { out_features, bias } => {
-                let in_f = input_shapes[0].dim(1).unwrap_or(0);
-                let mut shapes = vec![Shape::new(vec![*out_features, in_f])];
+                let mut shapes = vec![Shape::new(vec![*out_features, in_c])];
                 if *bias {
                     shapes.push(Shape::new(vec![*out_features]));
                 }
                 shapes
             }
-            Op::BatchNorm => {
-                let c = input_shapes[0].dim(1).unwrap_or(0);
-                vec![Shape::new(vec![c]), Shape::new(vec![c])]
-            }
+            Op::BatchNorm => vec![Shape::new(vec![in_c]), Shape::new(vec![in_c])],
             _ => Vec::new(),
         }
     }
@@ -448,7 +447,10 @@ fn materialize_seeded(op: &Op, shapes: &[Shape], seed: u64) -> Vec<Tensor> {
                 (_, i2) if i2 > 0 => Tensor::random(shape.clone(), sub_seed, 0.01),
                 // Main weights: uniform in ±sqrt(2 / fan_in).
                 _ => {
-                    let fan_in: usize = shape.dims()[1..].iter().product::<usize>().max(1);
+                    let fan_in = shape.dims()[1..]
+                        .iter()
+                        .fold(1usize, |n, &d| n.saturating_mul(d));
+                    let fan_in = fan_in.max(1);
                     let scale = (2.0 / fan_in as f32).sqrt();
                     Tensor::random(shape.clone(), sub_seed, scale)
                 }

@@ -261,13 +261,32 @@ pub enum Op {
     },
 }
 
-/// Computes the output extent of a strided, padded window operation.
+/// Computes the output extent of a strided, padded window operation:
+/// `None` when the window is empty, the stride zero, the padded extent
+/// overflows `usize`, or the window does not fit the padded input.
 fn window_out(input: usize, kernel: usize, stride: usize, pad: usize) -> Option<usize> {
-    let padded = input + 2 * pad;
-    if padded < kernel || stride == 0 {
+    let padded = pad.checked_mul(2)?.checked_add(input)?;
+    if kernel == 0 || stride == 0 || padded < kernel {
         return None;
     }
     Some((padded - kernel) / stride + 1)
+}
+
+/// The `[n, c, oh, ow]` of windows of `kernel`, `stride` and `padding`
+/// over NCHW input `s`, or why they do not fit it.
+fn windows(
+    s: &Shape,
+    (kh, kw): (usize, usize),
+    (sh, sw): (usize, usize),
+    (ph, pw): (usize, usize),
+) -> Result<[usize; 4], String> {
+    let [n, c, h, w] = nchw(s).ok_or_else(|| format!("expected NCHW input, got {s}"))?;
+    match (window_out(h, kh, sh, ph), window_out(w, kw, sw, pw)) {
+        (Some(oh), Some(ow)) => Ok([n, c, oh, ow]),
+        _ => Err(format!(
+            "a {kh}x{kw} window with stride {sh}x{sw} and padding {ph}x{pw} does not fit input {s}"
+        )),
+    }
 }
 
 impl Op {
@@ -328,9 +347,8 @@ impl Op {
         match self {
             Op::Input(shape) => Ok(shape.clone()),
             Op::Conv2d(attrs) => {
-                let s = inputs[0];
-                let [n, c, h, w] =
-                    nchw(s).ok_or_else(|| mismatch(format!("expected NCHW input, got {s}")))?;
+                let [n, c, oh, ow] = windows(inputs[0], attrs.kernel, attrs.stride, attrs.padding)
+                    .map_err(mismatch)?;
                 if attrs.groups == 0
                     || c % attrs.groups != 0
                     || attrs.out_channels % attrs.groups != 0
@@ -343,20 +361,6 @@ impl Op {
                         ),
                     });
                 }
-                let oh = window_out(h, attrs.kernel.0, attrs.stride.0, attrs.padding.0)
-                    .ok_or_else(|| {
-                        mismatch(format!(
-                            "kernel {}x{} too large for input {s}",
-                            attrs.kernel.0, attrs.kernel.1
-                        ))
-                    })?;
-                let ow = window_out(w, attrs.kernel.1, attrs.stride.1, attrs.padding.1)
-                    .ok_or_else(|| {
-                        mismatch(format!(
-                            "kernel {}x{} too large for input {s}",
-                            attrs.kernel.0, attrs.kernel.1
-                        ))
-                    })?;
                 Ok(Shape::nchw(n, attrs.out_channels, oh, ow))
             }
             Op::Dense { out_features, .. } => {
@@ -364,8 +368,18 @@ impl Op {
                 if s.rank() != 2 {
                     return Err(mismatch(format!("expected [n, f] input, got {s}")));
                 }
+                if *out_features == 0 {
+                    return Err(NnirError::InvalidAttribute {
+                        op: "Dense".into(),
+                        detail: "zero output features".into(),
+                    });
+                }
                 Ok(Shape::nf(s.batch(), *out_features))
             }
+            Op::BatchNorm if inputs[0].rank() < 2 => Err(mismatch(format!(
+                "expected an input with a channel dim, got {}",
+                inputs[0]
+            ))),
             Op::BatchNorm | Op::Activation(_) => Ok(inputs[0].clone()),
             Op::FakeQuant { scale } => {
                 if !scale.is_finite() || *scale < 0.0 {
@@ -377,23 +391,8 @@ impl Op {
                 Ok(inputs[0].clone())
             }
             Op::MaxPool2d(attrs) | Op::AvgPool2d(attrs) => {
-                let s = inputs[0];
-                let [n, c, h, w] =
-                    nchw(s).ok_or_else(|| mismatch(format!("expected NCHW input, got {s}")))?;
-                let oh = window_out(h, attrs.kernel.0, attrs.stride.0, attrs.padding.0)
-                    .ok_or_else(|| {
-                        mismatch(format!(
-                            "window {}x{} too large for input {s}",
-                            attrs.kernel.0, attrs.kernel.1
-                        ))
-                    })?;
-                let ow = window_out(w, attrs.kernel.1, attrs.stride.1, attrs.padding.1)
-                    .ok_or_else(|| {
-                        mismatch(format!(
-                            "window {}x{} too large for input {s}",
-                            attrs.kernel.0, attrs.kernel.1
-                        ))
-                    })?;
+                let [n, c, oh, ow] = windows(inputs[0], attrs.kernel, attrs.stride, attrs.padding)
+                    .map_err(mismatch)?;
                 Ok(Shape::nchw(n, c, oh, ow))
             }
             Op::GlobalAvgPool => {
@@ -472,7 +471,8 @@ impl Op {
         }
     }
 
-    /// Multiply-accumulate count for the given input/output shapes.
+    /// Multiply-accumulate count for the given input/output shapes,
+    /// saturating at `u64::MAX`.
     ///
     /// Only Conv2d and Dense accumulate; everything else contributes
     /// element-wise operations (see [`Op::elementwise_ops`]).
@@ -480,19 +480,24 @@ impl Op {
     pub fn macs(&self, inputs: &[&Shape], output: &Shape) -> u64 {
         match self {
             Op::Conv2d(attrs) => {
-                let in_c = inputs[0].dim(1).unwrap_or(0);
-                let per_out = (in_c / attrs.groups) * attrs.kernel.0 * attrs.kernel.1;
-                output.elem_count() as u64 * per_out as u64
+                let in_c = inputs.first().and_then(|s| s.dim(1)).unwrap_or(0);
+                let icg = in_c.checked_div(attrs.groups).unwrap_or(0);
+                [icg, attrs.kernel.0, attrs.kernel.1]
+                    .iter()
+                    .fold(output.elem_count() as u64, |n, &d| {
+                        n.saturating_mul(d as u64)
+                    })
             }
             Op::Dense { .. } => {
-                let in_f = inputs[0].dim(1).unwrap_or(0);
-                output.elem_count() as u64 * in_f as u64
+                let in_f = inputs.first().and_then(|s| s.dim(1)).unwrap_or(0);
+                (output.elem_count() as u64).saturating_mul(in_f as u64)
             }
             _ => 0,
         }
     }
 
-    /// Element-wise operation count (activations, norms, adds, pools...).
+    /// Element-wise operation count (activations, norms, adds, pools...),
+    /// a pool's saturating at `u64::MAX`.
     #[must_use]
     pub fn elementwise_ops(&self, inputs: &[&Shape], output: &Shape) -> u64 {
         match self {
@@ -504,9 +509,9 @@ impl Op {
             | Op::Upsample { .. }
             | Op::Concat
             | Op::FakeQuant { .. } => output.elem_count() as u64,
-            Op::MaxPool2d(attrs) | Op::AvgPool2d(attrs) => {
-                output.elem_count() as u64 * (attrs.kernel.0 * attrs.kernel.1) as u64
-            }
+            Op::MaxPool2d(attrs) | Op::AvgPool2d(attrs) => (output.elem_count() as u64)
+                .saturating_mul(attrs.kernel.0 as u64)
+                .saturating_mul(attrs.kernel.1 as u64),
             Op::GlobalAvgPool => inputs[0].elem_count() as u64,
             Op::Softmax => 3 * output.elem_count() as u64,
         }
@@ -648,6 +653,53 @@ mod tests {
     fn pool_window_too_large_is_error() {
         let op = Op::MaxPool2d(Pool2dAttrs::square(9, 1));
         assert!(infer(&op, &[Shape::nchw(1, 1, 8, 8)]).is_err());
+    }
+
+    #[test]
+    fn window_arithmetic_that_overflows_is_a_typed_error() {
+        // `h + 2·pad` past `usize::MAX` used to panic in a debug build and
+        // wrap to a `[1, 1, 2, 4]` output in a release build.
+        let s = Shape::nchw(1, 1, 4, 4);
+        let conv = Conv2dAttrs {
+            padding: (1 << 63, 1),
+            ..Conv2dAttrs::same(1, 3, 1)
+        };
+        let pool = Pool2dAttrs::square(3, 1).with_padding(1 << 63);
+        for op in [Op::Conv2d(conv), Op::MaxPool2d(pool), Op::AvgPool2d(pool)] {
+            let err = infer(&op, std::slice::from_ref(&s));
+            assert!(
+                matches!(err, Err(NnirError::ShapeMismatch { .. })),
+                "{err:?}"
+            );
+            let mut b = crate::graph::GraphBuilder::new("g");
+            let x = b.input(s.clone());
+            assert!(b.apply("op", op, &[x]).is_err());
+        }
+    }
+
+    #[test]
+    fn empty_windows_dense_outputs_and_channelless_batchnorm_are_rejected() {
+        let s = Shape::nchw(1, 2, 4, 4);
+        let conv = Conv2dAttrs {
+            kernel: (0, 3),
+            ..Conv2dAttrs::same(1, 3, 1)
+        };
+        assert!(infer(&Op::Conv2d(conv), std::slice::from_ref(&s)).is_err());
+        let pool = Pool2dAttrs::square(0, 1);
+        assert!(infer(&Op::MaxPool2d(pool), std::slice::from_ref(&s)).is_err());
+        let dense = Op::Dense {
+            out_features: 0,
+            bias: false,
+        };
+        assert!(matches!(
+            infer(&dense, &[Shape::nf(1, 3)]),
+            Err(NnirError::InvalidAttribute { .. })
+        ));
+        assert!(infer(&Op::BatchNorm, &[Shape::new(vec![4])]).is_err());
+        assert_eq!(
+            infer(&Op::BatchNorm, &[Shape::nf(1, 4)]).unwrap(),
+            Shape::nf(1, 4)
+        );
     }
 
     #[test]

@@ -470,6 +470,16 @@ mod tests {
     }
 
     #[test]
+    fn padding_that_overflows_is_a_typed_error() {
+        // `h + 2·pad` overflows usize: shape inference refuses the node
+        // at its line instead of panicking or wrapping the extent.
+        let text = "model \"m\"\ninput t0 [1x1x4x4]\nnode n0 \"c\" conv2d out=1 kernel=3x3 stride=1x1 pad=9223372036854775808x1 groups=1 bias=false in=t0 seed=1\noutput t1\n";
+        let e = read(text).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("does not fit"), "{}", e.message);
+    }
+
+    #[test]
     fn comments_and_blank_lines_are_ignored() {
         let text = "# a comment\nmodel \"m\"\n\ninput t0 [1x4]  # trailing\nnode n0 \"f\" flatten in=t0\noutput t1\n";
         let g = read(text).unwrap();
