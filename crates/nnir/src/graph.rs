@@ -11,7 +11,7 @@
 //! (small models that are actually executed) or a deterministic seed that
 //! [`Graph::node_weights`] materializes on demand (the large zoo models,
 //! which are only ever cost-analyzed — YOLOv4 holds ~64 M parameters and
-//! is never allocated unless executed).
+//! is never allocated unless a runner is built over it).
 
 use crate::ops::Op;
 use crate::shape::Shape;
@@ -46,8 +46,9 @@ impl fmt::Display for NodeId {
 pub enum WeightInit {
     /// The node has no weights.
     None,
-    /// Weights are generated deterministically from this seed when the
-    /// executor first needs them (fan-in-scaled uniform init).
+    /// Weights are generated deterministically from this seed when they
+    /// are asked for (fan-in-scaled uniform init); a runner asks once, at
+    /// build.
     Seeded(u64),
     /// Explicit weight tensors (order defined by [`Node::weight_shapes`]).
     Explicit(Vec<Tensor>),

@@ -437,7 +437,9 @@ impl Op {
                     if sn != n || sh != h || sw != w {
                         return Err(mismatch(format!("{} vs {s}", inputs[0])));
                     }
-                    c += sc;
+                    c = c
+                        .checked_add(sc)
+                        .ok_or_else(|| mismatch("channel count overflows".into()))?;
                 }
                 Ok(Shape::nchw(n, c, h, w))
             }
@@ -451,14 +453,20 @@ impl Op {
                 let s = inputs[0];
                 let [n, c, h, w] =
                     nchw(s).ok_or_else(|| mismatch(format!("expected NCHW input, got {s}")))?;
-                Ok(Shape::nchw(n, c, h * factor, w * factor))
+                match (h.checked_mul(*factor), w.checked_mul(*factor)) {
+                    (Some(uh), Some(uw)) => Ok(Shape::nchw(n, c, uh, uw)),
+                    _ => Err(mismatch(format!("upsampling {s} by {factor} overflows"))),
+                }
             }
             Op::Flatten => {
                 let s = inputs[0];
                 if s.rank() == 0 {
                     return Err(mismatch("cannot flatten a scalar".into()));
                 }
-                let features: usize = s.dims()[1..].iter().product();
+                let features = s.dims()[1..]
+                    .iter()
+                    .try_fold(1usize, |f, &d| f.checked_mul(d))
+                    .ok_or_else(|| mismatch(format!("flattening {s} overflows")))?;
                 Ok(Shape::nf(s.batch(), features))
             }
             Op::Softmax => {
@@ -674,6 +682,29 @@ mod tests {
             let mut b = crate::graph::GraphBuilder::new("g");
             let x = b.input(s.clone());
             assert!(b.apply("op", op, &[x]).is_err());
+        }
+    }
+
+    #[test]
+    fn upsample_flatten_and_concat_extents_that_overflow_are_typed_errors() {
+        let huge = Shape::nchw(1, 1 << 62, 1, 4);
+        let cases = [
+            (
+                Op::Upsample { factor: 1 << 62 },
+                vec![Shape::nchw(1, 1, 4, 4)],
+            ),
+            (Op::Flatten, vec![huge.clone()]),
+            (
+                Op::Concat,
+                vec![huge.clone(), huge.clone(), huge.clone(), huge],
+            ),
+        ];
+        for (op, inputs) in cases {
+            let err = infer(&op, &inputs);
+            assert!(
+                matches!(err, Err(NnirError::ShapeMismatch { .. })),
+                "{op}: {err:?}"
+            );
         }
     }
 

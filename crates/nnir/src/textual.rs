@@ -477,6 +477,15 @@ mod tests {
         let e = read(text).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("does not fit"), "{}", e.message);
+        // So are an upsample and a flatten whose output extents overflow.
+        for node in ["upsample factor=9223372036854775807", "flatten"] {
+            let text = format!("model \"m\"\ninput t0 [1x4294967296x4294967296x2]\nnode n0 \"x\" {node} in=t0\noutput t1\n");
+            let e = read(&text).unwrap_err();
+            assert!(
+                (e.line, e.message.contains("overflows")) == (3, true),
+                "{e:?}"
+            );
+        }
     }
 
     #[test]
