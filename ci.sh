@@ -4,7 +4,8 @@
 #   ./ci.sh            # everything (what the driver runs)
 #   ./ci.sh --fast     # skip the release build (lints + tests only)
 #   ./ci.sh --deep     # everything, plus deep-bound interleaving model
-#                      # checks and (nightly-only) sanitizer runs
+#                      # checks, 100 chaos smoke runs and (nightly-only)
+#                      # sanitizer runs
 #
 # Tier-1 (ROADMAP.md): cargo build --release && cargo test -q
 set -euo pipefail
@@ -105,6 +106,12 @@ fi
 if [[ $deep -eq 1 ]]; then
   echo "==> deep: interleaving model check at enlarged bounds"
   INTERLEAVE_DEPTH=deep cargo test -q -p vedliot-serve --test interleave
+
+  echo "==> deep: chaos smoke 100 runs in a row (a chaos outcome must not depend on timing)"
+  for run in $(seq 100); do
+    cargo test -q -p vedliot-serve --test chaos smoke_200_requests_under_seeded_chaos > target/chaos-smoke.log \
+      || { cat target/chaos-smoke.log; echo "chaos smoke failed on run $run of 100" >&2; exit 1; }
+  done
 
   echo "==> deep: zoo lint sweep (error severity must be clean)"
   cargo run -q --release -p vedliot --bin vedliot -- lint > /dev/null

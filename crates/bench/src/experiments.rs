@@ -1176,7 +1176,7 @@ pub fn serving() -> Experiment {
             .build()
             .expect("valid serve config");
         let server = Server::start(&model, config).expect("server starts");
-        // Warm the runners (arena + weight cache) outside the timed
+        // Warm the runner (arena + weight cache) outside the timed
         // region, mirroring E20's methodology: async rounds so the
         // batcher actually forms full batches during warm-up.
         for _ in 0..3 {

@@ -106,11 +106,10 @@ fn pixel_lanes(
     acc
 }
 
-/// A conv's geometry, read from its verified shapes: shared by every
-/// conv kernel.
+/// A conv's geometry per sample, read from its verified shapes: shared
+/// by every conv kernel.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct ConvGeom {
-    pub(super) n: usize,
     pub(super) in_c: usize,
     pub(super) h: usize,
     pub(super) w: usize,
@@ -128,11 +127,10 @@ pub(super) struct ConvGeom {
 
 impl ConvGeom {
     /// The geometry of a conv of `a` over an `[n, in_c, h, w]` input
-    /// with `oh × ow` output planes.
-    pub(super) fn new(a: &Conv2dAttrs, [n, in_c, h, w]: [usize; 4], oh: usize, ow: usize) -> Self {
+    /// with `oh × ow` output planes, for any `n`.
+    pub(super) fn new(a: &Conv2dAttrs, [_, in_c, h, w]: [usize; 4], oh: usize, ow: usize) -> Self {
         let ((kh, kw), (sh, sw), (ph, pw)) = (a.kernel, a.stride, a.padding);
         ConvGeom {
-            n,
             in_c,
             h,
             w,
@@ -171,12 +169,13 @@ impl ConvGeom {
 /// in (ic, ky, kx) order, within the returned planes — `in_place` when
 /// given and the conv is unpadded, else `planes`, `f` of each value of
 /// the NCHW items of `input` inside a border of `T::default()`
-/// (`+0.0` in f32, the zero code in INT8). No tap asks whether it lands
-/// in the input.
+/// (`+0.0` in f32, the zero code in INT8), `n` items. No tap asks
+/// whether it lands in the input.
 pub(super) fn stage_planes<'a, T: Copy + Default>(
     input: &[f32],
     in_place: Option<&'a [T]>,
     g: ConvGeom,
+    n: usize,
     f: impl Fn(f32) -> T,
     planes: &'a mut Vec<T>,
     taps: &mut Vec<usize>,
@@ -192,7 +191,7 @@ pub(super) fn stage_planes<'a, T: Copy + Default>(
         return input;
     }
     planes.clear();
-    planes.resize(g.n * g.in_c * hp * wp, T::default());
+    planes.resize(n * g.in_c * hp * wp, T::default());
     for (p, plane) in planes.chunks_exact_mut(hp * wp).enumerate() {
         for y in 0..g.h {
             let src = &input[(p * g.h + y) * g.w..][..g.w];
@@ -249,7 +248,7 @@ pub(super) fn conv_lanes(
 ) {
     let (g, k_len, epi) = (c.g, c.g.k_len(), ctx.epi);
     let s = &mut *ctx.scratch;
-    let src = stage_planes(input, Some(input), g, |x| x, &mut s.pad, &mut s.taps);
+    let src = stage_planes(input, Some(input), g, ctx.n, |x| x, &mut s.pad, &mut s.taps);
     let (col, taps, (hp, wp)) = (&mut s.col, s.taps.as_slice(), g.padded());
     let item = g.in_c * hp * wp;
     let rows = g.opix / len;
@@ -303,7 +302,7 @@ pub(super) fn conv_gemm(input: &[f32], c: &Conv<'_>, out: &mut [f32], ctx: &mut 
     let (k_len, opix, out_c) = (g.k_len(), g.opix, g.out_c);
     let row_len = k_len.next_multiple_of(4);
     let s = &mut *ctx.scratch;
-    let src = stage_planes(input, Some(input), g, |x| x, &mut s.pad, &mut s.taps);
+    let src = stage_planes(input, Some(input), g, ctx.n, |x| x, &mut s.pad, &mut s.taps);
     let (col, taps, (hp, wp)) = (&mut s.col, s.taps.as_slice(), g.padded());
     let item = g.in_c * hp * wp;
     let block_pix = (COL_BLOCK_ELEMS / row_len).clamp(1, opix);

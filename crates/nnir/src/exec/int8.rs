@@ -61,12 +61,12 @@ pub(super) fn quantize_activation(x: f32, inv: f32) -> i16 {
     }
 }
 
-/// Quantizes a dense conv's input for both INT8 conv kernels:
-/// [`stage_planes`] turns each input plane once into a zero-padded i16
-/// code plane (exact, since a `FakeQuant` producer pinned the
-/// activations to the grid) and lists each patch position's offset in
-/// those planes once, in the kernel's (ic, ky, kx) order, as it does for
-/// the f32 convs.
+/// Quantizes a dense conv's input of `n` items for both INT8 conv
+/// kernels: [`stage_planes`] turns each input plane once into a
+/// zero-padded i16 code plane (exact, since a `FakeQuant` producer
+/// pinned the activations to the grid) and lists each patch position's
+/// offset in those planes once, in the kernel's (ic, ky, kx) order, as
+/// it does for the f32 convs.
 ///
 /// Both kernels sum exact integer products, so every output is the same
 /// i32 whichever runs, and each is dequantized with one multiply,
@@ -75,10 +75,10 @@ pub(super) fn quantize_activation(x: f32, inv: f32) -> i16 {
 /// first ([`pool_plane`], border `i32::MIN`), so the dequantization and
 /// the stages run on the pooled values only; the fold's rule makes that
 /// exact (DESIGN.md §10).
-fn stage_codes(input: &[f32], g: ConvGeom, plan: &Int8Plan<'_>, s: &mut Scratch) {
+fn stage_codes(input: &[f32], g: ConvGeom, n: usize, plan: &Int8Plan<'_>, s: &mut Scratch) {
     let inv = 1.0 / plan.in_scale;
     let q = |x| quantize_activation(x, inv);
-    stage_planes(input, None, g, q, &mut s.qin, &mut s.taps);
+    stage_planes(input, None, g, n, q, &mut s.qin, &mut s.taps);
 }
 
 /// Dequantizes a run of i32 accumulators of output channel `oc` into
@@ -116,7 +116,7 @@ pub(super) fn conv_int8_gemm(
     ctx: &mut KernelCtx<'_>,
 ) {
     let (g, bias_data) = (c.g, c.bias.as_deref());
-    stage_codes(input, g, plan, ctx.scratch);
+    stage_codes(input, g, ctx.n, plan, ctx.scratch);
     let Scratch {
         qin,
         taps,
@@ -201,7 +201,7 @@ pub(super) fn conv_int8_direct(
     ctx: &mut KernelCtx<'_>,
 ) {
     let (g, bias_data) = (c.g, c.bias.as_deref());
-    stage_codes(input, g, plan, ctx.scratch);
+    stage_codes(input, g, ctx.n, plan, ctx.scratch);
     let Scratch { qin, taps, acc, .. } = ctx.scratch;
     // Taps go in pairs: an odd K's last tap pairs with the zero code
     // padding its weight row.
@@ -263,7 +263,7 @@ pub(super) fn dense_int8(
     let (inv, row_len, epi) = (1.0 / plan.in_scale, plan.row_len, ctx.epi);
     let qin = &mut ctx.scratch.qin;
     qin.clear();
-    qin.resize(d.n * row_len, 0);
+    qin.resize(ctx.n * row_len, 0);
     for (dst, src) in qin
         .chunks_exact_mut(row_len)
         .zip(input.chunks_exact(d.in_f.max(1)))
@@ -273,7 +273,7 @@ pub(super) fn dense_int8(
         }
     }
     let qin: &[i16] = qin;
-    let (workers, chunk) = feature_chunk(d, ctx.par);
+    let (workers, chunk) = feature_chunk(d, ctx.n, ctx.par);
     let bias = d.bias.as_deref();
     par_chunks(workers, out, chunk, |u, dst| {
         let base = u * chunk;

@@ -239,6 +239,53 @@ mod tests {
         let g = b.finish(vec![x]);
         let bad = Tensor::zeros(Shape::nf(1, 5));
         assert!(run_graph(&g, &[bad]).is_err());
+
+        // A runner over batch 3 runs batches 1 to 3 of its inputs' per-sample
+        // shapes, the same batch for every input; anything else fails,
+        // and leaves the runner running.
+        let mut b = GraphBuilder::new("two-inputs");
+        let x = b.input(Shape::nf(3, 4));
+        let y = b.input(Shape::nchw(3, 2, 2, 2));
+        let rx = b.apply("rx", Op::Activation(ActKind::Relu), &[x]).unwrap();
+        let ry = b.apply("ry", Op::Activation(ActKind::Relu), &[y]).unwrap();
+        let g = b.finish(vec![rx, ry]);
+        let mut runner = Runner::builder().build(&g).unwrap();
+        let x = |n| Tensor::zeros(Shape::nf(n, 4));
+        let y = |n| Tensor::zeros(Shape::nchw(n, 2, 2, 2));
+        let mut fails = |inputs: &[Tensor]| {
+            let got = runner.execute(inputs, RunOptions::default());
+            matches!(got, Err(NnirError::ExecutionFailure(_)))
+        };
+        assert!(fails(&[x(0), y(0)]), "batch 0");
+        assert!(fails(&[x(4), y(4)]), "batch above the runner's");
+        assert!(
+            fails(&[Tensor::zeros(Shape::nf(2, 5)), y(2)]),
+            "per-sample dims"
+        );
+        assert!(fails(&[x(2), y(1)]), "two batches");
+        for n in [2, 1, 3, 1] {
+            let out = runner.execute(&[x(n), y(n)], RunOptions::default());
+            assert_eq!(out.unwrap().outputs()[1].shape(), &Shape::nchw(n, 2, 2, 2));
+        }
+        // A rank-0 value has no batch axis: its graph runs at its own
+        // batch only.
+        let mut b = GraphBuilder::new("scalar");
+        let xs = b.input(Shape::nf(3, 4));
+        let s = b.input(Shape::new(Vec::new()));
+        let rs = b.apply("rs", Op::Activation(ActKind::Relu), &[s]).unwrap();
+        let g = b.finish(vec![xs, rs]);
+        let mut runner = Runner::builder().build(&g).unwrap();
+        let scalar = Tensor::zeros(Shape::new(Vec::new()));
+        for n in [2, 1] {
+            let got = runner.execute(&[x(n), scalar.clone()], RunOptions::default());
+            assert!(
+                matches!(got, Err(NnirError::ExecutionFailure(_))),
+                "{got:?}"
+            );
+        }
+        assert!(runner
+            .execute(&[x(3), scalar], RunOptions::default())
+            .is_ok());
     }
 
     // ---- regression tests for the validation bugfixes ----
@@ -782,7 +829,7 @@ mod tests {
             Kernel::Pool(_, PoolMode::Avg) => "avg-pool",
             Kernel::GlobalAvgPool(_) => "global-avg-pool",
             Kernel::Mul(_) => "mul",
-            Kernel::Concat(_) => "concat",
+            Kernel::Concat => "concat",
             Kernel::Upsample { .. } => "upsample",
             Kernel::Softmax(_) => "softmax",
             Kernel::Stage(_) => "stage",
@@ -912,6 +959,23 @@ mod tests {
                 "fc2.relu.quant"
             ]
         );
+        // A runner over batch 3 runs smaller batches through the folds
+        // as runners built at them do, capturing the pre-pool values too.
+        let big = g.with_batch(3).unwrap();
+        let mut runner = Runner::builder().build(&big).unwrap();
+        for (n, capture) in [(2, true), (1, false), (3, true), (1, true), (2, false)] {
+            let at_n = g.with_batch(n).unwrap();
+            let x = [Tensor::random(Shape::nchw(n, 1, 28, 28), n as u64, 1.0)];
+            let opts = RunOptions::new().capture_intermediates(capture);
+            let got = runner.execute(&x, opts).unwrap();
+            let want = Runner::builder()
+                .build(&at_n)
+                .unwrap()
+                .execute(&x, opts)
+                .unwrap();
+            assert_eq!(got.outputs(), want.outputs(), "batch {n}");
+            assert_eq!(got.intermediates(), want.intermediates(), "batch {n}");
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! once, its arena slots and its stages. The verifier
 //! ([`crate::analysis::verify_for_execution`]) has proven every shape,
 //! attribute and explicit weight layout the kernels rely on, so nothing
-//! is checked again per call.
+//! is checked again per call. The plan holds no batch: every kernel
+//! takes it from the run, so one plan runs any batch up to the graph's.
 
 use super::conv::{lane_run, runs_direct, ConvGeom};
 use super::int8::CODE_CHUNK;
@@ -48,11 +49,12 @@ pub(super) struct Step<'g> {
     pub(super) stages: Vec<Stage<'g>>,
     /// Every tail in schedule order, for a run that captures each value.
     pub(super) tails: Vec<Tail>,
-    /// The max-pool an INT8 conv head folds.
-    pub(super) fold: Option<Fold>,
-    /// Arena slot and shape of the step's last value, the one it writes.
+    /// The max-pool an INT8 conv head folds: the kernel pools its i32
+    /// accumulators; a run that captures intermediates pools the head's
+    /// full-resolution output instead.
+    pub(super) fold: Option<PoolGeom>,
+    /// Arena slot of the step's last value, the one it writes.
     pub(super) out: usize,
-    pub(super) shape: Shape,
 }
 
 /// One fused tail, as a run that captures intermediates replays it.
@@ -65,15 +67,6 @@ pub(super) enum Tail {
     Identity,
     /// The folded max-pool.
     Pool,
-}
-
-/// A max-pool an INT8 conv head folds: the kernel pools its i32
-/// accumulators; a run that captures intermediates pools the
-/// full-resolution values, of the head's output shape `pre`, instead.
-#[derive(Debug)]
-pub(super) struct Fold {
-    pub(super) geom: PoolGeom,
-    pub(super) pre: Shape,
 }
 
 /// A conv's geometry and f32 weights.
@@ -89,7 +82,6 @@ pub(super) struct Conv<'g> {
 /// A dense layer's geometry and f32 weights.
 #[derive(Debug)]
 pub(super) struct Dense<'g> {
-    pub(super) n: usize,
     pub(super) in_f: usize,
     pub(super) out_f: usize,
     pub(super) w: Data<'g>,
@@ -124,16 +116,17 @@ pub(super) enum Kernel<'g> {
     /// A multiply whose second operand holds one value per this many
     /// of the first (1 for two same-shape tensors).
     Mul(usize),
-    /// A channel concat over this batch.
-    Concat(usize),
+    /// A channel concat.
+    Concat,
     /// Nearest upsampling by `factor` of `h × w` planes.
     Upsample {
         factor: usize,
         h: usize,
         w: usize,
     },
-    /// Softmax over rows of this many values.
-    Softmax(usize),
+    /// Softmax over rows of this many values; `None` for a rank-1 (or
+    /// rank-0) tensor, whose last axis is its batch: one row of it all.
+    Softmax(Option<usize>),
     /// A standalone elementwise node: its stage over a copy of its first
     /// input.
     Stage(Stage<'g>),
@@ -365,12 +358,8 @@ pub(super) fn steps<'g>(
                     _ if identity[idx] => Tail::Identity,
                     // Only an INT8 conv's fold makes a pool a tail.
                     Op::MaxPool2d(a) => {
-                        let pre = shape(graph, head.output)?;
-                        let [_, _, h, w] = dims(pre)?;
-                        fold = Some(Fold {
-                            geom: PoolGeom::new(a, h, w),
-                            pre: pre.clone(),
-                        });
+                        let [_, _, h, w] = dims(shape(graph, head.output)?)?;
+                        fold = Some(PoolGeom::new(a, h, w));
                         Tail::Pool
                     }
                     _ => {
@@ -387,7 +376,6 @@ pub(super) fn steps<'g>(
                     .map(|&t| slot(t))
                     .collect::<Result<_, _>>()?,
                 out: slot(last.output)?,
-                shape: shape(graph, last.output)?.clone(),
                 nodes: span,
                 kernel,
                 stages,
@@ -447,10 +435,9 @@ fn kernel<'g>(
             }
         }
         Op::Dense { .. } => {
-            let ([n, in_f], [_, out_f]) = (dims(input()?)?, dims(out)?);
+            let ([_, in_f], [_, out_f]) = (dims(input()?)?, dims(out)?);
             let (w, bias) = weights(graph, node)?;
             let dense = Dense {
-                n,
                 in_f,
                 out_f,
                 w,
@@ -477,12 +464,12 @@ fn kernel<'g>(
             let gate = shape(graph, node.inputs[1])?.elem_count();
             Kernel::Mul((out.elem_count() / gate.max(1)).max(1))
         }
-        Op::Concat => Kernel::Concat(out.batch()),
+        Op::Concat => Kernel::Concat,
         &Op::Upsample { factor } => {
             let [_, _, h, w] = dims(input()?)?;
             Kernel::Upsample { factor, h, w }
         }
-        Op::Softmax => Kernel::Softmax(out.dims().last().copied().unwrap_or(1)),
+        Op::Softmax => Kernel::Softmax(out.dims().last().copied().filter(|_| out.rank() > 1)),
         Op::Flatten => Kernel::Copy,
         Op::BatchNorm | Op::Activation(_) | Op::FakeQuant { .. } | Op::Add => {
             Kernel::Stage(stage(graph, node, node.inputs[0], slot)?)

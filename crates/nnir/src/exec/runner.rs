@@ -238,7 +238,9 @@ impl RunnerBuilder {
     /// of a downstream miscompute. Then it makes the plan: each step's
     /// kernel, geometry, arena slots and fused stages, and every node's
     /// weights, borrowed when explicit and materialized when seeded. A
-    /// run only executes it.
+    /// run only executes it. The plan holds no batch, so the runner runs
+    /// any batch from 1 to the graph's ([`Runner::execute`]); its arena
+    /// plan is sized for the graph's.
     ///
     /// # Errors
     ///
@@ -262,14 +264,14 @@ impl RunnerBuilder {
         };
         let steps = plan::steps(graph, spans, int8, &memory)?;
         let slot = |t: TensorId| plan::slot(&memory, t);
-        let input = |t: TensorId| Ok((t, slot(t)?, plan::shape(graph, t)?));
+        let shapes = shapes_at(graph, graph.batch())?;
         Ok(Runner {
             graph,
             parallelism: self.parallelism,
             inputs: graph
                 .inputs()
                 .iter()
-                .map(|&t| input(t))
+                .map(|&t| slot(t).map(|s| (t, s)))
                 .collect::<Result<_, _>>()?,
             outputs: graph
                 .outputs()
@@ -279,7 +281,9 @@ impl RunnerBuilder {
             values: vec![None; memory.slot_count()],
             spill: None,
             scratch: Scratch::default(),
-            records: profile_records(graph, &steps),
+            records: profile_records(graph, &steps, &shapes),
+            batch: graph.batch(),
+            shapes,
             steps,
             plan: memory,
         })
@@ -292,15 +296,15 @@ impl RunnerBuilder {
 /// its geometry and weights: explicit ones borrowed from the graph,
 /// seeded ones materialized once) and two arenas that survive across
 /// [`execute`](Runner::execute) calls: per-tensor intermediate buffers
-/// (reused in place when shapes match) and the kernel scratch. The first
-/// run allocates; subsequent runs with the same shapes are
-/// allocation-free on the hot path.
+/// (reused in place when shapes match) and the kernel scratch. It runs
+/// any batch from 1 to the graph's. The first run allocates; subsequent
+/// runs at the same batch are allocation-free on the hot path.
 #[derive(Debug)]
 pub struct Runner<'g> {
     graph: &'g Graph,
     parallelism: Parallelism,
-    /// Each graph input's tensor id, arena slot and declared shape.
-    inputs: Vec<(TensorId, usize, &'g Shape)>,
+    /// Each graph input's tensor id and arena slot.
+    inputs: Vec<(TensorId, usize)>,
     /// Each graph output's arena slot.
     outputs: Vec<usize>,
     /// Value arena, one buffer per plan slot, reused across runs and —
@@ -318,8 +322,12 @@ pub struct Runner<'g> {
     /// max-pool) fused into its output write (see [`plan::steps`]).
     pub(super) steps: Vec<Step<'g>>,
     /// Each node's profile record less its duration (see
-    /// [`profile_records`]).
+    /// [`profile_records`]), at `batch`.
     records: Vec<NodeProfile>,
+    /// The batch of the last run, the graph's before the first, and
+    /// each value's shape at it, by tensor id.
+    batch: usize,
+    shapes: Vec<Shape>,
     /// Build-time arena layout: which slot each tensor id lives in.
     plan: MemoryPlan,
 }
@@ -350,12 +358,21 @@ impl<'g> Runner<'g> {
         &self.plan
     }
 
-    /// Runs one forward pass — the one execution entrypoint.
+    /// Runs one forward pass — the one execution entrypoint — at any
+    /// batch `n` from 1 to `B`, the batch of the graph the runner was
+    /// built over: each input has its graph input's shape with the
+    /// batch axis set to `n`. Outputs, captured intermediates and the
+    /// profile (its `batch` and every node's counts) are those of a
+    /// runner built over `graph.with_batch(n)`, bit for bit. The arena
+    /// plan stays `B`'s; each slot's buffer is recycled at the run's
+    /// shape, so a run at the last run's `n` allocates no slot.
     ///
     /// # Errors
     ///
-    /// Returns [`NnirError::ExecutionFailure`] if the number or shapes of
-    /// `inputs` do not match the graph inputs.
+    /// Returns [`NnirError::ExecutionFailure`] if the number of `inputs`
+    /// differs from the graph's, if `n` (the first input's batch) is
+    /// outside `1..=B`, or not `B` on a graph holding a rank-0 value, or
+    /// if an input's shape is not its graph input's at `n`.
     pub fn execute(
         &mut self,
         inputs: &[Tensor],
@@ -382,7 +399,7 @@ impl<'g> Runner<'g> {
             .zip(wall_ns)
             .map(|(durations, wall_ns)| RunProfile {
                 model: self.graph.name().to_string(),
-                batch: self.graph.batch(),
+                batch: self.batch,
                 per_node: self
                     .records
                     .iter()
@@ -419,10 +436,12 @@ impl<'g> Runner<'g> {
         self.graph.node_weights(node).map(Cow::into_owned)
     }
 
-    /// Runs every step in schedule order into the arena slots the plan
-    /// assigned, returning per-node timing records when
-    /// [`RunOptions::profile`] is set and a per-tensor-id snapshot of
-    /// every value when [`RunOptions::capture_intermediates`] is set.
+    /// Runs every step in schedule order, at the first input's batch
+    /// (the value shapes and record counts follow it when it changes),
+    /// into the arena slots the plan assigned, returning per-node timing
+    /// records when [`RunOptions::profile`] is set and a per-tensor-id
+    /// snapshot of every value when
+    /// [`RunOptions::capture_intermediates`] is set.
     ///
     /// Tails run in the head kernel's output write, unless the caller
     /// captures intermediates: then each runs as a pass of its own over
@@ -445,10 +464,19 @@ impl<'g> Runner<'g> {
                 inputs.len()
             )));
         }
+        let n = inputs.first().map_or(self.batch, |t| t.shape().batch());
+        if n != self.batch {
+            self.shapes = shapes_at(self.graph, n)?;
+            for (record, node) in self.records.iter_mut().zip(self.graph.nodes()) {
+                (record.macs, record.elementwise) = counts(node, &self.shapes);
+            }
+            self.batch = n;
+        }
         let mut captured: Option<Vec<Option<Tensor>>> = options
             .capture_intermediates
             .then(|| vec![None; self.graph.tensor_count()]);
-        for (&(t, s, expected), tensor) in self.inputs.iter().zip(inputs) {
+        for (&(t, s), tensor) in self.inputs.iter().zip(inputs) {
+            let expected = &self.shapes[t.0];
             if tensor.shape() != expected {
                 return Err(NnirError::ExecutionFailure(format!(
                     "input {t} expects shape {expected} but got {}",
@@ -470,16 +498,17 @@ impl<'g> Runner<'g> {
         let mut durations = options.profile.then(|| vec![0; nodes.len()]);
         for step in &self.steps {
             let fused = captured.is_none();
-            let mut out = recycle(self.values[step.out].take(), &step.shape);
-            let fold = step.fold.as_ref().filter(|_| fused).map(|f| f.geom);
-            let mut pre = (step.fold.as_ref())
-                .filter(|_| !fused)
-                .map(|f| recycle(self.spill.take(), &f.pre));
+            let shape = |idx: usize| &self.shapes[nodes[idx].output.0];
+            let mut out = recycle(self.values[step.out].take(), shape(step.nodes.end - 1));
+            let fold = step.fold.filter(|_| fused);
+            let mut pre = (step.fold.is_some() && !fused)
+                .then(|| recycle(self.spill.take(), shape(step.nodes.start)));
             let head_out = pre.as_mut().unwrap_or(&mut out);
             let values = &self.values;
             let mut ctx = KernelCtx {
                 scratch: &mut self.scratch,
                 par: self.parallelism,
+                n: head_out.shape().batch(),
                 epi: Epilogue {
                     stages: if fused { &step.stages } else { &[] },
                     plane: channel_plane(head_out.shape()),
@@ -499,10 +528,10 @@ impl<'g> Runner<'g> {
                 let mut stages = step.stages.iter();
                 for (idx, tail) in step.nodes.clone().skip(1).zip(&step.tails) {
                     let start = std::time::Instant::now();
-                    match (tail, pre.as_mut(), &step.fold) {
-                        (Tail::Pool, Some(p), Some(fold)) => {
+                    match (tail, pre.as_mut(), step.fold) {
+                        (Tail::Pool, Some(p), Some(geom)) => {
                             let max = PoolMode::Max;
-                            pool2d_into(p.data(), fold.geom, max, out.data_mut(), &mut ctx);
+                            pool2d_into(p.data(), geom, max, out.data_mut(), &mut ctx);
                             self.spill = pre.take();
                         }
                         (Tail::Stage, buf, _) => {
@@ -549,10 +578,11 @@ fn recycle(slot: Option<Tensor>, shape: &Shape) -> Tensor {
 }
 
 /// The static fields of each node's profile record, in schedule order:
-/// everything but the measured duration, built once per runner. A fused
-/// tail names its step's head; every head that runs an INT8 kernel
-/// reads [`DataType::I8`].
-fn profile_records(graph: &Graph, steps: &[Step<'_>]) -> Vec<NodeProfile> {
+/// everything but the measured duration, built once per runner, with
+/// the counts over the value shapes `shapes`. A fused tail names its
+/// step's head; every head that runs an INT8 kernel reads
+/// [`DataType::I8`].
+fn profile_records(graph: &Graph, steps: &[Step<'_>], shapes: &[Shape]) -> Vec<NodeProfile> {
     let nodes = graph.nodes();
     steps
         .iter()
@@ -560,13 +590,7 @@ fn profile_records(graph: &Graph, steps: &[Step<'_>]) -> Vec<NodeProfile> {
         .map(|(idx, step)| {
             let node = &nodes[idx];
             let head = step.nodes.start;
-            let in_shapes = graph.node_input_shapes(node);
-            let (macs, elementwise) = graph.tensor_shape(node.output).map_or((0, 0), |out| {
-                (
-                    node.op.macs(&in_shapes, out),
-                    node.op.elementwise_ops(&in_shapes, out),
-                )
-            });
+            let (macs, elementwise) = counts(node, shapes);
             NodeProfile {
                 name: node.name.clone(),
                 op: node.op.to_string(),
@@ -584,12 +608,43 @@ fn profile_records(graph: &Graph, steps: &[Step<'_>]) -> Vec<NodeProfile> {
         .collect()
 }
 
+/// Each value's shape at batch `n`, by tensor id: the graph's own at its
+/// batch `B`; for another `n` in `1..=B`, each with its batch axis set to
+/// `n`, which a rank-0 value does not have.
+fn shapes_at(graph: &Graph, n: usize) -> Result<Vec<Shape>, NnirError> {
+    let b = graph.batch();
+    let fail = |why: String| {
+        let name = graph.name();
+        NnirError::ExecutionFailure(format!("{name} cannot run at batch {n}: {why}"))
+    };
+    if n != b && (n == 0 || n > b) {
+        return Err(fail(format!("a runner built at batch {b} runs 1..={b}")));
+    }
+    (0..graph.tensor_count())
+        .map(|t| match plan::shape(graph, TensorId(t))? {
+            s if n == b => Ok(s.clone()),
+            s if s.rank() == 0 => Err(fail(format!("tensor t{t} has rank 0"))),
+            s => Ok(s.with_batch(n)),
+        })
+        .collect()
+}
+
+/// A node's multiply-accumulates and elementwise operations over the
+/// value shapes `shapes`, by tensor id.
+fn counts(node: &Node, shapes: &[Shape]) -> (u64, u64) {
+    let ins: Vec<&Shape> = node.inputs.iter().map(|t| &shapes[t.0]).collect();
+    let out = &shapes[node.output.0];
+    (node.op.macs(&ins, out), node.op.elementwise_ops(&ins, out))
+}
+
 /// Mutable per-step kernel context: the runner's scratch arenas, the
-/// parallelism policy and the stages fused into the head's output
-/// write.
+/// parallelism policy, the run's batch and the stages fused into the
+/// head's output write.
 pub(super) struct KernelCtx<'a> {
     pub(super) scratch: &'a mut Scratch,
     pub(super) par: Parallelism,
+    /// Samples in the step's values: the run's batch.
+    pub(super) n: usize,
     /// What a head kernel (conv, dense, pool or flatten) applies to
     /// each run of output it writes; empty for every other node.
     pub(super) epi: Epilogue<'a>,
@@ -619,11 +674,11 @@ fn eval_node_into(
         Kernel::Pool(g, mode) => pool2d_into(arg(0), *g, *mode, out, ctx),
         Kernel::GlobalAvgPool(plane) => global_avg_pool_into(arg(0), *plane, out),
         Kernel::Mul(plane) => mul_broadcast_into(arg(0), arg(1), *plane, out),
-        Kernel::Concat(n) => {
-            concat_channels_into(&step.inputs.iter().map(|&s| slot(values, s)), *n, out);
+        Kernel::Concat => {
+            concat_channels_into(&step.inputs.iter().map(|&s| slot(values, s)), ctx.n, out);
         }
         Kernel::Upsample { factor, h, w } => upsample_nearest_into(arg(0), *factor, *h, *w, out),
-        Kernel::Softmax(last) => softmax_last_into(arg(0), *last, out),
+        Kernel::Softmax(last) => softmax_last_into(arg(0), last.unwrap_or(out.len()), out),
         Kernel::Stage(stage) => {
             out.copy_from_slice(arg(0));
             stage.apply(out, 0, ctx.epi.plane, values);

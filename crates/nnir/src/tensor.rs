@@ -11,6 +11,7 @@ use crate::dtype::DataType;
 use crate::shape::Shape;
 use crate::NnirError;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Quantized sidecar representation of a tensor.
 ///
@@ -337,18 +338,22 @@ impl Tensor {
 
     /// Concatenates tensors along axis 0 (the batch axis).
     ///
-    /// The inverse of [`split_batch`](Self::split_batch): parts must
-    /// share every non-batch dimension; their batch sizes add up.
+    /// The inverse of [`split_batch`](Self::split_batch): parts, owned
+    /// or borrowed, must share every non-batch dimension; their batch
+    /// sizes add up.
     ///
     /// # Errors
     ///
     /// Returns [`NnirError::ShapeMismatch`] if `parts` is empty, a part
     /// is rank-0, or the non-batch dimensions disagree.
-    pub fn concat_batch(parts: &[Tensor]) -> Result<Tensor, NnirError> {
-        let first = parts.first().ok_or_else(|| NnirError::ShapeMismatch {
-            op: "Tensor::concat_batch".into(),
-            detail: "cannot concatenate zero tensors".into(),
-        })?;
+    pub fn concat_batch<T: Borrow<Tensor>>(parts: &[T]) -> Result<Tensor, NnirError> {
+        let first = parts
+            .first()
+            .map(Borrow::borrow)
+            .ok_or_else(|| NnirError::ShapeMismatch {
+                op: "Tensor::concat_batch".into(),
+                detail: "cannot concatenate zero tensors".into(),
+            })?;
         if first.shape.rank() == 0 {
             return Err(NnirError::ShapeMismatch {
                 op: "Tensor::concat_batch".into(),
@@ -357,7 +362,7 @@ impl Tensor {
         }
         let mut batch = 0usize;
         let mut data = Vec::new();
-        for part in parts {
+        for part in parts.iter().map(Borrow::borrow) {
             if !part.shape.same_features(&first.shape) {
                 return Err(NnirError::ShapeMismatch {
                     op: "Tensor::concat_batch".into(),
@@ -457,7 +462,7 @@ mod tests {
         let a = Tensor::zeros(Shape::nf(1, 3));
         let b = Tensor::zeros(Shape::nf(1, 4));
         assert!(Tensor::concat_batch(&[a.clone(), b]).is_err());
-        assert!(Tensor::concat_batch(&[]).is_err());
+        assert!(Tensor::concat_batch::<Tensor>(&[]).is_err());
         assert!(Tensor::concat_batch(&[a, Tensor::zeros(Shape::scalar())]).is_err());
     }
 

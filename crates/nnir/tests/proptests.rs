@@ -5,10 +5,10 @@
 //! and executor/shape-inference agreement.
 
 use proptest::prelude::*;
-use vedliot_nnir::exec::{Parallelism, RunOptions, Runner};
+use vedliot_nnir::exec::{Parallelism, RunOptions, RunOutput, Runner};
 use vedliot_nnir::graph::WeightInit;
 use vedliot_nnir::ops::{ActKind, Conv2dAttrs, Op, Pool2dAttrs};
-use vedliot_nnir::{DataType, Graph, GraphBuilder, NnirError, Shape, Tensor};
+use vedliot_nnir::{DataType, Graph, GraphBuilder, NnirError, Shape, Tensor, TensorId};
 
 /// One forward pass through a fresh runner with the given parallelism.
 fn run_with(g: &Graph, par: Parallelism, inputs: &[Tensor]) -> Result<Vec<Tensor>, NnirError> {
@@ -133,6 +133,123 @@ proptest! {
     }
 }
 
+/// Each tensor's shape and bits, for an exact comparison (`==` on f32
+/// equates `-0.0` and `+0.0`).
+fn exact<'t>(ts: impl IntoIterator<Item = Option<&'t Tensor>>) -> Vec<Option<(Shape, Vec<u32>)>> {
+    ts.into_iter()
+        .map(|t| t.map(|t| (t.shape().clone(), bits(t.data()))))
+        .collect()
+}
+
+/// A run's output and captured intermediate bits, and its profile's
+/// batch and per-node MAC and elementwise counts.
+type Observed = (
+    Vec<Option<(Shape, Vec<u32>)>>,
+    Option<Vec<Option<(Shape, Vec<u32>)>>>,
+    usize,
+    Vec<(u64, u64)>,
+);
+
+fn observed(out: &RunOutput) -> Observed {
+    let profile = out.profile().unwrap();
+    (
+        exact(out.outputs().iter().map(Some)),
+        out.intermediates()
+            .map(|v| exact(v.iter().map(Option::as_ref))),
+        profile.batch,
+        profile
+            .per_node
+            .iter()
+            .map(|r| (r.macs, r.elementwise))
+            .collect(),
+    )
+}
+
+/// One runner built over `g` runs each batch `n` of `runs` as a runner
+/// built over `g.with_batch(n)` does: the same outputs and captured
+/// intermediates, bit for bit, and a profile of batch `n` with the same
+/// counts per node. Planned and unplanned; every other run captures.
+fn runs_every_batch_as_built(g: &Graph, runs: &[usize], seed: u64) -> Result<(), TestCaseError> {
+    for planning in [true, false] {
+        let mut runner = Runner::builder()
+            .memory_planning(planning)
+            .build(g)
+            .unwrap();
+        for (i, &n) in runs.iter().enumerate() {
+            let at_n = g.with_batch(n).unwrap();
+            let inputs: Vec<Tensor> = at_n
+                .inputs()
+                .iter()
+                .map(|&t| {
+                    Tensor::random(at_n.tensor_shape(t).unwrap().clone(), seed + i as u64, 1.0)
+                })
+                .collect();
+            let opts = RunOptions::new()
+                .capture_intermediates(i % 2 == 1)
+                .profile(true);
+            let got = observed(&runner.execute(&inputs, opts).unwrap());
+            let mut fresh = Runner::builder()
+                .memory_planning(planning)
+                .build(&at_n)
+                .unwrap();
+            let want = observed(&fresh.execute(&inputs, opts).unwrap());
+            prop_assert_eq!(got.2, n);
+            prop_assert_eq!(
+                &got,
+                &want,
+                "{} built at {}, run {} at {}",
+                g.name(),
+                g.batch(),
+                i,
+                n
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A graph over the f32 kernels, those that take their batch from the
+/// run among them: a stride-1 conv on the lane kernel, a depthwise conv,
+/// a channel concat, a squeeze-excite gate (global average pool,
+/// sigmoid, broadcast multiply), max and average pools, nearest
+/// upsampling, a flatten, a dense layer and a softmax over its rows;
+/// seeded weights.
+fn every_kernel() -> Graph {
+    let mut b = GraphBuilder::new("every-kernel");
+    let x = b.input(Shape::nchw(1, 2, 12, 12));
+    let c1 = b
+        .apply("lanes", Op::Conv2d(Conv2dAttrs::same(4, 3, 1)), &[x])
+        .unwrap();
+    let dw = b
+        .apply("dw", Op::Conv2d(Conv2dAttrs::depthwise(4, 3, 1)), &[c1])
+        .unwrap();
+    let cat = b.apply("cat", Op::Concat, &[c1, dw]).unwrap();
+    let gap = b.apply("gap", Op::GlobalAvgPool, &[cat]).unwrap();
+    let gate = b
+        .apply("gate", Op::Activation(ActKind::Sigmoid), &[gap])
+        .unwrap();
+    let se = b.apply("se", Op::Mul, &[cat, gate]).unwrap();
+    let max = b
+        .apply("max", Op::MaxPool2d(Pool2dAttrs::square(2, 2)), &[se])
+        .unwrap();
+    let pool = Pool2dAttrs::square(3, 1).with_padding(1);
+    let avg = b.apply("avg", Op::AvgPool2d(pool), &[max]).unwrap();
+    let up = b.apply("up", Op::Upsample { factor: 2 }, &[avg]).unwrap();
+    let flat = b.apply("flatten", Op::Flatten, &[up]).unwrap();
+    let fc = b
+        .apply(
+            "fc",
+            Op::Dense {
+                out_features: 5,
+                bias: true,
+            },
+            &[flat],
+        )
+        .unwrap();
+    let sm = b.apply("softmax", Op::Softmax, &[fc]).unwrap();
+    b.finish(vec![sm])
+}
+
 proptest! {
     /// Coalescing single-sample requests into one batched run along
     /// axis 0 is **bit-identical** to running each sample on its own —
@@ -140,12 +257,23 @@ proptest! {
     /// serving layer's dynamic batcher are built on. Every kernel
     /// reduces batch rows independently in the same element order, so
     /// equality here is exact, not approximate.
+    ///
+    /// And one runner runs every batch up to its own: built at a random
+    /// batch, it runs a random sequence of smaller and equal batches,
+    /// then growing, repeating and shrinking ones, each as a runner
+    /// built at that batch does ([`runs_every_batch_as_built`]). The
+    /// graphs: the random CNN, [`every_kernel`], the INT8 conv and
+    /// dense layer [`int8_case`] builds, and a rank-1 softmax, whose
+    /// one row is its batch axis.
     #[test]
     fn batched_execution_matches_single_sample_runs(
         batch in 1usize..6,
         stages in proptest::collection::vec(1usize..8, 1..3),
         classes in 2usize..6,
         seed in 0u64..1_000,
+        runs in proptest::collection::vec(0usize..5, 0..5),
+        (in_c, out_c, out_f) in (1usize..5, 1usize..5, 1usize..6),
+        (h, w, kernel, stride, pad) in (3usize..10, 3usize..10, 1usize..4, 1usize..3, 0usize..2),
     ) {
         let single = vedliot_nnir::zoo::tiny_cnn("b", Shape::nchw(1, 3, 16, 16), &stages, classes).unwrap();
         let batched_graph = single.with_batch(batch).unwrap();
@@ -168,6 +296,25 @@ proptest! {
             .collect();
         let merged = Tensor::concat_batch(&per_sample).unwrap();
         prop_assert_eq!(batched_out, merged);
+
+        let runs: Vec<usize> = runs.iter().map(|r| 1 + r % batch).chain([1, batch, batch, 1]).collect();
+        runs_every_batch_as_built(&batched_graph, &runs, seed)?;
+        runs_every_batch_as_built(&every_kernel().with_batch(batch).unwrap(), &runs, seed)?;
+        let mut b = GraphBuilder::new("softmax-rank-1");
+        let x = b.input(Shape::new(vec![batch]));
+        let s = b.apply("softmax", Op::Softmax, &[x]).unwrap();
+        runs_every_batch_as_built(&b.finish(vec![s]), &runs, seed)?;
+        let attrs = Conv2dAttrs {
+            out_channels: out_c,
+            kernel: (kernel, kernel),
+            stride: (stride, stride),
+            padding: (pad, pad),
+            groups: 1,
+            bias: true,
+        };
+        let case = int8_case(batch, in_c, (h, w), attrs, out_f, seed).unwrap();
+        prop_assert!(Runner::builder().build(&case.graph).unwrap().uses_int8());
+        runs_every_batch_as_built(&case.graph, &runs, seed)?;
     }
 
     /// `split_batch` / `concat_batch` are exact inverses.
@@ -361,6 +508,119 @@ fn quantized(shape: Shape, seed: u64) -> Tensor {
     w
 }
 
+/// What [`int8_kernels_match_scalar_integer_reference`] checks: a
+/// groups=1 conv of `attrs` over a `batch × in_c × h × w` input on the
+/// INT8 grid of `1/127`, then flatten, the grid of the conv outputs'
+/// absmax and a dense layer of `out_f` features, all weights INT8 per
+/// channel; and the scalar integer reference's conv and dense outputs.
+struct Int8Case {
+    graph: Graph,
+    conv: TensorId,
+    input: Tensor,
+    want_conv: Vec<f32>,
+    want: Vec<f32>,
+}
+
+/// The [`Int8Case`] of these parameters; `None` when the kernel does
+/// not fit the padded input.
+fn int8_case(
+    batch: usize,
+    in_c: usize,
+    (h, w): (usize, usize),
+    attrs: Conv2dAttrs,
+    out_f: usize,
+    seed: u64,
+) -> Option<Int8Case> {
+    let (out_c, (kh, kw), (sh, sw), (ph, pw)) = (
+        attrs.out_channels,
+        attrs.kernel,
+        attrs.stride,
+        attrs.padding,
+    );
+    if h + 2 * ph < kh || w + 2 * pw < kw {
+        return None;
+    }
+    let (oh, ow) = ((h + 2 * ph - kh) / sh + 1, (w + 2 * pw - kw) / sw + 1);
+    let in_f = out_c * oh * ow;
+    let kernel = quantized(Shape::new(vec![out_c, in_c, kh, kw]), seed);
+    let conv_bias = Tensor::random(Shape::new(vec![out_c]), seed + 1, 0.1);
+    let fc = quantized(Shape::nf(out_f, in_f), seed + 2);
+    let fc_bias = Tensor::random(Shape::new(vec![out_f]), seed + 3, 0.1);
+    let input = Tensor::random(Shape::nchw(batch, in_c, h, w), seed + 4, 1.0);
+    let s_in = 1.0 / 127.0;
+
+    // The scalar integer reference.
+    let x_codes: Vec<i32> = input
+        .data()
+        .iter()
+        .map(|&x| code(fake_quant(x, s_in), s_in))
+        .collect();
+    let (k_codes, k_scales) = kernel.quant().map(|q| (&q.codes, &q.scales)).unwrap();
+    let mut want_conv = vec![0.0f32; batch * in_f];
+    for (u, o) in want_conv.iter_mut().enumerate() {
+        let (bi, oc, oy, ox) = (u / in_f, u / (oh * ow) % out_c, u / ow % oh, u % ow);
+        let mut acc = 0i32;
+        for ic in 0..in_c {
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let iy = (oy * sh + ky) as isize - ph as isize;
+                    let ix = (ox * sw + kx) as isize - pw as isize;
+                    if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
+                        continue;
+                    }
+                    let x = x_codes[((bi * in_c + ic) * h + iy as usize) * w + ix as usize];
+                    acc += i32::from(k_codes[((oc * in_c + ic) * kh + ky) * kw + kx]) * x;
+                }
+            }
+        }
+        *o = conv_bias.data()[oc] + acc as f32 * (k_scales[oc] * s_in);
+    }
+    let s_mid = want_conv
+        .iter()
+        .fold(0.0f32, |m, &x| m.max(x.abs()))
+        .max(1e-3)
+        / 127.0;
+    let (fc_codes, fc_scales) = fc.quant().map(|q| (&q.codes, &q.scales)).unwrap();
+    let mut want = vec![0.0f32; batch * out_f];
+    for (u, o) in want.iter_mut().enumerate() {
+        let (bi, of) = (u / out_f, u % out_f);
+        let acc: i32 = (0..in_f)
+            .map(|i| {
+                let x = code(fake_quant(want_conv[bi * in_f + i], s_mid), s_mid);
+                i32::from(fc_codes[of * in_f + i]) * x
+            })
+            .sum();
+        *o = fc_bias.data()[of] + acc as f32 * (fc_scales[of] * s_mid);
+    }
+
+    let mut b = GraphBuilder::new("int8");
+    let x = b.input(Shape::nchw(batch, in_c, h, w));
+    let xq = b.apply("x.q", Op::FakeQuant { scale: s_in }, &[x]).unwrap();
+    let conv_weights = WeightInit::Explicit(vec![kernel, conv_bias]);
+    let conv = b
+        .apply_with_weights("conv", Op::Conv2d(attrs), &[xq], conv_weights)
+        .unwrap();
+    let f = b.apply("flatten", Op::Flatten, &[conv]).unwrap();
+    let fq = b
+        .apply("flatten.q", Op::FakeQuant { scale: s_mid }, &[f])
+        .unwrap();
+    let fc_weights = WeightInit::Explicit(vec![fc, fc_bias]);
+    let dense = Op::Dense {
+        out_features: out_f,
+        bias: true,
+    };
+    let d = b
+        .apply_with_weights("fc", dense, &[fq], fc_weights)
+        .unwrap();
+    Some(Int8Case {
+        graph: b.finish(vec![d]),
+        conv,
+        input,
+        want_conv,
+        want,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -391,86 +651,23 @@ proptest! {
             groups: 1,
             bias: true,
         };
-        if h + 2 * ph < kh || w + 2 * pw < kw {
+        let Some(case) = int8_case(batch, in_c, (h, w), attrs, out_f, seed) else {
             return Ok(());
-        }
-        let (oh, ow) = ((h + 2 * ph - kh) / sh + 1, (w + 2 * pw - kw) / sw + 1);
-        let in_f = out_c * oh * ow;
-        let kernel = quantized(Shape::new(vec![out_c, in_c, kh, kw]), seed);
-        let conv_bias = Tensor::random(Shape::new(vec![out_c]), seed + 1, 0.1);
-        let fc = quantized(Shape::nf(out_f, in_f), seed + 2);
-        let fc_bias = Tensor::random(Shape::new(vec![out_f]), seed + 3, 0.1);
-        let input = Tensor::random(Shape::nchw(batch, in_c, h, w), seed + 4, 1.0);
-        let s_in = 1.0 / 127.0;
-
-        // The scalar integer reference.
-        let x_codes: Vec<i32> =
-            input.data().iter().map(|&x| code(fake_quant(x, s_in), s_in)).collect();
-        let (k_codes, k_scales) = kernel.quant().map(|q| (&q.codes, &q.scales)).unwrap();
-        let mut conv = vec![0.0f32; batch * in_f];
-        for (u, o) in conv.iter_mut().enumerate() {
-            let (bi, oc, oy, ox) = (u / in_f, u / (oh * ow) % out_c, u / ow % oh, u % ow);
-            let mut acc = 0i32;
-            for ic in 0..in_c {
-                for ky in 0..kh {
-                    for kx in 0..kw {
-                        let iy = (oy * sh + ky) as isize - ph as isize;
-                        let ix = (ox * sw + kx) as isize - pw as isize;
-                        if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
-                            continue;
-                        }
-                        let x = x_codes[((bi * in_c + ic) * h + iy as usize) * w + ix as usize];
-                        acc += i32::from(k_codes[((oc * in_c + ic) * kh + ky) * kw + kx]) * x;
-                    }
-                }
-            }
-            *o = conv_bias.data()[oc] + acc as f32 * (k_scales[oc] * s_in);
-        }
-        let s_mid = conv.iter().fold(0.0f32, |m, &x| m.max(x.abs())).max(1e-3) / 127.0;
-        let (fc_codes, fc_scales) = fc.quant().map(|q| (&q.codes, &q.scales)).unwrap();
-        let mut want = vec![0.0f32; batch * out_f];
-        for (u, o) in want.iter_mut().enumerate() {
-            let (bi, of) = (u / out_f, u % out_f);
-            let acc: i32 = (0..in_f)
-                .map(|i| {
-                    let x = code(fake_quant(conv[bi * in_f + i], s_mid), s_mid);
-                    i32::from(fc_codes[of * in_f + i]) * x
-                })
-                .sum();
-            *o = fc_bias.data()[of] + acc as f32 * (fc_scales[of] * s_mid);
-        }
-
-        let mut b = GraphBuilder::new("int8");
-        let x = b.input(Shape::nchw(batch, in_c, h, w));
-        let xq = b.apply("x.q", Op::FakeQuant { scale: s_in }, &[x]).unwrap();
-        let conv_weights = WeightInit::Explicit(vec![kernel, conv_bias]);
-        let c = b.apply_with_weights("conv", Op::Conv2d(attrs), &[xq], conv_weights).unwrap();
-        let f = b.apply("flatten", Op::Flatten, &[c]).unwrap();
-        let fq = b.apply("flatten.q", Op::FakeQuant { scale: s_mid }, &[f]).unwrap();
-        let d = b
-            .apply_with_weights(
-                "fc",
-                Op::Dense { out_features: out_f, bias: true },
-                &[fq],
-                WeightInit::Explicit(vec![fc, fc_bias]),
-            )
-            .unwrap();
-        let g = b.finish(vec![d]);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        };
         for par in [Parallelism::Serial, Parallelism::Threads(2)] {
             for planning in [true, false] {
                 let mut runner = Runner::builder()
                     .parallelism(par)
                     .memory_planning(planning)
-                    .build(&g)
+                    .build(&case.graph)
                     .unwrap();
                 let opts = RunOptions::new().capture_intermediates(true).profile(true);
-                let got = runner.execute(std::slice::from_ref(&input), opts).unwrap();
+                let got = runner.execute(std::slice::from_ref(&case.input), opts).unwrap();
                 prop_assert_eq!(got.profile().unwrap().int8_nodes(), 2);
-                let conv_out = got.intermediates().unwrap()[c.0].as_ref().unwrap();
-                prop_assert_eq!(bits(conv_out.data()), bits(&conv), "conv under {:?}", par);
+                let conv_out = got.intermediates().unwrap()[case.conv.0].as_ref().unwrap();
+                prop_assert_eq!(bits(conv_out.data()), bits(&case.want_conv), "conv under {:?}", par);
                 let out = got.outputs()[0].data();
-                prop_assert_eq!(bits(out), bits(&want), "dense under {:?}", par);
+                prop_assert_eq!(bits(out), bits(&case.want), "dense under {:?}", par);
             }
         }
     }

@@ -11,7 +11,8 @@
 //! `max_batch` reached or `max_linger` elapsed), and each model's
 //! worker pool executes
 //! batches through the one-door [`Runner`](vedliot_nnir::exec::Runner)
-//! API — one warm arena-backed runner per batch size per worker.
+//! API — one warm arena-backed runner per worker, which runs every
+//! batch size up to `max_batch` over the pool's one deployed graph.
 //!
 //! The serving contract:
 //!

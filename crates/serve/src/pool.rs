@@ -284,9 +284,10 @@ fn us_since(epoch: Instant, t: Instant) -> u64 {
 }
 
 impl ModelPool {
-    /// Compiles `graph` for batch sizes `1..=max_batch`, builds the
-    /// golden service and chaos stream, and spawns the worker pool.
-    /// `cfg` must already be validated by the gateway.
+    /// Deploys `graph` at batch `max_batch`, builds the golden service
+    /// and chaos stream, and spawns the worker pool; each worker builds
+    /// one runner over the deployed graph, which runs every batch up to
+    /// `max_batch`. `cfg` must already be validated by the gateway.
     pub(crate) fn start(
         key: &str,
         id: u16,
@@ -296,14 +297,9 @@ impl ModelPool {
         gateway: Arc<GatewayShared>,
     ) -> Result<Arc<ModelPool>, ServeError> {
         graph.validate()?;
-        // One graph per admissible batch size. Workers build their
-        // runners against these; index k-1 serves batches of k.
-        let mut graphs = Vec::with_capacity(cfg.batch.max_batch);
-        for k in 1..=cfg.batch.max_batch {
-            graphs.push(graph.with_batch(k)?);
-        }
+        let mut deployed = graph.with_batch(cfg.batch.max_batch)?;
         // The golden copy is cloned before chaos corrupts the deployed
-        // graphs: it is the uncorrupted reference of §IV-B.
+        // graph: it is the uncorrupted reference of §IV-B.
         let golden = match &cfg.golden {
             Some(policy) => {
                 if graph.inputs().len() != 1 || graph.outputs().len() != 1 {
@@ -321,19 +317,15 @@ impl ModelPool {
         };
         if let Some(plan) = &cfg.chaos {
             if plan.weight_bit_flips > 0 {
-                // Same seed on every batch variant: the weight tensors
-                // are structurally identical, so the same logical bits
-                // flip in each and batching stays output-consistent.
-                for g in &mut graphs {
-                    vedliot_safety::inject::flip_weight_bits(g, plan.weight_bit_flips, plan.seed)?;
-                }
+                let flips = plan.weight_bit_flips;
+                vedliot_safety::inject::flip_weight_bits(&mut deployed, flips, plan.seed)?;
             }
         }
         // The graph was verified above, so every input has a shape.
-        let input_shapes: Vec<Shape> = graphs[0]
+        let input_shapes: Vec<Shape> = deployed
             .inputs()
             .iter()
-            .filter_map(|&tid| graphs[0].tensor_shape(tid).cloned())
+            .filter_map(|&tid| deployed.tensor_shape(tid).map(|s| s.with_batch(1)))
             .collect();
         let pool = Arc::new(ModelPool {
             key: key.to_string(),
@@ -360,7 +352,7 @@ impl ModelPool {
         });
         let ctx = Arc::new(WorkerContext {
             pool: Arc::clone(&pool),
-            graphs: Arc::new(graphs),
+            graph: deployed,
         });
         for _ in 0..cfg.workers {
             assert!(spawn_worker(&ctx), "spawn serve worker");
@@ -644,10 +636,11 @@ impl ModelPool {
 }
 
 /// Everything a worker thread needs — held in an `Arc` so a crash guard
-/// can hand the same context to a replacement worker.
+/// can hand the same context to a replacement worker: the pool and its
+/// one deployed graph, at batch `max_batch`.
 struct WorkerContext {
     pool: Arc<ModelPool>,
-    graphs: Arc<Vec<Graph>>,
+    graph: Graph,
 }
 
 /// Armed for the lifetime of a worker thread; if the thread unwinds
@@ -768,24 +761,19 @@ fn purge_expired(state: &mut QueueState, pool: &ModelPool, now: Instant) -> usiz
 /// Worker body: form a batch under the lock, execute it outside.
 fn worker_loop(ctx: &WorkerContext) {
     let pool = &*ctx.pool;
-    // Runners are built once and reused for the worker's lifetime, so
-    // every batch after the first hits warm arenas and cached weights.
-    // They run serially: batching, not threading, is the throughput
-    // lever on the single-core targets a pool serves.
-    let mut runners: Vec<Runner<'_>> = ctx
-        .graphs
-        .iter()
-        .map(|g| {
-            Runner::builder()
-                .parallelism(Parallelism::Serial)
-                .build(g)
-                .unwrap_or_else(|e| {
-                    // The batch graph was verified at ModelPool::start;
-                    // a worker that cannot build is a resilience event.
-                    panic!("worker failed to build a verified graph: {e}")
-                })
-        })
-        .collect();
+    // The runner is built once and reused for the worker's lifetime, so
+    // every batch after the first hits warm arenas and cached weights;
+    // it runs every batch size up to the deployed graph's. It runs
+    // serially: batching, not threading, is the throughput lever on the
+    // single-core targets a pool serves.
+    let mut runner = Runner::builder()
+        .parallelism(Parallelism::Serial)
+        .build(&ctx.graph)
+        .unwrap_or_else(|e| {
+            // The graph was verified at ModelPool::start; a worker that
+            // cannot build is a resilience event.
+            panic!("worker failed to build a verified graph: {e}")
+        });
     loop {
         // Chaos hard kill: strictly before the lock is taken and while
         // no requests are held, so a dying worker cannot poison the
@@ -853,7 +841,7 @@ fn worker_loop(ctx: &WorkerContext) {
             }
         };
         let salt = splitmix64(batch.first().map_or(0, |r| r.seq));
-        run_batch(ctx, &mut runners, batch, salt);
+        run_batch(ctx, &mut runner, batch, salt);
     }
 }
 
@@ -863,8 +851,10 @@ fn worker_loop(ctx: &WorkerContext) {
 ///
 /// With quarantine on, a lone request failing deterministically — one
 /// that bisection isolated, or one that formed its batch alone — is
-/// the poison and fails as [`ServeError::Quarantined`].
-fn run_batch(ctx: &WorkerContext, runners: &mut [Runner<'_>], mut batch: Vec<Request>, salt: u64) {
+/// the poison and fails as [`ServeError::Quarantined`]. `salt` keys the
+/// batch's chaos draw and backoff jitter; each bisected half gets its
+/// own.
+fn run_batch(ctx: &WorkerContext, runner: &mut Runner<'_>, mut batch: Vec<Request>, salt: u64) {
     let pool = &*ctx.pool;
     let policy: RetryPolicy = pool.resilience.retry;
     let mut attempt = 0u32;
@@ -882,7 +872,7 @@ fn run_batch(ctx: &WorkerContext, runners: &mut [Runner<'_>], mut batch: Vec<Req
                 }
             }
         }
-        let result = attempt_execute(ctx, runners, &batch);
+        let result = attempt_execute(ctx, runner, &batch, salt, attempt);
         if pool.gateway.trace.is_some() {
             let now_us = us_since(pool.gateway.epoch, Instant::now());
             for req in &mut batch {
@@ -935,8 +925,8 @@ fn run_batch(ctx: &WorkerContext, runners: &mut [Runner<'_>], mut batch: Vec<Req
             // half (and the poisoned half's innocent remainder,
             // recursively) still gets served.
             let right = batch.split_off(batch.len() / 2);
-            run_batch(ctx, runners, batch, splitmix64(salt ^ 1));
-            run_batch(ctx, runners, right, splitmix64(salt ^ 2));
+            run_batch(ctx, runner, batch, splitmix64(salt ^ 1));
+            run_batch(ctx, runner, right, splitmix64(salt ^ 2));
             return;
         }
         // A lone request failing deterministically under quarantine is
@@ -964,12 +954,15 @@ fn run_batch(ctx: &WorkerContext, runners: &mut [Runner<'_>], mut batch: Vec<Req
     }
 }
 
-/// One execution attempt: chaos hooks, the panic-isolation boundary,
-/// and the batched forward pass. Returns per-request output rows.
+/// One execution attempt, the `attempt`-th of the batch salted `salt`:
+/// chaos hooks, the panic-isolation boundary, and the batched forward
+/// pass. Returns per-request output rows.
 fn attempt_execute(
     ctx: &WorkerContext,
-    runners: &mut [Runner<'_>],
+    runner: &mut Runner<'_>,
     batch: &[Request],
+    salt: u64,
+    attempt: u32,
 ) -> Result<Vec<Vec<Tensor>>, ServeError> {
     let pool = &*ctx.pool;
     if let Some(chaos) = &pool.chaos {
@@ -984,11 +977,11 @@ fn attempt_execute(
     }
     let guarded = std::panic::catch_unwind(AssertUnwindSafe(|| {
         if let Some(chaos) = &pool.chaos {
-            if chaos.panic_now() {
+            if chaos.panic_now(salt, attempt) {
                 panic!("chaos: injected worker panic");
             }
         }
-        execute_core(runners, batch)
+        execute_core(runner, batch)
     }));
     match guarded {
         Ok(result) => result,
@@ -1017,36 +1010,34 @@ fn panic_detail(payload: &(dyn Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// Coalesce → execute → split back into per-request output rows.
+/// Coalesce → execute → split back into per-request output rows: the
+/// runner runs the batch at its size.
 fn execute_core(
-    runners: &mut [Runner<'_>],
+    runner: &mut Runner<'_>,
     batch: &[Request],
 ) -> Result<Vec<Vec<Tensor>>, ServeError> {
-    let n = batch.len();
-    debug_assert!(n >= 1 && n <= runners.len());
-    if n == 1 {
-        let out = runners[0].execute(&batch[0].inputs, RunOptions::default())?;
+    if let [req] = batch {
+        let out = runner.execute(&req.inputs, RunOptions::default())?;
         return Ok(vec![out.into_outputs()]);
     }
     // Coalesce along axis 0: input position i of the batched run is
     // the concatenation of every request's tensor i, in queue order.
-    let coalesced = (0..batch[0].inputs.len())
+    let coalesced = (0..batch.first().map_or(0, |req| req.inputs.len()))
         .map(|i| {
-            let rows: Vec<Tensor> = batch.iter().map(|req| req.inputs[i].clone()).collect();
+            let rows: Vec<&Tensor> = batch.iter().map(|req| &req.inputs[i]).collect();
             Tensor::concat_batch(&rows)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let out = runners[n - 1].execute(&coalesced, RunOptions::default())?;
+    let out = runner.execute(&coalesced, RunOptions::default())?;
     // Split every output back into per-request rows; row j belongs to
     // request j because concat preserved queue order.
-    let per_output_rows: Vec<Vec<Tensor>> = out
-        .outputs()
-        .iter()
-        .map(Tensor::split_batch)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((0..n)
-        .map(|j| per_output_rows.iter().map(|rows| rows[j].clone()).collect())
-        .collect())
+    let mut rows: Vec<Vec<Tensor>> = batch.iter().map(|_| Vec::new()).collect();
+    for output in out.outputs() {
+        for (row, part) in rows.iter_mut().zip(output.split_batch()?) {
+            row.push(part);
+        }
+    }
+    Ok(rows)
 }
 
 /// Answers every request in a successful batch, running sampled golden

@@ -10,8 +10,10 @@
 //! fault classes deterministically so every recovery path is testable
 //! (the chaos harness: `tests/chaos.rs`, experiment E22).
 //!
-//! Everything here is deterministic given a seed: chaos draws come from
-//! a splitmix64 stream, so a failing schedule is replayable bit-for-bit.
+//! Chaos draws are splitmix64 functions of the plan's seed. A batch's
+//! soft-panic draw is keyed to the batch itself, so whether a batch
+//! panics never depends on how the workers interleave; the worker-kill
+//! draws count wakeups across the pool, but a kill holds no batch.
 
 use std::time::Duration;
 
@@ -179,12 +181,13 @@ pub enum Health {
 /// classes mirror paper §IV-B:
 ///
 /// * **weight bit flips** (SEU/rowhammer): applied once at startup to
-///   the *deployed* batch-compiled graphs via
+///   the pool's *deployed* graph via
 ///   `vedliot_safety::inject::flip_weight_bits`; a golden-check policy
 ///   ([`GoldenPolicy`](crate::GoldenPolicy)) holds the uncorrupted copy,
-/// * **worker panics**: soft panics inside the execution boundary
-///   (absorbed by isolation) and hard kills of whole worker threads
-///   (absorbed by supervision/respawn),
+/// * **worker panics**: soft panics inside the execution boundary, at
+///   most one per batch, on its first attempt (absorbed by isolation
+///   and a retry, which runs clean), and hard kills of whole worker
+///   threads (absorbed by supervision/respawn),
 /// * **poisoned requests**: every `poison_every`-th submission fails
 ///   any batch containing it deterministically (absorbed by
 ///   quarantine bisection).
@@ -195,8 +198,11 @@ pub enum Health {
 pub struct FaultPlan {
     /// Seed of the deterministic fault stream.
     pub seed: u64,
-    /// Probability that one execution attempt panics inside the
-    /// isolation boundary (a soft error in control logic).
+    /// Probability that a batch panics inside the isolation boundary on
+    /// its first execution attempt (a soft error in control logic). The
+    /// draw is a function of the seed and the batch's salt (its first
+    /// request's seq; each half a quarantine bisection makes has its
+    /// own), so it does not depend on timing; no later attempt draws.
     pub panic_per_batch: f64,
     /// Probability per worker wakeup that the worker thread is killed
     /// outright (panic outside the isolation boundary, no batch held).
@@ -204,7 +210,7 @@ pub struct FaultPlan {
     /// Every `poison_every`-th submitted request (1-based) is poisoned:
     /// any batch containing it fails deterministically. `0` disables.
     pub poison_every: u64,
-    /// Weight bits flipped in the deployed graphs at startup. The
+    /// Weight bits flipped in the deployed graph at startup. The
     /// golden copy used by [`GoldenPolicy`](crate::GoldenPolicy) is
     /// taken *before* the flips, so divergence is detectable.
     pub weight_bit_flips: usize,
@@ -265,12 +271,11 @@ const PANIC_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 const KILL_SALT: u64 = 0xbf58_476d_1ce4_e5b9;
 const JITTER_SALT: u64 = 0x94d0_49bb_1331_11eb;
 
-/// Live chaos state: the plan plus the tick counters that advance the
-/// deterministic fault stream. Shared by all workers.
+/// Live chaos state: the plan plus the wakeup counter that advances the
+/// worker-kill stream. Shared by all workers.
 #[derive(Debug)]
 pub(crate) struct ChaosState {
     plan: FaultPlan,
-    exec_ticks: std::sync::atomic::AtomicU64,
     wake_ticks: std::sync::atomic::AtomicU64,
 }
 
@@ -278,17 +283,16 @@ impl ChaosState {
     pub(crate) fn new(plan: FaultPlan) -> Self {
         ChaosState {
             plan,
-            exec_ticks: std::sync::atomic::AtomicU64::new(0),
             wake_ticks: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
-    /// Draws the next soft-panic decision (one per execution attempt).
-    pub(crate) fn panic_now(&self) -> bool {
-        let t = self
-            .exec_ticks
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        unit_draw(splitmix64(self.plan.seed ^ PANIC_SALT ^ t)) < self.plan.panic_per_batch
+    /// The soft-panic decision for attempt `attempt` (1-based) of the
+    /// batch salted `salt`: drawn on the first attempt only, from the
+    /// seed and the salt alone.
+    pub(crate) fn panic_now(&self, salt: u64, attempt: u32) -> bool {
+        attempt == 1
+            && unit_draw(splitmix64(self.plan.seed ^ PANIC_SALT ^ salt)) < self.plan.panic_per_batch
     }
 
     /// Draws the next hard worker-kill decision (one per wakeup).
@@ -357,7 +361,7 @@ mod tests {
     fn quiet_plan_injects_nothing() {
         let chaos = ChaosState::new(FaultPlan::quiet(9));
         for seq in 1..=1000u64 {
-            assert!(!chaos.panic_now());
+            assert!(!chaos.panic_now(splitmix64(seq), 1));
             assert!(!chaos.kill_now());
             assert!(!chaos.poisoned(seq));
         }
@@ -373,13 +377,45 @@ mod tests {
         };
         let a = ChaosState::new(plan);
         let b = ChaosState::new(plan);
-        let draws_a: Vec<bool> = (0..200).map(|_| a.panic_now()).collect();
-        let draws_b: Vec<bool> = (0..200).map(|_| b.panic_now()).collect();
+        let draws_a: Vec<bool> = (0..200).map(|salt| a.panic_now(salt, 1)).collect();
+        let draws_b: Vec<bool> = (0..200).map(|salt| b.panic_now(salt, 1)).collect();
         assert_eq!(draws_a, draws_b);
         assert!(draws_a.iter().any(|&x| x), "0.3 over 200 draws fires");
         assert!(!draws_a.iter().all(|&x| x));
         assert!(a.poisoned(7) && a.poisoned(14) && !a.poisoned(8));
         assert!(!a.poisoned(0), "seq is 1-based; 0 is never poisoned");
+    }
+
+    #[test]
+    fn panic_draws_once_per_batch_keyed_to_seed_and_salt() {
+        let plan = FaultPlan {
+            panic_per_batch: 0.5,
+            ..FaultPlan::quiet(77)
+        };
+        let (a, b) = (ChaosState::new(plan), ChaosState::new(plan));
+        // Equal (seed, salt), equal draws, in any order.
+        let salts: Vec<u64> = (1..=64).map(splitmix64).collect();
+        let draws: Vec<bool> = salts.iter().map(|&s| a.panic_now(s, 1)).collect();
+        let again: Vec<bool> = salts.iter().rev().map(|&s| b.panic_now(s, 1)).collect();
+        assert_eq!(draws, again.into_iter().rev().collect::<Vec<_>>());
+        assert!(draws.contains(&true) && draws.contains(&false));
+        let other = ChaosState::new(FaultPlan { seed: 78, ..plan });
+        assert_ne!(
+            draws,
+            salts
+                .iter()
+                .map(|&s| other.panic_now(s, 1))
+                .collect::<Vec<_>>()
+        );
+        // No attempt after the first draws, even at certainty.
+        let always = ChaosState::new(FaultPlan {
+            panic_per_batch: 1.0,
+            ..plan
+        });
+        for &salt in &salts {
+            assert!(always.panic_now(salt, 1));
+            assert!((2..=5).all(|attempt| !always.panic_now(salt, attempt)));
+        }
     }
 
     #[test]

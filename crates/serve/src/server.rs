@@ -465,11 +465,12 @@ pub struct Server {
 
 impl Server {
     /// Boots the gateway and loads `graph` as the `"default"` model
-    /// (compiled for batch sizes `1..=max_batch`, workers spawned).
+    /// (deployed once at batch `max_batch`, workers spawned, each with
+    /// one runner that runs every batch up to it).
     ///
     /// When a chaos plan requests weight bit flips, the flips corrupt
-    /// the *deployed* batch-compiled graphs only; the golden copy held
-    /// by a [`GoldenPolicy`] is taken before the corruption.
+    /// the *deployed* graph only; the golden copy held by a
+    /// [`GoldenPolicy`] is taken before the corruption.
     ///
     /// # Errors
     ///
@@ -521,9 +522,10 @@ impl Server {
         Ok(server)
     }
 
-    /// Loads `graph` under `key` as a new tenant: compiles its batch
-    /// variants, spawns its pool and registers it for routing. Hot:
-    /// traffic to other models is never paused.
+    /// Loads `graph` under `key` as a new tenant: deploys it once at
+    /// batch `max_batch`, spawns its pool (one runner per worker, for
+    /// every batch up to `max_batch`) and registers it for routing.
+    /// Hot: traffic to other models is never paused.
     ///
     /// # Errors
     ///
