@@ -90,6 +90,9 @@ if [[ $fast -eq 0 ]]; then
   echo "==> E23 observability (profile covers >= 95% of a pass, exact span accounting, tracing tax)"
   ./target/release/harness observe > /dev/null
 
+  echo "==> E21 serving (the default batcher under a 2,000-request backlog beats sequential)"
+  ./target/release/harness serving > /dev/null
+
   echo "==> BENCH gates (fresh snapshot vs checked-in baseline, rules in crates/bench/src/gate.rs)"
   # Each experiment asserts its own hard invariants while it runs and
   # writes a fresh snapshot; `harness gate` then checks every rule of

@@ -329,15 +329,25 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Propagates shape-inference failures (cannot normally happen, since
-    /// batch size does not affect operator validity).
+    /// Returns [`NnirError::ShapeMismatch`] if an input is rank 0 (it has
+    /// no batch axis), and propagates shape-inference failures (cannot
+    /// normally happen, since batch size does not affect operator
+    /// validity).
     pub fn with_batch(&self, batch: usize) -> Result<Graph, NnirError> {
+        let batched = |shape: &Shape| {
+            if shape.rank() == 0 {
+                return Err(NnirError::ShapeMismatch {
+                    op: "Graph::with_batch".into(),
+                    detail: "rank-0 input has no batch axis".into(),
+                });
+            }
+            Ok(shape.with_batch(batch))
+        };
         let mut builder = GraphBuilder::new(self.name.clone());
         // Tensor ids map 1:1 because we replay nodes in order.
         for old_id in 0..self.tensor_shapes.len() {
             if self.producers[old_id].is_none() {
-                let shape = self.tensor_shapes[old_id].with_batch(batch);
-                let new_id = builder.input(shape);
+                let new_id = builder.input(batched(&self.tensor_shapes[old_id])?);
                 debug_assert_eq!(new_id.0, old_id);
             } else {
                 break;
@@ -345,7 +355,7 @@ impl Graph {
         }
         for node in &self.nodes {
             let op = match &node.op {
-                Op::Input(s) => Op::Input(s.with_batch(batch)),
+                Op::Input(s) => Op::Input(batched(s)?),
                 other => other.clone(),
             };
             let new_out = builder.apply_with_weights(
@@ -623,6 +633,17 @@ mod tests {
         assert_eq!(g.batch(), 8);
         let out = g.outputs()[0];
         assert_eq!(g.tensor_shape(out).unwrap(), &Shape::nchw(8, 4, 8, 8));
+
+        let mut b = GraphBuilder::new("scalar");
+        let x = b.input(Shape::scalar());
+        let y = b
+            .apply("relu", Op::Activation(ActKind::Relu), &[x])
+            .unwrap();
+        let scalar = b.finish(vec![y]);
+        assert!(matches!(
+            scalar.with_batch(2),
+            Err(NnirError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

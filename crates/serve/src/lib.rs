@@ -7,8 +7,9 @@
 //! ([`Server::load`] / [`Server::unload`] are hot — unload drains
 //! in-flight work before returning). Requests enter through a typed
 //! [`SubmitRequest`] naming a model and a [`Priority`] class, a
-//! per-model dynamic batcher coalesces them along axis 0 (close on
-//! `max_batch` reached or `max_linger` elapsed), and each model's
+//! per-model dynamic batcher coalesces them along axis 0 (a free worker
+//! takes what is queued, up to `max_batch`, at once; an opt-in
+//! `max_linger` waits for companions), and each model's
 //! worker pool executes
 //! batches through the one-door [`Runner`](vedliot_nnir::exec::Runner)
 //! API — one warm arena-backed runner per worker, which runs every

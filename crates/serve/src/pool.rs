@@ -27,8 +27,11 @@
 //!
 //! **Batching** drains classes in priority order (`High` first) and
 //! never mixes models — a batch is formed inside exactly one pool. A
-//! batch closes when it is full or its oldest request has lingered
-//! `max_linger`.
+//! free worker takes whatever is queued, up to `max_batch`, at once:
+//! the default zero `max_linger` is work-conserving, and requests that
+//! arrive while a batch runs form the next one. A positive `max_linger`
+//! holds a partial batch until it is full or its oldest request has
+//! waited that long.
 //!
 //! **One answer path.** Every admitted request is answered through
 //! [`ModelPool::finish`], whatever ends it — a served batch, a deadline

@@ -37,12 +37,21 @@ use vedliot_obs::{
 pub const DEFAULT_MODEL: &str = "default";
 
 /// Batch-closure policy for the dynamic batcher.
+///
+/// The default is work-conserving: a free worker takes whatever is
+/// queued, up to `max_batch`, at once, so a lone request runs without
+/// waiting, and requests that arrive while a batch runs form the next
+/// one. Under a backlog batches still fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Largest number of requests coalesced into one forward pass.
     pub max_batch: usize,
     /// Longest the oldest queued request may wait for companions before
-    /// its (possibly partial) batch executes.
+    /// its (possibly partial) batch executes. Zero, the default, never
+    /// waits. A positive linger trades a lone request's latency for
+    /// fuller batches, which pays only where per-sample cost falls with
+    /// batch size. On the CPU kernels here it is flat: E24's
+    /// `b8_over_b1` reads 0.94–1.01 on a 2-vCPU host.
     pub max_linger: Duration,
 }
 
@@ -61,7 +70,7 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         BatchPolicy {
             max_batch: 8,
-            max_linger: Duration::from_micros(500),
+            max_linger: Duration::ZERO,
         }
     }
 }
@@ -893,6 +902,7 @@ impl Drop for Server {
 mod tests {
     use super::*;
     use crate::resilience::{FaultPlan, Health};
+    use vedliot_nnir::ops::{ActKind, Op};
     use vedliot_nnir::zoo;
     use vedliot_nnir::Shape;
 
@@ -954,6 +964,18 @@ mod tests {
         assert!(matches!(
             Server::start(&demo_graph(), cfg),
             Err(ServeError::InvalidConfig(_))
+        ));
+
+        // A rank-0 input has no batch axis to deploy at: a typed
+        // refusal, not a panic.
+        let mut b = Graph::builder("scalar");
+        let x = b.input(Shape::scalar());
+        let y = b
+            .apply("relu", Op::Activation(ActKind::Relu), &[x])
+            .unwrap();
+        assert!(matches!(
+            Server::start(&b.finish(vec![y]), ServeConfig::default()),
+            Err(ServeError::Execution(_))
         ));
     }
 

@@ -26,8 +26,9 @@
 //!   queue mutex, exactly as in the implementation).
 //! * `Shutdown` — `begin_shutdown`: set the flag, notify.
 //! * `Take(w)` — the worker's locked batch-take: enabled whenever the
-//!   queue is non-empty, because the linger timeout can always have
-//!   elapsed; drains `min(len, max_batch)`.
+//!   queue is non-empty, because the default zero linger takes at once
+//!   and a positive linger's timeout can always have elapsed; drains
+//!   `min(len, max_batch)`.
 //! * `Finish(w)` — the out-of-lock batch execution: one `Ok` reply per
 //!   request in the held batch.
 //! * `Exit(w)` — the worker's exit path: queue empty **and**
@@ -139,8 +140,9 @@ fn enabled(spec: &Spec, s: &State) -> Vec<Transition> {
         match worker {
             Worker::AtLoop => {
                 if !s.queue.is_empty() {
-                    // The linger timeout may always have elapsed, so a
-                    // non-empty queue always permits a (partial) take.
+                    // A zero linger takes at once and a positive one may
+                    // always have elapsed, so a non-empty queue always
+                    // permits a (partial) take.
                     out.push(Transition::Take(w));
                 }
                 let exit_ok = if spec.bug == Some(Bug::ExitWithQueuedWork) {

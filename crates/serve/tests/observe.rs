@@ -84,6 +84,43 @@ fn traced_run_produces_coherent_spans() {
     assert!(m.queue_hwm >= 1, "high-water mark saw the burst");
 }
 
+/// The default batcher is work-conserving: a lone request is taken as
+/// soon as the worker is free, with no linger. Only the least of 20
+/// queue waits is timed, so a slow host cannot fail this; a 500 µs
+/// linger holds every one of them at least that long.
+#[test]
+fn default_policy_runs_a_lone_request_at_once() {
+    let config = ServeConfig::builder()
+        .trace(TracePolicy { capacity: 32 })
+        .build()
+        .unwrap();
+    let server = Server::start(&demo_graph(), config).unwrap();
+    for i in 0..20 {
+        let ticket = server
+            .submit_request(SubmitRequest::new(vec![demo_input(i)]))
+            .unwrap();
+        ticket.wait().unwrap();
+    }
+    let spans = server.trace_spans();
+    assert_eq!(spans.len(), 20, "one span per served request");
+    for span in &spans {
+        assert_eq!(
+            span.linger_us, 0,
+            "the default policy never lingers: {span}"
+        );
+    }
+    let least_wait_us = spans
+        .iter()
+        .map(|s| s.dequeue_us - s.enqueue_us)
+        .min()
+        .unwrap();
+    assert!(
+        least_wait_us < 250,
+        "a lone request waited {least_wait_us} µs to be taken"
+    );
+    assert!(server.shutdown().accounted_for());
+}
+
 #[test]
 fn expired_requests_get_timed_out_spans() {
     let server = Server::start(&demo_graph(), traced_config()).unwrap();
