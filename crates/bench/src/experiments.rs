@@ -1648,7 +1648,8 @@ pub fn kernels() -> Experiment {
         .expect("runs");
     let int8_nodes = got.profile().expect("profiled").int8_nodes();
     // Each INT8 conv folds the max-pool after it, so its full-resolution
-    // output never takes an arena slot: 7,840 bytes, from 23,520.
+    // output never takes an arena slot (7,840 bytes, from 23,520), and the
+    // six values only INT8 nodes read take one byte per element: 5,096.
     let int8_arena = int8_runner.memory_plan().peak_bytes();
     let want = Runner::builder()
         .int8(false)
@@ -1785,7 +1786,8 @@ pub fn kernels() -> Experiment {
             ),
             format!(
                 "INT8 LeNet-5 arena peak {int8_arena} bytes: each INT8 conv pools its i32 \
-                 accumulators, so its full-resolution output owns no slot (gated <= baseline)"
+                 accumulators, so its full-resolution output owns no slot, and each value only \
+                 INT8 nodes read is stored as i8 codes (gated <= baseline)"
             ),
             format!(
                 "INT8 MobileNetV3 pass = {mb_over_fq:.2}x its fake-quant f32 pass (gated <= 1.0) \

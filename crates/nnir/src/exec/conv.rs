@@ -168,15 +168,15 @@ impl ConvGeom {
 /// patch position's offset from its output pixel's first input value,
 /// in (ic, ky, kx) order, within the returned planes — `in_place` when
 /// given and the conv is unpadded, else `planes`, `f` of each value of
-/// the NCHW items of `input` inside a border of `T::default()`
-/// (`+0.0` in f32, the zero code in INT8), `n` items. No tap asks
-/// whether it lands in the input.
-pub(super) fn stage_planes<'a, T: Copy + Default>(
-    input: &[f32],
+/// the NCHW items of `input` (f32 values, or INT8 codes) inside a
+/// border of `T::default()` (`+0.0` in f32, the zero code in INT8), `n`
+/// items. No tap asks whether it lands in the input.
+pub(super) fn stage_planes<'a, I: Copy, T: Copy + Default>(
+    input: &[I],
     in_place: Option<&'a [T]>,
     g: ConvGeom,
     n: usize,
-    f: impl Fn(f32) -> T,
+    f: impl Fn(I) -> T,
     planes: &'a mut Vec<T>,
     taps: &mut Vec<usize>,
 ) -> &'a [T] {

@@ -1,18 +1,22 @@
 //! The INT8 kernels (see [`RunnerBuilder::int8`](super::RunnerBuilder::int8)).
 //! Weight codes × activation codes accumulate exactly in i32, both held
 //! as i16 — weights widened once at build, activations quantized per
-//! call — because i16 products are what baseline x86-64 SIMD multiplies
-//! (`pmullw`, `pmaddwd`); i8 ones it does not. Integer sums are exact,
-//! so every INT8 output is independent of the kernel, threading,
-//! planning and batch size.
+//! call from f32 values, or widened from the i8 codes of a value the
+//! plan stores as codes ([`Src`]) — because i16 products are what
+//! baseline x86-64 SIMD multiplies (`pmullw`, `pmaddwd`); i8 ones it
+//! does not. A kernel writes its output as f32 values, or as codes of
+//! its readers' scale ([`Dst`]). Integer sums are exact, so every INT8
+//! output is independent of the kernel, threading, planning, the width
+//! its input is stored at and batch size.
 
 use super::conv::{gather_patches, stage_planes, ConvGeom};
 use super::dense::feature_chunk;
 use super::gemm::COL_BLOCK_ELEMS;
-use super::par::{par_chunks, par_chunks_with};
+use super::par::par_chunks;
 use super::plan::{Conv, Dense, Int8Plan};
 use super::pool::{pool_plane, PoolGeom};
 use super::runner::{KernelCtx, Scratch};
+use super::stage::{Dst, Src};
 use crate::tensor::round_i8;
 
 /// INT8 codes the GEMM micro-kernel reduces at once: every packed
@@ -42,11 +46,24 @@ pub(super) fn dot_codes(a: &[[i16; CODE_CHUNK]], b: &[[i16; CODE_CHUNK]]) -> i32
     lanes.iter().sum()
 }
 
-/// INT8 code of one activation, as the i16 the kernels multiply.
-/// `inv` is `1 / in_scale`; activations produced by a `FakeQuant` node
-/// lie exactly on the grid `k · in_scale` for integer `|k| ≤ 127`, so
-/// the rounding recovers `k` exactly and the INT8 path loses nothing at
-/// the input boundary.
+/// INT8 code of one activation, as the i16 the kernels multiply; `inv`
+/// is `1 / in_scale`. NaN maps to 0, ±∞ to ±127.
+///
+/// A `FakeQuant` node of scale `s` outputs `k · s` for an integer
+/// `|k| ≤ 127`, and this recovers `k` from it at every normal `s` up to
+/// `f32::MAX / 126` (≈ 2.70e36), so the INT8 path loses nothing at the
+/// input boundary there. It does not above that scale (`126 · s`
+/// overflows to ∞, which maps to 127) nor at subnormal scales below
+/// 2^-128 (≈ 2.94e-39), where `1 / s` overflows (a probe over every
+/// code at every subnormal and every 97th normal scale, and every scale
+/// in the lowest normal binade and above 6.6e35).
+/// [`exact_grids`](crate::analysis::exact_grids)'s build check
+/// (`s` normal and `127 · s` finite) keeps inside that range, and
+/// [`identity_quants`](crate::analysis::identity_quants), which lets a
+/// copy stand in for a `FakeQuant`, relies on it. A value stored as
+/// codes relies on no such check: its writer stores each value it
+/// computes as this function's code of it, the code its readers would
+/// compute from the f32 value.
 #[inline]
 pub(super) fn quantize_activation(x: f32, inv: f32) -> i16 {
     /// 1.5 · 2^23: added to an integral `|q| < 2^22`, it leaves `q` in
@@ -61,12 +78,11 @@ pub(super) fn quantize_activation(x: f32, inv: f32) -> i16 {
     }
 }
 
-/// Quantizes a dense conv's input of `n` items for both INT8 conv
+/// Stages a dense conv's input of `n` items for both INT8 conv
 /// kernels: [`stage_planes`] turns each input plane once into a
-/// zero-padded i16 code plane (exact, since a `FakeQuant` producer
-/// pinned the activations to the grid) and lists each patch position's
-/// offset in those planes once, in the kernel's (ic, ky, kx) order, as
-/// it does for the f32 convs.
+/// zero-padded i16 code plane, quantizing f32 values or widening codes,
+/// and lists each patch position's offset in those planes once, in the
+/// kernel's (ic, ky, kx) order, as it does for the f32 convs.
 ///
 /// Both kernels sum exact integer products, so every output is the same
 /// i32 whichever runs, and each is dequantized with one multiply,
@@ -75,10 +91,13 @@ pub(super) fn quantize_activation(x: f32, inv: f32) -> i16 {
 /// first ([`pool_plane`], border `i32::MIN`), so the dequantization and
 /// the stages run on the pooled values only; the fold's rule makes that
 /// exact (DESIGN.md §10).
-fn stage_codes(input: &[f32], g: ConvGeom, n: usize, plan: &Int8Plan<'_>, s: &mut Scratch) {
+fn stage_codes(input: Src<'_>, g: ConvGeom, n: usize, plan: &Int8Plan<'_>, s: &mut Scratch) {
     let inv = 1.0 / plan.in_scale;
-    let q = |x| quantize_activation(x, inv);
-    stage_planes(input, None, g, n, q, &mut s.qin, &mut s.taps);
+    let (planes, taps) = (&mut s.qin, &mut s.taps);
+    match input {
+        Src::F32(x) => stage_planes(x, None, g, n, |x| quantize_activation(x, inv), planes, taps),
+        Src::Codes(x) => stage_planes(x, None, g, n, i16::from, planes, taps),
+    };
 }
 
 /// Dequantizes a run of i32 accumulators of output channel `oc` into
@@ -108,11 +127,11 @@ fn dequantize(dst: &mut [f32], acc: &[i32], plan: &Int8Plan<'_>, bias: Option<&[
 /// Units of four weight rows split over the workers, as in the f32
 /// GEMM.
 pub(super) fn conv_int8_gemm(
-    input: &[f32],
+    input: Src<'_>,
     c: &Conv<'_>,
     plan: &Int8Plan<'_>,
     pool: Option<PoolGeom>,
-    out: &mut [f32],
+    mut out: Dst<'_>,
     ctx: &mut KernelCtx<'_>,
 ) {
     let (g, bias_data) = (c.g, c.bias.as_deref());
@@ -164,9 +183,9 @@ pub(super) fn conv_int8_gemm(
                     planes[oc * g.opix + p0..][..pb].copy_from_slice(row);
                 } else {
                     let at = (bi * g.out_c + oc) * g.opix + p0;
-                    let dst = &mut out[at..][..pb];
-                    dequantize(dst, row, plan, bias_data, oc);
-                    ctx.epi.apply(dst, at);
+                    out.run(at, pb).emit(at, ctx.epi, |off, xs| {
+                        dequantize(xs, &row[off..], plan, bias_data, oc);
+                    });
                 }
             }
         }
@@ -174,9 +193,9 @@ pub(super) fn conv_int8_gemm(
             for (oc, accs) in planes.chunks_exact(g.opix).enumerate() {
                 pool_plane(accs, g.ow, p, pad, i32::MIN, i32::max, pooled);
                 let at = (bi * g.out_c + oc) * unit;
-                let dst = &mut out[at..][..unit];
-                dequantize(dst, pooled, plan, bias_data, oc);
-                ctx.epi.apply(dst, at);
+                out.run(at, unit).emit(at, ctx.epi, |off, xs| {
+                    dequantize(xs, &pooled[off..], plan, bias_data, oc);
+                });
             }
         }
     }
@@ -193,11 +212,11 @@ pub(super) fn conv_int8_gemm(
 /// planes split over the workers, each with its own run, and its own
 /// padded and pooled planes under a folded pool.
 pub(super) fn conv_int8_direct(
-    input: &[f32],
+    input: Src<'_>,
     c: &Conv<'_>,
     plan: &Int8Plan<'_>,
     pool: Option<PoolGeom>,
-    out: &mut [f32],
+    out: Dst<'_>,
     ctx: &mut KernelCtx<'_>,
 ) {
     let (g, bias_data) = (c.g, c.bias.as_deref());
@@ -221,7 +240,7 @@ pub(super) fn conv_int8_direct(
     for part in acc.chunks_exact_mut(part) {
         part[oh * wp..][..pad].fill(i32::MIN);
     }
-    par_chunks_with(workers, out, unit, acc, |u, dst, part| {
+    out.par_chunks_with(workers, unit, acc, |u, dst, part| {
         let (bi, oc) = (u / g.out_c, u % g.out_c);
         let codes = &qin[bi * g.in_c * plane..][..g.in_c * plane];
         let (run, rest) = part.split_at_mut(oh * wp);
@@ -238,53 +257,73 @@ pub(super) fn conv_int8_direct(
             Some(p) => {
                 let (pad, pooled) = rest.split_at_mut(pad);
                 pool_plane(run, wp, p, pad, i32::MIN, i32::max, &mut pooled[..unit]);
-                dequantize(dst, pooled, plan, bias_data, oc);
+                dst.emit(u * unit, epi, |off, xs| {
+                    dequantize(xs, &pooled[off..], plan, bias_data, oc);
+                });
             }
-            None => {
-                for (row, a) in dst.chunks_exact_mut(g.ow).zip(run.chunks(wp)) {
-                    dequantize(row, a, plan, bias_data, oc);
+            // Elements `off..` of the plane, row by row from the run at
+            // its padded pitch.
+            None => dst.emit(u * unit, epi, |mut off, mut xs| {
+                while !xs.is_empty() {
+                    let (y, x) = (off / g.ow, off % g.ow);
+                    let (row, rest) = xs.split_at_mut((g.ow - x).min(xs.len()));
+                    dequantize(row, &run[y * wp + x..], plan, bias_data, oc);
+                    (off, xs) = (off + row.len(), rest);
                 }
-            }
+            }),
         }
-        epi.apply(dst, u * unit);
     });
 }
 
 /// An INT8 dense layer: the GEMM with one patch row per sample. Each
-/// input row is quantized into a row of the plan's padded length, whose
-/// zero tail meets the zero codes padding the weight rows.
+/// input row is quantized, or its codes widened, into a row of the
+/// plan's padded length, whose zero tail meets the zero codes padding
+/// the weight rows.
 pub(super) fn dense_int8(
-    input: &[f32],
+    input: Src<'_>,
     d: &Dense<'_>,
     plan: &Int8Plan<'_>,
-    out: &mut [f32],
+    out: Dst<'_>,
     ctx: &mut KernelCtx<'_>,
 ) {
+    fn widen<I: Copy>(
+        qin: &mut [i16],
+        row_len: usize,
+        input: &[I],
+        in_f: usize,
+        f: impl Fn(I) -> i16,
+    ) {
+        for (dst, src) in qin
+            .chunks_exact_mut(row_len)
+            .zip(input.chunks_exact(in_f.max(1)))
+        {
+            for (dst, &x) in dst.iter_mut().zip(src) {
+                *dst = f(x);
+            }
+        }
+    }
     let (inv, row_len, epi) = (1.0 / plan.in_scale, plan.row_len, ctx.epi);
     let qin = &mut ctx.scratch.qin;
     qin.clear();
     qin.resize(ctx.n * row_len, 0);
-    for (dst, src) in qin
-        .chunks_exact_mut(row_len)
-        .zip(input.chunks_exact(d.in_f.max(1)))
-    {
-        for (dst, &x) in dst.iter_mut().zip(src) {
-            *dst = quantize_activation(x, inv);
-        }
+    match input {
+        Src::F32(x) => widen(qin, row_len, x, d.in_f, |x| quantize_activation(x, inv)),
+        Src::Codes(x) => widen(qin, row_len, x, d.in_f, i16::from),
     }
     let qin: &[i16] = qin;
     let (workers, chunk) = feature_chunk(d, ctx.n, ctx.par);
     let bias = d.bias.as_deref();
-    par_chunks(workers, out, chunk, |u, dst| {
+    out.par_chunks(workers, chunk, |u, dst| {
         let base = u * chunk;
         let (bi, of0) = (base / d.out_f, base % d.out_f);
         let (x, _) = qin[bi * row_len..][..row_len].as_chunks();
-        for (i, o) in dst.iter_mut().enumerate() {
-            let of = of0 + i;
-            let b0 = bias.map_or(0.0, |b| b[of]);
-            let acc = dot_codes(plan.row(of), x);
-            *o = b0 + acc as f32 * (plan.scales[of] * plan.in_scale);
-        }
-        epi.apply(dst, base);
+        dst.emit(base, epi, |off, xs| {
+            for (i, o) in xs.iter_mut().enumerate() {
+                let of = of0 + off + i;
+                let b0 = bias.map_or(0.0, |b| b[of]);
+                let acc = dot_codes(plan.row(of), x);
+                *o = b0 + acc as f32 * (plan.scales[of] * plan.in_scale);
+            }
+        });
     });
 }

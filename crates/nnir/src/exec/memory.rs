@@ -1,17 +1,30 @@
 //! The arena memory plan: values with disjoint live ranges share one
-//! buffer slot.
+//! buffer slot of their width.
 
-use super::plan::{fused_steps, int8_plans};
+use super::plan::default_cut;
 use crate::graph::{Graph, TensorId};
 use crate::shape::Shape;
 use std::ops::Range;
 
-/// Bytes one f32 element occupies in the value arena.
-const ARENA_ELEM_BYTES: u64 = 4;
+/// Bytes one element occupies in an arena slot: an f32 value, or the
+/// INT8 code of a value the runner stores as codes.
+fn elem_bytes(coded: bool) -> u64 {
+    if coded {
+        1
+    } else {
+        4
+    }
+}
 
 /// The arena slot-reuse plan the liveness analysis drives: a mapping
 /// from tensor ids to arena slots such that two tensors share a slot
-/// only when their live ranges are disjoint.
+/// only when their live ranges are disjoint and they are stored at the
+/// same width.
+///
+/// A value is stored as f32 values, 4 bytes each, unless the runner
+/// stores it as INT8 codes, 1 byte each: a value only INT8 kernels read,
+/// written by an INT8 kernel, a lone `FakeQuant` or a copy (DESIGN.md
+/// §10, "Values stored as codes"). An f32 graph has none.
 ///
 /// Computed once at [`RunnerBuilder::build`](super::RunnerBuilder::build) by greedy interval-graph
 /// coloring over the [`Liveness`](crate::analysis::Liveness) intervals,
@@ -21,9 +34,9 @@ const ARENA_ELEM_BYTES: u64 = 4;
 /// folded pool's full-resolution input among them — are never written,
 /// so they own no slot; its final value is defined, and every operand
 /// it reads is live, at the head's step. Tensors are visited in
-/// definition order, each taking the free slot that fits its size best
-/// (preferring the smallest already-large-enough buffer, then the
-/// largest smaller one) or opening a new slot. Graph outputs stay live past the end of the
+/// definition order, each taking the free slot of its width that fits
+/// its size best (preferring the smallest already-large-enough buffer,
+/// then the largest smaller one) or opening a new slot. Graph outputs stay live past the end of the
 /// schedule, so their slots are never recycled and output collection is
 /// untouched.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,26 +45,29 @@ pub struct MemoryPlan {
     slot_of: Vec<Option<usize>>,
     /// Peak element capacity per slot (the max over its occupants).
     slot_elems: Vec<usize>,
-    /// Total element count of the one-slot-per-tensor layout.
-    unplanned_elems: u64,
+    /// Whether each slot holds INT8 codes rather than f32 values.
+    slot_coded: Vec<bool>,
+    /// Whether each tensor is stored as INT8 codes.
+    coded: Vec<bool>,
+    /// Bytes of the one-slot-per-tensor layout.
+    unplanned_bytes: u64,
 }
 
 impl MemoryPlan {
     /// Computes the slot-reuse plan for `graph` from tensor liveness
-    /// over the steps a default runner runs: its INT8 plans, and so the
-    /// pools they fold, included. A graph whose INT8 payload does not fit
-    /// its weights, which no runner builds, gets its f32 plan.
+    /// over the steps a default runner runs: its INT8 plans, so the
+    /// pools they fold and the values it stores as codes, included. A
+    /// graph whose INT8 payload does not fit its weights, which no
+    /// runner builds, gets its f32 plan.
     #[must_use]
     pub fn plan(graph: &Graph) -> Self {
-        Self::over(
-            graph,
-            &fused_steps(graph, &int8_plans(graph).unwrap_or_default()),
-        )
+        let (steps, codes) = default_cut(graph);
+        Self::over(graph, &steps, &codes)
     }
 
     /// The slot-reuse plan over `steps`, the runner's cut of the
-    /// schedule.
-    pub(super) fn over(graph: &Graph, steps: &[Range<usize>]) -> Self {
+    /// schedule, with the values `codes` marks stored as codes.
+    pub(super) fn over(graph: &Graph, steps: &[Range<usize>], codes: &[Option<f32>]) -> Self {
         let live = crate::analysis::Liveness::of(graph);
         // Step of each schedule position; graph outputs, live past the
         // last node, stay live past the last step.
@@ -79,20 +95,22 @@ impl MemoryPlan {
         // order), the order their buffers come alive during a run.
         let mut order: Vec<usize> = (0..tc).filter(|&t| owns_slot[t]).collect();
         order.sort_by_key(|&t| (ranges[t].def, t));
+        let coded: Vec<bool> = codes.iter().map(Option::is_some).collect();
         let mut slot_of = vec![None; tc];
         let mut slot_elems: Vec<usize> = Vec::new();
+        let mut slot_coded: Vec<bool> = Vec::new();
         // Step at which each slot's current occupant dies.
         let mut slot_busy_until: Vec<Option<usize>> = Vec::new();
         for &t in &order {
             let r = ranges[t];
             let need = elems[t];
-            // Best fit among the free slots: smallest capacity that
-            // already holds `need`, else the largest smaller one (grows
-            // the arena least).
+            // Best fit among the free slots of its width: smallest
+            // capacity that already holds `need`, else the largest
+            // smaller one (grows the arena least).
             let mut best: Option<usize> = None;
             for (s, busy) in slot_busy_until.iter().enumerate() {
-                if busy.is_some_and(|until| until >= r.def) {
-                    continue; // occupant's live range overlaps ours
+                if busy.is_some_and(|until| until >= r.def) || slot_coded[s] != coded[t] {
+                    continue; // occupant's live range overlaps ours, or another width
                 }
                 best = match best {
                     None => Some(s),
@@ -111,6 +129,7 @@ impl MemoryPlan {
                 Some(s) => s,
                 None => {
                     slot_elems.push(0);
+                    slot_coded.push(coded[t]);
                     slot_busy_until.push(None);
                     slot_elems.len() - 1
                 }
@@ -122,21 +141,32 @@ impl MemoryPlan {
         MemoryPlan {
             slot_of,
             slot_elems,
-            unplanned_elems: elems.iter().map(|&e| e as u64).sum(),
+            slot_coded,
+            unplanned_bytes: unshared_bytes(&elems, &coded),
+            coded,
         }
     }
 
     /// The identity (one-slot-per-tensor) plan — the historical layout
-    /// `memory_planning(false)` keeps.
+    /// `memory_planning(false)` keeps — of a default runner, each slot
+    /// of its tensor's width.
     #[must_use]
     pub fn identity(graph: &Graph) -> Self {
+        Self::unshared(graph, &default_cut(graph).1)
+    }
+
+    /// The identity plan with the values `codes` marks stored as codes.
+    pub(super) fn unshared(graph: &Graph, codes: &[Option<f32>]) -> Self {
         let tc = graph.tensor_count();
         let slot_elems: Vec<usize> = (0..tc)
             .map(|t| graph.tensor_shape(TensorId(t)).map_or(0, Shape::elem_count))
             .collect();
+        let coded: Vec<bool> = codes.iter().map(Option::is_some).collect();
         MemoryPlan {
             slot_of: (0..tc).map(Some).collect(),
-            unplanned_elems: slot_elems.iter().map(|&e| e as u64).sum(),
+            unplanned_bytes: unshared_bytes(&slot_elems, &coded),
+            slot_coded: coded.clone(),
+            coded,
             slot_elems,
         }
     }
@@ -149,6 +179,13 @@ impl MemoryPlan {
         self.slot_of[t.0]
     }
 
+    /// Whether tensor `t` is stored as INT8 codes, one byte each, rather
+    /// than as f32 values.
+    #[must_use]
+    pub fn is_coded(&self, t: TensorId) -> bool {
+        self.coded[t.0]
+    }
+
     /// Number of arena slots the plan allocates.
     #[must_use]
     pub fn slot_count(&self) -> usize {
@@ -156,20 +193,22 @@ impl MemoryPlan {
     }
 
     /// Peak value-arena bytes under this plan: each slot sized for its
-    /// largest occupant, f32 elements.
+    /// largest occupant, 4 bytes per element of an f32 slot and 1 per
+    /// element of a code slot.
     #[must_use]
     pub fn peak_bytes(&self) -> u64 {
         self.slot_elems
             .iter()
-            .map(|&e| e as u64 * ARENA_ELEM_BYTES)
+            .zip(&self.slot_coded)
+            .map(|(&e, &coded)| e as u64 * elem_bytes(coded))
             .sum()
     }
 
-    /// Value-arena bytes of the one-slot-per-tensor layout — the
-    /// baseline the plan is measured against.
+    /// Value-arena bytes of the one-slot-per-tensor layout, each tensor
+    /// at its width — the baseline the plan is measured against.
     #[must_use]
     pub fn unplanned_bytes(&self) -> u64 {
-        self.unplanned_elems * ARENA_ELEM_BYTES
+        self.unplanned_bytes
     }
 
     /// Fractional peak-memory reduction vs the unplanned layout
@@ -182,4 +221,14 @@ impl MemoryPlan {
             1.0 - self.peak_bytes() as f64 / self.unplanned_bytes() as f64
         }
     }
+}
+
+/// Bytes of one slot per tensor, of `elems` elements each, at the
+/// widths `coded` gives.
+fn unshared_bytes(elems: &[usize], coded: &[bool]) -> u64 {
+    elems
+        .iter()
+        .zip(coded)
+        .map(|(&e, &c)| e as u64 * elem_bytes(c))
+        .sum()
 }

@@ -774,18 +774,24 @@ mod tests {
     /// sees over four calibration inputs (over 127), as the toolchain's
     /// `QuantizeInt8` builds it from vbench's calibration set.
     fn calibrated_int8_lenet() -> Graph {
-        let src = crate::zoo::lenet5(10).unwrap();
+        calibrated_int8(&crate::zoo::lenet5(10).unwrap(), 4)
+    }
+
+    /// `src` quantized as [`calibrated_int8_lenet`] is, over `samples`
+    /// seeded calibration inputs.
+    fn calibrated_int8(src: &Graph, samples: u64) -> Graph {
         let mut absmax = vec![0.0f32; src.tensor_count()];
-        let mut runner = Runner::builder().build(&src).unwrap();
-        for seed in 1..=4 {
-            let x = Tensor::random(Shape::nchw(1, 1, 28, 28), seed, 1.0);
+        let mut runner = Runner::builder().build(src).unwrap();
+        let shape = src.tensor_shape(src.inputs()[0]).unwrap();
+        for seed in 1..=samples {
+            let x = Tensor::random(shape.clone(), seed, 1.0);
             let opts = RunOptions::new().capture_intermediates(true);
             let out = runner.execute(&[x], opts).unwrap();
             for (m, t) in absmax.iter_mut().zip(out.intermediates().unwrap()) {
                 *m = m.max(t.as_ref().map_or(0.0, Tensor::abs_max));
             }
         }
-        let mut b = GraphBuilder::new("lenet5-int8");
+        let mut b = GraphBuilder::new(format!("{}-int8", src.name()));
         let mut ids = vec![TensorId(0); src.tensor_count()];
         let quant = |b: &mut GraphBuilder, name: String, old: TensorId, new: TensorId| {
             let scale = absmax[old.0] / 127.0;
@@ -933,7 +939,7 @@ mod tests {
                 ]
             );
         }
-        assert_eq!(runner.memory_plan().peak_bytes(), 7840);
+        assert_eq!(runner.memory_plan().peak_bytes(), 5096);
         assert_eq!(runner.memory_plan(), &MemoryPlan::plan(&g));
         // The FakeQuants whose input already lies on their grid: a lone
         // one copies its input, a fused one runs no stage.
@@ -1055,6 +1061,135 @@ mod tests {
             }
             // Two convs and three dense layers, each with a bias.
             assert_eq!(held, 10, "{}", g.name());
+        }
+    }
+
+    #[test]
+    fn arena_allocates_what_it_plans() {
+        // Each slot's buffer grows to exactly its new occupant's size, so
+        // after runs at several batches the arena holds what the plan
+        // counts: every slot its largest occupant at the graph's batch.
+        let lenet = crate::zoo::lenet5(10).unwrap();
+        let mut models = vec![
+            lenet.clone(),
+            calibrated_int8_lenet(),
+            lenet.with_batch(8).unwrap(),
+        ];
+        // About 3 s and 31 s a pass unoptimized; `ci.sh` also runs these
+        // tests in release, where they take a second.
+        if !cfg!(debug_assertions) {
+            let mobilenet = crate::zoo::mobilenet_v3_large(1000).unwrap();
+            models.push(calibrated_int8(&mobilenet, 2));
+            models.push(crate::zoo::resnet50(1000).unwrap());
+        }
+        for g in &models {
+            let mut runner = Runner::builder().build(g).unwrap();
+            assert_eq!(runner.memory_plan(), &MemoryPlan::plan(g), "{}", g.name());
+            let b = g.batch();
+            let item = g.tensor_shape(g.inputs()[0]).unwrap();
+            for n in [b, 1, 3, b].into_iter().filter(|&n| n <= b) {
+                let x = Tensor::random(item.with_batch(n), n as u64, 1.0);
+                runner.execute(&[x], RunOptions::default()).unwrap();
+            }
+            let plan = runner.memory_plan().peak_bytes();
+            assert_eq!(runner.arena_capacity_bytes(), plan, "{}", g.name());
+        }
+    }
+
+    /// `x → FakeQuant(s) → conv (3×3, the direct kernel) → FakeQuant(s) →
+    /// conv (3×3 stride 2, the GEMM) → FakeQuant(s) → flatten →
+    /// FakeQuant(s) → dense`, every conv and dense layer on INT8 weights.
+    fn coded_chain(s: f32) -> Graph {
+        let mut b = GraphBuilder::new("coded");
+        let x = b.input(Shape::nchw(2, 1, 12, 12));
+        let quant = |b: &mut GraphBuilder, name: &str, t| {
+            b.apply(name, Op::FakeQuant { scale: s }, &[t]).unwrap()
+        };
+        let weights = |shape: Shape, seed| {
+            let mut w = Tensor::random(shape, seed, 1.0);
+            w.quantize_i8_per_channel();
+            WeightInit::Explicit(vec![w])
+        };
+        let q = quant(&mut b, "x.quant", x);
+        let attrs = Conv2dAttrs::same(2, 3, 1);
+        let w = weights(Shape::new(vec![2, 1, 3, 3]), 5);
+        let conv1 = b.apply_with_weights("conv1", Op::Conv2d(attrs), &[q], w);
+        let q = quant(&mut b, "conv1.quant", conv1.unwrap());
+        let attrs = Conv2dAttrs::same(2, 3, 2);
+        let w = weights(Shape::new(vec![2, 2, 3, 3]), 6);
+        let conv2 = b.apply_with_weights("conv2", Op::Conv2d(attrs), &[q], w);
+        let q = quant(&mut b, "conv2.quant", conv2.unwrap());
+        let flat = b.apply("flatten", Op::Flatten, &[q]).unwrap();
+        let q = quant(&mut b, "flatten.quant", flat);
+        let dense = Op::Dense {
+            out_features: 3,
+            bias: false,
+        };
+        let w = weights(Shape::nf(3, 72), 7);
+        let fc = b.apply_with_weights("fc", dense, &[q], w).unwrap();
+        b.finish(vec![fc])
+    }
+
+    #[test]
+    fn coded_values_hold_the_codes_their_readers_computed() {
+        // At a normal scale, a subnormal one and one whose 127·s
+        // overflows; over NaN, ±∞, ±0.0 and every rounding boundary of
+        // the scale. A plain run, which passes codes, and a run that
+        // captures intermediates, which computes every value in f32, agree
+        // bit for bit; each coded value holds `quantize_activation` of
+        // its f32 value.
+        let bits = |t: &[Tensor]| -> Vec<Vec<u32>> {
+            t.iter()
+                .map(|t| t.data().iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        for (s, coded) in [(0.01f32, 4), (1e-40, 3), (3e36, 3)] {
+            let g = coded_chain(s);
+            let mut xs = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+            xs.extend((-128..128).map(|k| (k as f32 + 0.5) * s));
+            xs.extend((0..27).map(|i| (i as f32 - 13.0) * 0.37 * s));
+            let x = Tensor::from_vec(Shape::nchw(2, 1, 12, 12), xs).unwrap();
+            let plan = MemoryPlan::plan(&g);
+            let n = (0..g.tensor_count()).filter(|&t| plan.is_coded(TensorId(t)));
+            assert_eq!(n.count(), coded, "scale {s}");
+            let mut want = None;
+            for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+                for planned in [true, false] {
+                    let mut runner = Runner::builder()
+                        .parallelism(par)
+                        .memory_planning(planned)
+                        .build(&g)
+                        .unwrap();
+                    assert_eq!(
+                        runner.steps.iter().filter(|s| s.kernel.is_int8()).count(),
+                        3
+                    );
+                    let opts = RunOptions::new().capture_intermediates(true);
+                    let captured = runner.execute(std::slice::from_ref(&x), opts).unwrap();
+                    let plain = runner
+                        .execute(std::slice::from_ref(&x), RunOptions::new())
+                        .unwrap();
+                    assert_eq!(bits(plain.outputs()), bits(captured.outputs()), "scale {s}");
+                    let want = want.get_or_insert_with(|| bits(plain.outputs()));
+                    assert_eq!(&bits(plain.outputs()), want, "scale {s} {par:?} {planned}");
+                    if planned {
+                        continue;
+                    }
+                    // One slot per value: each coded slot still holds its
+                    // value's codes.
+                    let values = captured.intermediates().unwrap();
+                    for step in runner.steps.iter().filter(|s| s.code.is_some()) {
+                        let t = g.nodes()[step.nodes.end - 1].output;
+                        let inv = 1.0 / step.code.unwrap();
+                        let f32s = values[t.0].as_ref().unwrap().data();
+                        let codes: Vec<i8> = f32s
+                            .iter()
+                            .map(|&v| quantize_activation(v, inv) as i8)
+                            .collect();
+                        assert_eq!(runner.codes_of(t), Some(&codes[..]), "scale {s} {t}");
+                    }
+                }
+            }
         }
     }
 

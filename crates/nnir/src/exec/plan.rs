@@ -55,6 +55,11 @@ pub(super) struct Step<'g> {
     pub(super) fold: Option<PoolGeom>,
     /// Arena slot of the step's last value, the one it writes.
     pub(super) out: usize,
+    /// The scale of the INT8 codes that value is stored as, when the
+    /// plan stores it as codes ([`coded_values`]).
+    pub(super) code: Option<f32>,
+    /// Whether the head's data input is stored as codes.
+    pub(super) reads_codes: bool,
 }
 
 /// One fused tail, as a run that captures intermediates replays it.
@@ -323,9 +328,88 @@ pub(super) fn fused_steps(graph: &Graph, int8: &[Option<Int8Plan<'_>>]) -> Vec<R
     spans
 }
 
+/// The values a runner that plans INT8 by `int8` (empty when none is
+/// planned) stores as INT8 codes, by tensor id: `Some(s)` for a value
+/// stored as codes of scale `s`, `None` for one stored as f32
+/// (DESIGN.md §10, "Values stored as codes").
+///
+/// A step's last value (a fused chain's inner values are never stored)
+/// is stored as codes of `s` when it is no graph output, it has a
+/// reader, and
+/// - each reader is the head of an INT8 conv or dense step that reads
+///   it as its data input at an input scale of `s`'s bits, or the head
+///   of a copy step (a flatten, or a `FakeQuant` that changes no bit)
+///   that runs no stage and whose own value is stored as codes of `s`;
+/// - its own step is an INT8 conv or dense step, a lone `FakeQuant` of
+///   scale `s`, or a copy step.
+///
+/// So a coded value's every reader quantizes it at `s`, and its writer
+/// stores each value `v` it computes as `quantize_activation(v, 1/s)`,
+/// the code each reader would compute from `v` itself: every bit a
+/// reader computes is the same as with `v` stored as f32. An f32
+/// kernel's output, and so its INT8 readers' input, stays f32.
+pub(super) fn coded_values(
+    graph: &Graph,
+    spans: &[Range<usize>],
+    int8: &[Option<Int8Plan<'_>>],
+) -> Vec<Option<f32>> {
+    let nodes = graph.nodes();
+    let identity = crate::analysis::identity_quants(graph);
+    // The input scale of a head that runs an INT8 kernel ([`kernel`]).
+    let int8_scale = |head: usize| {
+        let plan = int8.get(head).and_then(Option::as_ref)?;
+        let empty = matches!(&nodes[head].op, Op::Conv2d(a) if a.out_channels == 0);
+        (!empty).then_some(plan.in_scale)
+    };
+    // What each value's readers ask of it, met from the end of the
+    // schedule: `None` before its first reader, then `Some(Some(bits))`
+    // while each reads codes of the scale with these bits, `Some(None)`
+    // once one reads f32 values, as the caller reads a graph output.
+    let mut asks: Vec<Option<Option<u32>>> = vec![None; graph.tensor_count()];
+    for t in graph.outputs() {
+        asks[t.0] = Some(None);
+    }
+    let mut codes = vec![None; graph.tensor_count()];
+    for span in spans.iter().rev() {
+        let (head, value) = (&nodes[span.start], nodes[span.end - 1].output);
+        let copies = identity[span.start] || matches!(head.op, Op::Flatten);
+        if let Some(Some(bits)) = asks[value.0] {
+            let quant = matches!(head.op, Op::FakeQuant { scale } if scale.to_bits() == bits);
+            if int8_scale(span.start).is_some() || copies || quant {
+                codes[value.0] = Some(f32::from_bits(bits));
+            }
+        }
+        // The head reads its data input as codes when it runs an INT8
+        // kernel, or copies it into codes with no stage; every other read
+        // is of f32 values.
+        let pure = span.clone().skip(1).all(|i| identity[i]);
+        let reads = int8_scale(span.start).or(codes[value.0].filter(|_| copies && pure));
+        for (idx, node) in span.clone().zip(&nodes[span.clone()]) {
+            for (i, t) in node.inputs.iter().enumerate() {
+                let ask = reads
+                    .filter(|_| idx == span.start && i == 0)
+                    .map(f32::to_bits);
+                asks[t.0] = Some(asks[t.0].map_or(ask, |old| old.filter(|_| old == ask)));
+            }
+        }
+    }
+    codes
+}
+
+/// The cut a default runner makes of `graph`: its steps, which fold the
+/// pools its INT8 plans allow, and the values it stores as codes. A
+/// graph whose INT8 payload does not fit its weights, which no runner
+/// builds, gets its f32 cut.
+pub(super) fn default_cut(graph: &Graph) -> (Vec<Range<usize>>, Vec<Option<f32>>) {
+    let int8 = int8_plans(graph).unwrap_or_default();
+    let spans = fused_steps(graph, &int8);
+    let codes = coded_values(graph, &spans, &int8);
+    (spans, codes)
+}
+
 /// Builds the plan's steps over `spans`, the cut [`fused_steps`] made,
-/// with the INT8 plans `int8` (empty when none is planned) and the
-/// arena slots of `memory`.
+/// with the INT8 plans `int8` (empty when none is planned), the values
+/// `codes` stores as codes and the arena slots of `memory`.
 ///
 /// # Errors
 ///
@@ -335,6 +419,7 @@ pub(super) fn steps<'g>(
     graph: &'g Graph,
     spans: Vec<Range<usize>>,
     mut int8: Vec<Option<Int8Plan<'g>>>,
+    codes: &[Option<f32>],
     memory: &MemoryPlan,
 ) -> Result<Vec<Step<'g>>, NnirError> {
     let nodes = graph.nodes();
@@ -376,6 +461,8 @@ pub(super) fn steps<'g>(
                     .map(|&t| slot(t))
                     .collect::<Result<_, _>>()?,
                 out: slot(last.output)?,
+                code: codes[last.output.0],
+                reads_codes: head.inputs.first().is_some_and(|t| codes[t.0].is_some()),
                 nodes: span,
                 kernel,
                 stages,

@@ -7,9 +7,9 @@ use super::grouped::conv2d_grouped;
 use super::int8::{conv_int8_direct, conv_int8_gemm, dense_int8};
 use super::memory::MemoryPlan;
 use super::par::Parallelism;
-use super::plan::{self, fused_steps, int8_plans, Kernel, Step, Tail};
+use super::plan::{self, coded_values, fused_steps, int8_plans, Kernel, Step, Tail};
 use super::pool::{global_avg_pool_into, pool2d_into, PoolGeom, PoolMode};
-use super::stage::{channel_plane, slot, Epilogue};
+use super::stage::{channel_plane, slot, Dst, Epilogue, Src};
 use super::structural::{
     concat_channels_into, mul_broadcast_into, softmax_last_into, upsample_nearest_into,
 };
@@ -36,8 +36,9 @@ pub(super) struct Scratch {
     /// The f32 dense conv's zero-padded input planes (an unpadded conv
     /// reads its input in place).
     pub(super) pad: Vec<f32>,
-    /// Quantized input activations (INT8 path): zero-padded code planes
-    /// for a conv, rows of a plan's padded length for a dense layer.
+    /// Input activation codes (INT8 path), quantized from f32 values or
+    /// widened from a value stored as codes: zero-padded code planes for
+    /// a conv, rows of a plan's padded length for a dense layer.
     pub(super) qin: Vec<i16>,
     /// Offsets of a dense conv's patch positions in its staged planes,
     /// in either precision.
@@ -194,9 +195,13 @@ impl RunnerBuilder {
     /// i32-accumulator kernel, provided the quant-safety dataflow
     /// analysis ([`crate::analysis::QuantSafety`]) proves the node's
     /// worst-case rounding error fits the tolerance below. `build` widens
-    /// those nodes' weight codes to i16 rows once; each call quantizes
-    /// the input activations to i16 codes and runs the INT8 GEMM (or,
-    /// for a short stride-1 conv, the direct kernel) over them. With it
+    /// those nodes' weight codes to i16 rows once, and stores as i8
+    /// codes, one byte each, every value that only such nodes read
+    /// (written by one of them, a lone `FakeQuant` or a flatten; see
+    /// [`MemoryPlan`]). Each call widens those codes to i16, or
+    /// quantizes an f32 input activation to i16 codes, and runs the INT8
+    /// GEMM (or, for a short stride-1 conv, the direct kernel) over
+    /// them; every code is the one quantizing the f32 value gives. With it
     /// disabled the runner always takes the f32 reference path — the
     /// baseline the INT8 tolerance contract is stated against: outputs
     /// agree with the fake-quant f32 reference to within f32 summation
@@ -257,12 +262,13 @@ impl RunnerBuilder {
             Vec::new()
         };
         let spans = fused_steps(graph, &int8);
+        let codes = coded_values(graph, &spans, &int8);
         let memory = if self.memory_planning {
-            MemoryPlan::over(graph, &spans)
+            MemoryPlan::over(graph, &spans, &codes)
         } else {
-            MemoryPlan::identity(graph)
+            MemoryPlan::unshared(graph, &codes)
         };
-        let steps = plan::steps(graph, spans, int8, &memory)?;
+        let steps = plan::steps(graph, spans, int8, &codes, &memory)?;
         let slot = |t: TensorId| plan::slot(&memory, t);
         let shapes = shapes_at(graph, graph.batch())?;
         Ok(Runner {
@@ -279,6 +285,7 @@ impl RunnerBuilder {
                 .map(|&t| slot(t))
                 .collect::<Result<_, _>>()?,
             values: vec![None; memory.slot_count()],
+            codes: vec![Vec::new(); memory.slot_count()],
             spill: None,
             scratch: Scratch::default(),
             records: profile_records(graph, &steps, &shapes),
@@ -295,8 +302,9 @@ impl RunnerBuilder {
 /// Holds the plan [`RunnerBuilder::build`] made (each step's kernel with
 /// its geometry and weights: explicit ones borrowed from the graph,
 /// seeded ones materialized once) and two arenas that survive across
-/// [`execute`](Runner::execute) calls: per-tensor intermediate buffers
-/// (reused in place when shapes match) and the kernel scratch. It runs
+/// [`execute`](Runner::execute) calls: the value buffers, one per
+/// [`MemoryPlan`] slot, f32 values or INT8 codes (reused in place when
+/// shapes match), and the kernel scratch. It runs
 /// any batch from 1 to the graph's. The first run allocates; subsequent
 /// runs at the same batch are allocation-free on the hot path.
 #[derive(Debug)]
@@ -309,8 +317,10 @@ pub struct Runner<'g> {
     outputs: Vec<usize>,
     /// Value arena, one buffer per plan slot, reused across runs and —
     /// under the memory plan — across tensors with disjoint live
-    /// ranges.
+    /// ranges: an f32 slot's tensor here, a code slot's codes in
+    /// `codes` (each empty for the other width).
     values: Vec<Option<Tensor>>,
+    codes: Vec<Vec<i8>>,
     /// The pre-pool values of a step that folds a max-pool, in a run
     /// that captures intermediates (a plain run never holds them).
     spill: Option<Tensor>,
@@ -356,6 +366,22 @@ impl<'g> Runner<'g> {
     #[must_use]
     pub fn memory_plan(&self) -> &MemoryPlan {
         &self.plan
+    }
+
+    /// Bytes the value arena's buffers hold: each slot's capacity at its
+    /// width.
+    #[cfg(test)]
+    pub(super) fn arena_capacity_bytes(&self) -> u64 {
+        let f32s: usize = self.values.iter().flatten().map(Tensor::capacity).sum();
+        let codes: usize = self.codes.iter().map(Vec::capacity).sum();
+        4 * f32s as u64 + codes as u64
+    }
+
+    /// The codes in tensor `t`'s slot, when the plan stores it as codes.
+    #[cfg(test)]
+    pub(super) fn codes_of(&self, t: TensorId) -> Option<&[i8]> {
+        let s = self.plan.slot_of(t).filter(|_| self.plan.is_coded(t))?;
+        Some(&self.codes[s])
     }
 
     /// Runs one forward pass — the one execution entrypoint — at any
@@ -499,31 +525,51 @@ impl<'g> Runner<'g> {
         for step in &self.steps {
             let fused = captured.is_none();
             let shape = |idx: usize| &self.shapes[nodes[idx].output.0];
-            let mut out = recycle(self.values[step.out].take(), shape(step.nodes.end - 1));
+            let last = shape(step.nodes.end - 1);
             let fold = step.fold.filter(|_| fused);
             let mut pre = (step.fold.is_some() && !fused)
                 .then(|| recycle(self.spill.take(), shape(step.nodes.start)));
-            let head_out = pre.as_mut().unwrap_or(&mut out);
+            // A plain run writes a value the plan stores as codes into its
+            // code slot. A run that captures intermediates computes every
+            // value in f32, so each capture has the f32 bits, a coded one
+            // into a buffer of its own: its capture, which its readers
+            // read, while its slot goes unwritten.
+            let mut codes = std::mem::take(&mut self.codes[step.out]);
+            let mut out = match step.code {
+                Some(_) if fused => {
+                    resize_exact(&mut codes, last.elem_count());
+                    None
+                }
+                Some(_) => Some(Tensor::zeros(last.clone())),
+                None => Some(recycle(self.values[step.out].take(), last)),
+            };
+            let plane = channel_plane(pre.as_ref().map_or(last, Tensor::shape));
+            let dst = match pre.as_mut().or(out.as_mut()) {
+                Some(buf) => Dst::F32(buf.data_mut()),
+                None => Dst::Codes(&mut codes, step.code.map_or(0.0, |s| 1.0 / s)),
+            };
             let values = &self.values;
+            let head = &nodes[step.nodes.start];
+            let src = source(step, head, values, &self.codes, captured.as_deref());
             let mut ctx = KernelCtx {
                 scratch: &mut self.scratch,
                 par: self.parallelism,
-                n: head_out.shape().batch(),
+                n: last.batch(),
                 epi: Epilogue {
                     stages: if fused { &step.stages } else { &[] },
-                    plane: channel_plane(head_out.shape()),
+                    plane,
                     values,
                 },
             };
             // A record measures only its kernel (a fused head's: the
             // whole step).
             let start = durations.is_some().then(std::time::Instant::now);
-            eval_node_into(step, values, head_out.data_mut(), fold, &mut ctx);
+            eval_node_into(step, src, values, dst, fold, &mut ctx);
             if let (Some(ns), Some(start)) = (durations.as_mut(), start) {
                 ns[step.nodes.start] = start.elapsed().as_nanos() as u64;
             }
-            if let Some(cap) = captured.as_mut() {
-                cap[nodes[step.nodes.start].output.0] = Some(head_out.clone());
+            if let (Some(cap), Some(out)) = (captured.as_mut(), out.as_mut()) {
+                cap[head.output.0] = Some(pre.as_ref().unwrap_or(out).clone());
                 // The values before a folded pool live in `pre`.
                 let mut stages = step.stages.iter();
                 for (idx, tail) in step.nodes.clone().skip(1).zip(&step.tails) {
@@ -535,7 +581,7 @@ impl<'g> Runner<'g> {
                             self.spill = pre.take();
                         }
                         (Tail::Stage, buf, _) => {
-                            let buf = buf.unwrap_or(&mut out);
+                            let buf = buf.unwrap_or(out);
                             let plane = channel_plane(buf.shape());
                             if let Some(stage) = stages.next() {
                                 stage.apply(buf.data_mut(), 0, plane, values);
@@ -546,12 +592,38 @@ impl<'g> Runner<'g> {
                     if let Some(ns) = durations.as_mut() {
                         ns[idx] = start.elapsed().as_nanos() as u64;
                     }
-                    cap[nodes[idx].output.0] = Some(pre.as_ref().unwrap_or(&out).clone());
+                    cap[nodes[idx].output.0] = Some(pre.as_ref().unwrap_or(out).clone());
                 }
             }
-            self.values[step.out] = Some(out);
+            self.codes[step.out] = codes;
+            if step.code.is_none() {
+                self.values[step.out] = out;
+            }
         }
         Ok((durations, captured))
+    }
+}
+
+/// The data input of `step`'s head, `head`: the f32 values or the codes
+/// in its slot, or, in a run that captures intermediates (`captured`),
+/// a coded value's f32 capture.
+fn source<'a>(
+    step: &Step<'_>,
+    head: &Node,
+    values: &'a [Option<Tensor>],
+    codes: &'a [Vec<i8>],
+    captured: Option<&'a [Option<Tensor>]>,
+) -> Src<'a> {
+    let Some(&s) = step.inputs.first() else {
+        return Src::F32(&[]);
+    };
+    match (step.reads_codes, captured) {
+        (false, _) => Src::F32(slot(values, s)),
+        (true, None) => Src::Codes(&codes[s]),
+        (true, Some(cap)) => {
+            let capture = head.inputs.first().and_then(|t| cap[t.0].as_ref());
+            Src::F32(capture.map_or(&[], Tensor::data))
+        }
     }
 }
 
@@ -570,11 +642,21 @@ fn recycle(slot: Option<Tensor>, shape: &Shape) -> Tensor {
         Some(t) if t.shape() == shape => t,
         Some(t) => {
             let mut data = t.into_data();
-            data.resize(shape.elem_count(), 0.0);
+            resize_exact(&mut data, shape.elem_count());
             Tensor::from_vec(shape.clone(), data).unwrap_or_else(|_| Tensor::zeros(shape.clone()))
         }
         None => Tensor::zeros(shape.clone()),
     }
+}
+
+/// Resizes an arena slot's buffer to `len` elements. A buffer that must
+/// grow grows to exactly `len`, not by `Vec`'s amortized doubling, so
+/// once each occupant has been written at the graph's batch, a slot
+/// holds its largest occupant and the arena what its
+/// [`MemoryPlan::peak_bytes`] counts.
+fn resize_exact<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
+    buf.reserve_exact(len.saturating_sub(buf.len()));
+    buf.resize(len, T::default());
 }
 
 /// The static fields of each node's profile record, in schedule order:
@@ -650,42 +732,63 @@ pub(super) struct KernelCtx<'a> {
     pub(super) epi: Epilogue<'a>,
 }
 
-/// Runs a step's kernel into `out`, reading its inputs from the arena
-/// `values`. `fold` is the max-pool an INT8 conv head pools its
-/// accumulators by: the step's, except in a run that captures
-/// intermediates.
+/// Runs a step's kernel into `out`, reading its data input `x` (an INT8
+/// kernel, a copy or a lone stage) or its inputs from the arena `values`
+/// (every other kernel). `fold` is the max-pool an INT8 conv head pools
+/// its accumulators by: the step's, except in a run that captures
+/// intermediates. Only the INT8 kernels, a copy and a lone `FakeQuant`
+/// read or write codes ([`coded_values`]).
 fn eval_node_into(
     step: &Step<'_>,
+    x: Src<'_>,
     values: &[Option<Tensor>],
-    out: &mut [f32],
+    out: Dst<'_>,
     fold: Option<PoolGeom>,
     ctx: &mut KernelCtx<'_>,
 ) {
     let arg = |i: usize| slot(values, step.inputs[i]);
-    match &step.kernel {
-        Kernel::ConvLanes(c, run) => conv_lanes(arg(0), c, *run, out, ctx),
-        Kernel::ConvGemm(c) => conv_gemm(arg(0), c, out, ctx),
-        Kernel::ConvBias(c) => conv_bias(c, out, ctx.epi),
-        Kernel::Grouped(c, groups) => conv2d_grouped(arg(0), c, *groups, out, ctx),
-        Kernel::Int8Gemm(c, plan) => conv_int8_gemm(arg(0), c, plan, fold, out, ctx),
-        Kernel::Int8Direct(c, plan) => conv_int8_direct(arg(0), c, plan, fold, out, ctx),
-        Kernel::MatVec(d) => dense_into(arg(0), d, out, ctx),
-        Kernel::Int8Dense(d, plan) => dense_int8(arg(0), d, plan, out, ctx),
-        Kernel::Pool(g, mode) => pool2d_into(arg(0), *g, *mode, out, ctx),
-        Kernel::GlobalAvgPool(plane) => global_avg_pool_into(arg(0), *plane, out),
-        Kernel::Mul(plane) => mul_broadcast_into(arg(0), arg(1), *plane, out),
-        Kernel::Concat => {
+    match (&step.kernel, out) {
+        (Kernel::Int8Gemm(c, plan), out) => conv_int8_gemm(x, c, plan, fold, out, ctx),
+        (Kernel::Int8Direct(c, plan), out) => conv_int8_direct(x, c, plan, fold, out, ctx),
+        (Kernel::Int8Dense(d, plan), out) => dense_int8(x, d, plan, out, ctx),
+        (Kernel::Stage(stage), out) => {
+            let stages = std::slice::from_ref(stage);
+            copy(x, out, Epilogue { stages, ..ctx.epi });
+        }
+        (Kernel::Copy, out) => copy(x, out, ctx.epi),
+        (Kernel::ConvLanes(c, run), Dst::F32(out)) => conv_lanes(arg(0), c, *run, out, ctx),
+        (Kernel::ConvGemm(c), Dst::F32(out)) => conv_gemm(arg(0), c, out, ctx),
+        (Kernel::ConvBias(c), Dst::F32(out)) => conv_bias(c, out, ctx.epi),
+        (Kernel::Grouped(c, groups), Dst::F32(out)) => {
+            conv2d_grouped(arg(0), c, *groups, out, ctx);
+        }
+        (Kernel::MatVec(d), Dst::F32(out)) => dense_into(arg(0), d, out, ctx),
+        (Kernel::Pool(g, mode), Dst::F32(out)) => pool2d_into(arg(0), *g, *mode, out, ctx),
+        (Kernel::GlobalAvgPool(plane), Dst::F32(out)) => {
+            global_avg_pool_into(arg(0), *plane, out);
+        }
+        (Kernel::Mul(plane), Dst::F32(out)) => mul_broadcast_into(arg(0), arg(1), *plane, out),
+        (Kernel::Concat, Dst::F32(out)) => {
             concat_channels_into(&step.inputs.iter().map(|&s| slot(values, s)), ctx.n, out);
         }
-        Kernel::Upsample { factor, h, w } => upsample_nearest_into(arg(0), *factor, *h, *w, out),
-        Kernel::Softmax(last) => softmax_last_into(arg(0), last.unwrap_or(out.len()), out),
-        Kernel::Stage(stage) => {
-            out.copy_from_slice(arg(0));
-            stage.apply(out, 0, ctx.epi.plane, values);
+        (Kernel::Upsample { factor, h, w }, Dst::F32(out)) => {
+            upsample_nearest_into(arg(0), *factor, *h, *w, out);
         }
-        Kernel::Copy => {
-            out.copy_from_slice(arg(0));
-            ctx.epi.apply(out, 0);
+        (Kernel::Softmax(last), Dst::F32(out)) => {
+            softmax_last_into(arg(0), last.unwrap_or(out.len()), out);
         }
+        // No f32 kernel writes codes.
+        (_, Dst::Codes(..)) => {}
+    }
+}
+
+/// Copies `x` into `out` under the stages of `epi`: f32 values into
+/// either width, or codes into codes (a copy reads codes only when it
+/// writes them and runs no stage).
+fn copy(x: Src<'_>, out: Dst<'_>, epi: Epilogue<'_>) {
+    match (x, out) {
+        (Src::Codes(x), Dst::Codes(out, _)) => out.copy_from_slice(x),
+        (Src::F32(x), out) => out.emit(0, epi, |off, xs| xs.copy_from_slice(&x[off..][..xs.len()])),
+        (Src::Codes(_), Dst::F32(_)) => {}
     }
 }

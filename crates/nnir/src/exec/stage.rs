@@ -1,6 +1,9 @@
 //! The elementwise stages a head kernel runs on its output as it writes
-//! it, and standalone elementwise nodes run over a copy of their input.
+//! it, and standalone elementwise nodes run over a copy of their input;
+//! the arena slots a kernel reads and writes, f32 values or INT8 codes.
 
+use super::int8::quantize_activation;
+use super::par::{par_chunks, par_chunks_with};
 use super::plan::Data;
 use crate::ops::ActKind;
 use crate::shape::Shape;
@@ -138,6 +141,116 @@ impl Epilogue<'_> {
     pub(super) fn apply(&self, xs: &mut [f32], at: usize) {
         for stage in self.stages {
             stage.apply(xs, at, self.plane, self.values);
+        }
+    }
+}
+
+/// Values a writer of codes holds in f32 at once, on its stack: each run
+/// of output is computed, takes its stages and is encoded this many
+/// values at a time, so no f32 copy of a coded value exists.
+const CODE_RUN: usize = 256;
+
+/// The value a kernel reads as its data input: f32 values, or the INT8
+/// codes of a value the plan stores as codes
+/// ([`coded_values`](super::plan::coded_values)).
+#[derive(Clone, Copy)]
+pub(super) enum Src<'a> {
+    F32(&'a [f32]),
+    Codes(&'a [i8]),
+}
+
+/// Where a kernel writes its output: an f32 slot, or a code slot with
+/// `1 / s` for the scale `s` its codes are of.
+pub(super) enum Dst<'a> {
+    F32(&'a mut [f32]),
+    Codes(&'a mut [i8], f32),
+}
+
+impl Dst<'_> {
+    /// Values in the output.
+    pub(super) fn len(&self) -> usize {
+        match self {
+            Dst::F32(xs) => xs.len(),
+            Dst::Codes(codes, _) => codes.len(),
+        }
+    }
+
+    /// The run of `len` values of the output from `from`.
+    pub(super) fn run(&mut self, from: usize, len: usize) -> Dst<'_> {
+        match self {
+            Dst::F32(xs) => Dst::F32(&mut xs[from..][..len]),
+            Dst::Codes(codes, inv) => Dst::Codes(&mut codes[from..][..len], *inv),
+        }
+    }
+
+    /// Writes the whole output, the run that starts at flat index `at`:
+    /// `fill(off, xs)` computes the kernel's values of elements `off..`
+    /// into `xs`, and `epi` runs the fused stages on them. An f32 output
+    /// is filled and staged in place, whole. A code output is filled
+    /// [`CODE_RUN`] values at a time into a stack buffer, and each value
+    /// `v` is stored as `quantize_activation(v, 1/s)`: the code an INT8
+    /// reader computes from `v` itself, NaN, ±∞ and -0.0 included, so
+    /// storing codes changes no code a reader sees.
+    pub(super) fn emit(
+        self,
+        at: usize,
+        epi: Epilogue<'_>,
+        mut fill: impl FnMut(usize, &mut [f32]),
+    ) {
+        match self {
+            Dst::F32(xs) => {
+                fill(0, xs);
+                epi.apply(xs, at);
+            }
+            Dst::Codes(codes, inv) => {
+                let mut buf = [0.0; CODE_RUN];
+                for (i, codes) in codes.chunks_mut(CODE_RUN).enumerate() {
+                    let (off, xs) = (i * CODE_RUN, &mut buf[..codes.len()]);
+                    fill(off, xs);
+                    epi.apply(xs, at + off);
+                    for (c, &x) in codes.iter_mut().zip(&*xs) {
+                        // `quantize_activation` is within ±127.
+                        *c = quantize_activation(x, inv) as i8;
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`par_chunks`] over the output: `f(unit, run)` for each run of
+    /// `chunk_len` values.
+    pub(super) fn par_chunks(
+        self,
+        workers: usize,
+        chunk_len: usize,
+        f: impl Fn(usize, Dst<'_>) + Sync,
+    ) {
+        match self {
+            Dst::F32(xs) => par_chunks(workers, xs, chunk_len, |u, run| f(u, Dst::F32(run))),
+            Dst::Codes(codes, inv) => par_chunks(workers, codes, chunk_len, |u, run| {
+                f(u, Dst::Codes(run, inv));
+            }),
+        }
+    }
+
+    /// [`par_chunks_with`] over the output: `f(unit, run, part)` for each
+    /// run of `chunk_len` values, with its worker's part of `scratch`.
+    pub(super) fn par_chunks_with<S: Send>(
+        self,
+        workers: usize,
+        chunk_len: usize,
+        scratch: &mut [S],
+        f: impl Fn(usize, Dst<'_>, &mut [S]) + Sync,
+    ) {
+        match self {
+            Dst::F32(xs) => par_chunks_with(workers, xs, chunk_len, scratch, |u, run, part| {
+                f(u, Dst::F32(run), part);
+            }),
+            Dst::Codes(codes, inv) => {
+                par_chunks_with(workers, codes, chunk_len, scratch, |u, run, part| {
+                    f(u, Dst::Codes(run, inv), part);
+                });
+            }
         }
     }
 }

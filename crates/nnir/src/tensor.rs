@@ -150,6 +150,12 @@ impl Tensor {
         &self.data
     }
 
+    /// Elements the data's allocation holds, used or not.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Mutable view of the raw data (row-major).
     ///
     /// Drops any [`QuantPayload`]: mutating the f32 view invalidates

@@ -1364,6 +1364,69 @@ mod tests {
     }
 
     #[test]
+    fn int8_lenet5_stores_six_values_as_codes() {
+        // vbench's `runner-lenet-int8` model. Each value only INT8 nodes
+        // read is stored as one byte per element: the graph input and
+        // output share a 3,136-byte f32 slot, the six coded values two
+        // i8 slots of 784 and 1,176 bytes.
+        use vedliot_nnir::exec::MemoryPlan;
+        let calib: Vec<Tensor> = (0..4)
+            .map(|s| Tensor::random(Shape::nchw(1, 1, 28, 28), s + 1, 1.0))
+            .collect();
+        let model = zoo::lenet5(10).unwrap();
+        let (quantized, _) = QuantizeInt8::with_calibration(calib).run(model).unwrap();
+        let plan = MemoryPlan::plan(&quantized);
+        let coded: Vec<(&str, usize)> = quantized
+            .nodes()
+            .iter()
+            .filter(|n| plan.is_coded(n.output))
+            .map(|n| {
+                let elems = quantized.tensor_shape(n.output).unwrap().elem_count();
+                (n.name.as_str(), elems)
+            })
+            .collect();
+        assert_eq!(
+            coded,
+            [
+                ("t0.quant", 784),
+                ("pool1", 1176),
+                ("pool2", 400),
+                ("flatten", 400),
+                ("fc1.relu.quant", 120),
+                ("fc2.relu", 84)
+            ]
+        );
+        assert_eq!((plan.slot_count(), plan.peak_bytes()), (3, 5096));
+        // The runner runs the plan `MemoryPlan::plan` reports, on every
+        // calibrated model of the INT8 tolerance test.
+        let models = [
+            (zoo::lenet5(10).unwrap(), Shape::nchw(1, 1, 28, 28)),
+            (
+                zoo::tiny_cnn("gesture", Shape::nchw(1, 3, 16, 16), &[8, 16], 4).unwrap(),
+                Shape::nchw(1, 3, 16, 16),
+            ),
+            (
+                zoo::conv1d_classifier("motor", 2, 64, &[8, 16], 3).unwrap(),
+                Shape::nchw(1, 2, 1, 64),
+            ),
+        ];
+        for (model, shape) in models {
+            let calib = (0..4)
+                .map(|s| Tensor::random(shape.clone(), s + 1, 1.0))
+                .collect();
+            let (quantized, _) = QuantizeInt8::with_calibration(calib).run(model).unwrap();
+            let runner = Runner::builder().build(&quantized).unwrap();
+            let plan = MemoryPlan::plan(&quantized);
+            assert_eq!(runner.memory_plan(), &plan, "{}", quantized.name());
+            assert!(
+                quantized.nodes().iter().any(|n| plan.is_coded(n.output)),
+                "{}",
+                quantized.name()
+            );
+        }
+    }
+
+    #[test]
     fn fp16_round_trip_properties() {
         // Exactly representable values pass through.
         for x in [0.0f32, 1.0, -2.0, 0.5, 1024.0] {
