@@ -1486,19 +1486,20 @@ fn spatial_lanes_over_tile(passes: usize) -> f64 {
     median(ratios)
 }
 
-/// E24's hashing gauge: the time `sha256` takes to hash 64 chunks of
-/// 64 KiB one at a time over the time `sha256_each` takes for the same
-/// chunks in runs of sixteen, the median of 21 rounds' ratios, each
-/// round timing both side by side (so a slow spell on a shared host
-/// lands on both arms of a round). It reads about 1.0 if the lane loop
-/// stops vectorizing.
-fn sha256_lanes_speedup() -> f64 {
+/// The time `sha256` takes to hash chunks of `sizes` bytes one at a time
+/// over the time `sha256_each` takes for the same chunks side by side,
+/// the median of 21 rounds' ratios, each round timing both side by side
+/// (so a slow spell on a shared host lands on both arms of a round). It
+/// reads about 1.0 if the lane loop stops vectorizing.
+fn sha256_each_speedup(sizes: &[usize]) -> f64 {
     use std::hint::black_box;
     use std::time::Instant;
     use vedliot::trust::hash::{sha256, sha256_each};
 
-    let chunks: Vec<Vec<u8>> = (0..64usize)
-        .map(|i| (0..64 * 1024).map(|j| (i * 31 + j * 7) as u8).collect())
+    let chunks: Vec<Vec<u8>> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| (0..n).map(|j| (i * 31 + j * 7) as u8).collect())
         .collect();
     let chunks: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
     let ratios = (0..21)
@@ -1533,7 +1534,7 @@ fn sha256_lanes_speedup() -> f64 {
 /// the two f32 conv kernels run to each other, and the lane kernel's
 /// and the matrix-vector tile's against the im2col tile's. Last, the
 /// OTA path's SHA-256 is timed hashing chunks side by side against one
-/// at a time.
+/// at a time, over many chunks and over a small release's four.
 ///
 /// Carries the machine-readable snapshot `harness kernels` writes to
 /// `BENCH_pr6.json` (the perf-trajectory baseline ci.sh checks against).
@@ -1675,7 +1676,11 @@ pub fn kernels() -> Experiment {
     } = conv_ns_per_mac(15);
     let dw_over_pw = dw_ns / pw_ns;
     let spatial_lanes = spatial_lanes_over_tile(101);
-    let sha_speedup = sha256_lanes_speedup();
+    // E24's hashing gauges: 64 chunks of 64 KiB (sixteen lanes side by
+    // side), and vbench's LeNet-5 release (three 64 KiB chunks and a
+    // short one, one 4-lane pass).
+    let sha_speedup = sha256_each_speedup(&[64 * 1024; 64]);
+    let sha_few_speedup = sha256_each_speedup(&[65_536, 65_536, 65_536, 51_141]);
 
     let export = Export {
         subsystem: "kernels".into(),
@@ -1765,6 +1770,11 @@ pub fn kernels() -> Experiment {
                 "time to hash 64 chunks of 64 KiB one at a time over the time side by side in 16 lanes, median of 21 rounds' ratios",
                 sha_speedup,
             ),
+            Metric::gauge(
+                "sha256_few_chunks_speedup",
+                "time to hash LeNet-5's release chunks (3 of 65,536 bytes, 1 of 51,141) one at a time over the time side by side in 4 lanes, median of 21 rounds' ratios",
+                sha_few_speedup,
+            ),
         ],
     };
     Experiment {
@@ -1814,6 +1824,10 @@ pub fn kernels() -> Experiment {
             format!(
                 "SHA-256 over 64 chunks of 64 KiB: 16 lanes side by side run {sha_speedup:.2}x \
                  as fast as one chunk at a time (gated >= 1.8)"
+            ),
+            format!(
+                "SHA-256 over LeNet-5's four release chunks: one 4-lane pass runs \
+                 {sha_few_speedup:.2}x as fast as one chunk at a time (gated >= 1.5)"
             ),
             "blocked f32 kernels are bit-identical to the serial schedule and to a scalar \
              spelling of their arithmetic (proptests)"

@@ -143,6 +143,12 @@ pub const RULES: &[Rule] = &[
     // over 64 chunks of 64 KiB that runs at least 1.8x as fast as one
     // chunk at a time. A lane loop LLVM stops vectorizing reads ~1.0.
     Rule::new("kernels", "sha256_lanes_speedup", None, |_| 1.8..=INF),
+    // A small release's chunks share one pass too: LeNet-5's three
+    // 64 KiB chunks and its 51,141-byte one hash in 4 lanes at least
+    // 1.5x as fast as one at a time (median of 21 per-round ratios).
+    // Hashed one at a time, as before the lanes reached releases this
+    // small, it reads ~1.0.
+    Rule::new("kernels", "sha256_few_chunks_speedup", None, |_| 1.5..=INF),
     // E25 (BENCH_pr7.json) asserts the admission contract internally:
     // high >= 0.98, batch shed first, bit-identity. This re-checks
     // high-priority availability against both the hard floor and the

@@ -15,9 +15,12 @@
 //! hashes in order, so a device can reject a corrupted chunk the moment
 //! it arrives (and re-request just that chunk) while still proving the
 //! chunks together are exactly the released image. `unpack` verifies
-//! every chunk (sixteen equal-length chunks per hashing pass, see
-//! [`sha256_each`]) before it reads a byte, then reads the fields in
-//! place across the verified chunks: the payload is never assembled.
+//! every chunk (up to sixteen side by side in SIMD lanes, see
+//! [`sha256_each`]: a release's equal chunks and its shorter last one
+//! share a pass) before it reads a byte, then reads the fields in place
+//! across the verified chunks: the payload is never assembled. Weight
+//! records must name their nodes in ascending order, as `pack` writes
+//! them, so no node is filled twice.
 
 use std::borrow::Cow;
 use vedliot_nnir::analysis;
@@ -301,7 +304,9 @@ impl ModelArtifact {
     ///
     /// # Errors
     ///
-    /// Any integrity or format violation; nothing partial is returned.
+    /// Any integrity or format violation, a weight record whose node
+    /// index is not above the previous record's included; nothing
+    /// partial is returned.
     pub fn unpack(&self) -> Result<Graph, ArtifactError> {
         self.verify()?;
         let mut r = Reader::new(&self.chunks);
@@ -338,8 +343,15 @@ impl ModelArtifact {
             .collect();
 
         let record_count = r.u32()? as usize;
+        let mut previous = None;
         for _ in 0..record_count {
             let node_idx = r.u32()? as usize;
+            if let Some(before) = previous.filter(|&before| node_idx <= before) {
+                return Err(ArtifactError::Malformed(format!(
+                    "weight record for node {node_idx} after node {before}: records must ascend"
+                )));
+            }
+            previous = Some(node_idx);
             let tensor_count = r.u32()? as usize;
             let template = shapes
                 .get(node_idx)
@@ -576,6 +588,14 @@ mod tests {
     /// placeholders, clones every weight tensor into its records, and
     /// assembles the whole payload before chunking it.
     fn pack_reference(version: &str, graph: &Graph, chunk_bytes: usize) -> ModelArtifact {
+        let (text, weight_records) = text_and_records(graph);
+        let payload = payload_of(version, &text, &weight_records);
+        from_payload(version, &payload, chunk_bytes)
+    }
+
+    /// `graph`'s architecture text, every explicit weight a seeded
+    /// placeholder, and its weight records in node order.
+    fn text_and_records(graph: &Graph) -> (String, Vec<(u32, Vec<Tensor>)>) {
         let mut arch = graph.clone();
         let mut weight_records: Vec<(u32, Vec<Tensor>)> = Vec::new();
         for (idx, node) in arch.nodes_mut().iter_mut().enumerate() {
@@ -584,15 +604,19 @@ mod tests {
                 node.weights = WeightInit::Seeded(0);
             }
         }
-        let text = textual::write(&arch).expect("serializes");
+        (textual::write(&arch).expect("serializes"), weight_records)
+    }
+
+    /// The payload of `text` and `records`, in the order given.
+    fn payload_of(version: &str, text: &str, records: &[(u32, Vec<Tensor>)]) -> Vec<u8> {
         let mut payload = Vec::with_capacity(text.len() + 64);
         payload.extend_from_slice(MAGIC);
         payload.extend_from_slice(version.as_bytes());
         payload.push(b'\n');
         payload.extend_from_slice(&(text.len() as u64).to_le_bytes());
         payload.extend_from_slice(text.as_bytes());
-        payload.extend_from_slice(&(weight_records.len() as u32).to_le_bytes());
-        for (idx, tensors) in &weight_records {
+        payload.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for (idx, tensors) in records {
             payload.extend_from_slice(&idx.to_le_bytes());
             payload.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
             for t in tensors {
@@ -602,7 +626,7 @@ mod tests {
                 }
             }
         }
-        from_payload(version, &payload, chunk_bytes)
+        payload
     }
 
     #[test]
@@ -678,8 +702,10 @@ mod tests {
     }
 
     /// `g` packed into at least 33 equal chunks plus a short last one:
-    /// verification hashes two runs of sixteen side by side and the
-    /// rest one at a time.
+    /// verification hashes sixteen side by side at a time. For
+    /// `explicit_model` (33 of 14 bytes and one of 9, one block each)
+    /// that is two 16-lane passes and the last two chunks alone, which
+    /// would fill only half of four lanes.
     fn many_chunks(g: &Graph) -> ModelArtifact {
         let len = ModelArtifact::pack("v1", g, usize::MAX)
             .expect("packs")
@@ -710,6 +736,130 @@ mod tests {
             let a = probe_output(&g);
             let b = probe_output(&back);
             assert_eq!(a.max_abs_diff(&b).expect("same shape"), 0.0);
+        }
+    }
+
+    #[test]
+    fn equal_chunks_and_a_short_last_one_round_trip_and_name_a_flipped_chunk() {
+        // n equal chunks and a short last one, n = 0..=17: verification
+        // hashes them in groups of every lane width, full and partly
+        // filled. Each release round-trips its weights exactly, and a
+        // flipped byte in chunk i fails `verify` at chunk i.
+        let mut g = mlp("ota-sweep", 16, &[32], 4).expect("mlp builds");
+        g.explicit_weights(|_| true);
+        let len = ModelArtifact::pack("v1", &g, usize::MAX)
+            .expect("packs")
+            .payload_bytes();
+        for n in 0..=17 {
+            // The short chunk stays within 2x of the others, as an OTA
+            // release's does.
+            let size = (1..=2 * len / (2 * n + 1))
+                .rev()
+                .find(|&c| len.div_ceil(c) == n + 1 && !len.is_multiple_of(c))
+                .expect("a chunk size leaves n equal chunks and a short one");
+            let artifact = ModelArtifact::pack("v1", &g, size).expect("packs");
+            assert_eq!(artifact.chunks.len(), n + 1);
+            let back = artifact.unpack().expect("unpacks");
+            assert_eq!(weight_bits(&g), weight_bits(&back), "{n} equal chunks");
+            for i in 0..=n {
+                let mut evil = artifact.clone();
+                let byte = (7 * i) % evil.chunks[i].payload.len();
+                evil.chunks[i].payload[byte] ^= 0x10;
+                match evil.verify() {
+                    Err(ArtifactError::ChunkHashMismatch { index }) => {
+                        assert_eq!(index as usize, i, "{n} equal chunks");
+                    }
+                    other => panic!("flip in chunk {i} of {n}: got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_or_unordered_weight_records_are_malformed() {
+        // A correctly chained payload whose records repeat node 0's, or
+        // swap two: the last record would win, so `unpack` refuses both.
+        let g = explicit_model();
+        let (text, records) = text_and_records(&g);
+        assert!(records.len() >= 2, "the MLP has two weighted layers");
+        let in_order = from_payload("v1", &payload_of("v1", &text, &records), 64);
+        assert_eq!(in_order.unpack().expect("unpacks"), g);
+        let mut repeated = records.clone();
+        repeated.insert(1, records[0].clone());
+        let mut swapped = records.clone();
+        swapped.swap(0, 1);
+        for bad in [repeated, swapped] {
+            let artifact = from_payload("v1", &payload_of("v1", &text, &bad), 64);
+            artifact.verify().expect("integrity holds");
+            match artifact.unpack() {
+                Err(ArtifactError::Malformed(why)) => assert!(why.contains("must ascend"), "{why}"),
+                other => panic!("expected malformed, got {other:?}"),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// An MLP release with up to three bytes flipped, cut or
+        /// inserted, re-chained so integrity passes and the decoders see
+        /// the damage: `unpack` returns `Ok` or a typed error, never
+        /// panics.
+        #[test]
+        fn damaged_payloads_unpack_to_a_typed_error_or_a_graph(
+            edits in proptest::collection::vec(
+                (0u8..3, proptest::any::<usize>(), proptest::any::<u8>()),
+                1..4,
+            ),
+            chunk_bytes in 1usize..200,
+        ) {
+            let (text, records) = text_and_records(&explicit_model());
+            let mut payload = payload_of("v1", &text, &records);
+            for (kind, at, byte) in edits {
+                let at = at % (payload.len() + 1);
+                match kind {
+                    0 => {
+                        if let Some(b) = payload.get_mut(at) {
+                            *b ^= byte.max(1);
+                        }
+                    }
+                    1 => payload.truncate(at),
+                    _ => payload.insert(at, byte),
+                }
+            }
+            let artifact = from_payload("v1", &payload, chunk_bytes);
+            proptest::prop_assert!(artifact.verify().is_ok());
+            // Any outcome but a panic.
+            let _ = artifact.unpack();
+        }
+
+        /// The original chunks of an MLP release, two swapped, one
+        /// copied over another or one dropped: `unpack` refuses the
+        /// order or the count.
+        #[test]
+        fn swapped_duplicated_or_dropped_chunks_never_unpack(
+            op in 0u8..3,
+            i in proptest::any::<usize>(),
+            j in proptest::any::<usize>(),
+            chunk_bytes in 16usize..160,
+        ) {
+            let artifact = ModelArtifact::pack("v1", &explicit_model(), chunk_bytes).expect("packs");
+            let n = artifact.chunks.len();
+            // Two different positions.
+            let (i, j) = (i % n, (i % n + 1 + j % (n - 1)) % n);
+            let mut evil = artifact.clone();
+            match op {
+                0 => evil.chunks.swap(i, j),
+                1 => evil.chunks[j] = evil.chunks[i].clone(),
+                _ => {
+                    evil.chunks.remove(i);
+                }
+            }
+            match evil.unpack() {
+                Err(ArtifactError::ChunkOutOfOrder { .. }) if op < 2 => {}
+                Err(ArtifactError::Malformed(_)) if op == 2 => {}
+                other => proptest::prop_assert!(false, "op {op} at {i}, {j}: got {other:?}"),
+            }
         }
     }
 

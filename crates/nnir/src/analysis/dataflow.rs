@@ -395,10 +395,7 @@ pub fn exact_grids(graph: &Graph) -> Vec<Option<NodeId>> {
             .first()
             .and_then(|t| grid.get(t.0).copied().flatten());
         let out = match &node.op {
-            Op::FakeQuant { scale: s } => {
-                let exact = *s == 0.0 || (*s > 0.0 && s.is_normal() && (127.0 * s).is_finite());
-                exact.then_some(NodeId(i))
-            }
+            Op::FakeQuant { scale: s } => (*s == 0.0 || codes_exactly(*s)).then_some(NodeId(i)),
             Op::Activation(ActKind::Relu) | Op::Flatten => input,
             Op::MaxPool2d(a) if a.has_taps() => input,
             _ => None,
@@ -408,6 +405,13 @@ pub fn exact_grids(graph: &Graph) -> Vec<Option<NodeId>> {
         }
     }
     grid
+}
+
+/// Whether the INT8 kernels quantize a value on the grid of a positive
+/// scale `s` to its code exactly: `s` is normal, so `1/s` is finite,
+/// and `127·s` is finite.
+fn codes_exactly(s: f32) -> bool {
+    s > 0.0 && s.is_normal() && (127.0 * s).is_finite()
 }
 
 /// The `FakeQuant` nodes that change no bit of their input, by node
@@ -542,6 +546,13 @@ impl QuantSafety {
                 let scale = *scale;
                 if scale <= 0.0 || !scale.is_finite() {
                     return NodeQuantVerdict::not_candidate("degenerate FakeQuant scale");
+                }
+                // At a subnormal scale `1/s` overflows, and every nonzero
+                // input would quantize to ±127.
+                if !codes_exactly(scale) {
+                    return NodeQuantVerdict::not_candidate(
+                        "FakeQuant scale is subnormal or 127·s overflows",
+                    );
                 }
                 let grid = INT8_UNIT_GRID * scale;
                 // Range *entering* the FakeQuant: the producer's input.

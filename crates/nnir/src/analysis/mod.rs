@@ -95,9 +95,14 @@ mod tests {
     /// can prove INT8-eligible: FakeQuant grid in front, i8 payload on
     /// the weights.
     fn quantized_dense() -> Graph {
+        quantized_dense_at(0.01)
+    }
+
+    /// `x → FakeQuant(scale) → dense` on i8 weights.
+    fn quantized_dense_at(scale: f32) -> Graph {
         let mut b = GraphBuilder::new("qsafe");
         let x = b.input(Shape::nf(1, 4));
-        let q = b.apply("q", Op::FakeQuant { scale: 0.01 }, &[x]).unwrap();
+        let q = b.apply("q", Op::FakeQuant { scale }, &[x]).unwrap();
         let mut w = Tensor::from_vec(
             Shape::new(vec![2, 4]),
             vec![0.5, -0.25, 0.125, 1.0, -0.75, 0.5, -1.0, 0.25],
@@ -538,6 +543,31 @@ mod tests {
         let v = safety.verdict(NodeId(0)).unwrap();
         assert!(!v.eligible);
         assert!(v.reason.as_deref().unwrap().contains("FakeQuant"));
+    }
+
+    #[test]
+    fn quant_safety_refuses_a_direct_scale_whose_codes_are_not_exact() {
+        // At a subnormal scale `1/s` overflows, and every nonzero input
+        // would quantize to ±127; past `f32::MAX / 127`, `127·s`
+        // overflows. The dense behind such a `FakeQuant` stays f32.
+        for s in [1e-40f32, 3e36] {
+            let safety = QuantSafety::of(&quantized_dense_at(s));
+            let d = safety.verdict(NodeId(1)).unwrap();
+            assert!(!d.eligible, "scale {s}");
+            assert_eq!(d.input_scale, None);
+            assert_eq!(
+                d.reason.as_deref(),
+                Some("FakeQuant scale is subnormal or 127·s overflows")
+            );
+        }
+        // The least normal scale and one just under `f32::MAX / 127`
+        // still qualify.
+        for s in [f32::MIN_POSITIVE, 2.6e36] {
+            let safety = QuantSafety::of(&quantized_dense_at(s));
+            let d = safety.verdict(NodeId(1)).unwrap();
+            assert!(d.eligible, "scale {s}: {:?}", d.reason);
+            assert_eq!(d.input_scale, Some(s));
+        }
     }
 
     #[test]

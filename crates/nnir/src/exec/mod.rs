@@ -1132,18 +1132,27 @@ mod tests {
 
     #[test]
     fn coded_values_hold_the_codes_their_readers_computed() {
-        // At a normal scale, a subnormal one and one whose 127·s
+        // At a normal scale, the least normal one, one just under
+        // `f32::MAX / 127`, a subnormal one and one whose 127·s
         // overflows; over NaN, ±∞, ±0.0 and every rounding boundary of
         // the scale. A plain run, which passes codes, and a run that
         // captures intermediates, which computes every value in f32, agree
         // bit for bit; each coded value holds `quantize_activation` of
-        // its f32 value.
+        // its f32 value. The last two scales plan no INT8 node: their
+        // codes would not be exact, so the chain runs in f32.
         let bits = |t: &[Tensor]| -> Vec<Vec<u32>> {
             t.iter()
                 .map(|t| t.data().iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
-        for (s, coded) in [(0.01f32, 4), (1e-40, 3), (3e36, 3)] {
+        let scales = [
+            (0.01f32, 4, 3),
+            (f32::MIN_POSITIVE, 4, 3),
+            (2.6e36, 4, 3),
+            (1e-40, 0, 0),
+            (3e36, 0, 0),
+        ];
+        for (s, coded, int8) in scales {
             let g = coded_chain(s);
             let mut xs = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
             xs.extend((-128..128).map(|k| (k as f32 + 0.5) * s));
@@ -1162,7 +1171,8 @@ mod tests {
                         .unwrap();
                     assert_eq!(
                         runner.steps.iter().filter(|s| s.kernel.is_int8()).count(),
-                        3
+                        int8,
+                        "scale {s}"
                     );
                     let opts = RunOptions::new().capture_intermediates(true);
                     let captured = runner.execute(std::slice::from_ref(&x), opts).unwrap();

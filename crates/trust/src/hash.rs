@@ -4,8 +4,11 @@
 //! secure-boot and attestation models, and the chunk hashes of the OTA
 //! artifacts. The implementation follows FIPS 180-4 / RFC 2104 and is
 //! verified against published test vectors. One compression function,
-//! generic over lanes, serves both [`sha256`] and [`sha256_each`], which
-//! hashes runs of equal-length messages side by side.
+//! generic over lanes, serves both [`sha256`] (one lane) and
+//! [`sha256_each`], which hashes any list of messages side by side in
+//! groups of 4, 8 or 16 SIMD lanes. Its lane loop runs outermost, around
+//! a whole block, so LLVM's loop vectorizer packs it at every one of
+//! those widths; safe, portable Rust, with no intrinsic.
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
 const K: [u32; 64] = [
@@ -24,15 +27,16 @@ const IV: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Messages [`sha256_each`] hashes side by side. A measured choice:
-/// hashing 100 chunks of 64 KiB on a 2-vCPU x86-64 host (baseline SSE2
-/// build, 40 interleaved rounds, three runs), 16 lanes took 0.32–0.42×
-/// the time of the plain one-lane reference the tests keep
-/// (`sha256_reference`) and 32 lanes 0.34–0.42×, both vectorized by
-/// LLVM's loop vectorizer (packed `paddd`/`pslld`/`psrld`/`por`); 8 and
-/// 4 lanes were not vectorized (0.85–1.10×), and one lane of the same
-/// code took 0.80–0.96×.
-const LANES: usize = 16;
+/// The lane widths [`sha256_each`] runs a group of messages at, widest
+/// first. A measured choice, on a 2-vCPU x86-64 host (baseline SSE2
+/// build, 25 interleaved rounds over 64 KiB messages): LLVM's loop
+/// vectorizer packs the lane loop of [`compress`] four lanes to a vector
+/// (`paddd`/`pslld`/`psrld`/`por`) at each of the three widths, which
+/// hashed a message in 0.40–0.41× the time one lane of the same code's
+/// round-level predecessor took, against 0.84× for one lane of this code.
+/// A width that is not a multiple of four leaves a scalar remainder, and
+/// one wider than 16 only adds idle lanes to a partly filled group.
+const WIDTHS: [usize; 3] = [16, 8, 4];
 
 /// Computes the SHA-256 digest of `data`.
 ///
@@ -48,10 +52,20 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     digest
 }
 
-/// The SHA-256 digest of each message, in order: every run of 16
-/// consecutive equal-length messages is hashed side by side in one
-/// vectorized pass, every other message alone. Each digest equals
-/// [`sha256`] of its message.
+/// The SHA-256 digest of each message, in order, each equal to [`sha256`]
+/// of its message, the messages hashed side by side in SIMD lanes.
+/// Longest first, a group is the longest message left and those after
+/// it within 2× of its block count, up to 16; it runs at the widest of
+/// 16, 8 and 4 lanes that its messages fill more than half of, counted
+/// in compressed blocks, and a message no width takes is hashed alone.
+/// A lane side by side costs about half a lone hash, so no group costs
+/// more than hashing its messages one at a time. An OTA release's equal
+/// chunks and its shorter last one share a group: LeNet-5's four chunks
+/// (three of 64 KiB, one of 51,141 bytes) hash in one 4-lane pass, in
+/// 0.51× the time [`sha256`] takes over them one at a time (2-vCPU
+/// x86-64 host). One 1 MiB message beside fifteen 1 KiB ones runs alone,
+/// and they in a 16-lane pass, where a group in input order would carry
+/// fifteen idle lanes along the long one.
 ///
 /// ```
 /// use vedliot_trust::hash::{sha256, sha256_each};
@@ -62,120 +76,177 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 /// ```
 #[must_use]
 pub fn sha256_each(msgs: &[&[u8]]) -> Vec<[u8; 32]> {
-    let mut out = Vec::with_capacity(msgs.len());
-    let mut rest = msgs;
-    while let Some((&first, tail)) = rest.split_first() {
-        match rest.first_chunk::<LANES>() {
-            Some(run) if run.iter().all(|m| m.len() == first.len()) => {
-                out.extend(hash_lanes(*run));
-                rest = &rest[LANES..];
-            }
-            _ => {
-                out.extend(hash_lanes([first]));
-                rest = tail;
-            }
+    let mut out = vec![[0; 32]; msgs.len()];
+    for (width, group) in groups(msgs) {
+        let lanes = |l: usize| group.get(l).map_or(&[][..], |&i| msgs[i]);
+        let digests: &[[u8; 32]] = match width {
+            16 => &hash_lanes::<16>(std::array::from_fn(lanes)),
+            8 => &hash_lanes::<8>(std::array::from_fn(lanes)),
+            4 => &hash_lanes::<4>(std::array::from_fn(lanes)),
+            _ => &hash_lanes::<1>(std::array::from_fn(lanes)),
+        };
+        for (&i, digest) in group.iter().zip(digests) {
+            out[i] = *digest;
         }
     }
     out
 }
 
-/// Hashes `N` messages of equal length side by side: every whole 64-byte
-/// block straight from the messages, then the last one or two blocks
-/// padded (message tail, `0x80`, zeros, 64-bit bit length).
+/// How [`sha256_each`] groups `msgs`, by the rule its doc states: each
+/// group's lane width (one of [`WIDTHS`], or 1) and its messages'
+/// indices.
+fn groups(msgs: &[&[u8]]) -> Vec<(usize, Vec<usize>)> {
+    let mut order: Vec<usize> = (0..msgs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(msgs[i].len()));
+    let mut groups = Vec::new();
+    let mut rest = &order[..];
+    while let Some(&first) = rest.first() {
+        let longest = blocks(msgs[first]);
+        let peers = rest
+            .iter()
+            .take(WIDTHS[0])
+            .take_while(|&&i| 2 * blocks(msgs[i]) > longest)
+            .count();
+        let filled = |width: usize| {
+            let used: usize = rest[..peers.min(width)]
+                .iter()
+                .map(|&i| blocks(msgs[i]))
+                .sum();
+            2 * used > width * longest
+        };
+        let width = WIDTHS.into_iter().find(|&w| filled(w)).unwrap_or(1);
+        let (group, tail) = rest.split_at(peers.min(width));
+        groups.push((width, group.to_vec()));
+        rest = tail;
+    }
+    groups
+}
+
+/// Blocks SHA-256 compresses for a message of `msg.len()` bytes: its
+/// whole 64-byte blocks, then one padding block, or two when the tail
+/// leaves no room for `0x80` and the 8-byte bit length.
+fn blocks(msg: &[u8]) -> usize {
+    msg.len() / 64 + if msg.len() % 64 < 56 { 1 } else { 2 }
+}
+
+/// Hashes `N` messages side by side, lane `l` over `msgs[l]`: its whole
+/// 64-byte blocks straight from the message, then its one or two padded
+/// blocks (message tail, `0x80`, zeros, 64-bit bit length). A lane past
+/// its last block compresses a dummy block until the longest lane is
+/// done; its digest is read at its own last block.
 fn hash_lanes<const N: usize>(msgs: [&[u8]; N]) -> [[u8; 32]; N] {
-    let len = msgs.first().map_or(0, |m| m.len());
     let split = msgs.map(<[u8]>::as_chunks::<64>);
-    let mut state = IV.map(|h| [h; N]);
-    for b in 0..len / 64 {
-        compress(&mut state, split.map(|(blocks, _)| &blocks[b]));
-    }
-    let tail = len % 64;
-    let pad_blocks = if tail < 56 { 1 } else { 2 };
     let mut pad = [[[0u8; 64]; 2]; N];
-    for (p, (_, rest)) in pad.iter_mut().zip(split) {
+    for (p, msg) in pad.iter_mut().zip(msgs) {
+        let tail = msg.len() % 64;
+        let end = 64 * (blocks(msg) - msg.len() / 64);
         let p = p.as_flattened_mut();
-        p[..tail].copy_from_slice(rest);
+        p[..tail].copy_from_slice(&msg[msg.len() - tail..]);
         p[tail] = 0x80;
-        p[64 * pad_blocks - 8..64 * pad_blocks]
-            .copy_from_slice(&(len as u64).wrapping_mul(8).to_be_bytes());
+        p[end - 8..end].copy_from_slice(&(msg.len() as u64).wrapping_mul(8).to_be_bytes());
     }
-    for b in 0..pad_blocks {
-        compress(&mut state, pad.each_ref().map(|p| &p[b]));
+    let ends = msgs.map(blocks);
+    let mut state = IV.map(|h| [h; N]);
+    let mut last = [[0u32; 8]; N];
+    for b in 0..ends.into_iter().max().unwrap_or(0) {
+        compress(
+            &mut state,
+            std::array::from_fn(|l| {
+                let whole = split[l].0;
+                let padded = b.checked_sub(whole.len()).and_then(|p| pad[l].get(p));
+                whole.get(b).or(padded).unwrap_or(&pad[l][0])
+            }),
+        );
+        for (l, _) in ends.iter().enumerate().filter(|&(_, &e)| e == b + 1) {
+            last[l] = state.map(|h| h[l]);
+        }
     }
-    std::array::from_fn(|l| {
+    last.map(|h| {
         let mut out = [0u8; 32];
-        for (o, h) in out.chunks_exact_mut(4).zip(&state) {
-            o.copy_from_slice(&h[l].to_be_bytes());
+        for (o, h) in out.chunks_exact_mut(4).zip(h) {
+            o.copy_from_slice(&h.to_be_bytes());
         }
         out
     })
 }
 
 /// One SHA-256 compression of each of `N` independent states, lane `l`
-/// over `blocks[l]`. Every step loops over the lanes innermost, so at
-/// [`LANES`] the loop vectorizer turns it into packed 32-bit arithmetic.
-/// The 64 rounds run as eight unrolled groups of eight in which the
-/// roles `a..h` rotate over the state's indices, so no word moves
-/// between rounds.
+/// over `blocks[l]`. The block's words are first read lane-innermost,
+/// word `t` of every lane side by side. Then the lane loop runs
+/// outermost, around the whole block: the lane's 16-word
+/// message-schedule ring and all 64 rounds, written out so that no loop
+/// is left inside it. The lane loop is then the innermost loop the
+/// vectorizer sees, and it packs four lanes to a vector at any `N` that
+/// is a multiple of four; at `N = 1` it is scalar code that keeps the
+/// state and the ring in registers.
 fn compress<const N: usize>(state: &mut [[u32; N]; 8], blocks: [&[u8; 64]; N]) {
-    let mut w = [[0u32; N]; 64];
-    for (t, wt) in w[..16].iter_mut().enumerate() {
-        for (x, block) in wt.iter_mut().zip(blocks) {
+    let mut m = [[0u32; N]; 16];
+    for (t, mt) in m.iter_mut().enumerate() {
+        for (x, block) in mt.iter_mut().zip(blocks) {
             let b = &block[4 * t..4 * t + 4];
             *x = u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
         }
     }
-    for t in 16..64 {
-        let (done, next) = w.split_at_mut(t);
-        for (l, x) in next[0].iter_mut().enumerate() {
-            let (w15, w2) = (done[t - 15][l], done[t - 2][l]);
-            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
-            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
-            *x = done[t - 16][l]
-                .wrapping_add(s0)
-                .wrapping_add(done[t - 7][l])
-                .wrapping_add(s1);
-        }
-    }
-    let mut s = *state;
-    for (k, w) in K.chunks_exact(8).zip(w.chunks_exact(8)) {
-        round::<N, 0>(&mut s, k[0], &w[0]);
-        round::<N, 1>(&mut s, k[1], &w[1]);
-        round::<N, 2>(&mut s, k[2], &w[2]);
-        round::<N, 3>(&mut s, k[3], &w[3]);
-        round::<N, 4>(&mut s, k[4], &w[4]);
-        round::<N, 5>(&mut s, k[5], &w[5]);
-        round::<N, 6>(&mut s, k[6], &w[6]);
-        round::<N, 7>(&mut s, k[7], &w[7]);
-    }
-    for (h, x) in state.iter_mut().zip(s) {
-        for (h, x) in h.iter_mut().zip(x) {
-            *h = h.wrapping_add(x);
+    for l in 0..N {
+        let mut w: [u32; 16] = std::array::from_fn(|t| m[t][l]);
+        let mut s: [u32; 8] = std::array::from_fn(|i| state[i][l]);
+        sixteen_rounds::<0>(&mut s, &mut w);
+        sixteen_rounds::<1>(&mut s, &mut w);
+        sixteen_rounds::<2>(&mut s, &mut w);
+        sixteen_rounds::<3>(&mut s, &mut w);
+        for (h, x) in state.iter_mut().zip(s) {
+            h[l] = h[l].wrapping_add(x);
         }
     }
 }
 
-/// Round `J` (mod 8) over every lane. Role `r` of `a..h` lives at state
-/// index `(r - J) mod 8`: the round adds `T1` into `d`, which is the
-/// next round's `e`, and writes `T1 + T2` over `h`, which is its `a`.
+/// Rounds `16·G` to `16·G + 15` of one lane.
 #[inline(always)]
-fn round<const N: usize, const J: usize>(s: &mut [[u32; N]; 8], k: u32, w: &[u32; N]) {
-    let at = |role: usize| (role + 8 - J) % 8;
-    let (a, b, c, d, e, f, g, h) = (at(0), at(1), at(2), at(3), at(4), at(5), at(6), at(7));
-    for l in 0..N {
-        let (ea, aa) = (s[e][l], s[a][l]);
-        let s1 = ea.rotate_right(6) ^ ea.rotate_right(11) ^ ea.rotate_right(25);
-        let ch = (ea & s[f][l]) ^ (!ea & s[g][l]);
-        let t1 = s[h][l]
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(k)
-            .wrapping_add(w[l]);
-        let s0 = aa.rotate_right(2) ^ aa.rotate_right(13) ^ aa.rotate_right(22);
-        let maj = (aa & s[b][l]) ^ (aa & s[c][l]) ^ (s[b][l] & s[c][l]);
-        s[d][l] = s[d][l].wrapping_add(t1);
-        s[h][l] = t1.wrapping_add(s0.wrapping_add(maj));
+fn sixteen_rounds<const G: usize>(s: &mut [u32; 8], w: &mut [u32; 16]) {
+    round::<G, 0>(s, w);
+    round::<G, 1>(s, w);
+    round::<G, 2>(s, w);
+    round::<G, 3>(s, w);
+    round::<G, 4>(s, w);
+    round::<G, 5>(s, w);
+    round::<G, 6>(s, w);
+    round::<G, 7>(s, w);
+    round::<G, 8>(s, w);
+    round::<G, 9>(s, w);
+    round::<G, 10>(s, w);
+    round::<G, 11>(s, w);
+    round::<G, 12>(s, w);
+    round::<G, 13>(s, w);
+    round::<G, 14>(s, w);
+    round::<G, 15>(s, w);
+}
+
+/// Round `t = 16·G + J` of one lane. Its message word is `w[J]`, the
+/// ring slot that held word `t - 16`: from round 16 on, the round first
+/// expands it there from words `t - 16`, `t - 15`, `t - 7` and `t - 2`.
+#[inline(always)]
+fn round<const G: usize, const J: usize>(s: &mut [u32; 8], w: &mut [u32; 16]) {
+    if G > 0 {
+        let (w15, w2) = (w[(J + 1) % 16], w[(J + 14) % 16]);
+        let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+        let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+        w[J] = w[J]
+            .wrapping_add(s0)
+            .wrapping_add(w[(J + 9) % 16])
+            .wrapping_add(s1);
     }
+    let [a, b, c, d, e, f, g, h] = *s;
+    let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+    let ch = (e & f) ^ (!e & g);
+    let t1 = h
+        .wrapping_add(s1)
+        .wrapping_add(ch)
+        .wrapping_add(K[16 * G + J])
+        .wrapping_add(w[J]);
+    let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+    let maj = (a & b) ^ (a & c) ^ (b & c);
+    let (new_a, new_e) = (t1.wrapping_add(s0.wrapping_add(maj)), d.wrapping_add(t1));
+    *s = [new_a, a, b, c, new_e, e, f, g];
 }
 
 /// HMAC-SHA256 (RFC 2104).
@@ -330,35 +401,121 @@ mod tests {
             .collect()
     }
 
+    /// Each of `msgs` in exactly one group, at the narrowest width that
+    /// holds it, whose messages fill more than half its lanes' blocks and
+    /// are each within 2× of the group's longest.
+    fn assert_groups_pay(msgs: &[&[u8]]) {
+        let mut seen = vec![0; msgs.len()];
+        for (width, group) in groups(msgs) {
+            for &i in &group {
+                seen[i] += 1;
+            }
+            let want = [1, 4, 8, 16].into_iter().find(|&w| w >= group.len());
+            assert_eq!(Some(width), want, "{group:?}");
+            let lens: Vec<usize> = group.iter().map(|&i| blocks(msgs[i])).collect();
+            let longest = lens.iter().copied().max().unwrap_or(0);
+            assert!(lens.iter().all(|&b| 2 * b > longest), "{lens:?}");
+            if width > 1 {
+                assert!(2 * lens.iter().sum::<usize>() > width * longest, "{lens:?}");
+            }
+        }
+        assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
+    }
+
+    /// `msgs` hashed `N` at a time in input order, lanes past the last
+    /// message empty.
+    fn in_lanes<const N: usize>(msgs: &[&[u8]]) -> Vec<[u8; 32]> {
+        msgs.chunks(N)
+            .flat_map(|g| hash_lanes::<N>(std::array::from_fn(|l| g.get(l).map_or(&[][..], |m| m))))
+            .take(msgs.len())
+            .collect()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// `sha256` and `sha256_each` agree with the oracle, digest for
-        /// digest, on sets of 0-40 messages mixing runs of 16 or more
-        /// equal-length messages, empty messages, the padding's block
-        /// boundaries and other lengths.
+        /// digest, on 1-40 messages of lengths that mix block counts,
+        /// 1- and 2-block paddings (0, 55, 56 and 63 mod 64), empty
+        /// messages and other lengths; so do 16, 8 and 4 lanes hashing
+        /// the same messages side by side in input order, lanes of any
+        /// lengths in one pass and the last pass partly filled.
         #[test]
         fn sha256_and_sha256_each_match_the_reference(
-            groups in proptest::collection::vec(
-                (0usize..12, 0usize..8, proptest::any::<u64>()),
-                0..6,
-            ),
+            picks in proptest::collection::vec((0usize..16, proptest::any::<u64>()), 1..=40),
         ) {
-            const EDGES: [usize; 8] = [0, 55, 56, 63, 64, 119, 120, 128];
-            let mut msgs = Vec::new();
-            for (pick, count, seed) in groups {
-                let len = EDGES.get(pick).copied().unwrap_or(seed as usize % 300);
-                // Half the groups are runs long enough for the lanes.
-                let count = if count < 4 { LANES + 2 * count } else { count - 3 };
-                msgs.extend((0..count as u64).map(|i| message(seed ^ i, len)));
-            }
-            msgs.truncate(40);
+            const EDGES: [usize; 12] = [0, 55, 56, 63, 64, 119, 120, 127, 128, 183, 184, 191];
+            let msgs: Vec<Vec<u8>> = picks
+                .iter()
+                .map(|&(pick, seed)| {
+                    message(seed, EDGES.get(pick).copied().unwrap_or(seed as usize % 300))
+                })
+                .collect();
             let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
             let want: Vec<[u8; 32]> = refs.iter().map(|m| sha256_reference(m)).collect();
-            proptest::prop_assert_eq!(sha256_each(&refs), want.clone());
+            proptest::prop_assert_eq!(&sha256_each(&refs), &want);
+            assert_groups_pay(&refs);
+            for got in [in_lanes::<16>(&refs), in_lanes::<8>(&refs), in_lanes::<4>(&refs)] {
+                proptest::prop_assert_eq!(&got, &want);
+            }
             for (m, w) in refs.iter().zip(&want) {
                 proptest::prop_assert_eq!(&sha256(m), w);
             }
+        }
+    }
+
+    #[test]
+    fn groups_of_every_size_run_partly_filled_lanes() {
+        // 1-40 messages of one length, and 1-40 whose lengths cycle over
+        // three block counts and both paddings: groups of 3, 5-7 and
+        // 9-15 messages run 4, 8 and 16 lanes partly filled.
+        const CYCLE: [usize; 8] = [120, 183, 127, 64, 184, 119, 191, 128];
+        let mut widths = std::collections::BTreeSet::new();
+        for n in 1..=40u64 {
+            for len in [|_| 1000, |i: u64| CYCLE[i as usize % CYCLE.len()]] {
+                let msgs: Vec<Vec<u8>> = (0..n).map(|i| message(i, len(i))).collect();
+                let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+                let want: Vec<[u8; 32]> = refs.iter().map(|m| sha256_reference(m)).collect();
+                assert_eq!(sha256_each(&refs), want, "{n} messages");
+                assert_groups_pay(&refs);
+                for (width, group) in groups(&refs) {
+                    widths.insert((width, group.len() == width));
+                }
+            }
+        }
+        // (width, every lane filled): each width ran both ways.
+        let want = [
+            (1, true),
+            (4, false),
+            (4, true),
+            (8, false),
+            (8, true),
+            (16, false),
+            (16, true),
+        ];
+        assert_eq!(widths.into_iter().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn a_long_message_runs_alone_beside_short_ones() {
+        // One 1 MiB message with fifteen 1 KiB ones, and with one: the
+        // long one never holds idle lanes busy.
+        let long = vec![0x5a; 1 << 20];
+        let short: Vec<Vec<u8>> = (0..15).map(|i| message(i, 1024)).collect();
+        for n in [15, 1] {
+            let mut msgs: Vec<&[u8]> = short[..n].iter().map(Vec::as_slice).collect();
+            msgs.insert(n / 2, &long);
+            let mut plan = groups(&msgs);
+            plan.sort();
+            let rest: Vec<usize> = (0..=n).filter(|&i| i != n / 2).collect();
+            let want = if n == 15 {
+                vec![(1, vec![n / 2]), (16, rest)]
+            } else {
+                vec![(1, vec![0]), (1, vec![1])]
+            };
+            assert_eq!(plan, want);
+            let digests: Vec<[u8; 32]> = msgs.iter().map(|m| sha256_reference(m)).collect();
+            assert_eq!(sha256_each(&msgs), digests);
         }
     }
 
