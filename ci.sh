@@ -41,7 +41,7 @@ if [[ $fast -eq 0 ]]; then
   cargo test --release -q -p vedliot-nnir --test proptests
   cargo test --release -q -p vedliot-nnir --lib
 
-  echo "==> SHA-256 lane oracle tests in release (the 4-, 8- and 16-lane compress vectorizes only at opt-level >= 2)"
+  echo "==> SHA-256 lane oracle tests in release (the 4-lane compress vectorizes only at opt-level >= 2)"
   cargo test --release -q -p vedliot-trust --lib hash::tests
 
   echo "==> histogram snapshot race in release (debug builds did not hit the race it guards)"

@@ -1676,9 +1676,9 @@ pub fn kernels() -> Experiment {
     } = conv_ns_per_mac(15);
     let dw_over_pw = dw_ns / pw_ns;
     let spatial_lanes = spatial_lanes_over_tile(101);
-    // E24's hashing gauges: 64 chunks of 64 KiB (sixteen lanes side by
-    // side), and vbench's LeNet-5 release (three 64 KiB chunks and a
-    // short one, one 4-lane pass).
+    // E24's hashing gauges: 64 chunks of 64 KiB (sixteen 4-lane passes),
+    // and vbench's LeNet-5 release (three 64 KiB chunks and a short one,
+    // one 4-lane pass).
     let sha_speedup = sha256_each_speedup(&[64 * 1024; 64]);
     let sha_few_speedup = sha256_each_speedup(&[65_536, 65_536, 65_536, 51_141]);
 
@@ -1767,7 +1767,7 @@ pub fn kernels() -> Experiment {
             ),
             Metric::gauge(
                 "sha256_lanes_speedup",
-                "time to hash 64 chunks of 64 KiB one at a time over the time side by side in 16 lanes, median of 21 rounds' ratios",
+                "time to hash 64 chunks of 64 KiB one at a time over the time side by side in 4 lanes, median of 21 rounds' ratios",
                 sha_speedup,
             ),
             Metric::gauge(
@@ -1822,7 +1822,7 @@ pub fn kernels() -> Experiment {
                 non_conv_share * 100.0
             ),
             format!(
-                "SHA-256 over 64 chunks of 64 KiB: 16 lanes side by side run {sha_speedup:.2}x \
+                "SHA-256 over 64 chunks of 64 KiB: 4 lanes side by side run {sha_speedup:.2}x \
                  as fast as one chunk at a time (gated >= 1.8)"
             ),
             format!(

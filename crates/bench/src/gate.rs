@@ -139,9 +139,9 @@ pub const RULES: &[Rule] = &[
     // its wall time outside the conv records. It fails if fusion stops
     // applying: the standalone passes alone took about 17%.
     Rule::new("kernels", "non_conv_share", None, |_| -INF..=0.15),
-    // The OTA path's SHA-256 hashes sixteen equal chunks side by side:
-    // over 64 chunks of 64 KiB that runs at least 1.8x as fast as one
-    // chunk at a time. A lane loop LLVM stops vectorizing reads ~1.0.
+    // The OTA path's SHA-256 hashes four equal chunks side by side: over
+    // 64 chunks of 64 KiB that runs at least 1.8x as fast as one chunk
+    // at a time. A lane loop LLVM stops vectorizing reads ~1.0.
     Rule::new("kernels", "sha256_lanes_speedup", None, |_| 1.8..=INF),
     // A small release's chunks share one pass too: LeNet-5's three
     // 64 KiB chunks and its 51,141-byte one hash in 4 lanes at least

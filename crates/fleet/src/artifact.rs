@@ -15,10 +15,10 @@
 //! hashes in order, so a device can reject a corrupted chunk the moment
 //! it arrives (and re-request just that chunk) while still proving the
 //! chunks together are exactly the released image. `unpack` verifies
-//! every chunk (up to sixteen side by side in SIMD lanes, see
-//! [`sha256_each`]: a release's equal chunks and its shorter last one
-//! share a pass) before it reads a byte, then reads the fields in place
-//! across the verified chunks: the payload is never assembled. Weight
+//! every chunk (four side by side in SIMD lanes, see [`sha256_each`]: a
+//! release's equal chunks and its shorter last one share passes) before
+//! it reads a byte, then reads the fields in place across the verified
+//! chunks: the payload is never assembled. Weight
 //! records must name their nodes in ascending order, as `pack` writes
 //! them, so no node is filled twice.
 
@@ -702,10 +702,10 @@ mod tests {
     }
 
     /// `g` packed into at least 33 equal chunks plus a short last one:
-    /// verification hashes sixteen side by side at a time. For
+    /// verification hashes four side by side at a time. For
     /// `explicit_model` (33 of 14 bytes and one of 9, one block each)
-    /// that is two 16-lane passes and the last two chunks alone, which
-    /// would fill only half of four lanes.
+    /// that is eight 4-lane passes and the last two chunks alone, which
+    /// would fill only half of the four lanes.
     fn many_chunks(g: &Graph) -> ModelArtifact {
         let len = ModelArtifact::pack("v1", g, usize::MAX)
             .expect("packs")

@@ -6,9 +6,9 @@
 //! verified against published test vectors. One compression function,
 //! generic over lanes, serves both [`sha256`] (one lane) and
 //! [`sha256_each`], which hashes any list of messages side by side in
-//! groups of 4, 8 or 16 SIMD lanes. Its lane loop runs outermost, around
-//! a whole block, so LLVM's loop vectorizer packs it at every one of
-//! those widths; safe, portable Rust, with no intrinsic.
+//! groups of four SIMD lanes. Its lane loop runs outermost, around a
+//! whole block, so LLVM's loop vectorizer packs the four lanes into one
+//! vector; safe, portable Rust, with no intrinsic.
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
 const K: [u32; 64] = [
@@ -27,16 +27,16 @@ const IV: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// The lane widths [`sha256_each`] runs a group of messages at, widest
-/// first. A measured choice, on a 2-vCPU x86-64 host (baseline SSE2
-/// build, 25 interleaved rounds over 64 KiB messages): LLVM's loop
-/// vectorizer packs the lane loop of [`compress`] four lanes to a vector
-/// (`paddd`/`pslld`/`psrld`/`por`) at each of the three widths, which
-/// hashed a message in 0.40–0.41× the time one lane of the same code's
-/// round-level predecessor took, against 0.84× for one lane of this code.
-/// A width that is not a multiple of four leaves a scalar remainder, and
-/// one wider than 16 only adds idle lanes to a partly filled group.
-const WIDTHS: [usize; 3] = [16, 8, 4];
+/// The lane width [`sha256_each`] runs a group of messages at. A
+/// measured choice, on a 2-vCPU x86-64 host (baseline SSE2 build, 25
+/// interleaved rounds over 64 KiB messages): LLVM's loop vectorizer packs
+/// the lane loop of [`compress`] four lanes to a vector
+/// (`paddd`/`pslld`/`psrld`/`por`), which hashed a message in 0.41× the
+/// time one lane of the same code's round-level predecessor took, against
+/// 0.84× for one lane of this code. 8 and 16 lanes vectorize the same way
+/// and hashed a message in the same 0.40–0.41×: they only add idle lanes
+/// to a partly filled group.
+const LANES: usize = 4;
 
 /// Computes the SHA-256 digest of `data`.
 ///
@@ -55,17 +55,17 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 /// The SHA-256 digest of each message, in order, each equal to [`sha256`]
 /// of its message, the messages hashed side by side in SIMD lanes.
 /// Longest first, a group is the longest message left and those after
-/// it within 2× of its block count, up to 16; it runs at the widest of
-/// 16, 8 and 4 lanes that its messages fill more than half of, counted
-/// in compressed blocks, and a message no width takes is hashed alone.
-/// A lane side by side costs about half a lone hash, so no group costs
-/// more than hashing its messages one at a time. An OTA release's equal
-/// chunks and its shorter last one share a group: LeNet-5's four chunks
-/// (three of 64 KiB, one of 51,141 bytes) hash in one 4-lane pass, in
-/// 0.51× the time [`sha256`] takes over them one at a time (2-vCPU
-/// x86-64 host). One 1 MiB message beside fifteen 1 KiB ones runs alone,
-/// and they in a 16-lane pass, where a group in input order would carry
-/// fifteen idle lanes along the long one.
+/// it within 2× of its block count, up to four; it runs in four lanes
+/// when its messages fill more than half of them, counted in compressed
+/// blocks, and otherwise its longest message is hashed alone. A lane
+/// side by side costs about half a lone hash, so no group costs more
+/// than hashing its messages one at a time. An OTA release's equal
+/// chunks and its shorter last one share groups: LeNet-5's four chunks
+/// (three of 64 KiB, one of 51,141 bytes) hash in one pass, in 0.51× the
+/// time [`sha256`] takes over them one at a time (2-vCPU x86-64 host).
+/// One 1 MiB message beside fifteen 1 KiB ones runs alone, and they in
+/// four passes, where a group in input order would carry three idle
+/// lanes along the long one.
 ///
 /// ```
 /// use vedliot_trust::hash::{sha256, sha256_each};
@@ -77,13 +77,12 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 #[must_use]
 pub fn sha256_each(msgs: &[&[u8]]) -> Vec<[u8; 32]> {
     let mut out = vec![[0; 32]; msgs.len()];
-    for (width, group) in groups(msgs) {
-        let lanes = |l: usize| group.get(l).map_or(&[][..], |&i| msgs[i]);
-        let digests: &[[u8; 32]] = match width {
-            16 => &hash_lanes::<16>(std::array::from_fn(lanes)),
-            8 => &hash_lanes::<8>(std::array::from_fn(lanes)),
-            4 => &hash_lanes::<4>(std::array::from_fn(lanes)),
-            _ => &hash_lanes::<1>(std::array::from_fn(lanes)),
+    for group in groups(msgs) {
+        let digests: &[[u8; 32]] = match group[..] {
+            [i] => &[sha256(msgs[i])],
+            _ => &hash_lanes::<LANES>(std::array::from_fn(|l| {
+                group.get(l).map_or(&[][..], |&i| msgs[i])
+            })),
         };
         for (&i, digest) in group.iter().zip(digests) {
             out[i] = *digest;
@@ -93,9 +92,8 @@ pub fn sha256_each(msgs: &[&[u8]]) -> Vec<[u8; 32]> {
 }
 
 /// How [`sha256_each`] groups `msgs`, by the rule its doc states: each
-/// group's lane width (one of [`WIDTHS`], or 1) and its messages'
-/// indices.
-fn groups(msgs: &[&[u8]]) -> Vec<(usize, Vec<usize>)> {
+/// group's message indices, one for a message hashed alone.
+fn groups(msgs: &[&[u8]]) -> Vec<Vec<usize>> {
     let mut order: Vec<usize> = (0..msgs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(msgs[i].len()));
     let mut groups = Vec::new();
@@ -104,19 +102,16 @@ fn groups(msgs: &[&[u8]]) -> Vec<(usize, Vec<usize>)> {
         let longest = blocks(msgs[first]);
         let peers = rest
             .iter()
-            .take(WIDTHS[0])
-            .take_while(|&&i| 2 * blocks(msgs[i]) > longest)
-            .count();
-        let filled = |width: usize| {
-            let used: usize = rest[..peers.min(width)]
-                .iter()
-                .map(|&i| blocks(msgs[i]))
-                .sum();
-            2 * used > width * longest
+            .take(LANES)
+            .take_while(|&&i| 2 * blocks(msgs[i]) > longest);
+        let used: usize = peers.clone().map(|&i| blocks(msgs[i])).sum();
+        let n = if 2 * used > LANES * longest {
+            peers.count()
+        } else {
+            1
         };
-        let width = WIDTHS.into_iter().find(|&w| filled(w)).unwrap_or(1);
-        let (group, tail) = rest.split_at(peers.min(width));
-        groups.push((width, group.to_vec()));
+        let (group, tail) = rest.split_at(n);
+        groups.push(group.to_vec());
         rest = tail;
     }
     groups
@@ -176,9 +171,9 @@ fn hash_lanes<const N: usize>(msgs: [&[u8]; N]) -> [[u8; 32]; N] {
 /// outermost, around the whole block: the lane's 16-word
 /// message-schedule ring and all 64 rounds, written out so that no loop
 /// is left inside it. The lane loop is then the innermost loop the
-/// vectorizer sees, and it packs four lanes to a vector at any `N` that
-/// is a multiple of four; at `N = 1` it is scalar code that keeps the
-/// state and the ring in registers.
+/// vectorizer sees, and at `N = 4` it packs the four lanes into one
+/// vector; at `N = 1` it is scalar code that keeps the state and the
+/// ring in registers.
 fn compress<const N: usize>(state: &mut [[u32; N]; 8], blocks: [&[u8; 64]; N]) {
     let mut m = [[0u32; N]; 16];
     for (t, mt) in m.iter_mut().enumerate() {
@@ -401,48 +396,38 @@ mod tests {
             .collect()
     }
 
-    /// Each of `msgs` in exactly one group, at the narrowest width that
-    /// holds it, whose messages fill more than half its lanes' blocks and
-    /// are each within 2× of the group's longest.
+    /// Each of `msgs` in exactly one group. A group of more than one
+    /// message fits the lanes, its messages fill more than half of its
+    /// lanes' blocks, and each is within 2× of the group's longest.
     fn assert_groups_pay(msgs: &[&[u8]]) {
         let mut seen = vec![0; msgs.len()];
-        for (width, group) in groups(msgs) {
+        for group in groups(msgs) {
             for &i in &group {
                 seen[i] += 1;
             }
-            let want = [1, 4, 8, 16].into_iter().find(|&w| w >= group.len());
-            assert_eq!(Some(width), want, "{group:?}");
             let lens: Vec<usize> = group.iter().map(|&i| blocks(msgs[i])).collect();
             let longest = lens.iter().copied().max().unwrap_or(0);
-            assert!(lens.iter().all(|&b| 2 * b > longest), "{lens:?}");
-            if width > 1 {
-                assert!(2 * lens.iter().sum::<usize>() > width * longest, "{lens:?}");
+            if group.len() > 1 {
+                assert!(group.len() <= LANES, "{group:?}");
+                assert!(lens.iter().all(|&b| 2 * b > longest), "{lens:?}");
+                assert!(2 * lens.iter().sum::<usize>() > LANES * longest, "{lens:?}");
             }
         }
         assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
-    }
-
-    /// `msgs` hashed `N` at a time in input order, lanes past the last
-    /// message empty.
-    fn in_lanes<const N: usize>(msgs: &[&[u8]]) -> Vec<[u8; 32]> {
-        msgs.chunks(N)
-            .flat_map(|g| hash_lanes::<N>(std::array::from_fn(|l| g.get(l).map_or(&[][..], |m| m))))
-            .take(msgs.len())
-            .collect()
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// `sha256` and `sha256_each` agree with the oracle, digest for
-        /// digest, on 1-40 messages of lengths that mix block counts,
+        /// digest, on 0-40 messages of lengths that mix block counts,
         /// 1- and 2-block paddings (0, 55, 56 and 63 mod 64), empty
-        /// messages and other lengths; so do 16, 8 and 4 lanes hashing
-        /// the same messages side by side in input order, lanes of any
-        /// lengths in one pass and the last pass partly filled.
+        /// messages and other lengths; so do the lanes hashing the same
+        /// messages side by side in input order, lanes of any lengths in
+        /// one pass and the last pass partly filled.
         #[test]
         fn sha256_and_sha256_each_match_the_reference(
-            picks in proptest::collection::vec((0usize..16, proptest::any::<u64>()), 1..=40),
+            picks in proptest::collection::vec((0usize..16, proptest::any::<u64>()), 0..=40),
         ) {
             const EDGES: [usize; 12] = [0, 55, 56, 63, 64, 119, 120, 127, 128, 183, 184, 191];
             let msgs: Vec<Vec<u8>> = picks
@@ -455,9 +440,14 @@ mod tests {
             let want: Vec<[u8; 32]> = refs.iter().map(|m| sha256_reference(m)).collect();
             proptest::prop_assert_eq!(&sha256_each(&refs), &want);
             assert_groups_pay(&refs);
-            for got in [in_lanes::<16>(&refs), in_lanes::<8>(&refs), in_lanes::<4>(&refs)] {
-                proptest::prop_assert_eq!(&got, &want);
-            }
+            let in_order: Vec<[u8; 32]> = refs
+                .chunks(LANES)
+                .flat_map(|g| {
+                    hash_lanes::<LANES>(std::array::from_fn(|l| g.get(l).map_or(&[][..], |m| m)))
+                })
+                .take(refs.len())
+                .collect();
+            proptest::prop_assert_eq!(&in_order, &want);
             for (m, w) in refs.iter().zip(&want) {
                 proptest::prop_assert_eq!(&sha256(m), w);
             }
@@ -465,12 +455,12 @@ mod tests {
     }
 
     #[test]
-    fn groups_of_every_size_run_partly_filled_lanes() {
+    fn lists_of_every_size_run_full_and_partly_filled_lanes() {
         // 1-40 messages of one length, and 1-40 whose lengths cycle over
-        // three block counts and both paddings: groups of 3, 5-7 and
-        // 9-15 messages run 4, 8 and 16 lanes partly filled.
+        // three block counts and both paddings: groups fill all four
+        // lanes or three of them, and a message left over runs alone.
         const CYCLE: [usize; 8] = [120, 183, 127, 64, 184, 119, 191, 128];
-        let mut widths = std::collections::BTreeSet::new();
+        let mut sizes = std::collections::BTreeSet::new();
         for n in 1..=40u64 {
             for len in [|_| 1000, |i: u64| CYCLE[i as usize % CYCLE.len()]] {
                 let msgs: Vec<Vec<u8>> = (0..n).map(|i| message(i, len(i))).collect();
@@ -478,22 +468,10 @@ mod tests {
                 let want: Vec<[u8; 32]> = refs.iter().map(|m| sha256_reference(m)).collect();
                 assert_eq!(sha256_each(&refs), want, "{n} messages");
                 assert_groups_pay(&refs);
-                for (width, group) in groups(&refs) {
-                    widths.insert((width, group.len() == width));
-                }
+                sizes.extend(groups(&refs).iter().map(Vec::len));
             }
         }
-        // (width, every lane filled): each width ran both ways.
-        let want = [
-            (1, true),
-            (4, false),
-            (4, true),
-            (8, false),
-            (8, true),
-            (16, false),
-            (16, true),
-        ];
-        assert_eq!(widths.into_iter().collect::<Vec<_>>(), want);
+        assert_eq!(sizes.into_iter().collect::<Vec<_>>(), [1, 3, 4]);
     }
 
     #[test]
@@ -502,18 +480,13 @@ mod tests {
         // long one never holds idle lanes busy.
         let long = vec![0x5a; 1 << 20];
         let short: Vec<Vec<u8>> = (0..15).map(|i| message(i, 1024)).collect();
-        for n in [15, 1] {
+        for (n, sizes) in [(15, &[1, 4, 4, 4, 3][..]), (1, &[1, 1])] {
             let mut msgs: Vec<&[u8]> = short[..n].iter().map(Vec::as_slice).collect();
             msgs.insert(n / 2, &long);
-            let mut plan = groups(&msgs);
-            plan.sort();
-            let rest: Vec<usize> = (0..=n).filter(|&i| i != n / 2).collect();
-            let want = if n == 15 {
-                vec![(1, vec![n / 2]), (16, rest)]
-            } else {
-                vec![(1, vec![0]), (1, vec![1])]
-            };
-            assert_eq!(plan, want);
+            let plan = groups(&msgs);
+            assert_eq!(plan[0], [n / 2]);
+            assert_eq!(plan.iter().map(Vec::len).collect::<Vec<_>>(), sizes);
+            assert_groups_pay(&msgs);
             let digests: Vec<[u8; 32]> = msgs.iter().map(|m| sha256_reference(m)).collect();
             assert_eq!(sha256_each(&msgs), digests);
         }
