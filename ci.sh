@@ -96,14 +96,22 @@ if [[ $fast -eq 0 ]]; then
   echo "==> BENCH gates (fresh snapshot vs checked-in baseline, rules in crates/bench/src/gate.rs)"
   # Each experiment asserts its own hard invariants while it runs and
   # writes a fresh snapshot; `harness gate` then checks every rule of
-  # that snapshot's subsystem against the checked-in baseline.
+  # that snapshot's subsystem against the checked-in baseline. Every
+  # pair runs, so one failing gate hides none after it; CI fails after
+  # the loop if any pair did.
+  failed=()
   for pair in kernels:BENCH_pr6.json routing:BENCH_pr7.json fleet:BENCH_pr8.json \
               memory:BENCH_pr9.json slo:BENCH_pr10.json; do
     experiment=${pair%%:*} file=${pair#*:}
     echo "  -> harness $experiment vs $file"
-    BENCH_OUT="target/$file" ./target/release/harness "$experiment" > /dev/null
-    ./target/release/harness gate "$file" "target/$file"
+    BENCH_OUT="target/$file" ./target/release/harness "$experiment" > /dev/null \
+      && ./target/release/harness gate "$file" "target/$file" \
+      || failed+=("$pair")
   done
+  if [[ ${#failed[@]} -gt 0 ]]; then
+    printf 'ERROR: BENCH gate failed: harness %s\n' "${failed[@]/:/ vs }" >&2
+    exit 1
+  fi
 fi
 
 if [[ $deep -eq 1 ]]; then

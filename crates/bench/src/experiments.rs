@@ -844,11 +844,12 @@ pub fn memory_study() -> Experiment {
 /// E27 — peak intermediate (value-arena) memory before and after the
 /// liveness-driven arena planner, across every zoo network.
 ///
-/// For each model the experiment compares the planned layout (slots
-/// shared between tensors with disjoint live ranges, greedy
-/// interval-graph coloring) against the historical one-slot-per-tensor
-/// layout, and spot-checks on the small networks that planned and
-/// unplanned execution produce **bit-identical** outputs.
+/// For each model the experiment compares the planned layout (each value
+/// at an offset of its width's arena, values with disjoint live ranges
+/// sharing bytes, placed greedily by size) against one range per value,
+/// graph inputs read in place in both, and spot-checks on the small
+/// networks that planned and unplanned execution produce
+/// **bit-identical** outputs.
 ///
 /// Carries the machine-readable snapshot `harness memory` writes
 /// to `BENCH_pr9.json` (the peak-memory baseline ci.sh checks against).
@@ -903,7 +904,6 @@ pub fn memory_planning() -> Experiment {
     let mut table = Table::new(&[
         "model",
         "tensors",
-        "slots",
         "unplanned (KiB)",
         "planned (KiB)",
         "saved",
@@ -930,7 +930,6 @@ pub fn memory_planning() -> Experiment {
         table.push(vec![
             model.name().to_string(),
             model.tensor_count().to_string(),
-            plan.slot_count().to_string(),
             format!("{:.1}", plan.unplanned_bytes() as f64 / 1024.0),
             format!("{:.1}", plan.peak_bytes() as f64 / 1024.0),
             format!("{:.1}%", plan.reduction() * 100.0),
@@ -954,7 +953,7 @@ pub fn memory_planning() -> Experiment {
             ),
             Metric::counter(
                 "total_unplanned_bytes",
-                "Summed arena bytes of the one-slot-per-tensor layout",
+                "Summed arena bytes of the one-range-per-value layout",
                 total_unplanned,
             ),
             Metric::gauge(
@@ -972,7 +971,7 @@ pub fn memory_planning() -> Experiment {
 
     Experiment {
         id: "E27",
-        title: "arena memory planner: liveness-colored slots vs one slot per tensor".into(),
+        title: "arena memory planner: values at offsets vs one range per value".into(),
         table,
         notes: vec![
             format!(
@@ -1649,8 +1648,9 @@ pub fn kernels() -> Experiment {
         .expect("runs");
     let int8_nodes = got.profile().expect("profiled").int8_nodes();
     // Each INT8 conv folds the max-pool after it, so its full-resolution
-    // output never takes an arena slot (7,840 bytes, from 23,520), and the
-    // six values only INT8 nodes read take one byte per element: 5,096.
+    // output never takes arena space, the six values only INT8 nodes read
+    // take one byte per element, and the input is read in place: 1,960
+    // bytes of codes and the 40-byte output, 2,000.
     let int8_arena = int8_runner.memory_plan().peak_bytes();
     let want = Runner::builder()
         .int8(false)
@@ -1796,8 +1796,8 @@ pub fn kernels() -> Experiment {
             ),
             format!(
                 "INT8 LeNet-5 arena peak {int8_arena} bytes: each INT8 conv pools its i32 \
-                 accumulators, so its full-resolution output owns no slot, and each value only \
-                 INT8 nodes read is stored as i8 codes (gated <= baseline)"
+                 accumulators, so its full-resolution output owns no arena space, and each value \
+                 only INT8 nodes read is stored as i8 codes (gated <= baseline)"
             ),
             format!(
                 "INT8 MobileNetV3 pass = {mb_over_fq:.2}x its fake-quant f32 pass (gated <= 1.0) \

@@ -99,7 +99,7 @@ pub const RULES: &[Rule] = &[
     // than the fake-quant f32 path timed on the same graph in the same run.
     Rule::new("kernels", "int8_over_f32", None, |_| -INF..=1.0),
     // Each INT8 conv of LeNet-5 folds the max-pool after it, so its
-    // full-resolution output owns no arena slot, and each value only INT8
+    // full-resolution output owns no arena space, and each value only INT8
     // nodes read takes one byte per element; the planned peak is
     // deterministic and may only fall.
     Rule::new("kernels", "int8_arena_peak_bytes", None, |b| -INF..=b),

@@ -269,7 +269,7 @@ impl LiveRange {
     /// Whether two live ranges overlap (closed-interval intersection).
     /// Overlapping values must not share an arena slot; in particular a
     /// node's output always overlaps its own inputs at the node's
-    /// position, which is what makes slot-sharing alias-free.
+    /// position, which is what makes arena sharing alias-free.
     #[must_use]
     pub fn overlaps(self, other: LiveRange) -> bool {
         self.def <= other.last_use && other.def <= self.last_use
@@ -307,7 +307,7 @@ impl Liveness {
             }
         }
         // Graph outputs are read after the last node; pin them past the
-        // end of the schedule so their slots are never recycled.
+        // end of the schedule so their arena space is never reused.
         for &t in graph.outputs() {
             if t.0 < tc {
                 last[t.0] = n;

@@ -65,6 +65,14 @@ pub enum NnirError {
         /// Description of the invalid attribute.
         detail: String,
     },
+    /// A runner's value arena would hold more bytes than one buffer can,
+    /// `isize::MAX`.
+    ArenaTooLarge {
+        /// The graph's name.
+        graph: String,
+        /// Bytes the arena needs, saturated at `u64::MAX`.
+        bytes: u64,
+    },
     /// The static verifier ([`crate::analysis`]) rejected the graph at a
     /// gate point (pre-execution, or after a toolchain transform).
     VerifierRejected {
@@ -110,6 +118,12 @@ impl fmt::Display for NnirError {
             NnirError::ExecutionFailure(detail) => write!(f, "execution failure: {detail}"),
             NnirError::InvalidAttribute { op, detail } => {
                 write!(f, "invalid attribute on {op}: {detail}")
+            }
+            NnirError::ArenaTooLarge { graph, bytes } => {
+                write!(
+                    f,
+                    "{graph} needs an arena of {bytes} bytes, over isize::MAX"
+                )
             }
             NnirError::VerifierRejected { code, node, detail } => {
                 write!(f, "verifier rejected graph: [{code}] {node}: {detail}")

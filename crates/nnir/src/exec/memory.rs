@@ -1,13 +1,14 @@
-//! The arena memory plan: values with disjoint live ranges share one
-//! buffer slot of their width.
+//! The arena memory plan: each value a step writes placed at an offset
+//! of one arena per width, so values whose live ranges overlap never
+//! share a byte.
 
 use super::plan::default_cut;
 use crate::graph::{Graph, TensorId};
 use crate::shape::Shape;
 use std::ops::Range;
 
-/// Bytes one element occupies in an arena slot: an f32 value, or the
-/// INT8 code of a value the runner stores as codes.
+/// Bytes one element occupies in an arena: an f32 value, or the INT8
+/// code of a value the runner stores as codes.
 fn elem_bytes(coded: bool) -> u64 {
     if coded {
         1
@@ -16,167 +17,140 @@ fn elem_bytes(coded: bool) -> u64 {
     }
 }
 
-/// The arena slot-reuse plan the liveness analysis drives: a mapping
-/// from tensor ids to arena slots such that two tensors share a slot
-/// only when their live ranges are disjoint and they are stored at the
-/// same width.
+/// The arena layout the liveness analysis drives: each value a step
+/// writes at an offset of its width's arena, such that two values whose
+/// live ranges overlap occupy disjoint ranges.
 ///
-/// A value is stored as f32 values, 4 bytes each, unless the runner
-/// stores it as INT8 codes, 1 byte each: a value only INT8 kernels read,
-/// written by an INT8 kernel, a lone `FakeQuant` or a copy (DESIGN.md
-/// §10, "Values stored as codes"). An f32 graph has none.
+/// The runner holds two arenas: f32 values, 4 bytes each, and INT8
+/// codes, 1 byte each. A value is stored as codes when only INT8 kernels
+/// read it and an INT8 kernel, a lone `FakeQuant` or a copy writes it
+/// (DESIGN.md §10, "Values stored as codes"). An f32 graph has none.
 ///
-/// Computed once at [`RunnerBuilder::build`](super::RunnerBuilder::build) by greedy interval-graph
-/// coloring over the [`Liveness`](crate::analysis::Liveness) intervals,
-/// counted in the runner's *steps* (a head node together with the
-/// elementwise nodes, and the max-pool an INT8 conv folds, run in its
-/// output write) rather than nodes: a fused chain's inner values — a
-/// folded pool's full-resolution input among them — are never written,
-/// so they own no slot; its final value is defined, and every operand
-/// it reads is live, at the head's step. Tensors are visited in
-/// definition order, each taking the free slot of its width that fits
-/// its size best (preferring the smallest already-large-enough buffer,
-/// then the largest smaller one) or opening a new slot. Graph outputs stay live past the end of the
-/// schedule, so their slots are never recycled and output collection is
-/// untouched.
+/// Computed once at [`RunnerBuilder::build`](super::RunnerBuilder::build)
+/// over the [`Liveness`](crate::analysis::Liveness) intervals, counted in
+/// the runner's *steps* (a head node together with the elementwise
+/// nodes, and the max-pool an INT8 conv folds, run in its output write)
+/// rather than nodes. A fused chain's inner values — a folded pool's
+/// full-resolution input among them — are never written, so they own no
+/// arena space; its final value is defined, and every operand it reads
+/// is live, at the head's step. Graph inputs own none either: steps read
+/// them from the caller's tensors. Graph outputs stay live past the end
+/// of the schedule, so their ranges are never reused.
+///
+/// The placement is greedy by size: the largest value first (ties by
+/// definition step, then tensor id), each at the lowest offset of its
+/// arena that no value with an overlapping live range already occupies.
+/// Every offset is 0 or the end of a placed value, so a sum of value
+/// sizes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryPlan {
-    /// Arena slot per tensor id; `None` for a fused chain's inner value.
-    slot_of: Vec<Option<usize>>,
-    /// Peak element capacity per slot (the max over its occupants).
-    slot_elems: Vec<usize>,
-    /// Whether each slot holds INT8 codes rather than f32 values.
-    slot_coded: Vec<bool>,
+    /// Offset in its width's arena, in elements at the graph's batch, per
+    /// tensor id; `None` for a graph input or a fused chain's inner value.
+    offset_of: Vec<Option<usize>>,
     /// Whether each tensor is stored as INT8 codes.
     coded: Vec<bool>,
-    /// Bytes of the one-slot-per-tensor layout.
+    /// Elements of the f32 arena and of the code arena: the furthest end
+    /// of a value placed in each, saturated at `usize::MAX`.
+    f32_len: usize,
+    codes_len: usize,
+    /// Bytes of the one-range-per-value layout.
     unplanned_bytes: u64,
 }
 
 impl MemoryPlan {
-    /// Computes the slot-reuse plan for `graph` from tensor liveness
-    /// over the steps a default runner runs: its INT8 plans, so the
-    /// pools they fold and the values it stores as codes, included. A
-    /// graph whose INT8 payload does not fit its weights, which no
-    /// runner builds, gets its f32 plan.
+    /// Computes the offset plan for `graph` from tensor liveness over the
+    /// steps a default runner runs: its INT8 plans, so the pools they
+    /// fold and the values it stores as codes, included. A graph whose
+    /// INT8 payload does not fit its weights, which no runner builds,
+    /// gets its f32 plan.
     #[must_use]
     pub fn plan(graph: &Graph) -> Self {
         let (steps, codes) = default_cut(graph);
         Self::over(graph, &steps, &codes)
     }
 
-    /// The slot-reuse plan over `steps`, the runner's cut of the
-    /// schedule, with the values `codes` marks stored as codes.
+    /// The offset plan over `steps`, the runner's cut of the schedule,
+    /// with the values `codes` marks stored as codes.
     pub(super) fn over(graph: &Graph, steps: &[Range<usize>], codes: &[Option<f32>]) -> Self {
-        let live = crate::analysis::Liveness::of(graph);
-        // Step of each schedule position; graph outputs, live past the
-        // last node, stay live past the last step.
-        let mut step_of = vec![steps.len(); graph.nodes().len() + 1];
-        let mut owns_slot = vec![true; graph.tensor_count()];
-        for (s, step) in steps.iter().enumerate() {
-            step_of[step.clone()].fill(s);
-            for node in &graph.nodes()[step.start..step.end - 1] {
-                owns_slot[node.output.0] = false;
-            }
-        }
-        let ranges: Vec<crate::analysis::LiveRange> = live
-            .ranges()
-            .iter()
-            .map(|r| crate::analysis::LiveRange {
-                def: step_of[r.def],
-                last_use: step_of[r.last_use],
-            })
-            .collect();
-        let tc = graph.tensor_count();
-        let elems: Vec<usize> = (0..tc)
-            .map(|t| graph.tensor_shape(TensorId(t)).map_or(0, Shape::elem_count))
-            .collect();
-        // Visit tensors in definition order (ties by id — producer
-        // order), the order their buffers come alive during a run.
-        let mut order: Vec<usize> = (0..tc).filter(|&t| owns_slot[t]).collect();
-        order.sort_by_key(|&t| (ranges[t].def, t));
+        let ranges = step_ranges(graph, steps);
+        let owns = owns_space(graph, steps);
+        let elems = elem_counts(graph);
         let coded: Vec<bool> = codes.iter().map(Option::is_some).collect();
-        let mut slot_of = vec![None; tc];
-        let mut slot_elems: Vec<usize> = Vec::new();
-        let mut slot_coded: Vec<bool> = Vec::new();
-        // Step at which each slot's current occupant dies.
-        let mut slot_busy_until: Vec<Option<usize>> = Vec::new();
-        for &t in &order {
-            let r = ranges[t];
-            let need = elems[t];
-            // Best fit among the free slots of its width: smallest
-            // capacity that already holds `need`, else the largest
-            // smaller one (grows the arena least).
-            let mut best: Option<usize> = None;
-            for (s, busy) in slot_busy_until.iter().enumerate() {
-                if busy.is_some_and(|until| until >= r.def) || slot_coded[s] != coded[t] {
-                    continue; // occupant's live range overlaps ours, or another width
+        let mut order: Vec<usize> = (0..graph.tensor_count()).filter(|&t| owns[t]).collect();
+        order.sort_by_key(|&t| (std::cmp::Reverse(elems[t]), ranges[t].def, t));
+        let mut offset_of = vec![None; graph.tensor_count()];
+        // The placed values, per width: (offset, end, tensor id).
+        let mut placed: [Vec<(usize, usize, usize)>; 2] = [Vec::new(), Vec::new()];
+        for t in order {
+            let (size, live) = (elems[t], ranges[t]);
+            let mut taken: Vec<(usize, usize)> = placed[usize::from(coded[t])]
+                .iter()
+                .filter(|&&(at, end, u)| end > at && live.overlaps(ranges[u]))
+                .map(|&(at, end, _)| (at, end))
+                .collect();
+            taken.sort_unstable();
+            // The lowest gap of `size` elements below, between or above
+            // the ranges the value may not share.
+            let mut at = 0usize;
+            for (from, end) in taken {
+                if at.checked_add(size).is_some_and(|need| need <= from) {
+                    break;
                 }
-                best = match best {
-                    None => Some(s),
-                    Some(b) => {
-                        let (cb, cs) = (slot_elems[b], slot_elems[s]);
-                        let better = if cb >= need && cs >= need {
-                            cs < cb
-                        } else {
-                            cs > cb
-                        };
-                        Some(if better { s } else { b })
-                    }
-                };
+                at = at.max(end);
             }
-            let s = match best {
-                Some(s) => s,
-                None => {
-                    slot_elems.push(0);
-                    slot_coded.push(coded[t]);
-                    slot_busy_until.push(None);
-                    slot_elems.len() - 1
-                }
-            };
-            slot_of[t] = Some(s);
-            slot_elems[s] = slot_elems[s].max(need);
-            slot_busy_until[s] = Some(r.last_use);
+            offset_of[t] = Some(at);
+            placed[usize::from(coded[t])].push((at, at.saturating_add(size), t));
         }
+        let len = |p: &[(usize, usize, usize)]| p.iter().map(|&(_, end, _)| end).max();
         MemoryPlan {
-            slot_of,
-            slot_elems,
-            slot_coded,
-            unplanned_bytes: unshared_bytes(&elems, &coded),
+            f32_len: len(&placed[0]).unwrap_or_default(),
+            codes_len: len(&placed[1]).unwrap_or_default(),
+            unplanned_bytes: unshared_bytes(graph, &elems, &coded),
+            offset_of,
             coded,
         }
     }
 
-    /// The identity (one-slot-per-tensor) plan — the historical layout
-    /// `memory_planning(false)` keeps — of a default runner, each slot
-    /// of its tensor's width.
+    /// The identity (one-range-per-value) plan — the layout
+    /// `memory_planning(false)` keeps — of a default runner, each value
+    /// at its width.
     #[must_use]
     pub fn identity(graph: &Graph) -> Self {
         Self::unshared(graph, &default_cut(graph).1)
     }
 
-    /// The identity plan with the values `codes` marks stored as codes.
+    /// The identity plan with the values `codes` marks stored as codes:
+    /// every value but a graph input its own range, in tensor id order.
     pub(super) fn unshared(graph: &Graph, codes: &[Option<f32>]) -> Self {
-        let tc = graph.tensor_count();
-        let slot_elems: Vec<usize> = (0..tc)
-            .map(|t| graph.tensor_shape(TensorId(t)).map_or(0, Shape::elem_count))
-            .collect();
+        let elems = elem_counts(graph);
         let coded: Vec<bool> = codes.iter().map(Option::is_some).collect();
+        let mut ends = [0usize; 2];
+        let offset_of = (0..graph.tensor_count())
+            .map(|t| {
+                let end = &mut ends[usize::from(coded[t])];
+                let at = *end;
+                (!graph.inputs().contains(&TensorId(t))).then(|| {
+                    *end = at.saturating_add(elems[t]);
+                    at
+                })
+            })
+            .collect();
         MemoryPlan {
-            slot_of: (0..tc).map(Some).collect(),
-            unplanned_bytes: unshared_bytes(&slot_elems, &coded),
-            slot_coded: coded.clone(),
+            offset_of,
+            f32_len: ends[0],
+            codes_len: ends[1],
+            unplanned_bytes: unshared_bytes(graph, &elems, &coded),
             coded,
-            slot_elems,
         }
     }
 
-    /// The arena slot holding tensor `t` during a run; `None` for the
-    /// inner value of a fused chain, which never has a buffer of its
-    /// own.
+    /// The offset of tensor `t` in its width's arena, in elements at the
+    /// graph's batch; `None` for a graph input, which steps read from the
+    /// caller's tensor, or for the inner value of a fused chain, which is
+    /// never written.
     #[must_use]
-    pub fn slot_of(&self, t: TensorId) -> Option<usize> {
-        self.slot_of[t.0]
+    pub fn offset_of(&self, t: TensorId) -> Option<usize> {
+        self.offset_of[t.0]
     }
 
     /// Whether tensor `t` is stored as INT8 codes, one byte each, rather
@@ -186,26 +160,24 @@ impl MemoryPlan {
         self.coded[t.0]
     }
 
-    /// Number of arena slots the plan allocates.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slot_elems.len()
+    /// Elements of the f32 arena and of the code arena at the graph's
+    /// batch; `usize::MAX` for an arena whose ends overflow.
+    pub(super) fn arena_lens(&self) -> (usize, usize) {
+        (self.f32_len, self.codes_len)
     }
 
-    /// Peak value-arena bytes under this plan: each slot sized for its
-    /// largest occupant, 4 bytes per element of an f32 slot and 1 per
-    /// element of a code slot.
+    /// Peak value-arena bytes under this plan: the f32 arena's length at
+    /// 4 bytes per element plus the code arena's at 1, saturating at
+    /// `u64::MAX`.
     #[must_use]
     pub fn peak_bytes(&self) -> u64 {
-        self.slot_elems
-            .iter()
-            .zip(&self.slot_coded)
-            .map(|(&e, &coded)| e as u64 * elem_bytes(coded))
-            .sum()
+        let f32s = (self.f32_len as u64).saturating_mul(elem_bytes(false));
+        f32s.saturating_add(self.codes_len as u64)
     }
 
-    /// Value-arena bytes of the one-slot-per-tensor layout, each tensor
-    /// at its width — the baseline the plan is measured against.
+    /// Value-arena bytes of the one-range-per-value layout, each value
+    /// but a graph input at its width, saturating at `u64::MAX` — the
+    /// baseline the plan is measured against.
     #[must_use]
     pub fn unplanned_bytes(&self) -> u64 {
         self.unplanned_bytes
@@ -223,12 +195,51 @@ impl MemoryPlan {
     }
 }
 
-/// Bytes of one slot per tensor, of `elems` elements each, at the
-/// widths `coded` gives.
-fn unshared_bytes(elems: &[usize], coded: &[bool]) -> u64 {
-    elems
+/// Each tensor's live range in `steps`, by tensor id: the step that
+/// defines it through the step that last reads it, graph outputs live
+/// past the last step.
+fn step_ranges(graph: &Graph, steps: &[Range<usize>]) -> Vec<crate::analysis::LiveRange> {
+    let mut step_of = vec![steps.len(); graph.nodes().len() + 1];
+    for (s, step) in steps.iter().enumerate() {
+        step_of[step.clone()].fill(s);
+    }
+    crate::analysis::Liveness::of(graph)
+        .ranges()
         .iter()
-        .zip(coded)
-        .map(|(&e, &c)| e as u64 * elem_bytes(c))
-        .sum()
+        .map(|r| crate::analysis::LiveRange {
+            def: step_of[r.def],
+            last_use: step_of[r.last_use],
+        })
+        .collect()
+}
+
+/// Whether each tensor owns arena space in `steps`: every value but a
+/// graph input and a fused chain's inner value.
+fn owns_space(graph: &Graph, steps: &[Range<usize>]) -> Vec<bool> {
+    let mut owns = vec![true; graph.tensor_count()];
+    for &t in graph.inputs() {
+        owns[t.0] = false;
+    }
+    for step in steps {
+        for node in &graph.nodes()[step.start..step.end - 1] {
+            owns[node.output.0] = false;
+        }
+    }
+    owns
+}
+
+/// Each tensor's element count at the graph's batch, by tensor id.
+fn elem_counts(graph: &Graph) -> Vec<usize> {
+    (0..graph.tensor_count())
+        .map(|t| graph.tensor_shape(TensorId(t)).map_or(0, Shape::elem_count))
+        .collect()
+}
+
+/// Bytes of one range per value but a graph input, of `elems` elements
+/// each, at the widths `coded` gives.
+fn unshared_bytes(graph: &Graph, elems: &[usize], coded: &[bool]) -> u64 {
+    (0..elems.len())
+        .filter(|&t| !graph.inputs().contains(&TensorId(t)))
+        .map(|t| (elems[t] as u64).saturating_mul(elem_bytes(coded[t])))
+        .fold(0, u64::saturating_add)
 }

@@ -4,11 +4,11 @@
 //! [`Runner::builder`] and driven by [`Runner::execute`] under a
 //! [`RunOptions`] (capture-intermediates and profile flags). `build`
 //! verifies the graph and makes the plan once: each step's kernel,
-//! geometry, weights, arena slot and fused stages (`plan`), and the
-//! arena layout ([`MemoryPlan`], `memory`). A run executes it over a
-//! reusable buffer arena, so repeated inference over a dataset, a
-//! benchmark loop or a serving worker allocates nothing after the
-//! first run (`runner`).
+//! geometry, weights, arena ranges and fused stages (`plan`), and the
+//! arena layout ([`MemoryPlan`], `memory`). A run executes it over two
+//! reusable arenas, f32 values and INT8 codes, reading graph inputs in
+//! place, so repeated inference over a dataset, a benchmark loop or a
+//! serving worker allocates nothing after the first run (`runner`).
 //!
 //! The kernels, one file per family: the f32 dense conv (`conv`) and
 //! the `dot4` micro-kernels it shares with dense layers (`gemm`),
@@ -466,23 +466,58 @@ mod tests {
 
     // ---- arena memory planner ----
 
+    /// Each tensor's live range over the steps of a default runner's cut
+    /// of `g`, from [`crate::analysis::Liveness`], with whether it owns
+    /// arena space: every value but a graph input and a fused chain's
+    /// inner value.
+    fn step_liveness(g: &Graph) -> (Vec<crate::analysis::LiveRange>, Vec<bool>) {
+        let steps = fused_steps(g, &int8_plans(g).unwrap());
+        let mut step_of = vec![steps.len(); g.nodes().len() + 1];
+        let mut owns: Vec<bool> = (0..g.tensor_count())
+            .map(|t| !g.inputs().contains(&TensorId(t)))
+            .collect();
+        for (s, step) in steps.iter().enumerate() {
+            step_of[step.clone()].fill(s);
+            for node in &g.nodes()[step.start..step.end - 1] {
+                owns[node.output.0] = false;
+            }
+        }
+        let live = crate::analysis::Liveness::of(g);
+        let ranges = live.ranges().iter().map(|r| crate::analysis::LiveRange {
+            def: step_of[r.def],
+            last_use: step_of[r.last_use],
+        });
+        (ranges.collect(), owns)
+    }
+
+    /// Elements of tensor `t` of `g` at its batch.
+    fn elems(g: &Graph, t: usize) -> usize {
+        g.tensor_shape(TensorId(t)).unwrap().elem_count()
+    }
+
     #[test]
-    fn memory_plan_never_shares_a_slot_between_overlapping_ranges() {
+    fn memory_plan_never_overlaps_values_live_at_once() {
         for g in [
             crate::zoo::lenet5(10).unwrap(),
+            calibrated_int8_lenet(),
             crate::zoo::mobilenet_v3_large(1000).unwrap(),
         ] {
             let plan = MemoryPlan::plan(&g);
-            let live = crate::analysis::Liveness::of(&g);
-            let ranges = live.ranges();
-            assert!(plan.slot_count() <= g.tensor_count());
+            let (ranges, _) = step_liveness(&g);
+            let extent = |t: usize| {
+                let at = plan.offset_of(TensorId(t))?;
+                Some(at..at + elems(&g, t))
+            };
             for a in 0..g.tensor_count() {
                 for b in (a + 1)..g.tensor_count() {
-                    let (sa, sb) = (plan.slot_of(TensorId(a)), plan.slot_of(TensorId(b)));
-                    if sa.is_some() && sa == sb {
+                    let same_width = plan.is_coded(TensorId(a)) == plan.is_coded(TensorId(b));
+                    let (Some(ea), Some(eb)) = (extent(a), extent(b)) else {
+                        continue;
+                    };
+                    if same_width && ranges[a].overlaps(ranges[b]) {
                         assert!(
-                            !ranges[a].overlaps(ranges[b]),
-                            "{}: tensors t{a} {:?} and t{b} {:?} share slot {sa:?}",
+                            ea.end <= eb.start || eb.end <= ea.start,
+                            "{}: t{a} {:?} at {ea:?} and t{b} {:?} at {eb:?}",
                             g.name(),
                             ranges[a],
                             ranges[b],
@@ -490,20 +525,176 @@ mod tests {
                     }
                 }
             }
-            // The tensors that own no slot are exactly the inner values
-            // of the fused chains: every output of a step but its last.
-            let slotless: Vec<usize> = (0..g.tensor_count())
-                .filter(|&t| plan.slot_of(TensorId(t)).is_none())
+            // The tensors that own no arena space are exactly the graph
+            // inputs and the inner values of the fused chains: every
+            // output of a step but its last.
+            let placeless: Vec<usize> = (0..g.tensor_count())
+                .filter(|&t| plan.offset_of(TensorId(t)).is_none())
                 .collect();
-            let mut inner: Vec<usize> = fused_steps(&g, &int8_plans(&g).unwrap())
+            let inner = fused_steps(&g, &int8_plans(&g).unwrap())
                 .into_iter()
                 .flat_map(|step| &g.nodes()[step.start..step.end - 1])
-                .map(|node| node.output.0)
-                .collect();
-            inner.sort_unstable();
-            assert!(!inner.is_empty(), "{}: no chain fused", g.name());
-            assert_eq!(slotless, inner, "{}", g.name());
+                .map(|node| node.output.0);
+            let mut want: Vec<usize> = g.inputs().iter().map(|t| t.0).chain(inner).collect();
+            want.sort_unstable();
+            assert!(
+                want.len() > g.inputs().len(),
+                "{}: no chain fused",
+                g.name()
+            );
+            assert_eq!(placeless, want, "{}", g.name());
         }
+    }
+
+    #[test]
+    fn plan_peak_is_the_liveness_bound() {
+        // Each arena's planned length is the most elements of its width
+        // live at one step, so no placement of whole values does better.
+        let mut models = vec![
+            crate::zoo::lenet5(10).unwrap(),
+            crate::zoo::tiny_cnn("tiny-cnn", Shape::nchw(1, 3, 16, 16), &[8, 16], 4).unwrap(),
+            crate::zoo::conv1d_classifier("conv1d-classifier", 1, 64, &[8, 16], 3).unwrap(),
+            crate::zoo::mobilenet_v3_large(1000).unwrap(),
+            crate::zoo::resnet50(1000).unwrap(),
+            crate::zoo::efficientnet_v2_s(1000).unwrap(),
+            crate::zoo::yolov4(416, 80).unwrap(),
+            crate::zoo::lenet5(10).unwrap().with_batch(8).unwrap(),
+            calibrated_int8_lenet(),
+        ];
+        // Calibrating MobileNetV3 takes about a minute unoptimized.
+        if !cfg!(debug_assertions) {
+            models.push(calibrated_int8(
+                &crate::zoo::mobilenet_v3_large(1000).unwrap(),
+                2,
+            ));
+        }
+        for g in &models {
+            let plan = MemoryPlan::plan(g);
+            let (ranges, owns) = step_liveness(g);
+            let steps = ranges.iter().map(|r| r.last_use).max().unwrap_or(0);
+            let mut bound = [0usize; 2];
+            for s in 0..=steps {
+                let mut live = [0usize; 2];
+                for t in (0..g.tensor_count()).filter(|&t| owns[t]) {
+                    if ranges[t].def <= s && s <= ranges[t].last_use {
+                        live[usize::from(plan.is_coded(TensorId(t)))] += elems(g, t);
+                    }
+                }
+                bound = [bound[0].max(live[0]), bound[1].max(live[1])];
+            }
+            let (f32s, codes) = plan.arena_lens();
+            assert_eq!([f32s, codes], bound, "{}", g.name());
+            assert_eq!(plan.peak_bytes(), 4 * f32s as u64 + codes as u64);
+        }
+    }
+
+    /// `x → conv → relu → conv → conv + x → a` and `x + a`, with `a` and
+    /// the sum both graph outputs: the input is read by a conv, by the
+    /// `Add` fused into the third conv three steps after it, and by a
+    /// standalone `Add` step.
+    fn residual_over_input(batch: usize) -> Graph {
+        let mut b = GraphBuilder::new("residual");
+        let x = b.input(Shape::nchw(batch, 4, 6, 6));
+        let conv = Op::Conv2d(Conv2dAttrs::same(4, 3, 1));
+        let c1 = b.apply("conv1", conv.clone(), &[x]).unwrap();
+        let r1 = b
+            .apply("relu1", Op::Activation(ActKind::Relu), &[c1])
+            .unwrap();
+        let c2 = b.apply("conv2", conv.clone(), &[r1]).unwrap();
+        let c3 = b.apply("conv3", conv, &[c2]).unwrap();
+        let a = b.apply("residual", Op::Add, &[c3, x]).unwrap();
+        let sum = b.apply("sum", Op::Add, &[x, a]).unwrap();
+        b.finish(vec![a, sum])
+    }
+
+    #[test]
+    fn graph_inputs_are_read_in_place_at_every_batch() {
+        let big = residual_over_input(3);
+        let x = big.inputs()[0];
+        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+            for planned in [true, false] {
+                let mut runner = Runner::builder()
+                    .parallelism(par)
+                    .memory_planning(planned)
+                    .build(&big)
+                    .unwrap();
+                assert_eq!(runner.memory_plan().offset_of(x), None);
+                // The third conv's fused `Add` and the `sum` step both
+                // read the input where the caller holds it.
+                let adds_input = |s: &Step<'_>| {
+                    let input = Place::Input(0);
+                    let fused =
+                        |st: &Stage<'_>| matches!(st, Stage::Add { other, .. } if *other == input);
+                    s.stages.iter().any(fused)
+                        || matches!(s.kernel, Kernel::Stage(_)) && s.inputs.first() == Some(&input)
+                };
+                assert_eq!(runner.steps.iter().filter(|s| adds_input(s)).count(), 2);
+                for n in [3, 1, 2, 3] {
+                    let input = Tensor::random(Shape::nchw(n, 4, 6, 6), n as u64, 1.0);
+                    let opts = RunOptions::new().capture_intermediates(true);
+                    let reference = Runner::builder()
+                        .memory_planning(false)
+                        .build(&residual_over_input(n))
+                        .unwrap()
+                        .execute(std::slice::from_ref(&input), opts)
+                        .unwrap();
+                    for opts in [opts, RunOptions::new()] {
+                        let got = runner.execute(std::slice::from_ref(&input), opts).unwrap();
+                        let at = format!("{par:?} planned {planned} batch {n}");
+                        assert_eq!(got.outputs(), reference.outputs(), "{at}");
+                        if let Some(values) = got.intermediates() {
+                            assert_eq!(values, reference.intermediates().unwrap(), "{at}");
+                            assert_eq!(values[x.0].as_ref(), Some(&input), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `x [1,1,1,1] → Upsample(2^30) → u`, `k` activations of `u`, and
+    /// the sum of `u` and all of them, added one by one: `k + 2` values
+    /// of 2^60 f32 values each are live at the first `Add`.
+    fn wide_upsample(k: usize) -> Graph {
+        let mut b = GraphBuilder::new("wide");
+        let x = b.input(Shape::nchw(1, 1, 1, 1));
+        let factor = 1 << 30;
+        let u = b.apply("u", Op::Upsample { factor }, &[x]).unwrap();
+        let acts: Vec<TensorId> = (0..k)
+            .map(|i| {
+                b.apply(format!("r{i}"), Op::Activation(ActKind::Relu), &[u])
+                    .unwrap()
+            })
+            .collect();
+        let mut sum = u;
+        for (i, &r) in acts.iter().enumerate() {
+            sum = b.apply(format!("add{i}"), Op::Add, &[sum, r]).unwrap();
+        }
+        b.finish(vec![sum])
+    }
+
+    #[test]
+    fn arenas_past_isize_max_are_refused_before_allocating() {
+        // Three live values of 2^62 bytes: 3·2^62 bytes of f32 arena.
+        let g = wide_upsample(1);
+        let plan = MemoryPlan::plan(&g);
+        assert_eq!(plan.arena_lens(), (3 << 60, 0));
+        assert_eq!(plan.peak_bytes(), 3 << 62);
+        let refused = |g: &Graph| match Runner::builder().build(g).map(drop) {
+            Err(NnirError::ArenaTooLarge { bytes, .. }) => bytes,
+            other => panic!("expected ArenaTooLarge, got {other:?}"),
+        };
+        assert_eq!(refused(&g), 3 << 62);
+        // Eighteen live values: the f32 arena's end saturates in
+        // elements, and its bytes and the unplanned layout's in u64.
+        let g = wide_upsample(17);
+        let plan = MemoryPlan::plan(&g);
+        assert_eq!(plan.arena_lens().0, usize::MAX);
+        assert_eq!(plan.peak_bytes(), u64::MAX);
+        assert_eq!(plan.unplanned_bytes(), u64::MAX);
+        assert_eq!(refused(&g), u64::MAX);
+        let unplanned = Runner::builder().memory_planning(false).build(&g);
+        assert!(matches!(unplanned, Err(NnirError::ArenaTooLarge { .. })));
     }
 
     #[test]
@@ -532,7 +723,6 @@ mod tests {
     fn identity_plan_keeps_one_slot_per_tensor() {
         let g = crate::zoo::lenet5(10).unwrap();
         let plan = MemoryPlan::identity(&g);
-        assert_eq!(plan.slot_count(), g.tensor_count());
         assert_eq!(plan.peak_bytes(), plan.unplanned_bytes());
         assert_eq!(plan.reduction(), 0.0);
         let runner = Runner::builder().memory_planning(false).build(&g).unwrap();
@@ -546,7 +736,6 @@ mod tests {
         let opts = RunOptions::new().capture_intermediates(true);
         let mut planned = Runner::builder().build(&g).unwrap();
         let mut unplanned = Runner::builder().memory_planning(false).build(&g).unwrap();
-        assert!(planned.memory_plan().slot_count() < unplanned.memory_plan().slot_count());
         for _ in 0..2 {
             // Twice: the second pass runs over a dirty, shape-stable arena.
             let a = planned.execute(std::slice::from_ref(&input), opts).unwrap();
@@ -570,7 +759,6 @@ mod tests {
         let profile = out.profile().expect("profiled");
         assert_eq!(profile.arena_peak_bytes, plan.peak_bytes());
         assert_eq!(profile.arena_unplanned_bytes, plan.unplanned_bytes());
-        assert_eq!(profile.arena_slots, plan.slot_count());
         assert!(profile.arena_reduction() >= 0.25);
     }
 
@@ -918,7 +1106,7 @@ mod tests {
         let runner = Runner::builder().build(&g).unwrap();
         let named = |idx: usize| g.nodes()[idx].name.as_str();
         // Each INT8 conv's step runs through its pool and the pool's
-        // FakeQuant; its pre-pool values own no arena slot.
+        // FakeQuant; its pre-pool values own no arena space.
         for head in ["conv1", "conv2"] {
             let step = runner
                 .steps
@@ -939,7 +1127,7 @@ mod tests {
                 ]
             );
         }
-        assert_eq!(runner.memory_plan().peak_bytes(), 5096);
+        assert_eq!(runner.memory_plan().peak_bytes(), 2000);
         assert_eq!(runner.memory_plan(), &MemoryPlan::plan(&g));
         // The FakeQuants whose input already lies on their grid: a lone
         // one copies its input, a fused one runs no stage.
@@ -1066,9 +1254,9 @@ mod tests {
 
     #[test]
     fn arena_allocates_what_it_plans() {
-        // Each slot's buffer grows to exactly its new occupant's size, so
-        // after runs at several batches the arena holds what the plan
-        // counts: every slot its largest occupant at the graph's batch.
+        // Each arena grows to exactly its length at the run's batch, so
+        // after runs at several batches the arenas hold what the plan
+        // counts: their lengths at the graph's batch.
         let lenet = crate::zoo::lenet5(10).unwrap();
         let mut models = vec![
             lenet.clone(),
@@ -1079,7 +1267,10 @@ mod tests {
         // tests in release, where they take a second.
         if !cfg!(debug_assertions) {
             let mobilenet = crate::zoo::mobilenet_v3_large(1000).unwrap();
-            models.push(calibrated_int8(&mobilenet, 2));
+            let int8 = calibrated_int8(&mobilenet, 2);
+            assert_eq!(MemoryPlan::plan(&mobilenet).peak_bytes(), 4_014_080);
+            assert_eq!(MemoryPlan::plan(&int8).peak_bytes(), 4_214_784);
+            models.extend([int8, mobilenet]);
             models.push(crate::zoo::resnet50(1000).unwrap());
         }
         for g in &models {
@@ -1185,7 +1376,7 @@ mod tests {
                     if planned {
                         continue;
                     }
-                    // One slot per value: each coded slot still holds its
+                    // One range per value: each coded one still holds its
                     // value's codes.
                     let values = captured.intermediates().unwrap();
                     for step in runner.steps.iter().filter(|s| s.code.is_some()) {

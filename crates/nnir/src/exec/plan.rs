@@ -10,7 +10,7 @@
 //! Each step becomes one [`Step`]: its [`Kernel`], chosen by [`kernel`]
 //! (the one statement of the kernel-selection rule, DESIGN.md §10) with
 //! its geometry read from the verified shapes and its weights taken
-//! once, its arena slots and its stages. The verifier
+//! once, where its operands and output live, and its stages. The verifier
 //! ([`crate::analysis::verify_for_execution`]) has proven every shape,
 //! attribute and explicit weight layout the kernels rely on, so nothing
 //! is checked again per call. The plan holds no batch: every kernel
@@ -20,7 +20,7 @@ use super::conv::{lane_run, runs_direct, ConvGeom};
 use super::int8::CODE_CHUNK;
 use super::memory::MemoryPlan;
 use super::pool::{PoolGeom, PoolMode};
-use super::stage::Stage;
+use super::stage::{Extent, Place, Stage};
 use crate::dtype::DataType;
 use crate::graph::{Graph, Node, TensorId, WeightInit};
 use crate::ops::{ActKind, Op};
@@ -42,8 +42,8 @@ pub(super) struct Step<'g> {
     pub(super) nodes: Range<usize>,
     /// What the head runs.
     pub(super) kernel: Kernel<'g>,
-    /// Arena slots of the head's inputs, in node-input order.
-    pub(super) inputs: Vec<usize>,
+    /// Where the head's inputs live, in node-input order.
+    pub(super) inputs: Vec<Place>,
     /// The stages of the tails that change a bit, in schedule order:
     /// what the kernel runs on each run of output it writes.
     pub(super) stages: Vec<Stage<'g>>,
@@ -53,8 +53,8 @@ pub(super) struct Step<'g> {
     /// accumulators; a run that captures intermediates pools the head's
     /// full-resolution output instead.
     pub(super) fold: Option<PoolGeom>,
-    /// Arena slot of the step's last value, the one it writes.
-    pub(super) out: usize,
+    /// The arena range of the step's last value, the one it writes.
+    pub(super) out: Extent,
     /// The scale of the INT8 codes that value is stored as, when the
     /// plan stores it as codes ([`coded_values`]).
     pub(super) code: Option<f32>,
@@ -249,7 +249,7 @@ pub(super) fn int8_plans(graph: &Graph) -> Result<Vec<Option<Int8Plan<'_>>>, Nni
 }
 
 /// Most elementwise nodes one head takes into its output write. It
-/// bounds a step, and with it the values that share its arena slots.
+/// bounds a step, and with it the values live at once in its arenas.
 const MAX_TAILS: usize = 8;
 
 /// The schedule cut into steps, each a range of node indices the runner
@@ -409,7 +409,7 @@ pub(super) fn default_cut(graph: &Graph) -> (Vec<Range<usize>>, Vec<Option<f32>>
 
 /// Builds the plan's steps over `spans`, the cut [`fused_steps`] made,
 /// with the INT8 plans `int8` (empty when none is planned), the values
-/// `codes` stores as codes and the arena slots of `memory`.
+/// `codes` stores as codes and the arena offsets of `memory`.
 ///
 /// # Errors
 ///
@@ -424,7 +424,7 @@ pub(super) fn steps<'g>(
 ) -> Result<Vec<Step<'g>>, NnirError> {
     let nodes = graph.nodes();
     let identity = crate::analysis::identity_quants(graph);
-    let slot = |t: TensorId| slot(memory, t);
+    let place = |t: TensorId| place(graph, memory, t);
     spans
         .into_iter()
         .map(|span| {
@@ -434,7 +434,7 @@ pub(super) fn steps<'g>(
                 Kernel::Copy
             } else {
                 let int8 = int8.get_mut(span.start).and_then(Option::take);
-                kernel(graph, head, int8, &slot)?
+                kernel(graph, head, int8, &place)?
             };
             let (mut stages, mut tails, mut fold) = (Vec::new(), Vec::new(), None);
             let mut value = head.output;
@@ -448,7 +448,7 @@ pub(super) fn steps<'g>(
                         Tail::Pool
                     }
                     _ => {
-                        stages.push(stage(graph, node, value, &slot)?);
+                        stages.push(stage(graph, node, value, &place)?);
                         Tail::Stage
                     }
                 });
@@ -458,9 +458,9 @@ pub(super) fn steps<'g>(
                 inputs: head
                     .inputs
                     .iter()
-                    .map(|&t| slot(t))
+                    .map(|&t| place(t))
                     .collect::<Result<_, _>>()?,
-                out: slot(last.output)?,
+                out: extent(graph, memory, last.output)?,
                 code: codes[last.output.0],
                 reads_codes: head.inputs.first().is_some_and(|t| codes[t.0].is_some()),
                 nodes: span,
@@ -488,7 +488,7 @@ fn kernel<'g>(
     graph: &'g Graph,
     node: &'g Node,
     int8: Option<Int8Plan<'g>>,
-    slot: &impl Fn(TensorId) -> Result<usize, NnirError>,
+    place: &impl Fn(TensorId) -> Result<Place, NnirError>,
 ) -> Result<Kernel<'g>, NnirError> {
     let input = || shape(graph, node.inputs[0]);
     let out = shape(graph, node.output)?;
@@ -559,7 +559,7 @@ fn kernel<'g>(
         Op::Softmax => Kernel::Softmax(out.dims().last().copied().filter(|_| out.rank() > 1)),
         Op::Flatten => Kernel::Copy,
         Op::BatchNorm | Op::Activation(_) | Op::FakeQuant { .. } | Op::Add => {
-            Kernel::Stage(stage(graph, node, node.inputs[0], slot)?)
+            Kernel::Stage(stage(graph, node, node.inputs[0], place)?)
         }
         Op::Input(_) => {
             return Err(NnirError::ExecutionFailure(format!(
@@ -572,12 +572,12 @@ fn kernel<'g>(
 
 /// The stage of elementwise `node` over `value`, the input it
 /// transforms: a standalone node's first input, a fused tail's chain
-/// value. An `Add` reads its other operand from that operand's slot.
+/// value. An `Add` reads its other operand where that operand lives.
 fn stage<'g>(
     graph: &'g Graph,
     node: &'g Node,
     value: TensorId,
-    slot: &impl Fn(TensorId) -> Result<usize, NnirError>,
+    place: &impl Fn(TensorId) -> Result<Place, NnirError>,
 ) -> Result<Stage<'g>, NnirError> {
     Ok(match node.op {
         Op::BatchNorm => {
@@ -590,7 +590,7 @@ fn stage<'g>(
         _ => {
             let other = node.inputs.iter().find(|&&t| t != value);
             Stage::Add {
-                other: slot(*other.unwrap_or(&value))?,
+                other: place(*other.unwrap_or(&value))?,
                 value_first: node.inputs.first() == Some(&value),
             }
         }
@@ -612,11 +612,23 @@ fn weights<'g>(
     Ok((data.into_iter().next().unwrap_or_default(), second))
 }
 
-/// The arena slot of tensor `t`, which is no fused chain's inner value.
-pub(super) fn slot(memory: &MemoryPlan, t: TensorId) -> Result<usize, NnirError> {
-    memory
-        .slot_of(t)
-        .ok_or_else(|| NnirError::ExecutionFailure(format!("tensor {t} has no arena slot")))
+/// Where tensor `t`, which is no fused chain's inner value, lives during
+/// a run: the caller's tensor for a graph input, else its arena range.
+pub(super) fn place(graph: &Graph, memory: &MemoryPlan, t: TensorId) -> Result<Place, NnirError> {
+    match graph.inputs().iter().position(|&x| x == t) {
+        Some(i) => Ok(Place::Input(i)),
+        None => extent(graph, memory, t).map(Place::Arena),
+    }
+}
+
+/// The arena range of tensor `t`, which is neither a graph input nor a
+/// fused chain's inner value.
+fn extent(graph: &Graph, memory: &MemoryPlan, t: TensorId) -> Result<Extent, NnirError> {
+    let at = memory
+        .offset_of(t)
+        .ok_or_else(|| NnirError::ExecutionFailure(format!("tensor {t} has no arena range")))?;
+    let len = shape(graph, t)?.elem_count();
+    Ok(Extent { at, len })
 }
 
 /// The verified shape of tensor `t`.

@@ -1,5 +1,5 @@
 //! The runner: its builder, run options and output, the forward pass
-//! over the value arena, and the dispatch of each step to its kernel.
+//! over the value arenas, and the dispatch of each step to its kernel.
 
 use super::conv::{conv_bias, conv_gemm, conv_lanes};
 use super::dense::dense_into;
@@ -9,7 +9,7 @@ use super::memory::MemoryPlan;
 use super::par::Parallelism;
 use super::plan::{self, coded_values, fused_steps, int8_plans, Kernel, Step, Tail};
 use super::pool::{global_avg_pool_into, pool2d_into, PoolGeom, PoolMode};
-use super::stage::{channel_plane, slot, Dst, Epilogue, Src};
+use super::stage::{channel_plane, split, Around, Dst, Epilogue, Extent, Place, Src, Values};
 use super::structural::{
     concat_channels_into, mul_broadcast_into, softmax_last_into, upsample_nearest_into,
 };
@@ -218,30 +218,31 @@ impl RunnerBuilder {
     ///
     /// When enabled, `build` runs the tensor liveness analysis
     /// ([`crate::analysis::Liveness`]) and computes a [`MemoryPlan`]
-    /// that lets values with disjoint live ranges share one arena slot
-    /// — the slot-reuse that shrinks peak intermediate memory on small
-    /// devices — and gives the values inside a fused chain (the
-    /// full-resolution output of an INT8 conv that folds a max-pool
-    /// among them) none.
-    /// Kernels fully overwrite their output buffers and the plan never
-    /// aliases overlapping live ranges, so outputs are bit-identical to
-    /// the unplanned layout (proptested). Disable to keep the historical
-    /// one-slot-per-tensor layout.
+    /// that places each value a step writes at an offset of its width's
+    /// arena, where values with disjoint live ranges may share bytes —
+    /// the reuse that shrinks peak intermediate memory on small devices
+    /// — and gives the values inside a fused chain (the full-resolution
+    /// output of an INT8 conv that folds a max-pool among them) none.
+    /// Kernels fully overwrite their outputs and the plan never overlaps
+    /// values whose live ranges overlap, so outputs are bit-identical to
+    /// the unplanned layout (proptested). Disable to give every value
+    /// but a graph input its own range. Either way, steps read graph
+    /// inputs from the caller's tensors.
     #[must_use]
     pub fn memory_planning(mut self, enabled: bool) -> Self {
         self.memory_planning = enabled;
         self
     }
 
-    /// Builds a runner over `graph`, allocating its (initially empty)
-    /// arenas.
+    /// Builds a runner over `graph`. Its arenas stay empty until the
+    /// first run.
     ///
     /// Runs the static verifier's Error-severity passes
     /// ([`crate::analysis::verify_for_execution`]) first: execution is
     /// gated on a provably well-formed graph, so a transform or
     /// deserialization bug surfaces here as a coded diagnostic instead
     /// of a downstream miscompute. Then it makes the plan: each step's
-    /// kernel, geometry, arena slots and fused stages, and every node's
+    /// kernel, geometry, arena ranges and fused stages, and every node's
     /// weights, borrowed when explicit and materialized when seeded. A
     /// run only executes it. The plan holds no batch, so the runner runs
     /// any batch from 1 to the graph's ([`Runner::execute`]); its arena
@@ -251,7 +252,9 @@ impl RunnerBuilder {
     ///
     /// Returns [`NnirError::VerifierRejected`] if the graph fails any
     /// Error-severity analysis pass, [`NnirError::ShapeMismatch`] if an
-    /// INT8 payload does not fit its weights, and
+    /// INT8 payload does not fit its weights,
+    /// [`NnirError::ArenaTooLarge`] if an arena would hold more than
+    /// `isize::MAX` bytes, the most one buffer holds, and
     /// [`NnirError::ExecutionFailure`] for a node no kernel runs (an
     /// `Input` node, or a weighted node with no weights).
     pub fn build(self, graph: &Graph) -> Result<Runner<'_>, NnirError> {
@@ -268,24 +271,24 @@ impl RunnerBuilder {
         } else {
             MemoryPlan::unshared(graph, &codes)
         };
+        let (f32_len, code_len) = memory.arena_lens();
+        let bytes = (f32_len as u64).saturating_mul(4).max(code_len as u64);
+        if bytes > isize::MAX as u64 {
+            let graph = graph.name().to_string();
+            return Err(NnirError::ArenaTooLarge { graph, bytes });
+        }
         let steps = plan::steps(graph, spans, int8, &codes, &memory)?;
-        let slot = |t: TensorId| plan::slot(&memory, t);
         let shapes = shapes_at(graph, graph.batch())?;
         Ok(Runner {
             graph,
             parallelism: self.parallelism,
-            inputs: graph
-                .inputs()
-                .iter()
-                .map(|&t| slot(t).map(|s| (t, s)))
-                .collect::<Result<_, _>>()?,
             outputs: graph
                 .outputs()
                 .iter()
-                .map(|&t| slot(t))
+                .map(|&t| plan::place(graph, &memory, t).map(|p| (t, p)))
                 .collect::<Result<_, _>>()?,
-            values: vec![None; memory.slot_count()],
-            codes: vec![Vec::new(); memory.slot_count()],
+            f32s: Vec::new(),
+            codes: Vec::new(),
             spill: None,
             scratch: Scratch::default(),
             records: profile_records(graph, &steps, &shapes),
@@ -301,26 +304,24 @@ impl RunnerBuilder {
 ///
 /// Holds the plan [`RunnerBuilder::build`] made (each step's kernel with
 /// its geometry and weights: explicit ones borrowed from the graph,
-/// seeded ones materialized once) and two arenas that survive across
-/// [`execute`](Runner::execute) calls: the value buffers, one per
-/// [`MemoryPlan`] slot, f32 values or INT8 codes (reused in place when
-/// shapes match), and the kernel scratch. It runs
-/// any batch from 1 to the graph's. The first run allocates; subsequent
-/// runs at the same batch are allocation-free on the hot path.
+/// seeded ones materialized once) and buffers that survive across
+/// [`execute`](Runner::execute) calls: the value arenas, one of f32
+/// values and one of INT8 codes, each value at the offset its
+/// [`MemoryPlan`] gives, and the kernel scratch. Steps read graph inputs
+/// from the caller's tensors. It runs any batch from 1 to the graph's.
+/// The first run allocates; subsequent runs at a batch no larger are
+/// allocation-free on the hot path.
 #[derive(Debug)]
 pub struct Runner<'g> {
     graph: &'g Graph,
     parallelism: Parallelism,
-    /// Each graph input's tensor id and arena slot.
-    inputs: Vec<(TensorId, usize)>,
-    /// Each graph output's arena slot.
-    outputs: Vec<usize>,
-    /// Value arena, one buffer per plan slot, reused across runs and —
-    /// under the memory plan — across tensors with disjoint live
-    /// ranges: an f32 slot's tensor here, a code slot's codes in
-    /// `codes` (each empty for the other width).
-    values: Vec<Option<Tensor>>,
-    codes: Vec<Vec<i8>>,
+    /// Each graph output's tensor id and where it lives.
+    outputs: Vec<(TensorId, Place)>,
+    /// The value arenas, f32 values and INT8 codes, reused across runs
+    /// and — under the memory plan — across values with disjoint live
+    /// ranges.
+    f32s: Vec<f32>,
+    codes: Vec<i8>,
     /// The pre-pool values of a step that folds a max-pool, in a run
     /// that captures intermediates (a plain run never holds them).
     spill: Option<Tensor>,
@@ -338,7 +339,7 @@ pub struct Runner<'g> {
     /// each value's shape at it, by tensor id.
     batch: usize,
     shapes: Vec<Shape>,
-    /// Build-time arena layout: which slot each tensor id lives in.
+    /// Build-time arena layout: the offset each tensor id lives at.
     plan: MemoryPlan,
 }
 
@@ -362,26 +363,37 @@ impl<'g> Runner<'g> {
         self.steps.iter().any(|s| s.kernel.is_int8())
     }
 
-    /// The arena slot-reuse plan this runner executes under.
+    /// The arena plan this runner executes under.
     #[must_use]
     pub fn memory_plan(&self) -> &MemoryPlan {
         &self.plan
     }
 
-    /// Bytes the value arena's buffers hold: each slot's capacity at its
-    /// width.
+    /// Bytes the value arenas hold: each one's capacity at its width.
     #[cfg(test)]
     pub(super) fn arena_capacity_bytes(&self) -> u64 {
-        let f32s: usize = self.values.iter().flatten().map(Tensor::capacity).sum();
-        let codes: usize = self.codes.iter().map(Vec::capacity).sum();
-        4 * f32s as u64 + codes as u64
+        4 * self.f32s.capacity() as u64 + self.codes.capacity() as u64
     }
 
-    /// The codes in tensor `t`'s slot, when the plan stores it as codes.
+    /// The codes in tensor `t`'s range at the last run's batch, when the
+    /// plan stores it as codes.
     #[cfg(test)]
     pub(super) fn codes_of(&self, t: TensorId) -> Option<&[i8]> {
-        let s = self.plan.slot_of(t).filter(|_| self.plan.is_coded(t))?;
-        Some(&self.codes[s])
+        let at = self.plan.offset_of(t).filter(|_| self.plan.is_coded(t))?;
+        let len = plan::shape(self.graph, t).ok()?.elem_count();
+        Some(self.values(&[]).codes(Place::Arena(Extent { at, len })))
+    }
+
+    /// Every value at the last run's batch: `inputs`, the caller's, and
+    /// both arenas whole.
+    fn values<'a>(&'a self, inputs: &'a [Tensor]) -> Values<'a> {
+        Values {
+            inputs,
+            f32s: Around::whole(&self.f32s),
+            codes: Around::whole(&self.codes),
+            n: self.batch,
+            b: self.graph.batch(),
+        }
     }
 
     /// Runs one forward pass — the one execution entrypoint — at any
@@ -390,15 +402,17 @@ impl<'g> Runner<'g> {
     /// batch axis set to `n`. Outputs, captured intermediates and the
     /// profile (its `batch` and every node's counts) are those of a
     /// runner built over `graph.with_batch(n)`, bit for bit. The arena
-    /// plan stays `B`'s; each slot's buffer is recycled at the run's
-    /// shape, so a run at the last run's `n` allocates no slot.
+    /// plan stays `B`'s, each value at its offset scaled by `n / B`, so
+    /// the arenas hold `n / B` of the plan's bytes and a run at a batch
+    /// no larger than any before allocates none.
     ///
     /// # Errors
     ///
     /// Returns [`NnirError::ExecutionFailure`] if the number of `inputs`
     /// differs from the graph's, if `n` (the first input's batch) is
-    /// outside `1..=B`, or not `B` on a graph holding a rank-0 value, or
-    /// if an input's shape is not its graph input's at `n`.
+    /// outside `1..=B`, or not `B` on a graph holding a rank-0 value or a
+    /// value whose leading dim is not `B`, or if an input's shape is not
+    /// its graph input's at `n`.
     pub fn execute(
         &mut self,
         inputs: &[Tensor],
@@ -406,16 +420,11 @@ impl<'g> Runner<'g> {
     ) -> Result<RunOutput, NnirError> {
         let wall_start = options.profile.then(std::time::Instant::now);
         let (durations, intermediates) = self.forward(inputs, options)?;
-        let outputs = self
-            .outputs
-            .iter()
-            .map(|&s| {
-                self.values[s].clone().ok_or_else(|| {
-                    NnirError::ExecutionFailure(format!("output slot {s} never written"))
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        // Wall time spans input staging through output collection, so
+        let values = self.values(inputs);
+        let outputs = (self.outputs.iter())
+            .map(|&(t, p)| snapshot(&self.shapes[t.0], values.f32s(p)))
+            .collect();
+        // Wall time spans input checks through output collection, so
         // coverage (kernel time / wall) honestly reports what the
         // per-node records miss. The records are the build-time static
         // fields with this pass's durations; a run that captures
@@ -442,7 +451,6 @@ impl<'g> Runner<'g> {
                 wall_ns,
                 arena_peak_bytes: self.plan.peak_bytes(),
                 arena_unplanned_bytes: self.plan.unplanned_bytes(),
-                arena_slots: self.plan.slot_count(),
             });
         Ok(RunOutput {
             outputs,
@@ -464,29 +472,30 @@ impl<'g> Runner<'g> {
 
     /// Runs every step in schedule order, at the first input's batch
     /// (the value shapes and record counts follow it when it changes),
-    /// into the arena slots the plan assigned, returning per-node timing
-    /// records when [`RunOptions::profile`] is set and a per-tensor-id
-    /// snapshot of every value when
-    /// [`RunOptions::capture_intermediates`] is set.
+    /// into the arena ranges the plan assigned, reading graph inputs from
+    /// `inputs` in place, returning per-node timing records when
+    /// [`RunOptions::profile`] is set and a per-tensor-id snapshot of
+    /// every value when [`RunOptions::capture_intermediates`] is set.
     ///
     /// Tails run in the head kernel's output write, unless the caller
     /// captures intermediates: then each runs as a pass of its own over
-    /// the step's buffer, so every value it produces can be cloned, and
+    /// the step's output, so every value it produces can be cloned, and
     /// a max-pool the INT8 conv head folds runs as its own kernel over
     /// the head's full-resolution output, held in a buffer of its own.
-    /// Intermediates are captured as each value is produced: under slot
-    /// reuse a tensor's buffer may be overwritten by a later value
-    /// sharing its slot, so the snapshot clones eagerly instead of
-    /// reading the arena after the run.
+    /// Intermediates are captured as each value is produced: a value's
+    /// range may be overwritten by a later value sharing its bytes, so
+    /// the snapshot copies eagerly instead of reading the arena after the
+    /// run.
     fn forward(
         &mut self,
         inputs: &[Tensor],
         options: RunOptions,
     ) -> Result<ForwardArtifacts, NnirError> {
-        if inputs.len() != self.inputs.len() {
+        let graph_inputs = self.graph.inputs();
+        if inputs.len() != graph_inputs.len() {
             return Err(NnirError::ExecutionFailure(format!(
                 "graph has {} inputs but {} were provided",
-                self.inputs.len(),
+                graph_inputs.len(),
                 inputs.len()
             )));
         }
@@ -498,10 +507,7 @@ impl<'g> Runner<'g> {
             }
             self.batch = n;
         }
-        let mut captured: Option<Vec<Option<Tensor>>> = options
-            .capture_intermediates
-            .then(|| vec![None; self.graph.tensor_count()]);
-        for (&(t, s), tensor) in self.inputs.iter().zip(inputs) {
+        for (&t, tensor) in graph_inputs.iter().zip(inputs) {
             let expected = &self.shapes[t.0];
             if tensor.shape() != expected {
                 return Err(NnirError::ExecutionFailure(format!(
@@ -509,16 +515,21 @@ impl<'g> Runner<'g> {
                     tensor.shape()
                 )));
             }
-            // Copy into the arena slot's buffer, whatever value it held
-            // last: a slot shared with larger values keeps their
-            // capacity, so a warm run allocates nothing here.
-            let mut buf = recycle(self.values[s].take(), expected);
-            buf.data_mut().copy_from_slice(tensor.data());
-            self.values[s] = Some(buf);
-            if let Some(cap) = captured.as_mut() {
+        }
+        let mut captured: Option<Vec<Option<Tensor>>> = options.capture_intermediates.then(|| {
+            let mut cap = vec![None; self.graph.tensor_count()];
+            for (&t, tensor) in graph_inputs.iter().zip(inputs) {
                 cap[t.0] = Some(tensor.clone());
             }
-        }
+            cap
+        });
+        // Each arena at the run's batch: one that ran a larger batch
+        // keeps its capacity, so a warm run allocates nothing.
+        let b = self.graph.batch();
+        let (f32_len, code_len) = self.plan.arena_lens();
+        let whole = |len| Extent { at: 0, len }.at_batch(n, b).end;
+        resize_exact(&mut self.f32s, whole(f32_len));
+        resize_exact(&mut self.codes, whole(code_len));
 
         let nodes = self.graph.nodes();
         let mut durations = options.profile.then(|| vec![0; nodes.len()]);
@@ -529,28 +540,31 @@ impl<'g> Runner<'g> {
             let fold = step.fold.filter(|_| fused);
             let mut pre = (step.fold.is_some() && !fused)
                 .then(|| recycle(self.spill.take(), shape(step.nodes.start)));
-            // A plain run writes a value the plan stores as codes into its
-            // code slot. A run that captures intermediates computes every
+            // A plain run writes a value the plan stores as codes into the
+            // code arena. A run that captures intermediates computes every
             // value in f32, so each capture has the f32 bits, a coded one
             // into a buffer of its own: its capture, which its readers
-            // read, while its slot goes unwritten.
-            let mut codes = std::mem::take(&mut self.codes[step.out]);
-            let mut out = match step.code {
-                Some(_) if fused => {
-                    resize_exact(&mut codes, last.elem_count());
-                    None
-                }
-                Some(_) => Some(Tensor::zeros(last.clone())),
-                None => Some(recycle(self.values[step.out].take(), last)),
+            // read, while its range goes unwritten.
+            let (coded, to) = (step.code.is_some(), step.out.at_batch(n, b));
+            let (f32_out, f32s) = split(&mut self.f32s, (!coded).then(|| to.clone()));
+            let (code_out, codes) = split(&mut self.codes, (coded && fused).then_some(to));
+            let values = Values {
+                inputs,
+                f32s,
+                codes,
+                n,
+                b,
             };
+            let mut own = (coded && !fused).then(|| Tensor::zeros(last.clone()));
+            let out = own.as_mut().map_or(f32_out, Tensor::data_mut);
             let plane = channel_plane(pre.as_ref().map_or(last, Tensor::shape));
-            let dst = match pre.as_mut().or(out.as_mut()) {
-                Some(buf) => Dst::F32(buf.data_mut()),
-                None => Dst::Codes(&mut codes, step.code.map_or(0.0, |s| 1.0 / s)),
+            let dst = match (pre.as_mut(), step.code) {
+                (Some(buf), _) => Dst::F32(buf.data_mut()),
+                (None, Some(s)) if fused => Dst::Codes(code_out, 1.0 / s),
+                (None, _) => Dst::F32(&mut *out),
             };
-            let values = &self.values;
             let head = &nodes[step.nodes.start];
-            let src = source(step, head, values, &self.codes, captured.as_deref());
+            let src = source(step, head, values, captured.as_deref());
             let mut ctx = KernelCtx {
                 scratch: &mut self.scratch,
                 par: self.parallelism,
@@ -564,27 +578,31 @@ impl<'g> Runner<'g> {
             // A record measures only its kernel (a fused head's: the
             // whole step).
             let start = durations.is_some().then(std::time::Instant::now);
-            eval_node_into(step, src, values, dst, fold, &mut ctx);
+            eval_node_into(step, src, dst, fold, &mut ctx);
             if let (Some(ns), Some(start)) = (durations.as_mut(), start) {
                 ns[step.nodes.start] = start.elapsed().as_nanos() as u64;
             }
-            if let (Some(cap), Some(out)) = (captured.as_mut(), out.as_mut()) {
-                cap[head.output.0] = Some(pre.as_ref().unwrap_or(out).clone());
+            if let Some(cap) = captured.as_mut() {
                 // The values before a folded pool live in `pre`.
+                let value = |idx: usize, pre: &Option<Tensor>, out: &[f32]| match pre {
+                    Some(pre) => pre.clone(),
+                    None => snapshot(shape(idx), out),
+                };
+                cap[head.output.0] = Some(value(step.nodes.start, &pre, out));
                 let mut stages = step.stages.iter();
                 for (idx, tail) in step.nodes.clone().skip(1).zip(&step.tails) {
                     let start = std::time::Instant::now();
                     match (tail, pre.as_mut(), step.fold) {
                         (Tail::Pool, Some(p), Some(geom)) => {
                             let max = PoolMode::Max;
-                            pool2d_into(p.data(), geom, max, out.data_mut(), &mut ctx);
+                            pool2d_into(p.data(), geom, max, out, &mut ctx);
                             self.spill = pre.take();
                         }
                         (Tail::Stage, buf, _) => {
-                            let buf = buf.unwrap_or(out);
-                            let plane = channel_plane(buf.shape());
+                            let buf = buf.map_or(&mut *out, Tensor::data_mut);
+                            let plane = channel_plane(shape(idx));
                             if let Some(stage) = stages.next() {
-                                stage.apply(buf.data_mut(), 0, plane, values);
+                                stage.apply(buf, 0, plane, values);
                             }
                         }
                         _ => {}
@@ -592,12 +610,8 @@ impl<'g> Runner<'g> {
                     if let Some(ns) = durations.as_mut() {
                         ns[idx] = start.elapsed().as_nanos() as u64;
                     }
-                    cap[nodes[idx].output.0] = Some(pre.as_ref().unwrap_or(out).clone());
+                    cap[nodes[idx].output.0] = Some(value(idx, &pre, out));
                 }
-            }
-            self.codes[step.out] = codes;
-            if step.code.is_none() {
-                self.values[step.out] = out;
             }
         }
         Ok((durations, captured))
@@ -605,21 +619,20 @@ impl<'g> Runner<'g> {
 }
 
 /// The data input of `step`'s head, `head`: the f32 values or the codes
-/// in its slot, or, in a run that captures intermediates (`captured`),
+/// at its place, or, in a run that captures intermediates (`captured`),
 /// a coded value's f32 capture.
 fn source<'a>(
     step: &Step<'_>,
     head: &Node,
-    values: &'a [Option<Tensor>],
-    codes: &'a [Vec<i8>],
+    values: Values<'a>,
     captured: Option<&'a [Option<Tensor>]>,
 ) -> Src<'a> {
-    let Some(&s) = step.inputs.first() else {
+    let Some(&p) = step.inputs.first() else {
         return Src::F32(&[]);
     };
     match (step.reads_codes, captured) {
-        (false, _) => Src::F32(slot(values, s)),
-        (true, None) => Src::Codes(&codes[s]),
+        (false, _) => Src::F32(values.f32s(p)),
+        (true, None) => Src::Codes(values.codes(p)),
         (true, Some(cap)) => {
             let capture = head.inputs.first().and_then(|t| cap[t.0].as_ref());
             Src::F32(capture.map_or(&[], Tensor::data))
@@ -633,12 +646,11 @@ fn source<'a>(
 /// [`RunOptions`] flag was set.
 type ForwardArtifacts = (Option<Vec<u64>>, Option<Vec<Option<Tensor>>>);
 
-/// Rebuilds an arena slot's buffer for `shape`: a same-shape occupant
-/// is handed back as-is (the kernel fully overwrites it), a
-/// differently-shaped one donates its heap allocation, and an empty
-/// slot allocates fresh.
-fn recycle(slot: Option<Tensor>, shape: &Shape) -> Tensor {
-    match slot {
+/// Rebuilds the spill buffer for `shape`: a same-shape one is handed
+/// back as-is (the kernel fully overwrites it), a differently-shaped one
+/// donates its heap allocation, and none allocates fresh.
+fn recycle(spill: Option<Tensor>, shape: &Shape) -> Tensor {
+    match spill {
         Some(t) if t.shape() == shape => t,
         Some(t) => {
             let mut data = t.into_data();
@@ -649,14 +661,19 @@ fn recycle(slot: Option<Tensor>, shape: &Shape) -> Tensor {
     }
 }
 
-/// Resizes an arena slot's buffer to `len` elements. A buffer that must
-/// grow grows to exactly `len`, not by `Vec`'s amortized doubling, so
-/// once each occupant has been written at the graph's batch, a slot
-/// holds its largest occupant and the arena what its
+/// Resizes a buffer to `len` elements. A buffer that must grow grows to
+/// exactly `len`, not by `Vec`'s amortized doubling, so once a run at the
+/// graph's batch has sized them, the arenas hold what
 /// [`MemoryPlan::peak_bytes`] counts.
 fn resize_exact<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
     buf.reserve_exact(len.saturating_sub(buf.len()));
     buf.resize(len, T::default());
+}
+
+/// A tensor of `shape` holding a copy of `data`, a value at the run's
+/// batch.
+fn snapshot(shape: &Shape, data: &[f32]) -> Tensor {
+    Tensor::from_vec(shape.clone(), data.to_vec()).unwrap_or_else(|_| Tensor::zeros(shape.clone()))
 }
 
 /// The static fields of each node's profile record, in schedule order:
@@ -692,7 +709,7 @@ fn profile_records(graph: &Graph, steps: &[Step<'_>], shapes: &[Shape]) -> Vec<N
 
 /// Each value's shape at batch `n`, by tensor id: the graph's own at its
 /// batch `B`; for another `n` in `1..=B`, each with its batch axis set to
-/// `n`, which a rank-0 value does not have.
+/// `n`, which every value must have at `B`: a rank-0 value has none.
 fn shapes_at(graph: &Graph, n: usize) -> Result<Vec<Shape>, NnirError> {
     let b = graph.batch();
     let fail = |why: String| {
@@ -706,6 +723,7 @@ fn shapes_at(graph: &Graph, n: usize) -> Result<Vec<Shape>, NnirError> {
         .map(|t| match plan::shape(graph, TensorId(t))? {
             s if n == b => Ok(s.clone()),
             s if s.rank() == 0 => Err(fail(format!("tensor t{t} has rank 0"))),
+            s if s.batch() != b => Err(fail(format!("tensor t{t} has batch {}", s.batch()))),
             s => Ok(s.with_batch(n)),
         })
         .collect()
@@ -733,20 +751,20 @@ pub(super) struct KernelCtx<'a> {
 }
 
 /// Runs a step's kernel into `out`, reading its data input `x` (an INT8
-/// kernel, a copy or a lone stage) or its inputs from the arena `values`
-/// (every other kernel). `fold` is the max-pool an INT8 conv head pools
+/// kernel, a copy or a lone stage) or its inputs from the values of
+/// `ctx` (every other kernel). `fold` is the max-pool an INT8 conv head pools
 /// its accumulators by: the step's, except in a run that captures
 /// intermediates. Only the INT8 kernels, a copy and a lone `FakeQuant`
 /// read or write codes ([`coded_values`]).
 fn eval_node_into(
     step: &Step<'_>,
     x: Src<'_>,
-    values: &[Option<Tensor>],
     out: Dst<'_>,
     fold: Option<PoolGeom>,
     ctx: &mut KernelCtx<'_>,
 ) {
-    let arg = |i: usize| slot(values, step.inputs[i]);
+    let values = ctx.epi.values;
+    let arg = |i: usize| values.f32s(step.inputs[i]);
     match (&step.kernel, out) {
         (Kernel::Int8Gemm(c, plan), out) => conv_int8_gemm(x, c, plan, fold, out, ctx),
         (Kernel::Int8Direct(c, plan), out) => conv_int8_direct(x, c, plan, fold, out, ctx),
@@ -769,7 +787,7 @@ fn eval_node_into(
         }
         (Kernel::Mul(plane), Dst::F32(out)) => mul_broadcast_into(arg(0), arg(1), *plane, out),
         (Kernel::Concat, Dst::F32(out)) => {
-            concat_channels_into(&step.inputs.iter().map(|&s| slot(values, s)), ctx.n, out);
+            concat_channels_into(&step.inputs.iter().map(|&p| values.f32s(p)), ctx.n, out);
         }
         (Kernel::Upsample { factor, h, w }, Dst::F32(out)) => {
             upsample_nearest_into(arg(0), *factor, *h, *w, out);

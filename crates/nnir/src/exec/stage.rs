@@ -1,6 +1,7 @@
 //! The elementwise stages a head kernel runs on its output as it writes
 //! it, and standalone elementwise nodes run over a copy of their input;
-//! the arena slots a kernel reads and writes, f32 values or INT8 codes.
+//! the values a kernel reads and the output it writes, f32 values or
+//! INT8 codes.
 
 use super::int8::quantize_activation;
 use super::par::{par_chunks, par_chunks_with};
@@ -8,6 +9,7 @@ use super::plan::Data;
 use crate::ops::ActKind;
 use crate::shape::Shape;
 use crate::tensor::{round_i8, Tensor};
+use std::ops::Range;
 
 /// Elements per channel plane of a tensor: everything past the batch
 /// and channel dims (1 for a dense layer's `[n, f]` output).
@@ -60,11 +62,11 @@ pub(super) enum Stage<'g> {
     /// Snaps each value to the INT8 grid of this scale; scale 0 maps
     /// every value to 0.
     FakeQuant(f32),
-    /// Adds the element at the same position of the value in arena slot
-    /// `other`, on the side the graph put it: `x + other` when the
-    /// running value is the `Add`'s first input, `other + x` otherwise.
+    /// Adds the element at the same position of the value at `other`,
+    /// on the side the graph put it: `x + other` when the running value
+    /// is the `Add`'s first input, `other + x` otherwise.
     Add {
-        other: usize,
+        other: Place,
         value_first: bool,
     },
 }
@@ -72,8 +74,8 @@ pub(super) enum Stage<'g> {
 impl Stage<'_> {
     /// Applies the stage to `xs`, the run of the output that starts at
     /// flat index `at`, in an output of `plane` elements per channel; an
-    /// `Add` reads its other operand from the arena `values`.
-    pub(super) fn apply(&self, xs: &mut [f32], at: usize, plane: usize, values: &[Option<Tensor>]) {
+    /// `Add` reads its other operand from `values`.
+    pub(super) fn apply(&self, xs: &mut [f32], at: usize, plane: usize, values: Values<'_>) {
         match self {
             Stage::BatchNorm { scale, shift } => {
                 // One channel's parameters per piece of the run.
@@ -101,7 +103,7 @@ impl Stage<'_> {
                 }
             }
             Stage::Add { other, value_first } => {
-                let other = &slot(values, *other)[at..][..xs.len()];
+                let other = &values.f32s(*other)[at..][..xs.len()];
                 if *value_first {
                     for (x, &y) in xs.iter_mut().zip(other) {
                         *x += y;
@@ -119,20 +121,117 @@ impl Stage<'_> {
     }
 }
 
-/// The values in arena slot `s`: every slot a step reads was written
-/// earlier in the pass.
-pub(super) fn slot(values: &[Option<Tensor>], s: usize) -> &[f32] {
-    values[s].as_ref().map_or(&[], Tensor::data)
+/// A value's range of its width's arena: `len` elements from `at`, both
+/// at the graph's batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Extent {
+    pub(super) at: usize,
+    pub(super) len: usize,
+}
+
+impl Extent {
+    /// The elements the extent covers in a run at batch `n` of a plan
+    /// made at batch `b`: `len·n/b` of them from `at·n/b`. On a graph
+    /// that runs at another batch, every value's size is a multiple of
+    /// `b`, and so is every offset, a sum of sizes: both scale exactly.
+    pub(super) fn at_batch(self, n: usize, b: usize) -> Range<usize> {
+        let scale = |x: usize| if n == b { x } else { x / b * n };
+        scale(self.at)..scale(self.at) + scale(self.len)
+    }
+}
+
+/// Where a value a step reads lives during a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Place {
+    /// The caller's input tensor of this index: a graph input, read in
+    /// place.
+    Input(usize),
+    /// A range of the arena of the value's width.
+    Arena(Extent),
+}
+
+/// One arena less the range a step writes: the elements below it, and
+/// those from `from` on.
+#[derive(Clone, Copy)]
+pub(super) struct Around<'a, T> {
+    below: &'a [T],
+    from: usize,
+    above: &'a [T],
+}
+
+/// Splits `arena` around `out`, the range a step writes into it (none
+/// when it writes elsewhere): the output, and the rest, which it reads.
+pub(super) fn split<T>(arena: &mut [T], out: Option<Range<usize>>) -> (&mut [T], Around<'_, T>) {
+    let Some(out) = out else {
+        return (&mut [], Around::whole(arena));
+    };
+    let (below, rest) = arena.split_at_mut(out.start);
+    let (out, above) = rest.split_at_mut(out.len());
+    let from = below.len() + out.len();
+    (out, Around { below, from, above })
+}
+
+impl<'a, T> Around<'a, T> {
+    /// All of `arena`, when a step writes none of it.
+    pub(super) fn whole(arena: &'a [T]) -> Self {
+        Around {
+            below: arena,
+            from: arena.len(),
+            above: &[],
+        }
+    }
+
+    /// The elements in `r`, which lies below or above the step's output:
+    /// a value a step reads is live at its step, so the plan keeps it
+    /// clear of the output's range.
+    fn get(&self, r: Range<usize>) -> &'a [T] {
+        if r.end <= self.below.len() {
+            &self.below[r]
+        } else {
+            &self.above[r.start - self.from..r.end - self.from]
+        }
+    }
+}
+
+/// Every value a step can read during a run at batch `n` of a runner
+/// built at batch `b`: the caller's inputs and both arenas around the
+/// step's output.
+#[derive(Clone, Copy)]
+pub(super) struct Values<'a> {
+    pub(super) inputs: &'a [Tensor],
+    pub(super) f32s: Around<'a, f32>,
+    pub(super) codes: Around<'a, i8>,
+    pub(super) n: usize,
+    pub(super) b: usize,
+}
+
+impl<'a> Values<'a> {
+    /// The f32 values at `p`.
+    pub(super) fn f32s(&self, p: Place) -> &'a [f32] {
+        match p {
+            Place::Input(i) => self.inputs[i].data(),
+            Place::Arena(e) => self.f32s.get(e.at_batch(self.n, self.b)),
+        }
+    }
+
+    /// The codes at `p`, which is in the code arena: no graph input is
+    /// stored as codes.
+    pub(super) fn codes(&self, p: Place) -> &'a [i8] {
+        match p {
+            Place::Input(_) => &[],
+            Place::Arena(e) => self.codes.get(e.at_batch(self.n, self.b)),
+        }
+    }
 }
 
 /// The stages fused into a head kernel's output write, the output's
 /// channel plane, which maps a run of output to its channel, and the
-/// arena an `Add` reads its other operand from.
+/// values an `Add` reads its other operand from.
 #[derive(Clone, Copy)]
 pub(super) struct Epilogue<'a> {
     pub(super) stages: &'a [Stage<'a>],
     pub(super) plane: usize,
-    pub(super) values: &'a [Option<Tensor>],
+    pub(super) values: Values<'a>,
 }
 
 impl Epilogue<'_> {
@@ -159,8 +258,8 @@ pub(super) enum Src<'a> {
     Codes(&'a [i8]),
 }
 
-/// Where a kernel writes its output: an f32 slot, or a code slot with
-/// `1 / s` for the scale `s` its codes are of.
+/// Where a kernel writes its output: f32 values, or codes with `1 / s`
+/// for the scale `s` they are of.
 pub(super) enum Dst<'a> {
     F32(&'a mut [f32]),
     Codes(&'a mut [i8], f32),

@@ -81,18 +81,15 @@ pub struct RunProfile {
     /// Wall time of the whole `execute` call in nanoseconds (input
     /// staging + kernels + output collection).
     pub wall_ns: u64,
-    /// Peak value-arena bytes under the runner's memory plan (each
-    /// slot sized for its largest occupant). Zero in profiles recorded
-    /// before arena planning existed.
+    /// Peak value-arena bytes under the runner's memory plan (both
+    /// arenas at the graph's batch). Zero in profiles recorded before
+    /// arena planning existed.
     #[serde(default)]
     pub arena_peak_bytes: u64,
-    /// Value-arena bytes of the one-slot-per-tensor layout the planner
+    /// Value-arena bytes of the one-range-per-value layout the planner
     /// is measured against.
     #[serde(default)]
     pub arena_unplanned_bytes: u64,
-    /// Number of arena slots the memory plan allocated.
-    #[serde(default)]
-    pub arena_slots: usize,
 }
 
 impl RunProfile {
@@ -139,7 +136,7 @@ impl RunProfile {
     }
 
     /// Fractional peak-memory reduction the arena plan achieved vs the
-    /// one-slot-per-tensor layout (`0.25` = 25% smaller; 0 when the
+    /// one-range-per-value layout (`0.25` = 25% smaller; 0 when the
     /// profile predates planning).
     #[must_use]
     pub fn arena_reduction(&self) -> f64 {
@@ -234,13 +231,8 @@ impl Exportable for RunProfile {
                 ),
                 Metric::counter(
                     "arena_unplanned_bytes",
-                    "value-arena bytes of the one-slot-per-tensor layout",
+                    "value-arena bytes of the one-range-per-value layout",
                     self.arena_unplanned_bytes,
-                ),
-                Metric::counter(
-                    "arena_slots",
-                    "arena slots the memory plan allocated",
-                    self.arena_slots as u64,
                 ),
                 Metric::histogram(
                     "node_duration_ns",
@@ -283,7 +275,6 @@ mod tests {
             wall_ns: 10_000,
             arena_peak_bytes: 3_000,
             arena_unplanned_bytes: 4_000,
-            arena_slots: 3,
         }
     }
 
@@ -355,7 +346,7 @@ mod tests {
         assert!(json.contains("\"name\":\"coverage\""));
         assert!(json.contains("\"type\":\"gauge\",\"value\":0.95}"));
         assert!(json.contains("\"name\":\"arena_peak_bytes\",\"help\":\"peak value-arena bytes under the memory plan\",\"type\":\"counter\",\"value\":3000"));
-        assert!(json.contains("\"name\":\"arena_slots\""));
+        assert!(json.contains("\"name\":\"arena_unplanned_bytes\""));
         let round = vedliot_obs::Export::from_json(&json).expect("round-trips");
         assert_eq!(round.to_json(), json);
         let prom = demo_profile().export().to_prometheus();

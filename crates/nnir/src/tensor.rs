@@ -150,12 +150,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Elements the data's allocation holds, used or not.
-    #[cfg(test)]
-    pub(crate) fn capacity(&self) -> usize {
-        self.data.capacity()
-    }
-
     /// Mutable view of the raw data (row-major).
     ///
     /// Drops any [`QuantPayload`]: mutating the f32 view invalidates

@@ -462,9 +462,9 @@ proptest! {
 }
 
 proptest! {
-    /// The arena memory plan is transparent: a runner with slot-reuse
+    /// The arena memory plan is transparent: a runner with offset
     /// planning produces **bit-identical** outputs and intermediates to
-    /// one with the historical one-slot-per-tensor layout, on random
+    /// one with a range of its own per value, on random
     /// CNN chains, across repeated warm runs. This is the safety
     /// contract of `RunnerBuilder::memory_planning`.
     #[test]

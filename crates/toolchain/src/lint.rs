@@ -195,11 +195,9 @@ pub struct AnalyzeEntry {
     pub tensors: usize,
     /// Values no consumer or graph output ever reads (W107).
     pub dead_values: usize,
-    /// Arena slots the memory plan allocates.
-    pub plan_slots: usize,
     /// Peak value-arena bytes under the plan.
     pub peak_bytes: u64,
-    /// Value-arena bytes of the one-slot-per-tensor layout.
+    /// Value-arena bytes of the one-range-per-value layout.
     pub unplanned_bytes: u64,
     /// Nodes the quant-safety dataflow analysis proves INT8-eligible.
     pub int8_proven: usize,
@@ -240,7 +238,6 @@ pub fn analyze_model(graph: &Graph) -> AnalyzeEntry {
         model: graph.name().to_string(),
         tensors: graph.tensor_count(),
         dead_values: live.dead_values(graph).len(),
-        plan_slots: plan.slot_count(),
         peak_bytes: plan.peak_bytes(),
         unplanned_bytes: plan.unplanned_bytes(),
         int8_proven: QuantSafety::of(graph).eligible_count(),
@@ -270,15 +267,14 @@ pub fn analyze_suite() -> Result<Vec<AnalyzeEntry>, ToolchainError> {
 #[must_use]
 pub fn render_analysis(entries: &[AnalyzeEntry]) -> String {
     let mut out = String::from(
-        "model                 tensors  dead  slots  peak_bytes  unplanned_bytes  saved  int8  |out|max\n",
+        "model                 tensors  dead  peak_bytes  unplanned_bytes  saved  int8  |out|max\n",
     );
     for e in entries {
         out.push_str(&format!(
-            "{:<21} {:>7} {:>5} {:>6} {:>11} {:>16} {:>5.1}% {:>5} {:>9.3e}\n",
+            "{:<21} {:>7} {:>5} {:>11} {:>16} {:>5.1}% {:>5} {:>9.3e}\n",
             e.model,
             e.tensors,
             e.dead_values,
-            e.plan_slots,
             e.peak_bytes,
             e.unplanned_bytes,
             e.reduction() * 100.0,
@@ -369,11 +365,6 @@ mod tests {
         assert_eq!(entries.len(), 7);
         for e in &entries {
             assert_eq!(e.dead_values, 0, "{} has dead values", e.model);
-            assert!(
-                e.plan_slots < e.tensors,
-                "{} plan did not share slots",
-                e.model
-            );
             assert!(
                 e.reduction() > 0.0,
                 "{} plan saved nothing ({} vs {})",
