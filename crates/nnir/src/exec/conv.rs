@@ -253,14 +253,11 @@ pub(super) fn conv_lanes(
     let item = g.in_c * hp * wp;
     let rows = g.opix / len;
     let strip = (COL_BLOCK_ELEMS / (k_len * len)).clamp(1, rows);
-    col.resize(
-        if g.pointwise() {
-            0
-        } else {
-            strip * k_len * len
-        },
-        0.0,
-    );
+    // An unpadded 1×1 conv's runs are its input planes: it leaves `col`
+    // as it is, so a grouped conv that reads its blocks refills none.
+    if !g.pointwise() {
+        col.resize(strip * k_len * len, 0.0);
+    }
     for (bi, out) in out.chunks_exact_mut((g.out_c * g.opix).max(1)).enumerate() {
         let planes = &src[bi * item..][..item];
         for r0 in (0..rows).step_by(strip) {

@@ -1,16 +1,19 @@
 //! Grouped and depthwise f32 convolution, channel-blocked: sixteen
 //! output channels run as the lanes of one accumulator.
 
-use super::conv::ConvGeom;
+use super::conv::{conv_lanes, ConvGeom};
 use super::gemm::COL_BLOCK_ELEMS;
 use super::par::par_chunks_with;
-use super::plan::Conv;
+use super::plan::{Conv, Expanded};
 use super::runner::{KernelCtx, Scratch};
 use super::stage::{activation, batchnorm, Epilogue, Stage};
+use std::time::Instant;
 
 /// Output channels a grouped convolution computes at once, one per f32
-/// lane: four 4-lane registers of accumulators.
-const LANES: usize = 16;
+/// lane: four 4-lane registers of accumulators. An expansion conv
+/// fused into its depthwise reader computes this many channels at a
+/// time too ([`expand_depthwise`]).
+pub(super) const LANES: usize = 16;
 
 /// Grouped and depthwise convolution, channel-blocked.
 ///
@@ -83,8 +86,9 @@ pub(super) fn conv2d_grouped(
             d[lane] = v;
         }
         for (st, (scale, shift)) in bn.chunks_exact_mut(2).zip(lane_bns()) {
-            st[0][lane] = scale[oc];
-            st[1][lane] = shift[oc];
+            let c = epi.channel(oc, scale.len());
+            st[0][lane] = scale[c];
+            st[1][lane] = shift[c];
         }
     }
     let packed: &[[f32; LANES]] = packed;
@@ -145,6 +149,70 @@ pub(super) fn conv2d_grouped(
                 }
             }
         });
+    }
+}
+
+/// An expansion conv and the depthwise conv that is its only reader
+/// ([`Expanded`]), [`LANES`] channels at a time: for each block, the lane
+/// kernel ([`conv_lanes`]) writes the block's expansion planes into
+/// `block` and runs the expansion's stages on them, then
+/// [`conv2d_grouped`] reads them into their depthwise output planes of
+/// `out` and runs the rest of the stages, before the next block
+/// overwrites `block`.
+///
+/// Each kernel runs on a channel slice of its conv (its weight rows and
+/// bias) for one batch item at a time, its stages indexed as over the
+/// whole value ([`Epilogue::base`]): every output is the reduction, and
+/// every stage the pass, that the two convs run whole compute, so every
+/// bit is theirs. The lane kernel splits a block's planes over the
+/// workers. With `phases`, each conv's time over every block is added
+/// to its entry, the expansion's first.
+pub(super) fn expand_depthwise(
+    x: &[f32],
+    e: &Expanded<'_>,
+    out: &mut [f32],
+    block: &mut [f32],
+    ctx: &mut KernelCtx<'_>,
+    mut phases: Option<&mut [u64; 2]>,
+) {
+    let (ex, dw) = (&e.expand, &e.depthwise);
+    let (c, item, values) = (ex.g.out_c, ex.g.in_c * ex.g.h * ex.g.w, ctx.epi.values);
+    let (stages, dw_stages) = ctx.epi.stages.split_at(e.stages);
+    for c0 in (0..c).step_by(LANES) {
+        let cs = c0..c.min(c0 + LANES);
+        let (ex, dw) = (
+            ex.channels(cs.clone(), ex.g.in_c),
+            dw.channels(cs.clone(), cs.len()),
+        );
+        let (planes, outs) = (cs.len() * ex.g.opix, cs.len() * dw.g.opix);
+        let start = phases.is_some().then(Instant::now);
+        for bi in 0..ctx.n {
+            let base = (bi * c + c0) * ex.g.opix;
+            let epi = Epilogue {
+                stages,
+                plane: ex.g.opix,
+                base,
+                values,
+            };
+            let (x, block) = (&x[bi * item..][..item], &mut block[bi * planes..][..planes]);
+            conv_lanes(x, &ex, e.run, block, &mut ctx.item(epi));
+        }
+        let mid = phases.is_some().then(Instant::now);
+        for bi in 0..ctx.n {
+            let base = (bi * c + c0) * dw.g.opix;
+            let epi = Epilogue {
+                stages: dw_stages,
+                plane: dw.g.opix,
+                base,
+                values,
+            };
+            let (block, out) = (&block[bi * planes..][..planes], &mut out[base..][..outs]);
+            conv2d_grouped(block, &dw, cs.len(), out, &mut ctx.item(epi));
+        }
+        if let (Some(ns), Some(start), Some(mid)) = (phases.as_deref_mut(), start, mid) {
+            ns[0] += (mid - start).as_nanos() as u64;
+            ns[1] += mid.elapsed().as_nanos() as u64;
+        }
     }
 }
 

@@ -2,7 +2,8 @@
 //! of one arena per width, so values whose live ranges overlap never
 //! share a byte.
 
-use super::plan::default_cut;
+use super::plan::{block_of, default_cut};
+use super::stage::Extent;
 use crate::graph::{Graph, TensorId};
 use crate::shape::Shape;
 use std::ops::Range;
@@ -33,9 +34,12 @@ fn elem_bytes(coded: bool) -> u64 {
 /// rather than nodes. A fused chain's inner values — a folded pool's
 /// full-resolution input among them — are never written, so they own no
 /// arena space; its final value is defined, and every operand it reads
-/// is live, at the head's step. Graph inputs own none either: steps read
-/// them from the caller's tensors. Graph outputs stay live past the end
-/// of the schedule, so their ranges are never reused.
+/// is live, at the head's step. An expansion conv's value that its
+/// depthwise reader takes in one block of channels at a time (the two
+/// convs are one step) owns one block's range, live at that step only.
+/// Graph inputs own none: steps read them from the caller's tensors.
+/// Graph outputs stay live past the end of the schedule, so their ranges
+/// are never reused.
 ///
 /// The placement is greedy by size: the largest value first (ties by
 /// definition step, then tensor id), each at the lowest offset of its
@@ -47,6 +51,9 @@ pub struct MemoryPlan {
     /// Offset in its width's arena, in elements at the graph's batch, per
     /// tensor id; `None` for a graph input or a fused chain's inner value.
     offset_of: Vec<Option<usize>>,
+    /// Elements of each tensor's range at the graph's batch: its value's,
+    /// or one block's for a value computed a block at a time.
+    elems: Vec<usize>,
     /// Whether each tensor is stored as INT8 codes.
     coded: Vec<bool>,
     /// Elements of the f32 arena and of the code arena: the furthest end
@@ -74,7 +81,7 @@ impl MemoryPlan {
     pub(super) fn over(graph: &Graph, steps: &[Range<usize>], codes: &[Option<f32>]) -> Self {
         let ranges = step_ranges(graph, steps);
         let owns = owns_space(graph, steps);
-        let elems = elem_counts(graph);
+        let elems = elem_counts(graph, steps);
         let coded: Vec<bool> = codes.iter().map(Option::is_some).collect();
         let mut order: Vec<usize> = (0..graph.tensor_count()).filter(|&t| owns[t]).collect();
         order.sort_by_key(|&t| (std::cmp::Reverse(elems[t]), ranges[t].def, t));
@@ -107,6 +114,7 @@ impl MemoryPlan {
             codes_len: len(&placed[1]).unwrap_or_default(),
             unplanned_bytes: unshared_bytes(graph, &elems, &coded),
             offset_of,
+            elems,
             coded,
         }
     }
@@ -116,13 +124,16 @@ impl MemoryPlan {
     /// at its width.
     #[must_use]
     pub fn identity(graph: &Graph) -> Self {
-        Self::unshared(graph, &default_cut(graph).1)
+        let (steps, codes) = default_cut(graph);
+        Self::unshared(graph, &steps, &codes)
     }
 
-    /// The identity plan with the values `codes` marks stored as codes:
-    /// every value but a graph input its own range, in tensor id order.
-    pub(super) fn unshared(graph: &Graph, codes: &[Option<f32>]) -> Self {
-        let elems = elem_counts(graph);
+    /// The identity plan over `steps` with the values `codes` marks
+    /// stored as codes: every value but a graph input its own range, in
+    /// tensor id order, one block's for a value computed a block at a
+    /// time.
+    pub(super) fn unshared(graph: &Graph, steps: &[Range<usize>], codes: &[Option<f32>]) -> Self {
+        let elems = elem_counts(graph, steps);
         let coded: Vec<bool> = codes.iter().map(Option::is_some).collect();
         let mut ends = [0usize; 2];
         let offset_of = (0..graph.tensor_count())
@@ -140,6 +151,7 @@ impl MemoryPlan {
             f32_len: ends[0],
             codes_len: ends[1],
             unplanned_bytes: unshared_bytes(graph, &elems, &coded),
+            elems,
             coded,
         }
     }
@@ -151,6 +163,16 @@ impl MemoryPlan {
     #[must_use]
     pub fn offset_of(&self, t: TensorId) -> Option<usize> {
         self.offset_of[t.0]
+    }
+
+    /// Tensor `t`'s range of its width's arena, at the graph's batch;
+    /// `None` where [`offset_of`](Self::offset_of) is.
+    pub(super) fn extent(&self, t: TensorId) -> Option<Extent> {
+        let at = self.offset_of[t.0]?;
+        Some(Extent {
+            at,
+            len: self.elems[t.0],
+        })
     }
 
     /// Whether tensor `t` is stored as INT8 codes, one byte each, rather
@@ -214,7 +236,8 @@ fn step_ranges(graph: &Graph, steps: &[Range<usize>]) -> Vec<crate::analysis::Li
 }
 
 /// Whether each tensor owns arena space in `steps`: every value but a
-/// graph input and a fused chain's inner value.
+/// graph input and a fused chain's inner value, which an expansion a
+/// step computes a block at a time is not.
 fn owns_space(graph: &Graph, steps: &[Range<usize>]) -> Vec<bool> {
     let mut owns = vec![true; graph.tensor_count()];
     for &t in graph.inputs() {
@@ -224,15 +247,24 @@ fn owns_space(graph: &Graph, steps: &[Range<usize>]) -> Vec<bool> {
         for node in &graph.nodes()[step.start..step.end - 1] {
             owns[node.output.0] = false;
         }
+        if let Some((t, _)) = block_of(graph, step) {
+            owns[t.0] = true;
+        }
     }
     owns
 }
 
-/// Each tensor's element count at the graph's batch, by tensor id.
-fn elem_counts(graph: &Graph) -> Vec<usize> {
-    (0..graph.tensor_count())
+/// The elements each tensor's range holds at the graph's batch, by
+/// tensor id: its value's, or one block's for a value a step of `steps`
+/// computes a block at a time.
+fn elem_counts(graph: &Graph, steps: &[Range<usize>]) -> Vec<usize> {
+    let mut elems: Vec<usize> = (0..graph.tensor_count())
         .map(|t| graph.tensor_shape(TensorId(t)).map_or(0, Shape::elem_count))
-        .collect()
+        .collect();
+    for (t, block) in steps.iter().filter_map(|step| block_of(graph, step)) {
+        elems[t.0] = block;
+    }
+    elems
 }
 
 /// Bytes of one range per value but a graph input, of `elems` elements

@@ -12,10 +12,11 @@
 //!
 //! The kernels, one file per family: the f32 dense conv (`conv`) and
 //! the `dot4` micro-kernels it shares with dense layers (`gemm`),
-//! grouped and depthwise convs (`grouped`), the INT8 conv and dense
-//! kernels (`int8`), f32 dense layers (`dense`), pooling (`pool`), the
-//! structural ops (`structural`) and the elementwise stages every head
-//! kernel runs on its output (`stage`). Each output scalar is a fixed
+//! grouped and depthwise convs, with an expansion conv computed into its
+//! depthwise reader a block of channels at a time (`grouped`), the INT8
+//! conv and dense kernels (`int8`), f32 dense layers (`dense`), pooling
+//! (`pool`), the structural ops (`structural`) and the elementwise
+//! stages every head kernel runs on its output (`stage`). Each output scalar is a fixed
 //! function of its operands, so serial and threaded runs ([`Parallelism`],
 //! `par`), planned and unplanned arenas, fused and captured runs, any
 //! blocking and any batch size produce bit-identical results.
@@ -467,19 +468,28 @@ mod tests {
     // ---- arena memory planner ----
 
     /// Each tensor's live range over the steps of a default runner's cut
-    /// of `g`, from [`crate::analysis::Liveness`], with whether it owns
-    /// arena space: every value but a graph input and a fused chain's
-    /// inner value.
-    fn step_liveness(g: &Graph) -> (Vec<crate::analysis::LiveRange>, Vec<bool>) {
+    /// of `g`, from [`crate::analysis::Liveness`], with the elements of
+    /// the arena range it owns: `None` for a graph input and a fused
+    /// chain's inner value, 16 channels of each item for the value a
+    /// step's second conv (a depthwise conv) reads, its value's for
+    /// every other.
+    fn step_liveness(g: &Graph) -> (Vec<crate::analysis::LiveRange>, Vec<Option<usize>>) {
         let steps = fused_steps(g, &int8_plans(g).unwrap());
         let mut step_of = vec![steps.len(); g.nodes().len() + 1];
-        let mut owns: Vec<bool> = (0..g.tensor_count())
-            .map(|t| !g.inputs().contains(&TensorId(t)))
+        let mut sizes: Vec<Option<usize>> = (0..g.tensor_count())
+            .map(|t| (!g.inputs().contains(&TensorId(t))).then(|| elems(g, t)))
             .collect();
         for (s, step) in steps.iter().enumerate() {
             step_of[step.clone()].fill(s);
             for node in &g.nodes()[step.start..step.end - 1] {
-                owns[node.output.0] = false;
+                sizes[node.output.0] = None;
+            }
+            for node in &g.nodes()[step.start + 1..step.end] {
+                if let Op::Conv2d(_) = node.op {
+                    let t = node.inputs[0];
+                    let c = g.tensor_shape(t).unwrap().dims()[1];
+                    sizes[t.0] = Some(elems(g, t.0) / c * c.min(16));
+                }
             }
         }
         let live = crate::analysis::Liveness::of(g);
@@ -487,7 +497,7 @@ mod tests {
             def: step_of[r.def],
             last_use: step_of[r.last_use],
         });
-        (ranges.collect(), owns)
+        (ranges.collect(), sizes)
     }
 
     /// Elements of tensor `t` of `g` at its batch.
@@ -503,10 +513,10 @@ mod tests {
             crate::zoo::mobilenet_v3_large(1000).unwrap(),
         ] {
             let plan = MemoryPlan::plan(&g);
-            let (ranges, _) = step_liveness(&g);
+            let (ranges, sizes) = step_liveness(&g);
             let extent = |t: usize| {
                 let at = plan.offset_of(TensorId(t))?;
-                Some(at..at + elems(&g, t))
+                Some(at..at + sizes[t]?)
             };
             for a in 0..g.tensor_count() {
                 for b in (a + 1)..g.tensor_count() {
@@ -527,15 +537,25 @@ mod tests {
             }
             // The tensors that own no arena space are exactly the graph
             // inputs and the inner values of the fused chains: every
-            // output of a step but its last.
+            // output of a step but its last, and but the value its
+            // depthwise conv reads.
             let placeless: Vec<usize> = (0..g.tensor_count())
                 .filter(|&t| plan.offset_of(TensorId(t)).is_none())
                 .collect();
-            let inner = fused_steps(&g, &int8_plans(&g).unwrap())
-                .into_iter()
-                .flat_map(|step| &g.nodes()[step.start..step.end - 1])
-                .map(|node| node.output.0);
-            let mut want: Vec<usize> = g.inputs().iter().map(|t| t.0).chain(inner).collect();
+            let steps = fused_steps(&g, &int8_plans(&g).unwrap());
+            let read = |node: &crate::graph::Node| matches!(node.op, Op::Conv2d(_));
+            let inner = steps.into_iter().flat_map(|step| {
+                let nodes = &g.nodes()[step.start..step.end];
+                let read: Vec<_> = nodes[1..].iter().filter(|n| read(n)).collect();
+                let inner = nodes[..nodes.len() - 1].iter().map(|node| node.output);
+                inner.filter(move |t| read.iter().all(|n| n.inputs[0] != *t))
+            });
+            let mut want: Vec<usize> = g
+                .inputs()
+                .iter()
+                .map(|t| t.0)
+                .chain(inner.map(|t| t.0))
+                .collect();
             want.sort_unstable();
             assert!(
                 want.len() > g.inputs().len(),
@@ -570,14 +590,15 @@ mod tests {
         }
         for g in &models {
             let plan = MemoryPlan::plan(g);
-            let (ranges, owns) = step_liveness(g);
+            let (ranges, sizes) = step_liveness(g);
             let steps = ranges.iter().map(|r| r.last_use).max().unwrap_or(0);
             let mut bound = [0usize; 2];
             for s in 0..=steps {
                 let mut live = [0usize; 2];
-                for t in (0..g.tensor_count()).filter(|&t| owns[t]) {
+                for t in 0..g.tensor_count() {
+                    let Some(size) = sizes[t] else { continue };
                     if ranges[t].def <= s && s <= ranges[t].last_use {
-                        live[usize::from(plan.is_coded(TensorId(t)))] += elems(g, t);
+                        live[usize::from(plan.is_coded(TensorId(t)))] += size;
                     }
                 }
                 bound = [bound[0].max(live[0]), bound[1].max(live[1])];
@@ -1012,6 +1033,7 @@ mod tests {
     fn kernel_name(k: &Kernel<'_>) -> &'static str {
         match k {
             Kernel::ConvLanes(..) => "lanes",
+            Kernel::Expanded(_) => "expanded",
             Kernel::ConvGemm(_) => "gemm",
             Kernel::ConvBias(_) => "bias",
             Kernel::Grouped(..) => "grouped",
@@ -1085,19 +1107,23 @@ mod tests {
         }
         let want = [
             ("copy", 1),
+            ("expanded", 3),
             ("gemm", 44),
             ("global-avg-pool", 9),
-            ("grouped", 15),
-            ("lanes", 4),
+            ("grouped", 12),
+            ("lanes", 1),
             ("matvec", 1),
             ("mul", 8),
         ];
         assert_eq!(counts, want.into_iter().collect());
-        let lanes = plan.iter().filter(|(_, k)| *k == "lanes").map(|(n, _)| n);
-        assert_eq!(
-            lanes.collect::<Vec<_>>(),
-            ["conv3", "conv5", "conv8", "conv12"]
-        );
+        let named = |kernel: &str| -> Vec<&str> {
+            let steps = plan.iter().filter(|(_, k)| *k == kernel);
+            steps.map(|(n, _)| n.as_str()).collect()
+        };
+        assert_eq!(named("lanes"), ["conv3"]);
+        // The lane-kernel expansions whose only reader is a depthwise
+        // conv take it into their steps.
+        assert_eq!(named("expanded"), ["conv5", "conv8", "conv12"]);
     }
 
     #[test]
@@ -1268,7 +1294,7 @@ mod tests {
         if !cfg!(debug_assertions) {
             let mobilenet = crate::zoo::mobilenet_v3_large(1000).unwrap();
             let int8 = calibrated_int8(&mobilenet, 2);
-            assert_eq!(MemoryPlan::plan(&mobilenet).peak_bytes(), 4_014_080);
+            assert_eq!(MemoryPlan::plan(&mobilenet).peak_bytes(), 2_408_448);
             assert_eq!(MemoryPlan::plan(&int8).peak_bytes(), 4_214_784);
             models.extend([int8, mobilenet]);
             models.push(crate::zoo::resnet50(1000).unwrap());
@@ -1284,6 +1310,30 @@ mod tests {
             }
             let plan = runner.memory_plan().peak_bytes();
             assert_eq!(runner.arena_capacity_bytes(), plan, "{}", g.name());
+        }
+    }
+
+    #[test]
+    fn scratch_holds_no_cut_of_the_arena() {
+        // Computing an expansion a block at a time moves none of its
+        // bytes into the kernels' scratch: after warm runs, f32
+        // MobileNetV3-Large's scratch holds what it held with every
+        // expansion whole. About 3 s a pass unoptimized.
+        if cfg!(debug_assertions) {
+            return;
+        }
+        let g = crate::zoo::mobilenet_v3_large(1000).unwrap();
+        let item = g.tensor_shape(g.inputs()[0]).unwrap();
+        for (par, bytes) in [
+            (Parallelism::Serial, 1_278_960),
+            (Parallelism::Threads(2), 1_544_176),
+        ] {
+            let mut runner = Runner::builder().parallelism(par).build(&g).unwrap();
+            for seed in 1..=2 {
+                let x = Tensor::random(item.clone(), seed, 1.0);
+                runner.execute(&[x], RunOptions::default()).unwrap();
+            }
+            assert_eq!(runner.scratch_bytes(), bytes, "{par:?}");
         }
     }
 

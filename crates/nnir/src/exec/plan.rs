@@ -2,7 +2,8 @@
 //! decides once, from the verified graph, so that a run only executes.
 //!
 //! The schedule runs in *steps*: a head node and the elementwise nodes
-//! fused into its output write ([`fused_steps`] states the rule). Each
+//! fused into its output write, or an expansion conv and the depthwise
+//! conv that reads it block by block ([`fused_steps`] states the rule). Each
 //! fused op is one in-place stage with one implementation, run by the
 //! kernel on each run of output while it is still in cache, or over a
 //! copy of its input when the node stands alone; either way it computes
@@ -17,13 +18,14 @@
 //! takes it from the run, so one plan runs any batch up to the graph's.
 
 use super::conv::{lane_run, runs_direct, ConvGeom};
+use super::grouped::LANES;
 use super::int8::CODE_CHUNK;
 use super::memory::MemoryPlan;
 use super::pool::{PoolGeom, PoolMode};
 use super::stage::{Extent, Place, Stage};
 use crate::dtype::DataType;
 use crate::graph::{Graph, Node, TensorId, WeightInit};
-use crate::ops::{ActKind, Op};
+use crate::ops::{ActKind, Conv2dAttrs, Op};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::NnirError;
@@ -72,6 +74,9 @@ pub(super) enum Tail {
     Identity,
     /// The folded max-pool.
     Pool,
+    /// The depthwise conv an expansion head computes into
+    /// ([`Kernel::Expanded`]).
+    Depthwise,
 }
 
 /// A conv's geometry and f32 weights.
@@ -82,6 +87,42 @@ pub(super) struct Conv<'g> {
     /// padded with `+0.0` to whole 4-element chunks.
     pub(super) w: Data<'g>,
     pub(super) bias: Option<Data<'g>>,
+}
+
+impl Conv<'_> {
+    /// Output channels `r` of the conv, over `in_c` input channels: its
+    /// geometry with `r.len()` outputs, its weight rows and bias over
+    /// `r`, borrowed.
+    pub(super) fn channels(&self, r: Range<usize>, in_c: usize) -> Conv<'_> {
+        let k = self.w.len() / self.g.out_c.max(1);
+        Conv {
+            g: ConvGeom {
+                in_c,
+                out_c: r.len(),
+                ..self.g
+            },
+            w: Cow::Borrowed(&self.w[r.start * k..r.end * k]),
+            bias: self.bias.as_deref().map(|b| Cow::Borrowed(&b[r])),
+        }
+    }
+}
+
+/// An expansion conv on the lane kernel and the depthwise conv that is
+/// its only reader, run one block of [`LANES`] channels at a time
+/// ([`expand_depthwise`](super::grouped::expand_depthwise)).
+#[derive(Debug)]
+pub(super) struct Expanded<'g> {
+    /// The expansion conv and its lane run.
+    pub(super) expand: Conv<'g>,
+    pub(super) run: usize,
+    /// The depthwise conv.
+    pub(super) depthwise: Conv<'g>,
+    /// How many of the step's stages, the first, the expansion runs; the
+    /// depthwise conv runs the rest.
+    pub(super) stages: usize,
+    /// The arena range of one block of the expansion's value: its
+    /// channels of every batch item.
+    pub(super) block: Extent,
 }
 
 /// A dense layer's geometry and f32 weights.
@@ -100,6 +141,9 @@ pub(super) enum Kernel<'g> {
     /// A stride-1 dense conv of at most 32 taps over output rows of at
     /// least eight pixels: the lane kernel, over runs of this many.
     ConvLanes(Conv<'g>, usize),
+    /// A lane-kernel conv computed into its depthwise reader block by
+    /// block.
+    Expanded(Expanded<'g>),
     /// Every other dense f32 conv: pixel-blocked im2col and the GEMM.
     ConvGemm(Conv<'g>),
     /// A conv without input or output channels: each output is its bias.
@@ -273,10 +317,38 @@ const MAX_TAILS: usize = 8;
 /// ([`Zeros`]); the kernel then pools its i32 accumulators and runs
 /// every other tail on the pooled values only (DESIGN.md §10, "Fused
 /// epilogues"). The tails after the pool follow the rule above.
+///
+/// A step then takes in the next step when its head runs the f32 lane
+/// kernel ([`lane_kernel`]), its value is no graph output and its only
+/// reader is the next step's head, a depthwise conv (groups = input
+/// channels = output channels, [`Kernel::Grouped`]). The expansion's
+/// value is then computed [`LANES`] channels at a time, each block read
+/// by the depthwise conv before the next overwrites it, so only one
+/// block of it exists ([`Kernel::Expanded`]).
 pub(super) fn fused_steps(graph: &Graph, int8: &[Option<Int8Plan<'_>>]) -> Vec<Range<usize>> {
     let nodes = graph.nodes();
     let fanout = graph.fanout();
     let sole = |value: TensorId| fanout[value.0].len() == 1 && !graph.outputs().contains(&value);
+    let f32 = |i: usize| int8.get(i).is_none_or(Option::is_none);
+    // Whether the step `span` computes its value into the depthwise conv
+    // at `next`.
+    let expands = |span: &Range<usize>, next: usize| {
+        let (head, reader) = (&nodes[span.start], &nodes[next]);
+        let value = nodes[span.end - 1].output;
+        let (Op::Conv2d(a), Op::Conv2d(d)) = (&head.op, &reader.op) else {
+            return false;
+        };
+        let lanes = conv_geom(graph, a, head).is_ok_and(|g| {
+            lane_kernel(a, g).is_some() && (d.groups, d.out_channels) == (g.out_c, g.out_c)
+        });
+        lanes
+            && d.groups > 1
+            && f32(span.start)
+            && f32(next)
+            && sole(value)
+            && reader.inputs[..] == [value]
+            && depthwise_of(graph, span).is_none()
+    };
     let fuses = |value: TensorId, next: &Node| {
         sole(value)
             && match next.op {
@@ -322,10 +394,40 @@ pub(super) fn fused_steps(graph: &Graph, int8: &[Option<Int8Plan<'_>>]) -> Vec<R
                 end += 1;
             }
         }
-        spans.push(start..end);
+        match spans.last_mut() {
+            Some(prev) if expands(prev, start) => prev.end = end,
+            _ => spans.push(start..end),
+        }
         start = end;
     }
     spans
+}
+
+/// The schedule position of the depthwise conv step `span` computes its
+/// expansion into ([`fused_steps`]): the step's second conv, as no tail
+/// is a conv; `None` for every other step.
+pub(super) fn depthwise_of(graph: &Graph, span: &Range<usize>) -> Option<usize> {
+    (span.start + 1..span.end).find(|&i| matches!(graph.nodes()[i].op, Op::Conv2d(_)))
+}
+
+/// The value step `span` computes one block of channels at a time, when
+/// it computes an expansion into its depthwise reader, and the elements
+/// of one block at the graph's batch: [`LANES`] channels of each item,
+/// or all of them when there are fewer.
+pub(super) fn block_of(graph: &Graph, span: &Range<usize>) -> Option<(TensorId, usize)> {
+    let value = *graph.nodes()[depthwise_of(graph, span)?].inputs.first()?;
+    let s = graph.tensor_shape(value)?;
+    let channels = s.dims().get(1).copied().unwrap_or(1).max(1);
+    Some((value, s.elem_count() / channels * channels.min(LANES)))
+}
+
+/// The lane run of an f32 conv of `a` and geometry `g` that runs the
+/// lane kernel ([`kernel`]): a dense conv with outputs and taps for which
+/// [`lane_run`] finds runs; `None` for any other conv.
+fn lane_kernel(a: &Conv2dAttrs, g: ConvGeom) -> Option<usize> {
+    (a.groups == 1 && g.out_c > 0 && g.k_len() > 0)
+        .then(|| lane_run(g))
+        .flatten()
 }
 
 /// The values a runner that plans INT8 by `int8` (empty when none is
@@ -430,17 +532,17 @@ pub(super) fn steps<'g>(
         .map(|span| {
             let head = &nodes[span.start];
             let last = &nodes[span.end - 1];
-            let kernel = if identity[span.start] {
-                Kernel::Copy
-            } else {
-                let int8 = int8.get_mut(span.start).and_then(Option::take);
-                kernel(graph, head, int8, &place)?
-            };
+            let depthwise = depthwise_of(graph, &span);
             let (mut stages, mut tails, mut fold) = (Vec::new(), Vec::new(), None);
+            let mut expansion_stages = 0;
             let mut value = head.output;
             for (idx, node) in span.clone().zip(&nodes[span.clone()]).skip(1) {
                 tails.push(match &node.op {
                     _ if identity[idx] => Tail::Identity,
+                    _ if Some(idx) == depthwise => {
+                        expansion_stages = stages.len();
+                        Tail::Depthwise
+                    }
                     // Only an INT8 conv's fold makes a pool a tail.
                     Op::MaxPool2d(a) => {
                         let [_, _, h, w] = dims(shape(graph, head.output)?)?;
@@ -454,13 +556,21 @@ pub(super) fn steps<'g>(
                 });
                 value = node.output;
             }
+            let kernel = match depthwise {
+                _ if identity[span.start] => Kernel::Copy,
+                Some(d) => expanded(graph, head, &nodes[d], expansion_stages, memory, &place)?,
+                None => {
+                    let int8 = int8.get_mut(span.start).and_then(Option::take);
+                    kernel(graph, head, int8, &place)?
+                }
+            };
             Ok(Step {
                 inputs: head
                     .inputs
                     .iter()
                     .map(|&t| place(t))
                     .collect::<Result<_, _>>()?,
-                out: extent(graph, memory, last.output)?,
+                out: extent(memory, last.output)?,
                 code: codes[last.output.0],
                 reads_codes: head.inputs.first().is_some_and(|t| codes[t.0].is_some()),
                 nodes: span,
@@ -494,8 +604,7 @@ fn kernel<'g>(
     let out = shape(graph, node.output)?;
     Ok(match &node.op {
         Op::Conv2d(a) => {
-            let [_, _, oh, ow] = dims(out)?;
-            let g = ConvGeom::new(a, dims(input()?)?, oh, ow);
+            let g = conv_geom(graph, a, node)?;
             let (w, bias) = weights(graph, node)?;
             let mut conv = Conv { g, w, bias };
             let k = g.k_len();
@@ -505,7 +614,7 @@ fn kernel<'g>(
                 Some(plan) => Kernel::Int8Gemm(conv, plan),
                 None if a.groups > 1 => Kernel::Grouped(conv, a.groups),
                 None if k == 0 => Kernel::ConvBias(conv),
-                None => match lane_run(g) {
+                None => match lane_kernel(a, g) {
                     Some(run) => Kernel::ConvLanes(conv, run),
                     None => {
                         let row_len = k.next_multiple_of(4);
@@ -570,6 +679,48 @@ fn kernel<'g>(
     })
 }
 
+/// The kernel of a step whose expansion conv `head` computes into the
+/// depthwise conv `depthwise` ([`fused_steps`]), the first `stages` of
+/// the step's stages the expansion's, one block of its value at the
+/// arena range `memory` gives it.
+fn expanded<'g>(
+    graph: &'g Graph,
+    head: &'g Node,
+    depthwise: &'g Node,
+    stages: usize,
+    memory: &MemoryPlan,
+    place: &impl Fn(TensorId) -> Result<Place, NnirError>,
+) -> Result<Kernel<'g>, NnirError> {
+    let block = extent(memory, depthwise.inputs[0])?;
+    match (
+        kernel(graph, head, None, place)?,
+        kernel(graph, depthwise, None, place)?,
+    ) {
+        (Kernel::ConvLanes(expand, run), Kernel::Grouped(depthwise, _)) => {
+            Ok(Kernel::Expanded(Expanded {
+                expand,
+                run,
+                depthwise,
+                stages,
+                block,
+            }))
+        }
+        _ => Err(NnirError::ExecutionFailure(format!(
+            "{} does not expand into {} on the lane and grouped kernels",
+            head.name, depthwise.name
+        ))),
+    }
+}
+
+/// The geometry of conv `node` of attributes `a`, read from its verified
+/// shapes.
+fn conv_geom(graph: &Graph, a: &Conv2dAttrs, node: &Node) -> Result<ConvGeom, NnirError> {
+    let [_, _, oh, ow] = dims(shape(graph, node.output)?)?;
+    let no_input = || NnirError::ExecutionFailure(format!("conv {} has no input", node.name));
+    let input = shape(graph, *node.inputs.first().ok_or_else(no_input)?)?;
+    Ok(ConvGeom::new(a, dims(input)?, oh, ow))
+}
+
 /// The stage of elementwise `node` over `value`, the input it
 /// transforms: a standalone node's first input, a fused tail's chain
 /// value. An `Add` reads its other operand where that operand lives.
@@ -617,18 +768,16 @@ fn weights<'g>(
 pub(super) fn place(graph: &Graph, memory: &MemoryPlan, t: TensorId) -> Result<Place, NnirError> {
     match graph.inputs().iter().position(|&x| x == t) {
         Some(i) => Ok(Place::Input(i)),
-        None => extent(graph, memory, t).map(Place::Arena),
+        None => extent(memory, t).map(Place::Arena),
     }
 }
 
 /// The arena range of tensor `t`, which is neither a graph input nor a
 /// fused chain's inner value.
-fn extent(graph: &Graph, memory: &MemoryPlan, t: TensorId) -> Result<Extent, NnirError> {
-    let at = memory
-        .offset_of(t)
-        .ok_or_else(|| NnirError::ExecutionFailure(format!("tensor {t} has no arena range")))?;
-    let len = shape(graph, t)?.elem_count();
-    Ok(Extent { at, len })
+fn extent(memory: &MemoryPlan, t: TensorId) -> Result<Extent, NnirError> {
+    memory
+        .extent(t)
+        .ok_or_else(|| NnirError::ExecutionFailure(format!("tensor {t} has no arena range")))
 }
 
 /// The verified shape of tensor `t`.

@@ -3,11 +3,11 @@
 
 use super::conv::{conv_bias, conv_gemm, conv_lanes};
 use super::dense::dense_into;
-use super::grouped::conv2d_grouped;
+use super::grouped::{conv2d_grouped, expand_depthwise};
 use super::int8::{conv_int8_direct, conv_int8_gemm, dense_int8};
 use super::memory::MemoryPlan;
 use super::par::Parallelism;
-use super::plan::{self, coded_values, fused_steps, int8_plans, Kernel, Step, Tail};
+use super::plan::{self, coded_values, depthwise_of, fused_steps, int8_plans, Kernel, Step, Tail};
 use super::pool::{global_avg_pool_into, pool2d_into, PoolGeom, PoolMode};
 use super::stage::{channel_plane, split, Around, Dst, Epilogue, Extent, Place, Src, Values};
 use super::structural::{
@@ -64,9 +64,11 @@ pub struct RunOptions {
     /// [`TensorId`] — the hook quantization calibration uses to observe
     /// activation ranges. The elementwise nodes a head kernel (conv,
     /// dense, pool or flatten) would fuse into its output write then run
-    /// one at a time over its output, and a max-pool an INT8 conv would
-    /// fold runs as its own kernel, so each value they pass along exists
-    /// to be cloned; every value has the bits of the fused run.
+    /// one at a time over its output, a max-pool an INT8 conv would fold
+    /// runs as its own kernel, and an expansion conv is computed whole
+    /// before the depthwise conv that would read it a block at a time,
+    /// so each value they pass along exists to be cloned; every value has
+    /// the bits of the fused run.
     pub capture_intermediates: bool,
     /// Record a per-node [`RunProfile`] (name, op, duration, static
     /// operation counts) for this pass. Off by default: a plain run
@@ -222,7 +224,9 @@ impl RunnerBuilder {
     /// arena, where values with disjoint live ranges may share bytes —
     /// the reuse that shrinks peak intermediate memory on small devices
     /// — and gives the values inside a fused chain (the full-resolution
-    /// output of an INT8 conv that folds a max-pool among them) none.
+    /// output of an INT8 conv that folds a max-pool among them) none, and
+    /// an expansion its depthwise reader takes in a block at a time one
+    /// block's range.
     /// Kernels fully overwrite their outputs and the plan never overlaps
     /// values whose live ranges overlap, so outputs are bit-identical to
     /// the unplanned layout (proptested). Disable to give every value
@@ -269,7 +273,7 @@ impl RunnerBuilder {
         let memory = if self.memory_planning {
             MemoryPlan::over(graph, &spans, &codes)
         } else {
-            MemoryPlan::unshared(graph, &codes)
+            MemoryPlan::unshared(graph, &spans, &codes)
         };
         let (f32_len, code_len) = memory.arena_lens();
         let bytes = (f32_len as u64).saturating_mul(4).max(code_len as u64);
@@ -322,8 +326,10 @@ pub struct Runner<'g> {
     /// ranges.
     f32s: Vec<f32>,
     codes: Vec<i8>,
-    /// The pre-pool values of a step that folds a max-pool, in a run
-    /// that captures intermediates (a plain run never holds them).
+    /// The pre-pool values of a step that folds a max-pool, or the whole
+    /// expansion of a step that computes one into its depthwise reader,
+    /// in a run that captures intermediates (a plain run never holds
+    /// them).
     spill: Option<Tensor>,
     /// Kernel scratch (im2col tiles, INT8 code buffers), grown to the
     /// largest kernel seen.
@@ -367,6 +373,26 @@ impl<'g> Runner<'g> {
     #[must_use]
     pub fn memory_plan(&self) -> &MemoryPlan {
         &self.plan
+    }
+
+    /// Bytes the kernel scratch holds: each buffer's capacity at its
+    /// width.
+    #[cfg(test)]
+    pub(super) fn scratch_bytes(&self) -> u64 {
+        let Scratch {
+            col,
+            outb,
+            pad,
+            qin,
+            taps,
+            qcol,
+            acc,
+        } = &self.scratch;
+        let f32s = col.capacity() + outb.capacity() + pad.capacity() + acc.capacity();
+        let codes = qin.capacity() + qcol.capacity();
+        4 * f32s as u64
+            + 2 * codes as u64
+            + std::mem::size_of::<usize>() as u64 * taps.capacity() as u64
     }
 
     /// Bytes the value arenas hold: each one's capacity at its width.
@@ -480,8 +506,9 @@ impl<'g> Runner<'g> {
     /// Tails run in the head kernel's output write, unless the caller
     /// captures intermediates: then each runs as a pass of its own over
     /// the step's output, so every value it produces can be cloned, and
-    /// a max-pool the INT8 conv head folds runs as its own kernel over
-    /// the head's full-resolution output, held in a buffer of its own.
+    /// a max-pool the INT8 conv head folds, or the depthwise conv an
+    /// expansion head computes into, runs as its own kernel over the
+    /// head's whole output, held in a buffer of its own.
     /// Intermediates are captured as each value is produced: a value's
     /// range may be overwritten by a later value sharing its bytes, so
     /// the snapshot copies eagerly instead of reading the arena after the
@@ -538,7 +565,15 @@ impl<'g> Runner<'g> {
             let shape = |idx: usize| &self.shapes[nodes[idx].output.0];
             let last = shape(step.nodes.end - 1);
             let fold = step.fold.filter(|_| fused);
-            let mut pre = (step.fold.is_some() && !fused)
+            // A plain run computes an expansion one block at a time into
+            // its range; a run that captures intermediates computes it
+            // whole into the buffer a folded pool's input takes.
+            let expanded = match &step.kernel {
+                Kernel::Expanded(e) => Some(e),
+                _ => None,
+            };
+            let block = expanded.filter(|_| fused).map(|e| e.block.at_batch(n, b));
+            let mut pre = ((step.fold.is_some() || expanded.is_some()) && !fused)
                 .then(|| recycle(self.spill.take(), shape(step.nodes.start)));
             // A plain run writes a value the plan stores as codes into the
             // code arena. A run that captures intermediates computes every
@@ -546,8 +581,8 @@ impl<'g> Runner<'g> {
             // into a buffer of its own: its capture, which its readers
             // read, while its range goes unwritten.
             let (coded, to) = (step.code.is_some(), step.out.at_batch(n, b));
-            let (f32_out, f32s) = split(&mut self.f32s, (!coded).then(|| to.clone()));
-            let (code_out, codes) = split(&mut self.codes, (coded && fused).then_some(to));
+            let (f32_out, block, f32s) = split(&mut self.f32s, (!coded).then(|| to.clone()), block);
+            let (code_out, _, codes) = split(&mut self.codes, (coded && fused).then_some(to), None);
             let values = Values {
                 inputs,
                 f32s,
@@ -572,18 +607,31 @@ impl<'g> Runner<'g> {
                 epi: Epilogue {
                     stages: if fused { &step.stages } else { &[] },
                     plane,
+                    base: 0,
                     values,
                 },
             };
             // A record measures only its kernel (a fused head's: the
-            // whole step).
+            // whole step; an expansion's and its depthwise reader's: each
+            // conv's phase of every block).
             let start = durations.is_some().then(std::time::Instant::now);
-            eval_node_into(step, src, dst, fold, &mut ctx);
+            let mut phases = [0; 2];
+            match (expanded.filter(|_| fused), dst, src) {
+                (Some(e), Dst::F32(out), Src::F32(x)) => {
+                    let phases = durations.is_some().then_some(&mut phases);
+                    expand_depthwise(x, e, out, block, &mut ctx, phases);
+                }
+                (.., dst, src) => eval_node_into(step, src, dst, fold, &mut ctx),
+            }
             if let (Some(ns), Some(start)) = (durations.as_mut(), start) {
-                ns[step.nodes.start] = start.elapsed().as_nanos() as u64;
+                match depthwise_of(self.graph, &step.nodes).filter(|_| fused) {
+                    Some(d) => [ns[step.nodes.start], ns[d]] = phases,
+                    None => ns[step.nodes.start] = start.elapsed().as_nanos() as u64,
+                }
             }
             if let Some(cap) = captured.as_mut() {
-                // The values before a folded pool live in `pre`.
+                // The values before a folded pool or a depthwise tail
+                // live in `pre`.
                 let value = |idx: usize, pre: &Option<Tensor>, out: &[f32]| match pre {
                     Some(pre) => pre.clone(),
                     None => snapshot(shape(idx), out),
@@ -596,6 +644,13 @@ impl<'g> Runner<'g> {
                         (Tail::Pool, Some(p), Some(geom)) => {
                             let max = PoolMode::Max;
                             pool2d_into(p.data(), geom, max, out, &mut ctx);
+                            self.spill = pre.take();
+                        }
+                        (Tail::Depthwise, Some(p), _) => {
+                            if let Some(e) = expanded {
+                                let groups = e.depthwise.g.out_c;
+                                conv2d_grouped(p.data(), &e.depthwise, groups, out, &mut ctx);
+                            }
                             self.spill = pre.take();
                         }
                         (Tail::Stage, buf, _) => {
@@ -679,8 +734,9 @@ fn snapshot(shape: &Shape, data: &[f32]) -> Tensor {
 /// The static fields of each node's profile record, in schedule order:
 /// everything but the measured duration, built once per runner, with
 /// the counts over the value shapes `shapes`. A fused tail names its
-/// step's head; every head that runs an INT8 kernel reads
-/// [`DataType::I8`].
+/// head: its step's, or the depthwise conv an expansion head computes
+/// into, whose own record names none; every head that runs an INT8
+/// kernel reads [`DataType::I8`].
 fn profile_records(graph: &Graph, steps: &[Step<'_>], shapes: &[Shape]) -> Vec<NodeProfile> {
     let nodes = graph.nodes();
     steps
@@ -688,7 +744,10 @@ fn profile_records(graph: &Graph, steps: &[Step<'_>], shapes: &[Shape]) -> Vec<N
         .flat_map(|step| step.nodes.clone().map(move |idx| (idx, step)))
         .map(|(idx, step)| {
             let node = &nodes[idx];
-            let head = step.nodes.start;
+            let head = match depthwise_of(graph, &step.nodes) {
+                Some(d) if idx >= d => d,
+                _ => step.nodes.start,
+            };
             let (macs, elementwise) = counts(node, shapes);
             NodeProfile {
                 name: node.name.clone(),
@@ -750,6 +809,18 @@ pub(super) struct KernelCtx<'a> {
     pub(super) epi: Epilogue<'a>,
 }
 
+impl KernelCtx<'_> {
+    /// The context of a kernel call over one batch item, under `epi`.
+    pub(super) fn item<'b>(&'b mut self, epi: Epilogue<'b>) -> KernelCtx<'b> {
+        KernelCtx {
+            scratch: &mut *self.scratch,
+            par: self.par,
+            n: 1,
+            epi,
+        }
+    }
+}
+
 /// Runs a step's kernel into `out`, reading its data input `x` (an INT8
 /// kernel, a copy or a lone stage) or its inputs from the values of
 /// `ctx` (every other kernel). `fold` is the max-pool an INT8 conv head pools
@@ -775,6 +846,9 @@ fn eval_node_into(
         }
         (Kernel::Copy, out) => copy(x, out, ctx.epi),
         (Kernel::ConvLanes(c, run), Dst::F32(out)) => conv_lanes(arg(0), c, *run, out, ctx),
+        // A run that captures intermediates: the expansion whole, its
+        // depthwise reader then runs as its tail.
+        (Kernel::Expanded(e), Dst::F32(out)) => conv_lanes(arg(0), &e.expand, e.run, out, ctx),
         (Kernel::ConvGemm(c), Dst::F32(out)) => conv_gemm(arg(0), c, out, ctx),
         (Kernel::ConvBias(c), Dst::F32(out)) => conv_bias(c, out, ctx.epi),
         (Kernel::Grouped(c, groups), Dst::F32(out)) => {

@@ -150,46 +150,54 @@ pub(super) enum Place {
     Arena(Extent),
 }
 
-/// One arena less the range a step writes: the elements below it, and
-/// those from `from` on.
+/// One arena less the ranges a step writes: the pieces around them,
+/// each with the offset it starts at, in arena order.
 #[derive(Clone, Copy)]
 pub(super) struct Around<'a, T> {
-    below: &'a [T],
-    from: usize,
-    above: &'a [T],
+    pieces: [(usize, &'a [T]); 3],
 }
 
-/// Splits `arena` around `out`, the range a step writes into it (none
-/// when it writes elsewhere): the output, and the rest, which it reads.
-pub(super) fn split<T>(arena: &mut [T], out: Option<Range<usize>>) -> (&mut [T], Around<'_, T>) {
-    let Some(out) = out else {
-        return (&mut [], Around::whole(arena));
-    };
-    let (below, rest) = arena.split_at_mut(out.start);
-    let (out, above) = rest.split_at_mut(out.len());
-    let from = below.len() + out.len();
-    (out, Around { below, from, above })
+/// Splits `arena` around `a` and `b`, the disjoint ranges a step writes
+/// into it (`None` for one it writes elsewhere): the two, each empty for
+/// a `None`, and the rest, which it reads.
+pub(super) fn split<T>(
+    arena: &mut [T],
+    a: Option<Range<usize>>,
+    b: Option<Range<usize>>,
+) -> (&mut [T], &mut [T], Around<'_, T>) {
+    let end = arena.len()..arena.len();
+    let (a, b) = (a.unwrap_or(end.clone()), b.unwrap_or(end));
+    let swap = b.start < a.start;
+    let (lo, hi) = if swap { (&b, &a) } else { (&a, &b) };
+    let (below, rest) = arena.split_at_mut(lo.start);
+    let (lo_out, rest) = rest.split_at_mut(lo.len());
+    let (between, rest) = rest.split_at_mut(hi.start - lo.end);
+    let (hi_out, above) = rest.split_at_mut(hi.len());
+    let pieces = [(0, &*below), (lo.end, &*between), (hi.end, &*above)];
+    let around = Around { pieces };
+    if swap {
+        (hi_out, lo_out, around)
+    } else {
+        (lo_out, hi_out, around)
+    }
 }
 
 impl<'a, T> Around<'a, T> {
     /// All of `arena`, when a step writes none of it.
     pub(super) fn whole(arena: &'a [T]) -> Self {
+        let end = (arena.len(), &arena[arena.len()..]);
         Around {
-            below: arena,
-            from: arena.len(),
-            above: &[],
+            pieces: [(0, arena), end, end],
         }
     }
 
-    /// The elements in `r`, which lies below or above the step's output:
-    /// a value a step reads is live at its step, so the plan keeps it
-    /// clear of the output's range.
+    /// The elements in `r`, which lies in one piece: a value a step reads
+    /// is live at its step, so the plan keeps it clear of every range the
+    /// step writes.
     fn get(&self, r: Range<usize>) -> &'a [T] {
-        if r.end <= self.below.len() {
-            &self.below[r]
-        } else {
-            &self.above[r.start - self.from..r.end - self.from]
-        }
+        let last = self.pieces.partition_point(|&(at, _)| at <= r.start);
+        let (at, piece) = self.pieces[last.saturating_sub(1)];
+        &piece[r.start - at..r.end - at]
     }
 }
 
@@ -231,16 +239,28 @@ impl<'a> Values<'a> {
 pub(super) struct Epilogue<'a> {
     pub(super) stages: &'a [Stage<'a>],
     pub(super) plane: usize,
+    /// The flat index, in the value the stages run over, of the kernel
+    /// output's first element: 0, but for a kernel that computes a
+    /// channel slice of one batch item.
+    pub(super) base: usize,
     pub(super) values: Values<'a>,
 }
 
 impl Epilogue<'_> {
     /// Applies every stage, in order, to `xs`: the output run that
-    /// starts at flat index `at`, just written by the kernel.
+    /// starts at flat index `at` of the kernel's output, just written by
+    /// the kernel.
     pub(super) fn apply(&self, xs: &mut [f32], at: usize) {
         for stage in self.stages {
-            stage.apply(xs, at, self.plane, self.values);
+            stage.apply(xs, self.base + at, self.plane, self.values);
         }
+    }
+
+    /// The channel, of a value of `channels`, that the kernel's output
+    /// channel `c` is: the index a BatchNorm's parameters take
+    /// ([`Stage::apply`]).
+    pub(super) fn channel(&self, c: usize, channels: usize) -> usize {
+        (self.base / self.plane + c) % channels
     }
 }
 

@@ -210,10 +210,11 @@ fn runs_every_batch_as_built(g: &Graph, runs: &[usize], seed: u64) -> Result<(),
 
 /// A graph over the f32 kernels, those that take their batch from the
 /// run among them: a stride-1 conv on the lane kernel, a depthwise conv,
-/// a channel concat, a squeeze-excite gate (global average pool,
-/// sigmoid, broadcast multiply), max and average pools, nearest
-/// upsampling, a flatten, a dense layer and a softmax over its rows;
-/// seeded weights.
+/// a channel concat, a 1×1 expansion on the lane kernel computed into
+/// the depthwise conv that is its only reader, a squeeze-excite gate
+/// (global average pool, sigmoid, broadcast multiply), max and average
+/// pools, nearest upsampling, a flatten, a dense layer and a softmax
+/// over its rows; seeded weights.
 fn every_kernel() -> Graph {
     let mut b = GraphBuilder::new("every-kernel");
     let x = b.input(Shape::nchw(1, 2, 12, 12));
@@ -224,11 +225,18 @@ fn every_kernel() -> Graph {
         .apply("dw", Op::Conv2d(Conv2dAttrs::depthwise(4, 3, 1)), &[c1])
         .unwrap();
     let cat = b.apply("cat", Op::Concat, &[c1, dw]).unwrap();
-    let gap = b.apply("gap", Op::GlobalAvgPool, &[cat]).unwrap();
+    let expand = b
+        .apply("expand", Op::Conv2d(Conv2dAttrs::pointwise(20)), &[cat])
+        .unwrap();
+    let act = Op::Activation(ActKind::HardSwish);
+    let expand = b.apply("expand.act", act, &[expand]).unwrap();
+    let dw = Op::Conv2d(Conv2dAttrs::depthwise(20, 3, 1));
+    let dw = b.apply("expand.dw", dw, &[expand]).unwrap();
+    let gap = b.apply("gap", Op::GlobalAvgPool, &[dw]).unwrap();
     let gate = b
         .apply("gate", Op::Activation(ActKind::Sigmoid), &[gap])
         .unwrap();
-    let se = b.apply("se", Op::Mul, &[cat, gate]).unwrap();
+    let se = b.apply("se", Op::Mul, &[dw, gate]).unwrap();
     let max = b
         .apply("max", Op::MaxPool2d(Pool2dAttrs::square(2, 2)), &[se])
         .unwrap();
@@ -1017,6 +1025,210 @@ fn pointwise_rule_seams_match_scalar_reference() {
         let g = pointwise_graph(&x, 5, Some(b), kernel, Some((&r, chain_first)));
         let label = format!("fused K {k}, {h}x{w}, batch {batch}");
         assert_matches_reference(&g, &[x, r], &label);
+    }
+}
+
+/// What reads a [`pair_graph`]'s expansion besides its depthwise conv.
+#[derive(Debug, Clone, Copy)]
+enum Reader {
+    /// Nothing.
+    Depthwise,
+    /// A ReLU, whose value is a graph output.
+    Relu,
+    /// The caller: the expansion is a graph output.
+    Output,
+}
+
+/// One [`pair_graph`]: the expansion's input channels, kernel and
+/// padding and output channels, the depthwise conv's kernel and stride,
+/// the input plane, the expansion's other reader, and whether the runner
+/// computes the expansion into the depthwise conv a block at a time.
+struct PairCase {
+    in_c: usize,
+    expand: (usize, usize),
+    out_c: usize,
+    depthwise: (usize, usize),
+    plane: (usize, usize),
+    reader: Reader,
+    fused: bool,
+}
+
+/// `relu(x) → expansion conv (stride 1, bias) → BatchNorm → HardSwish →
+/// depthwise conv (padding kernel / 2, bias) → BatchNorm → ReLU → Add`
+/// of `relu(r)`, at `batch`, explicit weights, plus `case.reader`: the
+/// operands the expansion and the residual `Add` read both live in the
+/// arena.
+fn pair_graph(batch: usize, case: &PairCase) -> Graph {
+    let ((k, p), (dk, ds), (h, w), c) = (case.expand, case.depthwise, case.plane, case.out_c);
+    let (oh, ow) = (
+        (h + 2 * (dk / 2) - dk) / ds + 1,
+        (w + 2 * (dk / 2) - dk) / ds + 1,
+    );
+    let mut b = GraphBuilder::new("expand-depthwise");
+    let x = b.input(Shape::nchw(batch, case.in_c, h, w));
+    let r = b.input(Shape::nchw(batch, c, oh, ow));
+    let relu = Op::Activation(ActKind::Relu);
+    let xr = b.apply("x.relu", relu.clone(), &[x]).unwrap();
+    let rr = b.apply("r.relu", relu.clone(), &[r]).unwrap();
+    let t = |dims: Vec<usize>, seed: u64, scale: f32| Tensor::random(Shape::new(dims), seed, scale);
+    let conv = |kernel: Vec<usize>, seed: u64| {
+        WeightInit::Explicit(vec![t(kernel, seed, 1.0), t(vec![c], seed + 1, 0.5)])
+    };
+    let bn =
+        |seed: u64| WeightInit::Explicit(vec![t(vec![c], seed, 1.0), t(vec![c], seed + 1, 0.5)]);
+    let attrs = |kernel, stride, padding, groups| Conv2dAttrs {
+        out_channels: c,
+        kernel: (kernel, kernel),
+        stride: (stride, stride),
+        padding: (padding, padding),
+        groups,
+        bias: true,
+    };
+    let e = Op::Conv2d(attrs(k, 1, p, 1));
+    let e = b.apply_with_weights("expand", e, &[xr], conv(vec![c, case.in_c, k, k], 1));
+    let e = b.apply_with_weights("expand.bn", Op::BatchNorm, &[e.unwrap()], bn(3));
+    let act = Op::Activation(ActKind::HardSwish);
+    let e = b.apply("expand.act", act, &[e.unwrap()]).unwrap();
+    let d = Op::Conv2d(attrs(dk, ds, dk / 2, c));
+    let d = b.apply_with_weights("dw", d, &[e], conv(vec![c, 1, dk, dk], 5));
+    let d = b.apply_with_weights("dw.bn", Op::BatchNorm, &[d.unwrap()], bn(7));
+    let d = b.apply("dw.relu", relu.clone(), &[d.unwrap()]).unwrap();
+    let d = b.apply("add", Op::Add, &[d, rr]).unwrap();
+    let outputs = match case.reader {
+        Reader::Depthwise => vec![d],
+        Reader::Relu => vec![d, b.apply("expand.relu", relu, &[e]).unwrap()],
+        Reader::Output => vec![d, e],
+    };
+    b.finish(outputs)
+}
+
+/// The fusion rule at its seams: an expansion conv on the lane kernel
+/// (1×1 over K = 16 and 32 input channels, and a padded 3×3 over 2)
+/// whose only reader is a depthwise conv (3×3 and 5×5, stride 1 and 2,
+/// padded) is computed into it 16 channels at a time, over 8, 16, 17
+/// and 72 channels, so some blocks are short; one on the GEMM (K = 33),
+/// one with a second reader, one that is a graph output and one over
+/// 6 pixels are not. The plan's bytes tell which: a fused expansion
+/// owns one block, live only at the pair's step. One runner built at
+/// batch 3 runs batches 3, 1, 2 and 3, serial and over two workers,
+/// planned and unplanned; each output, and each captured value (every
+/// expansion in full), is [`conv_reference`]'s arithmetic bit for bit,
+/// with the expansion's BatchNorm and HardSwish and the depthwise conv's
+/// BatchNorm, ReLU and residual `Add`. Both convs keep profile records
+/// of their own time, each naming none, and each tail names its conv.
+#[test]
+fn expansion_into_depthwise_seams_match_scalar_reference() {
+    let pair = |in_c, expand, out_c, depthwise, plane, reader, fused| PairCase {
+        in_c,
+        expand,
+        out_c,
+        depthwise,
+        plane,
+        reader,
+        fused,
+    };
+    let cases = [
+        pair(16, (1, 0), 8, (3, 1), (9, 10), Reader::Depthwise, true),
+        pair(16, (1, 0), 16, (5, 2), (9, 10), Reader::Depthwise, true),
+        pair(32, (1, 0), 17, (3, 2), (9, 10), Reader::Depthwise, true),
+        pair(32, (1, 0), 72, (5, 1), (12, 16), Reader::Depthwise, true),
+        pair(2, (3, 1), 17, (5, 2), (9, 10), Reader::Depthwise, true),
+        pair(33, (1, 0), 17, (3, 1), (9, 10), Reader::Depthwise, false),
+        pair(16, (1, 0), 17, (3, 1), (9, 10), Reader::Relu, false),
+        pair(16, (1, 0), 17, (3, 1), (9, 10), Reader::Output, false),
+        pair(16, (1, 0), 17, (3, 1), (2, 3), Reader::Depthwise, false),
+    ];
+    for (i, case) in cases.iter().enumerate() {
+        let g = pair_graph(3, case);
+        let label = |at: String| format!("case {i} ({:?}, out_c {}) {at}", case.reader, case.out_c);
+        let named = |name: &str| g.nodes().iter().find(|n| n.name == name).unwrap().output;
+        let bytes = |t: TensorId| 4 * g.tensor_shape(t).unwrap().elem_count() as u64;
+        let expansion = bytes(named("expand.act"));
+        let block = expansion / case.out_c as u64 * case.out_c.min(16) as u64;
+        let whole: u64 = (0..g.tensor_count())
+            .map(TensorId)
+            .filter(|t| !g.inputs().contains(t))
+            .map(bytes)
+            .sum();
+        let plan = vedliot_nnir::exec::MemoryPlan::plan(&g);
+        if case.fused {
+            assert_eq!(
+                plan.unplanned_bytes(),
+                whole - expansion + block,
+                "{}",
+                label(String::new())
+            );
+            let live = ["x.relu", "r.relu", "add"].map(|n| bytes(named(n)));
+            assert_eq!(
+                plan.peak_bytes(),
+                live.iter().sum::<u64>() + block,
+                "{}",
+                label(String::new())
+            );
+        } else {
+            assert_eq!(plan.unplanned_bytes(), whole, "{}", label(String::new()));
+        }
+        for par in [Parallelism::Serial, Parallelism::Threads(2)] {
+            for planning in [true, false] {
+                let mut runner = Runner::builder()
+                    .parallelism(par)
+                    .memory_planning(planning)
+                    .build(&g)
+                    .unwrap();
+                for (j, n) in [3, 1, 2, 3].into_iter().enumerate() {
+                    let at_n = g.with_batch(n).unwrap();
+                    let seed = 100 * i as u64 + j as u64;
+                    let inputs: Vec<Tensor> = at_n
+                        .inputs()
+                        .iter()
+                        .zip(seed..)
+                        .map(|(&t, seed)| {
+                            Tensor::random(at_n.tensor_shape(t).unwrap().clone(), seed, 1.0)
+                        })
+                        .collect();
+                    let want = reference_values(&at_n, &inputs);
+                    let at = format!("under {par:?}, planned {planning}, batch {n}");
+                    let opts = RunOptions::new().profile(true);
+                    let plain = runner.execute(&inputs, opts).unwrap();
+                    for (got, t) in plain.outputs().iter().zip(g.outputs()) {
+                        let want = want[t.0].as_ref().unwrap();
+                        assert_eq!(bits(got.data()), bits(want.data()), "{}", label(at.clone()));
+                    }
+                    // Each conv keeps a record of its own time, and its
+                    // tails name it, fused or not.
+                    for record in &plain.profile().unwrap().per_node {
+                        let name = record.name.as_str();
+                        let head = match name {
+                            "expand.bn" | "expand.act" => Some("expand"),
+                            "dw.bn" | "dw.relu" | "add" => Some("dw"),
+                            _ => None,
+                        };
+                        assert_eq!(
+                            record.fused_into.as_deref(),
+                            head,
+                            "{} {name}",
+                            label(at.clone())
+                        );
+                        if matches!(name, "expand" | "dw") {
+                            assert!(record.duration_ns > 0, "{} {name}", label(at.clone()));
+                        }
+                    }
+                    let opts = RunOptions::new().capture_intermediates(true);
+                    let captured = runner.execute(&inputs, opts).unwrap();
+                    let values = captured.intermediates().unwrap().iter().zip(&want);
+                    for (t, (got, want)) in values.enumerate() {
+                        let (got, want) = (got.as_ref().unwrap(), want.as_ref().unwrap());
+                        assert_eq!(got.shape(), want.shape(), "{} t{t}", label(at.clone()));
+                        assert_eq!(
+                            bits(got.data()),
+                            bits(want.data()),
+                            "{} t{t}",
+                            label(at.clone())
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -133,7 +133,14 @@ fn parse_imm(text: &str, line: usize) -> Result<i64, AsmError> {
         body.parse::<i64>()
     }
     .map_err(|_| err(line, format!("invalid immediate '{text}'")))?;
-    Ok(if neg { -value } else { value })
+    if neg {
+        // `--9223372036854775808` parses as `i64::MIN`, which has no negation.
+        value
+            .checked_neg()
+            .ok_or_else(|| err(line, format!("invalid immediate '{text}'")))
+    } else {
+        Ok(value)
+    }
 }
 
 // Encoders ------------------------------------------------------------
@@ -235,7 +242,9 @@ pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
             .filter(|t| !t.is_empty())
             .map(str::to_string)
             .collect();
-        let m = tokens[0].as_str();
+        let Some(m) = tokens.first().map(String::as_str) else {
+            return Err(err(line_no, "statement without a mnemonic"));
+        };
         let arg = |i: usize| -> Result<&str, AsmError> {
             tokens
                 .get(i)
@@ -256,8 +265,9 @@ pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
             let open = t
                 .find('(')
                 .ok_or_else(|| err(line_no, format!("expected off(reg), got '{t}'")))?;
-            let close = t
+            let close = t[open..]
                 .find(')')
+                .map(|at| open + at)
                 .ok_or_else(|| err(line_no, format!("expected off(reg), got '{t}'")))?;
             let off = if open == 0 {
                 0
@@ -587,6 +597,22 @@ mod tests {
     #[test]
     fn undefined_label_is_an_error() {
         assert!(assemble("j nowhere").is_err());
+    }
+
+    #[test]
+    fn malformed_statements_are_errors() {
+        // A line of separators only, a closing parenthesis before the
+        // opening one, and an immediate with no negation.
+        for (src, why) in [
+            (",", "without a mnemonic"),
+            ("nop\n , ,", "without a mnemonic"),
+            ("lw a0, )4(a1", "expected off(reg)"),
+            ("li a0, --9223372036854775808", "invalid immediate"),
+        ] {
+            let e = assemble(src).unwrap_err();
+            assert!(e.message.contains(why), "{src:?}: {e}");
+        }
+        assert_eq!(assemble("nop\n , ,").unwrap_err().line, 2);
     }
 
     #[test]

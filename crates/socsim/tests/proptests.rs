@@ -138,3 +138,37 @@ proptest! {
         prop_assert_eq!(pmp.check(0x4000, 4, AccessKind::Execute, PrivilegeMode::User), x);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// The assembler reads untrusted source: any line drawn from its
+    /// mnemonics, registers, digits, commas, parentheses, colons and
+    /// spaces assembles or is an error, never a panic.
+    #[test]
+    fn assemble_never_panics_on_token_soup(
+        lines in proptest::collection::vec(
+            proptest::collection::vec(0usize..SOUP.len(), 0..8),
+            1..4,
+        ),
+    ) {
+        let src: Vec<String> = lines
+            .iter()
+            .map(|line| line.iter().map(|&t| SOUP[t]).collect())
+            .collect();
+        let src = src.join("\n");
+        match assemble(&src) {
+            Ok(bytes) => prop_assert_eq!(bytes.len() % 4, 0),
+            Err(e) => prop_assert!(e.line >= 1, "{:?}: {}", src, e),
+        }
+    }
+}
+
+/// What [`assemble_never_panics_on_token_soup`] builds its lines from,
+/// the separators over-represented so that short lines often hold
+/// nothing else.
+const SOUP: [&str; 40] = [
+    "lw", "sw", "addi", "slli", "beq", "jal", "jalr", "lui", "li", "la", "csrrw", "csrrwi", "cfu2",
+    ".word", "nop", "a0", "x1", "x32", "sp", "mstatus", "loop", "0", "7", "-", "0x", " ", " ", " ",
+    ",", ",", ",", "(", "(", "(", ")", ")", ")", ":", "#", " ",
+];

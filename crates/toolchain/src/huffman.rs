@@ -218,9 +218,22 @@ pub fn encode(symbols: &[u16], alphabet_size: usize) -> Encoded {
 ///
 /// # Errors
 ///
-/// Returns a descriptive error string if the bitstream is truncated or
-/// contains an invalid code.
+/// Returns a descriptive error string if the bitstream is truncated,
+/// claims more bits than its bytes hold or more symbols than its bits,
+/// or contains an invalid code.
 pub fn decode(encoded: &Encoded) -> Result<Vec<u16>, String> {
+    let (bit_len, bytes) = (encoded.bit_len, encoded.bits.len());
+    if bit_len.div_ceil(8) > bytes {
+        return Err(format!(
+            "huffman stream of {bit_len} bits holds {bytes} bytes"
+        ));
+    }
+    // Every used symbol's code has at least one bit, so a count past the
+    // bit length cannot decode; refusing it bounds the allocation below.
+    if encoded.symbol_count > bit_len {
+        let count = encoded.symbol_count;
+        return Err(format!("{count} huffman symbols claimed in {bit_len} bits"));
+    }
     // Rebuild the canonical code table and decode by walking code space.
     let lengths = &encoded.codebook.lengths;
     let codes = &encoded.codebook.codes;
@@ -312,6 +325,24 @@ mod tests {
         let mut enc = encode(&symbols, 4);
         enc.bit_len /= 2;
         assert!(decode(&enc).is_err());
+    }
+
+    #[test]
+    fn lengths_past_the_stream_are_refused() {
+        let symbols = vec![0u16, 1, 2, 3, 0, 1, 2, 3];
+        let enc = encode(&symbols, 4);
+        // The last byte dropped: its bits read past the buffer.
+        let mut short = enc.clone();
+        short.bits.pop();
+        assert!(decode(&short).unwrap_err().contains("bits holds"));
+        // A count that could never decode, up to one no buffer holds.
+        for count in [enc.bit_len + 1, usize::MAX] {
+            let huge = Encoded {
+                symbol_count: count,
+                ..enc.clone()
+            };
+            assert!(decode(&huge).unwrap_err().contains("symbols claimed"));
+        }
     }
 
     #[test]

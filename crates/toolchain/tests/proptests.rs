@@ -17,6 +17,36 @@ proptest! {
         prop_assert_eq!(decoded, symbols);
     }
 
+    /// A stream that arrives from elsewhere decodes to `Ok` or an error,
+    /// never a panic: bytes dropped from or appended to its buffer, its
+    /// bit length and symbol count raised, up to `usize::MAX`. Unmutated,
+    /// it decodes to its symbols.
+    #[test]
+    fn huffman_decode_never_panics_on_mutated_streams(
+        symbols in proptest::collection::vec(0u16..16, 0..300),
+        drop in 0usize..4,
+        append in proptest::collection::vec(any::<u8>(), 0..4),
+        (more_bits, more_symbols) in (0usize..40, 0usize..40),
+        saturate in 0usize..6,
+    ) {
+        let mut encoded = huffman::encode(&symbols, 16);
+        let unmutated = drop == 0 && append.is_empty() && more_bits + more_symbols == 0 && saturate > 1;
+        let keep = encoded.bits.len().saturating_sub(drop);
+        encoded.bits.truncate(keep);
+        encoded.bits.extend(append);
+        encoded.bit_len += more_bits;
+        encoded.symbol_count += more_symbols;
+        match saturate {
+            0 => encoded.bit_len = usize::MAX,
+            1 => encoded.symbol_count = usize::MAX,
+            _ => {}
+        }
+        let decoded = huffman::decode(&encoded);
+        if unmutated {
+            prop_assert_eq!(decoded, Ok(symbols));
+        }
+    }
+
     /// The encoded payload never exceeds the trivial fixed-width bound
     /// by more than one byte of padding (Huffman is never worse than
     /// ceil(log2(alphabet)) bits per symbol, +1 for the degenerate

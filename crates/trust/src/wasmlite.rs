@@ -159,7 +159,12 @@ impl Module {
     /// Returns [`VmError::Validation`] describing the first violation.
     pub fn validate(&self) -> Result<(), VmError> {
         for (fi, func) in self.funcs.iter().enumerate() {
-            let locals = func.params + func.locals;
+            let (params, locals) = (func.params, func.locals);
+            let locals = params.checked_add(locals).ok_or_else(|| {
+                VmError::Validation(format!(
+                    "function {fi}: {params} params and {locals} locals overflow u32"
+                ))
+            })?;
             let final_depth = validate_seq(&func.body, locals, self, 0)
                 .map_err(|m| VmError::Validation(format!("function {fi}: {m}")))?;
             if func.returns_value && final_depth != Some(1) && final_depth.is_some() {
@@ -574,6 +579,24 @@ mod tests {
             funcs: vec![func],
             memory_pages: 1,
         }
+    }
+
+    #[test]
+    fn locals_past_u32_are_a_validation_error() {
+        // `call` sizes its frame from the same sum; `Instance::new`
+        // validates first.
+        let m = module_of(Func {
+            params: u32::MAX,
+            locals: 1,
+            returns_value: false,
+            body: vec![],
+        });
+        let e = m.validate().unwrap_err();
+        assert!(
+            matches!(&e, VmError::Validation(m) if m.contains("overflow")),
+            "{e}"
+        );
+        assert!(Instance::new(m).is_err());
     }
 
     #[test]
